@@ -15,6 +15,11 @@ Front-ends provided here:
 * affine augmentation helpers and file formats (OFF, a trivial raw video
   container, stroke JSON, CIFAR-10 binary batches).
 
+Meshes and polylines are sampled as whole arrays: every face's
+barycentric lattice, or every segment's evenly spaced points, goes into
+one point array that is rounded to voxels and deduplicated with a single
+``np.unique``.  Non-finite coordinates are rejected before sampling.
+
 All randomness is drawn from explicit generators, so ingestion of a
 sample is a pure function of its inputs and seed.
 """
@@ -22,6 +27,7 @@ sample is a pure function of its inputs and seed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +53,8 @@ class TriangleMesh:
         self.faces = np.asarray(self.faces, dtype=np.int64).reshape(-1, 3)
         if self.faces.size and (self.faces.min() < 0 or self.faces.max() >= len(self.vertices)):
             raise ValueError("face references a vertex that does not exist")
+        if not np.isfinite(self.vertices).all():
+            raise ValueError("mesh has non-finite vertex coordinates")
 
 
 @dataclass
@@ -121,7 +129,10 @@ def load_off(data) -> TriangleMesh:
     verts = np.empty((nv, 3))
     for i in range(nv):
         for j in range(3):
-            verts[i, j], _ = take(float, f"vertex {i} coordinate")
+            x, ln = take(float, f"vertex {i} coordinate")
+            if not math.isfinite(x):
+                raise FormatError(f"vertex {i} has a non-finite coordinate", ln)
+            verts[i, j] = x
     tris = []
     for i in range(nf):
         k, ln = take(int, f"face {i} vertex count")
@@ -268,15 +279,42 @@ def fit_points(points: np.ndarray, shape: GridShape, margin: float = 1.0) -> np.
 # voxelization and rasterization
 
 
+def _occupancy_grid(shape: GridShape, keys: np.ndarray) -> SparseGrid:
+    """Occupancy grid of the given packed keys: value 1 at each, ground 0."""
+    keys = np.unique(keys)
+    rows = np.ones((keys.shape[0], 1), dtype=np.float32)
+    return SparseGrid(shape, keys, rows, np.zeros(1, dtype=np.float32))
+
+
+def _ranks(counts: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(c) for c in counts])`` without the loop."""
+    starts = np.cumsum(counts) - counts
+    return np.arange(int(counts.sum())) - np.repeat(starts, counts)
+
+
+def _subdivisions(corners: np.ndarray) -> np.ndarray:
+    """Barycentric subdivision count ``n`` of each (3 corners, 3 coords)
+    face: the smallest that makes every sub-edge shorter than 0.45."""
+    edges = np.stack([corners[:, 1] - corners[:, 0],
+                      corners[:, 2] - corners[:, 0],
+                      corners[:, 2] - corners[:, 1]], axis=1)
+    # matmul's vector-vector case calls the same BLAS dot as np.linalg.norm
+    # does on one vector, so lengths (and hence n) match it bit for bit
+    length = np.sqrt((edges[..., None, :] @ edges[..., :, None])[..., 0, 0])
+    return np.maximum(1, np.ceil(length.max(axis=1) / 0.45).astype(np.int64))
+
+
 def voxelize_mesh(mesh: TriangleMesh, m: int, rotation: np.ndarray | None = None,
                   margin: float = 1.0, fit: bool = True) -> SparseGrid:
     """Surface-sample a triangle mesh into a cubic occupancy grid.
 
     The mesh is optionally rotated, then uniformly scaled and centered to
     fit the grid with a one-voxel margin (``fit=False`` keeps the mesh's
-    own grid coordinates).  Each triangle is subdivided barycentrically
-    until sub-triangle edges are shorter than half a voxel, and every
-    voxel receiving a sample point becomes active with value 1.
+    own grid coordinates).  Face ``A, B, C`` is sampled at the barycentric
+    lattice ``A + (u/n)(B-A) + (v/n)(C-A)``, ``u + v <= n``, where ``n`` is
+    the smallest count that makes every sub-edge shorter than 0.45 voxel.
+    The lattices of all faces form one point array; its rounded, clipped
+    voxels become active with value 1.
     """
     if len(mesh.faces) < 1:
         raise ValueError("mesh has no faces to voxelize")
@@ -289,59 +327,61 @@ def voxelize_mesh(mesh: TriangleMesh, m: int, rotation: np.ndarray | None = None
     if fit:
         verts = fit_points(verts, shape, margin=margin)
 
-    keys = set()
-    for (a, b, c) in mesh.faces:
-        A, B, C = verts[a], verts[b], verts[c]
-        edge = max(np.linalg.norm(B - A), np.linalg.norm(C - A), np.linalg.norm(C - B))
-        n = max(1, int(np.ceil(edge / 0.45)))
-        # barycentric lattice u/n, v/n with u+v <= n
-        us = np.arange(n + 1)
-        for u in us:
-            v = np.arange(n + 1 - u)
-            pts = A + np.outer(np.full(v.shape, u / n), (B - A)) + np.outer(v / n, (C - A))
-            vox = np.rint(pts).astype(np.int64)
-            np.clip(vox, 0, m - 1, out=vox)
-            for k in pack_sites(vox):
-                keys.add(int(k))
-    key_arr = np.array(sorted(keys), dtype=np.int64)
-    rows = np.ones((key_arr.shape[0], 1), dtype=np.float32)
-    return SparseGrid(shape, key_arr, rows, np.zeros(1, dtype=np.float32))
+    corners = verts[mesh.faces]  # (F, 3 corners, 3 coords)
+    n = _subdivisions(corners)
+    # face f has rows u = 0 .. n_f; row u holds v = 0 .. n_f - u
+    row_face = np.repeat(np.arange(n.shape[0]), n + 1)
+    u = _ranks(n + 1)
+    row_len = n[row_face] + 1 - u
+    pt_row = np.repeat(np.arange(row_face.shape[0]), row_len)
+    v = _ranks(row_len)
+    face = row_face[pt_row]
+    A = corners[face, 0]
+    AB = (corners[:, 1] - corners[:, 0])[face]
+    AC = (corners[:, 2] - corners[:, 0])[face]
+    nf = n[face]
+    pts = A + (u[pt_row] / nf)[:, None] * AB + (v / nf)[:, None] * AC
+    vox = np.rint(pts).astype(np.int64)
+    np.clip(vox, 0, m - 1, out=vox)
+    return _occupancy_grid(shape, pack_sites(vox))
 
 
 def rasterize_polyline(points: np.ndarray, m: int, shape: GridShape | None = None) -> SparseGrid:
     """Trace line segments through the grid; visited voxels get value 1.
 
-    Consecutive samples along each segment are spaced under half a voxel,
-    so the voxel path is 26-connected.  Points outside the grid's valid
-    region are an error.
+    Segment ``a -> b`` is sampled at ``t = k / steps``, ``k = 0 .. steps``
+    (the last sample at exactly ``t = 1``), with ``steps`` chosen so that
+    consecutive samples are under half a voxel apart; the voxel path is
+    therefore 26-connected.  All segments' samples form one point array.
+    A sample outside the grid's valid region is an error that names the
+    first such voxel along the path; non-finite points are an error too.
     """
     if shape is None:
         shape = GridShape(LatticeKind.CUBIC, m)
     points = np.asarray(points, dtype=float).reshape(-1, shape.ndim)
     if points.shape[0] < 1:
         raise ValueError("need at least one point")
-    keys = set()
+    if not np.isfinite(points).all():
+        raise ValueError("polyline has non-finite coordinates")
 
-    def mark(pts):
-        vox = np.rint(pts).astype(np.int64).reshape(-1, shape.ndim)
-        bad = (vox < 0).any(axis=1) | (vox >= shape.m).any(axis=1)
-        if shape.lattice.is_simplex:
-            bad |= vox.sum(axis=1) > shape.m - 1
-        if bad.any():
-            culprit = vox[np.argmax(bad)]
-            raise ValueError(f"point maps to voxel {tuple(culprit)} outside the grid")
-        for k in pack_sites(vox):
-            keys.add(int(k))
+    delta = np.diff(points, axis=0)
+    steps = np.maximum(1, np.ceil(np.abs(delta).max(axis=1) / 0.45).astype(np.int64))
+    seg = np.repeat(np.arange(delta.shape[0]), steps + 1)
+    k = _ranks(steps + 1)
+    n = steps[seg]
+    # np.linspace(0, 1, n + 1) computes k * (1 / n), then sets the last t = 1
+    t = k * (1.0 / n)
+    t[k == n] = 1.0
+    pts = np.vstack([points[:1], points[seg] + t[:, None] * delta[seg]])
 
-    mark(points[0])
-    for i in range(points.shape[0] - 1):
-        a, b = points[i], points[i + 1]
-        steps = max(1, int(np.ceil(np.abs(b - a).max() / 0.45)))
-        ts = np.linspace(0.0, 1.0, steps + 1)
-        mark(a + np.outer(ts, b - a))
-    key_arr = np.array(sorted(keys), dtype=np.int64)
-    rows = np.ones((key_arr.shape[0], 1), dtype=np.float32)
-    return SparseGrid(shape, key_arr, rows, np.zeros(1, dtype=np.float32))
+    vox = np.rint(pts).astype(np.int64)
+    bad = (vox < 0).any(axis=1) | (vox >= shape.m).any(axis=1)
+    if shape.lattice.is_simplex:
+        bad |= vox.sum(axis=1) > shape.m - 1
+    if bad.any():
+        culprit = vox[np.argmax(bad)]
+        raise ValueError(f"point maps to voxel {tuple(culprit.tolist())} outside the grid")
+    return _occupancy_grid(shape, pack_sites(vox))
 
 
 def strokes_to_spacetime(sample: StrokeSample, m: int = 40) -> SparseGrid:
@@ -365,18 +405,15 @@ def strokes_to_spacetime(sample: StrokeSample, m: int = 40) -> SparseGrid:
     tscale = (m - 1) / max(total - 1, 1)
 
     shape = GridShape(LatticeKind.CUBIC, m)
-    keys = set()
+    keys = []
     idx = 0
     for stroke in sample.strokes:
         xy = (stroke - lo) * scale + pad
         times = (np.arange(idx, idx + len(stroke)) * tscale).reshape(-1, 1)
         idx += len(stroke)
         pts = np.hstack([xy, times])
-        sub = rasterize_polyline(pts, m, shape)
-        keys.update(int(k) for k in sub.keys)
-    key_arr = np.array(sorted(keys), dtype=np.int64)
-    rows = np.ones((key_arr.shape[0], 1), dtype=np.float32)
-    return SparseGrid(shape, key_arr, rows, np.zeros(1, dtype=np.float32))
+        keys.append(rasterize_polyline(pts, m, shape).keys)
+    return _occupancy_grid(shape, np.concatenate(keys))
 
 
 def frame_difference(video: FrameSequence, threshold_pct: float) -> SparseGrid:

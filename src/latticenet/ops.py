@@ -19,7 +19,10 @@ touched.
 Pooling uses the same active-site rule with a component-wise max over the
 footprint; fractional max pooling (FMP) replaces the regular footprint
 with randomized overlapping size-2 regions that shrink each dimension by
-a factor strictly between 1 and 2.
+a factor strictly between 1 and 2.  An input site meets at most two
+regions per dimension, so FMP's active output sites are the up to eight
+region combinations of each active input site, enumerated for all sites
+at once with one ``np.unique``.
 """
 
 from __future__ import annotations
@@ -306,34 +309,24 @@ def fmp_forward(grid: SparseGrid, layer: FMPLayer, regions=None, *, keep_plan: b
     m_out = regions[0].shape[0]
     out_shape = GridShape(LatticeKind.CUBIC, m_out)
 
-    # active output sites: regions whose 2-window touches an active input site
-    out_key_set = set()
+    # active output sites: regions whose 2-window touches an active input
+    # site.  Along each dimension a site at c meets at most two regions, the
+    # one starting at c - 1 and the one starting at c, so its candidates
+    # are the 2 x 2 x 2 combinations of those that exist.
     starts = regions
     sites = grid.sites()
-    cand = []
-    for dim in range(3):
+    region, hit = [], []
+    for dim, spread in enumerate((np.s_[:, None, None], np.s_[None, :, None],
+                                  np.s_[None, None, :])):
         c = sites[:, dim]
-        lo = np.searchsorted(starts[dim], c - 1)
-        hi = np.searchsorted(starts[dim], c)
+        want = np.stack([c - 1, c])  # (2, a) wanted region starts
+        r = np.searchsorted(starts[dim], want)
         n_r = starts[dim].shape[0]
-        hit_lo = (lo < n_r) & (starts[dim][np.minimum(lo, n_r - 1)] == c - 1)
-        hit_hi = (hi < n_r) & (starts[dim][np.minimum(hi, n_r - 1)] == c)
-        cand.append((lo, hit_lo, hi, hit_hi))
-    for i in range(sites.shape[0]):
-        per_dim = []
-        for dim in range(3):
-            lo, hit_lo, hi, hit_hi = cand[dim]
-            opts = []
-            if hit_lo[i]:
-                opts.append(int(lo[i]))
-            if hit_hi[i]:
-                opts.append(int(hi[i]))
-            per_dim.append(opts)
-        for u0 in per_dim[0]:
-            for u1 in per_dim[1]:
-                for u2 in per_dim[2]:
-                    out_key_set.add((u0 << 42) | (u1 << 21) | u2)
-    out_keys = np.array(sorted(out_key_set), dtype=np.int64)
+        region.append(r[spread])  # dimension dim's choice on axis dim of (2, 2, 2, a)
+        hit.append(((r < n_r) & (starts[dim][np.minimum(r, n_r - 1)] == want))[spread])
+    corner = np.stack(np.broadcast_arrays(*region), axis=-1)  # (2, 2, 2, a, 3)
+    ok = hit[0] & hit[1] & hit[2]
+    out_keys = np.unique(pack_sites(corner[ok]))
 
     # gather the 8 corners of each region product
     a_out = out_keys.shape[0]

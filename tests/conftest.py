@@ -8,6 +8,7 @@ sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
 
 from latticenet.geometry import GridShape, LatticeKind
 from latticenet.grid import DenseGrid, SparseGrid
+from latticenet.ingest import TriangleMesh
 
 ALL_LATTICES = list(LatticeKind)
 
@@ -25,6 +26,33 @@ def random_dense(lattice, m, n, sparsity, rng, ground=None):
 def random_sparse(lattice, m, n, sparsity, rng, ground=None):
     g = np.zeros(n) if ground is None else np.asarray(ground, dtype=float)
     return SparseGrid.from_dense(random_dense(lattice, m, n, sparsity, rng, ground), g)
+
+
+def cube_surface_mesh() -> TriangleMesh:
+    v = np.array([[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)], dtype=float)
+    quads = [(0, 1, 3, 2), (4, 6, 7, 5), (0, 4, 5, 1), (2, 3, 7, 6), (0, 2, 6, 4), (1, 5, 7, 3)]
+    tris = []
+    for a, b, c, d in quads:
+        tris += [(a, b, c), (a, c, d)]
+    return TriangleMesh(v, np.array(tris))
+
+
+def sphere_mesh(nu=24, nv=12) -> TriangleMesh:
+    verts = []
+    for i in range(nv + 1):
+        th = np.pi * i / nv
+        for j in range(nu):
+            ph = 2 * np.pi * j / nu
+            verts.append([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)])
+    tris = []
+    for i in range(nv):
+        for j in range(nu):
+            a = i * nu + j
+            b = i * nu + (j + 1) % nu
+            c = (i + 1) * nu + j
+            d = (i + 1) * nu + (j + 1) % nu
+            tris += [(a, b, c), (b, d, c)]
+    return TriangleMesh(np.array(verts), np.array(tris))
 
 
 @pytest.fixture

@@ -1,15 +1,17 @@
-"""Independent dense reference implementations used to check the sparse engine.
+"""Independent reference implementations used to check the sparse engine.
 
-These operate on full every-site tables with their own site indexing
-built by plain enumeration; no hash maps, no activity tracking, no ground
-states.  Slow and obviously correct.
+The dense ones operate on full every-site tables with their own site
+indexing built by plain enumeration; no hash maps, no activity tracking,
+no ground states.  The loop ones at the end are the original one-segment,
+one-face and one-site-at-a-time active-set builders.  Slow and obviously
+correct.
 """
 
 from functools import lru_cache
 
 import numpy as np
 
-from latticenet.geometry import GridShape, filter_offsets, out_size
+from latticenet.geometry import GridShape, LatticeKind, filter_offsets, out_size, pack_sites
 from latticenet.grid import DenseGrid
 
 
@@ -106,3 +108,96 @@ def dense_conv_backward(dense_in: DenseGrid, f: int, s: int, W: np.ndarray,
         np.add.at(d_in, pos[:, k], d_out @ np.asarray(W, dtype=np.float64)[block].T)
     dB = d_out.sum(axis=0)
     return dW, dB, d_in
+
+
+# ---------------------------------------------------------------------------
+# loop references for the vectorized ingestion and FMP active-site step
+#
+# These are the original per-segment, per-face and per-site loops of
+# ``ingest.rasterize_polyline``, ``ingest.voxelize_mesh`` and
+# ``ops.fmp_forward``, kept verbatim (apart from returning keys instead of
+# grids) so the whole-array versions can be checked for identical output.
+
+
+def loop_rasterize_polyline(points: np.ndarray, m: int, shape: GridShape | None = None) -> np.ndarray:
+    """Sorted active keys of the rasterized polyline."""
+    if shape is None:
+        shape = GridShape(LatticeKind.CUBIC, m)
+    points = np.asarray(points, dtype=float).reshape(-1, shape.ndim)
+    if points.shape[0] < 1:
+        raise ValueError("need at least one point")
+    keys = set()
+
+    def mark(pts):
+        vox = np.rint(pts).astype(np.int64).reshape(-1, shape.ndim)
+        bad = (vox < 0).any(axis=1) | (vox >= shape.m).any(axis=1)
+        if shape.lattice.is_simplex:
+            bad |= vox.sum(axis=1) > shape.m - 1
+        if bad.any():
+            culprit = vox[np.argmax(bad)]
+            raise ValueError(f"point maps to voxel {tuple(culprit)} outside the grid")
+        for k in pack_sites(vox):
+            keys.add(int(k))
+
+    mark(points[0])
+    for i in range(points.shape[0] - 1):
+        a, b = points[i], points[i + 1]
+        steps = max(1, int(np.ceil(np.abs(b - a).max() / 0.45)))
+        ts = np.linspace(0.0, 1.0, steps + 1)
+        mark(a + np.outer(ts, b - a))
+    return np.array(sorted(keys), dtype=np.int64)
+
+
+def loop_voxelize_mesh(verts: np.ndarray, faces: np.ndarray, m: int):
+    """(sorted active keys, per-face subdivision counts) of a placed mesh.
+
+    ``verts`` are already rotated and fitted to the grid.
+    """
+    keys = set()
+    ns = []
+    for (a, b, c) in faces:
+        A, B, C = verts[a], verts[b], verts[c]
+        edge = max(np.linalg.norm(B - A), np.linalg.norm(C - A), np.linalg.norm(C - B))
+        n = max(1, int(np.ceil(edge / 0.45)))
+        ns.append(n)
+        # barycentric lattice u/n, v/n with u+v <= n
+        us = np.arange(n + 1)
+        for u in us:
+            v = np.arange(n + 1 - u)
+            pts = A + np.outer(np.full(v.shape, u / n), (B - A)) + np.outer(v / n, (C - A))
+            vox = np.rint(pts).astype(np.int64)
+            np.clip(vox, 0, m - 1, out=vox)
+            for k in pack_sites(vox):
+                keys.add(int(k))
+    return np.array(sorted(keys), dtype=np.int64), np.array(ns, dtype=np.int64)
+
+
+def loop_fmp_active_keys(grid, regions) -> np.ndarray:
+    """Sorted output keys of FMP: regions whose 2-window meets an active site."""
+    out_key_set = set()
+    starts = regions
+    sites = grid.sites()
+    cand = []
+    for dim in range(3):
+        c = sites[:, dim]
+        lo = np.searchsorted(starts[dim], c - 1)
+        hi = np.searchsorted(starts[dim], c)
+        n_r = starts[dim].shape[0]
+        hit_lo = (lo < n_r) & (starts[dim][np.minimum(lo, n_r - 1)] == c - 1)
+        hit_hi = (hi < n_r) & (starts[dim][np.minimum(hi, n_r - 1)] == c)
+        cand.append((lo, hit_lo, hi, hit_hi))
+    for i in range(sites.shape[0]):
+        per_dim = []
+        for dim in range(3):
+            lo, hit_lo, hi, hit_hi = cand[dim]
+            opts = []
+            if hit_lo[i]:
+                opts.append(int(lo[i]))
+            if hit_hi[i]:
+                opts.append(int(hi[i]))
+            per_dim.append(opts)
+        for u0 in per_dim[0]:
+            for u1 in per_dim[1]:
+                for u2 in per_dim[2]:
+                    out_key_set.add((u0 << 42) | (u1 << 21) | u2)
+    return np.array(sorted(out_key_set), dtype=np.int64)

@@ -33,6 +33,8 @@ from latticenet.ingest import (
     write_svid,
 )
 
+from conftest import cube_surface_mesh, sphere_mesh
+
 
 def connected_components(grid: SparseGrid) -> int:
     """26-connected components of the active set."""
@@ -56,33 +58,6 @@ def connected_components(grid: SparseGrid) -> int:
                     seen.add(nb)
                     stack.append(nb)
     return comps
-
-
-def cube_surface_mesh() -> TriangleMesh:
-    v = np.array([[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)], dtype=float)
-    quads = [(0, 1, 3, 2), (4, 6, 7, 5), (0, 4, 5, 1), (2, 3, 7, 6), (0, 2, 6, 4), (1, 5, 7, 3)]
-    tris = []
-    for a, b, c, d in quads:
-        tris += [(a, b, c), (a, c, d)]
-    return TriangleMesh(v, np.array(tris))
-
-
-def sphere_mesh(nu=24, nv=12) -> TriangleMesh:
-    verts = []
-    for i in range(nv + 1):
-        th = np.pi * i / nv
-        for j in range(nu):
-            ph = 2 * np.pi * j / nu
-            verts.append([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)])
-    tris = []
-    for i in range(nv):
-        for j in range(nu):
-            a = i * nu + j
-            b = i * nu + (j + 1) % nu
-            c = (i + 1) * nu + j
-            d = (i + 1) * nu + (j + 1) % nu
-            tris += [(a, b, c), (b, d, c)]
-    return TriangleMesh(np.array(verts), np.array(tris))
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +115,20 @@ def test_load_off_non_numeric():
     bad = b"OFF\n3 1 0\n0 0 zebra\n1 0 0\n0 1 0\n3 0 1 2\n"
     with pytest.raises(FormatError):
         load_off(bad)
+
+
+@pytest.mark.parametrize("tok", ["nan", "inf", "-inf"])
+def test_load_off_non_finite_names_line(tok):
+    bad = f"OFF\n3 1 0\n0 0 0\n1 {tok} 0\n0 1 0\n3 0 1 2\n".encode()
+    with pytest.raises(FormatError, match="non-finite") as exc:
+        load_off(bad)
+    assert exc.value.line == 4
+
+
+def test_mesh_non_finite_vertex_rejected():
+    verts = np.array([[0.0, 0.0, 0.0], [1.0, np.nan, 0.0], [0.0, 1.0, 0.0]])
+    with pytest.raises(ValueError, match="non-finite"):
+        TriangleMesh(verts, np.array([[0, 1, 2]]))
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +228,16 @@ def test_rasterize_single_point():
 def test_rasterize_out_of_range():
     with pytest.raises(ValueError, match="outside"):
         rasterize_polyline(np.array([[0.0, 0.0, 0.0], [12.0, 0.0, 0.0]]), 10)
+
+
+@pytest.mark.parametrize("pts", [
+    [[1.0, 2.0, 3.0], [np.nan, 2.0, 3.0]],
+    [[1.0, 2.0, 3.0], [7.0, np.inf, 3.0]],
+    [[np.nan, np.nan, np.nan]],
+], ids=["nan-vertex", "inf-vertex", "lone-nan"])
+def test_rasterize_non_finite_rejected(pts):
+    with pytest.raises(ValueError, match="non-finite"):
+        rasterize_polyline(np.array(pts), 10)
 
 
 def test_rasterize_trefoil_demo():

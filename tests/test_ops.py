@@ -271,6 +271,31 @@ def test_fmp_matches_dense_oracle(sparsity, rng):
     assert np.allclose(out.to_dense().values, expect.values)
 
 
+def test_fmp_empty_grid_carries_ground():
+    ground = np.array([0.25, -3.0])
+    grid = SparseGrid.empty(GridShape(LatticeKind.CUBIC, 20), ground)
+    out, plan = fmp_forward(grid, FMPLayer(LatticeKind.CUBIC, FMP_RATIO, seed=5), keep_plan=True)
+    assert out.a == 0 and plan.argmax_src.shape == (0, 2)
+    assert out.shape.m == 12
+    assert np.array_equal(out.ground, ground)
+
+
+@pytest.mark.parametrize("m", [2, 8, 20])
+def test_fmp_site_at_far_edge_hits_last_region(m):
+    regions = fmp_regions(m, FMP_RATIO, seed=9)
+    last = regions[0].shape[0] - 1
+    shape = GridShape(LatticeKind.CUBIC, m)
+    corner = SparseGrid.from_sites(shape, np.array([[m - 1, m - 1, m - 1]]), np.array([[7.0]]),
+                                   np.zeros(1))
+    out = fmp_forward(corner, FMPLayer(LatticeKind.CUBIC, FMP_RATIO), regions)
+    assert [tuple(s) for s in out.sites()] == [(last, last, last)]
+    assert np.array_equal(out.rows, [[7.0]])
+    # one face only: x = m - 1 meets the last region, y and z = 0 the first
+    edge = SparseGrid.from_sites(shape, np.array([[m - 1, 0, 0]]), np.array([[1.0]]), np.zeros(1))
+    out = fmp_forward(edge, FMPLayer(LatticeKind.CUBIC, FMP_RATIO), regions)
+    assert [tuple(s) for s in out.sites()] == [(last, 0, 0)]
+
+
 def test_fmp_rejects_non_cubic(rng):
     with pytest.raises(ValueError):
         FMPLayer(LatticeKind.TETRAHEDRAL)
