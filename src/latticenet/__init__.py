@@ -20,7 +20,7 @@ from .geometry import (
     out_size,
     site_count,
 )
-from .grid import DenseGrid, LabeledSample, SparseGrid, active_count
+from .grid import DenseGrid, GridBatch, LabeledSample, SparseGrid, active_count
 from .netspec import (
     ConvSpec,
     FMPSpec,

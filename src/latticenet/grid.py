@@ -12,6 +12,9 @@ order, so key arrays double as sorted search indexes.
 
 :class:`DenseGrid` is the flat every-site table used by oracles and
 ingestion; it stores one row per valid site in lexicographic order.
+
+:class:`GridBatch` holds the grids of one mini-batch end to end, so the
+network's layers run once per batch instead of once per sample.
 """
 
 from __future__ import annotations
@@ -22,7 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import FormatError
 from .geometry import (
+    MAX_COORD,
     GridShape,
     LatticeKind,
     pack_sites,
@@ -38,6 +43,19 @@ _LATTICE_CODES = {
     LatticeKind.TETRAHEDRAL: 3,
 }
 _LATTICE_FROM_CODE = {v: k for k, v in _LATTICE_CODES.items()}
+
+
+def lattice_code(lattice: LatticeKind) -> int:
+    """The lattice's code in the binary formats (``.grid`` and ``.lnck``)."""
+    return _LATTICE_CODES[lattice]
+
+
+def lattice_from_code(code: int) -> LatticeKind:
+    try:
+        return _LATTICE_FROM_CODE[code]
+    except KeyError:
+        raise FormatError(f"unknown lattice code {code}") from None
+
 
 _HEADER = struct.Struct("<4sIIII")
 _MAGIC = b"SGRD"
@@ -207,7 +225,7 @@ class SparseGrid:
     def to_bytes(self) -> bytes:
         buf = io.BytesIO()
         buf.write(
-            _HEADER.pack(_MAGIC, _LATTICE_CODES[self.shape.lattice], self.shape.m, self.n, self.a)
+            _HEADER.pack(_MAGIC, lattice_code(self.shape.lattice), self.shape.m, self.n, self.a)
         )
         buf.write(self.keys.astype("<i8").tobytes())
         buf.write(self.rows.astype("<f4").tobytes())
@@ -216,16 +234,30 @@ class SparseGrid:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SparseGrid":
+        """Decode one record; any malformed record raises :class:`FormatError`."""
+        if len(data) < _HEADER.size:
+            raise FormatError(
+                f"sparse grid record truncated: {len(data)} bytes, header needs {_HEADER.size}"
+            )
         magic, code, m, n, a = _HEADER.unpack_from(data, 0)
         if magic != _MAGIC:
-            raise ValueError("not a sparse grid record (bad magic)")
+            raise FormatError("not a sparse grid record (bad magic)")
+        lattice = lattice_from_code(code)
+        if not 1 <= m <= MAX_COORD:
+            raise FormatError(f"grid size {m} outside 1..{MAX_COORD}")
+        shape = GridShape(lattice, m)
+        size = _HEADER.size + 8 * a + 4 * a * n + 4 * n
+        if len(data) != size:
+            raise FormatError(
+                f"sparse grid record of {a} sites x {n} features is {size} bytes, got {len(data)}"
+            )
         off = _HEADER.size
         keys = np.frombuffer(data, "<i8", count=a, offset=off).astype(np.int64)
         off += 8 * a
         rows = np.frombuffer(data, "<f4", count=a * n, offset=off).reshape(a, n)
         off += 4 * a * n
         ground = np.frombuffer(data, "<f4", count=n, offset=off)
-        shape = GridShape(_LATTICE_FROM_CODE[code], m)
+        _check_keys(keys, shape)
         return cls(shape, keys, rows.astype(np.float32), ground.astype(np.float32))
 
     def save(self, path):
@@ -236,6 +268,74 @@ class SparseGrid:
     def load(cls, path) -> "SparseGrid":
         with open(path, "rb") as fh:
             return cls.from_bytes(fh.read())
+
+
+def _check_keys(keys: np.ndarray, shape: GridShape):
+    """Raise FormatError unless ``keys`` are strictly increasing packed sites of ``shape``."""
+    sites = unpack_sites(keys, shape.ndim)
+    bad = (pack_sites(sites) != keys) | (sites >= shape.m).any(axis=1)
+    if shape.lattice.is_simplex:
+        bad |= sites.sum(axis=1) > shape.m - 1
+    if bad.any():
+        raise FormatError(
+            f"site key {keys[np.argmax(bad)]} is not a site of the size-{shape.m} "
+            f"{shape.lattice.value} grid"
+        )
+    if (np.diff(keys) <= 0).any():
+        raise FormatError("site keys are not strictly increasing")
+
+
+@dataclass
+class GridBatch:
+    """The sparse grids of one mini-batch, stored end to end.
+
+    Sample ``b`` owns rows ``start[b]:start[b + 1]`` of ``keys`` and ``rows``
+    (keys ascending within each sample) and has ground state ``grounds[b]``.
+    All samples share one shape.  Instances are treated as immutable.
+    """
+
+    shape: GridShape
+    keys: np.ndarray
+    rows: np.ndarray
+    grounds: np.ndarray
+    start: np.ndarray
+
+    @classmethod
+    def of(cls, grids) -> "GridBatch":
+        if not grids:
+            raise ValueError("a batch needs at least one grid")
+        shape = grids[0].shape
+        if any(g.shape != shape for g in grids):
+            raise ValueError("the grids of a batch must share one shape")
+        start = np.zeros(len(grids) + 1, np.int64)
+        np.cumsum([g.a for g in grids], out=start[1:])
+        return cls(shape, np.concatenate([g.keys for g in grids]),
+                   np.concatenate([g.rows for g in grids]),
+                   np.stack([g.ground for g in grids]), start)
+
+    @property
+    def B(self) -> int:
+        return self.grounds.shape[0]
+
+    @property
+    def a(self) -> int:
+        """Active sites summed over the batch."""
+        return self.keys.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.grounds.shape[1]
+
+    def grid(self, b: int) -> SparseGrid:
+        lo, hi = self.start[b], self.start[b + 1]
+        return SparseGrid(self.shape, self.keys[lo:hi], self.rows[lo:hi], self.grounds[b])
+
+    def sites(self) -> np.ndarray:
+        return unpack_sites(self.keys, self.shape.ndim)
+
+    def sample_ids(self) -> np.ndarray:
+        """The sample each row belongs to."""
+        return np.repeat(np.arange(self.B), np.diff(self.start))
 
 
 def active_count(grid: SparseGrid) -> int:

@@ -3,55 +3,59 @@
 A :class:`Network` materializes a planned :class:`~latticenet.netspec.NetworkSpec`
 into parameterized layers: every convolution is followed by a rectifier,
 and the ``output`` token becomes a size-1 convolution producing the class
-logits.  Mini-batch forward passes build one gather plan per sample but
-concatenate the gather matrices so each convolution performs a single
-dense multiply per batch; the backward pass mirrors that, so gradient
-accumulation order is fixed and results are bit-identical regardless of
-the worker-thread count used for plan building.
+logits.  A mini-batch travels through the layers as one
+:class:`~latticenet.grid.GridBatch`, so every convolution, pool and FMP
+layer builds its rulebook (active output sites and gather index) in one
+pass over the whole batch and performs a single dense multiply.  Each
+sample's rows keep the order a one-sample batch gives them, and the
+backward pass mirrors the forward pass over the same batch rows, so
+gradient accumulation order is fixed and results are bit-identical
+whatever the batch composition or the ``threads`` setting.
 """
 
 from __future__ import annotations
 
 import io
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import ParamState, pool_backward, relu_backward
-from .geometry import GridShape, LatticeKind
-from .grid import SparseGrid
-from .netspec import ConvSpec, FMPSpec, NetworkSpec, OutputSpec, PoolSpec, parse, plan, render
+from .autograd import ParamState, conv_backward, pool_backward, relu_backward
+from .errors import FormatError
+from .geometry import GridShape
+from .grid import GridBatch, SparseGrid, lattice_code, lattice_from_code
+from .netspec import (
+    ConvSpec,
+    FMPSpec,
+    NetworkSpec,
+    OutputSpec,
+    PoolSpec,
+    count_ops,
+    parse,
+    plan,
+    render,
+)
 from .ops import (
     ConvLayer,
     FilterGeometry,
     FMPLayer,
     PoolLayer,
-    build_gather,
-    conv_active_sites,
+    SamplePlans,
+    conv_forward,
+    conv_forward_batch,
     fmp_forward,
+    fmp_forward_batch,
     fmp_regions,
     pool_forward,
+    pool_forward_batch,
     relu_forward,
+    relu_forward_batch,
 )
 
-_LATTICE_CODES = {
-    LatticeKind.SQUARE: 0,
-    LatticeKind.TRIANGULAR: 1,
-    LatticeKind.CUBIC: 2,
-    LatticeKind.TETRAHEDRAL: 3,
-}
-_LATTICE_FROM_CODE = {v: k for k, v in _LATTICE_CODES.items()}
 _CKPT_MAGIC = b"LNCK"
-
-
-def _map_ordered(fn, items, threads: int):
-    """Map preserving order; thread count never changes the result."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+_CKPT_VERSION = 1
+_BLOCK_CODES = {"conv": 0, "pool": 1, "fmp": 2, "classifier": 3}
 
 
 @dataclass
@@ -71,7 +75,7 @@ class Network:
         self.classes = classes
         self.dtype = dtype
         self.fmp_eval_seed = fmp_eval_seed
-        self.threads = 1
+        self.threads = 1  # accepted for compatibility; a batch runs on the calling thread
         self.blocks: list[_Block] = []
         n = spec.n_input
         for ls in spec.layers:
@@ -110,88 +114,46 @@ class Network:
 
     def forward_batch(self, grids: list[SparseGrid], *, train_rng: np.random.Generator | None = None,
                       keep_tape: bool = False):
-        """Logits for a batch; one dense multiply per convolution.
+        """Logits for a batch; one rulebook pass and one dense multiply per layer.
 
         Returns ``(logits, tape, macs)`` where ``macs`` is the total
-        multiply-accumulate count actually performed on active sites.
+        multiply-accumulate count actually performed on active sites.  Tape
+        entries are ``(kind, layer, plans)`` for conv and classifier layers,
+        ``("pool", plans)`` for pools and FMP and ``("relu", mask)``, where
+        ``plans`` is a :class:`~latticenet.ops.SamplePlans` and ``mask``
+        covers the batch's rows.
         """
-        states = list(grids)
-        B = len(states)
+        batch = GridBatch.of(list(grids))
         tape = []
         macs = 0
         for block in self.blocks:
-            if block.kind == "conv":
+            if block.kind in ("conv", "classifier"):
                 layer = block.layer
-                geom = layer.geometry
-
-                def build(g, geom=geom):
-                    keys, oshape = conv_active_sites(g, geom)
-                    return build_gather(g, keys, geom, oshape)
-
-                plans = _map_ordered(build, states, self.threads)
-                Q = np.vstack([p.Q for p in plans])
-                M = Q @ layer.W + layer.B
-                macs += Q.shape[0] * Q.shape[1] * layer.n_out
-                grounds = np.stack([np.tile(g.ground, geom.volume) for g in states])
-                g_out = grounds.astype(layer.W.dtype) @ layer.W + layer.B
-                new_states = []
-                pos = 0
-                for i, p in enumerate(plans):
-                    rows = M[pos:pos + p.a_out]
-                    pos += p.a_out
-                    new_states.append(SparseGrid(p.out_shape, p.out_keys, rows, g_out[i]))
-                states = new_states
+                out, gplan = conv_forward_batch(batch, layer)
+                macs += gplan.Q.shape[0] * gplan.Q.shape[1] * layer.n_out
                 if keep_tape:
-                    tape.append(("conv", layer, plans))
+                    tape.append((block.kind, layer, SamplePlans(gplan, batch.start, out.start)))
+                batch = out
+                if block.kind == "classifier":
+                    # a sample with an inactive head site takes its ground logits
+                    logits = batch.grounds.astype(batch.rows.dtype)
+                    logits[batch.sample_ids()] = batch.rows
+                    return logits, tape, macs
             elif block.kind == "relu":
-                outs = [relu_forward(g, keep_mask=keep_tape) for g in states]
+                batch, mask = relu_forward_batch(batch)
                 if keep_tape:
-                    states = [o[0] for o in outs]
-                    tape.append(("relu", [o[1] for o in outs]))
-                else:
-                    states = outs
-            elif block.kind == "pool":
-                outs = _map_ordered(
-                    lambda g: pool_forward(g, block.layer, keep_plan=True), states, self.threads
-                )
-                states = [o[0] for o in outs]
-                if keep_tape:
-                    tape.append(("pool", [o[1] for o in outs]))
-            elif block.kind == "fmp":
+                    tape.append(("relu", mask))
+            else:
                 layer = block.layer
-                if train_rng is not None:
-                    seed = int(train_rng.integers(0, 2**31))
+                if block.kind == "pool":
+                    out, pplan = pool_forward_batch(batch, layer, keep_plan=keep_tape)
                 else:
-                    seed = layer.seed
-                regions = fmp_regions(states[0].shape.m, layer.ratio, seed)
-                outs = [fmp_forward(g, layer, regions, keep_plan=True) for g in states]
-                states = [o[0] for o in outs]
+                    seed = int(train_rng.integers(0, 2**31)) if train_rng is not None else layer.seed
+                    regions = fmp_regions(batch.shape.m, layer.ratio, seed)
+                    out, pplan = fmp_forward_batch(batch, layer, regions, keep_plan=keep_tape)
                 if keep_tape:
-                    tape.append(("pool", [o[1] for o in outs]))
-            elif block.kind == "classifier":
-                layer = block.layer
-
-                def build_head(g, geom=layer.geometry):
-                    keys, oshape = conv_active_sites(g, geom)
-                    return build_gather(g, keys, geom, oshape)
-
-                plans = _map_ordered(build_head, states, self.threads)
-                Q = np.vstack([p.Q for p in plans])
-                M = Q @ layer.W + layer.B
-                macs += Q.shape[0] * Q.shape[1] * layer.n_out
-                logits = np.empty((B, self.classes), dtype=M.dtype)
-                g_stack = np.stack([g.ground for g in states]).astype(layer.W.dtype)
-                g_logits = g_stack @ layer.W + layer.B
-                pos = 0
-                for i, p in enumerate(plans):
-                    if p.a_out:
-                        logits[i] = M[pos]
-                        pos += p.a_out
-                    else:
-                        logits[i] = g_logits[i]  # inactive head site: ground logits
-                if keep_tape:
-                    tape.append(("classifier", layer, plans))
-                return logits, tape, macs
+                    tape.append(("pool", SamplePlans(pplan, batch.start, out.start)))
+                batch = out
         raise AssertionError("network has no classifier head")
 
     def forward(self, grid: SparseGrid) -> np.ndarray:
@@ -199,51 +161,26 @@ class Network:
         return logits[0]
 
     def backward_batch(self, tape, d_logits: np.ndarray):
-        """Accumulate parameter gradients from a forward tape."""
-        d_states: list[np.ndarray] | None = None
+        """Accumulate parameter gradients from a forward tape.
+
+        Returns the gradient with respect to each sample's input rows.
+        """
         param_idx = {id(p.values): p for p in self._params}
+        d = None
         for entry in reversed(tape):
             kind = entry[0]
-            if kind == "classifier":
+            if kind in ("conv", "classifier"):
                 _, layer, plans = entry
-                d_rows = []
-                for i, p in enumerate(plans):
-                    if p.a_out:
-                        d_rows.append(d_logits[i:i + 1])
-                    else:
-                        d_rows.append(np.zeros((0, layer.n_out), dtype=d_logits.dtype))
-                d_states = self._conv_block_backward(layer, plans, d_rows, param_idx)
-            elif kind == "conv":
-                _, layer, plans = entry
-                d_states = self._conv_block_backward(layer, plans, d_states, param_idx)
+                if kind == "classifier":
+                    d = d_logits[np.repeat(np.arange(len(plans)), np.diff(plans.out_start))]
+                dW, dB, d = conv_backward(d, plans.plan, layer)
+                param_idx[id(layer.W)].grad += dW.astype(layer.W.dtype)
+                param_idx[id(layer.B)].grad += dB.astype(layer.B.dtype)
             elif kind == "relu":
-                _, masks = entry
-                d_states = [relu_backward(d, m) for d, m in zip(d_states, masks)]
+                d = relu_backward(d, entry[1])
             elif kind == "pool":
-                _, plans = entry
-                d_states = [pool_backward(d, p) for d, p in zip(d_states, plans)]
-        return d_states
-
-    def _conv_block_backward(self, layer, plans, d_rows, param_idx):
-        d_cat = np.vstack(d_rows)
-        Q = np.vstack([p.Q for p in plans])
-        dW = Q.T @ d_cat
-        dB = d_cat.sum(axis=0)
-        param_idx[id(layer.W)].grad += dW.astype(layer.W.dtype)
-        param_idx[id(layer.B)].grad += dB.astype(layer.B.dtype)
-        if d_cat.shape[0]:
-            dQ = (d_cat @ layer.W.T).reshape(d_cat.shape[0], layer.geometry.volume, layer.n_in)
-        d_ins = []
-        pos = 0
-        for p in plans:
-            d_in = np.zeros((p.a_in, layer.n_in), dtype=d_cat.dtype)
-            if p.a_out:
-                block = dQ[pos:pos + p.a_out]
-                valid = p.src >= 0
-                np.add.at(d_in, p.src[valid], block[valid])
-            pos += p.a_out
-            d_ins.append(d_in)
-        return d_ins
+                d = pool_backward(d, entry[1].plan)
+        return np.split(d, tape[0][-1].in_start[1:-1])
 
     # -- ground states ----------------------------------------------------
 
@@ -252,8 +189,7 @@ class Network:
         g = SparseGrid.empty(self.input_shape(), np.zeros(self.spec.n_input, self.dtype))
         grounds = []
         for block in self.blocks:
-            if block.kind == "conv":
-                from .ops import conv_forward
+            if block.kind in ("conv", "classifier"):
                 g = conv_forward(g, block.layer)
             elif block.kind == "relu":
                 g = relu_forward(g)
@@ -262,9 +198,6 @@ class Network:
             elif block.kind == "fmp":
                 regions = fmp_regions(g.shape.m, block.layer.ratio, block.layer.seed)
                 g = fmp_forward(g, block.layer, regions)
-            elif block.kind == "classifier":
-                from .ops import conv_forward
-                g = conv_forward(g, block.layer)
             grounds.append(g.ground.copy())
         return grounds
 
@@ -284,69 +217,108 @@ class Network:
         buf = io.BytesIO()
         arch = render(self.spec).encode()
         buf.write(_CKPT_MAGIC)
-        buf.write(struct.pack("<IIIII", 1, _LATTICE_CODES[self.spec.lattice],
+        buf.write(struct.pack("<IIIII", _CKPT_VERSION, lattice_code(self.spec.lattice),
                               self.spec.n_input, self.classes, self.spec.planned_sizes[0]))
         buf.write(struct.pack("<I", len(arch)))
         buf.write(arch)
         param_blocks = [b for b in self.blocks if b.kind != "relu"]
         buf.write(struct.pack("<I", len(param_blocks)))
         for b in param_blocks:
+            code = _BLOCK_CODES[b.kind]
             if b.kind in ("conv", "classifier"):
-                code = 0 if b.kind == "conv" else 3
                 l = b.layer
                 buf.write(struct.pack("<BIIII", code, l.geometry.f, l.geometry.s, l.n_in, l.n_out))
                 buf.write(l.W.astype("<f4").tobytes())
                 buf.write(l.B.astype("<f4").tobytes())
             elif b.kind == "pool":
-                buf.write(struct.pack("<BII", 1, b.layer.p, b.layer.s))
+                buf.write(struct.pack("<BII", code, b.layer.p, b.layer.s))
             elif b.kind == "fmp":
-                buf.write(struct.pack("<BdQ", 2, b.layer.ratio, b.layer.seed))
+                buf.write(struct.pack("<BdQ", code, b.layer.ratio, b.layer.seed))
         with open(path, "wb") as fh:
             fh.write(buf.getvalue())
 
     @classmethod
     def load(cls, path) -> "Network":
+        """Read a checkpoint; any malformed file raises :class:`FormatError`."""
         with open(path, "rb") as fh:
-            data = fh.read()
-        if data[:4] != _CKPT_MAGIC:
-            raise ValueError(f"{path} is not a network checkpoint")
-        off = 4
-        version, lat, n_input, classes, field = struct.unpack_from("<IIIII", data, off)
-        off += 20
-        (alen,) = struct.unpack_from("<I", data, off)
-        off += 4
-        arch = data[off:off + alen].decode()
-        off += alen
-        lattice = _LATTICE_FROM_CODE[lat]
-        spec = plan(parse(arch, lattice, n_input),
-                    input_size=field if "FMP" in arch else None)
-        net = cls(spec, classes, np.random.default_rng(0))
-        (nblocks,) = struct.unpack_from("<I", data, off)
-        off += 4
+            r = _Reader(fh.read(), path)
+        if r.take(4) != _CKPT_MAGIC:
+            raise FormatError(f"{path} is not a network checkpoint")
+        version, lat, n_input, classes, field, alen = r.unpack("<IIIIII")
+        if version != _CKPT_VERSION:
+            raise FormatError(f"{path}: checkpoint version {version}, expected {_CKPT_VERSION}")
+        lattice = lattice_from_code(lat)
+        if n_input < 1 or classes < 1:
+            raise FormatError(f"{path}: {n_input} input features and {classes} classes")
+        arch = r.take(alen)
+        try:
+            arch = arch.decode()
+            spec = plan(parse(arch, lattice, n_input),
+                        input_size=field if "FMP" in arch else None)
+            GridShape(lattice, field)
+        except ValueError as e:  # also bad utf-8 and every parse or plan error
+            raise FormatError(f"{path}: bad architecture in checkpoint: {e}") from None
+        if spec.planned_sizes[0] != field:
+            raise FormatError(f"{path}: input size {field} does not fit architecture {arch!r}")
+        (nblocks,) = r.unpack("<I")
+        # the file must hold every parameter before the network is allocated
+        n_params = count_ops(spec, "dense", classes)["total_params"]
+        if 4 * n_params > r.remaining():
+            raise FormatError(f"{path}: checkpoint truncated: {n_params} parameters need "
+                              f"{4 * n_params} bytes, {r.remaining()} left")
+        try:
+            net = cls(spec, classes, np.random.default_rng(0))
+        except ValueError as e:  # e.g. an FMP layer on a lattice other than cubic
+            raise FormatError(f"{path}: {e}") from None
         param_blocks = [b for b in net.blocks if b.kind != "relu"]
         if nblocks != len(param_blocks):
-            raise ValueError("checkpoint does not match architecture")
-        for b in param_blocks:
-            (code,) = struct.unpack_from("<B", data, off)
-            if code in (0, 3):
-                f, s, n_in, n_out = struct.unpack_from("<IIII", data, off + 1)
-                off += 1 + 16
-                l = b.layer
-                if (f, s, n_in, n_out) != (l.geometry.f, l.geometry.s, l.n_in, l.n_out):
-                    raise ValueError("checkpoint layer shape mismatch")
-                nW = l.W.size
-                l.W[...] = np.frombuffer(data, "<f4", count=nW, offset=off).reshape(l.W.shape)
-                off += 4 * nW
-                l.B[...] = np.frombuffer(data, "<f4", count=l.B.size, offset=off)
-                off += 4 * l.B.size
-            elif code == 1:
-                p, s = struct.unpack_from("<II", data, off + 1)
-                off += 1 + 8
-                if (p, s) != (b.layer.p, b.layer.s):
-                    raise ValueError("checkpoint pool shape mismatch")
-            elif code == 2:
-                ratio, seed = struct.unpack_from("<dQ", data, off + 1)
-                off += 1 + 16
-                b.layer.ratio = ratio
-                b.layer.seed = int(seed)
+            raise FormatError(f"{path}: checkpoint has {nblocks} blocks, architecture "
+                              f"needs {len(param_blocks)}")
+        for i, b in enumerate(param_blocks):
+            (code,) = r.unpack("<B")
+            if code != _BLOCK_CODES[b.kind]:
+                raise FormatError(f"{path}: block {i} has code {code}, architecture "
+                                  f"needs a {b.kind} block")
+            l = b.layer
+            if b.kind in ("conv", "classifier"):
+                if r.unpack("<IIII") != (l.geometry.f, l.geometry.s, l.n_in, l.n_out):
+                    raise FormatError(f"{path}: checkpoint layer shape mismatch in block {i}")
+                l.W[...] = r.floats(l.W.size).reshape(l.W.shape)
+                l.B[...] = r.floats(l.B.size)
+            elif b.kind == "pool":
+                if r.unpack("<II") != (l.p, l.s):
+                    raise FormatError(f"{path}: checkpoint pool shape mismatch in block {i}")
+            elif b.kind == "fmp":
+                ratio, seed = r.unpack("<dQ")
+                if ratio != l.ratio:
+                    raise FormatError(f"{path}: FMP ratio {ratio} in block {i}, "
+                                      f"architecture has {l.ratio}")
+                l.seed = int(seed)
+        if r.remaining():
+            raise FormatError(f"{path}: {r.remaining()} unexpected bytes after the last block")
         return net
+
+
+class _Reader:
+    """Bounds-checked little-endian reads from a checkpoint's bytes."""
+
+    def __init__(self, data: bytes, path):
+        self.data = data
+        self.path = path
+        self.off = 0
+
+    def remaining(self) -> int:
+        return len(self.data) - self.off
+
+    def take(self, size: int) -> bytes:
+        if size > self.remaining():
+            raise FormatError(f"{self.path}: checkpoint truncated at byte {len(self.data)}, "
+                              f"{size} more bytes expected at byte {self.off}")
+        self.off += size
+        return self.data[self.off - size:self.off]
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def floats(self, count: int) -> np.ndarray:
+        return np.frombuffer(self.take(4 * count), "<f4")

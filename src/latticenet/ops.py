@@ -1,38 +1,46 @@
-"""Sparse forward passes with ground-state propagation.
+"""Sparse forward passes with ground-state propagation, a batch at a time.
 
-A convolution over a sparse grid runs in three steps:
+A convolution over a mini-batch of sparse grids runs in three steps:
 
-1. scan the active input sites and determine the active *output* sites
-   (an output site is active when any input site under its footprint is
-   active), assigning each a row number;
+1. the *rulebook*: an active input site ``c`` lies under footprint offset
+   ``o`` of output site ``u`` exactly when ``c = u * s + o``, so every
+   (active site, offset) pair with ``u`` inside the output grid is one
+   candidate.  Candidates are tagged with their sample and grouped with
+   ``np.unique``: the groups are the active output sites (an output site
+   is active when any input site under its footprint is active), grouped
+   by sample with keys ascending in each, and the grouping fills the
+   gather index ``src`` at the same time;
 2. gather, for every active output site, the footprint's input vectors
-   into one row of a matrix ``Q``, substituting the input ground vector
-   at inactive positions;
+   into one row of a matrix ``Q``, substituting the sample's ground
+   vector at inactive positions;
 3. one dense multiply, ``M_out = Q @ W + B``.
 
-Step 3 dominates for wide layers, so batching elsewhere concatenates the
-``Q`` matrices of a whole mini-batch before multiplying.  The output
-ground state is what an all-ground field would produce, so every layer
-also maps the ground vector forward and inactive sites never need to be
-touched.
+Each step runs once per layer and batch, whatever the batch size, and
+gives every sample exactly the rows, row order and gather index that a
+batch of that sample alone gives.  The one-grid functions run the batch
+code on a batch of one, apart from :func:`build_gather`, which looks up
+any output keys its caller names.  The output ground state is what an
+all-ground field would produce, so every layer also maps the ground
+vector forward and inactive sites never need to be touched.
 
 Pooling uses the same active-site rule with a component-wise max over the
 footprint; fractional max pooling (FMP) replaces the regular footprint
 with randomized overlapping size-2 regions that shrink each dimension by
 a factor strictly between 1 and 2.  An input site meets at most two
-regions per dimension, so FMP's active output sites are the up to eight
-region combinations of each active input site, enumerated for all sites
-at once with one ``np.unique``.
+regions per dimension, so FMP's candidates are the up to eight region
+combinations of each active input site, grouped like a convolution's.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PlanError
 from .geometry import (
+    COORD_BITS,
     GridShape,
     LatticeKind,
     filter_offsets,
@@ -41,7 +49,7 @@ from .geometry import (
     pack_sites,
     unpack_sites,
 )
-from .grid import SparseGrid
+from .grid import GridBatch, SparseGrid
 
 FMP_RATIO = 2.0 ** (2.0 / 3.0)
 
@@ -141,7 +149,8 @@ class GatherPlan:
     """Everything steps 1-2 produce, kept for the backward pass.
 
     ``src[i, k]`` is the input row feeding output row ``i`` at offset
-    ``k``, or -1 when that position is inactive (ground-filled).
+    ``k``, or -1 when that position is inactive (ground-filled).  A plan
+    covers one grid or, with batch row numbers, a whole :class:`GridBatch`.
     """
 
     in_shape: GridShape
@@ -155,6 +164,11 @@ class GatherPlan:
     def a_out(self) -> int:
         return self.out_keys.shape[0]
 
+    def sample(self, rows: slice, row0: int, a_in: int) -> "GatherPlan":
+        """One sample's plan out of a batch plan, in the sample's own row numbers."""
+        return GatherPlan(self.in_shape, self.out_shape, self.out_keys[rows],
+                          _local(self.src[rows], row0), self.Q[rows], a_in)
+
 
 @dataclass
 class PoolPlan:
@@ -163,96 +177,209 @@ class PoolPlan:
     argmax_src: np.ndarray  # (a_out, n) input row per component, -1 = ground won
     a_in: int
 
+    def sample(self, rows: slice, row0: int, a_in: int) -> "PoolPlan":
+        return PoolPlan(self.out_shape, self.out_keys[rows],
+                        _local(self.argmax_src[rows], row0), a_in)
+
+
+def _local(src: np.ndarray, row0: int) -> np.ndarray:
+    return np.where(src >= 0, src - row0, -1)
+
+
+class SamplePlans(Sequence):
+    """Per-sample views of one layer's batch plan.
+
+    ``plan`` is a :class:`GatherPlan` or :class:`PoolPlan` over the batch's
+    rows; item ``b`` is sample ``b``'s own plan, built on access.
+    ``in_start`` and ``out_start`` are the row offsets of the samples in
+    the layer's input and output batches.
+    """
+
+    def __init__(self, plan, in_start: np.ndarray, out_start: np.ndarray):
+        self.plan = plan
+        self.in_start = in_start
+        self.out_start = out_start
+
+    def __len__(self) -> int:
+        return self.in_start.shape[0] - 1
+
+    def __getitem__(self, b: int):
+        if not -len(self) <= b < len(self):
+            raise IndexError(b)
+        b %= len(self)
+        row0 = int(self.in_start[b])
+        return self.plan.sample(slice(self.out_start[b], self.out_start[b + 1]), row0,
+                                int(self.in_start[b + 1]) - row0)
+
+
+# ---------------------------------------------------------------------------
+# the rulebook: active output sites and the gather index, one pass per batch
+
+
+def _rulebook(keys, rows, k, sample_ids, F):
+    """Group candidate (output key, input row, footprint position) triples
+    into active output rows: (out_keys, out_sample, src).
+
+    Output rows are ordered by sample and then by key.  Grouping is by the
+    tag ``sample * U + rank``, with ``rank`` the key's rank among the U
+    distinct candidate keys, so the tag fits in int64 whatever the
+    coordinate range.
+    """
+    union, rank = np.unique(keys, return_inverse=True)
+    U = max(union.shape[0], 1)  # no candidates means no tags to split
+    tags, out_row = np.unique(sample_ids[rows] * U + rank, return_inverse=True)
+    src = np.full((tags.shape[0], F), -1, dtype=np.int64)
+    src[out_row, k] = rows
+    return union[tags % U], tags // U, src
+
+
+def _row_starts(sample: np.ndarray, B: int) -> np.ndarray:
+    """Row offsets of samples 0..B-1 in rows sorted by ``sample``."""
+    return np.searchsorted(sample, np.arange(B + 1))
+
+
+def conv_rulebook(batch: GridBatch, geometry: FilterGeometry):
+    """Steps 1-2 for a whole batch: (out_keys, out_sample, src, out_shape).
+
+    Output row ``i`` is site ``out_keys[i]`` of sample ``out_sample[i]``;
+    rows are grouped by sample, keys ascending within each.  ``src[i, k]``
+    is the batch row under footprint position ``k`` of output row ``i``,
+    or -1 where that position is inactive.  Input site ``c`` lies under
+    position ``o`` of output site ``u`` exactly when ``c = u * s + o``, so
+    every (input row, offset) pair with a valid ``u`` yields one entry.
+    """
+    m_out = out_size(batch.shape.m, geometry.f, geometry.s)
+    out_shape = GridShape(batch.shape.lattice, m_out)
+    s, d = geometry.s, batch.shape.ndim
+    sites = batch.sites()
+    # per dimension j and offset value o: the packed part of u_j = (c_j - o) / s,
+    # and whether that u_j is a whole number inside the output grid
+    part, fits = [], []
+    for j in range(d):
+        q = sites[:, j] - np.arange(geometry.f)[:, None]  # (f, a)
+        u = q // s
+        part.append(u << (COORD_BITS * (d - 1 - j)))
+        ok = (q >= 0) & (u <= m_out - 1)
+        if s > 1:
+            ok &= q % s == 0
+        fits.append(ok)
+    if out_shape.lattice.is_simplex:
+        site_sum = sites.sum(axis=1)
+    keys, rows = [], []
+    for off in geometry.offsets:
+        ok = fits[0][off[0]]
+        for j in range(1, d):
+            ok = ok & fits[j][off[j]]
+        if out_shape.lattice.is_simplex:
+            ok &= site_sum <= s * (m_out - 1) + sum(off)
+        r = np.flatnonzero(ok)
+        keys.append(sum(part[j][off[j]][r] for j in range(d)))
+        rows.append(r)
+    k = np.repeat(np.arange(geometry.volume), [r.shape[0] for r in rows])
+    out_keys, out_sample, src = _rulebook(np.concatenate(keys), np.concatenate(rows), k,
+                                          batch.sample_ids(), geometry.volume)
+    return out_keys, out_sample, src, out_shape
+
+
+def _gather_rows(batch: GridBatch, src: np.ndarray, out_sample: np.ndarray) -> np.ndarray:
+    """(a_out, F, n): the input vectors under each output row's footprint,
+    with the sample's ground vector at inactive positions."""
+    table = np.concatenate([batch.grounds.astype(batch.rows.dtype, copy=False), batch.rows])
+    return table[np.where(src >= 0, src + batch.B, out_sample[:, None])]
+
 
 def conv_active_sites(grid: SparseGrid, geometry: FilterGeometry):
-    """Step 1: active output sites (sorted packed keys) and the output shape."""
-    m_out = out_size(grid.shape.m, geometry.f, geometry.s)
-    out_shape = GridShape(grid.shape.lattice, m_out)
-    if grid.a == 0:
-        return np.empty(0, np.int64), out_shape
-    sites = grid.sites()
-    s = geometry.s
-    found = []
-    for off in geometry.offsets:
-        q = sites - np.asarray(off, dtype=np.int64)
-        ok = (q >= 0).all(axis=1)
-        if s > 1:
-            ok &= (q % s == 0).all(axis=1)
-        u = q // s
-        ok &= (u <= m_out - 1).all(axis=1)
-        if out_shape.lattice.is_simplex:
-            ok &= u.sum(axis=1) <= m_out - 1
-        if ok.any():
-            found.append(pack_sites(u[ok]))
-    if not found:
-        return np.empty(0, np.int64), out_shape
-    return np.unique(np.concatenate(found)), out_shape
+    """Step 1 for one grid: active output sites (sorted packed keys) and the output shape."""
+    out_keys, _, _, out_shape = conv_rulebook(GridBatch.of([grid]), geometry)
+    return out_keys, out_shape
 
 
 def build_gather(grid: SparseGrid, out_keys: np.ndarray, geometry: FilterGeometry,
                  out_shape: GridShape) -> GatherPlan:
-    """Step 2: build the gather matrix Q (a_out, F * n_in)."""
+    """Step 2 for one grid and any output keys: the gather index, by key
+    lookup, and the gather matrix Q (a_out, F * n_in)."""
     a_out = out_keys.shape[0]
-    F = geometry.volume
-    n = grid.n
-    if a_out == 0:
-        return GatherPlan(grid.shape, out_shape, out_keys,
-                          np.empty((0, F), np.int64),
-                          np.empty((0, F * n), grid.rows.dtype), grid.a)
     base = unpack_sites(out_keys, grid.shape.ndim) * geometry.s
-    src = np.empty((a_out, F), dtype=np.int64)
+    src = np.empty((a_out, geometry.volume), dtype=np.int64)
     for k, off in enumerate(geometry.offsets):
         src[:, k] = grid.lookup(pack_sites(base + np.asarray(off, dtype=np.int64)))
-    rows_ext = np.vstack([grid.ground[None, :].astype(grid.rows.dtype, copy=False), grid.rows])
-    Q = rows_ext[src + 1].reshape(a_out, F * n)
-    return GatherPlan(grid.shape, out_shape, out_keys, src, Q, grid.a)
+    Q = _gather_rows(GridBatch.of([grid]), src, np.zeros(a_out, np.int64))
+    return GatherPlan(grid.shape, out_shape, out_keys, src,
+                      Q.reshape(a_out, geometry.volume * grid.n), grid.a)
+
+
+# ---------------------------------------------------------------------------
+# batch forward ops; each single-grid op below is the batch op on one grid
+
+
+def conv_forward_batch(batch: GridBatch, layer: ConvLayer):
+    """Steps 1-3 for a batch: one rulebook pass and one dense multiply.
+
+    Returns the output batch and the batch's :class:`GatherPlan`.
+    """
+    if batch.n != layer.n_in:
+        raise ValueError(f"layer expects {layer.n_in} input features, grid has {batch.n}")
+    if batch.shape.lattice is not layer.geometry.lattice:
+        raise ValueError(
+            f"layer is {layer.geometry.lattice.value}, grid is {batch.shape.lattice.value}"
+        )
+    geom = layer.geometry
+    out_keys, out_sample, src, out_shape = conv_rulebook(batch, geom)
+    Q = _gather_rows(batch, src, out_sample).reshape(out_keys.shape[0], geom.volume * batch.n)
+    rows = Q @ layer.W + layer.B
+    ground = np.tile(batch.grounds, geom.volume).astype(layer.W.dtype) @ layer.W + layer.B
+    out = GridBatch(out_shape, out_keys, rows, ground, _row_starts(out_sample, batch.B))
+    return out, GatherPlan(batch.shape, out_shape, out_keys, src, Q, batch.a)
 
 
 def conv_forward(grid: SparseGrid, layer: ConvLayer, *, keep_plan: bool = False):
-    """Step 3: M_out = Q @ W + B, plus the ground-state map."""
-    if grid.n != layer.n_in:
-        raise ValueError(f"layer expects {layer.n_in} input features, grid has {grid.n}")
-    if grid.shape.lattice is not layer.geometry.lattice:
-        raise ValueError(
-            f"layer is {layer.geometry.lattice.value}, grid is {grid.shape.lattice.value}"
-        )
-    out_keys, out_shape = conv_active_sites(grid, layer.geometry)
-    plan = build_gather(grid, out_keys, layer.geometry, out_shape)
-    rows = plan.Q @ layer.W + layer.B
-    g_tile = np.tile(grid.ground.astype(layer.W.dtype, copy=False), layer.geometry.volume)
-    ground = g_tile @ layer.W + layer.B
-    out = SparseGrid(out_shape, out_keys, rows, ground)
-    return (out, plan) if keep_plan else out
+    """Steps 1-3 for one grid: M_out = Q @ W + B, plus the ground-state map."""
+    out, plan = conv_forward_batch(GridBatch.of([grid]), layer)
+    return (out.grid(0), plan) if keep_plan else out.grid(0)
 
 
-def _max_with_plan(grid: SparseGrid, out_keys, out_shape, src) -> tuple[SparseGrid, PoolPlan]:
-    """Shared tail of pooling ops: component-wise max + argmax routing."""
+# elements of the (rows, F, n) pooling gather built at a time; bounds the
+# temporary, which for a whole batch's first pool can reach tens of MB
+_POOL_CHUNK = 1 << 20
+
+
+def _max_pool(batch: GridBatch, out_keys, out_sample, out_shape, src, keep_plan: bool):
+    """Shared tail of pooling ops: component-wise max, plus the argmax
+    routing for the backward pass when ``keep_plan``."""
     a_out, F = src.shape
-    rows_ext = np.vstack([grid.ground[None, :].astype(grid.rows.dtype, copy=False), grid.rows])
-    gathered = rows_ext[src + 1]  # (a_out, F, n)
-    rows = gathered.max(axis=1) if a_out else np.empty((0, grid.n), grid.rows.dtype)
-    # first-max argmax implements the lowest-offset tie rule
-    if a_out:
-        amax = gathered.argmax(axis=1)  # (a_out, n)
-        argmax_src = np.take_along_axis(src, amax, axis=1)
-    else:
-        argmax_src = np.empty((0, grid.n), np.int64)
-    out = SparseGrid(out_shape, out_keys, rows, grid.ground.copy())
-    return out, PoolPlan(out_shape, out_keys, argmax_src, grid.a)
+    rows = np.empty((a_out, batch.n), batch.rows.dtype)
+    argmax_src = np.empty((a_out, batch.n), np.int64) if keep_plan else None
+    step = max(1, _POOL_CHUNK // max(F * batch.n, 1))
+    for lo in range(0, a_out, step):
+        part = slice(lo, lo + step)
+        gathered = _gather_rows(batch, src[part], out_sample[part])  # (rows, F, n)
+        rows[part] = gathered.max(axis=1)
+        if keep_plan:
+            # first-max argmax implements the lowest-offset tie rule
+            argmax_src[part] = np.take_along_axis(src[part], gathered.argmax(axis=1), axis=1)
+    out = GridBatch(out_shape, out_keys, rows, batch.grounds.copy(),
+                    _row_starts(out_sample, batch.B))
+    return out, PoolPlan(out_shape, out_keys, argmax_src, batch.a) if keep_plan else None
+
+
+def pool_forward_batch(batch: GridBatch, layer: PoolLayer, *, keep_plan: bool = True):
+    """Max pooling; active rule and gather index identical to convolution.
+
+    Returns the output batch and, when ``keep_plan``, the batch's
+    :class:`PoolPlan` (else None).
+    """
+    if batch.shape.lattice is not layer.lattice:
+        raise ValueError(
+            f"pool layer is {layer.lattice.value}, grid is {batch.shape.lattice.value}"
+        )
+    out_keys, out_sample, src, out_shape = conv_rulebook(batch, layer.geometry)
+    return _max_pool(batch, out_keys, out_sample, out_shape, src, keep_plan)
 
 
 def pool_forward(grid: SparseGrid, layer: PoolLayer, *, keep_plan: bool = False):
     """Max pooling; active rule and gather identical to convolution."""
-    if grid.shape.lattice is not layer.lattice:
-        raise ValueError(
-            f"pool layer is {layer.lattice.value}, grid is {grid.shape.lattice.value}"
-        )
-    geom = layer.geometry
-    out_keys, out_shape = conv_active_sites(grid, geom)
-    plan = build_gather(grid, out_keys, geom, out_shape)
-    src = plan.src
-    out, pplan = _max_with_plan(grid, out_keys, out_shape, src)
-    return (out, pplan) if keep_plan else out
+    out, plan = pool_forward_batch(GridBatch.of([grid]), layer, keep_plan=keep_plan)
+    return (out.grid(0), plan) if keep_plan else out.grid(0)
 
 
 # ---------------------------------------------------------------------------
@@ -300,21 +427,19 @@ def fmp_out_size(m_in: int, ratio: float) -> int:
     return m_out
 
 
-def fmp_forward(grid: SparseGrid, layer: FMPLayer, regions=None, *, keep_plan: bool = False):
-    """Max pooling over randomized overlapping size-2 regions."""
-    if grid.shape.lattice is not LatticeKind.CUBIC:
+def fmp_forward_batch(batch: GridBatch, layer: FMPLayer, regions, *, keep_plan: bool = True):
+    """Max pooling over randomized overlapping size-2 regions, for a batch;
+    returns what :func:`pool_forward_batch` returns."""
+    if batch.shape.lattice is not LatticeKind.CUBIC:
         raise ValueError("FMP requires a cubic grid")
-    if regions is None:
-        regions = fmp_regions(grid.shape.m, layer.ratio, layer.seed)
-    m_out = regions[0].shape[0]
-    out_shape = GridShape(LatticeKind.CUBIC, m_out)
+    starts = regions
+    out_shape = GridShape(LatticeKind.CUBIC, starts[0].shape[0])
 
     # active output sites: regions whose 2-window touches an active input
     # site.  Along each dimension a site at c meets at most two regions, the
     # one starting at c - 1 and the one starting at c, so its candidates
     # are the 2 x 2 x 2 combinations of those that exist.
-    starts = regions
-    sites = grid.sites()
+    sites = batch.sites()
     region, hit = [], []
     for dim, spread in enumerate((np.s_[:, None, None], np.s_[None, :, None],
                                   np.s_[None, None, :])):
@@ -326,38 +451,39 @@ def fmp_forward(grid: SparseGrid, layer: FMPLayer, regions=None, *, keep_plan: b
         hit.append(((r < n_r) & (starts[dim][np.minimum(r, n_r - 1)] == want))[spread])
     corner = np.stack(np.broadcast_arrays(*region), axis=-1)  # (2, 2, 2, a, 3)
     ok = hit[0] & hit[1] & hit[2]
-    out_keys = np.unique(pack_sites(corner[ok]))
+    # choice 0 is the region starting at c - 1, where the site is corner 1;
+    # corners are numbered dx * 4 + dy * 2 + dz
+    position = 7 - np.arange(8).reshape(2, 2, 2, 1)
+    rows = np.broadcast_to(np.arange(batch.a), ok.shape)[ok]
+    out_keys, out_sample, src = _rulebook(pack_sites(corner[ok]), rows,
+                                          np.broadcast_to(position, ok.shape)[ok],
+                                          batch.sample_ids(), 8)
+    return _max_pool(batch, out_keys, out_sample, out_shape, src, keep_plan)
 
-    # gather the 8 corners of each region product
-    a_out = out_keys.shape[0]
-    out_sites = unpack_sites(out_keys, 3)
-    src = np.empty((a_out, 8), dtype=np.int64)
-    k = 0
-    for dx in (0, 1):
-        for dy in (0, 1):
-            for dz in (0, 1):
-                pos = np.stack(
-                    [starts[0][out_sites[:, 0]] + dx,
-                     starts[1][out_sites[:, 1]] + dy,
-                     starts[2][out_sites[:, 2]] + dz], axis=1)
-                src[:, k] = grid.lookup(pack_sites(pos))
-                k += 1
-    out, pplan = _max_with_plan(grid, out_keys, out_shape, src)
-    return (out, pplan) if keep_plan else out
+
+def fmp_forward(grid: SparseGrid, layer: FMPLayer, regions=None, *, keep_plan: bool = False):
+    """Max pooling over randomized overlapping size-2 regions."""
+    if regions is None:
+        regions = fmp_regions(grid.shape.m, layer.ratio, layer.seed)
+    out, plan = fmp_forward_batch(GridBatch.of([grid]), layer, regions, keep_plan=keep_plan)
+    return (out.grid(0), plan) if keep_plan else out.grid(0)
 
 
 # ---------------------------------------------------------------------------
 # activation and classifier head
 
 
+def relu_forward_batch(batch: GridBatch):
+    """Component-wise max(., 0) on rows and grounds, plus the backward mask."""
+    out = GridBatch(batch.shape, batch.keys, np.maximum(batch.rows, 0),
+                    np.maximum(batch.grounds, 0), batch.start)
+    return out, batch.rows > 0
+
+
 def relu_forward(grid: SparseGrid, *, keep_mask: bool = False):
     """Component-wise max(., 0) on rows and ground; activity set unchanged."""
-    rows = np.maximum(grid.rows, 0)
-    ground = np.maximum(grid.ground, 0)
-    out = SparseGrid(grid.shape, grid.keys, rows, ground)
-    if keep_mask:
-        return out, grid.rows > 0
-    return out
+    out, mask = relu_forward_batch(GridBatch.of([grid]))
+    return (out.grid(0), mask) if keep_mask else out.grid(0)
 
 
 def classifier_forward(grid: SparseGrid, layer: ConvLayer, *, keep_plan: bool = False):

@@ -3,8 +3,9 @@
 Training is deterministic for a fixed seed: shuffling, initialization and
 FMP randomness all come from one generator, batches are processed in a
 fixed order and gradients are reduced inside single matrix multiplies, so
-epoch logs and checkpoints are bit-identical across runs and across
-worker-thread counts.
+epoch logs and checkpoints are bit-identical across runs.  ``threads`` is
+accepted for configuration compatibility and changes nothing: each
+mini-batch runs as one batch on the calling thread.
 
 Repetitive testing runs each test sample through ``repeats`` augmented
 forward passes and averages the class probabilities with a running mean,
@@ -33,7 +34,7 @@ class TrainConfig:
     momentum: float = 0.9
     weight_decay: float = 0.0
     seed: int = 0
-    threads: int = 1
+    threads: int = 1  # accepted, has no effect (see the module docstring)
     target_accuracy: float | None = None  # stop early once held-out accuracy reaches it
 
 

@@ -3,15 +3,22 @@
 The dense ones operate on full every-site tables with their own site
 indexing built by plain enumeration; no hash maps, no activity tracking,
 no ground states.  The loop ones at the end are the original one-segment,
-one-face and one-site-at-a-time active-set builders.  Slow and obviously
-correct.
+one-face and one-site-at-a-time active-set builders, and the original
+one-grid-at-a-time rulebook.  Slow and obviously correct.
 """
 
 from functools import lru_cache
 
 import numpy as np
 
-from latticenet.geometry import GridShape, LatticeKind, filter_offsets, out_size, pack_sites
+from latticenet.geometry import (
+    GridShape,
+    LatticeKind,
+    filter_offsets,
+    out_size,
+    pack_sites,
+    unpack_sites,
+)
 from latticenet.grid import DenseGrid
 
 
@@ -201,3 +208,73 @@ def loop_fmp_active_keys(grid, regions) -> np.ndarray:
                 for u2 in per_dim[2]:
                     out_key_set.add((u0 << 42) | (u1 << 21) | u2)
     return np.array(sorted(out_key_set), dtype=np.int64)
+
+
+# ---------------------------------------------------------------------------
+# per-grid rulebook references for the batched rulebook
+#
+# The original one-grid ``ops.conv_active_sites`` and ``ops.build_gather``
+# (one ``np.unique`` and one key lookup per offset, for one grid), the
+# original pooling tail, and the original key lookups of
+# ``ops.fmp_forward``, kept verbatim apart from plain arguments.
+
+
+def loop_conv_active_sites(grid, f: int, s: int) -> np.ndarray:
+    """Sorted packed keys of the active output sites of one grid."""
+    m_out = out_size(grid.shape.m, f, s)
+    if grid.a == 0:
+        return np.empty(0, np.int64)
+    sites = grid.sites()
+    found = []
+    for off in filter_offsets(grid.shape.lattice, f):
+        q = sites - np.asarray(off, dtype=np.int64)
+        ok = (q >= 0).all(axis=1)
+        if s > 1:
+            ok &= (q % s == 0).all(axis=1)
+        u = q // s
+        ok &= (u <= m_out - 1).all(axis=1)
+        if grid.shape.lattice.is_simplex:
+            ok &= u.sum(axis=1) <= m_out - 1
+        if ok.any():
+            found.append(pack_sites(u[ok]))
+    if not found:
+        return np.empty(0, np.int64)
+    return np.unique(np.concatenate(found))
+
+
+def loop_gather(grid, out_keys: np.ndarray, f: int, s: int):
+    """(src, Q) of one grid: src (a_out, F) rows or -1, Q (a_out, F * n)."""
+    offsets = filter_offsets(grid.shape.lattice, f)
+    a_out = out_keys.shape[0]
+    base = unpack_sites(out_keys, grid.shape.ndim) * s
+    src = np.empty((a_out, len(offsets)), dtype=np.int64)
+    for k, off in enumerate(offsets):
+        src[:, k] = grid.lookup(pack_sites(base + np.asarray(off, dtype=np.int64)))
+    rows_ext = np.vstack([grid.ground[None, :].astype(grid.rows.dtype, copy=False), grid.rows])
+    return src, rows_ext[src + 1].reshape(a_out, len(offsets) * grid.n)
+
+
+def loop_max(grid, src: np.ndarray):
+    """(rows, argmax_src) of max pooling one grid over a gather index."""
+    rows_ext = np.vstack([grid.ground[None, :].astype(grid.rows.dtype, copy=False), grid.rows])
+    gathered = rows_ext[src + 1]
+    if src.shape[0] == 0:
+        return np.empty((0, grid.n), grid.rows.dtype), np.empty((0, grid.n), np.int64)
+    return gathered.max(axis=1), np.take_along_axis(src, gathered.argmax(axis=1), axis=1)
+
+
+def loop_fmp_gather(grid, out_keys: np.ndarray, regions) -> np.ndarray:
+    """FMP's gather index of one grid: the 8 corners of each region product."""
+    out_sites = unpack_sites(out_keys, 3)
+    src = np.empty((out_keys.shape[0], 8), dtype=np.int64)
+    k = 0
+    for dx in (0, 1):
+        for dy in (0, 1):
+            for dz in (0, 1):
+                pos = np.stack(
+                    [regions[0][out_sites[:, 0]] + dx,
+                     regions[1][out_sites[:, 1]] + dy,
+                     regions[2][out_sites[:, 2]] + dz], axis=1)
+                src[:, k] = grid.lookup(pack_sites(pos))
+                k += 1
+    return src

@@ -1,0 +1,224 @@
+"""The batched rulebook against the one-grid-at-a-time rulebook (oracles.py).
+
+Every sample of a batch must get exactly what it gets alone: the same
+active output keys, the same gather index in its own row numbers, the same
+rows of ``Q``, and the same pooled values and argmax routing.  Batches mix
+empty and non-empty grids, and one test places sparse sites at the far
+corner of the largest field ``GridShape`` accepts, where packed keys come
+within a few bits of the int64 range.
+"""
+
+import numpy as np
+import pytest
+
+from latticenet.geometry import MAX_COORD, GridShape, LatticeKind
+from latticenet.grid import GridBatch, SparseGrid
+from latticenet.netspec import parse, plan
+from latticenet.network import Network
+from latticenet.ops import (
+    ConvLayer,
+    FilterGeometry,
+    FMPLayer,
+    PoolLayer,
+    SamplePlans,
+    build_gather,
+    conv_active_sites,
+    conv_forward_batch,
+    fmp_forward_batch,
+    fmp_regions,
+    pool_forward_batch,
+)
+
+from conftest import ALL_LATTICES, random_sparse
+from oracles import (
+    loop_conv_active_sites,
+    loop_fmp_active_keys,
+    loop_fmp_gather,
+    loop_gather,
+    loop_max,
+)
+
+# sparsity per sample: empty grids between sparse, dense and full ones
+MIXED = (0.0, 0.3, 0.0, 1.0, 0.1, 0.6)
+
+
+def batch_of(lattice, m, n, sparsities, rng):
+    return [random_sparse(lattice, m, n, p, rng, ground=rng.normal(size=n))
+            for p in sparsities]
+
+
+def check_conv(grids, f, s, rng):
+    lattice = grids[0].shape.lattice
+    geom = FilterGeometry(lattice, f, s)
+    batch = GridBatch.of(grids)
+    out, gplan = conv_forward_batch(batch, ConvLayer.init(geom, batch.n, 3, rng, np.float64))
+    plans = SamplePlans(gplan, batch.start, out.start)
+    assert len(plans) == len(grids)
+    for b, grid in enumerate(grids):
+        keys = loop_conv_active_sites(grid, f, s)
+        src, Q = loop_gather(grid, keys, f, s)
+        p = plans[b]
+        assert np.array_equal(p.out_keys, keys), b
+        assert np.array_equal(p.src, src), b
+        assert np.array_equal(p.Q, Q), b
+        assert p.a_in == grid.a and p.a_out == keys.shape[0]
+        assert np.array_equal(out.grid(b).keys, keys)
+        # the one-grid entry points give the same
+        one, out_shape = conv_active_sites(grid, geom)
+        assert np.array_equal(one, keys)
+        alone = build_gather(grid, keys, geom, out_shape)
+        assert np.array_equal(alone.src, src) and np.array_equal(alone.Q, Q)
+
+
+def check_pool(grids, p, s):
+    lattice = grids[0].shape.lattice
+    batch = GridBatch.of(grids)
+    out, pplan = pool_forward_batch(batch, PoolLayer(lattice, p, s))
+    plans = SamplePlans(pplan, batch.start, out.start)
+    for b, grid in enumerate(grids):
+        keys = loop_conv_active_sites(grid, p, s)
+        src, _ = loop_gather(grid, keys, p, s)
+        rows, argmax_src = loop_max(grid, src)
+        pooled = out.grid(b)
+        assert np.array_equal(pooled.keys, keys), b
+        assert np.array_equal(pooled.rows, rows), b
+        assert np.array_equal(pooled.ground, grid.ground)
+        assert np.array_equal(plans[b].out_keys, keys)
+        assert np.array_equal(plans[b].argmax_src, argmax_src), b
+        assert plans[b].a_in == grid.a
+
+
+def field(f, s, at_least=6):
+    """Smallest input size >= at_least that a size-f stride-s layer divides."""
+    k = max(0, -(-(at_least - f) // s))
+    return f + s * k
+
+
+@pytest.mark.parametrize("lattice", ALL_LATTICES)
+@pytest.mark.parametrize("f", [1, 2, 3])
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_conv_rulebook_matches_per_grid(lattice, f, s, rng):
+    m = field(f, s)
+    check_conv(batch_of(lattice, m, 2, MIXED, rng), f, s, rng)
+
+
+@pytest.mark.parametrize("lattice", ALL_LATTICES)
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_pool_matches_per_grid(lattice, p, s, rng):
+    m = field(p, s)
+    check_pool(batch_of(lattice, m, 3, MIXED, rng), p, s)
+
+
+@pytest.mark.parametrize("lattice", ALL_LATTICES)
+def test_single_grid_batch(lattice, rng):
+    for sparsity in (0.0, 0.4, 1.0):
+        grids = batch_of(lattice, 7, 2, (sparsity,), rng)
+        check_conv(grids, 2, 1, rng)
+        check_pool(grids, 3, 2)
+
+
+def test_all_empty_batch(rng):
+    grids = batch_of(LatticeKind.CUBIC, 5, 2, (0.0, 0.0, 0.0), rng)
+    assert GridBatch.of(grids).a == 0
+    check_conv(grids, 2, 1, rng)
+    check_pool(grids, 3, 2)
+
+
+@pytest.mark.parametrize("ties", [False, True], ids=["random", "ties"])
+def test_fmp_matches_per_grid(ties, rng):
+    grids = batch_of(LatticeKind.CUBIC, 12, 2, MIXED, rng)
+    if ties:  # equal rows, as ingestion gives: argmax routing rests on corner order
+        grids = [SparseGrid(g.shape, g.keys, np.ones_like(g.rows), np.zeros(2)) for g in grids]
+    regions = fmp_regions(12, FMPLayer(LatticeKind.CUBIC).ratio, 7)
+    batch = GridBatch.of(grids)
+    out, pplan = fmp_forward_batch(batch, FMPLayer(LatticeKind.CUBIC), regions)
+    plans = SamplePlans(pplan, batch.start, out.start)
+    for b, grid in enumerate(grids):
+        keys = loop_fmp_active_keys(grid, regions)
+        rows, argmax_src = loop_max(grid, loop_fmp_gather(grid, keys, regions))
+        assert np.array_equal(out.grid(b).keys, keys), b
+        assert np.array_equal(out.grid(b).rows, rows), b
+        assert np.array_equal(plans[b].argmax_src, argmax_src), b
+
+
+def far_corner_grids(lattice, count, rng):
+    """Sparse grids in the largest packable field, sites clustered at the
+    origin and at the far corner, several keys shared between samples."""
+    m = MAX_COORD - 1  # odd, so stride 2 with footprint 3 divides it
+    shape = GridShape(lattice, m)
+    d = shape.ndim
+    corners = [np.zeros(d, np.int64)]
+    for j in range(d):
+        far = np.zeros(d, np.int64)
+        far[j] = m - 1
+        corners.append(far)
+    if not lattice.is_simplex:
+        corners.append(np.full(d, m - 1))
+    grids = []
+    for _ in range(count):
+        sites = set()
+        for c in corners:
+            for delta in rng.integers(0, 4, size=(12, d)):
+                site = np.where(c > 0, c - delta, c + delta)
+                if shape.contains(tuple(int(v) for v in site)):
+                    sites.add(tuple(int(v) for v in site))
+        sites = sorted(sites)
+        grids.append(SparseGrid.from_sites(shape, sites, rng.normal(size=(len(sites), 2)),
+                                           rng.normal(size=2)))
+    return grids
+
+
+@pytest.mark.parametrize("lattice", [LatticeKind.CUBIC, LatticeKind.TETRAHEDRAL])
+def test_far_corner_of_largest_field(lattice, rng):
+    grids = far_corner_grids(lattice, 4, rng)
+    assert max(g.keys.max() for g in grids) > 2**62
+    check_conv(grids, 2, 1, rng)
+    check_conv(grids, 3, 2, rng)
+    check_pool(grids, 3, 2)
+
+
+def test_network_tape_matches_single_sample_tapes(rng):
+    """Keys and gather indices are exact at every layer; values past the
+    first multiply may differ in the last bits, as BLAS blocks a
+    many-row product differently from a one-sample product."""
+    spec = plan(parse("4C2-MP3/2-6C2-output", LatticeKind.TETRAHEDRAL, 1))
+    net = Network(spec, 3, rng, dtype=np.float64)
+    shape = net.input_shape()
+    grids = batch_of(shape.lattice, shape.m, 1, MIXED, rng)
+    _, tape, _ = net.forward_batch(grids, keep_tape=True)
+    for b, grid in enumerate(grids):
+        _, alone, _ = net.forward_batch([grid], keep_tape=True)
+        for i, (entry, single) in enumerate(zip(tape, alone)):
+            assert entry[0] == single[0]
+            if entry[0] in ("conv", "classifier"):
+                got, want = entry[2][b], single[2][0]
+                assert np.array_equal(got.out_keys, want.out_keys)
+                assert np.array_equal(got.src, want.src)
+                if i == 0:
+                    assert np.array_equal(got.Q, want.Q)
+                assert np.allclose(got.Q, want.Q, rtol=1e-12, atol=1e-12)
+            elif entry[0] == "pool":
+                got, want = entry[1][b], single[1][0]
+                assert np.array_equal(got.out_keys, want.out_keys)
+                assert np.array_equal(got.argmax_src, want.argmax_src)
+
+
+def test_sample_plans_indexing(rng):
+    grids = batch_of(LatticeKind.SQUARE, 6, 1, (0.5, 0.0, 0.5), rng)
+    batch = GridBatch.of(grids)
+    out, pplan = pool_forward_batch(batch, PoolLayer(LatticeKind.SQUARE, 2, 2))
+    plans = SamplePlans(pplan, batch.start, out.start)
+    assert [p.a_in for p in plans] == [g.a for g in grids]
+    assert np.array_equal(plans[-1].out_keys, plans[2].out_keys)
+    with pytest.raises(IndexError):
+        plans[3]
+
+
+def test_batch_rejects_mixed_shapes(rng):
+    a = random_sparse(LatticeKind.SQUARE, 5, 1, 0.5, rng)
+    b = random_sparse(LatticeKind.SQUARE, 6, 1, 0.5, rng)
+    with pytest.raises(ValueError):
+        GridBatch.of([a, b])
+    with pytest.raises(ValueError):
+        GridBatch.of([])

@@ -217,6 +217,18 @@ def test_eval_architecture_mismatch_exit_2(tmp_path):
     assert "does not match" in r.stderr
 
 
+def test_eval_truncated_checkpoint_exit_3(tmp_path):
+    cfg = write_cfg(tmp_path, epochs=0)
+    ckpt = tmp_path / "toy.lnck"
+    r = run_cli("train", *TOY, "--config", str(cfg), "--out", str(ckpt))
+    assert r.returncode == 0, r.stderr
+    ckpt.write_bytes(ckpt.read_bytes()[:-5])
+    r = run_cli("eval", "--checkpoint", str(ckpt), "--test-data", "knots",
+                "--config", str(cfg))
+    assert r.returncode == 3
+    assert "data error" in r.stderr and "truncated" in r.stderr
+
+
 def test_flags_override_config(tmp_path):
     cfg = write_cfg(tmp_path, epochs=3)
     log = tmp_path / "short.log"

@@ -1,0 +1,161 @@
+"""The binary decoders on damaged input: ``.grid`` records and ``.lnck``
+checkpoints either decode to a valid object or raise FormatError.
+
+Every proper prefix of a file is tried, then seeded random byte flips.
+"""
+
+import struct
+
+import numpy as np
+import pytest
+
+from latticenet.errors import FormatError
+from latticenet.geometry import GridShape, LatticeKind
+from latticenet.grid import SparseGrid
+from latticenet.netspec import parse, plan
+from latticenet.network import Network
+
+from conftest import ALL_LATTICES, random_sparse
+
+FLIPS = 300
+
+
+def grid_blob(lattice, rng):
+    grid = random_sparse(lattice, 6, 2, 0.3, rng)
+    return SparseGrid(grid.shape, grid.keys, grid.rows.astype(np.float32),
+                      grid.ground.astype(np.float32)).to_bytes()
+
+
+def flipped(blob: bytes, rng):
+    """Seeded copies of ``blob`` with one byte xor-ed by a nonzero value."""
+    for _ in range(FLIPS):
+        data = bytearray(blob)
+        data[rng.integers(len(data))] ^= int(rng.integers(1, 256))
+        yield bytes(data)
+
+
+@pytest.mark.parametrize("lattice", ALL_LATTICES)
+def test_grid_every_prefix_raises_format_error(lattice, rng):
+    blob = grid_blob(lattice, rng)
+    for cut in range(len(blob)):
+        with pytest.raises(FormatError):
+            SparseGrid.from_bytes(blob[:cut])
+    with pytest.raises(FormatError):
+        SparseGrid.from_bytes(blob + b"\0")
+
+
+@pytest.mark.parametrize("lattice", ALL_LATTICES)
+def test_grid_byte_flips_load_or_raise_format_error(lattice):
+    rng = np.random.default_rng(11)
+    for data in flipped(grid_blob(lattice, rng), rng):
+        try:
+            grid = SparseGrid.from_bytes(data)
+        except FormatError:
+            continue
+        grid.check_invariants()
+
+
+def header(code=2, m=4, n=1, a=0):
+    return struct.pack("<4sIIII", b"SGRD", code, m, n, a)
+
+
+@pytest.mark.parametrize("blob, message", [
+    (header(code=7) + b"\0" * 4, "unknown lattice code 7"),
+    (header(m=0) + b"\0" * 4, "grid size 0"),
+    (header(a=1) + struct.pack("<q", (4 << 42) | 1) + b"\0" * 8, "not a site"),
+    (header(a=2) + struct.pack("<qq", 2, 1) + b"\0" * 12, "strictly increasing"),
+])
+def test_grid_bad_fields(blob, message):
+    with pytest.raises(FormatError, match=message):
+        SparseGrid.from_bytes(blob)
+
+
+def test_grid_tetrahedral_key_outside_simplex():
+    shape = GridShape(LatticeKind.TETRAHEDRAL, 4)
+    blob = struct.pack("<4sIIII", b"SGRD", 3, 4, 1, 1) + struct.pack("<q", (3 << 21) | 3)
+    with pytest.raises(FormatError, match="not a site"):
+        SparseGrid.from_bytes(blob + b"\0" * 8)
+    assert not shape.contains((0, 3, 3))
+
+
+def checkpoint_blob(tmp_path, arch, lattice, field=None):
+    spec = plan(parse(arch, lattice, 1), input_size=field)
+    path = tmp_path / "net.lnck"
+    Network(spec, 3, np.random.default_rng(0)).save(path)
+    return path.read_bytes()
+
+
+def load_bytes(tmp_path, data):
+    path = tmp_path / "case.lnck"
+    path.write_bytes(data)
+    return Network.load(path)
+
+
+@pytest.mark.parametrize("arch, lattice, field", [
+    ("2C2-MP3/2-3C2-output", LatticeKind.TETRAHEDRAL, None),
+    ("2C2-FMP-3C2-FMP-output", LatticeKind.CUBIC, 6),
+])
+def test_checkpoint_every_prefix_raises_format_error(tmp_path, arch, lattice, field):
+    blob = checkpoint_blob(tmp_path, arch, lattice, field)
+    load_bytes(tmp_path, blob)
+    for cut in range(len(blob)):
+        with pytest.raises(FormatError):
+            load_bytes(tmp_path, blob[:cut])
+    with pytest.raises(FormatError):
+        load_bytes(tmp_path, blob + b"\0")
+
+
+@pytest.mark.parametrize("arch, lattice, field", [
+    ("2C2-MP3/2-3C2-output", LatticeKind.TETRAHEDRAL, None),
+    ("2C2-FMP-3C2-FMP-output", LatticeKind.CUBIC, 6),
+])
+def test_checkpoint_byte_flips_load_or_raise_format_error(tmp_path, arch, lattice, field):
+    rng = np.random.default_rng(12)
+    for data in flipped(checkpoint_blob(tmp_path, arch, lattice, field), rng):
+        try:
+            net = load_bytes(tmp_path, data)
+        except FormatError:
+            continue
+        assert net.input_shape().lattice is net.spec.lattice
+
+
+def test_checkpoint_version_is_checked(tmp_path):
+    blob = bytearray(checkpoint_blob(tmp_path, "2C2-output", LatticeKind.SQUARE))
+    blob[4:8] = struct.pack("<I", 2)
+    with pytest.raises(FormatError, match="version 2"):
+        load_bytes(tmp_path, bytes(blob))
+
+
+def test_checkpoint_arch_length_past_end(tmp_path):
+    blob = bytearray(checkpoint_blob(tmp_path, "2C2-output", LatticeKind.SQUARE))
+    blob[24:28] = struct.pack("<I", len(blob))
+    with pytest.raises(FormatError, match="truncated"):
+        load_bytes(tmp_path, bytes(blob))
+
+
+def test_checkpoint_unknown_lattice_code(tmp_path):
+    blob = bytearray(checkpoint_blob(tmp_path, "2C2-output", LatticeKind.SQUARE))
+    blob[8:12] = struct.pack("<I", 9)
+    with pytest.raises(FormatError, match="unknown lattice code 9"):
+        load_bytes(tmp_path, bytes(blob))
+
+
+def test_checkpoint_inflated_class_count_is_refused_before_allocation(tmp_path):
+    blob = bytearray(checkpoint_blob(tmp_path, "2C2-output", LatticeKind.SQUARE))
+    blob[16:20] = struct.pack("<I", 2**31)
+    with pytest.raises(FormatError, match="parameters need"):
+        load_bytes(tmp_path, bytes(blob))
+
+
+def test_checkpoint_zero_input_features(tmp_path):
+    blob = bytearray(checkpoint_blob(tmp_path, "2C2-output", LatticeKind.SQUARE))
+    blob[12:16] = struct.pack("<I", 0)
+    with pytest.raises(FormatError, match="0 input features"):
+        load_bytes(tmp_path, bytes(blob))
+
+
+def test_checkpoint_fmp_on_other_lattice(tmp_path):
+    blob = bytearray(checkpoint_blob(tmp_path, "2C2-FMP-3C2-FMP-output", LatticeKind.CUBIC, 6))
+    blob[8:12] = struct.pack("<I", 3)  # tetrahedral
+    with pytest.raises(FormatError):
+        load_bytes(tmp_path, bytes(blob))
