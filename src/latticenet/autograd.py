@@ -59,11 +59,10 @@ def conv_backward(d_out: np.ndarray, plan: GatherPlan, layer: ConvLayer):
     return dW, dB, d_in
 
 
-def pool_backward(d_out: np.ndarray, plan: PoolPlan, n_in_rows: int | None = None):
+def pool_backward(d_out: np.ndarray, plan: PoolPlan):
     """Route each output gradient component to its recorded argmax row."""
-    a_in = plan.a_in if n_in_rows is None else n_in_rows
     n = d_out.shape[1]
-    d_in = np.zeros((a_in, n), dtype=d_out.dtype)
+    d_in = np.zeros((plan.a_in, n), dtype=d_out.dtype)
     if d_out.shape[0]:
         src = plan.argmax_src
         cols = np.broadcast_to(np.arange(n), src.shape)

@@ -195,7 +195,6 @@ def cmd_train(settings: Settings) -> int:
         momentum=settings.get("momentum", 0.9, float),
         weight_decay=settings.get("weight-decay", 0.0, float),
         seed=seed,
-        threads=settings.get("threads", 1, int),
         target_accuracy=settings.get("target-accuracy", None, float),
     )
 
@@ -239,7 +238,6 @@ def cmd_eval(settings: Settings) -> int:
     data_rng = np.random.default_rng(seed + 1)
     test_set = load_dataset(settings.require("test-data"), settings, field,
                             split="test", rng=data_rng)
-    net.threads = settings.get("threads", 1, int)
     repeats = settings.get("repeats", 1, int)
     params = _aug_params(settings)
     aug = None
@@ -347,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lattice", choices=[k.value for k in LatticeKind])
         p.add_argument("--scale", type=int, help="object render scale")
         p.add_argument("--seed", type=int)
-        p.add_argument("--threads", type=int)
+        p.add_argument("--threads", type=int, help="accepted; has no effect")
         p.add_argument("--out", help="output path")
 
     p = sub.add_parser("train", help="train a network and write a checkpoint")

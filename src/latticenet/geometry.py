@@ -130,6 +130,14 @@ class GridShape:
             return False
         return True
 
+    def outside(self, sites: np.ndarray) -> np.ndarray:
+        """Mask of the (..., d) integer sites that are not sites of this grid."""
+        sites = np.asarray(sites)
+        bad = ((sites < 0) | (sites >= self.m)).any(axis=-1)
+        if self.lattice.is_simplex:
+            bad |= sites.sum(axis=-1) > self.m - 1
+        return bad
+
     def sites(self):
         """Iterate all valid sites in lexicographic order."""
         d = self.ndim

@@ -79,10 +79,6 @@ class DenseGrid:
     def n(self) -> int:
         return self.values.shape[1]
 
-    def value_at(self, site) -> np.ndarray:
-        ordn = site_ordinal(self.shape.lattice, self.shape.m, np.asarray(site))
-        return self.values[int(ordn)]
-
 
 @dataclass
 class SparseGrid:
@@ -144,18 +140,15 @@ class SparseGrid:
     def check_invariants(self):
         assert np.all(np.diff(self.keys) > 0), "keys must be strictly increasing"
         assert self.a <= self.shape.num_sites
-        sites = self.sites()
-        assert np.all(sites >= 0)
-        assert np.all(sites < self.shape.m)
-        if self.shape.lattice.is_simplex:
-            assert np.all(sites.sum(axis=1) <= self.shape.m - 1)
+        assert not self.shape.outside(self.sites()).any()
 
     # -- construction / conversion -------------------------------------
 
     @classmethod
     def empty(cls, shape: GridShape, ground: np.ndarray) -> "SparseGrid":
         ground = np.asarray(ground).reshape(-1)
-        return cls(shape, np.empty(0, np.int64), np.empty((0, ground.shape[0])), ground)
+        return cls(shape, np.empty(0, np.int64), np.empty((0, ground.shape[0]), ground.dtype),
+                   ground)
 
     @classmethod
     def from_sites(cls, shape: GridShape, sites, rows, ground) -> "SparseGrid":
@@ -202,9 +195,7 @@ class SparseGrid:
         if offset.shape[0] != self.shape.ndim:
             raise ValueError(f"offset must have {self.shape.ndim} coordinates")
         sites = self.sites() + offset
-        bad = (sites < 0).any(axis=1) | (sites >= fieldshape.m).any(axis=1)
-        if fieldshape.lattice.is_simplex:
-            bad |= sites.sum(axis=1) > fieldshape.m - 1
+        bad = fieldshape.outside(sites)
         if bad.any():
             first = sites[np.argmax(bad)]
             raise ValueError(
@@ -273,9 +264,7 @@ class SparseGrid:
 def _check_keys(keys: np.ndarray, shape: GridShape):
     """Raise FormatError unless ``keys`` are strictly increasing packed sites of ``shape``."""
     sites = unpack_sites(keys, shape.ndim)
-    bad = (pack_sites(sites) != keys) | (sites >= shape.m).any(axis=1)
-    if shape.lattice.is_simplex:
-        bad |= sites.sum(axis=1) > shape.m - 1
+    bad = (pack_sites(sites) != keys) | shape.outside(sites)
     if bad.any():
         raise FormatError(
             f"site key {keys[np.argmax(bad)]} is not a site of the size-{shape.m} "

@@ -375,9 +375,7 @@ def rasterize_polyline(points: np.ndarray, m: int, shape: GridShape | None = Non
     pts = np.vstack([points[:1], points[seg] + t[:, None] * delta[seg]])
 
     vox = np.rint(pts).astype(np.int64)
-    bad = (vox < 0).any(axis=1) | (vox >= shape.m).any(axis=1)
-    if shape.lattice.is_simplex:
-        bad |= vox.sum(axis=1) > shape.m - 1
+    bad = shape.outside(vox)
     if bad.any():
         culprit = vox[np.argmax(bad)]
         raise ValueError(f"point maps to voxel {tuple(culprit.tolist())} outside the grid")
@@ -437,10 +435,8 @@ def frame_difference(video: FrameSequence, threshold_pct: float) -> SparseGrid:
     off = np.array([(m - (T - 1)) // 2, (m - H) // 2, (m - W) // 2], dtype=np.int64)
     sites = np.stack([t, y, x], axis=1) + off
     vals = (diff[t, y, x] / 255.0).astype(np.float32).reshape(-1, 1)
-    shape = GridShape(LatticeKind.CUBIC, m)
-    if sites.shape[0] == 0:
-        return SparseGrid.empty(shape, np.zeros(1, dtype=np.float32))
-    return SparseGrid.from_sites(shape, sites, vals, np.zeros(1, dtype=np.float32))
+    return SparseGrid.from_sites(GridShape(LatticeKind.CUBIC, m), sites, vals,
+                                 np.zeros(1, dtype=np.float32))
 
 
 # ---------------------------------------------------------------------------
@@ -477,11 +473,8 @@ def square_to_triangular(image: DenseGrid, m_tri: int) -> SparseGrid:
     inside = (q[:, 0] >= -1e-9) & (q[:, 0] <= a + 1e-9) & (q[:, 1] >= -1e-9) & (q[:, 1] <= a + 1e-9)
     tri_sites = sites_array(LatticeKind.TRIANGULAR, m_tri)[inside]
     vals = _bilinear_sample(image, q[inside]).astype(np.float32)
-    shape = GridShape(LatticeKind.TRIANGULAR, m_tri)
-    ground = np.zeros(image.n, dtype=np.float32)
-    if tri_sites.shape[0] == 0:
-        return SparseGrid.empty(shape, ground)
-    return SparseGrid.from_sites(shape, tri_sites, vals, ground)
+    return SparseGrid.from_sites(GridShape(LatticeKind.TRIANGULAR, m_tri), tri_sites, vals,
+                                 np.zeros(image.n, dtype=np.float32))
 
 
 # ---------------------------------------------------------------------------
@@ -554,27 +547,60 @@ def write_svid(path, video: FrameSequence):
 
 
 def read_svid(path) -> FrameSequence:
+    """Read a raw video container; any malformed file raises :class:`FormatError`."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != SVID_MAGIC:
         raise FormatError(f"{path} is not a raw video container (bad magic)")
-    W, H, T = np.frombuffer(data, "<u4", count=3, offset=4)
+    if len(data) < 16:
+        raise FormatError(f"{path}: truncated header: {len(data)} bytes, need 16")
+    W, H, T = (int(v) for v in np.frombuffer(data, "<u4", count=3, offset=4))
     need = 16 + T * H * W
-    if len(data) < need:
-        raise FormatError(f"truncated video: expected {need} bytes, got {len(data)}")
-    frames = np.frombuffer(data, np.uint8, count=T * H * W, offset=16).reshape(T, H, W)
+    if len(data) != need:
+        raise FormatError(f"{path}: a {T}x{H}x{W} video needs {need} bytes, got {len(data)}")
+    frames = np.frombuffer(data, np.uint8, offset=16).reshape(T, H, W)
     return FrameSequence(frames.copy())
 
 
+def _is_point(p) -> bool:
+    """Whether a decoded JSON value is an ``[x, y]`` pair of finite numbers."""
+    if not (isinstance(p, list) and len(p) == 2):
+        return False
+    try:
+        return all(not isinstance(c, bool) and math.isfinite(c) for c in p)
+    except (TypeError, OverflowError):  # not a number, or an int beyond float range
+        return False
+
+
 def read_strokes_json(path) -> StrokeSample:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"{path}: {e.msg}", e.lineno) from None
+    """Read ``{"strokes": [[[x, y], ...], ...], "label": int}``; any
+    malformed document raises :class:`FormatError`."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: not UTF-8 text (byte {e.start})") from None
+    except json.JSONDecodeError as e:
+        raise FormatError(f"{path}: {e.msg}", e.lineno) from None
+    except RecursionError:
+        raise FormatError(f"{path}: JSON nested too deeply") from None
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     if "strokes" not in doc:
         raise FormatError(f"{path}: missing 'strokes' field")
-    return StrokeSample(doc["strokes"], int(doc.get("label", -1)))
+    strokes = doc["strokes"]
+    if not isinstance(strokes, list) or not all(isinstance(st, list) for st in strokes):
+        raise FormatError(f"{path}: 'strokes' must be a list of point lists")
+    for i, stroke in enumerate(strokes):
+        if not stroke:
+            raise FormatError(f"{path}: stroke {i} is empty")
+        if not all(_is_point(p) for p in stroke):
+            raise FormatError(f"{path}: stroke {i} has a point that is not a finite [x, y] pair")
+    label = doc.get("label", -1)
+    if not isinstance(label, int) or isinstance(label, bool):
+        raise FormatError(f"{path}: label must be an integer, got {label!r}")
+    return StrokeSample(strokes, label)
 
 
 def write_strokes_json(path, sample: StrokeSample):

@@ -151,22 +151,15 @@ def parse(text: str, lattice: LatticeKind, n_input: int) -> NetworkSpec:
 
 def render(spec: NetworkSpec) -> str:
     """Canonical string form; parse(render(spec)) is structurally identical."""
-    toks = []
-    for layer in spec.layers:
-        if isinstance(layer, ConvSpec):
-            t = f"{layer.n_out}C{layer.f}"
-            if layer.s != 1:
-                t += f"/{layer.s}"
-        elif isinstance(layer, PoolSpec):
-            t = f"MP{layer.p}"
-            if layer.s != layer.p:
-                t += f"/{layer.s}"
-        elif isinstance(layer, FMPSpec):
-            t = "FMP"
-        else:
-            t = "output"
-        toks.append(t)
-    return "-".join(toks)
+    return "-".join(render_layer(layer) for layer in spec.layers)
+
+
+def render_layer(layer: LayerSpec) -> str:
+    if isinstance(layer, ConvSpec):
+        return f"{layer.n_out}C{layer.f}" + (f"/{layer.s}" if layer.s != 1 else "")
+    if isinstance(layer, PoolSpec):
+        return f"MP{layer.p}" + (f"/{layer.s}" if layer.s != layer.p else "")
+    return "FMP" if isinstance(layer, FMPSpec) else "output"
 
 
 def plan(spec: NetworkSpec, input_size: int | None = None) -> NetworkSpec:
@@ -178,21 +171,12 @@ def plan(spec: NetworkSpec, input_size: int | None = None) -> NetworkSpec:
     if spec.has_fmp:
         if input_size is None:
             raise PlanError("architectures with FMP layers need an explicit input size")
-        sizes = []
-        m = input_size
-        for i, layer in enumerate(spec.layers):
-            sizes.append(m)
-            if isinstance(layer, ConvSpec):
-                m = out_size(m, layer.f, layer.s, layer=f"#{i} {render_layer(layer)}")
-            elif isinstance(layer, PoolSpec):
-                m = out_size(m, layer.p, layer.s, layer=f"#{i} {render_layer(layer)}")
-            elif isinstance(layer, FMPSpec):
-                m = fmp_out_size(m, layer.ratio)
-        if m != 1 or sizes[-1] != 1:
-            raise PlanError(
-                f"input size {input_size} does not reach spatial size 1 (got {sizes[-1]})"
-            )
-        return replace(spec, planned_sizes=tuple(sizes))
+        planned = plan_partial(spec, input_size)
+        # a layer entered at size 1 leaves at size 1 or fails to plan
+        if planned.planned_sizes[-1] != 1:
+            raise PlanError(f"input size {input_size} does not reach spatial size 1 "
+                            f"(got {planned.planned_sizes[-1]})")
+        return planned
 
     m = 1
     rev = []
@@ -232,10 +216,6 @@ def plan_partial(spec: NetworkSpec, input_size: int) -> NetworkSpec:
 def required_input_size(spec: NetworkSpec) -> tuple[int, ...]:
     """Per-layer entering sizes from the backward recurrence (final size 1)."""
     return plan(spec).planned_sizes
-
-
-def render_layer(layer: LayerSpec) -> str:
-    return render(NetworkSpec(LatticeKind.SQUARE, 1, (layer, OutputSpec()))).split("-")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +340,7 @@ def geometric_activity(spec: NetworkSpec, input_width: int) -> list[int]:
         elif isinstance(layer, FMPSpec):
             lo = np.floor(lo / layer.ratio).astype(np.int64)
             hi = np.minimum(np.ceil(hi / layer.ratio).astype(np.int64), m_out - 1)
-        else:  # output head keeps spatial size
-            pass
+        # the output head keeps the spatial size and the interval
         lo = np.maximum(lo, 0)
         hi = np.minimum(hi, m_out - 1)
         counts.append(_box_site_count(spec.lattice, m_out, lo, hi))

@@ -6,11 +6,12 @@ and the ``output`` token becomes a size-1 convolution producing the class
 logits.  A mini-batch travels through the layers as one
 :class:`~latticenet.grid.GridBatch`, so every convolution, pool and FMP
 layer builds its rulebook (active output sites and gather index) in one
-pass over the whole batch and performs a single dense multiply.  Each
-sample's rows keep the order a one-sample batch gives them, and the
+pass over the whole batch and performs a single dense multiply.  One
+loop over the blocks serves the forward pass and the ground states.
+Each sample's rows keep the order a one-sample batch gives them, and the
 backward pass mirrors the forward pass over the same batch rows, so
 gradient accumulation order is fixed and results are bit-identical
-whatever the batch composition or the ``threads`` setting.
+whatever the batch composition.
 """
 
 from __future__ import annotations
@@ -42,14 +43,10 @@ from .ops import (
     FMPLayer,
     PoolLayer,
     SamplePlans,
-    conv_forward,
     conv_forward_batch,
-    fmp_forward,
     fmp_forward_batch,
     fmp_regions,
-    pool_forward,
     pool_forward_batch,
-    relu_forward,
     relu_forward_batch,
 )
 
@@ -62,6 +59,7 @@ _BLOCK_CODES = {"conv": 0, "pool": 1, "fmp": 2, "classifier": 3}
 class _Block:
     kind: str  # conv | relu | pool | fmp | classifier
     layer: object = None
+    params: tuple = ()  # (W, B) ParamStates of conv and classifier blocks
 
 
 class Network:
@@ -75,14 +73,13 @@ class Network:
         self.classes = classes
         self.dtype = dtype
         self.fmp_eval_seed = fmp_eval_seed
-        self.threads = 1  # accepted for compatibility; a batch runs on the calling thread
         self.blocks: list[_Block] = []
         n = spec.n_input
         for ls in spec.layers:
             if isinstance(ls, ConvSpec):
                 geom = FilterGeometry(spec.lattice, ls.f, ls.s)
                 conv = ConvLayer.init(geom, n, ls.n_out, rng, dtype=dtype)
-                self.blocks.append(_Block("conv", conv))
+                self.blocks.append(_Block("conv", conv, (ParamState(conv.W), ParamState(conv.B))))
                 self.blocks.append(_Block("relu"))
                 n = ls.n_out
             elif isinstance(ls, PoolSpec):
@@ -92,12 +89,9 @@ class Network:
             elif isinstance(ls, OutputSpec):
                 geom = FilterGeometry(spec.lattice, 1, 1)
                 head = ConvLayer.init(geom, n, classes, rng, dtype=dtype)
-                self.blocks.append(_Block("classifier", head))
-        self._params = []
-        for b in self.blocks:
-            if b.kind in ("conv", "classifier"):
-                self._params.append(ParamState(b.layer.W))
-                self._params.append(ParamState(b.layer.B))
+                self.blocks.append(_Block("classifier", head,
+                                          (ParamState(head.W), ParamState(head.B))))
+        self._params = [p for b in self.blocks for p in b.params]
 
     # -- parameters -----------------------------------------------------
 
@@ -112,6 +106,33 @@ class Network:
 
     # -- forward / backward ----------------------------------------------
 
+    def _run(self, batch: GridBatch, train_rng: np.random.Generator | None = None,
+             keep_tape: bool = False):
+        """Run ``batch`` through the blocks, yielding ``(out, entry, macs)``
+        per block: its output batch, its tape entry (None unless
+        ``keep_tape``) and the multiply-accumulates it performed."""
+        for block in self.blocks:
+            layer, macs = block.layer, 0
+            if block.kind == "relu":
+                out, mask = relu_forward_batch(batch)
+                entry = ("relu", mask)
+            else:
+                if block.kind in ("conv", "classifier"):
+                    out, plan = conv_forward_batch(batch, layer)
+                    macs = plan.Q.shape[0] * plan.Q.shape[1] * layer.n_out
+                    head = (block.kind, layer)
+                elif block.kind == "pool":
+                    out, plan = pool_forward_batch(batch, layer, keep_plan=keep_tape)
+                    head = ("pool",)
+                else:
+                    seed = int(train_rng.integers(0, 2**31)) if train_rng is not None else layer.seed
+                    regions = fmp_regions(batch.shape.m, layer.ratio, seed)
+                    out, plan = fmp_forward_batch(batch, layer, regions, keep_plan=keep_tape)
+                    head = ("pool",)
+                entry = (*head, SamplePlans(plan, batch.start, out.start))
+            yield out, entry if keep_tape else None, macs
+            batch = out
+
     def forward_batch(self, grids: list[SparseGrid], *, train_rng: np.random.Generator | None = None,
                       keep_tape: bool = False):
         """Logits for a batch; one rulebook pass and one dense multiply per layer.
@@ -124,37 +145,16 @@ class Network:
         covers the batch's rows.
         """
         batch = GridBatch.of(list(grids))
-        tape = []
-        macs = 0
-        for block in self.blocks:
-            if block.kind in ("conv", "classifier"):
-                layer = block.layer
-                out, gplan = conv_forward_batch(batch, layer)
-                macs += gplan.Q.shape[0] * gplan.Q.shape[1] * layer.n_out
-                if keep_tape:
-                    tape.append((block.kind, layer, SamplePlans(gplan, batch.start, out.start)))
-                batch = out
-                if block.kind == "classifier":
-                    # a sample with an inactive head site takes its ground logits
-                    logits = batch.grounds.astype(batch.rows.dtype)
-                    logits[batch.sample_ids()] = batch.rows
-                    return logits, tape, macs
-            elif block.kind == "relu":
-                batch, mask = relu_forward_batch(batch)
-                if keep_tape:
-                    tape.append(("relu", mask))
-            else:
-                layer = block.layer
-                if block.kind == "pool":
-                    out, pplan = pool_forward_batch(batch, layer, keep_plan=keep_tape)
-                else:
-                    seed = int(train_rng.integers(0, 2**31)) if train_rng is not None else layer.seed
-                    regions = fmp_regions(batch.shape.m, layer.ratio, seed)
-                    out, pplan = fmp_forward_batch(batch, layer, regions, keep_plan=keep_tape)
-                if keep_tape:
-                    tape.append(("pool", SamplePlans(pplan, batch.start, out.start)))
-                batch = out
-        raise AssertionError("network has no classifier head")
+        tape, macs = [], 0
+        for batch, entry, block_macs in self._run(batch, train_rng, keep_tape):
+            macs += block_macs
+            if keep_tape:
+                tape.append(entry)
+        # the last block is the classifier; a sample with an inactive head
+        # site takes its ground logits
+        logits = batch.grounds.astype(batch.rows.dtype)
+        logits[batch.sample_ids()] = batch.rows
+        return logits, tape, macs
 
     def forward(self, grid: SparseGrid) -> np.ndarray:
         logits, _, _ = self.forward_batch([grid])
@@ -165,17 +165,16 @@ class Network:
 
         Returns the gradient with respect to each sample's input rows.
         """
-        param_idx = {id(p.values): p for p in self._params}
         d = None
-        for entry in reversed(tape):
+        for block, entry in zip(reversed(self.blocks), reversed(tape)):
             kind = entry[0]
             if kind in ("conv", "classifier"):
                 _, layer, plans = entry
                 if kind == "classifier":
                     d = d_logits[np.repeat(np.arange(len(plans)), np.diff(plans.out_start))]
                 dW, dB, d = conv_backward(d, plans.plan, layer)
-                param_idx[id(layer.W)].grad += dW.astype(layer.W.dtype)
-                param_idx[id(layer.B)].grad += dB.astype(layer.B.dtype)
+                for p, g in zip(block.params, (dW, dB)):
+                    p.grad += g.astype(p.values.dtype)
             elif kind == "relu":
                 d = relu_backward(d, entry[1])
             elif kind == "pool":
@@ -187,19 +186,7 @@ class Network:
     def ground_states(self) -> list[np.ndarray]:
         """Per-block output ground vectors (an all-ground field's values)."""
         g = SparseGrid.empty(self.input_shape(), np.zeros(self.spec.n_input, self.dtype))
-        grounds = []
-        for block in self.blocks:
-            if block.kind in ("conv", "classifier"):
-                g = conv_forward(g, block.layer)
-            elif block.kind == "relu":
-                g = relu_forward(g)
-            elif block.kind == "pool":
-                g = pool_forward(g, block.layer)
-            elif block.kind == "fmp":
-                regions = fmp_regions(g.shape.m, block.layer.ratio, block.layer.seed)
-                g = fmp_forward(g, block.layer, regions)
-            grounds.append(g.ground.copy())
-        return grounds
+        return [out.grounds[0].copy() for out, _, _ in self._run(GridBatch.of([g]))]
 
     # -- checkpoints --------------------------------------------------------
     #

@@ -18,10 +18,9 @@ A convolution over a mini-batch of sparse grids runs in three steps:
 Each step runs once per layer and batch, whatever the batch size, and
 gives every sample exactly the rows, row order and gather index that a
 batch of that sample alone gives.  The one-grid functions run the batch
-code on a batch of one, apart from :func:`build_gather`, which looks up
-any output keys its caller names.  The output ground state is what an
-all-ground field would produce, so every layer also maps the ground
-vector forward and inactive sites never need to be touched.
+code on a batch of one.  The output ground state is what an all-ground
+field would produce, so every layer also maps the ground vector forward
+and inactive sites never need to be touched.
 
 Pooling uses the same active-site rule with a component-wise max over the
 footprint; fractional max pooling (FMP) replaces the regular footprint
@@ -47,7 +46,6 @@ from .geometry import (
     filter_volume,
     out_size,
     pack_sites,
-    unpack_sites,
 )
 from .grid import GridBatch, SparseGrid
 
@@ -73,9 +71,6 @@ class FilterGeometry:
     @property
     def offsets(self) -> tuple[tuple[int, ...], ...]:
         return filter_offsets(self.lattice, self.f)
-
-    def offsets_array(self) -> np.ndarray:
-        return np.asarray(self.offsets, dtype=np.int64)
 
 
 @dataclass
@@ -296,14 +291,16 @@ def conv_active_sites(grid: SparseGrid, geometry: FilterGeometry):
 
 def build_gather(grid: SparseGrid, out_keys: np.ndarray, geometry: FilterGeometry,
                  out_shape: GridShape) -> GatherPlan:
-    """Step 2 for one grid and any output keys: the gather index, by key
-    lookup, and the gather matrix Q (a_out, F * n_in)."""
-    a_out = out_keys.shape[0]
-    base = unpack_sites(out_keys, grid.shape.ndim) * geometry.s
-    src = np.empty((a_out, geometry.volume), dtype=np.int64)
-    for k, off in enumerate(geometry.offsets):
-        src[:, k] = grid.lookup(pack_sites(base + np.asarray(off, dtype=np.int64)))
-    Q = _gather_rows(GridBatch.of([grid]), src, np.zeros(a_out, np.int64))
+    """Step 2 for one grid and any sites of the output grid: the rulebook's
+    gather index rows for ``out_keys`` (all -1 for a site the rulebook
+    leaves inactive) and the gather matrix Q (a_out, F * n_in)."""
+    batch = GridBatch.of([grid])
+    keys, _, src, _ = conv_rulebook(batch, geometry)
+    a_out, a_rule = out_keys.shape[0], keys.shape[0]
+    pos = np.searchsorted(keys, out_keys)
+    pos[np.append(keys, -1)[pos] != out_keys] = a_rule
+    src = np.vstack([src, np.full((1, geometry.volume), -1, np.int64)])[pos]
+    Q = _gather_rows(batch, src, np.zeros(a_out, np.int64))
     return GatherPlan(grid.shape, out_shape, out_keys, src,
                       Q.reshape(a_out, geometry.volume * grid.n), grid.a)
 
@@ -389,22 +386,15 @@ def pool_forward(grid: SparseGrid, layer: PoolLayer, *, keep_plan: bool = False)
 def fmp_regions(m_in: int, ratio: float, seed: int, ndim: int = 3) -> tuple[np.ndarray, ...]:
     """Per-dimension region starts for one FMP application.
 
-    Each dimension gets ``m_out = floor(m_in / ratio)`` overlapping size-2
-    regions ``[r, r+1]``: the first starts at 0, the last at ``m_in - 2``,
-    and consecutive starts differ by a pseudorandom step of 1 or 2.  The
-    step sequence is a deterministic function of ``seed``.
+    Each dimension gets ``m_out = fmp_out_size(m_in, ratio)`` overlapping
+    size-2 regions ``[r, r+1]``: the first starts at 0, the last at
+    ``m_in - 2``, and consecutive starts differ by a pseudorandom step of 1
+    or 2.  The step sequence is a deterministic function of ``seed``.
     """
     if not 1.0 < ratio < 2.0:
         raise ValueError(f"FMP ratio must lie strictly between 1 and 2, got {ratio}")
-    m_out = int(np.floor(m_in / ratio))
-    if m_out < 1:
-        raise ValueError(f"FMP output size would be {m_out} for input {m_in}")
-    n_steps = m_out - 1
+    n_steps = fmp_out_size(m_in, ratio) - 1
     n_twos = (m_in - 2) - n_steps
-    if n_twos < 0 or n_twos > n_steps:
-        raise PlanError(
-            f"cannot cover size {m_in} with {m_out} overlapping size-2 regions"
-        )
     rng = np.random.default_rng(seed)
     dims = []
     for _ in range(ndim):
@@ -417,6 +407,8 @@ def fmp_regions(m_in: int, ratio: float, seed: int, ndim: int = 3) -> tuple[np.n
 
 
 def fmp_out_size(m_in: int, ratio: float) -> int:
+    """Output size of one FMP step: ``floor(m_in / ratio)``, provided that
+    many overlapping size-2 regions can cover ``m_in``."""
     m_out = int(np.floor(m_in / ratio))
     if m_out < 1:
         raise PlanError(f"FMP output size would be {m_out} for input {m_in}")
@@ -480,10 +472,9 @@ def relu_forward_batch(batch: GridBatch):
     return out, batch.rows > 0
 
 
-def relu_forward(grid: SparseGrid, *, keep_mask: bool = False):
+def relu_forward(grid: SparseGrid):
     """Component-wise max(., 0) on rows and ground; activity set unchanged."""
-    out, mask = relu_forward_batch(GridBatch.of([grid]))
-    return (out.grid(0), mask) if keep_mask else out.grid(0)
+    return relu_forward_batch(GridBatch.of([grid]))[0].grid(0)
 
 
 def classifier_forward(grid: SparseGrid, layer: ConvLayer, *, keep_plan: bool = False):

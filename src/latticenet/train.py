@@ -21,7 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import sgd_step, softmax, softmax_nll
+from .geometry import pack_sites
 from .grid import LabeledSample, SparseGrid
+from .ingest import make_affine
 from .network import Network
 
 
@@ -73,7 +75,6 @@ def fit(net: Network, train: list[LabeledSample], heldout: list[LabeledSample],
         cfg: TrainConfig, log_fn=None) -> list[EpochLog]:
     """SGD with momentum; returns one log entry per epoch."""
     rng = np.random.default_rng(cfg.seed)
-    net.threads = cfg.threads
     logs = []
     lr = cfg.lr
     for epoch in range(1, cfg.epochs + 1):
@@ -174,15 +175,12 @@ def augment_grid(grid: SparseGrid, params: AffineParams, rng: np.random.Generato
     if params.is_identity:
         return grid
     d = grid.shape.ndim
-    A = np.eye(d)
+    ang = scale = 0.0
     if params.rotate_deg:
         ang = np.deg2rad(rng.uniform(-params.rotate_deg, params.rotate_deg))
-        c, s = np.cos(ang), np.sin(ang)
-        R = np.eye(d)
-        R[0, 0], R[0, 1], R[1, 0], R[1, 1] = c, -s, s, c
-        A = A @ R
     if params.scale:
-        A = A * (1.0 + rng.uniform(-params.scale, params.scale))
+        scale = rng.uniform(-params.scale, params.scale)
+    A, _ = make_affine(d, rotation=ang, scale=1.0 + scale)
     if params.shear:
         S = np.eye(d)
         for i in range(d):
@@ -196,14 +194,9 @@ def augment_grid(grid: SparseGrid, params: AffineParams, rng: np.random.Generato
     pts = grid.sites().astype(float) - center
     pts = pts @ A.T + t + center
     sites = np.rint(pts).astype(np.int64)
-    ok = (sites >= 0).all(axis=1) & (sites < grid.shape.m).all(axis=1)
-    if grid.shape.lattice.is_simplex:
-        ok &= sites.sum(axis=1) <= grid.shape.m - 1
+    ok = ~grid.shape.outside(sites)
     sites = sites[ok]
     rows = grid.rows[ok]
-    if sites.shape[0] == 0:
-        return SparseGrid.empty(grid.shape, grid.ground)
-    from .geometry import pack_sites
     keys = pack_sites(sites)
     order = np.argsort(keys, kind="stable")
     keys, rows = keys[order], rows[order]

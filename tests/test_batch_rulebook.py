@@ -11,7 +11,7 @@ within a few bits of the int64 range.
 import numpy as np
 import pytest
 
-from latticenet.geometry import MAX_COORD, GridShape, LatticeKind
+from latticenet.geometry import MAX_COORD, GridShape, LatticeKind, pack_sites, sites_array
 from latticenet.grid import GridBatch, SparseGrid
 from latticenet.netspec import parse, plan
 from latticenet.network import Network
@@ -222,3 +222,25 @@ def test_batch_rejects_mixed_shapes(rng):
         GridBatch.of([a, b])
     with pytest.raises(ValueError):
         GridBatch.of([])
+
+
+@pytest.mark.parametrize("lattice", ALL_LATTICES)
+@pytest.mark.parametrize("f, s", [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3)])
+def test_build_gather_of_every_output_site(lattice, f, s, rng):
+    """Active and inactive output sites mixed, in key order: the rulebook
+    rows for the active ones, all -1 rows for the rest."""
+    m_in = s * 3 + f
+    geom = FilterGeometry(lattice, f, s)
+    for sparsity in (0.0, 0.05, 0.4, 1.0):
+        grid = random_sparse(lattice, m_in, 2, sparsity, rng, ground=rng.normal(size=2))
+        out_shape = GridShape(lattice, 4)
+        every = pack_sites(sites_array(lattice, 4))
+        plan = build_gather(grid, every, geom, out_shape)
+        src, Q = loop_gather(grid, every, f, s)
+        assert np.array_equal(plan.src, src)
+        assert np.array_equal(plan.Q, Q)
+        assert np.array_equal(plan.out_keys, every) and plan.a_in == grid.a
+        # a shuffled subset with repeats gives the same rows
+        pick = rng.integers(0, every.shape[0], size=7)
+        part = build_gather(grid, every[pick], geom, out_shape)
+        assert np.array_equal(part.src, src[pick]) and np.array_equal(part.Q, Q[pick])

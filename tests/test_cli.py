@@ -3,7 +3,9 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
+from latticenet.cli import main
 from latticenet.grid import SparseGrid
 from latticenet.ingest import FrameSequence, StrokeSample, write_strokes_json, write_svid
 
@@ -250,3 +252,27 @@ def test_train_determinism_across_thread_flag(tmp_path):
         assert r.returncode == 0, r.stderr
         artifacts.append((log.read_bytes(), ckpt.read_bytes()))
     assert artifacts[0] == artifacts[1]
+
+
+@pytest.mark.parametrize("content", [
+    pytest.param(b"\xff\xfe{}", id="not-utf8"),
+    pytest.param(b"[1, 2]", id="not-an-object"),
+    pytest.param(b"[" * 100_000, id="nested-too-deeply"),
+    pytest.param(b'{"strokes": 5}', id="strokes-not-a-list"),
+    pytest.param(b'{"strokes": [5]}', id="stroke-not-a-list"),
+    pytest.param(b'{"strokes": [[[0, 1], [2]]]}', id="point-of-one"),
+    pytest.param(b'{"strokes": [[[0, 1], [2, 3, 4]]]}', id="point-of-three"),
+    pytest.param(b'{"strokes": [[[0, 1], "ab"]]}', id="point-a-string"),
+    pytest.param(b'{"strokes": [[[0, 1], [2, "3"]]]}', id="coordinate-a-string"),
+    pytest.param(b'{"strokes": [[[0, 1], [2, NaN]]]}', id="coordinate-nan"),
+    pytest.param(b'{"strokes": [[[0, 1]]], "label": "3"}', id="label-a-string"),
+    pytest.param(b'{"strokes": [[[0, 1]]], "label": 2.5}', id="label-a-float"),
+    pytest.param(b'{"strokes": [[[0, 1]]], "label": true}', id="label-a-bool"),
+    pytest.param(b'{"strokes": [[[0, 1]], []]}', id="empty-stroke"),
+])
+def test_voxelize_malformed_strokes_exit_3(tmp_path, content, capsys):
+    p = tmp_path / "bad.json"
+    p.write_bytes(content)
+    assert main(["voxelize", "--input", str(p), "--out", str(tmp_path / "bad.grid")]) == 3
+    assert "data error" in capsys.readouterr().err
+    assert not (tmp_path / "bad.grid").exists()

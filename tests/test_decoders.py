@@ -1,5 +1,6 @@
-"""The binary decoders on damaged input: ``.grid`` records and ``.lnck``
-checkpoints either decode to a valid object or raise FormatError.
+"""The binary decoders on damaged input: ``.grid`` records, ``.lnck``
+checkpoints and ``.svid`` videos either decode to a valid object or raise
+FormatError.
 
 Every proper prefix of a file is tried, then seeded random byte flips.
 """
@@ -12,6 +13,7 @@ import pytest
 from latticenet.errors import FormatError
 from latticenet.geometry import GridShape, LatticeKind
 from latticenet.grid import SparseGrid
+from latticenet.ingest import FrameSequence, read_svid, write_svid
 from latticenet.netspec import parse, plan
 from latticenet.network import Network
 
@@ -159,3 +161,52 @@ def test_checkpoint_fmp_on_other_lattice(tmp_path):
     blob[8:12] = struct.pack("<I", 3)  # tetrahedral
     with pytest.raises(FormatError):
         load_bytes(tmp_path, bytes(blob))
+
+
+# ---------------------------------------------------------------------------
+# raw video containers (.svid)
+
+
+def svid_blob(tmp_path, rng):
+    p = tmp_path / "clip.svid"
+    write_svid(p, FrameSequence(rng.integers(0, 256, size=(3, 4, 5), dtype=np.uint8)))
+    return p.read_bytes()
+
+
+def read_svid_bytes(tmp_path, data: bytes):
+    p = tmp_path / "damaged.svid"
+    p.write_bytes(data)
+    return read_svid(p)
+
+
+def test_svid_every_prefix_raises_format_error(tmp_path, rng):
+    blob = svid_blob(tmp_path, rng)
+    for cut in range(len(blob)):
+        with pytest.raises(FormatError):
+            read_svid_bytes(tmp_path, blob[:cut])
+    with pytest.raises(FormatError):
+        read_svid_bytes(tmp_path, blob + b"\0")
+
+
+def test_svid_byte_flips_load_or_raise_format_error(tmp_path):
+    rng = np.random.default_rng(13)
+    blob = svid_blob(tmp_path, rng)
+    for data in flipped(blob, rng):
+        try:
+            video = read_svid_bytes(tmp_path, data)
+        except FormatError:
+            continue
+        assert 16 + video.frames.size == len(data)
+
+
+@pytest.mark.parametrize("blob, message", [
+    pytest.param(b"SVID\x01\x00", "truncated header", id="short-header"),
+    # 2048 x 2048 x 1024 bytes is 2**32, which wraps to 0 in uint32
+    pytest.param(b"SVID" + struct.pack("<III", 2048, 2048, 1024), "needs 4294967312 bytes",
+                 id="size-wraps-uint32"),
+    pytest.param(b"SVID" + struct.pack("<III", 1, 1, 2) + b"\0\0\0", "needs 18 bytes, got 19",
+                 id="trailing-byte"),
+])
+def test_svid_bad_fields(tmp_path, blob, message):
+    with pytest.raises(FormatError, match=message):
+        read_svid_bytes(tmp_path, blob)

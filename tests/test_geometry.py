@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -137,3 +139,20 @@ def test_grid_shape_validation():
     assert shape.contains((0, 3))
     assert not shape.contains((1, 3))
     assert not shape.contains((-1, 0))
+
+
+@pytest.mark.parametrize("lattice", ALL_LATTICES)
+def test_outside_agrees_with_contains(lattice):
+    m = 5
+    shape = GridShape(lattice, m)
+    # every site of the enclosing box, plus negative and too-large coordinates
+    box = np.array(list(itertools.product(range(-2, m + 2), repeat=lattice.ndim)))
+    mask = shape.outside(box)
+    assert mask.shape == (box.shape[0],)
+    assert [not shape.contains(tuple(s)) for s in box] == mask.tolist()
+    assert not shape.outside(sites_array(lattice, m)).any()
+    # any leading shape works, and a huge coordinate is outside
+    assert shape.outside(box.reshape(-1, 1, lattice.ndim)).shape == (box.shape[0], 1)
+    far = np.zeros((1, lattice.ndim), np.int64)
+    far[0, -1] = 1 << 40
+    assert shape.outside(far).all()

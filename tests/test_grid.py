@@ -141,3 +141,12 @@ def test_lookup(rng):
     rows = grid.lookup(grid.keys)
     assert np.array_equal(rows, np.arange(grid.a))
     assert grid.lookup(np.array([10**9])) == -1
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_empty_rows_take_the_ground_dtype(dtype):
+    grid = SparseGrid.empty(GridShape(LatticeKind.CUBIC, 4), np.zeros(3, dtype))
+    assert grid.rows.shape == (0, 3) and grid.rows.dtype == dtype
+    none = SparseGrid.from_sites(grid.shape, np.empty((0, 3)), np.empty((0, 3), dtype),
+                                 np.zeros(3, dtype))
+    assert none.rows.shape == (0, 3) and none.rows.dtype == dtype

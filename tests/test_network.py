@@ -216,3 +216,17 @@ def test_augment_preserves_count_under_small_translation(rng):
     g = SparseGrid.from_sites(shape, sites, np.ones((3, 1)), np.zeros(1))
     out = augment_grid(g, AffineParams(translate=1.5), np.random.default_rng(3))
     assert out.a == 3
+
+
+def test_empty_grid_keeps_a_float32_batch_float32(rng):
+    net = small_net(rng, dtype=np.float32)
+    shape = net.input_shape()
+    grid = random_sparse(shape.lattice, shape.m, 1, 0.3, rng)
+    grid = SparseGrid(shape, grid.keys, grid.rows.astype(np.float32),
+                      grid.ground.astype(np.float32))
+    empty = SparseGrid.empty(shape, np.zeros(1, np.float32))
+    logits, _, _ = net.forward_batch([grid, empty])
+    alone, _, _ = net.forward_batch([grid])
+    assert logits.dtype == np.float32
+    assert np.allclose(logits[0], alone[0], rtol=1e-5, atol=1e-6)
+    assert np.allclose(logits[1], net.ground_states()[-1], rtol=1e-5, atol=1e-6)
