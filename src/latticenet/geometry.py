@@ -4,8 +4,8 @@ Four lattices are supported.  Square and cubic grids are the ordinary
 integer boxes.  The triangular and tetrahedral grids are the simplex
 subsets of the integer grid: a site ``(x1..xd)`` is valid when every
 coordinate is non-negative and the coordinate sum is at most ``m - 1``.
-On those lattices a filter of linear size ``f`` covers the simplex of
-offsets with coordinate sum below ``f``, so the smallest non-trivial
+A filter of linear size ``f`` covers exactly the sites of the size-``f``
+grid of its lattice, so on the simplex lattices the smallest non-trivial
 filter touches only ``d + 1`` sites instead of ``2**d``.
 
 All functions here are pure and cheap; the rest of the package treats
@@ -60,31 +60,20 @@ def filter_volume(lattice: LatticeKind, f: int) -> int:
     """Number of input sites a filter of linear size ``f`` covers."""
     if f < 1:
         raise ValueError(f"filter size must be >= 1, got {f}")
-    if lattice is LatticeKind.SQUARE:
-        return f * f
-    if lattice is LatticeKind.CUBIC:
-        return f * f * f
-    if lattice is LatticeKind.TRIANGULAR:
-        return f * (f + 1) // 2
-    return f * (f + 1) * (f + 2) // 6
+    return site_count(lattice, f)
 
 
 @lru_cache(maxsize=None)
 def filter_offsets(lattice: LatticeKind, f: int) -> tuple[tuple[int, ...], ...]:
-    """Canonical (lexicographically sorted) offset list of a size-f filter.
+    """Canonical (lexicographically sorted) offset list of a size-f filter:
+    the sites of the size-f grid of the lattice.
 
     The order returned here defines the row-block layout of convolution
     weight matrices, so it must never change.
     """
     if f < 1:
         raise ValueError(f"filter size must be >= 1, got {f}")
-    d = lattice.ndim
-    offs = itertools.product(range(f), repeat=d)
-    if lattice.is_simplex:
-        offs = (o for o in offs if sum(o) <= f - 1)
-    out = tuple(sorted(offs))
-    assert len(out) == filter_volume(lattice, f)
-    return out
+    return tuple(GridShape(lattice, f).sites())
 
 
 def site_count(lattice: LatticeKind, m: int) -> int:

@@ -393,24 +393,12 @@ def strokes_to_spacetime(sample: StrokeSample, m: int = 40) -> SparseGrid:
     if not sample.strokes:
         raise ValueError("sample has no strokes")
     allp = np.vstack(sample.strokes)
-    lo = allp.min(axis=0)
-    hi = allp.max(axis=0)
-    extent = float((hi - lo).max())
-    scale = (m - 1) / extent if extent > 0 else 1.0
-    pad = ((m - 1) - (hi - lo) * scale) / 2.0
-
-    total = sum(len(s) for s in sample.strokes)
-    tscale = (m - 1) / max(total - 1, 1)
-
+    xy = fit_points(allp, GridShape(LatticeKind.SQUARE, m), margin=0.0)
+    times = np.arange(allp.shape[0]) * ((m - 1) / max(allp.shape[0] - 1, 1))
+    pts = np.column_stack([xy, times])
     shape = GridShape(LatticeKind.CUBIC, m)
-    keys = []
-    idx = 0
-    for stroke in sample.strokes:
-        xy = (stroke - lo) * scale + pad
-        times = (np.arange(idx, idx + len(stroke)) * tscale).reshape(-1, 1)
-        idx += len(stroke)
-        pts = np.hstack([xy, times])
-        keys.append(rasterize_polyline(pts, m, shape).keys)
+    ends = np.cumsum([len(s) for s in sample.strokes])[:-1]
+    keys = [rasterize_polyline(p, m, shape).keys for p in np.split(pts, ends)]
     return _occupancy_grid(shape, np.concatenate(keys))
 
 
@@ -427,7 +415,7 @@ def frame_difference(video: FrameSequence, threshold_pct: float) -> SparseGrid:
         raise ValueError(f"threshold must be in [0, 100], got {threshold_pct}")
     T, H, W = video.frames.shape
     if T < 2:
-        raise ValueError(f"need at least 2 frames to difference, got {T}")
+        raise FormatError(f"need at least 2 frames to difference, got {T}")
     diff = video.frames[1:].astype(np.int16) - video.frames[:-1].astype(np.int16)
     cut = threshold_pct / 100.0 * 255.0
     t, y, x = np.nonzero(np.abs(diff) > cut)
@@ -622,6 +610,9 @@ def load_cifar_batch(path) -> tuple[np.ndarray, np.ndarray]:
         )
     raw = raw.reshape(-1, CIFAR_RECORD)
     labels = raw[:, 0].astype(np.int64)
+    bad = np.flatnonzero(labels > 9)
+    if bad.size:
+        raise FormatError(f"{path}: record {bad[0]} has label {labels[bad[0]]}, expected 0-9")
     imgs = raw[:, 1:].reshape(-1, 3, 32, 32).transpose(0, 2, 3, 1).astype(np.float32) / 255.0
     return labels, imgs
 

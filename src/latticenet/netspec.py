@@ -245,19 +245,17 @@ def count_ops(spec: NetworkSpec, activity="dense", classes: int | None = None) -
         m_in = sizes[i]
         m_out = sizes[i + 1] if i + 1 < len(sizes) else m_in
         n_in, n_out = feats[i]
+        a_out = site_count(spec.lattice, m_out) if activity == "dense" else activity[i]
         if isinstance(layer, ConvSpec):
             F = filter_volume(spec.lattice, layer.f)
-            a_out = site_count(spec.lattice, m_out) if activity == "dense" else activity[i]
             macs = a_out * F * n_in * n_out
             params = F * n_in * n_out + n_out
         elif isinstance(layer, OutputSpec):
             F = 1
-            a_out = site_count(spec.lattice, m_out) if activity == "dense" else activity[i]
             macs = a_out * n_in * classes if classes else 0
             params = (n_in * classes + classes) if classes else 0
         else:
             F = filter_volume(spec.lattice, layer.p) if isinstance(layer, PoolSpec) else 8
-            a_out = site_count(spec.lattice, m_out) if activity == "dense" else activity[i]
             macs = 0  # pooling is I/O-bound, counted as free
             params = 0
         rows.append({

@@ -23,11 +23,13 @@ field would produce, so every layer also maps the ground vector forward
 and inactive sites never need to be touched.
 
 Pooling uses the same active-site rule with a component-wise max over the
-footprint; fractional max pooling (FMP) replaces the regular footprint
-with randomized overlapping size-2 regions that shrink each dimension by
-a factor strictly between 1 and 2.  An input site meets at most two
-regions per dimension, so FMP's candidates are the up to eight region
-combinations of each active input site, grouped like a convolution's.
+footprint.  Fractional max pooling (FMP) is max pooling over size-2 cubic
+windows whose starts are randomized overlapping regions that shrink each
+dimension by a factor strictly between 1 and 2.  One rulebook serves
+every layer: along each dimension output coordinate ``u`` has a window
+start, ``u * s`` for a convolution or pool and the region start for FMP,
+and input site ``c`` lies under offset ``o`` exactly when ``c - o`` is a
+start, which one ``searchsorted`` per dimension finds.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .geometry import (
     filter_offsets,
     filter_volume,
     out_size,
-    pack_sites,
 )
 from .grid import GridBatch, SparseGrid
 
@@ -211,19 +212,51 @@ class SamplePlans(Sequence):
 # the rulebook: active output sites and the gather index, one pass per batch
 
 
-def _rulebook(keys, rows, k, sample_ids, F):
-    """Group candidate (output key, input row, footprint position) triples
-    into active output rows: (out_keys, out_sample, src).
+def _window_rulebook(batch: GridBatch, offsets, starts, bound):
+    """Active output rows of a windowed layer over a batch: (out_keys,
+    out_sample, src).
 
-    Output rows are ordered by sample and then by key.  Grouping is by the
-    tag ``sample * U + rank``, with ``rank`` the key's rank among the U
-    distinct candidate keys, so the tag fits in int64 whatever the
-    coordinate range.
+    Along dimension ``j`` the window of output coordinate ``u`` starts at
+    ``starts[j][u]`` (ascending), so input site ``c`` lies under footprint
+    offset ``o`` of output ``u`` exactly when every ``c_j - o_j`` is a
+    start, ``u_j`` being its index.  On simplex lattices ``bound`` is the
+    largest coordinate sum of a valid output's window start, else None.
+    Every (active input row, offset) pair that meets these tests is one
+    candidate.  Output rows are ordered by sample and then by key:
+    candidates are grouped by the tag ``sample * U + rank``, with ``rank``
+    the key's rank among the U distinct candidate keys, so the tag fits in
+    int64 whatever the coordinate range.
     """
-    union, rank = np.unique(keys, return_inverse=True)
+    sites = batch.sites()
+    d = sites.shape[1]
+    span = np.arange(max(max(off) for off in offsets) + 1)
+    # per dimension j and offset value o: the packed part of u_j, and whether
+    # c_j - o is a window start (a value past the last start finds the -1
+    # sentinel, which it cannot equal)
+    part, fits = [], []
+    for j in range(d):
+        q = sites[:, j] - span[:, None]  # (len(span), a)
+        u = np.searchsorted(starts[j], q)
+        fits.append(np.append(starts[j], -1)[u] == q)
+        part.append(u << (COORD_BITS * (d - 1 - j)))
+    if bound is not None:
+        site_sum = sites.sum(axis=1)
+    keys, rows = [], []
+    for off in offsets:
+        ok = fits[0][off[0]]
+        for j in range(1, d):
+            ok = ok & fits[j][off[j]]
+        if bound is not None:
+            ok &= site_sum <= bound + sum(off)
+        r = np.flatnonzero(ok)
+        keys.append(sum(part[j][off[j]][r] for j in range(d)))
+        rows.append(r)
+    k = np.repeat(np.arange(len(offsets)), [r.shape[0] for r in rows])
+    rows = np.concatenate(rows)
+    union, rank = np.unique(np.concatenate(keys), return_inverse=True)
     U = max(union.shape[0], 1)  # no candidates means no tags to split
-    tags, out_row = np.unique(sample_ids[rows] * U + rank, return_inverse=True)
-    src = np.full((tags.shape[0], F), -1, dtype=np.int64)
+    tags, out_row = np.unique(batch.sample_ids()[rows] * U + rank, return_inverse=True)
+    src = np.full((tags.shape[0], len(offsets)), -1, dtype=np.int64)
     src[out_row, k] = rows
     return union[tags % U], tags // U, src
 
@@ -239,40 +272,15 @@ def conv_rulebook(batch: GridBatch, geometry: FilterGeometry):
     Output row ``i`` is site ``out_keys[i]`` of sample ``out_sample[i]``;
     rows are grouped by sample, keys ascending within each.  ``src[i, k]``
     is the batch row under footprint position ``k`` of output row ``i``,
-    or -1 where that position is inactive.  Input site ``c`` lies under
-    position ``o`` of output site ``u`` exactly when ``c = u * s + o``, so
-    every (input row, offset) pair with a valid ``u`` yields one entry.
+    or -1 where that position is inactive.  The window of output site
+    ``u`` starts at ``u * s``.
     """
     m_out = out_size(batch.shape.m, geometry.f, geometry.s)
     out_shape = GridShape(batch.shape.lattice, m_out)
-    s, d = geometry.s, batch.shape.ndim
-    sites = batch.sites()
-    # per dimension j and offset value o: the packed part of u_j = (c_j - o) / s,
-    # and whether that u_j is a whole number inside the output grid
-    part, fits = [], []
-    for j in range(d):
-        q = sites[:, j] - np.arange(geometry.f)[:, None]  # (f, a)
-        u = q // s
-        part.append(u << (COORD_BITS * (d - 1 - j)))
-        ok = (q >= 0) & (u <= m_out - 1)
-        if s > 1:
-            ok &= q % s == 0
-        fits.append(ok)
-    if out_shape.lattice.is_simplex:
-        site_sum = sites.sum(axis=1)
-    keys, rows = [], []
-    for off in geometry.offsets:
-        ok = fits[0][off[0]]
-        for j in range(1, d):
-            ok = ok & fits[j][off[j]]
-        if out_shape.lattice.is_simplex:
-            ok &= site_sum <= s * (m_out - 1) + sum(off)
-        r = np.flatnonzero(ok)
-        keys.append(sum(part[j][off[j]][r] for j in range(d)))
-        rows.append(r)
-    k = np.repeat(np.arange(geometry.volume), [r.shape[0] for r in rows])
-    out_keys, out_sample, src = _rulebook(np.concatenate(keys), np.concatenate(rows), k,
-                                          batch.sample_ids(), geometry.volume)
+    starts = np.arange(m_out) * geometry.s
+    bound = int(starts[-1]) if out_shape.lattice.is_simplex else None
+    out_keys, out_sample, src = _window_rulebook(batch, geometry.offsets,
+                                                 (starts,) * out_shape.ndim, bound)
     return out_keys, out_sample, src, out_shape
 
 
@@ -424,32 +432,11 @@ def fmp_forward_batch(batch: GridBatch, layer: FMPLayer, regions, *, keep_plan: 
     returns what :func:`pool_forward_batch` returns."""
     if batch.shape.lattice is not LatticeKind.CUBIC:
         raise ValueError("FMP requires a cubic grid")
-    starts = regions
-    out_shape = GridShape(LatticeKind.CUBIC, starts[0].shape[0])
-
-    # active output sites: regions whose 2-window touches an active input
-    # site.  Along each dimension a site at c meets at most two regions, the
-    # one starting at c - 1 and the one starting at c, so its candidates
-    # are the 2 x 2 x 2 combinations of those that exist.
-    sites = batch.sites()
-    region, hit = [], []
-    for dim, spread in enumerate((np.s_[:, None, None], np.s_[None, :, None],
-                                  np.s_[None, None, :])):
-        c = sites[:, dim]
-        want = np.stack([c - 1, c])  # (2, a) wanted region starts
-        r = np.searchsorted(starts[dim], want)
-        n_r = starts[dim].shape[0]
-        region.append(r[spread])  # dimension dim's choice on axis dim of (2, 2, 2, a)
-        hit.append(((r < n_r) & (starts[dim][np.minimum(r, n_r - 1)] == want))[spread])
-    corner = np.stack(np.broadcast_arrays(*region), axis=-1)  # (2, 2, 2, a, 3)
-    ok = hit[0] & hit[1] & hit[2]
-    # choice 0 is the region starting at c - 1, where the site is corner 1;
-    # corners are numbered dx * 4 + dy * 2 + dz
-    position = 7 - np.arange(8).reshape(2, 2, 2, 1)
-    rows = np.broadcast_to(np.arange(batch.a), ok.shape)[ok]
-    out_keys, out_sample, src = _rulebook(pack_sites(corner[ok]), rows,
-                                          np.broadcast_to(position, ok.shape)[ok],
-                                          batch.sample_ids(), 8)
+    # region u of dimension j covers regions[j][u] and the site after it:
+    # a size-2 cubic window at an irregular start
+    out_shape = GridShape(LatticeKind.CUBIC, regions[0].shape[0])
+    out_keys, out_sample, src = _window_rulebook(batch, filter_offsets(LatticeKind.CUBIC, 2),
+                                                 regions, None)
     return _max_pool(batch, out_keys, out_sample, out_shape, src, keep_plan)
 
 

@@ -124,8 +124,14 @@ def evaluate(net: Network, samples: list[LabeledSample], repeats: int = 1,
 
     ``augment`` is a callable ``(grid, rng) -> grid``; when it is None the
     same grid is evaluated every time and the running mean leaves the
-    probabilities bit-identical to a single pass.
+    probabilities bit-identical to a single pass.  A label outside
+    ``0 .. net.classes - 1`` raises ValueError.
     """
+    labels = np.array([s.label for s in samples], dtype=np.int64)
+    bad = np.flatnonzero((labels < 0) | (labels >= net.classes))
+    if bad.size:
+        raise ValueError(f"sample {bad[0]} has label {labels[bad[0]]}; the network has "
+                         f"{net.classes} classes")
     if rng is None:
         rng = np.random.default_rng(0)
     n = len(samples)
@@ -138,7 +144,6 @@ def evaluate(net: Network, samples: list[LabeledSample], repeats: int = 1,
             logits, _, _ = net.forward_batch(grids)
             probs[start:start + len(chunk)] = softmax(logits)
         mean += (probs - mean) / k  # running mean: exact for identical passes
-    labels = np.array([s.label for s in samples])
     pred = mean.argmax(axis=1)
     confusion = np.zeros((net.classes, net.classes), dtype=np.int64)
     for t, p in zip(labels, pred):

@@ -16,6 +16,7 @@ from latticenet.grid import GridBatch, SparseGrid
 from latticenet.netspec import parse, plan
 from latticenet.network import Network
 from latticenet.ops import (
+    FMP_RATIO,
     ConvLayer,
     FilterGeometry,
     FMPLayer,
@@ -125,12 +126,27 @@ def test_all_empty_batch(rng):
     check_pool(grids, 3, 2)
 
 
-@pytest.mark.parametrize("ties", [False, True], ids=["random", "ties"])
-def test_fmp_matches_per_grid(ties, rng):
-    grids = batch_of(LatticeKind.CUBIC, 12, 2, MIXED, rng)
+def fmp_cases():
+    """(ties, field, ratio, region seed): field 2 has one region per
+    dimension, field 3 two regions at ratio 1.5 (the default ratio cannot
+    cover it), and every field has sites with ``c - o = -1`` and sites past
+    the last region start.  The first field-12 cases keep their old ids."""
+    for ties in (False, True):
+        name = "ties" if ties else "random"
+        yield pytest.param(ties, 12, FMP_RATIO, 7, id=name)
+        for m, ratio in ((2, FMP_RATIO), (3, 1.5), (5, FMP_RATIO), (12, FMP_RATIO),
+                         (31, FMP_RATIO)):
+            for seed in (0, 3, 7):
+                if (m, seed) != (12, 7):
+                    yield pytest.param(ties, m, ratio, seed, id=f"{name}-m{m}-seed{seed}")
+
+
+@pytest.mark.parametrize("ties, m, ratio, seed", fmp_cases())
+def test_fmp_matches_per_grid(ties, m, ratio, seed, rng):
+    grids = batch_of(LatticeKind.CUBIC, m, 2, MIXED, rng)
     if ties:  # equal rows, as ingestion gives: argmax routing rests on corner order
         grids = [SparseGrid(g.shape, g.keys, np.ones_like(g.rows), np.zeros(2)) for g in grids]
-    regions = fmp_regions(12, FMPLayer(LatticeKind.CUBIC).ratio, 7)
+    regions = fmp_regions(m, ratio, seed)
     batch = GridBatch.of(grids)
     out, pplan = fmp_forward_batch(batch, FMPLayer(LatticeKind.CUBIC), regions)
     plans = SamplePlans(pplan, batch.start, out.start)

@@ -1,4 +1,5 @@
 import json
+import struct
 import subprocess
 import sys
 
@@ -6,8 +7,11 @@ import numpy as np
 import pytest
 
 from latticenet.cli import main
+from latticenet.geometry import LatticeKind
 from latticenet.grid import SparseGrid
 from latticenet.ingest import FrameSequence, StrokeSample, write_strokes_json, write_svid
+from latticenet.netspec import parse, plan
+from latticenet.network import Network
 
 
 def run_cli(*args, **kw):
@@ -110,6 +114,14 @@ def test_voxelize_static_video_warns_empty(tmp_path):
     assert r.returncode == 0, r.stderr
     assert "no active sites" in r.stderr
     assert SparseGrid.load(out).a == 0
+
+
+def test_voxelize_one_frame_video_exit_3(tmp_path, capsys):
+    vid = tmp_path / "one.svid"
+    vid.write_bytes(b"SVID" + struct.pack("<III", 4, 4, 1) + bytes(16))  # W, H, T
+    assert main(["voxelize", "--input", str(vid), "--out", str(tmp_path / "one.grid")]) == 3
+    assert "at least 2 frames" in capsys.readouterr().err
+    assert not (tmp_path / "one.grid").exists()
 
 
 def test_voxelize_strokes(tmp_path):
@@ -229,6 +241,17 @@ def test_eval_truncated_checkpoint_exit_3(tmp_path):
                 "--config", str(cfg))
     assert r.returncode == 3
     assert "data error" in r.stderr and "truncated" in r.stderr
+
+
+def test_eval_cifar_label_out_of_range_exit_3(tmp_path, capsys):
+    spec = plan(parse("2C3-MP3/3-MP3/3-MP4/4-output", LatticeKind.SQUARE, 3))
+    ckpt = tmp_path / "cifar.lnck"
+    Network(spec, 10, np.random.default_rng(0)).save(ckpt)
+    batch = tmp_path / "test_batch.bin"
+    pixels = np.random.default_rng(1).integers(0, 256, size=3072, dtype=np.uint8).tobytes()
+    batch.write_bytes(bytes([200]) + pixels)
+    assert main(["eval", "--checkpoint", str(ckpt), "--test-data", f"cifar:{batch}"]) == 3
+    assert "record 0 has label 200" in capsys.readouterr().err
 
 
 def test_flags_override_config(tmp_path):

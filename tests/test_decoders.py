@@ -1,6 +1,6 @@
-"""The binary decoders on damaged input: ``.grid`` records, ``.lnck``
-checkpoints and ``.svid`` videos either decode to a valid object or raise
-FormatError.
+"""The decoders on damaged input: ``.grid`` records, ``.lnck``
+checkpoints, ``.svid`` videos, OFF meshes, stroke JSON documents and
+CIFAR-10 batches either decode to a valid object or raise FormatError.
 
 Every proper prefix of a file is tried, then seeded random byte flips.
 """
@@ -13,11 +13,22 @@ import pytest
 from latticenet.errors import FormatError
 from latticenet.geometry import GridShape, LatticeKind
 from latticenet.grid import SparseGrid
-from latticenet.ingest import FrameSequence, read_svid, write_svid
+from latticenet.ingest import (
+    CIFAR_RECORD,
+    FrameSequence,
+    StrokeSample,
+    load_cifar_batch,
+    load_off,
+    read_strokes_json,
+    read_svid,
+    save_off,
+    write_strokes_json,
+    write_svid,
+)
 from latticenet.netspec import parse, plan
 from latticenet.network import Network
 
-from conftest import ALL_LATTICES, random_sparse
+from conftest import ALL_LATTICES, random_sparse, sphere_mesh
 
 FLIPS = 300
 
@@ -210,3 +221,87 @@ def test_svid_byte_flips_load_or_raise_format_error(tmp_path):
 def test_svid_bad_fields(tmp_path, blob, message):
     with pytest.raises(FormatError, match=message):
         read_svid_bytes(tmp_path, blob)
+
+
+# ---------------------------------------------------------------------------
+# OFF meshes, stroke JSON documents and CIFAR-10 batches
+
+
+def off_blob(tmp_path):
+    p = tmp_path / "sphere.off"
+    save_off(sphere_mesh(12, 6), p)
+    return p.read_bytes()
+
+
+def check_off(data: bytes):
+    try:
+        mesh = load_off(data)
+    except FormatError:
+        return
+    assert np.isfinite(mesh.vertices).all()
+    assert mesh.faces.size == 0 or 0 <= mesh.faces.min() <= mesh.faces.max() < len(mesh.vertices)
+
+
+def strokes_blob(tmp_path, rng):
+    p = tmp_path / "char.json"
+    strokes = [rng.normal(size=(k, 2)).round(3) for k in (3, 1, 4)]
+    write_strokes_json(p, StrokeSample(strokes, label=7))
+    return p.read_bytes()
+
+
+def check_strokes(tmp_path, data: bytes):
+    p = tmp_path / "damaged.json"
+    p.write_bytes(data)
+    try:
+        sample = read_strokes_json(p)
+    except FormatError:
+        return
+    assert sample.strokes and all(s.shape[0] >= 1 and np.isfinite(s).all()
+                                  for s in sample.strokes)
+    assert isinstance(sample.label, int)
+
+
+def cifar_blob(rng):
+    return b"".join(bytes([label]) + rng.integers(0, 256, size=3072, dtype=np.uint8).tobytes()
+                    for label in (3, 9))
+
+
+def check_cifar(tmp_path, data: bytes):
+    p = tmp_path / "damaged.bin"
+    p.write_bytes(data)
+    try:
+        labels, imgs = load_cifar_batch(p)
+    except FormatError:
+        return
+    assert labels.shape[0] * CIFAR_RECORD == len(data)
+    assert imgs.shape == (labels.shape[0], 32, 32, 3)
+    assert labels.size == 0 or 0 <= labels.min() <= labels.max() <= 9
+
+
+def test_off_every_prefix_and_byte_flip(tmp_path):
+    blob = off_blob(tmp_path)
+    load_off(blob)
+    for cut in range(len(blob)):
+        check_off(blob[:cut])
+    for data in flipped(blob, np.random.default_rng(14)):
+        check_off(data)
+
+
+def test_strokes_every_prefix_and_byte_flip(tmp_path):
+    rng = np.random.default_rng(15)
+    blob = strokes_blob(tmp_path, rng)
+    for cut in range(len(blob)):
+        check_strokes(tmp_path, blob[:cut])
+    for data in flipped(blob, rng):
+        check_strokes(tmp_path, data)
+
+
+def test_cifar_every_prefix_and_byte_flip(tmp_path):
+    rng = np.random.default_rng(16)
+    blob = cifar_blob(rng)
+    for cut in range(len(blob)):
+        check_cifar(tmp_path, blob[:cut])
+    for data in flipped(blob, rng):
+        check_cifar(tmp_path, data)
+    for label in range(256):  # random flips rarely reach the two label bytes
+        check_cifar(tmp_path, bytes([label]) + blob[1:])

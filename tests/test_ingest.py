@@ -516,6 +516,16 @@ def test_cifar_batch_bad_size(tmp_path):
         load_cifar_batch(p)
 
 
+@pytest.mark.parametrize("label", [10, 200, 255])
+def test_cifar_batch_label_out_of_range(tmp_path, rng, label):
+    recs = [bytes([lab]) + rng.integers(0, 256, size=3072, dtype=np.uint8).tobytes()
+            for lab in (3, 9, label, 0)]
+    p = tmp_path / "data_batch_1.bin"
+    p.write_bytes(b"".join(recs))
+    with pytest.raises(FormatError, match=f"record 2 has label {label}"):
+        load_cifar_batch(p)
+
+
 def test_image_to_dense_rejects_non_square():
     with pytest.raises(ValueError):
         image_to_dense(np.zeros((4, 5)))

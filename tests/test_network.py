@@ -173,6 +173,14 @@ def test_evaluate_confusion_and_accuracy(rng):
     assert recomputed == rep.accuracy
 
 
+@pytest.mark.parametrize("label", [3, 200, -1])
+def test_evaluate_rejects_labels_outside_the_classes(rng, label):
+    net = small_net(rng, dtype=np.float32)
+    samples = [LabeledSample(g, lab) for g, lab in zip(inputs_for(net, rng, 3), (0, label, 2))]
+    with pytest.raises(ValueError, match=f"sample 1 has label {label}"):
+        evaluate(net, samples)
+
+
 def test_nfold_identity_augment_is_bit_exact(rng):
     """Zero-magnitude augmentation: 12-fold equals 1-fold bit for bit."""
     net = small_net(rng, dtype=np.float32)
