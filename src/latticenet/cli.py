@@ -85,6 +85,22 @@ def _embed_centered(grid: SparseGrid, field: GridShape) -> SparseGrid:
     return grid.embed(field, (off,) * d)
 
 
+def _read_grid(path: Path, settings: Settings, scale: int,
+               rng: np.random.Generator) -> SparseGrid:
+    """One ``.off`` mesh (randomly rotated), ``.json`` stroke document or
+    ``.svid`` video as a sparse grid, chosen by the file's suffix."""
+    suffix = path.suffix.lower()
+    if suffix == ".off":
+        return ingest.voxelize_mesh(ingest.load_off(path.read_bytes()), scale,
+                                    ingest.random_rotation(rng))
+    if suffix == ".json":
+        return ingest.strokes_to_spacetime(ingest.read_strokes_json(path), scale)
+    if suffix == ".svid":
+        return ingest.frame_difference(ingest.read_svid(path),
+                                       settings.get("threshold-pct", 12.0, float))
+    raise ValueError(f"cannot detect input format of {path} (expected .off/.svid/.json)")
+
+
 def load_dataset(source: str, settings: Settings, field: GridShape, *,
                  split: str, rng: np.random.Generator) -> list[LabeledSample]:
     """Materialize a dataset source specification into embedded grids.
@@ -113,6 +129,8 @@ def load_dataset(source: str, settings: Settings, field: GridShape, *,
     samples: list[LabeledSample] = []
     if kind == "cifar":
         paths = sorted(root.glob("*.bin")) if root.is_dir() else [root]
+        if not paths:
+            raise FileNotFoundError(f"no .bin batches in {root}")
         for p in paths:
             labels, imgs = ingest.load_cifar_batch(p)
             for lab, img in zip(labels, imgs):
@@ -130,20 +148,12 @@ def load_dataset(source: str, settings: Settings, field: GridShape, *,
     class_dirs = sorted(d for d in root.iterdir() if d.is_dir())
     if not class_dirs:
         raise FileNotFoundError(f"{root} has no class subdirectories")
+    suffix = {"off": ".off", "strokes": ".json", "video": ".svid"}.get(kind)
     for label, cdir in enumerate(class_dirs):
         for p in sorted(cdir.iterdir()):
-            if kind == "off" and p.suffix.lower() == ".off":
-                mesh = ingest.load_off(p.read_bytes())
-                g = ingest.voxelize_mesh(mesh, scale or 40, ingest.random_rotation(rng))
-            elif kind == "strokes" and p.suffix.lower() == ".json":
-                g = ingest.strokes_to_spacetime(ingest.read_strokes_json(p), scale or 40)
-            elif kind == "video" and p.suffix.lower() == ".svid":
-                g = ingest.frame_difference(
-                    ingest.read_svid(p), settings.get("threshold-pct", 12.0, float)
-                )
-            else:
-                continue
-            samples.append(LabeledSample(_embed_centered(g, field), label))
+            if p.suffix.lower() == suffix:
+                g = _read_grid(p, settings, scale or 40, rng)
+                samples.append(LabeledSample(_embed_centered(g, field), label))
     if not samples:
         raise FileNotFoundError(f"no usable {kind} files under {root}")
     return samples
@@ -154,9 +164,7 @@ def _planned_spec(settings: Settings) -> netspec.NetworkSpec:
     lattice = LatticeKind.from_name(settings.require("lattice"))
     n_input = settings.get("n-input", 1, int)
     spec = netspec.parse(arch, lattice, n_input)
-    if spec.has_fmp:
-        return netspec.plan(spec, input_size=settings.require("field", int))
-    return netspec.plan(spec)
+    return netspec.plan(spec, input_size=settings.get("field", None, int))
 
 
 def _aug_params(settings: Settings) -> AffineParams:
@@ -288,18 +296,7 @@ def cmd_voxelize(settings: Settings) -> int:
     path = Path(settings.require("input"))
     scale = settings.get("scale", 40, int)
     seed = settings.get("seed", 0, int)
-    rng = np.random.default_rng(seed)
-    suffix = path.suffix.lower()
-    if suffix == ".off":
-        grid = ingest.voxelize_mesh(ingest.load_off(path.read_bytes()), scale,
-                                    ingest.random_rotation(rng))
-    elif suffix == ".svid":
-        grid = ingest.frame_difference(ingest.read_svid(path),
-                                       settings.get("threshold-pct", 12.0, float))
-    elif suffix == ".json":
-        grid = ingest.strokes_to_spacetime(ingest.read_strokes_json(path), scale)
-    else:
-        raise ValueError(f"cannot detect input format of {path} (expected .off/.svid/.json)")
+    grid = _read_grid(path, settings, scale, np.random.default_rng(seed))
     if grid.a == 0:
         print("warning: result has no active sites", file=sys.stderr)
     out = settings.get("out", str(path.with_suffix(".grid")))
@@ -360,7 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--momentum", type=float)
     p.add_argument("--weight-decay", type=float)
     p.add_argument("--target-accuracy", type=float)
-    p.add_argument("--field", type=int, help="input field size (FMP architectures)")
+    p.add_argument("--field", type=int,
+                   help="input field size (required for FMP architectures; "
+                        "must match the planned field otherwise)")
     p.add_argument("--threshold-pct", type=float)
     p.add_argument("--log", help="epoch log file (tab-separated)")
 

@@ -12,8 +12,9 @@ Front-ends provided here:
   grid with time as the leading axis;
 * square images -> triangular-lattice grids via an affine placement and
   bilinear resampling;
-* affine augmentation helpers and file formats (OFF, a trivial raw video
-  container, stroke JSON, CIFAR-10 binary batches).
+* the rotation and scale matrix of training augmentation, and file
+  formats (OFF, a trivial raw video container, stroke JSON, CIFAR-10
+  binary batches).
 
 Meshes and polylines are sampled as whole arrays: every face's
 barycentric lattice, or every segment's evenly spaced points, goes into
@@ -175,51 +176,16 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     ])
 
 
-def make_affine(d: int, rotation: float = 0.0, scale: float = 1.0, shear: float = 0.0,
-                translation=None) -> tuple[np.ndarray, np.ndarray]:
-    """Build (A, t) from simple parameters; rotation is radians in the
-    first two axes."""
+def make_affine(d: int, rotation: float = 0.0, scale: float = 1.0) -> np.ndarray:
+    """Scaling by ``scale`` followed by a rotation of ``rotation`` radians
+    in the first two axes, as a (d, d) matrix."""
     A = np.eye(d) * scale
     if rotation:
         c, s = np.cos(rotation), np.sin(rotation)
         R = np.eye(d)
         R[0, 0], R[0, 1], R[1, 0], R[1, 1] = c, -s, s, c
         A = R @ A
-    if shear:
-        S = np.eye(d)
-        S[0, 1] = shear
-        A = A @ S
-    t = np.zeros(d) if translation is None else np.asarray(translation, dtype=float)
-    return A, t
-
-
-def affine_augment(points: np.ndarray, A: np.ndarray, t=None) -> np.ndarray:
-    """Apply ``x -> A x + t`` to an (N, d) point set."""
-    A = np.asarray(A, dtype=float)
-    if abs(np.linalg.det(A)) < 1e-6:
-        raise ValueError(f"affine transform is singular (|det| = {abs(np.linalg.det(A)):.2e})")
-    points = np.asarray(points, dtype=float)
-    out = points @ A.T
-    if t is not None:
-        out = out + np.asarray(t, dtype=float)
-    return out
-
-
-def affine_augment_image(image: DenseGrid, A: np.ndarray, t=None) -> DenseGrid:
-    """Inverse-map bilinear warp of a square-lattice image."""
-    if image.shape.lattice is not LatticeKind.SQUARE:
-        raise ValueError("image warping is defined for square-lattice grids")
-    A = np.asarray(A, dtype=float)
-    if abs(np.linalg.det(A)) < 1e-6:
-        raise ValueError("affine transform is singular")
-    t = np.zeros(2) if t is None else np.asarray(t, dtype=float)
-    m = image.shape.m
-    tgt = sites_array(LatticeKind.SQUARE, m).astype(float)
-    src = (tgt - t) @ np.linalg.inv(A).T
-    vals = _bilinear_sample(image, src)
-    inside = ((src >= 0) & (src <= m - 1)).all(axis=1)
-    vals[~inside] = 0.0
-    return DenseGrid(image.shape, vals)
+    return A
 
 
 def _bilinear_sample(image: DenseGrid, pts: np.ndarray) -> np.ndarray:
@@ -604,9 +570,9 @@ def load_cifar_batch(path) -> tuple[np.ndarray, np.ndarray]:
     """Labels (N,) and images (N, 32, 32, 3) in [0, 1] from a binary batch."""
     with open(path, "rb") as fh:
         raw = np.frombuffer(fh.read(), dtype=np.uint8)
-    if raw.size % CIFAR_RECORD != 0:
+    if raw.size == 0 or raw.size % CIFAR_RECORD != 0:
         raise FormatError(
-            f"{path}: size {raw.size} is not a multiple of the {CIFAR_RECORD}-byte record"
+            f"{path}: size {raw.size} is not a positive multiple of the {CIFAR_RECORD}-byte record"
         )
     raw = raw.reshape(-1, CIFAR_RECORD)
     labels = raw[:, 0].astype(np.int64)

@@ -7,11 +7,12 @@ fractional-max-pooling step; the string ends in ``output``.  ``/s`` is
 omitted when ``s == 1`` for convolutions and when ``s == p`` for pooling,
 e.g. ``32C2-MP3/2-64C2-MP3/2-96C2-output``.
 
-Planning runs the size recurrence backward from a final spatial size of
-1 (convolutions here are unpadded), which yields the input field the
-network requires; input data gets centered inside that field.  Networks
-containing FMP layers are planned forward from a caller-given input size
-instead, since the FMP ratio fixes no unique preimage.
+Planning runs the layer sizes forward from the input field and requires
+a final spatial size of 1.  A conv/pool network fixes its field: the
+size recurrence solved backward from 1 (convolutions here are unpadded)
+yields it, and input data gets centered inside it.  Networks containing
+FMP layers need a caller-given field, since the FMP ratio fixes no
+unique preimage.
 
 Cost is counted in multiply-accumulate operations: a convolution costs
 ``a_out * F * n_in * n_out`` where ``a_out`` is the number of active
@@ -163,35 +164,28 @@ def render_layer(layer: LayerSpec) -> str:
 
 
 def plan(spec: NetworkSpec, input_size: int | None = None) -> NetworkSpec:
-    """Attach planned per-layer sizes ending at spatial size 1.
+    """Attach planned per-layer sizes, run forward from the input field to a
+    final spatial size of 1.
 
-    Pure conv/pool architectures are solved backward (the field is unique);
-    FMP architectures are simulated forward from ``input_size``.
+    A conv/pool architecture fixes its field, so ``input_size`` may be
+    omitted and must equal the fixed field when given; an FMP architecture
+    needs ``input_size``.
     """
-    if spec.has_fmp:
-        if input_size is None:
-            raise PlanError("architectures with FMP layers need an explicit input size")
-        planned = plan_partial(spec, input_size)
-        # a layer entered at size 1 leaves at size 1 or fails to plan
-        if planned.planned_sizes[-1] != 1:
-            raise PlanError(f"input size {input_size} does not reach spatial size 1 "
-                            f"(got {planned.planned_sizes[-1]})")
-        return planned
-
-    m = 1
-    rev = []
-    for layer in reversed(spec.layers):
-        if isinstance(layer, ConvSpec):
-            m = in_size(m, layer.f, layer.s)
-        elif isinstance(layer, PoolSpec):
-            m = in_size(m, layer.p, layer.s)
-        rev.append(m)
-    sizes = tuple(reversed(rev))
-    if input_size is not None and input_size != sizes[0]:
-        raise PlanError(
-            f"architecture requires input field {sizes[0]}, got {input_size}"
-        )
-    return replace(spec, planned_sizes=sizes)
+    if not spec.has_fmp:
+        m = 1
+        for layer in reversed(spec.layers):
+            m = in_size(m, *_window(layer))
+        if input_size is not None and input_size != m:
+            raise PlanError(f"architecture requires input field {m}, got {input_size}")
+        input_size = m
+    elif input_size is None:
+        raise PlanError("architectures with FMP layers need an explicit input size")
+    planned = plan_partial(spec, input_size)
+    # a layer entered at size 1 leaves at size 1 or fails to plan
+    if planned.planned_sizes[-1] != 1:
+        raise PlanError(f"input size {input_size} does not reach spatial size 1 "
+                        f"(got {planned.planned_sizes[-1]})")
+    return planned
 
 
 def plan_partial(spec: NetworkSpec, input_size: int) -> NetworkSpec:
@@ -204,13 +198,19 @@ def plan_partial(spec: NetworkSpec, input_size: int) -> NetworkSpec:
     m = input_size
     for i, layer in enumerate(spec.layers):
         sizes.append(m)
-        if isinstance(layer, ConvSpec):
-            m = out_size(m, layer.f, layer.s, layer=f"#{i} {render_layer(layer)}")
-        elif isinstance(layer, PoolSpec):
-            m = out_size(m, layer.p, layer.s, layer=f"#{i} {render_layer(layer)}")
-        elif isinstance(layer, FMPSpec):
+        if isinstance(layer, FMPSpec):
             m = fmp_out_size(m, layer.ratio)
+        else:
+            m = out_size(m, *_window(layer), layer=f"#{i} {render_layer(layer)}")
     return replace(spec, planned_sizes=tuple(sizes))
+
+
+def _window(layer: LayerSpec) -> tuple[int, int]:
+    """(size, stride) of a conv, pool or output layer's window; the output
+    head is a size-1 convolution, which keeps the spatial size."""
+    if isinstance(layer, OutputSpec):
+        return 1, 1
+    return layer.f if isinstance(layer, ConvSpec) else layer.p, layer.s
 
 
 def required_input_size(spec: NetworkSpec) -> tuple[int, ...]:
@@ -246,16 +246,14 @@ def count_ops(spec: NetworkSpec, activity="dense", classes: int | None = None) -
         m_out = sizes[i + 1] if i + 1 < len(sizes) else m_in
         n_in, n_out = feats[i]
         a_out = site_count(spec.lattice, m_out) if activity == "dense" else activity[i]
+        F = 8 if isinstance(layer, FMPSpec) else filter_volume(spec.lattice, _window(layer)[0])
         if isinstance(layer, ConvSpec):
-            F = filter_volume(spec.lattice, layer.f)
             macs = a_out * F * n_in * n_out
             params = F * n_in * n_out + n_out
         elif isinstance(layer, OutputSpec):
-            F = 1
             macs = a_out * n_in * classes if classes else 0
             params = (n_in * classes + classes) if classes else 0
         else:
-            F = filter_volume(spec.lattice, layer.p) if isinstance(layer, PoolSpec) else 8
             macs = 0  # pooling is I/O-bound, counted as free
             params = 0
         rows.append({
@@ -330,15 +328,13 @@ def geometric_activity(spec: NetworkSpec, input_width: int) -> list[int]:
     for i, layer in enumerate(spec.layers):
         m_out = (spec.planned_sizes[i + 1] if i + 1 < len(spec.planned_sizes)
                  else spec.planned_sizes[i])
-        if isinstance(layer, (ConvSpec, PoolSpec)):
-            k = layer.f if isinstance(layer, ConvSpec) else layer.p
-            s = layer.s
-            lo = np.ceil((lo - k + 1) / s).astype(np.int64)
-            hi = np.floor(hi / s).astype(np.int64)
-        elif isinstance(layer, FMPSpec):
+        if isinstance(layer, FMPSpec):
             lo = np.floor(lo / layer.ratio).astype(np.int64)
             hi = np.minimum(np.ceil(hi / layer.ratio).astype(np.int64), m_out - 1)
-        # the output head keeps the spatial size and the interval
+        else:
+            k, s = _window(layer)
+            lo = np.ceil((lo - k + 1) / s).astype(np.int64)
+            hi = np.floor(hi / s).astype(np.int64)
         lo = np.maximum(lo, 0)
         hi = np.minimum(hi, m_out - 1)
         counts.append(_box_site_count(spec.lattice, m_out, lo, hi))

@@ -52,7 +52,6 @@ from .ops import (
 
 _CKPT_MAGIC = b"LNCK"
 _CKPT_VERSION = 1
-_BLOCK_CODES = {"conv": 0, "pool": 1, "fmp": 2, "classifier": 3}
 
 
 @dataclass
@@ -60,6 +59,16 @@ class _Block:
     kind: str  # conv | relu | pool | fmp | classifier
     layer: object = None
     params: tuple = ()  # (W, B) ParamStates of conv and classifier blocks
+
+    def header(self) -> bytes:
+        """The bytes of this block's checkpoint record that the architecture fixes."""
+        l = self.layer
+        if self.kind == "pool":
+            return struct.pack("<BII", 1, l.p, l.s)
+        if self.kind == "fmp":
+            return struct.pack("<Bd", 2, l.ratio)
+        code = 0 if self.kind == "conv" else 3
+        return struct.pack("<BIIII", code, l.geometry.f, l.geometry.s, l.n_in, l.n_out)
 
 
 class Network:
@@ -165,20 +174,20 @@ class Network:
 
         Returns the gradient with respect to each sample's input rows.
         """
-        d = None
+        # each sample's logit gradient goes to its head rows (none if inactive)
+        head = tape[-1][-1]
+        d = d_logits[np.repeat(np.arange(len(head)), np.diff(head.out_start))]
         for block, entry in zip(reversed(self.blocks), reversed(tape)):
             kind = entry[0]
-            if kind in ("conv", "classifier"):
-                _, layer, plans = entry
-                if kind == "classifier":
-                    d = d_logits[np.repeat(np.arange(len(plans)), np.diff(plans.out_start))]
-                dW, dB, d = conv_backward(d, plans.plan, layer)
-                for p, g in zip(block.params, (dW, dB)):
-                    p.grad += g.astype(p.values.dtype)
-            elif kind == "relu":
+            if kind == "relu":
                 d = relu_backward(d, entry[1])
             elif kind == "pool":
                 d = pool_backward(d, entry[1].plan)
+            else:
+                _, layer, plans = entry
+                dW, dB, d = conv_backward(d, plans.plan, layer)
+                for p, g in zip(block.params, (dW, dB)):
+                    p.grad += g.astype(p.values.dtype)
         return np.split(d, tape[0][-1].in_start[1:-1])
 
     # -- ground states ----------------------------------------------------
@@ -193,12 +202,14 @@ class Network:
     # Layout (little-endian):
     #   "LNCK" u32 version, u32 lattice, u32 n_input, u32 classes,
     #   u32 input field size, u32 arch length, arch utf-8,
-    #   u32 block count, then per block:
-    #     u8 kind (0 conv, 1 pool, 2 fmp, 3 classifier)
-    #     conv/classifier: u32 f, u32 s, u32 n_in, u32 n_out,
-    #                      W float32 row-major, B float32
+    #   u32 block count, then per block its header (_Block.header):
+    #     u8 kind (0 conv, 1 pool, 2 fmp, 3 classifier), then
+    #     conv/classifier: u32 f, u32 s, u32 n_in, u32 n_out
     #     pool:            u32 p, u32 s
-    #     fmp:             f64 ratio, u64 seed
+    #     fmp:             f64 ratio
+    #   then the FMP u64 seed, or the W (row-major) and B float32 values
+    #   of a conv or classifier.  The architecture string fixes every
+    #   header, so load compares them byte for byte.
 
     def save(self, path):
         buf = io.BytesIO()
@@ -211,16 +222,11 @@ class Network:
         param_blocks = [b for b in self.blocks if b.kind != "relu"]
         buf.write(struct.pack("<I", len(param_blocks)))
         for b in param_blocks:
-            code = _BLOCK_CODES[b.kind]
-            if b.kind in ("conv", "classifier"):
-                l = b.layer
-                buf.write(struct.pack("<BIIII", code, l.geometry.f, l.geometry.s, l.n_in, l.n_out))
-                buf.write(l.W.astype("<f4").tobytes())
-                buf.write(l.B.astype("<f4").tobytes())
-            elif b.kind == "pool":
-                buf.write(struct.pack("<BII", code, b.layer.p, b.layer.s))
-            elif b.kind == "fmp":
-                buf.write(struct.pack("<BdQ", code, b.layer.ratio, b.layer.seed))
+            buf.write(b.header())
+            if b.kind == "fmp":
+                buf.write(struct.pack("<Q", b.layer.seed))
+            for p in b.params:
+                buf.write(p.values.astype("<f4").tobytes())
         with open(path, "wb") as fh:
             fh.write(buf.getvalue())
 
@@ -240,13 +246,10 @@ class Network:
         arch = r.take(alen)
         try:
             arch = arch.decode()
-            spec = plan(parse(arch, lattice, n_input),
-                        input_size=field if "FMP" in arch else None)
-            GridShape(lattice, field)
+            spec = plan(parse(arch, lattice, n_input), input_size=field)
+            GridShape(lattice, field)  # an FMP plan takes any field; a grid has a maximum
         except ValueError as e:  # also bad utf-8 and every parse or plan error
             raise FormatError(f"{path}: bad architecture in checkpoint: {e}") from None
-        if spec.planned_sizes[0] != field:
-            raise FormatError(f"{path}: input size {field} does not fit architecture {arch!r}")
         (nblocks,) = r.unpack("<I")
         # the file must hold every parameter before the network is allocated
         n_params = count_ops(spec, "dense", classes)["total_params"]
@@ -262,25 +265,15 @@ class Network:
             raise FormatError(f"{path}: checkpoint has {nblocks} blocks, architecture "
                               f"needs {len(param_blocks)}")
         for i, b in enumerate(param_blocks):
-            (code,) = r.unpack("<B")
-            if code != _BLOCK_CODES[b.kind]:
-                raise FormatError(f"{path}: block {i} has code {code}, architecture "
-                                  f"needs a {b.kind} block")
-            l = b.layer
-            if b.kind in ("conv", "classifier"):
-                if r.unpack("<IIII") != (l.geometry.f, l.geometry.s, l.n_in, l.n_out):
-                    raise FormatError(f"{path}: checkpoint layer shape mismatch in block {i}")
-                l.W[...] = r.floats(l.W.size).reshape(l.W.shape)
-                l.B[...] = r.floats(l.B.size)
-            elif b.kind == "pool":
-                if r.unpack("<II") != (l.p, l.s):
-                    raise FormatError(f"{path}: checkpoint pool shape mismatch in block {i}")
-            elif b.kind == "fmp":
-                ratio, seed = r.unpack("<dQ")
-                if ratio != l.ratio:
-                    raise FormatError(f"{path}: FMP ratio {ratio} in block {i}, "
-                                      f"architecture has {l.ratio}")
-                l.seed = int(seed)
+            head = b.header()
+            got = r.take(len(head))
+            if got != head:
+                raise FormatError(f"{path}: block {i} header {got.hex()} does not match "
+                                  f"the architecture's {b.kind} block {head.hex()}")
+            if b.kind == "fmp":
+                (b.layer.seed,) = r.unpack("<Q")
+            for p in b.params:
+                p.values[...] = r.floats(p.values.size).reshape(p.values.shape)
         if r.remaining():
             raise FormatError(f"{path}: {r.remaining()} unexpected bytes after the last block")
         return net

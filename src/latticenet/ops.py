@@ -391,8 +391,9 @@ def pool_forward(grid: SparseGrid, layer: PoolLayer, *, keep_plan: bool = False)
 # fractional max pooling
 
 
-def fmp_regions(m_in: int, ratio: float, seed: int, ndim: int = 3) -> tuple[np.ndarray, ...]:
-    """Per-dimension region starts for one FMP application.
+def fmp_regions(m_in: int, ratio: float, seed: int) -> tuple[np.ndarray, ...]:
+    """Region starts along each of the three (cubic) dimensions for one FMP
+    application.
 
     Each dimension gets ``m_out = fmp_out_size(m_in, ratio)`` overlapping
     size-2 regions ``[r, r+1]``: the first starts at 0, the last at
@@ -405,7 +406,7 @@ def fmp_regions(m_in: int, ratio: float, seed: int, ndim: int = 3) -> tuple[np.n
     n_twos = (m_in - 2) - n_steps
     rng = np.random.default_rng(seed)
     dims = []
-    for _ in range(ndim):
+    for _ in range(3):
         steps = np.ones(n_steps, dtype=np.int64)
         if n_steps:
             steps[rng.permutation(n_steps)[:n_twos]] = 2

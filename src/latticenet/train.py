@@ -185,7 +185,7 @@ def augment_grid(grid: SparseGrid, params: AffineParams, rng: np.random.Generato
         ang = np.deg2rad(rng.uniform(-params.rotate_deg, params.rotate_deg))
     if params.scale:
         scale = rng.uniform(-params.scale, params.scale)
-    A, _ = make_affine(d, rotation=ang, scale=1.0 + scale)
+    A = make_affine(d, rotation=ang, scale=1.0 + scale)
     if params.shear:
         S = np.eye(d)
         for i in range(d):

@@ -1,7 +1,9 @@
+import argparse
 import json
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,6 +147,42 @@ def test_voxelize_missing_file(tmp_path):
     assert r.returncode == 3
 
 
+@pytest.mark.parametrize("kind, suffix", [("off", ".off"), ("strokes", ".json"),
+                                          ("video", ".svid")])
+def test_load_dataset_reads_the_files_of_its_kind(tmp_path, kind, suffix):
+    from latticenet import ingest
+    from latticenet.cli import Settings, load_dataset
+    from latticenet.geometry import GridShape
+
+    frames = np.random.default_rng(3).integers(0, 256, size=(3, 8, 8), dtype=np.uint8)
+    for cls in ("a", "b"):
+        d = tmp_path / cls
+        d.mkdir()
+        write_sphere_off(d / "shape.off")
+        write_strokes_json(d / "char.json", StrokeSample([[[0.0, 0.0], [5.0, 8.0]]], label=0))
+        write_svid(d / "clip.svid", FrameSequence(frames))
+        (d / "notes.txt").write_text("not data")
+    settings = Settings({"scale": "8"}, argparse.Namespace())
+    field = GridShape(LatticeKind.CUBIC, 12)
+    samples = load_dataset(f"{kind}:{tmp_path}", settings, field, split="train",
+                           rng=np.random.default_rng(0))
+    assert [s.label for s in samples] == [0, 1]
+
+    rng = np.random.default_rng(0)
+    for s, cls in zip(samples, ("a", "b")):
+        path = tmp_path / cls / {".off": "shape.off", ".json": "char.json",
+                                 ".svid": "clip.svid"}[suffix]
+        if suffix == ".off":
+            g = ingest.voxelize_mesh(ingest.load_off(path.read_bytes()), 8,
+                                     ingest.random_rotation(rng))
+        elif suffix == ".json":
+            g = ingest.strokes_to_spacetime(ingest.read_strokes_json(path), 8)
+        else:
+            g = ingest.frame_difference(ingest.read_svid(path), 12.0)
+        assert s.grid.a == g.a > 0
+        assert s.grid.shape == field
+
+
 # ---------------------------------------------------------------------------
 # train / eval
 
@@ -252,6 +290,52 @@ def test_eval_cifar_label_out_of_range_exit_3(tmp_path, capsys):
     batch.write_bytes(bytes([200]) + pixels)
     assert main(["eval", "--checkpoint", str(ckpt), "--test-data", f"cifar:{batch}"]) == 3
     assert "record 0 has label 200" in capsys.readouterr().err
+
+
+def cifar_checkpoint(tmp_path):
+    spec = plan(parse("2C3-MP3/3-MP3/3-MP4/4-output", LatticeKind.SQUARE, 3))
+    ckpt = tmp_path / "cifar.lnck"
+    Network(spec, 10, np.random.default_rng(0)).save(ckpt)
+    return ckpt
+
+
+def test_eval_cifar_empty_batch_exit_3(tmp_path, capsys):
+    ckpt = cifar_checkpoint(tmp_path)
+    batch = tmp_path / "empty.bin"
+    batch.write_bytes(b"")
+    assert main(["eval", "--checkpoint", str(ckpt), "--test-data", f"cifar:{batch}"]) == 3
+    assert "size 0" in capsys.readouterr().err
+
+
+def test_eval_cifar_directory_without_batches_exit_3(tmp_path, capsys):
+    ckpt = cifar_checkpoint(tmp_path)
+    data = tmp_path / "cifar"
+    data.mkdir()
+    (data / "readme.txt").write_text("no batches here")
+    assert main(["eval", "--checkpoint", str(ckpt), "--test-data", f"cifar:{data}"]) == 3
+    assert "no .bin batches" in capsys.readouterr().err
+
+
+def test_train_field_contradicting_the_arch_exit_2(tmp_path, capsys):
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "knots_toy.cfg"
+    out = tmp_path / "never.lnck"
+    assert main(["train", "--config", str(cfg), "--field", "20", "--out", str(out)]) == 2
+    assert "requires input field 14, got 20" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_field_equal_to_the_planned_field(tmp_path):
+    cfg = write_cfg(tmp_path)
+    ckpt = tmp_path / "toy.lnck"
+    assert main(["train", *TOY, "--config", str(cfg), "--field", "6", "--out", str(ckpt)]) == 0
+    assert Network.load(ckpt).input_shape().m == 6
+
+
+def test_train_fmp_arch_without_field_exit_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    assert main(["train", "--arch", "4C2-FMP-4C2-output", "--lattice", "cubic",
+                 "--classes", "3", "--train-data", "knots", "--config", str(cfg)]) == 2
+    assert "explicit input size" in capsys.readouterr().err
 
 
 def test_flags_override_config(tmp_path):

@@ -174,6 +174,66 @@ def test_checkpoint_fmp_on_other_lattice(tmp_path):
         load_bytes(tmp_path, bytes(blob))
 
 
+TET_NET = ("2C2-MP3/2-3C2-output", LatticeKind.TETRAHEDRAL, None)
+FMP_NET = ("2C2-FMP-3C2-FMP-output", LatticeKind.CUBIC, 6)
+
+
+def trained_looking_net(arch, lattice, field):
+    """A net with random weights and biases and a nonzero FMP seed, so a
+    round trip that dropped or reordered any value would show."""
+    spec = plan(parse(arch, lattice, 2), input_size=field)
+    net = Network(spec, 3, np.random.default_rng(4), fmp_eval_seed=2**40 + 17)
+    for i, p in enumerate(net.params()):
+        p.values[...] = np.random.default_rng(i).normal(size=p.values.shape)
+    return net
+
+
+@pytest.mark.parametrize("arch, lattice, field", [TET_NET, FMP_NET])
+def test_checkpoint_load_then_save_is_byte_identical(tmp_path, arch, lattice, field):
+    first, second = tmp_path / "first.lnck", tmp_path / "second.lnck"
+    trained_looking_net(arch, lattice, field).save(first)
+    net = Network.load(first)
+    net.save(second)
+    assert second.read_bytes() == first.read_bytes()
+    assert [b.layer.seed for b in net.blocks if b.kind == "fmp"] == (
+        [2**40 + 17] * 2 if field else [])
+
+
+def block_offsets(net, blob):
+    """Byte offset of each non-rectifier block's record in ``blob``."""
+    (alen,) = struct.unpack_from("<I", blob, 24)
+    off = 28 + alen + 4
+    sizes = {"conv": 17, "classifier": 17, "pool": 9, "fmp": 17}
+    offsets = []
+    for b in net.blocks:
+        if b.kind != "relu":
+            offsets.append(off)
+            off += sizes[b.kind] + 4 * sum(p.values.size for p in b.params)
+    assert off == len(blob)
+    return offsets
+
+
+@pytest.mark.parametrize("net_args, block, at, value, kind", [
+    pytest.param(TET_NET, 0, 1, struct.pack("<I", 3), "conv", id="conv-f"),
+    pytest.param(TET_NET, 1, 5, struct.pack("<I", 3), "pool", id="pool-s"),
+    pytest.param(TET_NET, 2, 0, bytes([3]), "conv", id="conv-code"),
+    pytest.param(TET_NET, 3, 13, struct.pack("<I", 4), "classifier", id="classifier-n_out"),
+    pytest.param(FMP_NET, 3, 1, struct.pack("<d", 1.5), "fmp", id="fmp-ratio"),
+    pytest.param(FMP_NET, 1, 0, bytes([1]), "fmp", id="fmp-code"),
+])
+def test_checkpoint_block_header_mismatch_names_the_block(tmp_path, net_args, block, at,
+                                                          value, kind):
+    net = trained_looking_net(*net_args)
+    path = tmp_path / "net.lnck"
+    net.save(path)
+    blob = bytearray(path.read_bytes())
+    start = block_offsets(net, blob)[block] + at
+    assert blob[start:start + len(value)] != value
+    blob[start:start + len(value)] = value
+    with pytest.raises(FormatError, match=f"block {block} header .* {kind} block"):
+        load_bytes(tmp_path, bytes(blob))
+
+
 # ---------------------------------------------------------------------------
 # raw video containers (.svid)
 

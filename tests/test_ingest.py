@@ -12,15 +12,12 @@ from latticenet.ingest import (
     FrameSequence,
     StrokeSample,
     TriangleMesh,
-    affine_augment,
-    affine_augment_image,
     frame_difference,
     image_to_dense,
     knot_curve,
     knot_dataset,
     load_cifar_batch,
     load_off,
-    make_affine,
     random_rotation,
     rasterize_polyline,
     read_strokes_json,
@@ -382,42 +379,6 @@ def test_square_to_triangular_too_small_triangle():
 
 
 # ---------------------------------------------------------------------------
-# affine augmentation
-
-
-def test_affine_identity():
-    pts = np.array([[1.0, 2.0], [3.0, 4.0]])
-    A, t = make_affine(2)
-    assert np.allclose(affine_augment(pts, A, t), pts)
-
-
-def test_affine_translation_preserves_count(rng):
-    img = DenseGrid(GridShape(LatticeKind.SQUARE, 20),
-                    (rng.random((400, 1)) < 0.3).astype(float))
-    A, t = make_affine(2, translation=[2.0, 1.0])
-    out = affine_augment_image(img, A, t)
-    inner = int((img.values != 0).sum())
-    moved = int((out.values != 0).sum())
-    assert abs(moved - inner) <= 0.25 * inner  # only boundary loss
-
-
-def test_affine_composition_equals_composed_matrix(rng):
-    pts = rng.normal(size=(10, 3))
-    A1, t1 = make_affine(3, rotation=0.3, scale=1.1)
-    A2, t2 = make_affine(3, shear=0.2, translation=[1, 2, 3])
-    once = affine_augment(affine_augment(pts, A1, t1), A2, t2)
-    A = A2 @ A1
-    t = A2 @ t1 + t2
-    combined = affine_augment(pts, A, t)
-    assert np.allclose(once, combined)
-
-
-def test_affine_singular_rejected():
-    with pytest.raises(ValueError, match="singular"):
-        affine_augment(np.zeros((3, 2)), np.zeros((2, 2)))
-
-
-# ---------------------------------------------------------------------------
 # knots
 
 
@@ -513,6 +474,13 @@ def test_cifar_batch_bad_size(tmp_path):
     p = tmp_path / "truncated.bin"
     p.write_bytes(b"\0" * 100)
     with pytest.raises(FormatError):
+        load_cifar_batch(p)
+
+
+def test_cifar_batch_empty_file(tmp_path):
+    p = tmp_path / "empty.bin"
+    p.write_bytes(b"")
+    with pytest.raises(FormatError, match="size 0"):
         load_cifar_batch(p)
 
 

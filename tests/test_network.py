@@ -60,6 +60,27 @@ def test_batch_grad_equals_sum_of_singles(rng):
         assert np.allclose(got, want)
 
 
+def test_batch_grad_skips_a_sample_with_an_inactive_head(rng):
+    """An empty input leaves its head site inactive; its logit gradient
+    must reach no other sample's head row."""
+    from latticenet.autograd import softmax_nll
+    net = small_net(rng)
+    grids = inputs_for(net, rng, 3)
+    grids.insert(1, SparseGrid.empty(net.input_shape(), np.zeros(1)))
+    d_logits = np.stack([softmax_nll(net.forward(g), i % 3)[1] for i, g in enumerate(grids)])
+    _, tape, _ = net.forward_batch(grids, keep_tape=True)
+    d_inputs = net.backward_batch(tape, d_logits)
+    batch_grads = [p.grad.copy() for p in net.params()]
+    for p in net.params():
+        p.grad[...] = 0.0
+    for g, d, d_in in zip(grids, d_logits, d_inputs):
+        _, tape, _ = net.forward_batch([g], keep_tape=True)
+        (want,) = net.backward_batch(tape, d[None, :])
+        assert np.allclose(d_in, want)
+    for got, want in zip(batch_grads, [p.grad for p in net.params()]):
+        assert np.allclose(got, want)
+
+
 def test_thread_count_does_not_change_results(rng):
     net = small_net(rng)
     grids = inputs_for(net, rng, 6)
