@@ -5,9 +5,21 @@ Gradients follow the transposed data flow of the forward pass:
 * conv:  dW = Q^T d_out,  dB = column sums,  dQ = d_out W^T scattered back
   to the active input rows (contributions that would land on ground-filled
   positions are discarded);
-* pool:  each output component's gradient routes to the input row recorded
-  as its argmax, ties already resolved toward the lowest offset index;
+* pool:  the plan stores, per output component, the footprint position
+  that won the max (ties resolved toward the lowest position); the
+  component's gradient goes to the input row that position reads, or
+  nowhere when the ground won, in one flat ``np.add.at``;
 * relu:  gradient masked by the forward sign.
+
+The conv scatter runs one footprint position at a time, from the last to
+the first, as a plain indexed add: within one position the input rows are
+distinct.  The result equals one ``np.add.at`` over the whole gather index
+bit for bit, because each input row receives its terms in the same order,
+ascending output row.  Input site ``c`` lies under position ``o`` of output
+``u`` exactly when ``c - o`` is ``u``'s window start; starts ascend with
+``u`` (``u * s``, or FMP's region starts) and positions are in
+lexicographic order, so for a fixed ``c`` a later output row is an earlier
+position.
 
 Dropping the ground-path contributions makes training cheap and matches
 how sparse CNNs are normally trained; gradients are exact whenever no
@@ -54,24 +66,32 @@ def conv_backward(d_out: np.ndarray, plan: GatherPlan, layer: ConvLayer):
     d_in = np.zeros((plan.a_in, layer.n_in), dtype=d_out.dtype)
     if plan.a_out:
         dQ = (d_out @ layer.W.T).reshape(plan.a_out, -1, layer.n_in)
-        valid = plan.src >= 0
-        np.add.at(d_in, plan.src[valid], dQ[valid])
+        # one footprint position at a time, last to first: the order
+        # argument is in the module docstring
+        for k in reversed(range(plan.src.shape[1])):
+            r = plan.src[:, k]
+            v = np.flatnonzero(r >= 0)
+            d_in[r[v]] += dQ[v, k]
     return dW, dB, d_in
 
 
 def pool_backward(d_out: np.ndarray, plan: PoolPlan):
-    """Route each output gradient component to its recorded argmax row."""
+    """Route each output gradient component to the input row its argmax
+    position reads; components the ground won take no gradient."""
+    if d_out.shape != plan.argmax.shape:
+        raise ValueError(f"d_out must be {plan.argmax.shape}, got {d_out.shape}")
     n = d_out.shape[1]
-    d_in = np.zeros((plan.a_in, n), dtype=d_out.dtype)
-    if d_out.shape[0]:
-        src = plan.argmax_src
-        cols = np.broadcast_to(np.arange(n), src.shape)
-        valid = src >= 0  # ground winners take no gradient
-        np.add.at(d_in, (src[valid], cols[valid]), d_out[valid])
-    return d_in
+    d_in = np.zeros(plan.a_in * n, dtype=d_out.dtype)
+    target = plan.argmax_src
+    valid = target >= 0
+    # one flat index per component: a 2-D index tuple misses add.at's fast path
+    np.add.at(d_in, (target * n + np.arange(n))[valid], d_out[valid])
+    return d_in.reshape(plan.a_in, n)
 
 
 def relu_backward(d_out: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    if d_out.shape != mask.shape:
+        raise ValueError(f"d_out must be {mask.shape}, got {d_out.shape}")
     return d_out * mask
 
 

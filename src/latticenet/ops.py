@@ -23,8 +23,9 @@ field would produce, so every layer also maps the ground vector forward
 and inactive sites never need to be touched.
 
 Pooling uses the same active-site rule with a component-wise max over the
-footprint.  Fractional max pooling (FMP) is max pooling over size-2 cubic
-windows whose starts are randomized overlapping regions that shrink each
+footprint, taken as one running max over the footprint positions.
+Fractional max pooling (FMP) is max pooling over size-2 cubic windows
+whose starts are randomized overlapping regions that shrink each
 dimension by a factor strictly between 1 and 2.  One rulebook serves
 every layer: along each dimension output coordinate ``u`` has a window
 start, ``u * s`` for a convolution or pool and the region start for FMP,
@@ -168,14 +169,31 @@ class GatherPlan:
 
 @dataclass
 class PoolPlan:
+    """What a max pool keeps for the backward pass.
+
+    ``src`` is the rulebook's gather index, as in :class:`GatherPlan`:
+    ``src[i, k]`` is the input row under footprint position ``k`` of
+    output row ``i``, or -1 where the ground fills that position.
+    ``argmax[i, c]`` is the position whose value output component
+    ``(i, c)`` took: the lowest of equal maxima, and for a NaN component
+    the position of its first NaN, as ``ndarray.argmax`` picks.  It is
+    stored in the smallest unsigned dtype that holds ``F - 1``.
+    """
+
     out_shape: GridShape
     out_keys: np.ndarray
-    argmax_src: np.ndarray  # (a_out, n) input row per component, -1 = ground won
+    src: np.ndarray  # (a_out, F) input rows, -1 = ground
+    argmax: np.ndarray  # (a_out, n) footprint positions
     a_in: int
 
+    @property
+    def argmax_src(self) -> np.ndarray:
+        """(a_out, n): the input row each component took, -1 where the ground won."""
+        return np.take_along_axis(self.src, self.argmax, axis=1)
+
     def sample(self, rows: slice, row0: int, a_in: int) -> "PoolPlan":
-        return PoolPlan(self.out_shape, self.out_keys[rows],
-                        _local(self.argmax_src[rows], row0), a_in)
+        return PoolPlan(self.out_shape, self.out_keys[rows], _local(self.src[rows], row0),
+                        self.argmax[rows], a_in)
 
 
 def _local(src: np.ndarray, row0: int) -> np.ndarray:
@@ -284,11 +302,13 @@ def conv_rulebook(batch: GridBatch, geometry: FilterGeometry):
     return out_keys, out_sample, src, out_shape
 
 
-def _gather_rows(batch: GridBatch, src: np.ndarray, out_sample: np.ndarray) -> np.ndarray:
-    """(a_out, F, n): the input vectors under each output row's footprint,
-    with the sample's ground vector at inactive positions."""
+def _gather_index(batch: GridBatch, src: np.ndarray, out_sample: np.ndarray):
+    """The ``[grounds; rows]`` table of a batch and, per gather position,
+    the table row it reads: batch row ``r`` is table row ``B + r``, and an
+    inactive position reads its sample's ground.  ``table[idx]`` is the
+    (a_out, F, n) gather."""
     table = np.concatenate([batch.grounds.astype(batch.rows.dtype, copy=False), batch.rows])
-    return table[np.where(src >= 0, src + batch.B, out_sample[:, None])]
+    return table, np.where(src >= 0, src + batch.B, out_sample[:, None])
 
 
 def conv_active_sites(grid: SparseGrid, geometry: FilterGeometry):
@@ -308,7 +328,8 @@ def build_gather(grid: SparseGrid, out_keys: np.ndarray, geometry: FilterGeometr
     pos = np.searchsorted(keys, out_keys)
     pos[np.append(keys, -1)[pos] != out_keys] = a_rule
     src = np.vstack([src, np.full((1, geometry.volume), -1, np.int64)])[pos]
-    Q = _gather_rows(batch, src, np.zeros(a_out, np.int64))
+    table, idx = _gather_index(batch, src, np.zeros(a_out, np.int64))
+    Q = table[idx]
     return GatherPlan(grid.shape, out_shape, out_keys, src,
                       Q.reshape(a_out, geometry.volume * grid.n), grid.a)
 
@@ -330,7 +351,8 @@ def conv_forward_batch(batch: GridBatch, layer: ConvLayer):
         )
     geom = layer.geometry
     out_keys, out_sample, src, out_shape = conv_rulebook(batch, geom)
-    Q = _gather_rows(batch, src, out_sample).reshape(out_keys.shape[0], geom.volume * batch.n)
+    table, idx = _gather_index(batch, src, out_sample)
+    Q = table[idx].reshape(out_keys.shape[0], geom.volume * batch.n)
     rows = Q @ layer.W + layer.B
     ground = np.tile(batch.grounds, geom.volume).astype(layer.W.dtype) @ layer.W + layer.B
     out = GridBatch(out_shape, out_keys, rows, ground, _row_starts(out_sample, batch.B))
@@ -343,28 +365,39 @@ def conv_forward(grid: SparseGrid, layer: ConvLayer, *, keep_plan: bool = False)
     return (out.grid(0), plan) if keep_plan else out.grid(0)
 
 
-# elements of the (rows, F, n) pooling gather built at a time; bounds the
-# temporary, which for a whole batch's first pool can reach tens of MB
-_POOL_CHUNK = 1 << 20
-
-
 def _max_pool(batch: GridBatch, out_keys, out_sample, out_shape, src, keep_plan: bool):
-    """Shared tail of pooling ops: component-wise max, plus the argmax
-    routing for the backward pass when ``keep_plan``."""
-    a_out, F = src.shape
-    rows = np.empty((a_out, batch.n), batch.rows.dtype)
-    argmax_src = np.empty((a_out, batch.n), np.int64) if keep_plan else None
-    step = max(1, _POOL_CHUNK // max(F * batch.n, 1))
-    for lo in range(0, a_out, step):
-        part = slice(lo, lo + step)
-        gathered = _gather_rows(batch, src[part], out_sample[part])  # (rows, F, n)
-        rows[part] = gathered.max(axis=1)
+    """Shared tail of pooling ops: one running max over the footprint
+    positions, plus the :class:`PoolPlan` argmax when ``keep_plan``.
+
+    Each step reads one position's input vectors for every output row and
+    folds them in with ``np.maximum``, so the (a_out, F, n) gather is never
+    built.  Positions run in ascending order and only a strictly greater
+    value moves the argmax, which keeps the lowest of equal maxima.  A NaN
+    never compares greater, so NaN components get their first NaN position
+    after the loop.
+    """
+    table, idx = _gather_index(batch, src, out_sample)
+    F = src.shape[1]
+    rows = table[idx[:, 0]]
+    vals = np.empty_like(rows)
+    if keep_plan:
+        argmax = np.zeros(rows.shape, np.min_scalar_type(F - 1))
+        better = np.empty(rows.shape, bool)
+    for k in range(1, F):
+        np.take(table, idx[:, k], axis=0, out=vals)
         if keep_plan:
-            # first-max argmax implements the lowest-offset tie rule
-            argmax_src[part] = np.take_along_axis(src[part], gathered.argmax(axis=1), axis=1)
+            np.putmask(argmax, np.greater(vals, rows, out=better), k)
+        np.maximum(rows, vals, out=rows)
+    plan = None
+    if keep_plan:
+        nan = np.isnan(rows)
+        if nan.any():
+            i, c = np.nonzero(nan)
+            argmax[i, c] = np.isnan(table[idx[i].T, c]).argmax(axis=0)
+        plan = PoolPlan(out_shape, out_keys, src, argmax, batch.a)
     out = GridBatch(out_shape, out_keys, rows, batch.grounds.copy(),
                     _row_starts(out_sample, batch.B))
-    return out, PoolPlan(out_shape, out_keys, argmax_src, batch.a) if keep_plan else None
+    return out, plan
 
 
 def pool_forward_batch(batch: GridBatch, layer: PoolLayer, *, keep_plan: bool = True):

@@ -2,9 +2,11 @@
 
 The dense ones operate on full every-site tables with their own site
 indexing built by plain enumeration; no hash maps, no activity tracking,
-no ground states.  The loop ones at the end are the original one-segment,
+no ground states.  The loop ones after them are the original one-segment,
 one-face and one-site-at-a-time active-set builders, and the original
-one-grid-at-a-time rulebook.  Slow and obviously correct.
+one-grid-at-a-time rulebook.  The ``addat`` ones at the end are the
+original ``np.add.at`` scatters of the conv and pool backward passes.
+Slow and obviously correct.
 """
 
 from functools import lru_cache
@@ -278,3 +280,39 @@ def loop_fmp_gather(grid, out_keys: np.ndarray, regions) -> np.ndarray:
                 src[:, k] = grid.lookup(pack_sites(pos))
                 k += 1
     return src
+
+
+# ---------------------------------------------------------------------------
+# np.add.at references for the per-offset backward scatters
+#
+# The original bodies of ``autograd.conv_backward`` and
+# ``autograd.pool_backward``, kept verbatim: each scatters every term in
+# one ``np.add.at`` call, in row-major (output row, position) order.
+
+
+def addat_conv_backward(d_out: np.ndarray, plan, layer):
+    """Returns (dW, dB, d_in_rows) for one convolution."""
+    if d_out.shape != (plan.a_out, layer.n_out):
+        raise ValueError(
+            f"d_out must be ({plan.a_out}, {layer.n_out}), got {d_out.shape}"
+        )
+    dW = plan.Q.T @ d_out
+    dB = d_out.sum(axis=0)
+    d_in = np.zeros((plan.a_in, layer.n_in), dtype=d_out.dtype)
+    if plan.a_out:
+        dQ = (d_out @ layer.W.T).reshape(plan.a_out, -1, layer.n_in)
+        valid = plan.src >= 0
+        np.add.at(d_in, plan.src[valid], dQ[valid])
+    return dW, dB, d_in
+
+
+def addat_pool_backward(d_out: np.ndarray, plan):
+    """Route each output gradient component to its recorded argmax row."""
+    n = d_out.shape[1]
+    d_in = np.zeros((plan.a_in, n), dtype=d_out.dtype)
+    if d_out.shape[0]:
+        src = plan.argmax_src
+        cols = np.broadcast_to(np.arange(n), src.shape)
+        valid = src >= 0  # ground winners take no gradient
+        np.add.at(d_in, (src[valid], cols[valid]), d_out[valid])
+    return d_in

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,23 @@ def test_conv_backward_shape_check(rng):
     out, gplan = conv_forward(grid, layer, keep_plan=True)
     with pytest.raises(ValueError):
         conv_backward(np.zeros((out.a + 1, 2)), gplan, layer)
+
+
+def test_pool_backward_shape_check(rng):
+    grid = random_sparse(LatticeKind.SQUARE, 4, 2, 0.5, rng)
+    out, pplan = pool_forward(grid, PoolLayer(LatticeKind.SQUARE, 2, 2), keep_plan=True)
+    want = re.escape(f"d_out must be {(out.a, 2)}")
+    for bad in ((out.a + 1, 2), (out.a, 3), (out.a, 1), (out.a,)):
+        with pytest.raises(ValueError, match=want):
+            pool_backward(np.zeros(bad), pplan)
+
+
+def test_relu_backward_shape_check():
+    """A d_out that would broadcast against the mask is refused."""
+    with pytest.raises(ValueError, match=re.escape("d_out must be (3, 2)")):
+        relu_backward(np.ones((1, 2)), np.ones((3, 2), bool))
+    with pytest.raises(ValueError, match=re.escape("d_out must be (3, 2)")):
+        relu_backward(np.ones((3, 1)), np.ones((3, 2), bool))
 
 
 # ---------------------------------------------------------------------------

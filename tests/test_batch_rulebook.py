@@ -5,12 +5,15 @@ active output keys, the same gather index in its own row numbers, the same
 rows of ``Q``, and the same pooled values and argmax routing.  Batches mix
 empty and non-empty grids, and one test places sparse sites at the far
 corner of the largest field ``GridShape`` accepts, where packed keys come
-within a few bits of the int64 range.
+within a few bits of the int64 range.  The backward scatters must equal
+the ``np.add.at`` scatters they replaced bit for bit, which holds only if
+they add each input row's terms in the same order.
 """
 
 import numpy as np
 import pytest
 
+from latticenet.autograd import conv_backward, pool_backward
 from latticenet.geometry import MAX_COORD, GridShape, LatticeKind, pack_sites, sites_array
 from latticenet.grid import GridBatch, SparseGrid
 from latticenet.netspec import parse, plan
@@ -32,6 +35,8 @@ from latticenet.ops import (
 
 from conftest import ALL_LATTICES, random_sparse
 from oracles import (
+    addat_conv_backward,
+    addat_pool_backward,
     loop_conv_active_sites,
     loop_fmp_active_keys,
     loop_fmp_gather,
@@ -46,6 +51,13 @@ MIXED = (0.0, 0.3, 0.0, 1.0, 0.1, 0.6)
 def batch_of(lattice, m, n, sparsities, rng):
     return [random_sparse(lattice, m, n, p, rng, ground=rng.normal(size=n))
             for p in sparsities]
+
+
+def tied(grids):
+    """Equal rows and a zero ground, as ingestion gives: every active
+    position of a window ties, so the argmax rests on position order."""
+    return [SparseGrid(g.shape, g.keys, np.ones_like(g.rows), np.zeros_like(g.ground))
+            for g in grids]
 
 
 def check_conv(grids, f, s, rng):
@@ -144,8 +156,8 @@ def fmp_cases():
 @pytest.mark.parametrize("ties, m, ratio, seed", fmp_cases())
 def test_fmp_matches_per_grid(ties, m, ratio, seed, rng):
     grids = batch_of(LatticeKind.CUBIC, m, 2, MIXED, rng)
-    if ties:  # equal rows, as ingestion gives: argmax routing rests on corner order
-        grids = [SparseGrid(g.shape, g.keys, np.ones_like(g.rows), np.zeros(2)) for g in grids]
+    if ties:
+        grids = tied(grids)
     regions = fmp_regions(m, ratio, seed)
     batch = GridBatch.of(grids)
     out, pplan = fmp_forward_batch(batch, FMPLayer(LatticeKind.CUBIC), regions)
@@ -260,3 +272,93 @@ def test_build_gather_of_every_output_site(lattice, f, s, rng):
         pick = rng.integers(0, every.shape[0], size=7)
         part = build_gather(grid, every[pick], geom, out_shape)
         assert np.array_equal(part.src, src[pick]) and np.array_equal(part.Q, Q[pick])
+
+
+# ---------------------------------------------------------------------------
+# backward scatters against the np.add.at scatters they replaced
+
+DTYPES = [np.float32, np.float64]
+
+
+def as_dtype(grids, dtype):
+    return [SparseGrid(g.shape, g.keys, g.rows.astype(dtype), g.ground.astype(dtype))
+            for g in grids]
+
+
+def check_pool_backward(out, pplan, rng):
+    d_out = rng.normal(size=out.rows.shape).astype(out.rows.dtype)
+    got, want = pool_backward(d_out, pplan), addat_pool_backward(d_out, pplan)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("lattice", ALL_LATTICES)
+@pytest.mark.parametrize("f", [1, 2, 3])
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_conv_backward_matches_add_at(lattice, f, s, dtype, rng):
+    grids = as_dtype(batch_of(lattice, field(f, s), 3, MIXED, rng), dtype)
+    geom = FilterGeometry(lattice, f, s)
+    layer = ConvLayer.init(geom, 3, 4, rng, dtype)
+    layer.B[:] = rng.normal(size=4)
+    out, gplan = conv_forward_batch(GridBatch.of(grids), layer)
+    d_out = rng.normal(size=out.rows.shape).astype(dtype)
+    got = conv_backward(d_out, gplan, layer)
+    want = addat_conv_backward(d_out, gplan, layer)
+    for g, w in zip(got, want):  # dW, dB, d_in
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("lattice", ALL_LATTICES)
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_pool_backward_matches_add_at(lattice, p, s, dtype, rng):
+    grids = as_dtype(batch_of(lattice, field(p, s), 3, MIXED, rng), dtype)
+    for gs in (grids, tied(grids)):
+        out, pplan = pool_forward_batch(GridBatch.of(gs), PoolLayer(lattice, p, s))
+        check_pool_backward(out, pplan, rng)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("ties, m, ratio, seed", fmp_cases())
+def test_fmp_backward_matches_add_at(ties, m, ratio, seed, dtype, rng):
+    grids = as_dtype(batch_of(LatticeKind.CUBIC, m, 2, MIXED, rng), dtype)
+    if ties:
+        grids = tied(grids)
+    out, pplan = fmp_forward_batch(GridBatch.of(grids), FMPLayer(LatticeKind.CUBIC),
+                                   fmp_regions(m, ratio, seed))
+    check_pool_backward(out, pplan, rng)
+
+
+def test_pool_footprint_past_255(rng):
+    """Cubic MP7 has 343 footprint positions: the stored argmax needs
+    uint16, and positions past 255 must route like the rest."""
+    grids = batch_of(LatticeKind.CUBIC, 9, 2, MIXED, rng)
+    check_pool(grids, 7, 2)
+    out, pplan = pool_forward_batch(GridBatch.of(grids), PoolLayer(LatticeKind.CUBIC, 7, 2))
+    assert pplan.src.shape[1] == 343
+    assert pplan.argmax.dtype == np.uint16 and pplan.argmax.max() > 255
+    check_pool_backward(out, pplan, rng)
+
+
+@pytest.mark.parametrize("p, s", [(2, 2), (3, 2), (3, 1)])
+def test_pool_nan_matches_loop_max(p, s, rng):
+    """A NaN component stays NaN, as ``max(axis=1)`` leaves it, and its
+    argmax is the first NaN position, as ``argmax(axis=1)`` picks; NaNs
+    sit in rows and in one sample's ground, several per window."""
+    grids = batch_of(LatticeKind.CUBIC, field(p, s), 3, MIXED, rng)
+    nan_grids = []
+    for i, g in enumerate(grids):
+        rows = np.where(rng.random(g.rows.shape) < 0.3, np.nan, g.rows)
+        ground = np.array([np.nan, 0.0, 1.0]) if i == 1 else g.ground
+        nan_grids.append(SparseGrid(g.shape, g.keys, rows, ground))
+    batch = GridBatch.of(nan_grids)
+    out, pplan = pool_forward_batch(batch, PoolLayer(LatticeKind.CUBIC, p, s))
+    assert np.isnan(out.rows).any()
+    plans = SamplePlans(pplan, batch.start, out.start)
+    for b, grid in enumerate(nan_grids):
+        keys = loop_conv_active_sites(grid, p, s)
+        rows, argmax_src = loop_max(grid, loop_gather(grid, keys, p, s)[0])
+        assert np.array_equal(out.grid(b).rows, rows, equal_nan=True), b
+        assert np.array_equal(plans[b].argmax_src, argmax_src), b
+    check_pool_backward(out, pplan, rng)
