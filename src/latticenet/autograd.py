@@ -55,14 +55,18 @@ class ParamState:
         assert self.velocity.shape == self.values.shape
 
 
-def conv_backward(d_out: np.ndarray, plan: GatherPlan, layer: ConvLayer):
-    """Returns (dW, dB, d_in_rows) for one convolution."""
+def conv_backward(d_out: np.ndarray, plan: GatherPlan, layer: ConvLayer, *,
+                  input_grad: bool = True):
+    """Returns (dW, dB, d_in_rows) for one convolution; ``d_in_rows`` is
+    None unless ``input_grad``."""
     if d_out.shape != (plan.a_out, layer.n_out):
         raise ValueError(
             f"d_out must be ({plan.a_out}, {layer.n_out}), got {d_out.shape}"
         )
     dW = plan.Q.T @ d_out
     dB = d_out.sum(axis=0)
+    if not input_grad:
+        return dW, dB, None
     d_in = np.zeros((plan.a_in, layer.n_in), dtype=d_out.dtype)
     if plan.a_out:
         dQ = (d_out @ layer.W.T).reshape(plan.a_out, -1, layer.n_in)

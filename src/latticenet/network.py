@@ -12,6 +12,15 @@ Each sample's rows keep the order a one-sample batch gives them, and the
 backward pass mirrors the forward pass over the same batch rows, so
 gradient accumulation order is fixed and results are bit-identical
 whatever the batch composition.
+
+Each network keeps a :class:`~latticenet.rulecache.RuleCache` of the
+rulebook results of the samples it has seen.  When every sample of a batch
+has a cached chain, each rulebook layer takes its batch rule from the
+chains instead of running the rulebook.  Each sample gets the same rows
+in either case, so the assembled rule, and with it every output, tape and
+gradient, is bit-identical.  A training chain stops at the first FMP
+layer, whose regions are redrawn per batch; an eval chain covers every
+layer and is keyed by the FMP seeds.
 """
 
 from __future__ import annotations
@@ -44,11 +53,14 @@ from .ops import (
     PoolLayer,
     SamplePlans,
     conv_forward_batch,
+    conv_rulebook,
     fmp_forward_batch,
     fmp_regions,
+    fmp_rulebook,
     pool_forward_batch,
     relu_forward_batch,
 )
+from .rulecache import RuleCache
 
 _CKPT_MAGIC = b"LNCK"
 _CKPT_VERSION = 1
@@ -101,6 +113,7 @@ class Network:
                 self.blocks.append(_Block("classifier", head,
                                           (ParamState(head.W), ParamState(head.B))))
         self._params = [p for b in self.blocks for p in b.params]
+        self.rule_cache = RuleCache()
 
     # -- parameters -----------------------------------------------------
 
@@ -115,32 +128,61 @@ class Network:
 
     # -- forward / backward ----------------------------------------------
 
+    def _chain_context(self, m: int, training: bool) -> tuple[int, bytes]:
+        """How many rulebook layers a cached chain covers, and the bytes of
+        what it depends on besides the input keys and the architecture: the
+        input field size ``m`` and, in eval, each FMP seed.  Training redraws
+        FMP regions per batch, so there the chain stops at the first FMP
+        layer.  (The layers check the lattice before they use a rule.)"""
+        rule_blocks = [b for b in self.blocks if b.kind != "relu"]
+        kinds = [b.kind for b in rule_blocks]
+        depth = kinds.index("fmp") if training and "fmp" in kinds else len(kinds)
+        seeds = [b.layer.seed for b in rule_blocks[:depth] if b.kind == "fmp"]
+        return depth, struct.pack(f"<2I{len(seeds)}Q", m, depth, *seeds)
+
     def _run(self, batch: GridBatch, train_rng: np.random.Generator | None = None,
              keep_tape: bool = False):
         """Run ``batch`` through the blocks, yielding ``(out, entry, macs)``
         per block: its output batch, its tape entry (None unless
-        ``keep_tape``) and the multiply-accumulates it performed."""
+        ``keep_tape``) and the multiply-accumulates it performed.
+
+        The first ``depth`` rulebook layers take their rules from the cache
+        when every sample of the batch hits; otherwise the rulebook runs,
+        and samples seen for the second time have their chains stored."""
+        depth, context = self._chain_context(batch.shape.m, train_rng is not None)
+        cached, admit = self.rule_cache.lookup(batch, context) if depth else (iter(()), {})
+        start, rules = batch.start, []
         for block in self.blocks:
             layer, macs = block.layer, 0
             if block.kind == "relu":
                 out, mask = relu_forward_batch(batch)
                 entry = ("relu", mask)
             else:
+                if block.kind == "fmp":
+                    seed = int(train_rng.integers(0, 2**31)) if train_rng is not None else layer.seed
+                    regions = fmp_regions(batch.shape.m, layer.ratio, seed)
+                rule = next(cached, None)
+                if rule is None:
+                    rule = (fmp_rulebook(batch, regions) if block.kind == "fmp"
+                            else conv_rulebook(batch, layer.geometry))
+                if admit and len(rules) < depth:
+                    rules.append(rule)
                 if block.kind in ("conv", "classifier"):
-                    out, plan = conv_forward_batch(batch, layer)
+                    out, plan = conv_forward_batch(batch, layer, rule)
                     macs = plan.Q.shape[0] * plan.Q.shape[1] * layer.n_out
                     head = (block.kind, layer)
                 elif block.kind == "pool":
-                    out, plan = pool_forward_batch(batch, layer, keep_plan=keep_tape)
+                    out, plan = pool_forward_batch(batch, layer, keep_plan=keep_tape, rule=rule)
                     head = ("pool",)
                 else:
-                    seed = int(train_rng.integers(0, 2**31)) if train_rng is not None else layer.seed
-                    regions = fmp_regions(batch.shape.m, layer.ratio, seed)
-                    out, plan = fmp_forward_batch(batch, layer, regions, keep_plan=keep_tape)
+                    out, plan = fmp_forward_batch(batch, layer, regions, keep_plan=keep_tape,
+                                                  rule=rule)
                     head = ("pool",)
                 entry = (*head, SamplePlans(plan, batch.start, out.start))
             yield out, entry if keep_tape else None, macs
             batch = out
+        if admit:
+            self.rule_cache.admit(admit, start, rules)
 
     def forward_batch(self, grids: list[SparseGrid], *, train_rng: np.random.Generator | None = None,
                       keep_tape: bool = False):
@@ -169,26 +211,28 @@ class Network:
         logits, _, _ = self.forward_batch([grid])
         return logits[0]
 
-    def backward_batch(self, tape, d_logits: np.ndarray):
+    def backward_batch(self, tape, d_logits: np.ndarray, *, input_grad: bool = True):
         """Accumulate parameter gradients from a forward tape.
 
-        Returns the gradient with respect to each sample's input rows.
+        Returns the gradient with respect to each sample's input rows, or
+        None unless ``input_grad``; then the first block computes none.
         """
         # each sample's logit gradient goes to its head rows (none if inactive)
         head = tape[-1][-1]
         d = d_logits[np.repeat(np.arange(len(head)), np.diff(head.out_start))]
-        for block, entry in zip(reversed(self.blocks), reversed(tape)):
+        for i in reversed(range(len(tape))):
+            entry, wanted = tape[i], input_grad or i > 0
             kind = entry[0]
             if kind == "relu":
                 d = relu_backward(d, entry[1])
             elif kind == "pool":
-                d = pool_backward(d, entry[1].plan)
+                d = pool_backward(d, entry[1].plan) if wanted else None
             else:
                 _, layer, plans = entry
-                dW, dB, d = conv_backward(d, plans.plan, layer)
-                for p, g in zip(block.params, (dW, dB)):
+                dW, dB, d = conv_backward(d, plans.plan, layer, input_grad=wanted)
+                for p, g in zip(self.blocks[i].params, (dW, dB)):
                     p.grad += g.astype(p.values.dtype)
-        return np.split(d, tape[0][-1].in_start[1:-1])
+        return np.split(d, tape[0][-1].in_start[1:-1]) if input_grad else None
 
     # -- ground states ----------------------------------------------------
 

@@ -31,6 +31,14 @@ every layer: along each dimension output coordinate ``u`` has a window
 start, ``u * s`` for a convolution or pool and the region start for FMP,
 and input site ``c`` lies under offset ``o`` exactly when ``c - o`` is a
 start, which one ``searchsorted`` per dimension finds.
+
+The batch forward ops take an optional ``rule``: the ``(out_keys,
+out_sample, src)`` triple the rulebook would give for the batch.  A
+:class:`~latticenet.network.Network` passes one it has assembled from its
+per-sample cache (see :mod:`latticenet.rulecache`) when every sample of
+the batch has been seen before; the op then skips the rulebook, and since
+the assembled rule equals the rulebook's bit for bit, so do the outputs
+and plans.
 """
 
 from __future__ import annotations
@@ -284,8 +292,13 @@ def _row_starts(sample: np.ndarray, B: int) -> np.ndarray:
     return np.searchsorted(sample, np.arange(B + 1))
 
 
+def conv_out_shape(shape: GridShape, geometry: FilterGeometry) -> GridShape:
+    """The output grid of a convolution or pool with footprint ``geometry``."""
+    return GridShape(shape.lattice, out_size(shape.m, geometry.f, geometry.s))
+
+
 def conv_rulebook(batch: GridBatch, geometry: FilterGeometry):
-    """Steps 1-2 for a whole batch: (out_keys, out_sample, src, out_shape).
+    """Steps 1-2 for a whole batch: the rule ``(out_keys, out_sample, src)``.
 
     Output row ``i`` is site ``out_keys[i]`` of sample ``out_sample[i]``;
     rows are grouped by sample, keys ascending within each.  ``src[i, k]``
@@ -293,13 +306,10 @@ def conv_rulebook(batch: GridBatch, geometry: FilterGeometry):
     or -1 where that position is inactive.  The window of output site
     ``u`` starts at ``u * s``.
     """
-    m_out = out_size(batch.shape.m, geometry.f, geometry.s)
-    out_shape = GridShape(batch.shape.lattice, m_out)
-    starts = np.arange(m_out) * geometry.s
+    out_shape = conv_out_shape(batch.shape, geometry)
+    starts = np.arange(out_shape.m) * geometry.s
     bound = int(starts[-1]) if out_shape.lattice.is_simplex else None
-    out_keys, out_sample, src = _window_rulebook(batch, geometry.offsets,
-                                                 (starts,) * out_shape.ndim, bound)
-    return out_keys, out_sample, src, out_shape
+    return _window_rulebook(batch, geometry.offsets, (starts,) * out_shape.ndim, bound)
 
 
 def _gather_index(batch: GridBatch, src: np.ndarray, out_sample: np.ndarray):
@@ -313,8 +323,8 @@ def _gather_index(batch: GridBatch, src: np.ndarray, out_sample: np.ndarray):
 
 def conv_active_sites(grid: SparseGrid, geometry: FilterGeometry):
     """Step 1 for one grid: active output sites (sorted packed keys) and the output shape."""
-    out_keys, _, _, out_shape = conv_rulebook(GridBatch.of([grid]), geometry)
-    return out_keys, out_shape
+    out_keys, _, _ = conv_rulebook(GridBatch.of([grid]), geometry)
+    return out_keys, conv_out_shape(grid.shape, geometry)
 
 
 def build_gather(grid: SparseGrid, out_keys: np.ndarray, geometry: FilterGeometry,
@@ -323,7 +333,7 @@ def build_gather(grid: SparseGrid, out_keys: np.ndarray, geometry: FilterGeometr
     gather index rows for ``out_keys`` (all -1 for a site the rulebook
     leaves inactive) and the gather matrix Q (a_out, F * n_in)."""
     batch = GridBatch.of([grid])
-    keys, _, src, _ = conv_rulebook(batch, geometry)
+    keys, _, src = conv_rulebook(batch, geometry)
     a_out, a_rule = out_keys.shape[0], keys.shape[0]
     pos = np.searchsorted(keys, out_keys)
     pos[np.append(keys, -1)[pos] != out_keys] = a_rule
@@ -338,10 +348,12 @@ def build_gather(grid: SparseGrid, out_keys: np.ndarray, geometry: FilterGeometr
 # batch forward ops; each single-grid op below is the batch op on one grid
 
 
-def conv_forward_batch(batch: GridBatch, layer: ConvLayer):
+def conv_forward_batch(batch: GridBatch, layer: ConvLayer, rule=None):
     """Steps 1-3 for a batch: one rulebook pass and one dense multiply.
 
-    Returns the output batch and the batch's :class:`GatherPlan`.
+    ``rule`` is the batch's rule as :func:`conv_rulebook` gives it; when it
+    is None, the rulebook runs here.  Returns the output batch and the
+    batch's :class:`GatherPlan`.
     """
     if batch.n != layer.n_in:
         raise ValueError(f"layer expects {layer.n_in} input features, grid has {batch.n}")
@@ -350,7 +362,8 @@ def conv_forward_batch(batch: GridBatch, layer: ConvLayer):
             f"layer is {layer.geometry.lattice.value}, grid is {batch.shape.lattice.value}"
         )
     geom = layer.geometry
-    out_keys, out_sample, src, out_shape = conv_rulebook(batch, geom)
+    out_keys, out_sample, src = conv_rulebook(batch, geom) if rule is None else rule
+    out_shape = conv_out_shape(batch.shape, geom)
     table, idx = _gather_index(batch, src, out_sample)
     Q = table[idx].reshape(out_keys.shape[0], geom.volume * batch.n)
     rows = Q @ layer.W + layer.B
@@ -400,17 +413,19 @@ def _max_pool(batch: GridBatch, out_keys, out_sample, out_shape, src, keep_plan:
     return out, plan
 
 
-def pool_forward_batch(batch: GridBatch, layer: PoolLayer, *, keep_plan: bool = True):
+def pool_forward_batch(batch: GridBatch, layer: PoolLayer, *, keep_plan: bool = True,
+                       rule=None):
     """Max pooling; active rule and gather index identical to convolution.
 
-    Returns the output batch and, when ``keep_plan``, the batch's
-    :class:`PoolPlan` (else None).
+    ``rule`` is as in :func:`conv_forward_batch`.  Returns the output batch
+    and, when ``keep_plan``, the batch's :class:`PoolPlan` (else None).
     """
     if batch.shape.lattice is not layer.lattice:
         raise ValueError(
             f"pool layer is {layer.lattice.value}, grid is {batch.shape.lattice.value}"
         )
-    out_keys, out_sample, src, out_shape = conv_rulebook(batch, layer.geometry)
+    out_keys, out_sample, src = conv_rulebook(batch, layer.geometry) if rule is None else rule
+    out_shape = conv_out_shape(batch.shape, layer.geometry)
     return _max_pool(batch, out_keys, out_sample, out_shape, src, keep_plan)
 
 
@@ -461,16 +476,21 @@ def fmp_out_size(m_in: int, ratio: float) -> int:
     return m_out
 
 
-def fmp_forward_batch(batch: GridBatch, layer: FMPLayer, regions, *, keep_plan: bool = True):
+def fmp_rulebook(batch: GridBatch, regions):
+    """The rule of an FMP layer over a batch, as :func:`conv_rulebook` gives
+    a convolution's: region ``u`` of dimension ``j`` covers ``regions[j][u]``
+    and the site after it, a size-2 cubic window at an irregular start."""
+    return _window_rulebook(batch, filter_offsets(LatticeKind.CUBIC, 2), regions, None)
+
+
+def fmp_forward_batch(batch: GridBatch, layer: FMPLayer, regions, *, keep_plan: bool = True,
+                      rule=None):
     """Max pooling over randomized overlapping size-2 regions, for a batch;
-    returns what :func:`pool_forward_batch` returns."""
+    ``rule`` and the result are as in :func:`pool_forward_batch`."""
     if batch.shape.lattice is not LatticeKind.CUBIC:
         raise ValueError("FMP requires a cubic grid")
-    # region u of dimension j covers regions[j][u] and the site after it:
-    # a size-2 cubic window at an irregular start
     out_shape = GridShape(LatticeKind.CUBIC, regions[0].shape[0])
-    out_keys, out_sample, src = _window_rulebook(batch, filter_offsets(LatticeKind.CUBIC, 2),
-                                                 regions, None)
+    out_keys, out_sample, src = fmp_rulebook(batch, regions) if rule is None else rule
     return _max_pool(batch, out_keys, out_sample, out_shape, src, keep_plan)
 
 

@@ -1,0 +1,133 @@
+"""A bounded per-sample cache of rulebook chains.
+
+A sample's *rulebook chain* holds, for each rulebook layer of a network
+(convolution, pool, FMP and classifier, in order), the sample's active
+output keys and its gather index ``src`` in the sample's own row numbers
+(int32, -1 = ground).  The chain depends on nothing but the sample's input
+key set, the input field, the architecture and the FMP regions, so a
+network that sees the same key set again (the next epoch, an identity eval
+repeat) can reuse it instead of running the rulebook.  Map reuse of this
+kind follows TorchSparse (Tang et al. 2022, arXiv:2204.10319).
+
+The batched rulebook groups output rows by sample, keys ascending within
+each, and gives every sample the rows and gather index it gets alone.  So
+a batch rule assembled from its samples' chains (keys concatenated, rows
+tagged with their sample, each ``src`` shifted by its sample's first input
+row) equals the batched pass bit for bit.
+
+Admission follows the TinyLFU doorkeeper (Einziger et al., ACM ToS 2017):
+a key set's first sighting stores a small placeholder and only its second
+stores the chain, so key sets seen once, such as affine-augmented eval
+passes, cost a placeholder each.  Entries are looked up by a 128-bit
+digest, and a hit also compares the stored key bytes, so two key sets can
+never share a chain.  Chains and placeholders together are held under
+:data:`CACHE_BYTES`, evicting the least recently used first.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from collections import OrderedDict
+
+import numpy as np
+
+from .grid import GridBatch
+
+CACHE_BYTES = 64 << 20
+"""Bound on the bytes a network's cache holds, placeholders included."""
+
+_PLACEHOLDER_BYTES = 128  # a 16-byte digest with its dict slot and link
+_ENTRY_BYTES = 512  # a chain's tuple and array headers, besides its data
+
+_PLACEHOLDER = (None, None, _PLACEHOLDER_BYTES)
+
+
+class RuleCache:
+    """LRU map from a sample's input key set to its rulebook chain.
+
+    An entry is ``(data, chain, nbytes)``: ``data`` is the context bytes
+    followed by the key bytes, ``chain`` one ``(out_keys, src)`` pair per
+    rulebook layer.  A placeholder has neither.  The counters count sample
+    lookups (``hits``, ``misses``), chains stored (``admitted``), entries
+    dropped for the bound (``evicted``) and the bytes held (``nbytes``).
+    """
+
+    def __init__(self):
+        self._entries: OrderedDict = OrderedDict()
+        self.hits = self.misses = self.admitted = self.evicted = self.nbytes = 0
+
+    def lookup(self, batch: GridBatch, context: bytes):
+        """Look every sample of ``batch`` up under ``context``, the bytes of
+        what its chain depends on besides its keys.
+
+        Returns ``(rules, admit)``.  ``rules`` yields the batch's rule per
+        chain layer when every sample hits, else nothing.  ``admit`` maps the
+        digest of each key set seen for the second time to
+        ``(sample, data)``; pass it to :meth:`admit` with the batch's rules.
+        """
+        chains, admit = [], {}
+        start = batch.start.tolist()
+        for b in range(batch.B):
+            data = context + batch.keys[start[b]:start[b + 1]].tobytes()
+            digest = _digest(data)
+            entry = self._entries.get(digest)
+            if entry is None:
+                self._entries[digest] = _PLACEHOLDER
+                self.nbytes += _PLACEHOLDER_BYTES
+            elif entry[0] == data:
+                self._entries.move_to_end(digest)
+                chains.append(entry[1])
+            elif entry is _PLACEHOLDER:
+                admit[digest] = (b, data)
+        self.hits += len(chains)
+        self.misses += batch.B - len(chains)
+        self._shrink()
+        if batch.B and len(chains) == batch.B:
+            return _assemble(chains, batch.start), {}
+        return iter(()), admit
+
+    def admit(self, admit: dict, start: np.ndarray, rules):
+        """Store the chains of the samples in ``admit``, cut out of the batch
+        ``rules`` whose first layer reads input rows ``start``."""
+        B = start.shape[0] - 1
+        chains = [[] for _ in admit]
+        for out_keys, out_sample, src in rules:
+            out_start = np.searchsorted(out_sample, np.arange(B + 1))
+            for chain, (b, _) in zip(chains, admit.values()):
+                rows = slice(out_start[b], out_start[b + 1])
+                s = src[rows]
+                chain.append((out_keys[rows].copy(),
+                              np.where(s >= 0, s - start[b], -1).astype(np.int32)))
+            start = out_start
+        for (digest, (_, data)), chain in zip(admit.items(), chains):
+            size = len(data) + _ENTRY_BYTES + sum(k.nbytes + s.nbytes for k, s in chain)
+            if size > CACHE_BYTES:  # it would evict every other entry, then itself
+                continue
+            self.nbytes += size - self._entries.pop(digest, (0, 0, 0))[2]
+            self._entries[digest] = (data, tuple(chain), size)
+            self.admitted += 1
+        self._shrink()
+
+    def _shrink(self):
+        while self.nbytes > CACHE_BYTES and self._entries:
+            self.nbytes -= self._entries.popitem(last=False)[1][2]
+            self.evicted += 1
+
+
+def _digest(data: bytes) -> bytes:
+    return hashlib.blake2b(data, digest_size=16).digest()
+
+
+def _assemble(chains, start: np.ndarray):
+    """Yield the batch rules, layer by layer, of samples whose chains are
+    ``chains``; the first layer reads input rows ``start``."""
+    B = len(chains)
+    for layer in zip(*chains):
+        counts = [k.shape[0] for k, _ in layer]
+        out_keys = np.concatenate([k for k, _ in layer])
+        out_sample = np.repeat(np.arange(B), counts)
+        src = np.concatenate([s for _, s in layer], dtype=np.int64)
+        src = np.where(src >= 0, src + start[out_sample, None], -1)
+        yield out_keys, out_sample, src
+        start = np.zeros(B + 1, np.int64)
+        np.cumsum(counts, out=start[1:])

@@ -67,7 +67,7 @@ def batch_loss_and_grads(net: Network, batch: list[LabeledSample],
         loss, d = softmax_nll(logits[i], s.label)
         total += loss
         d_logits[i] = d / len(batch)
-    net.backward_batch(tape, d_logits)
+    net.backward_batch(tape, d_logits, input_grad=False)
     return total, macs
 
 

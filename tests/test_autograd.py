@@ -309,3 +309,15 @@ def test_finite_diff_check_refuses_huge_nets():
     params = [ParamState(np.zeros(60_000))]
     with pytest.raises(ValueError):
         finite_diff_check(lambda: 0.0, params)
+
+
+@pytest.mark.parametrize("lattice", ALL_LATTICES)
+def test_conv_backward_without_input_grad(lattice, rng):
+    grid = random_sparse(lattice, 6, 2, 0.4, rng)
+    layer = rand_conv(lattice, 2, 1, 2, 3, rng)
+    out, gplan = conv_forward(grid, layer, keep_plan=True)
+    d_out = rng.normal(size=(out.a, 3))
+    dW, dB, d_in = conv_backward(d_out, gplan, layer)
+    dW2, dB2, none = conv_backward(d_out, gplan, layer, input_grad=False)
+    assert none is None and d_in.shape == (grid.a, 2)
+    assert np.array_equal(dW, dW2) and np.array_equal(dB, dB2)

@@ -259,3 +259,39 @@ def test_empty_grid_keeps_a_float32_batch_float32(rng):
     assert logits.dtype == np.float32
     assert np.allclose(logits[0], alone[0], rtol=1e-5, atol=1e-6)
     assert np.allclose(logits[1], net.ground_states()[-1], rtol=1e-5, atol=1e-6)
+
+
+@pytest.mark.parametrize("arch", ["4C2-MP3/2-6C2-output", "MP2-4C2-MP3/2-output"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_backward_without_input_grad_keeps_param_grads(arch, dtype, rng):
+    """Skipping the input gradient leaves dW and dB bit-identical."""
+    from latticenet.autograd import softmax_nll
+    net = small_net(rng, arch=arch, dtype=dtype)
+    grids = inputs_for(net, rng, 4)
+    grids.append(SparseGrid.empty(net.input_shape(), np.zeros(1)))
+    logits, tape, _ = net.forward_batch(grids, keep_tape=True)
+    d_logits = np.stack([softmax_nll(l, i % 3)[1] for i, l in enumerate(logits)]).astype(dtype)
+    grads = []
+    for input_grad in (True, False):
+        for p in net.params():
+            p.grad[...] = 0.0
+        d_in = net.backward_batch(tape, d_logits, input_grad=input_grad)
+        assert (d_in is None) != input_grad
+        grads.append([p.grad.copy() for p in net.params()])
+    for got, want in zip(*grads):
+        assert np.array_equal(got, want)
+
+
+def test_batch_loss_and_grads_matches_backward_with_input_grad(rng):
+    from latticenet.autograd import softmax_nll
+    net = small_net(rng)
+    samples = [LabeledSample(g, i % 3) for i, g in enumerate(inputs_for(net, rng, 3))]
+    batch_loss_and_grads(net, samples)
+    got = [p.grad.copy() for p in net.params()]
+    for p in net.params():
+        p.grad[...] = 0.0
+    logits, tape, _ = net.forward_batch([s.grid for s in samples], keep_tape=True)
+    d = np.stack([softmax_nll(l, s.label)[1] / len(samples) for l, s in zip(logits, samples)])
+    net.backward_batch(tape, d)
+    for a, b in zip(got, [p.grad for p in net.params()]):
+        assert np.array_equal(a, b)
