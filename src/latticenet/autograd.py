@@ -119,13 +119,17 @@ def softmax_nll(logits: np.ndarray, label: int):
 
 def sgd_step(params: list[ParamState], lr: float, momentum: float = 0.0,
              weight_decay: float = 0.0):
-    """velocity <- mu*velocity - lr*(grad + wd*values); values += velocity."""
+    """velocity <- mu*velocity - lr*(grad + wd*values); values += velocity.
+
+    Updated in place, the gradient buffer holding ``lr*(grad + wd*values)``
+    until it is zeroed; each operation rounds as the formula does."""
     for p in params:
-        g = p.grad + weight_decay * p.values
+        p.grad += weight_decay * p.values
+        p.grad *= lr
         p.velocity *= momentum
-        p.velocity -= lr * g
+        p.velocity -= p.grad
         p.values += p.velocity
-        p.grad[...] = 0.0
+        p.grad.fill(0)
 
 
 def finite_diff_check(loss_fn, params: list[ParamState], eps: float = 1e-3) -> float:

@@ -88,6 +88,13 @@ class Network:
 
     def __init__(self, spec: NetworkSpec, classes: int, rng: np.random.Generator,
                  dtype=np.float32, fmp_eval_seed: int = 0):
+        self._assemble(spec, classes, dtype, fmp_eval_seed,
+                       lambda geom, n_in, n_out: ConvLayer.init(geom, n_in, n_out, rng,
+                                                                dtype=dtype))
+
+    def _assemble(self, spec: NetworkSpec, classes: int, dtype, fmp_eval_seed: int, make_conv):
+        """Build the blocks of ``spec``; ``make_conv(geometry, n_in, n_out)``
+        makes each convolution and the classifier head, in block order."""
         if spec.planned_sizes is None:
             raise ValueError("network needs a planned spec (call netspec.plan first)")
         self.spec = spec
@@ -98,8 +105,7 @@ class Network:
         n = spec.n_input
         for ls in spec.layers:
             if isinstance(ls, ConvSpec):
-                geom = FilterGeometry(spec.lattice, ls.f, ls.s)
-                conv = ConvLayer.init(geom, n, ls.n_out, rng, dtype=dtype)
+                conv = make_conv(FilterGeometry(spec.lattice, ls.f, ls.s), n, ls.n_out)
                 self.blocks.append(_Block("conv", conv, (ParamState(conv.W), ParamState(conv.B))))
                 self.blocks.append(_Block("relu"))
                 n = ls.n_out
@@ -108,8 +114,7 @@ class Network:
             elif isinstance(ls, FMPSpec):
                 self.blocks.append(_Block("fmp", FMPLayer(spec.lattice, ls.ratio, fmp_eval_seed)))
             elif isinstance(ls, OutputSpec):
-                geom = FilterGeometry(spec.lattice, 1, 1)
-                head = ConvLayer.init(geom, n, classes, rng, dtype=dtype)
+                head = make_conv(FilterGeometry(spec.lattice, 1, 1), n, classes)
                 self.blocks.append(_Block("classifier", head,
                                           (ParamState(head.W), ParamState(head.B))))
         self._params = [p for b in self.blocks for p in b.params]
@@ -231,7 +236,7 @@ class Network:
                 _, layer, plans = entry
                 dW, dB, d = conv_backward(d, plans.plan, layer, input_grad=wanted)
                 for p, g in zip(self.blocks[i].params, (dW, dB)):
-                    p.grad += g.astype(p.values.dtype)
+                    p.grad += g.astype(p.values.dtype, copy=False)
         return np.split(d, tape[0][-1].in_start[1:-1]) if input_grad else None
 
     # -- ground states ----------------------------------------------------
@@ -276,7 +281,13 @@ class Network:
 
     @classmethod
     def load(cls, path) -> "Network":
-        """Read a checkpoint; any malformed file raises :class:`FormatError`."""
+        """Read a checkpoint; any malformed file raises :class:`FormatError`.
+
+        The network is built by the same block loop as a training network,
+        but its weights are allocated, not drawn: every value comes from the
+        file, so loading costs one copy of the parameters and consumes no
+        random numbers.  The file's size is checked against the
+        architecture's parameter count before anything is allocated."""
         with open(path, "rb") as fh:
             r = _Reader(fh.read(), path)
         if r.take(4) != _CKPT_MAGIC:
@@ -300,8 +311,9 @@ class Network:
         if 4 * n_params > r.remaining():
             raise FormatError(f"{path}: checkpoint truncated: {n_params} parameters need "
                               f"{4 * n_params} bytes, {r.remaining()} left")
+        net = cls.__new__(cls)
         try:
-            net = cls(spec, classes, np.random.default_rng(0))
+            net._assemble(spec, classes, np.float32, 0, _zero_conv)
         except ValueError as e:  # e.g. an FMP layer on a lattice other than cubic
             raise FormatError(f"{path}: {e}") from None
         param_blocks = [b for b in net.blocks if b.kind != "relu"]
@@ -321,6 +333,14 @@ class Network:
         if r.remaining():
             raise FormatError(f"{path}: {r.remaining()} unexpected bytes after the last block")
         return net
+
+
+def _zero_conv(geometry: FilterGeometry, n_in: int, n_out: int) -> ConvLayer:
+    """A float32 convolution with zero ``W`` and ``B``, for
+    :meth:`Network.load` to fill from the checkpoint."""
+    return ConvLayer(geometry, n_in, n_out,
+                     np.zeros((geometry.volume * n_in, n_out), np.float32),
+                     np.zeros(n_out, np.float32))
 
 
 class _Reader:

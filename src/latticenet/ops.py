@@ -366,7 +366,8 @@ def conv_forward_batch(batch: GridBatch, layer: ConvLayer, rule=None):
     out_shape = conv_out_shape(batch.shape, geom)
     table, idx = _gather_index(batch, src, out_sample)
     Q = table[idx].reshape(out_keys.shape[0], geom.volume * batch.n)
-    rows = Q @ layer.W + layer.B
+    rows = Q @ layer.W
+    rows += layer.B
     ground = np.tile(batch.grounds, geom.volume).astype(layer.W.dtype) @ layer.W + layer.B
     out = GridBatch(out_shape, out_keys, rows, ground, _row_starts(out_sample, batch.B))
     return out, GatherPlan(batch.shape, out_shape, out_keys, src, Q, batch.a)
@@ -385,7 +386,10 @@ def _max_pool(batch: GridBatch, out_keys, out_sample, out_shape, src, keep_plan:
     Each step reads one position's input vectors for every output row and
     folds them in with ``np.maximum``, so the (a_out, F, n) gather is never
     built.  Positions run in ascending order and only a strictly greater
-    value moves the argmax, which keeps the lowest of equal maxima.  A NaN
+    value moves the argmax, which keeps the lowest of equal maxima.  The
+    argmax is itself a running max: position ``k`` exceeds every position
+    stored before it, so ``argmax = max(argmax, better * k)`` moves exactly
+    the components where ``better`` holds, with no masked store.  A NaN
     never compares greater, so NaN components get their first NaN position
     after the loop.
     """
@@ -394,12 +398,16 @@ def _max_pool(batch: GridBatch, out_keys, out_sample, out_shape, src, keep_plan:
     rows = table[idx[:, 0]]
     vals = np.empty_like(rows)
     if keep_plan:
-        argmax = np.zeros(rows.shape, np.min_scalar_type(F - 1))
+        position = np.min_scalar_type(F - 1).type
+        argmax = np.zeros(rows.shape, position)
         better = np.empty(rows.shape, bool)
+        moved = np.empty_like(argmax)
     for k in range(1, F):
         np.take(table, idx[:, k], axis=0, out=vals)
         if keep_plan:
-            np.putmask(argmax, np.greater(vals, rows, out=better), k)
+            np.greater(vals, rows, out=better)
+            np.multiply(better, position(k), out=moved)
+            np.maximum(argmax, moved, out=argmax)
         np.maximum(rows, vals, out=rows)
     plan = None
     if keep_plan:

@@ -6,6 +6,8 @@ no ground states.  The loop ones after them are the original one-segment,
 one-face and one-site-at-a-time active-set builders, and the original
 one-grid-at-a-time rulebook.  The ``addat`` ones at the end are the
 original ``np.add.at`` scatters of the conv and pool backward passes.
+The last two are the original max-pool argmax, one masked store per
+footprint position, and the original SGD step with its temporaries.
 Slow and obviously correct.
 """
 
@@ -21,7 +23,8 @@ from latticenet.geometry import (
     pack_sites,
     unpack_sites,
 )
-from latticenet.grid import DenseGrid
+from latticenet.grid import DenseGrid, GridBatch
+from latticenet.ops import PoolPlan, _gather_index, _row_starts
 
 
 @lru_cache(maxsize=None)
@@ -316,3 +319,58 @@ def addat_pool_backward(d_out: np.ndarray, plan):
         valid = src >= 0  # ground winners take no gradient
         np.add.at(d_in, (src[valid], cols[valid]), d_out[valid])
     return d_in
+
+
+# ---------------------------------------------------------------------------
+# the masked-store argmax and the copying SGD step
+#
+# The original bodies of ``ops._max_pool`` and ``autograd.sgd_step``, kept
+# verbatim: the pool moves its argmax with one ``np.putmask`` per footprint
+# position, and the step builds ``grad + wd * values`` and ``lr * g`` as new
+# arrays.
+
+
+def putmask_max_pool(batch: GridBatch, out_keys, out_sample, out_shape, src, keep_plan: bool):
+    """Shared tail of pooling ops: one running max over the footprint
+    positions, plus the :class:`PoolPlan` argmax when ``keep_plan``.
+
+    Each step reads one position's input vectors for every output row and
+    folds them in with ``np.maximum``, so the (a_out, F, n) gather is never
+    built.  Positions run in ascending order and only a strictly greater
+    value moves the argmax, which keeps the lowest of equal maxima.  A NaN
+    never compares greater, so NaN components get their first NaN position
+    after the loop.
+    """
+    table, idx = _gather_index(batch, src, out_sample)
+    F = src.shape[1]
+    rows = table[idx[:, 0]]
+    vals = np.empty_like(rows)
+    if keep_plan:
+        argmax = np.zeros(rows.shape, np.min_scalar_type(F - 1))
+        better = np.empty(rows.shape, bool)
+    for k in range(1, F):
+        np.take(table, idx[:, k], axis=0, out=vals)
+        if keep_plan:
+            np.putmask(argmax, np.greater(vals, rows, out=better), k)
+        np.maximum(rows, vals, out=rows)
+    plan = None
+    if keep_plan:
+        nan = np.isnan(rows)
+        if nan.any():
+            i, c = np.nonzero(nan)
+            argmax[i, c] = np.isnan(table[idx[i].T, c]).argmax(axis=0)
+        plan = PoolPlan(out_shape, out_keys, src, argmax, batch.a)
+    out = GridBatch(out_shape, out_keys, rows, batch.grounds.copy(),
+                    _row_starts(out_sample, batch.B))
+    return out, plan
+
+
+def copying_sgd_step(params, lr: float, momentum: float = 0.0,
+                     weight_decay: float = 0.0):
+    """velocity <- mu*velocity - lr*(grad + wd*values); values += velocity."""
+    for p in params:
+        g = p.grad + weight_decay * p.values
+        p.velocity *= momentum
+        p.velocity -= lr * g
+        p.values += p.velocity
+        p.grad[...] = 0.0

@@ -20,7 +20,7 @@ from latticenet.ops import ConvLayer, FilterGeometry, PoolLayer, conv_forward, p
 from latticenet.train import batch_loss_and_grads
 
 from conftest import ALL_LATTICES, random_dense, random_sparse
-from oracles import dense_conv_backward
+from oracles import copying_sgd_step, dense_conv_backward
 
 
 def rand_conv(lattice, f, s, n_in, n_out, rng):
@@ -221,6 +221,25 @@ def test_sgd_weight_decay():
     p = ParamState(np.array([2.0]))
     sgd_step([p], lr=0.1, momentum=0.0, weight_decay=0.5)
     assert np.allclose(p.values, [2.0 - 0.1 * 0.5 * 2.0])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sgd_in_place_equals_copying_formula(dtype, rng):
+    """The in-place step rounds as ``velocity = mu*velocity - lr*(grad +
+    wd*values)`` does, so several steps agree bit for bit."""
+    shapes = [(27 * 4, 8), (8,), (64 * 3, 5), (5,)]
+    ours = [ParamState(rng.normal(size=s).astype(dtype)) for s in shapes]
+    ref = [ParamState(p.values.copy()) for p in ours]
+    for _ in range(5):
+        for a, b in zip(ours, ref):
+            a.grad[...] = b.grad[...] = rng.normal(size=a.values.shape)
+        sgd_step(ours, lr=0.037, momentum=0.9, weight_decay=3e-4)
+        copying_sgd_step(ref, lr=0.037, momentum=0.9, weight_decay=3e-4)
+        for a, b in zip(ours, ref):
+            assert a.values.dtype == dtype
+            assert np.array_equal(a.values, b.values)
+            assert np.array_equal(a.velocity, b.velocity)
+            assert not a.grad.any()
 
 
 # ---------------------------------------------------------------------------

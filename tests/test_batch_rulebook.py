@@ -28,6 +28,7 @@ from latticenet.ops import (
     build_gather,
     conv_active_sites,
     conv_forward_batch,
+    conv_rulebook,
     fmp_forward_batch,
     fmp_regions,
     pool_forward_batch,
@@ -42,6 +43,7 @@ from oracles import (
     loop_fmp_gather,
     loop_gather,
     loop_max,
+    putmask_max_pool,
 )
 
 # sparsity per sample: empty grids between sparse, dense and full ones
@@ -339,6 +341,32 @@ def test_pool_footprint_past_255(rng):
     assert pplan.src.shape[1] == 343
     assert pplan.argmax.dtype == np.uint16 and pplan.argmax.max() > 255
     check_pool_backward(out, pplan, rng)
+
+
+@pytest.mark.parametrize("lattice, p, moves, want", [
+    # component 0: position 2 moves the argmax and position 4 ties it;
+    # component 1: the max moves twice and position 8 ties the second move
+    (LatticeKind.SQUARE, 3, [{2: 5.0, 4: 5.0}, {3: 4.0, 6: 7.0, 8: 7.0}, {}], [2, 6, 0]),
+    # cubic MP7: 343 positions, winners and ties past 255
+    (LatticeKind.CUBIC, 7, [{300: 2.0, 310: 2.0}, {342: 3.0}, {200: 2.0, 256: 3.0, 300: 3.0}],
+     [300, 342, 256]),
+])
+def test_pool_argmax_targeted_positions(lattice, p, moves, want):
+    """One window over a fully active field: every position holds 1.0 but
+    those ``moves`` names.  The argmax is the lowest position of the
+    maximum, also when a later position ties a maximum that already moved."""
+    geom = FilterGeometry(lattice, p)
+    rows = np.ones((geom.volume, len(moves)))
+    for c, move in enumerate(moves):
+        rows[list(move), c] = list(move.values())
+    grid = SparseGrid.from_sites(GridShape(lattice, p), geom.offsets, rows, np.zeros(len(moves)))
+    batch = GridBatch.of([grid])
+    out, pplan = pool_forward_batch(batch, PoolLayer(lattice, p, 1))
+    assert pplan.argmax.dtype == np.min_scalar_type(geom.volume - 1)
+    assert pplan.argmax.tolist() == [want]
+    out_keys, out_sample, src = conv_rulebook(batch, geom)
+    _, ref = putmask_max_pool(batch, out_keys, out_sample, out.shape, src, True)
+    assert np.array_equal(pplan.argmax, ref.argmax)
 
 
 @pytest.mark.parametrize("p, s", [(2, 2), (3, 2), (3, 1)])

@@ -128,6 +128,51 @@ def test_checkpoint_round_trip(tmp_path, rng):
     assert p.read_bytes()[:4] == b"LNCK"
 
 
+@pytest.mark.parametrize("lattice, arch, field, fmp_seed", [
+    (TET, "4C2-MP3/2-6C2-output", None, 0),
+    (LatticeKind.CUBIC, "6C2-FMP-8C2-FMP-output", 6, 918_273_645),
+])
+def test_checkpoint_load_is_bit_exact(lattice, arch, field, fmp_seed, tmp_path):
+    from latticenet.ingest import knot_dataset
+    net = Network(plan(parse(arch, lattice, 1), input_size=field), 3,
+                  np.random.default_rng(0), fmp_eval_seed=fmp_seed)
+    data = knot_dataset(net.input_shape().m, 8, np.random.default_rng(5), lattice=lattice)
+    # two epochs with momentum, so the saved network's velocities are nonzero
+    fit(net, data, [], TrainConfig(epochs=2, batch_size=4, lr=0.05, weight_decay=1e-3, seed=2))
+    p = tmp_path / "net.lnck"
+    net.save(p)
+    back = Network.load(p)
+    assert len(back.params()) == len(net.params())
+    for ours, theirs in zip(back.params(), net.params()):
+        assert ours.values.dtype == np.float32
+        assert np.array_equal(ours.values, theirs.values)
+        # a loaded network starts with no gradient and no momentum
+        assert np.array_equal(ours.grad, np.zeros_like(theirs.values))
+        assert np.array_equal(ours.velocity, np.zeros_like(theirs.values))
+    assert [b.layer.seed for b in back.blocks if b.kind == "fmp"] == [fmp_seed] * arch.count("FMP")
+    grids = [s.grid for s in data]
+    assert np.array_equal(back.forward_batch(grids)[0], net.forward_batch(grids)[0])
+    again = tmp_path / "again.lnck"
+    back.save(again)
+    assert again.read_bytes() == p.read_bytes()
+
+
+def test_checkpoint_load_draws_no_weights(tmp_path, rng, monkeypatch):
+    from latticenet import ops
+
+    net = small_net(rng, dtype=np.float32)
+    p = tmp_path / "net.lnck"
+    net.save(p)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("Network.load drew initial weights")
+
+    monkeypatch.setattr(ops.ConvLayer, "init", classmethod(no_draws))
+    back = Network.load(p)
+    for ours, theirs in zip(back.params(), net.params()):
+        assert np.array_equal(ours.values, theirs.values)
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     p = tmp_path / "junk.lnck"
     p.write_bytes(b"NOPE" + b"\0" * 64)

@@ -1,9 +1,12 @@
 """The whole-array rasterizer, voxelizer and FMP active-site step against
-the per-segment, per-face and per-site loops they replace (oracles.py).
+the per-segment, per-face and per-site loops they replace (oracles.py),
+and training with the running-max pool argmax and the in-place SGD step
+against training with the masked-store argmax and the copying step.
 
 Equality is exact: the same active keys for every seed, and for meshes the
 same per-face subdivision counts, so that a different edge-length formula
-cannot hide behind voxel rounding.
+cannot hide behind voxel rounding; the same epoch rows, checkpoint bytes
+and evaluation outputs, byte for byte.
 """
 
 import re
@@ -11,6 +14,7 @@ import re
 import numpy as np
 import pytest
 
+from latticenet import ops, train
 from latticenet.geometry import GridShape, LatticeKind
 from latticenet.grid import DenseGrid, SparseGrid
 from latticenet.ingest import (
@@ -22,10 +26,19 @@ from latticenet.ingest import (
     rasterize_polyline,
     voxelize_mesh,
 )
+from latticenet.netspec import parse, plan
+from latticenet.network import Network
 from latticenet.ops import FMP_RATIO, FMPLayer, fmp_forward, fmp_regions
+from latticenet.train import AffineParams, TrainConfig, augment_grid, evaluate, fit
 
 from conftest import cube_surface_mesh, sphere_mesh
-from oracles import loop_fmp_active_keys, loop_rasterize_polyline, loop_voxelize_mesh
+from oracles import (
+    copying_sgd_step,
+    loop_fmp_active_keys,
+    loop_rasterize_polyline,
+    loop_voxelize_mesh,
+    putmask_max_pool,
+)
 
 SEEDS = range(100)
 
@@ -107,3 +120,31 @@ def test_rasterize_first_out_of_grid_voxel_matches_loop(lattice, pts, voxel):
     with pytest.raises(ValueError, match="outside") as old:
         loop_rasterize_polyline(pts, 10, shape)
     assert culprit(new) == culprit(old) == voxel
+
+
+def fit_save_load_evaluate(arch, tmp_path):
+    """Epoch rows, checkpoint bytes and augmented-eval outputs of one run on
+    a size-6 cubic field: two epochs with momentum and weight decay, a
+    checkpoint, and a two-repeat evaluation of the loaded network."""
+    from latticenet.ingest import knot_dataset
+
+    spec = plan(parse(arch, LatticeKind.CUBIC, 1), input_size=6)
+    net = Network(spec, 3, np.random.default_rng(0), fmp_eval_seed=7)
+    data = knot_dataset(6, 4, np.random.default_rng(5), lattice=LatticeKind.CUBIC)
+    cfg = TrainConfig(epochs=2, batch_size=4, lr=0.05, momentum=0.9, weight_decay=1e-3, seed=1)
+    rows = [log.row() for log in fit(net, data, data[::2], cfg)]
+    path = tmp_path / "net.lnck"
+    net.save(path)
+    jitter = AffineParams(rotate_deg=15.0, translate=0.5)
+    report = evaluate(Network.load(path), data, repeats=2,
+                      augment=lambda g, r: augment_grid(g, jitter, r),
+                      rng=np.random.default_rng(2))
+    return rows, path.read_bytes(), report.outputs.tobytes()
+
+
+@pytest.mark.parametrize("arch", ["4C2-MP3/2-6C2-output", "6C2-FMP-8C2-FMP-output"])
+def test_training_matches_masked_argmax_and_copying_sgd(arch, tmp_path, monkeypatch):
+    ours = fit_save_load_evaluate(arch, tmp_path)
+    monkeypatch.setattr(ops, "_max_pool", putmask_max_pool)
+    monkeypatch.setattr(train, "sgd_step", copying_sgd_step)
+    assert ours == fit_save_load_evaluate(arch, tmp_path)
