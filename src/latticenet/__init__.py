@@ -20,7 +20,7 @@ from .geometry import (
     out_size,
     site_count,
 )
-from .grid import DenseGrid, GridBatch, LabeledSample, SparseGrid, active_count
+from .grid import DenseGrid, GridBatch, LabeledSample, SparseGrid
 from .netspec import (
     ConvSpec,
     FMPSpec,
@@ -32,7 +32,6 @@ from .netspec import (
     parse,
     plan,
     render,
-    required_input_size,
 )
 from .network import Network
 from .ops import (
@@ -40,7 +39,7 @@ from .ops import (
     ConvLayer,
     FilterGeometry,
     FMPLayer,
-    GatherPlan,
+    Plan,
     PoolLayer,
     build_gather,
     classifier_forward,

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import ConvLayer, GatherPlan, PoolPlan
+from .ops import ConvLayer, Plan
 
 
 @dataclass
@@ -47,15 +47,17 @@ class ParamState:
     velocity: np.ndarray = None
 
     def __post_init__(self):
+        # np.zeros, unlike zeros_like, leaves the pages unwritten until a
+        # step touches them, which an evaluation-only network never does
         if self.grad is None:
-            self.grad = np.zeros_like(self.values)
+            self.grad = np.zeros(self.values.shape, self.values.dtype)
         if self.velocity is None:
-            self.velocity = np.zeros_like(self.values)
+            self.velocity = np.zeros(self.values.shape, self.values.dtype)
         assert self.grad.shape == self.values.shape
         assert self.velocity.shape == self.values.shape
 
 
-def conv_backward(d_out: np.ndarray, plan: GatherPlan, layer: ConvLayer, *,
+def conv_backward(d_out: np.ndarray, plan: Plan, layer: ConvLayer, *,
                   input_grad: bool = True):
     """Returns (dW, dB, d_in_rows) for one convolution; ``d_in_rows`` is
     None unless ``input_grad``."""
@@ -79,7 +81,7 @@ def conv_backward(d_out: np.ndarray, plan: GatherPlan, layer: ConvLayer, *,
     return dW, dB, d_in
 
 
-def pool_backward(d_out: np.ndarray, plan: PoolPlan):
+def pool_backward(d_out: np.ndarray, plan: Plan):
     """Route each output gradient component to the input row its argmax
     position reads; components the ground won take no gradient."""
     if d_out.shape != plan.argmax.shape:

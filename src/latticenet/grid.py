@@ -327,11 +327,6 @@ class GridBatch:
         return np.repeat(np.arange(self.B), np.diff(self.start))
 
 
-def active_count(grid: SparseGrid) -> int:
-    """Number of active sites (the row count of the feature matrix)."""
-    return grid.a
-
-
 @dataclass
 class LabeledSample:
     """A sparse grid paired with its class label."""

@@ -213,11 +213,6 @@ def _window(layer: LayerSpec) -> tuple[int, int]:
     return layer.f if isinstance(layer, ConvSpec) else layer.p, layer.s
 
 
-def required_input_size(spec: NetworkSpec) -> tuple[int, ...]:
-    """Per-layer entering sizes from the backward recurrence (final size 1)."""
-    return plan(spec).planned_sizes
-
-
 # ---------------------------------------------------------------------------
 # cost model
 

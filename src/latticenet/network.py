@@ -50,8 +50,8 @@ from .ops import (
     ConvLayer,
     FilterGeometry,
     FMPLayer,
+    Plan,
     PoolLayer,
-    SamplePlans,
     conv_forward_batch,
     conv_rulebook,
     fmp_forward_batch,
@@ -156,7 +156,7 @@ class Network:
         and samples seen for the second time have their chains stored."""
         depth, context = self._chain_context(batch.shape.m, train_rng is not None)
         cached, admit = self.rule_cache.lookup(batch, context) if depth else (iter(()), {})
-        start, rules = batch.start, []
+        plans = []
         for block in self.blocks:
             layer, macs = block.layer, 0
             if block.kind == "relu":
@@ -170,8 +170,6 @@ class Network:
                 if rule is None:
                     rule = (fmp_rulebook(batch, regions) if block.kind == "fmp"
                             else conv_rulebook(batch, layer.geometry))
-                if admit and len(rules) < depth:
-                    rules.append(rule)
                 if block.kind in ("conv", "classifier"):
                     out, plan = conv_forward_batch(batch, layer, rule)
                     macs = plan.Q.shape[0] * plan.Q.shape[1] * layer.n_out
@@ -183,11 +181,13 @@ class Network:
                     out, plan = fmp_forward_batch(batch, layer, regions, keep_plan=keep_tape,
                                                   rule=rule)
                     head = ("pool",)
-                entry = (*head, SamplePlans(plan, batch.start, out.start))
+                if admit and len(plans) < depth:
+                    plans.append(Plan(rule[0], rule[2], batch.start, out.start))
+                entry = (*head, plan)
             yield out, entry if keep_tape else None, macs
             batch = out
         if admit:
-            self.rule_cache.admit(admit, start, rules)
+            self.rule_cache.admit(admit, plans)
 
     def forward_batch(self, grids: list[SparseGrid], *, train_rng: np.random.Generator | None = None,
                       keep_tape: bool = False):
@@ -195,10 +195,11 @@ class Network:
 
         Returns ``(logits, tape, macs)`` where ``macs`` is the total
         multiply-accumulate count actually performed on active sites.  Tape
-        entries are ``(kind, layer, plans)`` for conv and classifier layers,
-        ``("pool", plans)`` for pools and FMP and ``("relu", mask)``, where
-        ``plans`` is a :class:`~latticenet.ops.SamplePlans` and ``mask``
-        covers the batch's rows.
+        entries are ``(kind, layer, plan)`` for conv and classifier layers,
+        ``("pool", plan)`` for pools and FMP and ``("relu", mask)``, where
+        ``plan`` is the layer's :class:`~latticenet.ops.Plan` over the
+        batch's rows (``plan[b]`` is sample ``b``'s) and ``mask`` covers the
+        batch's rows.
         """
         batch = GridBatch.of(list(grids))
         tape, macs = [], 0
@@ -231,10 +232,10 @@ class Network:
             if kind == "relu":
                 d = relu_backward(d, entry[1])
             elif kind == "pool":
-                d = pool_backward(d, entry[1].plan) if wanted else None
+                d = pool_backward(d, entry[1]) if wanted else None
             else:
-                _, layer, plans = entry
-                dW, dB, d = conv_backward(d, plans.plan, layer, input_grad=wanted)
+                _, layer, plan = entry
+                dW, dB, d = conv_backward(d, plan, layer, input_grad=wanted)
                 for p, g in zip(self.blocks[i].params, (dW, dB)):
                     p.grad += g.astype(p.values.dtype, copy=False)
         return np.split(d, tape[0][-1].in_start[1:-1]) if input_grad else None
@@ -300,7 +301,7 @@ class Network:
             raise FormatError(f"{path}: {n_input} input features and {classes} classes")
         arch = r.take(alen)
         try:
-            arch = arch.decode()
+            arch = str(arch, "utf-8")
             spec = plan(parse(arch, lattice, n_input), input_size=field)
             GridShape(lattice, field)  # an FMP plan takes any field; a grid has a maximum
         except ValueError as e:  # also bad utf-8 and every parse or plan error
@@ -344,17 +345,18 @@ def _zero_conv(geometry: FilterGeometry, n_in: int, n_out: int) -> ConvLayer:
 
 
 class _Reader:
-    """Bounds-checked little-endian reads from a checkpoint's bytes."""
+    """Bounds-checked little-endian reads from a checkpoint's bytes, through
+    a memoryview so that taking a slice copies nothing."""
 
     def __init__(self, data: bytes, path):
-        self.data = data
+        self.data = memoryview(data)
         self.path = path
         self.off = 0
 
     def remaining(self) -> int:
         return len(self.data) - self.off
 
-    def take(self, size: int) -> bytes:
+    def take(self, size: int) -> memoryview:
         if size > self.remaining():
             raise FormatError(f"{self.path}: checkpoint truncated at byte {len(self.data)}, "
                               f"{size} more bytes expected at byte {self.off}")

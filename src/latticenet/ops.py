@@ -39,11 +39,14 @@ per-sample cache (see :mod:`latticenet.rulecache`) when every sample of
 the batch has been seen before; the op then skips the rulebook, and since
 the assembled rule equals the rulebook's bit for bit, so do the outputs
 and plans.
+
+Each rulebook layer keeps what its backward pass needs in one
+:class:`Plan` over the batch's rows; ``plan[b]`` is sample ``b``'s own, as
+a batch of that sample alone gives it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,88 +153,62 @@ class FMPLayer:
 
 
 @dataclass
-class GatherPlan:
-    """Everything steps 1-2 produce, kept for the backward pass.
+class Plan:
+    """What one rulebook layer keeps for the backward pass, for a batch.
 
-    ``src[i, k]`` is the input row feeding output row ``i`` at offset
-    ``k``, or -1 when that position is inactive (ground-filled).  A plan
-    covers one grid or, with batch row numbers, a whole :class:`GridBatch`.
+    ``src[i, k]`` is the input row under footprint position ``k`` of output
+    row ``i`` (site ``out_keys[i]``), or -1 where the ground fills that
+    position.  ``in_start`` and ``out_start`` are the row offsets of the
+    samples in the layer's input and output batches.  A convolution keeps
+    the gather matrix ``Q``; a max pool kept for training keeps ``argmax``,
+    where ``argmax[i, c]`` is the position whose value output component
+    ``(i, c)`` took: the lowest of equal maxima, and for a NaN component
+    the position of its first NaN, as ``ndarray.argmax`` picks, stored in
+    the smallest unsigned dtype that holds ``F - 1``.
+
+    Item ``b`` is sample ``b``'s plan in its own row numbers, built on
+    access.
     """
 
-    in_shape: GridShape
-    out_shape: GridShape
     out_keys: np.ndarray
-    src: np.ndarray
-    Q: np.ndarray
-    a_in: int
+    src: np.ndarray  # (a_out, F) input rows, -1 = ground
+    in_start: np.ndarray
+    out_start: np.ndarray
+    Q: np.ndarray | None = None  # (a_out, F * n_in)
+    argmax: np.ndarray | None = None  # (a_out, n) footprint positions
+
+    @property
+    def a_in(self) -> int:
+        return int(self.in_start[-1])
 
     @property
     def a_out(self) -> int:
         return self.out_keys.shape[0]
-
-    def sample(self, rows: slice, row0: int, a_in: int) -> "GatherPlan":
-        """One sample's plan out of a batch plan, in the sample's own row numbers."""
-        return GatherPlan(self.in_shape, self.out_shape, self.out_keys[rows],
-                          _local(self.src[rows], row0), self.Q[rows], a_in)
-
-
-@dataclass
-class PoolPlan:
-    """What a max pool keeps for the backward pass.
-
-    ``src`` is the rulebook's gather index, as in :class:`GatherPlan`:
-    ``src[i, k]`` is the input row under footprint position ``k`` of
-    output row ``i``, or -1 where the ground fills that position.
-    ``argmax[i, c]`` is the position whose value output component
-    ``(i, c)`` took: the lowest of equal maxima, and for a NaN component
-    the position of its first NaN, as ``ndarray.argmax`` picks.  It is
-    stored in the smallest unsigned dtype that holds ``F - 1``.
-    """
-
-    out_shape: GridShape
-    out_keys: np.ndarray
-    src: np.ndarray  # (a_out, F) input rows, -1 = ground
-    argmax: np.ndarray  # (a_out, n) footprint positions
-    a_in: int
 
     @property
     def argmax_src(self) -> np.ndarray:
         """(a_out, n): the input row each component took, -1 where the ground won."""
         return np.take_along_axis(self.src, self.argmax, axis=1)
 
-    def sample(self, rows: slice, row0: int, a_in: int) -> "PoolPlan":
-        return PoolPlan(self.out_shape, self.out_keys[rows], _local(self.src[rows], row0),
-                        self.argmax[rows], a_in)
-
-
-def _local(src: np.ndarray, row0: int) -> np.ndarray:
-    return np.where(src >= 0, src - row0, -1)
-
-
-class SamplePlans(Sequence):
-    """Per-sample views of one layer's batch plan.
-
-    ``plan`` is a :class:`GatherPlan` or :class:`PoolPlan` over the batch's
-    rows; item ``b`` is sample ``b``'s own plan, built on access.
-    ``in_start`` and ``out_start`` are the row offsets of the samples in
-    the layer's input and output batches.
-    """
-
-    def __init__(self, plan, in_start: np.ndarray, out_start: np.ndarray):
-        self.plan = plan
-        self.in_start = in_start
-        self.out_start = out_start
-
     def __len__(self) -> int:
         return self.in_start.shape[0] - 1
 
-    def __getitem__(self, b: int):
+    def __getitem__(self, b: int) -> "Plan":
         if not -len(self) <= b < len(self):
             raise IndexError(b)
         b %= len(self)
-        row0 = int(self.in_start[b])
-        return self.plan.sample(slice(self.out_start[b], self.out_start[b + 1]), row0,
-                                int(self.in_start[b + 1]) - row0)
+        in_start, out_start = self.in_start[b:b + 2], self.out_start[b:b + 2]
+        rows = slice(*out_start)
+        return Plan(self.out_keys[rows], shift_rows(self.src[rows], -in_start[0]),
+                    in_start - in_start[0], out_start - out_start[0],
+                    None if self.Q is None else self.Q[rows],
+                    None if self.argmax is None else self.argmax[rows])
+
+
+def shift_rows(src: np.ndarray, by) -> np.ndarray:
+    """The gather index ``src`` with every input row moved by ``by``; -1
+    (ground) stays -1."""
+    return np.where(src >= 0, src + by, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +305,11 @@ def conv_active_sites(grid: SparseGrid, geometry: FilterGeometry):
 
 
 def build_gather(grid: SparseGrid, out_keys: np.ndarray, geometry: FilterGeometry,
-                 out_shape: GridShape) -> GatherPlan:
-    """Step 2 for one grid and any sites of the output grid: the rulebook's
-    gather index rows for ``out_keys`` (all -1 for a site the rulebook
-    leaves inactive) and the gather matrix Q (a_out, F * n_in)."""
+                 out_shape: GridShape) -> Plan:
+    """Step 2 for one grid and any sites ``out_keys`` of its output grid
+    ``out_shape``: the rulebook's gather index rows for ``out_keys`` (all -1
+    for a site the rulebook leaves inactive) and the gather matrix Q
+    (a_out, F * n_in), as a one-sample :class:`Plan`."""
     batch = GridBatch.of([grid])
     keys, _, src = conv_rulebook(batch, geometry)
     a_out, a_rule = out_keys.shape[0], keys.shape[0]
@@ -339,9 +317,8 @@ def build_gather(grid: SparseGrid, out_keys: np.ndarray, geometry: FilterGeometr
     pos[np.append(keys, -1)[pos] != out_keys] = a_rule
     src = np.vstack([src, np.full((1, geometry.volume), -1, np.int64)])[pos]
     table, idx = _gather_index(batch, src, np.zeros(a_out, np.int64))
-    Q = table[idx]
-    return GatherPlan(grid.shape, out_shape, out_keys, src,
-                      Q.reshape(a_out, geometry.volume * grid.n), grid.a)
+    Q = table[idx].reshape(a_out, geometry.volume * grid.n)
+    return Plan(out_keys, src, batch.start, np.array([0, a_out]), Q)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +330,7 @@ def conv_forward_batch(batch: GridBatch, layer: ConvLayer, rule=None):
 
     ``rule`` is the batch's rule as :func:`conv_rulebook` gives it; when it
     is None, the rulebook runs here.  Returns the output batch and the
-    batch's :class:`GatherPlan`.
+    batch's :class:`Plan`, which keeps ``Q``.
     """
     if batch.n != layer.n_in:
         raise ValueError(f"layer expects {layer.n_in} input features, grid has {batch.n}")
@@ -370,7 +347,7 @@ def conv_forward_batch(batch: GridBatch, layer: ConvLayer, rule=None):
     rows += layer.B
     ground = np.tile(batch.grounds, geom.volume).astype(layer.W.dtype) @ layer.W + layer.B
     out = GridBatch(out_shape, out_keys, rows, ground, _row_starts(out_sample, batch.B))
-    return out, GatherPlan(batch.shape, out_shape, out_keys, src, Q, batch.a)
+    return out, Plan(out_keys, src, batch.start, out.start, Q)
 
 
 def conv_forward(grid: SparseGrid, layer: ConvLayer, *, keep_plan: bool = False):
@@ -381,7 +358,8 @@ def conv_forward(grid: SparseGrid, layer: ConvLayer, *, keep_plan: bool = False)
 
 def _max_pool(batch: GridBatch, out_keys, out_sample, out_shape, src, keep_plan: bool):
     """Shared tail of pooling ops: one running max over the footprint
-    positions, plus the :class:`PoolPlan` argmax when ``keep_plan``.
+    positions, plus the batch's :class:`Plan` with its argmax when
+    ``keep_plan`` (else None).
 
     Each step reads one position's input vectors for every output row and
     folds them in with ``np.maximum``, so the (a_out, F, n) gather is never
@@ -409,16 +387,15 @@ def _max_pool(batch: GridBatch, out_keys, out_sample, out_shape, src, keep_plan:
             np.multiply(better, position(k), out=moved)
             np.maximum(argmax, moved, out=argmax)
         np.maximum(rows, vals, out=rows)
-    plan = None
-    if keep_plan:
-        nan = np.isnan(rows)
-        if nan.any():
-            i, c = np.nonzero(nan)
-            argmax[i, c] = np.isnan(table[idx[i].T, c]).argmax(axis=0)
-        plan = PoolPlan(out_shape, out_keys, src, argmax, batch.a)
     out = GridBatch(out_shape, out_keys, rows, batch.grounds.copy(),
                     _row_starts(out_sample, batch.B))
-    return out, plan
+    if not keep_plan:
+        return out, None
+    nan = np.isnan(rows)
+    if nan.any():
+        i, c = np.nonzero(nan)
+        argmax[i, c] = np.isnan(table[idx[i].T, c]).argmax(axis=0)
+    return out, Plan(out_keys, src, batch.start, out.start, argmax=argmax)
 
 
 def pool_forward_batch(batch: GridBatch, layer: PoolLayer, *, keep_plan: bool = True,
@@ -426,7 +403,8 @@ def pool_forward_batch(batch: GridBatch, layer: PoolLayer, *, keep_plan: bool = 
     """Max pooling; active rule and gather index identical to convolution.
 
     ``rule`` is as in :func:`conv_forward_batch`.  Returns the output batch
-    and, when ``keep_plan``, the batch's :class:`PoolPlan` (else None).
+    and, when ``keep_plan``, the batch's :class:`Plan` with its argmax
+    (else None).
     """
     if batch.shape.lattice is not layer.lattice:
         raise ValueError(

@@ -32,6 +32,7 @@ from collections import OrderedDict
 import numpy as np
 
 from .grid import GridBatch
+from .ops import shift_rows
 
 CACHE_BYTES = 64 << 20
 """Bound on the bytes a network's cache holds, placeholders included."""
@@ -63,7 +64,7 @@ class RuleCache:
         Returns ``(rules, admit)``.  ``rules`` yields the batch's rule per
         chain layer when every sample hits, else nothing.  ``admit`` maps the
         digest of each key set seen for the second time to
-        ``(sample, data)``; pass it to :meth:`admit` with the batch's rules.
+        ``(sample, data)``; pass it to :meth:`admit` with the batch's plans.
         """
         chains, admit = [], {}
         start = batch.start.tolist()
@@ -86,19 +87,14 @@ class RuleCache:
             return _assemble(chains, batch.start), {}
         return iter(()), admit
 
-    def admit(self, admit: dict, start: np.ndarray, rules):
-        """Store the chains of the samples in ``admit``, cut out of the batch
-        ``rules`` whose first layer reads input rows ``start``."""
-        B = start.shape[0] - 1
+    def admit(self, admit: dict, plans):
+        """Store the chains of the samples in ``admit``, cut out of the
+        batch's :class:`~latticenet.ops.Plan` per chain layer, ``plans``."""
         chains = [[] for _ in admit]
-        for out_keys, out_sample, src in rules:
-            out_start = np.searchsorted(out_sample, np.arange(B + 1))
+        for plan in plans:
             for chain, (b, _) in zip(chains, admit.values()):
-                rows = slice(out_start[b], out_start[b + 1])
-                s = src[rows]
-                chain.append((out_keys[rows].copy(),
-                              np.where(s >= 0, s - start[b], -1).astype(np.int32)))
-            start = out_start
+                own = plan[b]
+                chain.append((own.out_keys.copy(), own.src.astype(np.int32)))
         for (digest, (_, data)), chain in zip(admit.items(), chains):
             size = len(data) + _ENTRY_BYTES + sum(k.nbytes + s.nbytes for k, s in chain)
             if size > CACHE_BYTES:  # it would evict every other entry, then itself
@@ -127,7 +123,6 @@ def _assemble(chains, start: np.ndarray):
         out_keys = np.concatenate([k for k, _ in layer])
         out_sample = np.repeat(np.arange(B), counts)
         src = np.concatenate([s for _, s in layer], dtype=np.int64)
-        src = np.where(src >= 0, src + start[out_sample, None], -1)
-        yield out_keys, out_sample, src
+        yield out_keys, out_sample, shift_rows(src, start[out_sample, None])
         start = np.zeros(B + 1, np.int64)
         np.cumsum(counts, out=start[1:])

@@ -24,7 +24,7 @@ from latticenet.geometry import (
     unpack_sites,
 )
 from latticenet.grid import DenseGrid, GridBatch
-from latticenet.ops import PoolPlan, _gather_index, _row_starts
+from latticenet.ops import Plan, _gather_index, _row_starts
 
 
 @lru_cache(maxsize=None)
@@ -332,7 +332,7 @@ def addat_pool_backward(d_out: np.ndarray, plan):
 
 def putmask_max_pool(batch: GridBatch, out_keys, out_sample, out_shape, src, keep_plan: bool):
     """Shared tail of pooling ops: one running max over the footprint
-    positions, plus the :class:`PoolPlan` argmax when ``keep_plan``.
+    positions, plus the :class:`Plan` argmax when ``keep_plan``.
 
     Each step reads one position's input vectors for every output row and
     folds them in with ``np.maximum``, so the (a_out, F, n) gather is never
@@ -359,9 +359,10 @@ def putmask_max_pool(batch: GridBatch, out_keys, out_sample, out_shape, src, kee
         if nan.any():
             i, c = np.nonzero(nan)
             argmax[i, c] = np.isnan(table[idx[i].T, c]).argmax(axis=0)
-        plan = PoolPlan(out_shape, out_keys, src, argmax, batch.a)
     out = GridBatch(out_shape, out_keys, rows, batch.grounds.copy(),
                     _row_starts(out_sample, batch.B))
+    if keep_plan:
+        plan = Plan(out_keys, src, batch.start, out.start, argmax=argmax)
     return out, plan
 
 

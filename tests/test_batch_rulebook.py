@@ -24,7 +24,6 @@ from latticenet.ops import (
     FilterGeometry,
     FMPLayer,
     PoolLayer,
-    SamplePlans,
     build_gather,
     conv_active_sites,
     conv_forward_batch,
@@ -66,8 +65,7 @@ def check_conv(grids, f, s, rng):
     lattice = grids[0].shape.lattice
     geom = FilterGeometry(lattice, f, s)
     batch = GridBatch.of(grids)
-    out, gplan = conv_forward_batch(batch, ConvLayer.init(geom, batch.n, 3, rng, np.float64))
-    plans = SamplePlans(gplan, batch.start, out.start)
+    out, plans = conv_forward_batch(batch, ConvLayer.init(geom, batch.n, 3, rng, np.float64))
     assert len(plans) == len(grids)
     for b, grid in enumerate(grids):
         keys = loop_conv_active_sites(grid, f, s)
@@ -88,8 +86,7 @@ def check_conv(grids, f, s, rng):
 def check_pool(grids, p, s):
     lattice = grids[0].shape.lattice
     batch = GridBatch.of(grids)
-    out, pplan = pool_forward_batch(batch, PoolLayer(lattice, p, s))
-    plans = SamplePlans(pplan, batch.start, out.start)
+    out, plans = pool_forward_batch(batch, PoolLayer(lattice, p, s))
     for b, grid in enumerate(grids):
         keys = loop_conv_active_sites(grid, p, s)
         src, _ = loop_gather(grid, keys, p, s)
@@ -162,8 +159,7 @@ def test_fmp_matches_per_grid(ties, m, ratio, seed, rng):
         grids = tied(grids)
     regions = fmp_regions(m, ratio, seed)
     batch = GridBatch.of(grids)
-    out, pplan = fmp_forward_batch(batch, FMPLayer(LatticeKind.CUBIC), regions)
-    plans = SamplePlans(pplan, batch.start, out.start)
+    out, plans = fmp_forward_batch(batch, FMPLayer(LatticeKind.CUBIC), regions)
     for b, grid in enumerate(grids):
         keys = loop_fmp_active_keys(grid, regions)
         rows, argmax_src = loop_max(grid, loop_fmp_gather(grid, keys, regions))
@@ -237,12 +233,20 @@ def test_network_tape_matches_single_sample_tapes(rng):
 def test_sample_plans_indexing(rng):
     grids = batch_of(LatticeKind.SQUARE, 6, 1, (0.5, 0.0, 0.5), rng)
     batch = GridBatch.of(grids)
-    out, pplan = pool_forward_batch(batch, PoolLayer(LatticeKind.SQUARE, 2, 2))
-    plans = SamplePlans(pplan, batch.start, out.start)
-    assert [p.a_in for p in plans] == [g.a for g in grids]
-    assert np.array_equal(plans[-1].out_keys, plans[2].out_keys)
-    with pytest.raises(IndexError):
-        plans[3]
+    layer = ConvLayer.init(FilterGeometry(LatticeKind.SQUARE, 2, 2), 1, 3, rng, np.float64)
+    _, pplan = pool_forward_batch(batch, PoolLayer(LatticeKind.SQUARE, 2, 2))
+    _, gplan = conv_forward_batch(batch, layer)
+    for plans in (pplan, gplan):
+        assert [p.a_in for p in plans] == [g.a for g in grids]
+        assert np.array_equal(plans[-1].out_keys, plans[2].out_keys)
+        assert np.array_equal(plans[-3].src, plans[0].src)
+        with pytest.raises(IndexError):
+            plans[3]
+        with pytest.raises(IndexError):
+            plans[-4]
+    for b in range(len(grids)):
+        rows = slice(gplan.out_start[b], gplan.out_start[b + 1])
+        assert np.array_equal(gplan[b].Q, gplan.Q[rows]), b
 
 
 def test_batch_rejects_mixed_shapes(rng):
@@ -381,12 +385,11 @@ def test_pool_nan_matches_loop_max(p, s, rng):
         ground = np.array([np.nan, 0.0, 1.0]) if i == 1 else g.ground
         nan_grids.append(SparseGrid(g.shape, g.keys, rows, ground))
     batch = GridBatch.of(nan_grids)
-    out, pplan = pool_forward_batch(batch, PoolLayer(LatticeKind.CUBIC, p, s))
+    out, plans = pool_forward_batch(batch, PoolLayer(LatticeKind.CUBIC, p, s))
     assert np.isnan(out.rows).any()
-    plans = SamplePlans(pplan, batch.start, out.start)
     for b, grid in enumerate(nan_grids):
         keys = loop_conv_active_sites(grid, p, s)
         rows, argmax_src = loop_max(grid, loop_gather(grid, keys, p, s)[0])
         assert np.array_equal(out.grid(b).rows, rows, equal_nan=True), b
         assert np.array_equal(plans[b].argmax_src, argmax_src), b
-    check_pool_backward(out, pplan, rng)
+    check_pool_backward(out, plans, rng)

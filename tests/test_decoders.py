@@ -146,6 +146,13 @@ def test_checkpoint_arch_length_past_end(tmp_path):
         load_bytes(tmp_path, bytes(blob))
 
 
+def test_checkpoint_arch_not_utf8(tmp_path):
+    blob = bytearray(checkpoint_blob(tmp_path, "2C2-output", LatticeKind.SQUARE))
+    blob[28] = 0xFF  # the architecture's first byte; 0xff never occurs in UTF-8
+    with pytest.raises(FormatError, match="bad architecture"):
+        load_bytes(tmp_path, bytes(blob))
+
+
 def test_checkpoint_unknown_lattice_code(tmp_path):
     blob = bytearray(checkpoint_blob(tmp_path, "2C2-output", LatticeKind.SQUARE))
     blob[8:12] = struct.pack("<I", 9)

@@ -16,7 +16,6 @@ from latticenet.netspec import (
     parse,
     plan,
     render,
-    required_input_size,
 )
 
 SQ = LatticeKind.SQUARE
@@ -179,7 +178,7 @@ def test_plan_rejects_wrong_input_size():
 
 
 def test_required_input_size():
-    assert required_input_size(parse("32C2-MP3/2-output", TET, 1)) == (4, 3, 1)
+    assert plan(parse("32C2-MP3/2-output", TET, 1)).planned_sizes == (4, 3, 1)
 
 
 # ---------------------------------------------------------------------------

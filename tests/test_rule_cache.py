@@ -53,8 +53,8 @@ def tape_arrays(tape):
         if entry[0] == "relu":
             out.append(entry[1])
             continue
-        plan = entry[-1].plan
-        out += [plan.out_keys, plan.src, entry[-1].in_start, entry[-1].out_start]
+        plan = entry[-1]
+        out += [plan.out_keys, plan.src, plan.in_start, plan.out_start]
         out.append(plan.argmax if entry[0] == "pool" else plan.Q)
     return out
 
@@ -117,7 +117,7 @@ def test_empty_input_chain_is_assembled(rng):
     warm(net, [empty, empty])
     logits, tape, _ = net.forward_batch([empty], keep_tape=True)
     assert net.rule_cache.hits == 3  # the second warm-up pass hits its own admission
-    assert all(e[-1].plan.out_keys.size == 0 for e in tape if e[0] != "relu")
+    assert all(e[-1].out_keys.size == 0 for e in tape if e[0] != "relu")
     assert np.array_equal(logits, make_net(CUBIC).forward_batch([empty])[0])
 
 
