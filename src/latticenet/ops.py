@@ -5,11 +5,12 @@ A convolution over a mini-batch of sparse grids runs in three steps:
 1. the *rulebook*: an active input site ``c`` lies under footprint offset
    ``o`` of output site ``u`` exactly when ``c = u * s + o``, so every
    (active site, offset) pair with ``u`` inside the output grid is one
-   candidate.  Candidates are tagged with their sample and grouped with
-   ``np.unique``: the groups are the active output sites (an output site
-   is active when any input site under its footprint is active), grouped
-   by sample with keys ascending in each, and the grouping fills the
-   gather index ``src`` at the same time;
+   candidate.  One sort ranks the candidates' keys; each candidate is
+   tagged with its sample and key rank, and a seen table over the tags
+   gives the active output sites (an output site is active when any
+   input site under its footprint is active), grouped by sample with keys
+   ascending in each.  A running count over the seen table numbers the
+   output rows, which fills the gather index ``src`` at the same time;
 2. gather, for every active output site, the footprint's input vectors
    into one row of a matrix ``Q``, substituting the sample's ground
    vector at inactive positions;
@@ -30,7 +31,9 @@ dimension by a factor strictly between 1 and 2.  One rulebook serves
 every layer: along each dimension output coordinate ``u`` has a window
 start, ``u * s`` for a convolution or pool and the region start for FMP,
 and input site ``c`` lies under offset ``o`` exactly when ``c - o`` is a
-start, which one ``searchsorted`` per dimension finds.
+start.  A start table, indexed by coordinate, holds ``u`` at each start
+and -1 elsewhere, so one lookup per dimension both tests ``c - o`` and
+finds ``u``; the dimensions of a convolution share one table.
 
 The batch forward ops take an optional ``rule``: the ``(out_keys,
 out_sample, src)`` triple the rulebook would give for the batch.  A
@@ -220,28 +223,39 @@ def _window_rulebook(batch: GridBatch, offsets, starts, bound):
     out_sample, src).
 
     Along dimension ``j`` the window of output coordinate ``u`` starts at
-    ``starts[j][u]`` (ascending), so input site ``c`` lies under footprint
-    offset ``o`` of output ``u`` exactly when every ``c_j - o_j`` is a
-    start, ``u_j`` being its index.  On simplex lattices ``bound`` is the
-    largest coordinate sum of a valid output's window start, else None.
+    ``starts[j][u]`` (strictly ascending), so input site ``c`` lies under
+    footprint offset ``o`` of output ``u`` exactly when every ``c_j - o_j``
+    is a start, ``u_j`` being its index.  On simplex lattices ``bound`` is
+    the largest coordinate sum of a valid output's window start, else None.
     Every (active input row, offset) pair that meets these tests is one
-    candidate.  Output rows are ordered by sample and then by key:
-    candidates are grouped by the tag ``sample * U + rank``, with ``rank``
-    the key's rank among the U distinct candidate keys, so the tag fits in
-    int64 whatever the coordinate range.
+    candidate.
+
+    The test is a table lookup: the start table holds ``u`` at start
+    ``starts[j][u]`` and -1 elsewhere, shifted by the largest offset value
+    so that ``c_j - o_j`` indexes it without going negative; values past
+    the last start clip to a -1 after it.  Dimensions with the same starts
+    (every dimension of a convolution) share one table.  Output rows are
+    ordered by sample and then by key: one sort ranks each candidate's key
+    among the U distinct candidate keys, the tag ``sample * U + rank``
+    marks its output row in a seen table of ``B * U`` flags, and a running
+    count over the flags numbers the rows.  The tag fits in int64 whatever
+    the coordinate range, and the count takes the smallest signed dtype
+    that holds ``B * U``.
     """
     sites = batch.sites()
     d = sites.shape[1]
-    span = np.arange(max(max(off) for off in offsets) + 1)
+    reach = max(max(off) for off in offsets)
+    back = reach - np.arange(reach + 1)[:, None]  # c - o sits at table index c + back[o]
     # per dimension j and offset value o: the packed part of u_j, and whether
-    # c_j - o is a window start (a value past the last start finds the -1
-    # sentinel, which it cannot equal)
+    # c_j - o is a window start
     part, fits = [], []
     for j in range(d):
-        q = sites[:, j] - span[:, None]  # (len(span), a)
-        u = np.searchsorted(starts[j], q)
-        fits.append(np.append(starts[j], -1)[u] == q)
-        part.append(u << (COORD_BITS * (d - 1 - j)))
+        if j == 0 or starts[j] is not starts[j - 1]:
+            table = np.full(int(starts[j][-1]) + reach + 2, -1, np.int32)
+            table[starts[j] + reach] = np.arange(starts[j].shape[0], dtype=np.int32)
+        u = table.take(sites[:, j] + back, mode="clip")  # (reach + 1, a)
+        fits.append(u >= 0)
+        part.append(u.astype(np.int64) << (COORD_BITS * (d - 1 - j)))
     if bound is not None:
         site_sum = sites.sum(axis=1)
     keys, rows = [], []
@@ -257,10 +271,14 @@ def _window_rulebook(batch: GridBatch, offsets, starts, bound):
     k = np.repeat(np.arange(len(offsets)), [r.shape[0] for r in rows])
     rows = np.concatenate(rows)
     union, rank = np.unique(np.concatenate(keys), return_inverse=True)
-    U = max(union.shape[0], 1)  # no candidates means no tags to split
-    tags, out_row = np.unique(batch.sample_ids()[rows] * U + rank, return_inverse=True)
+    U = max(union.shape[0], 1)  # no candidates means no tags to mark
+    tag = batch.sample_ids()[rows] * U + rank
+    seen = np.zeros(batch.B * U, bool)
+    seen[tag] = True
+    tags = np.flatnonzero(seen)
+    count = np.cumsum(seen, dtype=np.min_scalar_type(-1 - batch.B * U))
     src = np.full((tags.shape[0], len(offsets)), -1, dtype=np.int64)
-    src[out_row, k] = rows
+    src[count[tag] - 1, k] = rows
     return union[tags % U], tags // U, src
 
 

@@ -8,6 +8,8 @@ one-grid-at-a-time rulebook.  The ``addat`` ones at the end are the
 original ``np.add.at`` scatters of the conv and pool backward passes.
 The last two are the original max-pool argmax, one masked store per
 footprint position, and the original SGD step with its temporaries.
+The very last is the original window rulebook, one ``searchsorted`` per
+dimension and a second ``np.unique`` for the per-sample grouping.
 Slow and obviously correct.
 """
 
@@ -16,6 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from latticenet.geometry import (
+    COORD_BITS,
     GridShape,
     LatticeKind,
     filter_offsets,
@@ -375,3 +378,61 @@ def copying_sgd_step(params, lr: float, momentum: float = 0.0,
         p.velocity -= lr * g
         p.values += p.velocity
         p.grad[...] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# the searchsorted window rulebook
+#
+# The original body of ``ops._window_rulebook``, kept verbatim: one
+# ``searchsorted`` per dimension finds each window start, and a second
+# ``np.unique`` over the tag ``sample * U + rank`` groups the candidates
+# into output rows.
+
+
+def searchsorted_window_rulebook(batch: GridBatch, offsets, starts, bound):
+    """Active output rows of a windowed layer over a batch: (out_keys,
+    out_sample, src).
+
+    Along dimension ``j`` the window of output coordinate ``u`` starts at
+    ``starts[j][u]`` (ascending), so input site ``c`` lies under footprint
+    offset ``o`` of output ``u`` exactly when every ``c_j - o_j`` is a
+    start, ``u_j`` being its index.  On simplex lattices ``bound`` is the
+    largest coordinate sum of a valid output's window start, else None.
+    Every (active input row, offset) pair that meets these tests is one
+    candidate.  Output rows are ordered by sample and then by key:
+    candidates are grouped by the tag ``sample * U + rank``, with ``rank``
+    the key's rank among the U distinct candidate keys, so the tag fits in
+    int64 whatever the coordinate range.
+    """
+    sites = batch.sites()
+    d = sites.shape[1]
+    span = np.arange(max(max(off) for off in offsets) + 1)
+    # per dimension j and offset value o: the packed part of u_j, and whether
+    # c_j - o is a window start (a value past the last start finds the -1
+    # sentinel, which it cannot equal)
+    part, fits = [], []
+    for j in range(d):
+        q = sites[:, j] - span[:, None]  # (len(span), a)
+        u = np.searchsorted(starts[j], q)
+        fits.append(np.append(starts[j], -1)[u] == q)
+        part.append(u << (COORD_BITS * (d - 1 - j)))
+    if bound is not None:
+        site_sum = sites.sum(axis=1)
+    keys, rows = [], []
+    for off in offsets:
+        ok = fits[0][off[0]]
+        for j in range(1, d):
+            ok = ok & fits[j][off[j]]
+        if bound is not None:
+            ok &= site_sum <= bound + sum(off)
+        r = np.flatnonzero(ok)
+        keys.append(sum(part[j][off[j]][r] for j in range(d)))
+        rows.append(r)
+    k = np.repeat(np.arange(len(offsets)), [r.shape[0] for r in rows])
+    rows = np.concatenate(rows)
+    union, rank = np.unique(np.concatenate(keys), return_inverse=True)
+    U = max(union.shape[0], 1)  # no candidates means no tags to split
+    tags, out_row = np.unique(batch.sample_ids()[rows] * U + rank, return_inverse=True)
+    src = np.full((tags.shape[0], len(offsets)), -1, dtype=np.int64)
+    src[out_row, k] = rows
+    return union[tags % U], tags // U, src

@@ -7,12 +7,15 @@ empty and non-empty grids, and one test places sparse sites at the far
 corner of the largest field ``GridShape`` accepts, where packed keys come
 within a few bits of the int64 range.  The backward scatters must equal
 the ``np.add.at`` scatters they replaced bit for bit, which holds only if
-they add each input row's terms in the same order.
+they add each input row's terms in the same order.  The table rulebook
+must give the rule of the searchsorted rulebook it replaced bit for bit,
+dtypes included.
 """
 
 import numpy as np
 import pytest
 
+from latticenet import ops
 from latticenet.autograd import conv_backward, pool_backward
 from latticenet.geometry import MAX_COORD, GridShape, LatticeKind, pack_sites, sites_array
 from latticenet.grid import GridBatch, SparseGrid
@@ -30,6 +33,7 @@ from latticenet.ops import (
     conv_rulebook,
     fmp_forward_batch,
     fmp_regions,
+    fmp_rulebook,
     pool_forward_batch,
 )
 
@@ -43,6 +47,7 @@ from oracles import (
     loop_gather,
     loop_max,
     putmask_max_pool,
+    searchsorted_window_rulebook,
 )
 
 # sparsity per sample: empty grids between sparse, dense and full ones
@@ -393,3 +398,109 @@ def test_pool_nan_matches_loop_max(p, s, rng):
         assert np.array_equal(out.grid(b).rows, rows, equal_nan=True), b
         assert np.array_equal(plans[b].argmax_src, argmax_src), b
     check_pool_backward(out, plans, rng)
+
+
+# ---------------------------------------------------------------------------
+# the table rulebook against the searchsorted rulebook it replaced
+
+
+def check_rule(monkeypatch, make_rule):
+    """``make_rule()`` gives the same (out_keys, out_sample, src) with the
+    searchsorted rulebook in place of the table rulebook."""
+    got = make_rule()
+    with monkeypatch.context() as mp:
+        mp.setattr(ops, "_window_rulebook", searchsorted_window_rulebook)
+        want = make_rule()
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w)
+    return got
+
+
+def check_window_rules(monkeypatch, grids, fs):
+    batch = GridBatch.of(grids)
+    for f, s in fs:
+        geom = FilterGeometry(batch.shape.lattice, f, s)
+        check_rule(monkeypatch, lambda: conv_rulebook(batch, geom))
+
+
+@pytest.mark.parametrize("lattice", ALL_LATTICES)
+@pytest.mark.parametrize("f", [1, 2, 3])
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_table_rulebook_matches_searchsorted(lattice, f, s, rng, monkeypatch):
+    """Mixed sparse, dense, full and empty samples, and each sample alone."""
+    grids = batch_of(lattice, field(f, s), 2, MIXED, rng)
+    check_window_rules(monkeypatch, grids, [(f, s)])
+    for grid in grids:
+        check_window_rules(monkeypatch, [grid], [(f, s)])
+
+
+@pytest.mark.parametrize("m, ratio", [(2, FMP_RATIO), (3, 1.5), (5, FMP_RATIO),
+                                      (12, FMP_RATIO), (31, FMP_RATIO)])
+def test_table_rulebook_matches_searchsorted_fmp(m, ratio, rng, monkeypatch):
+    """FMP regions differ per dimension, so each gets its own start table;
+    sites at ``m - 1`` lie past the last region start, ``m - 2``."""
+    shape = GridShape(LatticeKind.CUBIC, m)
+    top = m - 1
+    sites = sorted({(top, 0, 0), (0, top, 0), (0, 0, top), (top, 0, top), (top, top, top)})
+    edge = SparseGrid.from_sites(shape, sites, rng.normal(size=(len(sites), 2)),
+                                 rng.normal(size=2))
+    grids = [edge, *batch_of(LatticeKind.CUBIC, m, 2, MIXED, rng)]
+    for seed in range(6):
+        regions = fmp_regions(m, ratio, seed)
+        assert all(r[-1] == m - 2 for r in regions)
+        for batch in (GridBatch.of(grids), GridBatch.of([edge])):
+            out_keys, _, _ = check_rule(monkeypatch, lambda: fmp_rulebook(batch, regions))
+            assert out_keys.shape[0] > 0
+
+
+@pytest.mark.parametrize("lattice", ALL_LATTICES)
+def test_table_rulebook_matches_searchsorted_all_empty(lattice, rng, monkeypatch):
+    grids = batch_of(lattice, 7, 2, (0.0, 0.0, 0.0), rng)
+    check_window_rules(monkeypatch, grids, [(1, 1), (2, 1), (3, 2)])
+    check_window_rules(monkeypatch, grids[:1], [(3, 2)])
+    if lattice is LatticeKind.CUBIC:
+        batch = GridBatch.of(grids)
+        regions = fmp_regions(7, FMP_RATIO, 0)
+        out_keys, _, src = check_rule(monkeypatch, lambda: fmp_rulebook(batch, regions))
+        assert out_keys.shape == (0,) and src.shape == (0, 8)
+
+
+@pytest.mark.parametrize("lattice", [LatticeKind.CUBIC, LatticeKind.TETRAHEDRAL])
+def test_table_rulebook_matches_searchsorted_far_corner(lattice, rng, monkeypatch):
+    """The start table spans the largest field ``GridShape`` accepts."""
+    grids = far_corner_grids(lattice, 4, rng)
+    check_window_rules(monkeypatch, grids, [(1, 1), (2, 1), (3, 2)])
+    if lattice is LatticeKind.CUBIC:
+        batch = GridBatch.of(grids)
+        regions = fmp_regions(batch.shape.m, FMP_RATIO, 1)
+        check_rule(monkeypatch, lambda: fmp_rulebook(batch, regions))
+
+
+def disjoint_grids(lattice, count, m, rng):
+    """``count`` sparse grids in a size-``m`` field, each in its own block,
+    so that no two samples share an output key and ``B * U`` is at its
+    largest (fewer on the triangular lattice, where fewer blocks fit
+    inside the simplex)."""
+    shape = GridShape(lattice, m)
+    d = shape.ndim
+    per_dim, block = 8, 4
+    corners = np.stack(np.meshgrid(*[np.arange(per_dim)] * d, indexing="ij"), -1).reshape(-1, d)
+    if lattice.is_simplex:  # keep every block inside the simplex
+        corners = corners[corners.sum(axis=1) < per_dim - 1]
+    pick = rng.permutation(corners.shape[0])[:count]
+    grids = []
+    for corner in corners[np.sort(pick)] * block * 2:
+        sites = corner + rng.integers(0, block, size=(10, d))
+        sites = sorted({tuple(int(v) for v in site) for site in sites})
+        grids.append(SparseGrid.from_sites(shape, sites, rng.normal(size=(len(sites), 1)),
+                                           rng.normal(size=1)))
+    return grids
+
+
+@pytest.mark.parametrize("lattice", ALL_LATTICES)
+@pytest.mark.parametrize("f, s", [(1, 1), (3, 1), (2, 2), (3, 2), (3, 3)])
+def test_table_rulebook_matches_searchsorted_disjoint_batch(lattice, f, s, rng, monkeypatch):
+    grids = disjoint_grids(lattice, 64, field(f, s, at_least=64), rng)
+    assert len(grids) == (28 if lattice is LatticeKind.TRIANGULAR else 64)
+    assert all(g.shape.contains(tuple(site)) for g in grids for site in g.sites().tolist())
+    check_window_rules(monkeypatch, grids, [(f, s)])

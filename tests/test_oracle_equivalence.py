@@ -1,7 +1,9 @@
 """The whole-array rasterizer, voxelizer and FMP active-site step against
 the per-segment, per-face and per-site loops they replace (oracles.py),
-and training with the running-max pool argmax and the in-place SGD step
-against training with the masked-store argmax and the copying step.
+training with the running-max pool argmax and the in-place SGD step
+against training with the masked-store argmax and the copying step, and
+training with the table rulebook against training with the searchsorted
+rulebook.
 
 Equality is exact: the same active keys for every seed, and for meshes the
 same per-face subdivision counts, so that a different edge-length formula
@@ -38,6 +40,7 @@ from oracles import (
     loop_rasterize_polyline,
     loop_voxelize_mesh,
     putmask_max_pool,
+    searchsorted_window_rulebook,
 )
 
 SEEDS = range(100)
@@ -147,4 +150,11 @@ def test_training_matches_masked_argmax_and_copying_sgd(arch, tmp_path, monkeypa
     ours = fit_save_load_evaluate(arch, tmp_path)
     monkeypatch.setattr(ops, "_max_pool", putmask_max_pool)
     monkeypatch.setattr(train, "sgd_step", copying_sgd_step)
+    assert ours == fit_save_load_evaluate(arch, tmp_path)
+
+
+@pytest.mark.parametrize("arch", ["4C2-MP3/2-6C2-output", "6C2-FMP-8C2-FMP-output"])
+def test_training_matches_searchsorted_rulebook(arch, tmp_path, monkeypatch):
+    ours = fit_save_load_evaluate(arch, tmp_path)
+    monkeypatch.setattr(ops, "_window_rulebook", searchsorted_window_rulebook)
     assert ours == fit_save_load_evaluate(arch, tmp_path)
