@@ -27,11 +27,17 @@ from __future__ import annotations
 
 import io
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autograd import ParamState, conv_backward, pool_backward, relu_backward
+from .autograd import (
+    ParamState,
+    conv_backward,
+    input_frame_cheaper,
+    pool_backward,
+    relu_backward,
+)
 from .errors import FormatError
 from .geometry import GridShape
 from .grid import GridBatch, SparseGrid, lattice_code, lattice_from_code
@@ -151,6 +157,11 @@ class Network:
         per block: its output batch, its tape entry (None unless
         ``keep_tape``) and the multiply-accumulates it performed.
 
+        A convolution's tape plan keeps ``Q`` or, when
+        :func:`~latticenet.autograd.input_frame_cheaper` says its backward
+        pass costs less in the input frame (the layer grows activity), the
+        layer's input rows and grounds in its place.
+
         The first ``depth`` rulebook layers take their rules from the cache
         when every sample of the batch hits; otherwise the rulebook runs,
         and samples seen for the second time have their chains stored."""
@@ -173,6 +184,13 @@ class Network:
                 if block.kind in ("conv", "classifier"):
                     out, plan = conv_forward_batch(batch, layer, rule)
                     macs = plan.Q.shape[0] * plan.Q.shape[1] * layer.n_out
+                    # training's backward_batch(input_grad=False) skips the first
+                    # block's input gradient
+                    if keep_tape and input_frame_cheaper(batch.a, out.a, layer.geometry.volume,
+                                                         layer.n_in, layer.n_out, batch.B,
+                                                         block is not self.blocks[0]):
+                        plan = replace(plan, Q=None, in_rows=batch.rows,
+                                       in_grounds=batch.grounds)
                     head = (block.kind, layer)
                 elif block.kind == "pool":
                     out, plan = pool_forward_batch(batch, layer, keep_plan=keep_tape, rule=rule)
@@ -199,7 +217,9 @@ class Network:
         ``("pool", plan)`` for pools and FMP and ``("relu", mask)``, where
         ``plan`` is the layer's :class:`~latticenet.ops.Plan` over the
         batch's rows (``plan[b]`` is sample ``b``'s) and ``mask`` covers the
-        batch's rows.
+        batch's rows.  A conv or classifier plan holds either the gather
+        matrix ``Q`` or, on a layer whose backward pass runs in the input
+        frame, the layer's input rows and grounds (see :meth:`_run`).
         """
         batch = GridBatch.of(list(grids))
         tape, macs = [], 0

@@ -31,9 +31,9 @@ dimension by a factor strictly between 1 and 2.  One rulebook serves
 every layer: along each dimension output coordinate ``u`` has a window
 start, ``u * s`` for a convolution or pool and the region start for FMP,
 and input site ``c`` lies under offset ``o`` exactly when ``c - o`` is a
-start.  A start table, indexed by coordinate, holds ``u`` at each start
-and -1 elsewhere, so one lookup per dimension both tests ``c - o`` and
-finds ``u``; the dimensions of a convolution share one table.
+start.  A start table, indexed by coordinate over the batch's extent,
+holds ``u`` at each start and -1 elsewhere, so one lookup per dimension
+both tests ``c - o`` and finds ``u``.
 
 The batch forward ops take an optional ``rule``: the ``(out_keys,
 out_sample, src)`` triple the rulebook would give for the batch.  A
@@ -50,6 +50,7 @@ a batch of that sample alone gives it.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,7 +168,11 @@ class Plan:
     where ``argmax[i, c]`` is the position whose value output component
     ``(i, c)`` took: the lowest of equal maxima, and for a NaN component
     the position of its first NaN, as ``ndarray.argmax`` picks, stored in
-    the smallest unsigned dtype that holds ``F - 1``.
+    the smallest unsigned dtype that holds ``F - 1``.  A convolution whose
+    backward pass runs in the input frame (see :mod:`latticenet.autograd`)
+    keeps its input rows ``in_rows`` and per-sample grounds ``in_grounds``
+    in place of ``Q``; ``Q`` is then the gather of ``[in_grounds;
+    in_rows]`` through ``src``.
 
     Item ``b`` is sample ``b``'s plan in its own row numbers, built on
     access.
@@ -179,6 +184,8 @@ class Plan:
     out_start: np.ndarray
     Q: np.ndarray | None = None  # (a_out, F * n_in)
     argmax: np.ndarray | None = None  # (a_out, n) footprint positions
+    in_rows: np.ndarray | None = None  # (a_in, n_in)
+    in_grounds: np.ndarray | None = None  # (B, n_in)
 
     @property
     def a_in(self) -> int:
@@ -201,11 +208,13 @@ class Plan:
             raise IndexError(b)
         b %= len(self)
         in_start, out_start = self.in_start[b:b + 2], self.out_start[b:b + 2]
-        rows = slice(*out_start)
+        rows, in_rows = slice(*out_start), slice(*in_start)
         return Plan(self.out_keys[rows], shift_rows(self.src[rows], -in_start[0]),
                     in_start - in_start[0], out_start - out_start[0],
                     None if self.Q is None else self.Q[rows],
-                    None if self.argmax is None else self.argmax[rows])
+                    None if self.argmax is None else self.argmax[rows],
+                    None if self.in_rows is None else self.in_rows[in_rows],
+                    None if self.in_grounds is None else self.in_grounds[b:b + 1])
 
 
 def shift_rows(src: np.ndarray, by) -> np.ndarray:
@@ -230,11 +239,15 @@ def _window_rulebook(batch: GridBatch, offsets, starts, bound):
     Every (active input row, offset) pair that meets these tests is one
     candidate.
 
-    The test is a table lookup: the start table holds ``u`` at start
-    ``starts[j][u]`` and -1 elsewhere, shifted by the largest offset value
-    so that ``c_j - o_j`` indexes it without going negative; values past
-    the last start clip to a -1 after it.  Dimensions with the same starts
-    (every dimension of a convolution) share one table.  Output rows are
+    The test is a table lookup.  A start table spans the batch's
+    coordinate extent, from the smallest coordinate of its sites (in any
+    dimension) minus the largest offset value (``reach``) to the largest,
+    which every ``c_j - o_j`` falls in: it holds ``u`` at each start ``starts[j][u]`` in that span
+    and -1 elsewhere, so its size follows the batch, not the field.
+    ``starts[j]`` is an ascending array or a ``range`` (a convolution's,
+    so that none is built for the field); the starts in the span are found
+    by bisection.  Dimensions with the same starts (every dimension of a
+    convolution) share one table.  Output rows are
     ordered by sample and then by key: one sort ranks each candidate's key
     among the U distinct candidate keys, the tag ``sample * U + rank``
     marks its output row in a seen table of ``B * U`` flags, and a running
@@ -245,15 +258,21 @@ def _window_rulebook(batch: GridBatch, offsets, starts, bound):
     sites = batch.sites()
     d = sites.shape[1]
     reach = max(max(off) for off in offsets)
-    back = reach - np.arange(reach + 1)[:, None]  # c - o sits at table index c + back[o]
+    # every c_j - o lies in [low, high]; the start tables span just that
+    low, high = (int(sites.min()) - reach, int(sites.max())) if sites.size else (0, 0)
+    back = -low - np.arange(reach + 1)[:, None]  # c - o sits at table index c + back[o]
     # per dimension j and offset value o: the packed part of u_j, and whether
     # c_j - o is a window start
     part, fits = [], []
     for j in range(d):
         if j == 0 or starts[j] is not starts[j - 1]:
-            table = np.full(int(starts[j][-1]) + reach + 2, -1, np.int32)
-            table[starts[j] + reach] = np.arange(starts[j].shape[0], dtype=np.int32)
-        u = table.take(sites[:, j] + back, mode="clip")  # (reach + 1, a)
+            first = bisect_left(starts[j], low)
+            found = starts[j][first:bisect_right(starts[j], high)]
+            at = (slice(found.start - low, found.stop - low, found.step)
+                  if isinstance(found, range) else found - low)
+            table = np.full(high - low + 1, -1, np.int32)  # value t at index t - low
+            table[at] = np.arange(first, first + len(found), dtype=np.int32)
+        u = table.take(sites[:, j] + back)  # (reach + 1, a)
         fits.append(u >= 0)
         part.append(u.astype(np.int64) << (COORD_BITS * (d - 1 - j)))
     if bound is not None:
@@ -302,8 +321,8 @@ def conv_rulebook(batch: GridBatch, geometry: FilterGeometry):
     ``u`` starts at ``u * s``.
     """
     out_shape = conv_out_shape(batch.shape, geometry)
-    starts = np.arange(out_shape.m) * geometry.s
-    bound = int(starts[-1]) if out_shape.lattice.is_simplex else None
+    starts = range(0, out_shape.m * geometry.s, geometry.s)
+    bound = starts[-1] if out_shape.lattice.is_simplex else None
     return _window_rulebook(batch, geometry.offsets, (starts,) * out_shape.ndim, bound)
 
 
@@ -363,7 +382,13 @@ def conv_forward_batch(batch: GridBatch, layer: ConvLayer, rule=None):
     Q = table[idx].reshape(out_keys.shape[0], geom.volume * batch.n)
     rows = Q @ layer.W
     rows += layer.B
-    ground = np.tile(batch.grounds, geom.volume).astype(layer.W.dtype) @ layer.W + layer.B
+    # the samples of a batch mostly share one ground, which is then mapped once
+    grounds = batch.grounds
+    shared = (grounds == grounds[0]).all()
+    ground = np.tile(grounds[:1] if shared else grounds, geom.volume).astype(layer.W.dtype)
+    ground = ground @ layer.W + layer.B
+    if shared:
+        ground = ground.repeat(batch.B, axis=0)
     out = GridBatch(out_shape, out_keys, rows, ground, _row_starts(out_sample, batch.B))
     return out, Plan(out_keys, src, batch.start, out.start, Q)
 

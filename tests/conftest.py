@@ -28,6 +28,22 @@ def random_sparse(lattice, m, n, sparsity, rng, ground=None):
     return SparseGrid.from_dense(random_dense(lattice, m, n, sparsity, rng, ground), g)
 
 
+# a cubic network whose second convolution, on ``thin_grids``, grows
+# activity enough to run its backward pass in the input frame
+GROWING_ARCH = "8C2-16C2-16C2-16C2-MP2-16C2-output"
+
+
+def thin_grids(shape, n, rng):
+    """Thin samples with nonzero grounds, one of them empty."""
+    return [random_sparse(shape.lattice, shape.m, n, p, rng, ground=rng.normal(size=n))
+            for p in (0.02, 0.0, 0.05, 0.01)]
+
+
+def relative_error(got, want) -> float:
+    """Largest absolute difference over the largest magnitude of ``want``."""
+    return np.abs(got - want).max(initial=0.0) / max(np.abs(want).max(initial=0.0), 1e-300)
+
+
 def cube_surface_mesh() -> TriangleMesh:
     v = np.array([[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)], dtype=float)
     quads = [(0, 1, 3, 2), (4, 6, 7, 5), (0, 4, 5, 1), (2, 3, 7, 6), (0, 2, 6, 4), (1, 5, 7, 3)]

@@ -10,7 +10,8 @@ The last two are the original max-pool argmax, one masked store per
 footprint position, and the original SGD step with its temporaries.
 The very last is the original window rulebook, one ``searchsorted`` per
 dimension and a second ``np.unique`` for the per-sample grouping.
-Slow and obviously correct.
+Slow and obviously correct.  ``plan_Q`` gives tests the gather matrix of
+a convolution's tape plan whichever form it keeps.
 """
 
 from functools import lru_cache
@@ -286,6 +287,19 @@ def loop_fmp_gather(grid, out_keys: np.ndarray, regions) -> np.ndarray:
                 src[:, k] = grid.lookup(pack_sites(pos))
                 k += 1
     return src
+
+
+def plan_Q(plan: Plan) -> np.ndarray:
+    """The gather matrix ``Q`` of a convolution's plan: the one it keeps, or,
+    for a plan that keeps the layer's input in its place, that input
+    gathered through ``src`` (a ground-filled position reads its sample's
+    ground)."""
+    if plan.Q is not None:
+        return plan.Q
+    sample = np.repeat(np.arange(len(plan)), np.diff(plan.out_start))
+    ground = plan.in_grounds.astype(plan.in_rows.dtype)[sample][:, None, :]
+    Q = np.where(plan.src[..., None] >= 0, plan.in_rows[np.maximum(plan.src, 0)], ground)
+    return Q.reshape(plan.a_out, plan.src.shape[1] * plan.in_rows.shape[1])
 
 
 # ---------------------------------------------------------------------------

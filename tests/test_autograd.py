@@ -3,10 +3,12 @@ import re
 import numpy as np
 import pytest
 
+from latticenet import network
 from latticenet.autograd import (
     ParamState,
     conv_backward,
     finite_diff_check,
+    input_frame_cheaper,
     pool_backward,
     relu_backward,
     sgd_step,
@@ -19,8 +21,15 @@ from latticenet.network import Network
 from latticenet.ops import ConvLayer, FilterGeometry, PoolLayer, conv_forward, pool_forward
 from latticenet.train import batch_loss_and_grads
 
-from conftest import ALL_LATTICES, random_dense, random_sparse
-from oracles import copying_sgd_step, dense_conv_backward
+from conftest import (
+    ALL_LATTICES,
+    GROWING_ARCH,
+    random_dense,
+    random_sparse,
+    relative_error,
+    thin_grids,
+)
+from oracles import copying_sgd_step, dense_conv_backward, plan_Q
 
 
 def rand_conv(lattice, f, s, n_in, n_out, rng):
@@ -265,7 +274,7 @@ def _preactivations_clear(net, grid, lo=1e-3):
     for entry in tape:
         if entry[0] == "conv":
             for p in entry[2]:
-                vals = p.Q @ entry[1].W + entry[1].B
+                vals = plan_Q(p) @ entry[1].W + entry[1].B
                 if vals.size and np.abs(vals).min() < lo:
                     return False
     return True
@@ -340,3 +349,64 @@ def test_conv_backward_without_input_grad(lattice, rng):
     dW2, dB2, none = conv_backward(d_out, gplan, layer, input_grad=False)
     assert none is None and d_in.shape == (grid.a, 2)
     assert np.array_equal(dW, dW2) and np.array_equal(dB, dB2)
+
+
+# ---------------------------------------------------------------------------
+# the input frame
+
+
+@pytest.mark.parametrize("sizes, input_grad, want", [
+    # measured layers of the benchmark's workloads: (a_in, a_out, F, n_in, n_out, B)
+    ((7904, 16314, 8, 32, 64, 16), True, True),  # casia-cubic L3
+    ((5327, 10143, 8, 64, 128, 16), True, True),  # casia-cubic L6
+    ((3038, 4149, 8, 128, 256, 16), True, True),  # casia-cubic L9
+    ((6710, 9771, 8, 32, 64, 16), True, True),  # shrec-fmp L3
+    ((1932, 21275, 27, 1, 32, 16), False, False),  # casia-cubic L0, first block
+    ((431, 16, 27, 256, 512, 16), True, False),  # casia-cubic L12 shrinks
+    ((2727, 1936, 8, 64, 96, 16), True, False),  # shrec-fmp L6 shrinks
+    ((728, 756, 4, 32, 64, 32), True, False),  # knot-tetra L3, small
+    ((1223, 2907, 4, 1, 32, 32), False, False),  # knot-tetra L0, first block
+    ((16, 16, 1, 512, 8, 16), True, False),  # a classifier head
+])
+def test_input_frame_cheaper_on_measured_layers(sizes, input_grad, want):
+    assert input_frame_cheaper(*sizes, input_grad) is want
+
+
+def backprop(net, tape, d_logits):
+    for p in net.params():
+        p.grad[...] = 0.0
+    d_in = net.backward_batch(tape, d_logits)
+    return [p.grad.copy() for p in net.params()] + [np.concatenate(d_in)]
+
+
+def test_growing_conv_keeps_its_input_on_the_tape(rng, monkeypatch):
+    """A convolution whose backward pass runs in the input frame keeps the
+    layer's input and no (a_out, F * n_in) array; its gradients equal those
+    of an all-Q tape to float64 rounding."""
+    net = Network(plan(parse(GROWING_ARCH, LatticeKind.CUBIC, 2)), 3, rng, dtype=np.float64)
+    grids = thin_grids(net.input_shape(), 2, rng)
+    logits, tape, _ = net.forward_batch(grids, keep_tape=True)
+    framed = 0
+    for i, entry in enumerate(tape):
+        if entry[0] not in ("conv", "classifier"):
+            continue
+        _, layer, p = entry
+        F, n_in = layer.geometry.volume, layer.n_in
+        assert (p.Q is None) == input_frame_cheaper(p.a_in, p.a_out, F, n_in, layer.n_out,
+                                                    len(p), i > 0)
+        if p.Q is None:
+            framed += 1
+            arrays = [v for v in vars(p).values() if isinstance(v, np.ndarray)]
+            assert all(a.shape != (p.a_out, F * n_in) for a in arrays)
+            assert p.in_rows.shape == (p.a_in, n_in) and p.in_grounds.shape == (len(p), n_in)
+    assert framed
+    d_logits = rng.normal(size=logits.shape)
+    got = backprop(net, tape, d_logits)
+    monkeypatch.setattr(network, "input_frame_cheaper", lambda *sizes: False)
+    q_logits, q_tape, _ = net.forward_batch(grids, keep_tape=True)
+    assert np.array_equal(q_logits, logits)
+    for entry, q_entry in zip(tape, q_tape):
+        if entry[0] == "conv":
+            assert np.array_equal(plan_Q(entry[2]), q_entry[2].Q)
+    for g, w in zip(got, backprop(net, q_tape, d_logits), strict=True):
+        assert relative_error(g, w) <= 1e-12

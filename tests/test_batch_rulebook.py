@@ -7,10 +7,13 @@ empty and non-empty grids, and one test places sparse sites at the far
 corner of the largest field ``GridShape`` accepts, where packed keys come
 within a few bits of the int64 range.  The backward scatters must equal
 the ``np.add.at`` scatters they replaced bit for bit, which holds only if
-they add each input row's terms in the same order.  The table rulebook
+they add each input row's terms in the same order; the input frame's
+convolution gradients must equal the Q form's to rounding.  The table rulebook
 must give the rule of the searchsorted rulebook it replaced bit for bit,
 dtypes included.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,7 +40,7 @@ from latticenet.ops import (
     pool_forward_batch,
 )
 
-from conftest import ALL_LATTICES, random_sparse
+from conftest import ALL_LATTICES, random_sparse, relative_error
 from oracles import (
     addat_conv_backward,
     addat_pool_backward,
@@ -46,6 +49,7 @@ from oracles import (
     loop_fmp_gather,
     loop_gather,
     loop_max,
+    plan_Q,
     putmask_max_pool,
     searchsorted_window_rulebook,
 )
@@ -227,8 +231,8 @@ def test_network_tape_matches_single_sample_tapes(rng):
                 assert np.array_equal(got.out_keys, want.out_keys)
                 assert np.array_equal(got.src, want.src)
                 if i == 0:
-                    assert np.array_equal(got.Q, want.Q)
-                assert np.allclose(got.Q, want.Q, rtol=1e-12, atol=1e-12)
+                    assert np.array_equal(plan_Q(got), plan_Q(want))
+                assert np.allclose(plan_Q(got), plan_Q(want), rtol=1e-12, atol=1e-12)
             elif entry[0] == "pool":
                 got, want = entry[1][b], single[1][0]
                 assert np.array_equal(got.out_keys, want.out_keys)
@@ -252,6 +256,12 @@ def test_sample_plans_indexing(rng):
     for b in range(len(grids)):
         rows = slice(gplan.out_start[b], gplan.out_start[b + 1])
         assert np.array_equal(gplan[b].Q, gplan.Q[rows]), b
+    # a plan that keeps the layer's input cuts it per sample
+    iplan = replace(gplan, Q=None, in_rows=batch.rows, in_grounds=batch.grounds)
+    for b, grid in enumerate(grids):
+        assert np.array_equal(iplan[b].in_rows, grid.rows), b
+        assert np.array_equal(iplan[b].in_grounds, grid.ground[None]), b
+        assert np.array_equal(plan_Q(iplan[b]), gplan[b].Q), b
 
 
 def test_batch_rejects_mixed_shapes(rng):
@@ -317,6 +327,36 @@ def test_conv_backward_matches_add_at(lattice, f, s, dtype, rng):
     want = addat_conv_backward(d_out, gplan, layer)
     for g, w in zip(got, want):  # dW, dB, d_in
         assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("lattice", ALL_LATTICES)
+@pytest.mark.parametrize("f", [2, 3])
+@pytest.mark.parametrize("s", [1, 2])
+def test_input_frame_matches_q_form(lattice, f, s, rng):
+    """The input frame's dW, dB and input gradient equal the Q form's to
+    float64 rounding.  Grounds are nonzero, one sample is empty and one
+    holds a single site at the origin, so that its one output row reads
+    the ground at every position but the first."""
+    m = field(f, s)
+    grids = batch_of(lattice, m, 3, MIXED, rng)
+    origin = SparseGrid.from_sites(GridShape(lattice, m), [(0,) * lattice.ndim],
+                                   rng.normal(size=(1, 3)), rng.normal(size=3))
+    grids.insert(2, origin)
+    batch = GridBatch.of(grids)
+    layer = ConvLayer.init(FilterGeometry(lattice, f, s), 3, 4, rng, np.float64)
+    layer.B[:] = rng.normal(size=4)
+    out, qplan = conv_forward_batch(batch, layer)
+    iplan = replace(qplan, Q=None, in_rows=batch.rows, in_grounds=batch.grounds)
+    assert (qplan[2].src[:, 1:] < 0).all() and qplan[2].a_out == 1
+    assert any(p.a_out == 0 for p in qplan)
+    d_out = rng.normal(size=out.rows.shape)
+    want = conv_backward(d_out, qplan, layer)
+    got = conv_backward(d_out, iplan, layer)
+    for g, w in zip(got, want):  # dW, dB, d_in
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert relative_error(g, w) <= 1e-12
+    dW, dB, none = conv_backward(d_out, iplan, layer, input_grad=False)
+    assert none is None and np.array_equal(dW, got[0]) and np.array_equal(dB, got[1])
 
 
 @pytest.mark.parametrize("dtype", DTYPES)

@@ -19,7 +19,8 @@ from latticenet.netspec import parse, plan
 from latticenet.network import Network
 from latticenet.train import TrainConfig, evaluate, fit
 
-from conftest import ALL_LATTICES, random_sparse
+from conftest import ALL_LATTICES, GROWING_ARCH, random_sparse, thin_grids
+from oracles import plan_Q
 
 CUBIC = LatticeKind.CUBIC
 FMP_ARCH, FMP_FIELD = "4C2-FMP-5C2-FMP-5C2-FMP-output", 12
@@ -47,7 +48,8 @@ def warm(net, grids, **kw):
 
 
 def tape_arrays(tape):
-    """Every array of a tape: gather and pool plans, relu masks."""
+    """Every array of a tape: gather and pool plans (a convolution's ``Q``
+    regathered where the plan keeps the layer's input), relu masks."""
     out = []
     for entry in tape:
         if entry[0] == "relu":
@@ -55,7 +57,7 @@ def tape_arrays(tape):
             continue
         plan = entry[-1]
         out += [plan.out_keys, plan.src, plan.in_start, plan.out_start]
-        out.append(plan.argmax if entry[0] == "pool" else plan.Q)
+        out.append(plan.argmax if entry[0] == "pool" else plan_Q(plan))
     return out
 
 
@@ -91,6 +93,15 @@ def test_hit_equals_miss(lattice, dtype, rng):
     want = forward_backward(fresh, grids)
     assert fresh.rule_cache.hits == 0
     assert_same_run(got, want)
+
+
+def test_hit_equals_miss_in_the_input_frame(rng):
+    cached, fresh = make_net(CUBIC, GROWING_ARCH), make_net(CUBIC, GROWING_ARCH)
+    grids = thin_grids(cached.input_shape(), 2, rng)
+    warm(cached, grids)
+    got = forward_backward(cached, grids)
+    assert any(e[0] == "conv" and e[2].Q is None for e in got[1])
+    assert_same_run(got, forward_backward(fresh, grids))
 
 
 @pytest.mark.parametrize("lattice", ALL_LATTICES)
