@@ -194,6 +194,14 @@ def unpack_sites(keys: np.ndarray, ndim: int) -> np.ndarray:
     return np.stack(coords, axis=-1)
 
 
+def run_heads(sorted_keys: np.ndarray) -> np.ndarray:
+    """Mask of the first key of each run of equal keys in a sorted array;
+    ``keys[run_heads(keys)]`` is ``np.unique(keys)`` without sorting again."""
+    head = np.ones(sorted_keys.shape[0], dtype=bool)
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=head[1:])
+    return head
+
+
 def out_size(m_in: int, k: int, s: int, layer: str = "") -> int:
     """Output linear size of a footprint-k, stride-s layer (no padding).
 

@@ -17,9 +17,11 @@ Front-ends provided here:
   binary batches).
 
 Meshes and polylines are sampled as whole arrays: every face's
-barycentric lattice, or every segment's evenly spaced points, goes into
-one point array that is rounded to voxels and deduplicated with a single
-``np.unique``.  Non-finite coordinates are rejected before sampling.
+barycentric lattice, or every segment's evenly spaced points (of all a
+sample's strokes together), goes into one point array that is rounded to
+voxels, sorted once and deduplicated by comparing neighbours.  Non-finite
+coordinates are rejected before sampling.  OFF files are decoded the same
+way: one tokenizing pass, then one conversion per array.
 
 All randomness is drawn from explicit generators, so ingestion of a
 sample is a pure function of its inputs and seed.
@@ -29,12 +31,13 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FormatError
-from .geometry import GridShape, LatticeKind, pack_sites, site_ordinal, sites_array
+from .geometry import GridShape, LatticeKind, pack_sites, run_heads, site_ordinal, sites_array
 from .grid import DenseGrid, LabeledSample, SparseGrid
 
 SQRT3 = np.sqrt(3.0)
@@ -90,64 +93,133 @@ class FrameSequence:
 # OFF meshes
 
 
+# a comment runs to the next line break, as ``str.splitlines`` breaks lines
+_COMMENT = re.compile("#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*")
+
+
+def _token_line(text: str, index: int) -> int:
+    """Line number of token ``index`` of an OFF text (error path only)."""
+    seen = 0
+    for ln, line in enumerate(text.splitlines(), start=1):
+        seen += len(line.split("#", 1)[0].split())
+        if seen > index:
+            return ln
+    raise IndexError(f"OFF text has no token {index}")
+
+
 def load_off(data) -> TriangleMesh:
-    """Parse an ASCII OFF file; polygon faces are fan-triangulated."""
+    """Parse an ASCII OFF file; polygon faces are fan-triangulated.
+
+    ``#`` starts a comment that runs to the end of its line, and the
+    header may be glued to the vertex count (``OFF3 1 0``).  The text is
+    tokenized in one pass; all vertex coordinates are converted with one
+    array conversion and checked for finiteness at once, and all face
+    indices likewise, after a walk over the per-face vertex counts.
+    Tokens after the last face are ignored.  A malformed file raises
+    :class:`FormatError` for the first bad token in file order, with its
+    line number, which is only looked up on that path.  Nothing is
+    allocated from the header's counts before the tokens are there, so a
+    count larger than the file is an unexpected end of file.
+    """
     if isinstance(data, bytes):
         data = data.decode("ascii", errors="replace")
-    tokens: list[tuple[str, int]] = []  # (token, line number)
-    for ln, line in enumerate(data.splitlines(), start=1):
-        body = line.split("#", 1)[0]
-        for tok in body.split():
-            tokens.append((tok, ln))
+    tokens = _COMMENT.sub("", data).split()
     if not tokens:
         raise FormatError("empty OFF file", 1)
+
+    def error(message: str, index: int) -> FormatError:
+        return FormatError(message, _token_line(data, index))
+
+    def end_of_file(what: str) -> FormatError:
+        return error(f"unexpected end of file while reading {what}", len(tokens) - 1)
+
     pos = 0
-    if tokens[0][0].upper() == "OFF":
+    if tokens[0].upper() == "OFF":
         pos = 1
-    elif tokens[0][0].upper().startswith("OFF"):
+    elif tokens[0].upper().startswith("OFF"):
         # header glued to the first count, e.g. "OFF3 3 0"
-        tokens[0] = (tokens[0][0][3:], tokens[0][1])
+        tokens[0] = tokens[0][3:]
     else:
-        raise FormatError("missing OFF header", tokens[0][1])
-
-    def take(kind, what):
-        nonlocal pos
+        raise error("missing OFF header", 0)
+    counts = []
+    for what in ("vertex count", "face count", "edge count"):
         if pos >= len(tokens):
-            last = tokens[-1][1] if tokens else 1
-            raise FormatError(f"unexpected end of file while reading {what}", last)
-        tok, ln = tokens[pos]
-        pos += 1
+            raise end_of_file(what)
         try:
-            return kind(tok), ln
+            counts.append(int(tokens[pos]))
         except ValueError:
-            raise FormatError(f"expected {what}, got {tok!r}", ln) from None
-
-    nv, _ = take(int, "vertex count")
-    nf, _ = take(int, "face count")
-    take(int, "edge count")
+            raise error(f"expected {what}, got {tokens[pos]!r}", pos) from None
+        pos += 1
+    nv, nf, _ = counts
     if nv < 0 or nf < 0:
-        raise FormatError("negative counts in OFF header", tokens[0][1])
-    verts = np.empty((nv, 3))
-    for i in range(nv):
-        for j in range(3):
-            x, ln = take(float, f"vertex {i} coordinate")
+        raise error("negative counts in OFF header", 0)
+
+    end = pos + 3 * nv
+    coords = tokens[pos:end]
+    try:
+        verts = np.array(coords, dtype=np.float64)
+        clean = bool(np.isfinite(verts).all())
+    except ValueError:
+        clean = False
+    if not clean:
+        for j, tok in enumerate(coords):
+            try:
+                x = float(tok)
+            except ValueError:
+                raise error(f"expected vertex {j // 3} coordinate, got {tok!r}", pos + j) from None
             if not math.isfinite(x):
-                raise FormatError(f"vertex {i} has a non-finite coordinate", ln)
-            verts[i, j] = x
-    tris = []
+                raise error(f"vertex {j // 3} has a non-finite coordinate", pos + j)
+    if len(coords) < 3 * nv:
+        raise end_of_file(f"vertex {len(coords) // 3} coordinate")
+
+    # walk the per-face vertex counts; an error here is raised only after
+    # the index tokens before it are checked, since those come first
+    heads, sizes, late = [], [], None
+    p = end
     for i in range(nf):
-        k, ln = take(int, f"face {i} vertex count")
+        if p >= len(tokens):
+            late = end_of_file(f"face {i} vertex count")
+            break
+        try:
+            k = int(tokens[p])
+        except ValueError:
+            late = error(f"expected face {i} vertex count, got {tokens[p]!r}", p)
+            break
         if k < 3:
-            raise FormatError(f"face {i} has {k} vertices", ln)
-        idx = []
-        for j in range(k):
-            v, ln = take(int, f"face {i} index")
-            if v < 0 or v >= nv:
-                raise FormatError(f"face {i} references vertex {v} of {nv}", ln)
-            idx.append(v)
-        for j in range(1, k - 1):  # fan triangulation
-            tris.append((idx[0], idx[j], idx[j + 1]))
-    return TriangleMesh(verts, np.asarray(tris, dtype=np.int64).reshape(-1, 3))
+            late = error(f"face {i} has {k} vertices", p)
+            break
+        heads.append(p)
+        sizes.append(k)
+        p += 1 + k
+        if p > len(tokens):
+            late = end_of_file(f"face {i} index")
+            break
+    body = tokens[end:p]
+    is_index = np.ones(len(body), dtype=bool)
+    is_index[np.asarray(heads, dtype=np.int64) - end] = False
+    try:
+        idx = np.array(body, dtype=np.int64)[is_index]
+        clean = not ((idx < 0) | (idx >= nv)).any()
+    except (ValueError, OverflowError):
+        clean = False
+    if not clean:
+        for i, (h, k) in enumerate(zip(heads, sizes)):
+            for q in range(h + 1, min(h + 1 + k, len(tokens))):
+                try:
+                    v = int(tokens[q])
+                except ValueError:
+                    raise error(f"expected face {i} index, got {tokens[q]!r}", q) from None
+                if v < 0 or v >= nv:
+                    raise error(f"face {i} references vertex {v} of {nv}", q)
+    if late is not None:
+        raise late
+
+    # fan triangulation: face f's triangle j is (first, j + 1, j + 2)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    fan = np.repeat(np.cumsum(sizes) - sizes, sizes - 2)
+    j = fan + _ranks(sizes - 2) + 1
+    tris = np.stack([idx[fan], idx[j], idx[j + 1]], axis=1)
+    return TriangleMesh(verts.reshape(nv, 3), tris)
 
 
 def save_off(mesh: TriangleMesh, path):
@@ -247,7 +319,8 @@ def fit_points(points: np.ndarray, shape: GridShape, margin: float = 1.0) -> np.
 
 def _occupancy_grid(shape: GridShape, keys: np.ndarray) -> SparseGrid:
     """Occupancy grid of the given packed keys: value 1 at each, ground 0."""
-    keys = np.unique(keys)
+    keys = np.sort(keys)
+    keys = keys[run_heads(keys)]
     rows = np.ones((keys.shape[0], 1), dtype=np.float32)
     return SparseGrid(shape, keys, rows, np.zeros(1, dtype=np.float32))
 
@@ -295,21 +368,57 @@ def voxelize_mesh(mesh: TriangleMesh, m: int, rotation: np.ndarray | None = None
 
     corners = verts[mesh.faces]  # (F, 3 corners, 3 coords)
     n = _subdivisions(corners)
-    # face f has rows u = 0 .. n_f; row u holds v = 0 .. n_f - u
-    row_face = np.repeat(np.arange(n.shape[0]), n + 1)
+    # face f has rows u = 0 .. n_f; row u holds v = 0 .. n_f - u.  Per-face
+    # values are repeated to rows, and per-row values to points, in order.
     u = _ranks(n + 1)
-    row_len = n[row_face] + 1 - u
-    pt_row = np.repeat(np.arange(row_face.shape[0]), row_len)
+    row_n = np.repeat(n, n + 1)
+    row_len = row_n + 1 - u
     v = _ranks(row_len)
-    face = row_face[pt_row]
-    A = corners[face, 0]
-    AB = (corners[:, 1] - corners[:, 0])[face]
-    AC = (corners[:, 2] - corners[:, 0])[face]
-    nf = n[face]
-    pts = A + (u[pt_row] / nf)[:, None] * AB + (v / nf)[:, None] * AC
+    AB = np.repeat(corners[:, 1] - corners[:, 0], n + 1, axis=0)
+    AC = np.repeat(corners[:, 2] - corners[:, 0], n + 1, axis=0)
+    # each row's base A + (u/n)(B-A), then + (v/n)(C-A) per point: the
+    # same operations in the same order as evaluating the sum per point
+    base = np.repeat(corners[:, 0], n + 1, axis=0) + (u / row_n)[:, None] * AB
+    pts = (np.repeat(base, row_len, axis=0)
+           + (v / np.repeat(row_n, row_len))[:, None] * np.repeat(AC, row_len, axis=0))
     vox = np.rint(pts).astype(np.int64)
     np.clip(vox, 0, m - 1, out=vox)
     return _occupancy_grid(shape, pack_sites(vox))
+
+
+def _path_keys(points: np.ndarray, starts: np.ndarray, shape: GridShape) -> np.ndarray:
+    """Packed keys of the voxels along polylines, one key per sample.
+
+    Path ``j`` runs through ``points[starts[j]:starts[j + 1]]``, and no
+    segment joins two paths.  Segment ``a -> b`` is sampled at
+    ``t = k / steps``, ``k = 0 .. steps`` (the last sample at exactly
+    ``t = 1``), with ``steps`` chosen so that consecutive samples are under
+    half a voxel apart; a path of one point is that point.  Samples are in
+    path order, paths in turn, so a sample outside the grid's valid region
+    is an error that names the first such voxel along the paths.
+    """
+    if not np.isfinite(points).all():
+        raise ValueError("polyline has non-finite coordinates")
+    # point i is sampled along segment i -> i+1 (k = 0 is the point itself);
+    # a path's last point has no segment and adds no samples of its own,
+    # unless it is also the path's first
+    delta = np.diff(points, axis=0, append=points[-1:])
+    steps = np.maximum(1, np.ceil(np.abs(delta).max(axis=1) / 0.45).astype(np.int64))
+    last = np.append(starts[1:], points.shape[0]) - 1
+    count = steps + 1
+    count[last] = last == starts
+    seg = np.repeat(np.arange(points.shape[0]), count)
+    k = _ranks(count)
+    n = steps[seg]
+    # np.linspace(0, 1, n + 1) computes k * (1 / n), then sets the last t = 1
+    t = k * (1.0 / n)
+    t[k == n] = 1.0
+    vox = np.rint(points[seg] + t[:, None] * delta[seg]).astype(np.int64)
+    bad = shape.outside(vox)
+    if bad.any():
+        culprit = vox[np.argmax(bad)]
+        raise ValueError(f"point maps to voxel {tuple(culprit.tolist())} outside the grid")
+    return pack_sites(vox)
 
 
 def rasterize_polyline(points: np.ndarray, m: int, shape: GridShape | None = None) -> SparseGrid:
@@ -327,25 +436,7 @@ def rasterize_polyline(points: np.ndarray, m: int, shape: GridShape | None = Non
     points = np.asarray(points, dtype=float).reshape(-1, shape.ndim)
     if points.shape[0] < 1:
         raise ValueError("need at least one point")
-    if not np.isfinite(points).all():
-        raise ValueError("polyline has non-finite coordinates")
-
-    delta = np.diff(points, axis=0)
-    steps = np.maximum(1, np.ceil(np.abs(delta).max(axis=1) / 0.45).astype(np.int64))
-    seg = np.repeat(np.arange(delta.shape[0]), steps + 1)
-    k = _ranks(steps + 1)
-    n = steps[seg]
-    # np.linspace(0, 1, n + 1) computes k * (1 / n), then sets the last t = 1
-    t = k * (1.0 / n)
-    t[k == n] = 1.0
-    pts = np.vstack([points[:1], points[seg] + t[:, None] * delta[seg]])
-
-    vox = np.rint(pts).astype(np.int64)
-    bad = shape.outside(vox)
-    if bad.any():
-        culprit = vox[np.argmax(bad)]
-        raise ValueError(f"point maps to voxel {tuple(culprit.tolist())} outside the grid")
-    return _occupancy_grid(shape, pack_sites(vox))
+    return _occupancy_grid(shape, _path_keys(points, np.zeros(1, dtype=np.int64), shape))
 
 
 def strokes_to_spacetime(sample: StrokeSample, m: int = 40) -> SparseGrid:
@@ -354,7 +445,8 @@ def strokes_to_spacetime(sample: StrokeSample, m: int = 40) -> SparseGrid:
     x and y are scaled/centered into the grid; the time coordinate is the
     cumulative point index across all strokes scaled to the grid, so
     redrawing the same shape later lands in a different time slab.  No
-    segments are drawn across stroke boundaries.
+    segments are drawn across stroke boundaries.  All strokes are sampled
+    as one point array, stroke after stroke.
     """
     if not sample.strokes:
         raise ValueError("sample has no strokes")
@@ -363,9 +455,8 @@ def strokes_to_spacetime(sample: StrokeSample, m: int = 40) -> SparseGrid:
     times = np.arange(allp.shape[0]) * ((m - 1) / max(allp.shape[0] - 1, 1))
     pts = np.column_stack([xy, times])
     shape = GridShape(LatticeKind.CUBIC, m)
-    ends = np.cumsum([len(s) for s in sample.strokes])[:-1]
-    keys = [rasterize_polyline(p, m, shape).keys for p in np.split(pts, ends)]
-    return _occupancy_grid(shape, np.concatenate(keys))
+    starts = np.cumsum([0] + [len(s) for s in sample.strokes[:-1]])
+    return _occupancy_grid(shape, _path_keys(pts, starts, shape))
 
 
 def frame_difference(video: FrameSequence, threshold_pct: float) -> SparseGrid:

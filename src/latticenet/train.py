@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import sgd_step, softmax, softmax_nll
-from .geometry import pack_sites
+from .geometry import pack_sites, run_heads
 from .grid import LabeledSample, SparseGrid
 from .ingest import make_affine
 from .network import Network
@@ -205,7 +205,7 @@ def augment_grid(grid: SparseGrid, params: AffineParams, rng: np.random.Generato
     keys = pack_sites(sites)
     order = np.argsort(keys, kind="stable")
     keys, rows = keys[order], rows[order]
-    uniq, first = np.unique(keys, return_index=True)
-    merged = np.empty((uniq.shape[0], grid.n), dtype=rows.dtype)
+    first = np.flatnonzero(run_heads(keys))
+    merged = np.empty((first.shape[0], grid.n), dtype=rows.dtype)
     np.maximum.reduceat(rows, first, axis=0, out=merged)
-    return SparseGrid(grid.shape, uniq, merged, grid.ground)
+    return SparseGrid(grid.shape, keys[first], merged, grid.ground)

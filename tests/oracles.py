@@ -8,16 +8,21 @@ one-grid-at-a-time rulebook.  The ``addat`` ones at the end are the
 original ``np.add.at`` scatters of the conv and pool backward passes.
 The last two are the original max-pool argmax, one masked store per
 footprint position, and the original SGD step with its temporaries.
-The very last is the original window rulebook, one ``searchsorted`` per
-dimension and a second ``np.unique`` for the per-sample grouping.
+Then the original window rulebook, one ``searchsorted`` per dimension
+and a second ``np.unique`` for the per-sample grouping.  The last three
+are original ingestion steps: the OFF decoder that converts one token per
+call, space-time strokes rasterized one stroke at a time, and the
+augmentation that sorts its keys twice.
 Slow and obviously correct.  ``plan_Q`` gives tests the gather matrix of
 a convolution's tape plan whichever form it keeps.
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
+from latticenet.errors import FormatError
 from latticenet.geometry import (
     COORD_BITS,
     GridShape,
@@ -27,8 +32,17 @@ from latticenet.geometry import (
     pack_sites,
     unpack_sites,
 )
-from latticenet.grid import DenseGrid, GridBatch
+from latticenet.grid import DenseGrid, GridBatch, SparseGrid
+from latticenet.ingest import (
+    StrokeSample,
+    TriangleMesh,
+    _occupancy_grid,
+    fit_points,
+    make_affine,
+    rasterize_polyline,
+)
 from latticenet.ops import Plan, _gather_index, _row_starts
+from latticenet.train import AffineParams
 
 
 @lru_cache(maxsize=None)
@@ -450,3 +464,135 @@ def searchsorted_window_rulebook(batch: GridBatch, offsets, starts, bound):
     src = np.full((tags.shape[0], len(offsets)), -1, dtype=np.int64)
     src[out_row, k] = rows
     return union[tags % U], tags // U, src
+
+
+# ---------------------------------------------------------------------------
+# token-at-a-time, stroke-at-a-time and two-sort ingestion
+#
+# The original bodies of ``ingest.load_off``, ``ingest.strokes_to_spacetime``
+# and ``train.augment_grid``, kept verbatim apart from their names.  The
+# decoder converts and checks one token per call, with every token's line
+# number at hand; the strokes are rasterized one ``rasterize_polyline``
+# call per stroke; augmentation finds each key's first row with a stable
+# ``argsort`` and then ``np.unique(return_index=True)``.
+
+
+def token_walk_load_off(data) -> TriangleMesh:
+    """Parse an ASCII OFF file; polygon faces are fan-triangulated."""
+    if isinstance(data, bytes):
+        data = data.decode("ascii", errors="replace")
+    tokens: list[tuple[str, int]] = []  # (token, line number)
+    for ln, line in enumerate(data.splitlines(), start=1):
+        body = line.split("#", 1)[0]
+        for tok in body.split():
+            tokens.append((tok, ln))
+    if not tokens:
+        raise FormatError("empty OFF file", 1)
+    pos = 0
+    if tokens[0][0].upper() == "OFF":
+        pos = 1
+    elif tokens[0][0].upper().startswith("OFF"):
+        # header glued to the first count, e.g. "OFF3 3 0"
+        tokens[0] = (tokens[0][0][3:], tokens[0][1])
+    else:
+        raise FormatError("missing OFF header", tokens[0][1])
+
+    def take(kind, what):
+        nonlocal pos
+        if pos >= len(tokens):
+            last = tokens[-1][1] if tokens else 1
+            raise FormatError(f"unexpected end of file while reading {what}", last)
+        tok, ln = tokens[pos]
+        pos += 1
+        try:
+            return kind(tok), ln
+        except ValueError:
+            raise FormatError(f"expected {what}, got {tok!r}", ln) from None
+
+    nv, _ = take(int, "vertex count")
+    nf, _ = take(int, "face count")
+    take(int, "edge count")
+    if nv < 0 or nf < 0:
+        raise FormatError("negative counts in OFF header", tokens[0][1])
+    verts = np.empty((nv, 3))
+    for i in range(nv):
+        for j in range(3):
+            x, ln = take(float, f"vertex {i} coordinate")
+            if not math.isfinite(x):
+                raise FormatError(f"vertex {i} has a non-finite coordinate", ln)
+            verts[i, j] = x
+    tris = []
+    for i in range(nf):
+        k, ln = take(int, f"face {i} vertex count")
+        if k < 3:
+            raise FormatError(f"face {i} has {k} vertices", ln)
+        idx = []
+        for j in range(k):
+            v, ln = take(int, f"face {i} index")
+            if v < 0 or v >= nv:
+                raise FormatError(f"face {i} references vertex {v} of {nv}", ln)
+            idx.append(v)
+        for j in range(1, k - 1):  # fan triangulation
+            tris.append((idx[0], idx[j], idx[j + 1]))
+    return TriangleMesh(verts, np.asarray(tris, dtype=np.int64).reshape(-1, 3))
+
+
+def per_stroke_spacetime(sample: StrokeSample, m: int = 40) -> SparseGrid:
+    """Encode ordered strokes as paths in (x, y, time) space.
+
+    x and y are scaled/centered into the grid; the time coordinate is the
+    cumulative point index across all strokes scaled to the grid, so
+    redrawing the same shape later lands in a different time slab.  No
+    segments are drawn across stroke boundaries.
+    """
+    if not sample.strokes:
+        raise ValueError("sample has no strokes")
+    allp = np.vstack(sample.strokes)
+    xy = fit_points(allp, GridShape(LatticeKind.SQUARE, m), margin=0.0)
+    times = np.arange(allp.shape[0]) * ((m - 1) / max(allp.shape[0] - 1, 1))
+    pts = np.column_stack([xy, times])
+    shape = GridShape(LatticeKind.CUBIC, m)
+    ends = np.cumsum([len(s) for s in sample.strokes])[:-1]
+    keys = [rasterize_polyline(p, m, shape).keys for p in np.split(pts, ends)]
+    return _occupancy_grid(shape, np.concatenate(keys))
+
+
+def two_sort_augment_grid(grid: SparseGrid, params: AffineParams, rng: np.random.Generator) -> SparseGrid:
+    """Random affine jitter of the active sites; identity params are a no-op.
+
+    Sites are transformed about the field center, rounded back to the
+    lattice, and collisions keep the component-wise max.  Sites leaving
+    the field are dropped (augmentation semantics, not an error).
+    """
+    if params.is_identity:
+        return grid
+    d = grid.shape.ndim
+    ang = scale = 0.0
+    if params.rotate_deg:
+        ang = np.deg2rad(rng.uniform(-params.rotate_deg, params.rotate_deg))
+    if params.scale:
+        scale = rng.uniform(-params.scale, params.scale)
+    A = make_affine(d, rotation=ang, scale=1.0 + scale)
+    if params.shear:
+        S = np.eye(d)
+        for i in range(d):
+            for j in range(d):
+                if i != j:
+                    S[i, j] = rng.uniform(-params.shear, params.shear)
+        A = A @ S
+    t = rng.uniform(-params.translate, params.translate, size=d) if params.translate else np.zeros(d)
+
+    center = (grid.shape.m - 1) / 2.0
+    pts = grid.sites().astype(float) - center
+    pts = pts @ A.T + t + center
+    sites = np.rint(pts).astype(np.int64)
+    ok = ~grid.shape.outside(sites)
+    sites = sites[ok]
+    rows = grid.rows[ok]
+    keys = pack_sites(sites)
+    order = np.argsort(keys, kind="stable")
+    keys, rows = keys[order], rows[order]
+    uniq, first = np.unique(keys, return_index=True)
+    merged = np.empty((uniq.shape[0], grid.n), dtype=rows.dtype)
+    np.maximum.reduceat(rows, first, axis=0, out=merged)
+    return SparseGrid(grid.shape, uniq, merged, grid.ground)

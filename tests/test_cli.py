@@ -126,6 +126,15 @@ def test_voxelize_one_frame_video_exit_3(tmp_path, capsys):
     assert not (tmp_path / "one.grid").exists()
 
 
+@pytest.mark.parametrize("count", ["99999999999999", "999999999999999999999"])
+def test_voxelize_off_count_beyond_file_exit_3(tmp_path, capsys, count):
+    mesh = tmp_path / "huge.off"
+    mesh.write_text(f"OFF\n{count} 1 0\n0 0 0\n")
+    assert main(["voxelize", "--input", str(mesh), "--out", str(tmp_path / "huge.grid")]) == 3
+    assert "unexpected end of file" in capsys.readouterr().err
+    assert not (tmp_path / "huge.grid").exists()
+
+
 def test_voxelize_strokes(tmp_path):
     sj = tmp_path / "char.json"
     write_strokes_json(sj, StrokeSample([[[0.0, 0.0], [5.0, 8.0]]], label=2))

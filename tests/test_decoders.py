@@ -3,6 +3,8 @@ checkpoints, ``.svid`` videos, OFF meshes, stroke JSON documents and
 CIFAR-10 batches either decode to a valid object or raise FormatError.
 
 Every proper prefix of a file is tried, then seeded random byte flips.
+OFF meshes are also decoded by the token-at-a-time decoder of
+``oracles.py``, which must give the same mesh or the same error.
 """
 
 import struct
@@ -17,6 +19,8 @@ from latticenet.ingest import (
     CIFAR_RECORD,
     FrameSequence,
     StrokeSample,
+    TriangleMesh,
+    _COMMENT,
     load_cifar_batch,
     load_off,
     read_strokes_json,
@@ -29,6 +33,7 @@ from latticenet.netspec import parse, plan
 from latticenet.network import Network
 
 from conftest import ALL_LATTICES, random_sparse, sphere_mesh
+from oracles import token_walk_load_off
 
 FLIPS = 300
 
@@ -307,6 +312,116 @@ def check_off(data: bytes):
         return
     assert np.isfinite(mesh.vertices).all()
     assert mesh.faces.size == 0 or 0 <= mesh.faces.min() <= mesh.faces.max() < len(mesh.vertices)
+
+
+def torus_off_blob(tmp_path, rings=8, sides=5):
+    u, v = np.meshgrid(2 * np.pi * np.arange(rings) / rings,
+                       2 * np.pi * np.arange(sides) / sides, indexing="ij")
+    ring = 1.0 + 0.3 * np.cos(v)
+    verts = np.stack([ring * np.cos(u), ring * np.sin(u), 0.3 * np.sin(v)], -1).reshape(-1, 3)
+    i, j = np.meshgrid(np.arange(rings), np.arange(sides), indexing="ij")
+    a, b = i * sides + j, (i + 1) % rings * sides + j
+    c, d = (i + 1) % rings * sides + (j + 1) % sides, i * sides + (j + 1) % sides
+    faces = np.concatenate([np.stack([a, b, c], -1), np.stack([a, c, d], -1)]).reshape(-1, 3)
+    p = tmp_path / "torus.off"
+    save_off(TriangleMesh(verts, faces), p)
+    return p.read_bytes()
+
+
+POLYGON_OFF = b"""# a quad and a pentagon
+OFF # the header
+6 2 0
+0 0 0  # v0
+1 0 0
+1 1 0
+0 1 0
+0.5 1.5 0
+-0.5 0.5 1e0
+4 0 1 2 3 # quad
+5 0 1 2 4 3
+"""
+
+
+def same_decoding(data):
+    """``load_off`` gives the token-at-a-time decoder's mesh, equal in dtype,
+    shape and bits, or raises its FormatError message and line."""
+    try:
+        want = token_walk_load_off(data)
+    except FormatError as e:
+        with pytest.raises(FormatError) as got:
+            load_off(data)
+        assert (str(got.value), got.value.line) == (str(e), e.line), data
+        return
+    got = load_off(data)
+    for a, b in ((got.vertices, want.vertices), (got.faces, want.faces)):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), data
+
+
+def test_off_matches_token_walk_on_prefixes_and_flips(tmp_path):
+    rng = np.random.default_rng(17)
+    for blob in (off_blob(tmp_path), torus_off_blob(tmp_path), POLYGON_OFF):
+        for cut in range(len(blob) + 1):
+            same_decoding(blob[:cut])
+        for data in flipped(blob, rng):
+            same_decoding(data)
+
+
+def test_off_comment_ends_where_splitlines_breaks():
+    for c in map(chr, range(0x3000)):
+        text = f"1 #{c}2"
+        ended = _COMMENT.sub("", text).split() == ["1", "2"]
+        assert ended == (len(text.splitlines()) == 2), hex(ord(c))
+
+
+TRIANGLE = "0 0 0\n1 0 0\n0 1 0\n"
+
+
+@pytest.mark.parametrize("data", [
+    # glued, lower-case and damaged headers
+    "OFF3 1 0\n" + TRIANGLE + "3 0 1 2\n",
+    "off 3 1 0\n" + TRIANGLE + "3 0 1 2\n",
+    "OFFx 1 0\n", "OFF\n", "OFF3", "OF 3 1 0\n", "", "# only a comment\n", "\n\n",
+    # non-finite and oddly written coordinates
+    "OFF\n3 1 0\nnan 0 0\n1 0 0\n0 1 0\n3 0 1 2\n",
+    "OFF\n3 1 0\n0 0 0\n1 -Infinity 0\n0 1 0\n3 0 1 2\n",
+    "OFF\n3 1 0\n0 0 0\n1 0 1e999\n0 1 0\n3 0 1 2\n",
+    "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 inf\n3 0 1 zebra\n",
+    "OFF\n3 1 0\n0 0 0\n1 0 zebra\n0 nan 0\n3 0 1 2\n",
+    "OFF\n3 1 0\n0 0 0\n1 0 0x1\n0 1 0\n3 0 1 2\n",
+    # face indices and counts beyond int64
+    "OFF\n3 1 0\n" + TRIANGLE + "3 0 1 9223372036854775808\n",
+    "OFF\n3 1 0\n" + TRIANGLE + "3 0 -9223372036854775809 2\n",
+    "OFF\n3 1 0\n" + TRIANGLE + "3 0 1 99999999999999999999999 zebra\n",
+    "OFF\n3 1 0\n" + TRIANGLE + "3 0 1 99999999999999999999999 0\n",
+    "OFF\n3 9223372036854775808 0\n" + TRIANGLE + "3 0 1 2\n",
+    "OFF\n3 2 0\n" + TRIANGLE + "3 0 1 2 99999999999999999999 0 1\n",
+    "OFF\n3 1 0\n" + TRIANGLE + "99999999999999999999 0 1 2\n",
+    "OFF\n3 2 0\n" + TRIANGLE + "3 0 1 7\n99999999999999999999 0 1 2\n",
+    # underscores and non-ASCII digits, as str input
+    "OFF\n3 1 0\n0 1_0 0\n1 0 0\n0 1 0\n3 0 1 2\n",
+    "OFF\n3 1 0\n0 1__0 0\n1 0 0\n0 1 0\n3 0 1 2\n",
+    "OFF\n\u0663 1 0\n0 \u0663.\u0665 0\n1 0 0\n0 1 0\n\u0663 0 1 \u0662\n",
+    "OFF\n3 1 0\n" + TRIANGLE + "3 0 1_0 2\n",
+    "OFF\n3 1 0\n\uff10 0 0\n1 0 0\n0 1 0\n3 0 \uff11 2\n",
+    b"OFF\n3 1 0\n0 \xd9\xa3 0\n1 0 0\n0 1 0\n3 0 1 2\n",
+    # line breaks str.splitlines knows, next to comments, before good and bad tokens
+    "OFF#c\r3 1 0#x\x0b0 0 0\x0c1 0 0#\x1c0 1 0\r\n3 0 1 2",
+    "OFF#c\r3 1 0#x\x0b0 0 0\x0c1 0 0#\x1c0 1 zebra\r\n3 0 1 2",
+    "OFF\x1d3 1 0#\x1e0 0 0\x851 0 0#a\u20280 1 0\u2029#\x1c3 0 1 7",
+    "OFF\n3 1 0\x1f0 0 0\xa01 0 0#\x1f0 1 0\n3 0 1 2\n",
+    b"OFF\r\n3 1 0\r\n0 0 0#\r1 0 0\x85\n0 1 0\n3 0 1 2\n",
+    # trailing tokens, short faces, negative counts
+    "OFF\n3 1 0\n" + TRIANGLE + "3 0 1 2\n4 what ever # follows\n",
+    "OFF\n3 1 0\n" + TRIANGLE + "2 0 1\n",
+    "OFF\n3 2 0\n" + TRIANGLE + "3 0 1 2\n0\n",
+    "OFF\n3 2 0\n" + TRIANGLE + "3 0 1 5\n-1\n",
+    "OFF\n3 1 0\n" + TRIANGLE + "3 0 1\n",
+    "OFF\n3 1 0\n" + TRIANGLE + "4 0 1 2",
+    "OFF\n-1 1 0\n", "OFF\n3 -1 0\n" + TRIANGLE, "OFF\n3 1 -2\n" + TRIANGLE + "3 0 1 2\n",
+    "OFF\n0 0 0\n", "OFF\n3 0 0\n" + TRIANGLE, "OFF\n2 0 0\n0 0 0\n1 1\n",
+])
+def test_off_matches_token_walk_on_crafted_files(data):
+    same_decoding(data)
 
 
 def strokes_blob(tmp_path, rng):

@@ -122,6 +122,17 @@ def test_load_off_non_finite_names_line(tok):
     assert exc.value.line == 4
 
 
+@pytest.mark.parametrize("text, vertex, line", [
+    (b"OFF\n99999999999999 1 0\n0 0 0\n", 1, 3),
+    (b"OFF\n999999999999999999999 1 0\n", 0, 2),
+])
+def test_load_off_count_beyond_file_is_end_of_file(text, vertex, line):
+    # nothing is sized from the header count, so the file just runs out
+    with pytest.raises(FormatError, match=f"end of file while reading vertex {vertex} coordinate") as exc:
+        load_off(text)
+    assert exc.value.line == line
+
+
 def test_mesh_non_finite_vertex_rejected():
     verts = np.array([[0.0, 0.0, 0.0], [1.0, np.nan, 0.0], [0.0, 1.0, 0.0]])
     with pytest.raises(ValueError, match="non-finite"):

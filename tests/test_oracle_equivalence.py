@@ -1,14 +1,16 @@
 """The whole-array rasterizer, voxelizer and FMP active-site step against
 the per-segment, per-face and per-site loops they replace (oracles.py),
-training with the running-max pool argmax and the in-place SGD step
-against training with the masked-store argmax and the copying step, and
-training with the table rulebook against training with the searchsorted
-rulebook.
+space-time strokes sampled in one pass against one rasterization per
+stroke, augmentation with one sort against the two-sort form, training
+with the running-max pool argmax and the in-place SGD step against
+training with the masked-store argmax and the copying step, and training
+with the table rulebook against training with the searchsorted rulebook.
 
 Equality is exact: the same active keys for every seed, and for meshes the
 same per-face subdivision counts, so that a different edge-length formula
-cannot hide behind voxel rounding; the same epoch rows, checkpoint bytes
-and evaluation outputs, byte for byte.
+cannot hide behind voxel rounding; the same augmented rows, bit for bit;
+the same epoch rows, checkpoint bytes and evaluation outputs, byte for
+byte.
 """
 
 import re
@@ -21,11 +23,14 @@ from latticenet.geometry import GridShape, LatticeKind
 from latticenet.grid import DenseGrid, SparseGrid
 from latticenet.ingest import (
     KNOT_KINDS,
+    StrokeSample,
+    _path_keys,
     _subdivisions,
     fit_points,
     knot_curve,
     random_rotation,
     rasterize_polyline,
+    strokes_to_spacetime,
     voxelize_mesh,
 )
 from latticenet.netspec import parse, plan
@@ -33,14 +38,16 @@ from latticenet.network import Network
 from latticenet.ops import FMP_RATIO, FMPLayer, fmp_forward, fmp_regions
 from latticenet.train import AffineParams, TrainConfig, augment_grid, evaluate, fit
 
-from conftest import cube_surface_mesh, sphere_mesh
+from conftest import ALL_LATTICES, cube_surface_mesh, random_sparse, sphere_mesh
 from oracles import (
     copying_sgd_step,
     loop_fmp_active_keys,
     loop_rasterize_polyline,
     loop_voxelize_mesh,
+    per_stroke_spacetime,
     putmask_max_pool,
     searchsorted_window_rulebook,
+    two_sort_augment_grid,
 )
 
 SEEDS = range(100)
@@ -123,6 +130,69 @@ def test_rasterize_first_out_of_grid_voxel_matches_loop(lattice, pts, voxel):
     with pytest.raises(ValueError, match="outside") as old:
         loop_rasterize_polyline(pts, 10, shape)
     assert culprit(new) == culprit(old) == voxel
+
+
+def random_strokes(rng) -> StrokeSample:
+    """One to five pen strokes of one to sixteen points, some of one point."""
+    return StrokeSample([np.cumsum(rng.normal(0.0, 0.1, size=(int(rng.integers(1, 17)), 2)), axis=0)
+                         + rng.uniform(0.0, 1.0, size=2)
+                         for _ in range(int(rng.integers(1, 6)))])
+
+
+def test_strokes_to_spacetime_matches_per_stroke():
+    for seed in SEEDS:
+        rng = np.random.default_rng(seed)
+        sample = random_strokes(rng)
+        m = 8 + seed % 41
+        assert np.array_equal(strokes_to_spacetime(sample, m).keys,
+                              per_stroke_spacetime(sample, m).keys), seed
+
+
+@pytest.mark.parametrize("lattice, hi", [(LatticeKind.CUBIC, 11.6), (LatticeKind.TETRAHEDRAL, 4.2)])
+def test_paths_match_one_rasterization_per_path(lattice, hi):
+    """Several paths sampled together give each path's voxels, or the first
+    out-of-grid voxel of the first path that has one."""
+    shape = GridShape(lattice, 12)
+    outside = 0
+    for seed in SEEDS:
+        rng = np.random.default_rng(seed)
+        paths = [rng.uniform(-0.6, hi, size=(int(rng.integers(1, 6)), 3))
+                 for _ in range(int(rng.integers(1, 5)))]
+        starts = np.cumsum([0] + [len(p) for p in paths[:-1]])
+        try:
+            want = np.concatenate([loop_rasterize_polyline(p, shape.m, shape) for p in paths])
+        except ValueError:
+            with pytest.raises(ValueError, match="outside") as old:
+                for p in paths:
+                    loop_rasterize_polyline(p, shape.m, shape)
+            with pytest.raises(ValueError, match="outside") as new:
+                _path_keys(np.vstack(paths), starts, shape)
+            assert culprit(new) == culprit(old), seed
+            outside += 1
+            continue
+        got = _path_keys(np.vstack(paths), starts, shape)
+        assert np.array_equal(np.unique(got), np.unique(want)), seed
+    assert 20 <= outside <= 80, outside
+
+
+@pytest.mark.parametrize("lattice", ALL_LATTICES)
+def test_augment_grid_matches_two_sort(lattice):
+    """Shrinking, shearing jitter makes sites collide; the merged rows and
+    keys equal the two-sort form's bit for bit."""
+    jitter = AffineParams(rotate_deg=40.0, scale=0.6, shear=0.3, translate=1.5)
+    merged = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        grid = random_sparse(lattice, 9, 3, 0.4, rng, ground=rng.normal(size=3))
+        got = augment_grid(grid, jitter, np.random.default_rng(seed))
+        want = two_sort_augment_grid(grid, jitter, np.random.default_rng(seed))
+        assert np.array_equal(got.keys, want.keys), seed
+        assert got.rows.dtype == want.rows.dtype and got.rows.tobytes() == want.rows.tobytes(), seed
+        assert got.ground.tobytes() == want.ground.tobytes(), seed
+        # a row that is no input row is the max of colliding rows
+        inputs = {r.tobytes() for r in grid.rows}
+        merged += sum(r.tobytes() not in inputs for r in got.rows)
+    assert merged >= 20
 
 
 def fit_save_load_evaluate(arch, tmp_path):
