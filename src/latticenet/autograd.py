@@ -21,7 +21,8 @@ Gradients follow the transposed data flow of the forward pass:
 * pool:  the plan stores, per output component, the footprint position
   that won the max (ties resolved toward the lowest position); the
   component's gradient goes to the input row that position reads, or
-  nowhere when the ground won, in one flat ``np.add.at``;
+  nowhere when the ground won, in one flat ``np.add.at`` with no mask: a
+  ground-won component goes to a dummy row ``a_in``, sliced off after;
 * relu:  gradient masked by the forward sign.
 
 The Q form's scatter runs one footprint position at a time, from the last
@@ -38,6 +39,9 @@ same terms in different orders, so they agree to rounding, not bit for
 bit; a layer's form depends only on its sizes, so a given batch always
 takes the same one.
 
+SGD updates each tensor in row tiles of about ``ops.TILE`` elements, all
+five in-place passes per tile, so that the tile stays in cache.
+
 Dropping the ground-path contributions makes training cheap and matches
 how sparse CNNs are normally trained; gradients are exact whenever no
 gather position reads a ground vector that depends on parameters (e.g.
@@ -52,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import ConvLayer, Plan
+from .ops import TILE, ConvLayer, Plan
 
 
 @dataclass
@@ -173,16 +177,22 @@ def _input_frame_backward(d_out: np.ndarray, plan: Plan, layer: ConvLayer, input
 
 def pool_backward(d_out: np.ndarray, plan: Plan):
     """Route each output gradient component to the input row its argmax
-    position reads; components the ground won take no gradient."""
+    position reads; components the ground won take no gradient.
+
+    A ground-filled position reads a dummy row ``a_in``, sliced off at the
+    end, so one unmasked flat ``np.add.at`` takes every component in
+    row-major order.  The flat index is mapped per gather position, (a_out,
+    F), before the argmax picks it per component, (a_out, n)."""
     if d_out.shape != plan.argmax.shape:
         raise ValueError(f"d_out must be {plan.argmax.shape}, got {d_out.shape}")
-    n = d_out.shape[1]
-    d_in = np.zeros(plan.a_in * n, dtype=d_out.dtype)
-    target = plan.argmax_src
-    valid = target >= 0
+    n, a_in = d_out.shape[1], plan.a_in
+    d_in = np.zeros((a_in + 1) * n, dtype=d_out.dtype)
     # one flat index per component: a 2-D index tuple misses add.at's fast path
-    np.add.at(d_in, (target * n + np.arange(n))[valid], d_out[valid])
-    return d_in.reshape(plan.a_in, n)
+    start = np.where(plan.src >= 0, plan.src, a_in) * n
+    flat = np.take_along_axis(start, plan.argmax, axis=1)
+    flat += np.arange(n)
+    np.add.at(d_in, flat.reshape(-1), d_out.reshape(-1))
+    return d_in[:a_in * n].reshape(a_in, n)
 
 
 def relu_backward(d_out: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -214,14 +224,23 @@ def sgd_step(params: list[ParamState], lr: float, momentum: float = 0.0,
     """velocity <- mu*velocity - lr*(grad + wd*values); values += velocity.
 
     Updated in place, the gradient buffer holding ``lr*(grad + wd*values)``
-    until it is zeroed; each operation rounds as the formula does."""
+    until it is zeroed; each operation rounds as the formula does.  Each
+    tensor runs in tiles of leading-axis rows, about ``TILE`` elements
+    each, taking all five passes before the next tile, so that a tile
+    stays in cache; every pass is elementwise, so the tiles change no bit."""
     for p in params:
-        p.grad += weight_decay * p.values
-        p.grad *= lr
-        p.velocity *= momentum
-        p.velocity -= p.grad
-        p.values += p.velocity
-        p.grad.fill(0)
+        # views; a 0-d tensor is one row
+        tensors = [np.atleast_1d(a) for a in (p.values, p.grad, p.velocity)]
+        rows = len(tensors[0])
+        step = max(1, TILE * rows // max(p.values.size, 1))
+        for lo in range(0, rows, step):
+            values, grad, velocity = (a[lo:lo + step] for a in tensors)
+            grad += weight_decay * values
+            grad *= lr
+            velocity *= momentum
+            velocity -= grad
+            values += velocity
+            grad.fill(0)
 
 
 def finite_diff_check(loss_fn, params: list[ParamState], eps: float = 1e-3) -> float:

@@ -6,10 +6,12 @@ no ground states.  The loop ones after them are the original one-segment,
 one-face and one-site-at-a-time active-set builders, and the original
 one-grid-at-a-time rulebook.  The ``addat`` ones at the end are the
 original ``np.add.at`` scatters of the conv and pool backward passes.
-The last two are the original max-pool argmax, one masked store per
-footprint position, and the original SGD step with its temporaries.
-Then the original window rulebook, one ``searchsorted`` per dimension
-and a second ``np.unique`` for the per-sample grouping.  The last three
+Then the original max-pool argmax, one masked store per footprint
+position, and the original SGD step with its temporaries; the original
+running max over whole arrays, and the original pool scatter with its
+mask compaction.  Then the original window rulebook, one
+``searchsorted`` per dimension and a second ``np.unique`` for the
+per-sample grouping.  The last three
 are original ingestion steps: the OFF decoder that converts one token per
 call, space-time strokes rasterized one stroke at a time, and the
 augmentation that sorts its keys twice.
@@ -406,6 +408,72 @@ def copying_sgd_step(params, lr: float, momentum: float = 0.0,
         p.velocity -= lr * g
         p.values += p.velocity
         p.grad[...] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# the whole-array running max and the masked pool scatter
+#
+# The original bodies of ``ops._max_pool`` and ``autograd.pool_backward``,
+# kept verbatim: the pool builds the whole (a_out, F) gather index and runs
+# every footprint position over all output rows at once, and the backward
+# pass compacts the components the ground did not win with two boolean
+# masks before one ``np.add.at``.
+
+
+def untiled_max_pool(batch: GridBatch, out_keys, out_sample, out_shape, src, keep_plan: bool):
+    """Shared tail of pooling ops: one running max over the footprint
+    positions, plus the batch's :class:`Plan` with its argmax when
+    ``keep_plan`` (else None).
+
+    Each step reads one position's input vectors for every output row and
+    folds them in with ``np.maximum``, so the (a_out, F, n) gather is never
+    built.  Positions run in ascending order and only a strictly greater
+    value moves the argmax, which keeps the lowest of equal maxima.  The
+    argmax is itself a running max: position ``k`` exceeds every position
+    stored before it, so ``argmax = max(argmax, better * k)`` moves exactly
+    the components where ``better`` holds, with no masked store.  A NaN
+    never compares greater, so NaN components get their first NaN position
+    after the loop.
+    """
+    table, idx = _gather_index(batch, src, out_sample)
+    F = src.shape[1]
+    rows = table[idx[:, 0]]
+    vals = np.empty_like(rows)
+    if keep_plan:
+        position = np.min_scalar_type(F - 1).type
+        argmax = np.zeros(rows.shape, position)
+        better = np.empty(rows.shape, bool)
+        moved = np.empty_like(argmax)
+    for k in range(1, F):
+        np.take(table, idx[:, k], axis=0, out=vals)
+        if keep_plan:
+            np.greater(vals, rows, out=better)
+            np.multiply(better, position(k), out=moved)
+            np.maximum(argmax, moved, out=argmax)
+        np.maximum(rows, vals, out=rows)
+    out = GridBatch(out_shape, out_keys, rows, batch.grounds.copy(),
+                    _row_starts(out_sample, batch.B))
+    if not keep_plan:
+        return out, None
+    nan = np.isnan(rows)
+    if nan.any():
+        i, c = np.nonzero(nan)
+        argmax[i, c] = np.isnan(table[idx[i].T, c]).argmax(axis=0)
+    return out, Plan(out_keys, src, batch.start, out.start, argmax=argmax)
+
+
+def masked_pool_backward(d_out: np.ndarray, plan: Plan):
+    """Route each output gradient component to the input row its argmax
+    position reads; components the ground won take no gradient."""
+    if d_out.shape != plan.argmax.shape:
+        raise ValueError(f"d_out must be {plan.argmax.shape}, got {d_out.shape}")
+    n = d_out.shape[1]
+    d_in = np.zeros(plan.a_in * n, dtype=d_out.dtype)
+    target = plan.argmax_src
+    valid = target >= 0
+    # one flat index per component: a 2-D index tuple misses add.at's fast path
+    np.add.at(d_in, (target * n + np.arange(n))[valid], d_out[valid])
+    return d_in.reshape(plan.a_in, n)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from latticenet import network
+from latticenet import autograd, network
 from latticenet.autograd import (
     ParamState,
     conv_backward,
@@ -232,10 +232,8 @@ def test_sgd_weight_decay():
     assert np.allclose(p.values, [2.0 - 0.1 * 0.5 * 2.0])
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_sgd_in_place_equals_copying_formula(dtype, rng):
-    """The in-place step rounds as ``velocity = mu*velocity - lr*(grad +
-    wd*values)`` does, so several steps agree bit for bit."""
+def check_sgd_against_copying(dtype, rng):
+    """Several in-place steps agree with the copying step bit for bit."""
     shapes = [(27 * 4, 8), (8,), (64 * 3, 5), (5,)]
     ours = [ParamState(rng.normal(size=s).astype(dtype)) for s in shapes]
     ref = [ParamState(p.values.copy()) for p in ours]
@@ -249,6 +247,33 @@ def test_sgd_in_place_equals_copying_formula(dtype, rng):
             assert np.array_equal(a.values, b.values)
             assert np.array_equal(a.velocity, b.velocity)
             assert not a.grad.any()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sgd_in_place_equals_copying_formula(dtype, rng):
+    """The in-place step rounds as ``velocity = mu*velocity - lr*(grad +
+    wd*values)`` does, so several steps agree bit for bit."""
+    check_sgd_against_copying(dtype, rng)
+
+
+def test_sgd_scalar_param_equals_copying_formula():
+    ours, ref = ParamState(np.array(2.0)), ParamState(np.array(2.0))
+    for g in (0.5, -0.25):
+        ours.grad[...] = ref.grad[...] = g
+        sgd_step([ours], lr=0.1, momentum=0.9, weight_decay=0.5)
+        copying_sgd_step([ref], lr=0.1, momentum=0.9, weight_decay=0.5)
+        assert ours.values.shape == () and ours.values == ref.values
+        assert ours.velocity == ref.velocity and ours.grad == 0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("tile", [1, 59], ids=["tile1", "tile59"])
+def test_sgd_in_tiles_equals_copying_formula(tile, dtype, rng, monkeypatch):
+    """A one-element tile takes one row at a time; a 59-element tile takes 7
+    rows of the (108, 8) tensor, 11 of the (192, 5) one and each bias
+    whole.  The test above runs the default tile."""
+    monkeypatch.setattr(autograd, "TILE", tile)
+    check_sgd_against_copying(dtype, rng)
 
 
 # ---------------------------------------------------------------------------

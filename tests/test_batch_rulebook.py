@@ -10,7 +10,10 @@ the ``np.add.at`` scatters they replaced bit for bit, which holds only if
 they add each input row's terms in the same order; the input frame's
 convolution gradients must equal the Q form's to rounding.  The table rulebook
 must give the rule of the searchsorted rulebook it replaced bit for bit,
-dtypes included.
+dtypes included.  The pool, run in row tiles, must give the rows, argmax
+and input gradient of the whole-array pool and masked scatter it replaced
+bit for bit, at a tile of one row, at an odd tile that splits samples,
+and at the default tile.
 """
 
 from dataclasses import replace
@@ -49,9 +52,11 @@ from oracles import (
     loop_fmp_gather,
     loop_gather,
     loop_max,
+    masked_pool_backward,
     plan_Q,
     putmask_max_pool,
     searchsorted_window_rulebook,
+    untiled_max_pool,
 )
 
 # sparsity per sample: empty grids between sparse, dense and full ones
@@ -68,6 +73,16 @@ def tied(grids):
     position of a window ties, so the argmax rests on position order."""
     return [SparseGrid(g.shape, g.keys, np.ones_like(g.rows), np.zeros_like(g.ground))
             for g in grids]
+
+
+def with_nans(grids, rng):
+    """NaNs in ~30% of row components and in sample 1's ground."""
+    out = []
+    for i, g in enumerate(grids):
+        rows = np.where(rng.random(g.rows.shape) < 0.3, np.nan, g.rows)
+        ground = np.array([np.nan, 0.0, 1.0], g.rows.dtype) if i == 1 else g.ground
+        out.append(SparseGrid(g.shape, g.keys, rows, ground))
+    return out
 
 
 def check_conv(grids, f, s, rng):
@@ -423,12 +438,7 @@ def test_pool_nan_matches_loop_max(p, s, rng):
     """A NaN component stays NaN, as ``max(axis=1)`` leaves it, and its
     argmax is the first NaN position, as ``argmax(axis=1)`` picks; NaNs
     sit in rows and in one sample's ground, several per window."""
-    grids = batch_of(LatticeKind.CUBIC, field(p, s), 3, MIXED, rng)
-    nan_grids = []
-    for i, g in enumerate(grids):
-        rows = np.where(rng.random(g.rows.shape) < 0.3, np.nan, g.rows)
-        ground = np.array([np.nan, 0.0, 1.0]) if i == 1 else g.ground
-        nan_grids.append(SparseGrid(g.shape, g.keys, rows, ground))
+    nan_grids = with_nans(batch_of(LatticeKind.CUBIC, field(p, s), 3, MIXED, rng), rng)
     batch = GridBatch.of(nan_grids)
     out, plans = pool_forward_batch(batch, PoolLayer(LatticeKind.CUBIC, p, s))
     assert np.isnan(out.rows).any()
@@ -544,3 +554,100 @@ def test_table_rulebook_matches_searchsorted_disjoint_batch(lattice, f, s, rng, 
     assert len(grids) == (28 if lattice is LatticeKind.TRIANGULAR else 64)
     assert all(g.shape.contains(tuple(site)) for g in grids for site in g.sites().tolist())
     check_window_rules(monkeypatch, grids, [(f, s)])
+
+
+# ---------------------------------------------------------------------------
+# the tiled pool against the whole-array pool and masked scatter it replaced
+
+# output rows per pool tile; None keeps the default ops.TILE, which holds
+# every test grid's rows in one tile
+TILE_ROWS = [1, 5, None]
+
+
+@pytest.fixture(params=TILE_ROWS, ids=lambda rows: f"tile{rows or 'default'}")
+def tile_rows(request, monkeypatch):
+    """A function of the feature count ``n`` that sets ``ops.TILE`` to hold
+    the parametrized number of rows and returns that number (None for the
+    default)."""
+    def use(n):
+        if request.param is not None:
+            monkeypatch.setattr(ops, "TILE", request.param * n)
+        return request.param
+    return use
+
+
+def check_tiled_pool(run, tile_rows, monkeypatch, rng):
+    """``run(keep_plan)`` pools a batch.  The tiled pool gives the output,
+    argmax, ``argmax_src`` and input gradient of the untiled pool and
+    masked scatter, bit for bit and dtypes included, with and without the
+    plan.  Returns the output and plan."""
+    with monkeypatch.context() as mp:
+        mp.setattr(ops, "_max_pool", untiled_max_pool)
+        want, wplan = run(True)
+        want_eval, _ = run(False)
+    rows = tile_rows(want.n)
+    if rows is not None and rows > 1 and want.a > rows:
+        assert any(start % rows for start in want.start[1:-1])  # a tile holds two samples
+    got, gplan = run(True)
+    got_eval, none = run(False)
+    assert none is None
+    for out in (got, got_eval):
+        assert np.array_equal(out.keys, want.keys) and np.array_equal(out.start, want.start)
+        assert out.rows.dtype == want.rows.dtype
+        assert np.array_equal(out.rows, want.rows, equal_nan=True)
+        assert np.array_equal(out.grounds, want.grounds, equal_nan=True)
+    assert gplan.argmax.dtype == wplan.argmax.dtype
+    assert np.array_equal(gplan.argmax, wplan.argmax)
+    assert np.array_equal(gplan.argmax_src, wplan.argmax_src)
+    d_out = rng.normal(size=want.rows.shape).astype(want.rows.dtype)
+    got_in, want_in = pool_backward(d_out, gplan), masked_pool_backward(d_out, wplan)
+    assert got_in.dtype == want_in.dtype and np.array_equal(got_in, want_in)
+    return got, gplan
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("lattice", ALL_LATTICES)
+@pytest.mark.parametrize("p, s", [(2, 2), (3, 2), (3, 1)])
+def test_tiled_pool_matches_untiled(lattice, p, s, dtype, tile_rows, rng, monkeypatch):
+    """Random, tied and NaN inputs, and a batch of empty samples."""
+    grids = as_dtype(batch_of(lattice, field(p, s), 3, MIXED, rng), dtype)
+    empty = as_dtype(batch_of(lattice, field(p, s), 3, (0.0, 0.0), rng), dtype)
+    layer = PoolLayer(lattice, p, s)
+    for gs in (grids, tied(grids), with_nans(grids, rng), empty):
+        batch = GridBatch.of(gs)
+        check_tiled_pool(lambda keep: pool_forward_batch(batch, layer, keep_plan=keep),
+                         tile_rows, monkeypatch, rng)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("ties", [False, True], ids=["random", "ties"])
+@pytest.mark.parametrize("m, ratio, seed", [(12, FMP_RATIO, 7), (5, FMP_RATIO, 3),
+                                            (3, 1.5, 0), (2, FMP_RATIO, 0)])
+def test_tiled_fmp_matches_untiled(ties, m, ratio, seed, dtype, tile_rows, rng, monkeypatch):
+    grids = as_dtype(batch_of(LatticeKind.CUBIC, m, 3, MIXED, rng), dtype)
+    if ties:
+        grids = tied(grids)
+    regions = fmp_regions(m, ratio, seed)
+    layer = FMPLayer(LatticeKind.CUBIC)
+    for gs in (grids, with_nans(grids, rng)):
+        batch = GridBatch.of(gs)
+        check_tiled_pool(lambda keep: fmp_forward_batch(batch, layer, regions, keep_plan=keep),
+                         tile_rows, monkeypatch, rng)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_tiled_pool_nan_in_later_tile(dtype, tile_rows, rng, monkeypatch):
+    """One NaN, in the last sample's last row: at a small tile it lies past
+    the first tile, where its argmax must still be its first NaN position."""
+    grids = as_dtype(batch_of(LatticeKind.CUBIC, 9, 3, (0.6, 0.0, 1.0), rng), dtype)
+    last = grids[-1]
+    rows = last.rows.copy()
+    rows[-1, 1] = np.nan
+    grids[-1] = SparseGrid(last.shape, last.keys, rows, last.ground)
+    batch = GridBatch.of(grids)
+    layer = PoolLayer(LatticeKind.CUBIC, 3, 2)
+    out, plan = check_tiled_pool(lambda keep: pool_forward_batch(batch, layer, keep_plan=keep),
+                                 tile_rows, monkeypatch, rng)
+    i, c = np.nonzero(np.isnan(out.rows))
+    assert set(c) == {1} and i.min() >= 5  # past the first tile of one or five rows
+    assert (plan.argmax_src[i, c] == batch.a - 1).all()

@@ -3,8 +3,10 @@ the per-segment, per-face and per-site loops they replace (oracles.py),
 space-time strokes sampled in one pass against one rasterization per
 stroke, augmentation with one sort against the two-sort form, training
 with the running-max pool argmax and the in-place SGD step against
-training with the masked-store argmax and the copying step, and training
-with the table rulebook against training with the searchsorted rulebook.
+training with the masked-store argmax and the copying step, training with
+the pool and SGD step in small tiles against training with the whole-array
+pool and the copying step, and training with the table rulebook against
+training with the searchsorted rulebook.
 
 Equality is exact: the same active keys for every seed, and for meshes the
 same per-face subdivision counts, so that a different edge-length formula
@@ -18,7 +20,7 @@ import re
 import numpy as np
 import pytest
 
-from latticenet import ops, train
+from latticenet import autograd, ops, train
 from latticenet.geometry import GridShape, LatticeKind
 from latticenet.grid import DenseGrid, SparseGrid
 from latticenet.ingest import (
@@ -48,6 +50,7 @@ from oracles import (
     putmask_max_pool,
     searchsorted_window_rulebook,
     two_sort_augment_grid,
+    untiled_max_pool,
 )
 
 SEEDS = range(100)
@@ -219,6 +222,19 @@ def fit_save_load_evaluate(arch, tmp_path):
 def test_training_matches_masked_argmax_and_copying_sgd(arch, tmp_path, monkeypatch):
     ours = fit_save_load_evaluate(arch, tmp_path)
     monkeypatch.setattr(ops, "_max_pool", putmask_max_pool)
+    monkeypatch.setattr(train, "sgd_step", copying_sgd_step)
+    assert ours == fit_save_load_evaluate(arch, tmp_path)
+
+
+@pytest.mark.parametrize("arch", ["4C2-MP3/2-6C2-output", "6C2-FMP-8C2-FMP-output"])
+def test_training_in_small_tiles_matches_untiled_pool(arch, tmp_path, monkeypatch):
+    """A 37-element tile splits every pool's rows (4 to 9 per tile) and
+    every weight tensor's rows in ``sgd_step`` across many tiles."""
+    with monkeypatch.context() as mp:
+        mp.setattr(ops, "TILE", 37)
+        mp.setattr(autograd, "TILE", 37)
+        ours = fit_save_load_evaluate(arch, tmp_path)
+    monkeypatch.setattr(ops, "_max_pool", untiled_max_pool)
     monkeypatch.setattr(train, "sgd_step", copying_sgd_step)
     assert ours == fit_save_load_evaluate(arch, tmp_path)
 
