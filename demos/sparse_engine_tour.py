@@ -34,7 +34,7 @@ draw({tuple(s) for s in grid.sites()}, 6)
 
 geom = FilterGeometry(LatticeKind.SQUARE, 2, 1)
 keys, out_shape = conv_active_sites(grid, geom)
-print(f"\nstep 1: hash the active output sites -> a_out = {len(keys)} "
+print(f"\nstep 1: sort the packed keys of the active output sites -> a_out = {len(keys)} "
       f"in a {out_shape.m}x{out_shape.m} layer")
 out_sites = {tuple(s) for s in
              SparseGrid(out_shape, keys, np.zeros((len(keys), 1)), np.zeros(1)).sites()}

@@ -1,7 +1,8 @@
 """Sparse convolutional networks on square, triangular, cubic and
-tetrahedral lattices: hash-indexed active sites, gather-matrix
-convolution, ground-state propagation, training, an architecture-string
-parser with a MAC cost model, and voxelization/ingestion front-ends.
+tetrahedral lattices: active sites as sorted packed keys, a rulebook
+built with one sort and a start table, gather-matrix convolution,
+ground-state propagation, training, an architecture-string parser with
+a MAC cost model, and voxelization/ingestion front-ends.
 """
 
 from .errors import (

@@ -1,9 +1,12 @@
 """Batch command-line front-end.
 
 Commands: ``train``, ``eval``, ``count-ops``, ``voxelize``, ``demo-knot``.
-Options can come from a ``key = value`` config file (``--config``); flags
-given on the command line win.  Exit codes: 0 success, 2 configuration or
-parse error, 3 data error, 4 internal invariant violation.
+Every setting is one flag, declared once in ``build_parser`` with its type
+and default.  A ``key = value`` config file (``--config``) sets the same
+keys; flags given on the command line win.  File values are converted by
+the flag's own type before any data loads, so a bad value exits 2 and
+names its flag.  Exit codes: 0 success, 2 configuration or parse error,
+3 data error, 4 internal invariant violation.
 
 Epoch logs are tab-separated with deterministic columns only (epoch,
 train loss, held-out error, MACs/sample); wall-clock timings go to
@@ -16,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +35,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_INTERNAL = 4
+RENDER_SCALE = 40  # object render scale for every source but knots
 
 
 def read_config(path) -> dict:
@@ -48,28 +53,12 @@ def read_config(path) -> dict:
     return out
 
 
-class Settings:
-    """Merged config-file + command-line settings with typed access."""
-
-    def __init__(self, cfg: dict, args: argparse.Namespace):
-        self.cfg = dict(cfg)
-        for k, v in vars(args).items():
-            if v is not None and k not in ("command", "config"):
-                self.cfg[k.replace("_", "-")] = v
-
-    def get(self, key, default=None, kind=str):
-        v = self.cfg.get(key, None)
-        if v is None:
-            return default
-        if kind is bool and isinstance(v, str):
-            return v.lower() in ("1", "true", "yes", "on")
-        return kind(v)
-
-    def require(self, key, kind=str):
-        v = self.get(key, None, kind)
-        if v is None:
-            raise ValueError(f"missing required setting {key!r}")
-        return v
+def require(args: argparse.Namespace, name: str):
+    """``args.<name>``, which neither a flag nor the config file may leave unset."""
+    value = getattr(args, name)
+    if value is None:
+        raise ValueError(f"missing required setting {name.replace('_', '-')!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +74,7 @@ def _embed_centered(grid: SparseGrid, field: GridShape) -> SparseGrid:
     return grid.embed(field, (off,) * d)
 
 
-def _read_grid(path: Path, settings: Settings, scale: int,
+def _read_grid(path: Path, args: argparse.Namespace, scale: int,
                rng: np.random.Generator) -> SparseGrid:
     """One ``.off`` mesh (randomly rotated), ``.json`` stroke document or
     ``.svid`` video as a sparse grid, chosen by the file's suffix."""
@@ -96,26 +85,24 @@ def _read_grid(path: Path, settings: Settings, scale: int,
     if suffix == ".json":
         return ingest.strokes_to_spacetime(ingest.read_strokes_json(path), scale)
     if suffix == ".svid":
-        return ingest.frame_difference(ingest.read_svid(path),
-                                       settings.get("threshold-pct", 12.0, float))
+        return ingest.frame_difference(ingest.read_svid(path), args.threshold_pct)
     raise ValueError(f"cannot detect input format of {path} (expected .off/.svid/.json)")
 
 
-def load_dataset(source: str, settings: Settings, field: GridShape, *,
+def load_dataset(source: str, args: argparse.Namespace, field: GridShape, *,
                  split: str, rng: np.random.Generator) -> list[LabeledSample]:
     """Materialize a dataset source specification into embedded grids.
 
     Sources: ``knots`` (synthetic), ``off:<dir>``, ``strokes:<dir>``,
     ``video:<dir>`` (class subdirectories each), ``cifar:<file-or-dir>``.
     """
-    scale = settings.get("scale", None, int)
     if source == "knots":
-        m = scale if scale is not None else field.m
+        m = args.scale if args.scale is not None else field.m
         if m > field.m:
             raise ValueError(
                 f"knot scale {m} does not fit the architecture's input field {field.m}"
             )
-        per = settings.get(f"{split}-per-class", 300 if split == "train" else 150, int)
+        per = getattr(args, f"{split}_per_class")
         samples = ingest.knot_dataset(m, per, rng, lattice=field.lattice)
         return [LabeledSample(_embed_centered(s.grid, field), s.label) for s in samples]
 
@@ -152,62 +139,37 @@ def load_dataset(source: str, settings: Settings, field: GridShape, *,
     for label, cdir in enumerate(class_dirs):
         for p in sorted(cdir.iterdir()):
             if p.suffix.lower() == suffix:
-                g = _read_grid(p, settings, scale or 40, rng)
+                g = _read_grid(p, args, args.scale or RENDER_SCALE, rng)
                 samples.append(LabeledSample(_embed_centered(g, field), label))
     if not samples:
         raise FileNotFoundError(f"no usable {kind} files under {root}")
     return samples
 
 
-def _planned_spec(settings: Settings) -> netspec.NetworkSpec:
-    arch = settings.require("arch")
-    lattice = LatticeKind.from_name(settings.require("lattice"))
-    n_input = settings.get("n-input", 1, int)
-    spec = netspec.parse(arch, lattice, n_input)
-    return netspec.plan(spec, input_size=settings.get("field", None, int))
-
-
-def _aug_params(settings: Settings) -> AffineParams:
-    return AffineParams(
-        rotate_deg=settings.get("aug-rotate-deg", 0.0, float),
-        scale=settings.get("aug-scale", 0.0, float),
-        shear=settings.get("aug-shear", 0.0, float),
-        translate=settings.get("aug-translate", 0.0, float),
-    )
+def _parsed_spec(args: argparse.Namespace) -> netspec.NetworkSpec:
+    arch = require(args, "arch")
+    return netspec.parse(arch, LatticeKind.from_name(require(args, "lattice")), args.n_input)
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def cmd_train(settings: Settings) -> int:
-    spec = _planned_spec(settings)
+def cmd_train(args: argparse.Namespace) -> int:
+    cfg = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
+    spec = netspec.plan(_parsed_spec(args), input_size=args.field)
     field = GridShape(spec.lattice, spec.planned_sizes[0])
-    classes = settings.require("classes", int)
-    seed = settings.get("seed", 0, int)
-    rng = np.random.default_rng(seed)
+    classes = require(args, "classes")
+    rng = np.random.default_rng(args.seed)
 
-    data_rng = np.random.default_rng(seed + 1)
-    train_set = load_dataset(settings.require("train-data"), settings, field,
+    data_rng = np.random.default_rng(args.seed + 1)
+    train_set = load_dataset(require(args, "train_data"), args, field,
                              split="train", rng=data_rng)
-    test_src = settings.get("test-data")
-    test_set = (load_dataset(test_src, settings, field, split="test", rng=data_rng)
-                if test_src else [])
+    test_set = (load_dataset(args.test_data, args, field, split="test", rng=data_rng)
+                if args.test_data else [])
 
-    net = Network(spec, classes, rng, fmp_eval_seed=seed)
-    cfg = TrainConfig(
-        epochs=settings.get("epochs", 50, int),
-        batch_size=settings.get("batch-size", 32, int),
-        lr=settings.get("lr", 0.02, float),
-        lr_decay=settings.get("lr-decay", 1.0, float),
-        momentum=settings.get("momentum", 0.9, float),
-        weight_decay=settings.get("weight-decay", 0.0, float),
-        seed=seed,
-        target_accuracy=settings.get("target-accuracy", None, float),
-    )
-
-    log_path = settings.get("log")
-    log_fh = open(log_path, "w") if log_path else None
+    net = Network(spec, classes, rng, fmp_eval_seed=args.seed)
+    log_fh = open(args.log, "w") if args.log else None
 
     def emit(log):
         line = log.row()
@@ -223,66 +185,55 @@ def cmd_train(settings: Settings) -> int:
     if log_fh:
         log_fh.close()
 
-    out = settings.get("out", "checkpoint.lnck")
-    net.save(out)
+    net.save(args.out)
     final_err = logs[-1].heldout_error if logs else float("nan")
-    print(f"checkpoint written to {out}; epochs {len(logs)}; "
+    print(f"checkpoint written to {args.out}; epochs {len(logs)}; "
           f"final held-out accuracy {1.0 - final_err:.4f}" if logs and test_set
-          else f"checkpoint written to {out}")
+          else f"checkpoint written to {args.out}")
     return EXIT_OK
 
 
-def cmd_eval(settings: Settings) -> int:
-    ckpt = settings.require("checkpoint")
-    net = Network.load(ckpt)
-    arch = settings.get("arch")
-    if arch and netspec.render(net.spec) != netspec.render(
-            netspec.parse(arch, net.spec.lattice, net.spec.n_input)):
+def cmd_eval(args: argparse.Namespace) -> int:
+    net = Network.load(require(args, "checkpoint"))
+    if args.arch and netspec.render(net.spec) != netspec.render(
+            netspec.parse(args.arch, net.spec.lattice, net.spec.n_input)):
         raise ValueError(
-            f"checkpoint architecture {netspec.render(net.spec)!r} does not match --arch {arch!r}"
+            f"checkpoint architecture {netspec.render(net.spec)!r} does not match --arch {args.arch!r}"
         )
     field = net.input_shape()
-    seed = settings.get("seed", 0, int)
-    data_rng = np.random.default_rng(seed + 1)
-    test_set = load_dataset(settings.require("test-data"), settings, field,
+    data_rng = np.random.default_rng(args.seed + 1)
+    test_set = load_dataset(require(args, "test_data"), args, field,
                             split="test", rng=data_rng)
-    repeats = settings.get("repeats", 1, int)
-    params = _aug_params(settings)
+    params = AffineParams(**{f.name: getattr(args, f"aug_{f.name}") for f in fields(AffineParams)})
     aug = None
-    if repeats > 1 and not params.is_identity:
+    if args.repeats > 1 and not params.is_identity:
         aug = lambda g, r: augment_grid(g, params, r)
-    report = evaluate(net, test_set, repeats=repeats, augment=aug,
-                      rng=np.random.default_rng(seed + 2))
+    report = evaluate(net, test_set, repeats=args.repeats, augment=aug,
+                      rng=np.random.default_rng(args.seed + 2))
     doc = report.to_dict()
-    out = settings.get("out")
     text = json.dumps(doc, indent=2)
-    if out:
-        Path(out).write_text(text)
-    print(f"accuracy {report.accuracy:.4f} over {len(test_set)} samples ({repeats}-fold)")
-    if not out:
+    if args.out:
+        Path(args.out).write_text(text)
+    print(f"accuracy {report.accuracy:.4f} over {len(test_set)} samples ({args.repeats}-fold)")
+    if not args.out:
         print(text)
     return EXIT_OK
 
 
-def cmd_count_ops(settings: Settings) -> int:
-    field = settings.get("field", None, int)
-    if field is not None:
-        arch = settings.require("arch")
-        lattice = LatticeKind.from_name(settings.require("lattice"))
-        parsed = netspec.parse(arch, lattice, settings.get("n-input", 1, int))
-        spec = (netspec.plan(parsed, input_size=field) if parsed.has_fmp
-                else netspec.plan_partial(parsed, field))
+def cmd_count_ops(args: argparse.Namespace) -> int:
+    parsed = _parsed_spec(args)
+    if args.field is not None and not parsed.has_fmp:
+        spec = netspec.plan_partial(parsed, args.field)
     else:
-        spec = _planned_spec(settings)
-    mode = settings.get("mode", "dense")
-    if mode == "dense":
+        spec = netspec.plan(parsed, input_size=args.field)
+    if args.mode == "dense":
         activity = "dense"
-    elif mode == "geometric":
-        activity = netspec.geometric_activity(spec, settings.require("width", int))
+    elif args.mode == "geometric":
+        activity = netspec.geometric_activity(spec, require(args, "width"))
     else:
-        raise ValueError(f"unknown activity mode {mode!r}; use dense or geometric")
-    report = netspec.count_ops(spec, activity, classes=settings.get("classes", None, int))
-    print(netspec.format_report(report, as_json=settings.get("json", False, bool)))
+        raise ValueError(f"unknown activity mode {args.mode!r}; use dense or geometric")
+    report = netspec.count_ops(spec, activity, classes=args.classes)
+    print(netspec.format_report(report, as_json=args.json))
     return EXIT_OK
 
 
@@ -292,29 +243,25 @@ def _grid_stats(grid: SparseGrid) -> str:
             f"active {grid.a} of {grid.shape.num_sites} sites ({100 * frac:.3f}%)")
 
 
-def cmd_voxelize(settings: Settings) -> int:
-    path = Path(settings.require("input"))
-    scale = settings.get("scale", 40, int)
-    seed = settings.get("seed", 0, int)
-    grid = _read_grid(path, settings, scale, np.random.default_rng(seed))
+def cmd_voxelize(args: argparse.Namespace) -> int:
+    path = Path(require(args, "input"))
+    grid = _read_grid(path, args, args.scale, np.random.default_rng(args.seed))
     if grid.a == 0:
         print("warning: result has no active sites", file=sys.stderr)
-    out = settings.get("out", str(path.with_suffix(".grid")))
+    out = args.out or str(path.with_suffix(".grid"))
     grid.save(out)
     print(_grid_stats(grid))
     print(f"written to {out}")
     return EXIT_OK
 
 
-def cmd_demo_knot(settings: Settings) -> int:
-    kind = settings.get("kind", "trefoil")
-    scale = settings.get("scale", 40, int)
-    seed = settings.get("seed", 0, int)
-    sample = ingest.synth_knot(kind, scale, np.random.default_rng(seed))
+def cmd_demo_knot(args: argparse.Namespace) -> int:
+    scale = args.scale
+    sample = ingest.synth_knot(args.kind, scale, np.random.default_rng(args.seed))
     grid = sample.grid
-    if settings.get("out"):
-        grid.save(settings.get("out"))
-        print(f"written to {settings.get('out')}")
+    if args.out:
+        grid.save(args.out)
+        print(f"written to {args.out}")
     print(_grid_stats(grid))
     # coarse projection so the shape is visible in a terminal
     sites = grid.sites()
@@ -329,85 +276,94 @@ def cmd_demo_knot(settings: Settings) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _truthy(text: str) -> bool:
+    return text.lower() in ("1", "true", "yes", "on")
+
+
+def build_parser(file_settings: dict | None = None) -> argparse.ArgumentParser:
+    """The command parser; ``file_settings`` (a config file's ``key = value``
+    pairs) become the defaults of the flags of the same names."""
+    train = TrainConfig()
+    aug = {f"aug-{f.name.replace('_', '-')}": dict(type=float, default=f.default)
+           for f in fields(AffineParams)}
+    settings = {  # flag name -> add_argument keywords, every setting once
+        "config": dict(help="key = value settings file (flags win)"),
+        "arch": dict(help="architecture string, e.g. 32C2-MP3/2-output"),
+        "lattice": dict(choices=[k.value for k in LatticeKind]),
+        "scale": dict(type=int, help="object render scale (default: the input "
+                                     f"field for knots, {RENDER_SCALE} otherwise)"),
+        "seed": dict(type=int, default=train.seed),
+        "threads": dict(type=int, default=train.threads, help="accepted; has no effect"),
+        "out": dict(help="output path"),
+        "train-data": dict(help="data source (knots | off:DIR | strokes:DIR | "
+                                "video:DIR | cifar:PATH)"),
+        "test-data": dict(),
+        "train-per-class": dict(type=int, default=300, help="knots per class (knots source)"),
+        "test-per-class": dict(type=int, default=150, help="knots per class (knots source)"),
+        "checkpoint": dict(),
+        "classes": dict(type=int),
+        "n-input": dict(type=int, default=1, help="input features per site"),
+        "field": dict(type=int, help="input field size (required for FMP architectures; "
+                                     "must match the planned field otherwise)"),
+        "epochs": dict(type=int, default=train.epochs),
+        "batch-size": dict(type=int, default=train.batch_size),
+        "lr": dict(type=float, default=train.lr),
+        "lr-decay": dict(type=float, default=train.lr_decay),
+        "momentum": dict(type=float, default=train.momentum),
+        "weight-decay": dict(type=float, default=train.weight_decay),
+        "target-accuracy": dict(type=float, default=train.target_accuracy),
+        "log": dict(help="epoch log file (tab-separated)"),
+        "repeats": dict(type=int, default=1, help="augmented passes per test sample"),
+        **aug,
+        "threshold-pct": dict(type=float, default=12.0),
+        "mode": dict(choices=["dense", "geometric"], default="dense"),
+        "width": dict(type=int, help="active box width for geometric mode"),
+        "json": dict(nargs="?", const=True, default=False, type=_truthy),
+        "input": dict(help="input file (.off, .svid, .json)"),
+        "kind": dict(choices=list(ingest.KNOT_KINDS), default="trefoil"),
+    }
+    common = ("config", "arch", "lattice", "scale", "seed", "threads", "out")
+    commands = {  # name -> (function, help, settings beyond the common ones, own defaults)
+        "train": (cmd_train, "train a network and write a checkpoint",
+                  ("train-data", "test-data", "train-per-class", "test-per-class", "classes",
+                   "n-input", "field", "epochs", "batch-size", "lr", "lr-decay", "momentum",
+                   "weight-decay", "target-accuracy", "threshold-pct", "log"),
+                  {"out": "checkpoint.lnck"}),
+        "eval": (cmd_eval, "evaluate a checkpoint with n-fold repetitive testing",
+                 ("checkpoint", "test-data", "test-per-class", "repeats", "threshold-pct",
+                  *aug), {}),
+        "count-ops": (cmd_count_ops, "plan an architecture and count MACs",
+                      ("mode", "width", "classes", "n-input", "field", "json"), {}),
+        "voxelize": (cmd_voxelize, "convert a data file into a sparse grid record",
+                     ("input", "threshold-pct"), {"scale": RENDER_SCALE}),
+        "demo-knot": (cmd_demo_knot, "rasterize a synthetic knot and print it",
+                      ("kind",), {"scale": RENDER_SCALE}),
+    }
+
     ap = argparse.ArgumentParser(
         prog="latticenet",
         description="sparse CNNs on square/triangular/cubic/tetrahedral lattices",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="key = value settings file")
-        p.add_argument("--arch", help="architecture string, e.g. 32C2-MP3/2-output")
-        p.add_argument("--lattice", choices=[k.value for k in LatticeKind])
-        p.add_argument("--scale", type=int, help="object render scale")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--threads", type=int, help="accepted; has no effect")
-        p.add_argument("--out", help="output path")
-
-    p = sub.add_parser("train", help="train a network and write a checkpoint")
-    common(p)
-    p.add_argument("--train-data", help="data source (knots | off:DIR | strokes:DIR | video:DIR | cifar:PATH)")
-    p.add_argument("--test-data")
-    p.add_argument("--classes", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--lr-decay", type=float)
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--weight-decay", type=float)
-    p.add_argument("--target-accuracy", type=float)
-    p.add_argument("--field", type=int,
-                   help="input field size (required for FMP architectures; "
-                        "must match the planned field otherwise)")
-    p.add_argument("--threshold-pct", type=float)
-    p.add_argument("--log", help="epoch log file (tab-separated)")
-
-    p = sub.add_parser("eval", help="evaluate a checkpoint with n-fold repetitive testing")
-    common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--test-data")
-    p.add_argument("--repeats", type=int, help="augmented passes per test sample")
-    p.add_argument("--threshold-pct", type=float)
-    p.add_argument("--aug-rotate-deg", type=float)
-    p.add_argument("--aug-scale", type=float)
-    p.add_argument("--aug-shear", type=float)
-    p.add_argument("--aug-translate", type=float)
-
-    p = sub.add_parser("count-ops", help="plan an architecture and count MACs")
-    common(p)
-    p.add_argument("--mode", choices=["dense", "geometric"])
-    p.add_argument("--width", type=int, help="active box width for geometric mode")
-    p.add_argument("--classes", type=int)
-    p.add_argument("--field", type=int)
-    p.add_argument("--json", action="store_const", const=True, default=None)
-
-    p = sub.add_parser("voxelize", help="convert a data file into a sparse grid record")
-    common(p)
-    p.add_argument("--input", help="input file (.off, .svid, .json)")
-    p.add_argument("--threshold-pct", type=float)
-
-    p = sub.add_parser("demo-knot", help="rasterize a synthetic knot and print it")
-    common(p)
-    p.add_argument("--kind", choices=list(ingest.KNOT_KINDS))
+    for command, (run, help_text, own, defaults) in commands.items():
+        p = sub.add_parser(command, help=help_text)
+        names = common + own
+        for name in names:
+            p.add_argument(f"--{name}", **settings[name])
+        p.set_defaults(run=run, **defaults)
+        # string defaults go through the flag's type when parsed, so a bad
+        # file value is reported as that flag's error
+        p.set_defaults(**{k.replace("-", "_"): v for k, v in (file_settings or {}).items()
+                          if k in names})
     return ap
-
-
-COMMANDS = {
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "count-ops": cmd_count_ops,
-    "voxelize": cmd_voxelize,
-    "demo-knot": cmd_demo_knot,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = read_config(args.config) if args.config else {}
-        settings = Settings(cfg, args)
-        return COMMANDS[args.command](settings)
+        if args.config:
+            args = build_parser(read_config(args.config)).parse_args(argv)
+        return args.run(args)
     except (FormatError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA

@@ -39,6 +39,12 @@ class TrainConfig:
     threads: int = 1  # accepted, has no effect (see the module docstring)
     target_accuracy: float | None = None  # stop early once held-out accuracy reaches it
 
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be at least 0, got {self.epochs}")
+
 
 @dataclass
 class EpochLog:
@@ -125,8 +131,13 @@ def evaluate(net: Network, samples: list[LabeledSample], repeats: int = 1,
     ``augment`` is a callable ``(grid, rng) -> grid``; when it is None the
     same grid is evaluated every time and the running mean leaves the
     probabilities bit-identical to a single pass.  A label outside
-    ``0 .. net.classes - 1`` raises ValueError.
+    ``0 .. net.classes - 1``, or ``repeats`` or ``batch_size`` below 1,
+    raises ValueError.
     """
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1, got {repeats}")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     labels = np.array([s.label for s in samples], dtype=np.int64)
     bad = np.flatnonzero((labels < 0) | (labels >= net.classes))
     if bad.size:

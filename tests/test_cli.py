@@ -160,7 +160,7 @@ def test_voxelize_missing_file(tmp_path):
                                           ("video", ".svid")])
 def test_load_dataset_reads_the_files_of_its_kind(tmp_path, kind, suffix):
     from latticenet import ingest
-    from latticenet.cli import Settings, load_dataset
+    from latticenet.cli import load_dataset
     from latticenet.geometry import GridShape
 
     frames = np.random.default_rng(3).integers(0, 256, size=(3, 8, 8), dtype=np.uint8)
@@ -171,9 +171,9 @@ def test_load_dataset_reads_the_files_of_its_kind(tmp_path, kind, suffix):
         write_strokes_json(d / "char.json", StrokeSample([[[0.0, 0.0], [5.0, 8.0]]], label=0))
         write_svid(d / "clip.svid", FrameSequence(frames))
         (d / "notes.txt").write_text("not data")
-    settings = Settings({"scale": "8"}, argparse.Namespace())
+    args = argparse.Namespace(scale=8, threshold_pct=12.0)
     field = GridShape(LatticeKind.CUBIC, 12)
-    samples = load_dataset(f"{kind}:{tmp_path}", settings, field, split="train",
+    samples = load_dataset(f"{kind}:{tmp_path}", args, field, split="train",
                            rng=np.random.default_rng(0))
     assert [s.label for s in samples] == [0, 1]
 
@@ -198,10 +198,6 @@ def test_load_dataset_reads_the_files_of_its_kind(tmp_path, kind, suffix):
 
 TOY = ["--arch", "8C2-MP3/2-12C2-output", "--lattice", "tetrahedral",
        "--classes", "3", "--train-data", "knots", "--test-data", "knots"]
-
-
-def knot_counts(train=8, test=4):
-    return ["--config"]
 
 
 def write_cfg(tmp_path, **extra):
@@ -392,3 +388,109 @@ def test_voxelize_malformed_strokes_exit_3(tmp_path, content, capsys):
     assert main(["voxelize", "--input", str(p), "--out", str(tmp_path / "bad.grid")]) == 3
     assert "data error" in capsys.readouterr().err
     assert not (tmp_path / "bad.grid").exists()
+
+
+# ---------------------------------------------------------------------------
+# settings: one flag per key, config files as flag defaults
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+
+SETTING_TYPES = {
+    **dict.fromkeys(["arch", "lattice", "train-data", "test-data"], str),
+    **dict.fromkeys(["classes", "scale", "field", "n-input", "seed", "epochs", "batch-size",
+                     "train-per-class", "test-per-class", "repeats"], int),
+    **dict.fromkeys(["lr", "lr-decay", "momentum", "weight-decay", "target-accuracy",
+                     "threshold-pct", "aug-rotate-deg", "aug-scale", "aug-shear",
+                     "aug-translate"], float),
+}
+
+
+def test_every_config_ships():
+    assert len(CONFIGS) == 7
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+def test_config_files_parse_to_the_types_of_their_flags(path):
+    from latticenet.cli import build_parser, read_config
+
+    cfg = read_config(path)
+    read = set()
+    for command in ("train", "eval"):
+        args = build_parser(cfg).parse_args([command])
+        for key, text in cfg.items():
+            dest = key.replace("-", "_")
+            if hasattr(args, dest):
+                value = getattr(args, dest)
+                assert type(value) is SETTING_TYPES[key], (command, key)
+                assert value == SETTING_TYPES[key](text)
+                read.add(key)
+    assert read == set(cfg), f"keys no command reads: {set(cfg) - read}"
+
+
+def fail_on_ingest(monkeypatch):
+    from latticenet import ingest
+
+    def knot_dataset(*a, **kw):
+        raise AssertionError("data was loaded")
+    monkeypatch.setattr(ingest, "knot_dataset", knot_dataset)
+
+
+def test_bad_config_value_exits_2_naming_its_flag_before_ingest(tmp_path, capsys, monkeypatch):
+    fail_on_ingest(monkeypatch)
+    cfg = write_cfg(tmp_path, epochs="many")
+    out = tmp_path / "never.lnck"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["train", *TOY, "--config", str(cfg), "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert "argument --epochs: invalid int value: 'many'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--batch-size", "-1", "batch_size must be at least 1"),
+    ("--batch-size", "0", "batch_size must be at least 1"),
+    ("--epochs", "-2", "epochs must be at least 0"),
+])
+def test_train_out_of_range_setting_exits_2_before_ingest(tmp_path, capsys, monkeypatch,
+                                                         flag, value, message):
+    fail_on_ingest(monkeypatch)
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "never.lnck"
+    assert main(["train", *TOY, "--config", str(cfg), flag, value, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_former_config_only_keys_as_flags_and_file_keys(tmp_path, capsys, monkeypatch):
+    from latticenet import ingest
+
+    counts = []
+    real = ingest.knot_dataset
+
+    def knot_dataset(m, per, rng, **kw):
+        counts.append(per)
+        return real(m, per, rng, **kw)
+    monkeypatch.setattr(ingest, "knot_dataset", knot_dataset)
+    ckpt = tmp_path / "toy.lnck"
+    cfg = write_cfg(tmp_path, epochs=0, checkpoint=ckpt)
+    assert main(["train", *TOY, "--config", str(cfg), "--train-per-class", "2",
+                 "--out", str(ckpt)]) == 0
+    assert counts == [2, 4]  # the flag beats the file's 8; the file's test count stays
+
+    # the checkpoint comes from the file, and --test-per-class beats it too
+    assert main(["eval", "--config", str(cfg), "--test-data", "knots",
+                 "--test-per-class", "1"]) == 0
+    assert counts[2:] == [1]
+    assert "over 3 samples" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("repeats", ["0", "-3"])
+def test_eval_repeats_below_one_exit_2(tmp_path, capsys, repeats):
+    cfg = write_cfg(tmp_path, epochs=0)
+    ckpt = tmp_path / "toy.lnck"
+    assert main(["train", *TOY, "--config", str(cfg), "--out", str(ckpt)]) == 0
+    report = tmp_path / "report.json"
+    assert main(["eval", "--checkpoint", str(ckpt), "--test-data", "knots",
+                 "--config", str(cfg), "--repeats", repeats, "--out", str(report)]) == 2
+    assert f"repeats must be at least 1, got {repeats}" in capsys.readouterr().err
+    assert not report.exists()

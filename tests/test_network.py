@@ -210,6 +210,13 @@ def test_fit_reduces_loss_and_logs(rng):
         assert len(row.split("\t")) == 4
 
 
+@pytest.mark.parametrize("field, value", [("batch_size", 0), ("batch_size", -1), ("epochs", -2)])
+def test_train_config_rejects_out_of_range_values(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be at least"):
+        TrainConfig(**{field: value})
+    assert TrainConfig(epochs=0, batch_size=1).epochs == 0
+
+
 def test_training_determinism_across_threads(rng):
     results = []
     for threads in (1, 3):
@@ -245,6 +252,14 @@ def test_evaluate_rejects_labels_outside_the_classes(rng, label):
     samples = [LabeledSample(g, lab) for g, lab in zip(inputs_for(net, rng, 3), (0, label, 2))]
     with pytest.raises(ValueError, match=f"sample 1 has label {label}"):
         evaluate(net, samples)
+
+
+@pytest.mark.parametrize("kw", [{"repeats": 0}, {"repeats": -3}, {"batch_size": 0}])
+def test_evaluate_rejects_counts_below_one(rng, kw):
+    net = small_net(rng, dtype=np.float32)
+    samples = [LabeledSample(g, 0) for g in inputs_for(net, rng, 2)]
+    with pytest.raises(ValueError, match=f"{next(iter(kw))} must be at least 1"):
+        evaluate(net, samples, **kw)
 
 
 def test_nfold_identity_augment_is_bit_exact(rng):
