@@ -194,6 +194,10 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    # train.evaluate checks this too, but only after the checkpoint and the
+    # test set have loaded
+    if args.repeats < 1:
+        raise ValueError(f"repeats must be at least 1, got {args.repeats}")
     net = Network.load(require(args, "checkpoint"))
     if args.arch and netspec.render(net.spec) != netspec.render(
             netspec.parse(args.arch, net.spec.lattice, net.spec.n_input)):

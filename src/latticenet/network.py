@@ -1,14 +1,30 @@
 """Network assembly: parameterized layer stack, batching, checkpoints.
 
 A :class:`Network` materializes a planned :class:`~latticenet.netspec.NetworkSpec`
-into parameterized layers: every convolution is followed by a rectifier,
-and the ``output`` token becomes a size-1 convolution producing the class
-logits.  A mini-batch travels through the layers as one
+into a list of blocks, one small private class per kind:
+
+* ``_Conv``: a convolution (``kind`` "conv") or the classifier head, the
+  size-1 convolution that the ``output`` token becomes and that produces
+  the class logits ("classifier"), with its ``(W, B)`` parameters;
+* ``_Relu``: the rectifier that follows every convolution;
+* ``_Pool``: max pooling ("pool");
+* ``_FMP``: fractional max pooling ("fmp"), a pool over regions drawn
+  from a seed.
+
+Every block has ``forward(batch, cached, train_rng, keep_tape)``, which
+takes its rule from the rule cache's iterator or runs its own rulebook and
+returns its output batch, tape entry, multiply-accumulates and rule, and
+``backward(d, entry, wanted)``, which maps its output gradient to its
+input gradient (None unless ``wanted``) and accumulates its parameters'
+gradients.  All but the rectifier have ``header()``, the bytes of their
+checkpoint record that the architecture fixes.  So the forward pass, the
+ground states and the backward pass are each one loop over the blocks.
+
+A mini-batch travels through the blocks as one
 :class:`~latticenet.grid.GridBatch`, so every convolution, pool and FMP
 layer builds its rulebook (active output sites and gather index) in one
-pass over the whole batch and performs a single dense multiply.  One
-loop over the blocks serves the forward pass and the ground states.
-Each sample's rows keep the order a one-sample batch gives them, and the
+pass over the whole batch and performs a single dense multiply.  Each
+sample's rows keep the order a one-sample batch gives them, and the
 backward pass mirrors the forward pass over the same batch rows, so
 gradient accumulation order is fixed and results are bit-identical
 whatever the batch composition.
@@ -27,7 +43,7 @@ from __future__ import annotations
 
 import io
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -56,7 +72,6 @@ from .ops import (
     ConvLayer,
     FilterGeometry,
     FMPLayer,
-    Plan,
     PoolLayer,
     conv_forward_batch,
     conv_rulebook,
@@ -72,21 +87,89 @@ _CKPT_MAGIC = b"LNCK"
 _CKPT_VERSION = 1
 
 
-@dataclass
-class _Block:
-    kind: str  # conv | relu | pool | fmp | classifier
-    layer: object = None
-    params: tuple = ()  # (W, B) ParamStates of conv and classifier blocks
+class _Conv:
+    """A convolution, or the classifier head (``kind`` "classifier"), with
+    its ``(W, B)`` parameters.  ``input_grad`` says whether training's
+    backward pass computes this block's input gradient (all but the first
+    block)."""
+
+    CODES = {"conv": 0, "classifier": 3}
+
+    def __init__(self, kind: str, layer: ConvLayer, input_grad: bool):
+        self.kind, self.layer, self.input_grad = kind, layer, input_grad
+        self.params = (ParamState(layer.W), ParamState(layer.B))
 
     def header(self) -> bytes:
-        """The bytes of this block's checkpoint record that the architecture fixes."""
         l = self.layer
-        if self.kind == "pool":
-            return struct.pack("<BII", 1, l.p, l.s)
-        if self.kind == "fmp":
-            return struct.pack("<Bd", 2, l.ratio)
-        code = 0 if self.kind == "conv" else 3
-        return struct.pack("<BIIII", code, l.geometry.f, l.geometry.s, l.n_in, l.n_out)
+        return struct.pack("<BIIII", self.CODES[self.kind], l.geometry.f, l.geometry.s,
+                           l.n_in, l.n_out)
+
+    def forward(self, batch: GridBatch, cached, train_rng, keep_tape: bool):
+        """The tape plan keeps ``Q`` or, when
+        :func:`~latticenet.autograd.input_frame_cheaper` says the backward
+        pass costs less in the input frame (the layer grows activity), the
+        layer's input rows and grounds in its place."""
+        l = self.layer
+        rule = next(cached, None) or conv_rulebook(batch, l.geometry)
+        out, plan = conv_forward_batch(batch, l, rule)
+        if keep_tape and input_frame_cheaper(batch.a, out.a, l.geometry.volume, l.n_in,
+                                             l.n_out, batch.B, self.input_grad):
+            plan = replace(plan, Q=None, in_rows=batch.rows, in_grounds=batch.grounds)
+        return out, (self.kind, l, plan), out.a * l.geometry.volume * l.n_in * l.n_out, rule
+
+    def backward(self, d, entry, wanted: bool):
+        dW, dB, d = conv_backward(d, entry[2], self.layer, input_grad=wanted)
+        for p, g in zip(self.params, (dW, dB)):
+            p.grad += g.astype(p.values.dtype, copy=False)
+        return d
+
+
+class _Relu:
+    kind, layer, params = "relu", None, ()
+
+    def forward(self, batch: GridBatch, cached, train_rng, keep_tape: bool):
+        out, mask = relu_forward_batch(batch)
+        return out, ("relu", mask), 0, None
+
+    def backward(self, d, entry, wanted: bool):
+        return relu_backward(d, entry[1])
+
+
+class _Pool:
+    kind, params = "pool", ()
+
+    def __init__(self, layer: PoolLayer | FMPLayer):
+        self.layer = layer
+
+    def header(self) -> bytes:
+        return struct.pack("<BII", 1, self.layer.p, self.layer.s)
+
+    def forward(self, batch: GridBatch, cached, train_rng, keep_tape: bool):
+        rule = next(cached, None) or conv_rulebook(batch, self.layer.geometry)
+        out, plan = pool_forward_batch(batch, self.layer, keep_plan=keep_tape, rule=rule)
+        return out, ("pool", plan), 0, rule
+
+    def backward(self, d, entry, wanted: bool):
+        return pool_backward(d, entry[1]) if wanted else None
+
+
+class _FMP(_Pool):
+    """Fractional max pooling; its regions come from a seed that training
+    draws per batch from ``train_rng`` and evaluation takes from
+    ``layer.seed``."""
+
+    kind = "fmp"
+
+    def header(self) -> bytes:
+        return struct.pack("<Bd", 2, self.layer.ratio)
+
+    def forward(self, batch: GridBatch, cached, train_rng, keep_tape: bool):
+        l = self.layer
+        seed = int(train_rng.integers(0, 2**31)) if train_rng is not None else l.seed
+        regions = fmp_regions(batch.shape.m, l.ratio, seed)
+        rule = next(cached, None) or fmp_rulebook(batch, regions)
+        out, plan = fmp_forward_batch(batch, l, regions, keep_plan=keep_tape, rule=rule)
+        return out, ("pool", plan), 0, rule
 
 
 class Network:
@@ -107,22 +190,20 @@ class Network:
         self.classes = classes
         self.dtype = dtype
         self.fmp_eval_seed = fmp_eval_seed
-        self.blocks: list[_Block] = []
+        self.blocks = []
         n = spec.n_input
         for ls in spec.layers:
             if isinstance(ls, ConvSpec):
                 conv = make_conv(FilterGeometry(spec.lattice, ls.f, ls.s), n, ls.n_out)
-                self.blocks.append(_Block("conv", conv, (ParamState(conv.W), ParamState(conv.B))))
-                self.blocks.append(_Block("relu"))
+                self.blocks += [_Conv("conv", conv, bool(self.blocks)), _Relu()]
                 n = ls.n_out
             elif isinstance(ls, PoolSpec):
-                self.blocks.append(_Block("pool", PoolLayer(spec.lattice, ls.p, ls.s)))
+                self.blocks.append(_Pool(PoolLayer(spec.lattice, ls.p, ls.s)))
             elif isinstance(ls, FMPSpec):
-                self.blocks.append(_Block("fmp", FMPLayer(spec.lattice, ls.ratio, fmp_eval_seed)))
+                self.blocks.append(_FMP(FMPLayer(spec.lattice, ls.ratio, fmp_eval_seed)))
             elif isinstance(ls, OutputSpec):
                 head = make_conv(FilterGeometry(spec.lattice, 1, 1), n, classes)
-                self.blocks.append(_Block("classifier", head,
-                                          (ParamState(head.W), ParamState(head.B))))
+                self.blocks.append(_Conv("classifier", head, bool(self.blocks)))
         self._params = [p for b in self.blocks for p in b.params]
         self.rule_cache = RuleCache()
 
@@ -157,55 +238,20 @@ class Network:
         per block: its output batch, its tape entry (None unless
         ``keep_tape``) and the multiply-accumulates it performed.
 
-        A convolution's tape plan keeps ``Q`` or, when
-        :func:`~latticenet.autograd.input_frame_cheaper` says its backward
-        pass costs less in the input frame (the layer grows activity), the
-        layer's input rows and grounds in its place.
-
         The first ``depth`` rulebook layers take their rules from the cache
         when every sample of the batch hits; otherwise the rulebook runs,
         and samples seen for the second time have their chains stored."""
         depth, context = self._chain_context(batch.shape.m, train_rng is not None)
         cached, admit = self.rule_cache.lookup(batch, context) if depth else (iter(()), {})
-        plans = []
+        rules = []
         for block in self.blocks:
-            layer, macs = block.layer, 0
-            if block.kind == "relu":
-                out, mask = relu_forward_batch(batch)
-                entry = ("relu", mask)
-            else:
-                if block.kind == "fmp":
-                    seed = int(train_rng.integers(0, 2**31)) if train_rng is not None else layer.seed
-                    regions = fmp_regions(batch.shape.m, layer.ratio, seed)
-                rule = next(cached, None)
-                if rule is None:
-                    rule = (fmp_rulebook(batch, regions) if block.kind == "fmp"
-                            else conv_rulebook(batch, layer.geometry))
-                if block.kind in ("conv", "classifier"):
-                    out, plan = conv_forward_batch(batch, layer, rule)
-                    macs = plan.Q.shape[0] * plan.Q.shape[1] * layer.n_out
-                    # training's backward_batch(input_grad=False) skips the first
-                    # block's input gradient
-                    if keep_tape and input_frame_cheaper(batch.a, out.a, layer.geometry.volume,
-                                                         layer.n_in, layer.n_out, batch.B,
-                                                         block is not self.blocks[0]):
-                        plan = replace(plan, Q=None, in_rows=batch.rows,
-                                       in_grounds=batch.grounds)
-                    head = (block.kind, layer)
-                elif block.kind == "pool":
-                    out, plan = pool_forward_batch(batch, layer, keep_plan=keep_tape, rule=rule)
-                    head = ("pool",)
-                else:
-                    out, plan = fmp_forward_batch(batch, layer, regions, keep_plan=keep_tape,
-                                                  rule=rule)
-                    head = ("pool",)
-                if admit and len(plans) < depth:
-                    plans.append(Plan(rule[0], rule[2], batch.start, out.start))
-                entry = (*head, plan)
+            out, entry, macs, rule = block.forward(batch, cached, train_rng, keep_tape)
+            if admit and rule is not None and len(rules) < depth:
+                rules.append((rule, batch.start, out.start))
             yield out, entry if keep_tape else None, macs
             batch = out
         if admit:
-            self.rule_cache.admit(admit, plans)
+            self.rule_cache.admit(admit, rules)
 
     def forward_batch(self, grids: list[SparseGrid], *, train_rng: np.random.Generator | None = None,
                       keep_tape: bool = False):
@@ -219,7 +265,8 @@ class Network:
         batch's rows (``plan[b]`` is sample ``b``'s) and ``mask`` covers the
         batch's rows.  A conv or classifier plan holds either the gather
         matrix ``Q`` or, on a layer whose backward pass runs in the input
-        frame, the layer's input rows and grounds (see :meth:`_run`).
+        frame, the layer's input rows and grounds (see ``_Conv.forward``).
+        The tape has one entry per block, in block order.
         """
         batch = GridBatch.of(list(grids))
         tape, macs = [], 0
@@ -247,17 +294,7 @@ class Network:
         head = tape[-1][-1]
         d = d_logits[np.repeat(np.arange(len(head)), np.diff(head.out_start))]
         for i in reversed(range(len(tape))):
-            entry, wanted = tape[i], input_grad or i > 0
-            kind = entry[0]
-            if kind == "relu":
-                d = relu_backward(d, entry[1])
-            elif kind == "pool":
-                d = pool_backward(d, entry[1]) if wanted else None
-            else:
-                _, layer, plan = entry
-                dW, dB, d = conv_backward(d, plan, layer, input_grad=wanted)
-                for p, g in zip(self.blocks[i].params, (dW, dB)):
-                    p.grad += g.astype(p.values.dtype, copy=False)
+            d = self.blocks[i].backward(d, tape[i], input_grad or i > 0)
         return np.split(d, tape[0][-1].in_start[1:-1]) if input_grad else None
 
     # -- ground states ----------------------------------------------------
@@ -272,7 +309,7 @@ class Network:
     # Layout (little-endian):
     #   "LNCK" u32 version, u32 lattice, u32 n_input, u32 classes,
     #   u32 input field size, u32 arch length, arch utf-8,
-    #   u32 block count, then per block its header (_Block.header):
+    #   u32 block count, then per block its header (the block's header()):
     #     u8 kind (0 conv, 1 pool, 2 fmp, 3 classifier), then
     #     conv/classifier: u32 f, u32 s, u32 n_in, u32 n_out
     #     pool:            u32 p, u32 s

@@ -87,15 +87,17 @@ class RuleCache:
             return _assemble(chains, batch.start), {}
         return iter(()), admit
 
-    def admit(self, admit: dict, plans):
+    def admit(self, admit: dict, rules):
         """Store the chains of the samples in ``admit``, cut out of the
-        batch's :class:`~latticenet.ops.Plan` per chain layer, ``plans``."""
-        chains = [[] for _ in admit]
-        for plan in plans:
-            for chain, (b, _) in zip(chains, admit.values()):
-                own = plan[b]
-                chain.append((own.out_keys.copy(), own.src.astype(np.int32)))
-        for (digest, (_, data)), chain in zip(admit.items(), chains):
+        batch's rule per chain layer: ``rules`` holds one ``(rule, in_start,
+        out_start)`` per layer, the rule as the rulebook gives it and the
+        row offsets of the samples in the layer's input and output."""
+        for digest, (b, data) in admit.items():
+            chain = []
+            for (out_keys, _, src), in_start, out_start in rules:
+                rows = slice(out_start[b], out_start[b + 1])
+                chain.append((out_keys[rows].copy(),
+                              shift_rows(src[rows], -in_start[b]).astype(np.int32)))
             size = len(data) + _ENTRY_BYTES + sum(k.nbytes + s.nbytes for k, s in chain)
             if size > CACHE_BYTES:  # it would evict every other entry, then itself
                 continue

@@ -494,3 +494,11 @@ def test_eval_repeats_below_one_exit_2(tmp_path, capsys, repeats):
                  "--config", str(cfg), "--repeats", repeats, "--out", str(report)]) == 2
     assert f"repeats must be at least 1, got {repeats}" in capsys.readouterr().err
     assert not report.exists()
+
+
+def test_eval_repeats_checked_before_the_checkpoint_loads(tmp_path, capsys):
+    missing = tmp_path / "missing.lnck"
+    assert main(["eval", "--repeats", "0", "--checkpoint", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert "repeats must be at least 1, got 0" in err
+    assert "No such file" not in err

@@ -3,7 +3,7 @@ import pytest
 
 from latticenet.geometry import GridShape, LatticeKind
 from latticenet.grid import LabeledSample, SparseGrid
-from latticenet.netspec import parse, plan
+from latticenet.netspec import count_ops, parse, plan
 from latticenet.network import Network
 from latticenet.train import (
     AffineParams,
@@ -98,6 +98,26 @@ def test_ground_states_match_empty_forward(lattice, rng):
     g = SparseGrid.empty(net.input_shape(), np.zeros(net.spec.n_input))
     logits, _, _ = net.forward_batch([g])
     assert np.allclose(logits[0], grounds[-1])
+
+
+@pytest.mark.parametrize("lattice, arch, field", [
+    *[(lattice, "4C2-MP3/2-6C2-output", None) for lattice in ALL_LATTICES],
+    (LatticeKind.CUBIC, "6C2-FMP-8C2-FMP-output", 6),
+])
+@pytest.mark.parametrize("training", [False, True])
+def test_forward_macs_equal_count_ops_of_the_tape(lattice, arch, field, training, rng):
+    spec = plan(parse(arch, lattice, 1), input_size=field)
+    net = Network(spec, 3, rng)
+    grids = inputs_for(net, rng, 3)
+    train_rng = np.random.default_rng(4) if training else None
+    _, tape, macs = net.forward_batch(grids, train_rng=train_rng, keep_tape=True)
+    # one entry per block; FMP entries are headed "pool"
+    assert [e[0] for e in tape] == [{"fmp": "pool"}.get(b.kind, b.kind) for b in net.blocks]
+    # a relu entry shares its conv's spec layer
+    activity = [e[-1].a_out for e in tape if e[0] != "relu"]
+    assert len(activity) == len(spec.layers)
+    assert macs > 0
+    assert macs == count_ops(spec, activity, net.classes)["total_macs"]
 
 
 def test_empty_input_stays_empty_through_network(rng):
