@@ -5,12 +5,17 @@ A convolution over a mini-batch of sparse grids runs in three steps:
 1. the *rulebook*: an active input site ``c`` lies under footprint offset
    ``o`` of output site ``u`` exactly when ``c = u * s + o``, so every
    (active site, offset) pair with ``u`` inside the output grid is one
-   candidate.  One sort ranks the candidates' keys; each candidate is
-   tagged with its sample and key rank, and a seen table over the tags
-   gives the active output sites (an output site is active when any
-   input site under its footprint is active), grouped by sample with keys
-   ascending in each.  A running count over the seen table numbers the
-   output rows, which fills the gather index ``src`` at the same time;
+   candidate.  Each candidate marks its output site in a seen table over
+   the batch's box of outputs (per sample, the output coordinates between
+   the smallest and largest the batch reaches along each dimension, in
+   raster order, which is key order).  The marked cells, in order, are the
+   active output sites (an output site is active when any input site
+   under its footprint is active), grouped by sample with keys ascending
+   in each, with no sort; a row table written at them numbers the output
+   rows, which fills the gather index ``src`` at the same time.  When the
+   box has many cells per candidate, as a sparse batch over a large field
+   has, a sort of the candidates' keys takes its place (see
+   :data:`BOX_CELLS_PER_CANDIDATE`);
 2. gather, for every active output site, the footprint's input vectors
    into one row of a matrix ``Q``, substituting the sample's ground
    vector at inactive positions;
@@ -32,9 +37,10 @@ dimension by a factor strictly between 1 and 2.  One rulebook serves
 every layer: along each dimension output coordinate ``u`` has a window
 start, ``u * s`` for a convolution or pool and the region start for FMP,
 and input site ``c`` lies under offset ``o`` exactly when ``c - o`` is a
-start.  A start table, indexed by coordinate over the batch's extent,
-holds ``u`` at each start and -1 elsewhere, so one lookup per dimension
-both tests ``c - o`` and finds ``u``.
+start.  For ``u * s`` the test is arithmetic; for FMP a start table,
+indexed by coordinate over the batch's extent, holds ``u`` at each start
+and -1 elsewhere, so one lookup per dimension both tests ``c - o`` and
+finds ``u``.
 
 The batch forward ops take an optional ``rule``: the ``(out_keys,
 out_sample, src)`` triple the rulebook would give for the batch.  A
@@ -53,6 +59,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
@@ -80,6 +87,23 @@ FMP_RATIO = 2.0 ** (2.0 / 3.0)
 # at 128K elements (without the argmax 14-15, 13-14 and 15 ms); sgd_step
 # on 3.9M parameters, 9-10 ms untiled, 5.5-6.5 ms at each of the three.
 TILE = 1 << 16
+
+# The rulebook numbers a batch's output rows through tables over the
+# batch's box of outputs (see _window_rulebook) while the box has fewer
+# than BOX_CELLS_PER_CANDIDATE cells per candidate (plus 1024 candidates'
+# worth) and fewer than BOX_CELLS_MAX cells, and through a sort of the
+# candidates' keys otherwise.  Measured on a 2-vCPU Sapphire Rapids host,
+# min of 18-30 in process, on training-batch layers of the three benchmark
+# workloads with one site added far out to widen the box: the table takes
+# 0.5-0.9 of the sort's time up to ~30 cells per candidate, and breaks
+# even at ~45 (knot L0, 4K candidates), 70-100 (10-35K candidates) and
+# ~140 (casia L0-L1, 54-74K).  From 4M cells on, its 32 MB row table is
+# above the largest block glibc's malloc reuses, so every call maps fresh
+# pages, and the table takes 1.6-3.5x the sort's time at any ratio (casia
+# L0-L2 at 57-103 cells per candidate).  The workloads' own layers have
+# at most 22 cells per candidate and 1.2M cells (casia L0).
+BOX_CELLS_PER_CANDIDATE = 32
+BOX_CELLS_MAX = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -252,66 +276,94 @@ def _window_rulebook(batch: GridBatch, offsets, starts, bound):
     Every (active input row, offset) pair that meets these tests is one
     candidate.
 
-    The test is a table lookup.  A start table spans the batch's
-    coordinate extent, from the smallest coordinate of its sites (in any
-    dimension) minus the largest offset value (``reach``) to the largest,
-    which every ``c_j - o_j`` falls in: it holds ``u`` at each start ``starts[j][u]`` in that span
-    and -1 elsewhere, so its size follows the batch, not the field.
-    ``starts[j]`` is an ascending array or a ``range`` (a convolution's,
-    so that none is built for the field); the starts in the span are found
-    by bisection.  Dimensions with the same starts (every dimension of a
-    convolution) share one table.  Output rows are
-    ordered by sample and then by key: one sort ranks each candidate's key
-    among the U distinct candidate keys, the tag ``sample * U + rank``
-    marks its output row in a seen table of ``B * U`` flags, and a running
-    count over the flags numbers the rows.  The tag fits in int64 whatever
-    the coordinate range, and the count takes the smallest signed dtype
-    that holds ``B * U``.
+    A convolution's starts are one ``range``, ``u * s``, along every
+    dimension, so the test is arithmetic: ``c_j - o_j`` is a start when it
+    is ``o_j`` modulo ``s`` and ``u_j`` lies in the output grid.  FMP's
+    irregular starts are ascending arrays, one per dimension, and each is
+    tested with a table over the batch's span along ``j``: from the
+    smallest coordinate of its sites minus the largest offset value
+    (``reach``) to the largest, which every ``c_j - o_j`` falls in.  The
+    table holds ``u`` at each start and -1 elsewhere, so its size follows
+    the batch, not the field.  The ``n_j`` starts in the span, from index
+    ``lo_j``, are found by bisection.
+
+    Output rows are ordered by sample and then by key.  Each candidate's
+    tag, ``sample * width + column``, marks its output row in a seen table
+    of ``B * width`` flags; the marked tags, in ascending order, number the
+    rows through a row table that is written only at them.  The column is
+    the output site's place in the batch's box of outputs, ``raster(u -
+    lo)`` over the ``n_j`` starts of each dimension, whose ``M = prod(n_j)``
+    cells are the width.  Raster order is packed-key order, so no sort is
+    needed, and the keys are rebuilt from the columns.  When the ``B * M``
+    cells (a Python int, as a wide batch's box overflows int64) pass the
+    caps of :data:`BOX_CELLS_PER_CANDIDATE` and :data:`BOX_CELLS_MAX`, the
+    column is instead the rank of the candidate's key among the U distinct
+    candidate keys, from one sort, and the width is U.
     """
-    sites = batch.sites()
-    d = sites.shape[1]
+    c = np.ascontiguousarray(batch.sites().T)  # c[j] holds coordinate j of every row
+    d = c.shape[0]
     reach = max(max(off) for off in offsets)
-    # every c_j - o lies in [low, high]; the start tables span just that
-    low, high = (int(sites.min()) - reach, int(sites.max())) if sites.size else (0, 0)
-    back = -low - np.arange(reach + 1)[:, None]  # c - o sits at table index c + back[o]
-    # per dimension j and offset value o: the packed part of u_j, and whether
-    # c_j - o is a window start
-    part, fits = [], []
-    for j in range(d):
-        if j == 0 or starts[j] is not starts[j - 1]:
-            first = bisect_left(starts[j], low)
-            found = starts[j][first:bisect_right(starts[j], high)]
-            at = (slice(found.start - low, found.stop - low, found.step)
-                  if isinstance(found, range) else found - low)
-            table = np.full(high - low + 1, -1, np.int32)  # value t at index t - low
-            table[at] = np.arange(first, first + len(found), dtype=np.int32)
-        u = table.take(sites[:, j] + back)  # (reach + 1, a)
-        fits.append(u >= 0)
-        part.append(u.astype(np.int64) << (COORD_BITS * (d - 1 - j)))
+    # the batch's span along each dimension, and the n_j starts in it from lo_j
+    low = c.min(axis=1) - reach if c.size else np.zeros(d, np.int64)
+    high = c.max(axis=1) if c.size else np.zeros(d, np.int64)
+    lo = [bisect_left(starts[j], int(low[j])) for j in range(d)]
+    n = [bisect_right(starts[j], int(high[j])) - lo[j] for j in range(d)]
+    # u[o, j, i]: u_j of the window starting at c_j - o for row i, a
+    # window start where fits[o, j, i]
+    span = np.arange(reach + 1)[:, None, None]
+    if isinstance(starts[0], range):
+        step = starts[0].step
+        q, rem = np.divmod(c - starts[0].start, step)
+        u = q - span // step
+        fits = u.view(np.uint64) < len(starts[0])  # 0 <= u < len(starts[0])
+        if step > 1:
+            fits &= rem == span % step
+    else:
+        u = np.empty((reach + 1, d, c.shape[1]), np.int64)
+        for j in range(d):
+            table = np.full(int(high[j] - low[j]) + 1, -1, np.int64)  # t at index t - low
+            table[starts[j][lo[j]:lo[j] + n[j]] - low[j]] = np.arange(lo[j], lo[j] + n[j])
+            u[:, j] = table.take(c[j] - low[j] - span[:, 0])
+        fits = u >= 0
     if bound is not None:
-        site_sum = sites.sum(axis=1)
-    keys, rows = [], []
+        site_sum = c.sum(axis=0)
+    rows = []
     for off in offsets:
-        ok = fits[0][off[0]]
+        ok = fits[off[0], 0]
         for j in range(1, d):
-            ok = ok & fits[j][off[j]]
+            ok = ok & fits[off[j], j]
         if bound is not None:
             ok &= site_sum <= bound + sum(off)
-        r = np.flatnonzero(ok)
-        keys.append(sum(part[j][off[j]][r] for j in range(d)))
-        rows.append(r)
+        rows.append(np.flatnonzero(ok))
     k = np.repeat(np.arange(len(offsets)), [r.shape[0] for r in rows])
+    cells = batch.B * prod(n)
+    box = cells < min(BOX_CELLS_PER_CANDIDATE * (k.shape[0] + 1024), BOX_CELLS_MAX)
+    if box:  # raster(u - lo), dimension 0 slowest
+        stride = [prod(n[j + 1:]) for j in range(d)]
+        part = [u[:, j] * stride[j] for j in range(d)]
+        part[0] -= sum(lo[j] * stride[j] for j in range(d))
+    else:
+        part = [u[:, j] << (COORD_BITS * (d - 1 - j)) for j in range(d)]
+    column = np.concatenate([sum(part[j][off[j]][r] for j in range(d))
+                             for off, r in zip(offsets, rows)])
+    if not box:
+        union, column = np.unique(column, return_inverse=True)
+    width = max(prod(n) if box else union.shape[0], 1)  # no candidates, no tags to mark
     rows = np.concatenate(rows)
-    union, rank = np.unique(np.concatenate(keys), return_inverse=True)
-    U = max(union.shape[0], 1)  # no candidates means no tags to mark
-    tag = batch.sample_ids()[rows] * U + rank
-    seen = np.zeros(batch.B * U, bool)
+    tag = batch.sample_ids()[rows] * width + column
+    seen = np.zeros(batch.B * width, bool)
     seen[tag] = True
     tags = np.flatnonzero(seen)
-    count = np.cumsum(seen, dtype=np.min_scalar_type(-1 - batch.B * U))
+    row = np.empty(seen.shape[0], np.intp)
+    row[tags] = np.arange(tags.shape[0])
     src = np.full((tags.shape[0], len(offsets)), -1, dtype=np.int64)
-    src[count[tag] - 1, k] = rows
-    return union[tags % U], tags // U, src
+    src[row[tag], k] = rows
+    out_sample, column = np.divmod(tags, width)
+    if not box:
+        return union[column], out_sample, src
+    u = np.unravel_index(column, n)
+    out_keys = sum((u[j] + lo[j]) << (COORD_BITS * (d - 1 - j)) for j in range(d))
+    return out_keys, out_sample, src
 
 
 def _row_starts(sample: np.ndarray, B: int) -> np.ndarray:

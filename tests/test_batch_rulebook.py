@@ -10,12 +10,14 @@ the ``np.add.at`` scatters they replaced bit for bit, which holds only if
 they add each input row's terms in the same order; the input frame's
 convolution gradients must equal the Q form's to rounding.  The table rulebook
 must give the rule of the searchsorted rulebook it replaced bit for bit,
-dtypes included.  The pool, run in row tiles, must give the rows, argmax
-and input gradient of the whole-array pool and masked scatter it replaced
-bit for bit, at a tile of one row, at an odd tile that splits samples,
-and at the default tile.
+dtypes included, at its own caps and with either row grouping forced: the
+tables over the batch's box of outputs or the sort.  The pool, run in row
+tiles, must give the rows, argmax and input gradient of the whole-array
+pool and masked scatter it replaced bit for bit, at a tile of one row, at
+an odd tile that splits samples, and at the default tile.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -454,23 +456,58 @@ def test_pool_nan_matches_loop_max(p, s, rng):
 # the table rulebook against the searchsorted rulebook it replaced
 
 
-def check_rule(monkeypatch, make_rule):
-    """``make_rule()`` gives the same (out_keys, out_sample, src) with the
-    searchsorted rulebook in place of the table rulebook."""
-    got = make_rule()
+# settings of the rulebook's caps under which the rule must not change: the
+# module's own, the sort forced (no box is below a cap of 0), and the box
+# tables forced
+GROUPINGS = {
+    "cap": {},
+    "sort": {"BOX_CELLS_PER_CANDIDATE": 0},
+    "box": {"BOX_CELLS_PER_CANDIDATE": 1 << 62, "BOX_CELLS_MAX": 1 << 62},
+}
+
+
+def unique_calls(mp):
+    """A list that gains one entry per ``np.unique`` call while ``mp`` is
+    active."""
+    calls, unique = [], np.unique
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return unique(*args, **kwargs)
+
+    mp.setattr(np, "unique", counted)
+    return calls
+
+
+def check_rule(monkeypatch, make_rule, groupings=tuple(GROUPINGS)):
+    """``make_rule()`` gives the same (out_keys, out_sample, src) as with
+    the searchsorted rulebook in place of the table rulebook, under each
+    of ``groupings``; the sort runs one ``np.unique``, the box tables none.
+    Returns the rule at the module's caps."""
     with monkeypatch.context() as mp:
         mp.setattr(ops, "_window_rulebook", searchsorted_window_rulebook)
         want = make_rule()
-    for g, w in zip(got, want, strict=True):
-        assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w)
-    return got
+    rules = []
+    for name in groupings:
+        with monkeypatch.context() as mp:
+            for cap, value in GROUPINGS[name].items():
+                mp.setattr(ops, cap, value)
+            sorts = unique_calls(mp)
+            rules.append(make_rule())
+        if name != "cap":
+            assert len(sorts) == (name == "sort"), name
+        for g, w in zip(rules[-1], want, strict=True):
+            assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w), name
+    return rules[0]
 
 
-def check_window_rules(monkeypatch, grids, fs):
+def check_window_rules(monkeypatch, grids, fs, groupings=tuple(GROUPINGS)):
+    """:func:`check_rule` for the convolution (or pool) rule of each
+    ``(f, s)`` over the batch of ``grids``."""
     batch = GridBatch.of(grids)
     for f, s in fs:
         geom = FilterGeometry(batch.shape.lattice, f, s)
-        check_rule(monkeypatch, lambda: conv_rulebook(batch, geom))
+        check_rule(monkeypatch, lambda: conv_rulebook(batch, geom), groupings)
 
 
 @pytest.mark.parametrize("lattice", ALL_LATTICES)
@@ -517,13 +554,35 @@ def test_table_rulebook_matches_searchsorted_all_empty(lattice, rng, monkeypatch
 
 @pytest.mark.parametrize("lattice", [LatticeKind.CUBIC, LatticeKind.TETRAHEDRAL])
 def test_table_rulebook_matches_searchsorted_far_corner(lattice, rng, monkeypatch):
-    """The start table spans the largest field ``GridShape`` accepts."""
+    """The batch spans the largest field ``GridShape`` accepts, so its box
+    of outputs, ~2^63 cells per sample, cannot be a table: the box
+    grouping is left out."""
     grids = far_corner_grids(lattice, 4, rng)
-    check_window_rules(monkeypatch, grids, [(1, 1), (2, 1), (3, 2)])
+    check_window_rules(monkeypatch, grids, [(1, 1), (2, 1), (3, 2)], ("cap", "sort"))
     if lattice is LatticeKind.CUBIC:
         batch = GridBatch.of(grids)
         regions = fmp_regions(batch.shape.m, FMP_RATIO, 1)
-        check_rule(monkeypatch, lambda: fmp_rulebook(batch, regions))
+        check_rule(monkeypatch, lambda: fmp_rulebook(batch, regions), ("cap", "sort"))
+
+
+@pytest.mark.parametrize("lattice", [LatticeKind.CUBIC, LatticeKind.TETRAHEDRAL])
+@pytest.mark.parametrize("f, s", [(1, 1), (2, 1), (3, 2)])
+def test_far_corner_rule_sorts_in_little_memory(lattice, f, s, rng, monkeypatch):
+    """At the module's caps the far-corner batch's rule takes the sort, and
+    a convolution's rule allocates nothing near the field's size (a start
+    table over the batch's extent alone would be 8.4 MB)."""
+    batch = GridBatch.of(far_corner_grids(lattice, 4, rng))
+    geom = FilterGeometry(lattice, f, s)
+    sorts = unique_calls(monkeypatch)
+    tracemalloc.start()
+    try:
+        out_keys, _, src = conv_rulebook(batch, geom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sorts) == 1
+    assert peak < 1 << 20, peak
+    assert src.shape[0] == out_keys.shape[0] > 0
 
 
 def disjoint_grids(lattice, count, m, rng):

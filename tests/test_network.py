@@ -81,16 +81,6 @@ def test_batch_grad_skips_a_sample_with_an_inactive_head(rng):
         assert np.allclose(got, want)
 
 
-def test_thread_count_does_not_change_results(rng):
-    net = small_net(rng)
-    grids = inputs_for(net, rng, 6)
-    net.threads = 1
-    a, _, _ = net.forward_batch(grids)
-    net.threads = 4
-    b, _, _ = net.forward_batch(grids)
-    assert np.array_equal(a, b)
-
-
 @pytest.mark.parametrize("lattice", ALL_LATTICES)
 def test_ground_states_match_empty_forward(lattice, rng):
     net = small_net(rng, lattice=lattice)
