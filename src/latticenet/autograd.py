@@ -21,8 +21,10 @@ Gradients follow the transposed data flow of the forward pass:
 * pool:  the plan stores, per output component, the footprint position
   that won the max (ties resolved toward the lowest position); the
   component's gradient goes to the input row that position reads, or
-  nowhere when the ground won, in one flat ``np.add.at`` with no mask: a
-  ground-won component goes to a dummy row ``a_in``, sliced off after;
+  nowhere when the ground won, in one flat ``np.add.at`` with no mask: the
+  gradient gets ``B`` trailing rows, one per sample's ground, which the
+  gather index's ground entries ``-(B - b)`` reach as they reach the
+  grounds of the forward table, and which are sliced off after;
 * relu:  gradient masked by the forward sign.
 
 The Q form's scatter runs one footprint position at a time, from the last
@@ -179,16 +181,17 @@ def pool_backward(d_out: np.ndarray, plan: Plan):
     """Route each output gradient component to the input row its argmax
     position reads; components the ground won take no gradient.
 
-    A ground-filled position reads a dummy row ``a_in``, sliced off at the
-    end, so one unmasked flat ``np.add.at`` takes every component in
-    row-major order.  The flat index is mapped per gather position, (a_out,
-    F), before the argmax picks it per component, (a_out, n)."""
+    A ground-filled position of sample ``b`` reads row ``-(B - b)`` of a
+    gradient with ``B`` trailing ground rows, sliced off at the end, so
+    one unmasked flat ``np.add.at`` takes every component in row-major
+    order.  The flat index is mapped per gather position, (a_out, F),
+    before the argmax picks it per component, (a_out, n)."""
     if d_out.shape != plan.argmax.shape:
         raise ValueError(f"d_out must be {plan.argmax.shape}, got {d_out.shape}")
     n, a_in = d_out.shape[1], plan.a_in
-    d_in = np.zeros((a_in + 1) * n, dtype=d_out.dtype)
+    d_in = np.zeros((a_in + len(plan)) * n, dtype=d_out.dtype)
     # one flat index per component: a 2-D index tuple misses add.at's fast path
-    start = np.where(plan.src >= 0, plan.src, a_in) * n
+    start = plan.src * n
     flat = np.take_along_axis(start, plan.argmax, axis=1)
     flat += np.arange(n)
     np.add.at(d_in, flat.reshape(-1), d_out.reshape(-1))

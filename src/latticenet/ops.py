@@ -18,7 +18,11 @@ A convolution over a mini-batch of sparse grids runs in three steps:
    :data:`BOX_CELLS_PER_CANDIDATE`);
 2. gather, for every active output site, the footprint's input vectors
    into one row of a matrix ``Q``, substituting the sample's ground
-   vector at inactive positions;
+   vector at inactive positions.  ``src`` is the gather's own index into
+   the table ``[rows; grounds]`` of the layer's input: an active position
+   holds its input row, an inactive one of sample ``b`` the negative
+   index ``-(B - b)``, which counts from the table's end to ``b``'s
+   ground, so the gather is one ``take``;
 3. one dense multiply, ``M_out = Q @ W + B``.
 
 Each step runs once per layer and batch, whatever the batch size, and
@@ -66,6 +70,7 @@ import numpy as np
 from .errors import PlanError
 from .geometry import (
     COORD_BITS,
+    MAX_COORD,
     GridShape,
     LatticeKind,
     filter_offsets,
@@ -198,8 +203,11 @@ class Plan:
     """What one rulebook layer keeps for the backward pass, for a batch.
 
     ``src[i, k]`` is the input row under footprint position ``k`` of output
-    row ``i`` (site ``out_keys[i]``), or -1 where the ground fills that
-    position.  ``in_start`` and ``out_start`` are the row offsets of the
+    row ``i`` (site ``out_keys[i]``), or, where the ground of the row's
+    sample ``b`` fills that position, ``-(B - b)``: the index, counted from
+    the end, of that ground in the table ``[input rows; grounds]`` the
+    gather reads (-1 throughout a one-sample plan).  ``in_start`` and
+    ``out_start`` are the row offsets of the
     samples in the layer's input and output batches.  A convolution keeps
     the gather matrix ``Q``; a max pool kept for training keeps ``argmax``,
     where ``argmax[i, c]`` is the position whose value output component
@@ -208,15 +216,15 @@ class Plan:
     the smallest unsigned dtype that holds ``F - 1``.  A convolution whose
     backward pass runs in the input frame (see :mod:`latticenet.autograd`)
     keeps its input rows ``in_rows`` and per-sample grounds ``in_grounds``
-    in place of ``Q``; ``Q`` is then the gather of ``[in_grounds;
-    in_rows]`` through ``src``.
+    in place of ``Q``; ``Q`` is then the gather of ``[in_rows;
+    in_grounds]`` through ``src``.
 
     Item ``b`` is sample ``b``'s plan in its own row numbers, built on
     access.
     """
 
     out_keys: np.ndarray
-    src: np.ndarray  # (a_out, F) input rows, -1 = ground
+    src: np.ndarray  # (a_out, F) input rows, -(B - b) = ground of sample b
     in_start: np.ndarray
     out_start: np.ndarray
     Q: np.ndarray | None = None  # (a_out, F * n_in)
@@ -234,7 +242,8 @@ class Plan:
 
     @property
     def argmax_src(self) -> np.ndarray:
-        """(a_out, n): the input row each component took, -1 where the ground won."""
+        """(a_out, n): the input row each component took, negative where the
+        ground won."""
         return np.take_along_axis(self.src, self.argmax, axis=1)
 
     def __len__(self) -> int:
@@ -246,7 +255,7 @@ class Plan:
         b %= len(self)
         in_start, out_start = self.in_start[b:b + 2], self.out_start[b:b + 2]
         rows, in_rows = slice(*out_start), slice(*in_start)
-        return Plan(self.out_keys[rows], shift_rows(self.src[rows], -in_start[0]),
+        return Plan(self.out_keys[rows], own_src(self.src[rows], in_start[0]),
                     in_start - in_start[0], out_start - out_start[0],
                     None if self.Q is None else self.Q[rows],
                     None if self.argmax is None else self.argmax[rows],
@@ -254,10 +263,19 @@ class Plan:
                     None if self.in_grounds is None else self.in_grounds[b:b + 1])
 
 
-def shift_rows(src: np.ndarray, by) -> np.ndarray:
-    """The gather index ``src`` with every input row moved by ``by``; -1
-    (ground) stays -1."""
-    return np.where(src >= 0, src + by, -1)
+def own_src(src: np.ndarray, in_start) -> np.ndarray:
+    """Gather index rows of one sample whose input rows start at
+    ``in_start`` in the batch, as a batch of that sample alone gives them:
+    input rows moved back by ``in_start``, ground -1."""
+    return np.where(src >= 0, src - in_start, -1)
+
+
+def batch_src(src: np.ndarray, in_start: np.ndarray, out_sample: np.ndarray, B: int):
+    """The inverse of :func:`own_src` over a batch of ``B`` samples: row
+    ``i`` of ``src``, sample ``out_sample[i]``'s own, with its input rows
+    moved by that sample's ``in_start`` and its ground positions
+    ``-(B - out_sample[i])``."""
+    return np.where(src >= 0, src + in_start[out_sample, None], out_sample[:, None] - B)
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +316,13 @@ def _window_rulebook(batch: GridBatch, offsets, starts, bound):
     cells (a Python int, as a wide batch's box overflows int64) pass the
     caps of :data:`BOX_CELLS_PER_CANDIDATE` and :data:`BOX_CELLS_MAX`, the
     column is instead the rank of the candidate's key among the U distinct
-    candidate keys, from one sort, and the width is U.
+    candidate keys, from one sort, and the width is U.  Each output row's
+    ``src`` starts as its sample's ground entry, and the candidates write
+    their input rows into it through one flat index.
     """
-    c = np.ascontiguousarray(batch.sites().T)  # c[j] holds coordinate j of every row
-    d = c.shape[0]
+    d = batch.shape.ndim
+    # c[j] holds coordinate j of every row, unpacked straight from the keys
+    c = (batch.keys >> COORD_BITS * np.arange(d - 1, -1, -1)[:, None]) & (MAX_COORD - 1)
     reach = max(max(off) for off in offsets)
     # the batch's span along each dimension, and the n_j starts in it from lo_j
     low = c.min(axis=1) - reach if c.size else np.zeros(d, np.int64)
@@ -356,9 +377,10 @@ def _window_rulebook(batch: GridBatch, offsets, starts, bound):
     tags = np.flatnonzero(seen)
     row = np.empty(seen.shape[0], np.intp)
     row[tags] = np.arange(tags.shape[0])
-    src = np.full((tags.shape[0], len(offsets)), -1, dtype=np.int64)
-    src[row[tag], k] = rows
     out_sample, column = np.divmod(tags, width)
+    src = np.empty((tags.shape[0], len(offsets)), np.int64)
+    src[:] = (out_sample - batch.B)[:, None]  # every position ground, then the active ones
+    src.reshape(-1)[row[tag] * len(offsets) + k] = rows
     if not box:
         return union[column], out_sample, src
     u = np.unravel_index(column, n)
@@ -382,8 +404,8 @@ def conv_rulebook(batch: GridBatch, geometry: FilterGeometry):
     Output row ``i`` is site ``out_keys[i]`` of sample ``out_sample[i]``;
     rows are grouped by sample, keys ascending within each.  ``src[i, k]``
     is the batch row under footprint position ``k`` of output row ``i``,
-    or -1 where that position is inactive.  The window of output site
-    ``u`` starts at ``u * s``.
+    or ``-(B - out_sample[i])`` where that position is inactive (see
+    :class:`Plan`).  The window of output site ``u`` starts at ``u * s``.
     """
     out_shape = conv_out_shape(batch.shape, geometry)
     starts = range(0, out_shape.m * geometry.s, geometry.s)
@@ -392,22 +414,10 @@ def conv_rulebook(batch: GridBatch, geometry: FilterGeometry):
 
 
 def _table(batch: GridBatch) -> np.ndarray:
-    """The ``[grounds; rows]`` table a gather reads: batch row ``r`` is
-    table row ``B + r``."""
-    return np.concatenate([batch.grounds.astype(batch.rows.dtype, copy=False), batch.rows])
-
-
-def _table_index(src: np.ndarray, sample: np.ndarray, B: int) -> np.ndarray:
-    """Per gather position, the :func:`_table` row it reads: ``src + B``,
-    or the ground of ``sample`` (which broadcasts against ``src``) where
-    the position is inactive."""
-    return np.where(src >= 0, src + B, sample)
-
-
-def _gather_index(batch: GridBatch, src: np.ndarray, out_sample: np.ndarray):
-    """The :func:`_table` of a batch and, per gather position, the table
-    row it reads.  ``table[idx]`` is the (a_out, F, n) gather."""
-    return _table(batch), _table_index(src, out_sample[:, None], batch.B)
+    """The ``[rows; grounds]`` table a gather reads through ``src``: batch
+    row ``r`` is table row ``r``, and sample ``b``'s ground is row
+    ``-(B - b)``, counted from the end."""
+    return np.concatenate([batch.rows, batch.grounds.astype(batch.rows.dtype, copy=False)])
 
 
 def conv_active_sites(grid: SparseGrid, geometry: FilterGeometry):
@@ -419,8 +429,8 @@ def conv_active_sites(grid: SparseGrid, geometry: FilterGeometry):
 def build_gather(grid: SparseGrid, out_keys: np.ndarray, geometry: FilterGeometry,
                  out_shape: GridShape) -> Plan:
     """Step 2 for one grid and any sites ``out_keys`` of its output grid
-    ``out_shape``: the rulebook's gather index rows for ``out_keys`` (all -1
-    for a site the rulebook leaves inactive) and the gather matrix Q
+    ``out_shape``: the rulebook's gather index rows for ``out_keys`` (all -1,
+    the ground, for a site the rulebook leaves inactive) and the gather matrix Q
     (a_out, F * n_in), as a one-sample :class:`Plan`."""
     batch = GridBatch.of([grid])
     keys, _, src = conv_rulebook(batch, geometry)
@@ -428,8 +438,7 @@ def build_gather(grid: SparseGrid, out_keys: np.ndarray, geometry: FilterGeometr
     pos = np.searchsorted(keys, out_keys)
     pos[np.append(keys, -1)[pos] != out_keys] = a_rule
     src = np.vstack([src, np.full((1, geometry.volume), -1, np.int64)])[pos]
-    table, idx = _gather_index(batch, src, np.zeros(a_out, np.int64))
-    Q = table[idx].reshape(a_out, geometry.volume * grid.n)
+    Q = _table(batch).take(src.reshape(-1), axis=0).reshape(a_out, geometry.volume * grid.n)
     return Plan(out_keys, src, batch.start, np.array([0, a_out]), Q)
 
 
@@ -453,8 +462,8 @@ def conv_forward_batch(batch: GridBatch, layer: ConvLayer, rule=None):
     geom = layer.geometry
     out_keys, out_sample, src = conv_rulebook(batch, geom) if rule is None else rule
     out_shape = conv_out_shape(batch.shape, geom)
-    table, idx = _gather_index(batch, src, out_sample)
-    Q = table[idx].reshape(out_keys.shape[0], geom.volume * batch.n)
+    Q = _table(batch).take(src.reshape(-1), axis=0)
+    Q = Q.reshape(out_keys.shape[0], geom.volume * batch.n)
     rows = Q @ layer.W
     rows += layer.B
     # the samples of a batch mostly share one ground, which is then mapped once
@@ -491,9 +500,12 @@ def _max_pool(batch: GridBatch, out_keys, out_sample, out_shape, src, keep_plan:
     the components where ``better`` holds, with no masked store.  A NaN
     never compares greater, so NaN components get their first NaN position
     after a tile's loop, from a gather of the rows that hold one.  Every
-    step is elementwise, so tiling changes no bit of the result.  The takes
-    run with ``mode="clip"``, which never clips here (every index is a
-    table row), because the default mode copies ``out`` through a buffer.
+    step is elementwise, so tiling changes no bit of the result.  Each step
+    takes a column of ``src`` straight from the :func:`_table`, with
+    ``mode="wrap"``: the default mode copies ``out`` through a buffer, and
+    ``"clip"`` would send a ground entry ``-(B - b)`` to row 0, where
+    ``"wrap"`` sends it to ``a_in + b``, ``b``'s ground row, as the default
+    does.
     """
     table = _table(batch)
     a_out, F = src.shape
@@ -507,13 +519,13 @@ def _max_pool(batch: GridBatch, out_keys, out_sample, out_shape, src, keep_plan:
         moved = np.empty(vals.shape, position)
     for lo in range(0, a_out, step):
         tile = slice(lo, min(lo + step, a_out))
-        idx = _table_index(src[tile], out_sample[tile, None], batch.B)
+        idx = src[tile]
         r, v = rows[tile], vals[:idx.shape[0]]
-        np.take(table, idx[:, 0], axis=0, out=r, mode="clip")
+        np.take(table, idx[:, 0], axis=0, out=r, mode="wrap")
         if keep_plan:
             am, b, m = argmax[tile], better[:idx.shape[0]], moved[:idx.shape[0]]
         for k in range(1, F):
-            np.take(table, idx[:, k], axis=0, out=v, mode="clip")
+            np.take(table, idx[:, k], axis=0, out=v, mode="wrap")
             if keep_plan:
                 np.greater(v, r, out=b)
                 np.multiply(b, position(k), out=m)

@@ -3,7 +3,8 @@
 A sample's *rulebook chain* holds, for each rulebook layer of a network
 (convolution, pool, FMP and classifier, in order), the sample's active
 output keys and its gather index ``src`` in the sample's own row numbers
-(int32, -1 = ground).  The chain depends on nothing but the sample's input
+(int32), as a batch of that sample alone gives it, so every ground
+position reads -1.  The chain depends on nothing but the sample's input
 key set, the input field, the architecture and the FMP regions, so a
 network that sees the same key set again (the next epoch, an identity eval
 repeat) can reuse it instead of running the rulebook.  Map reuse of this
@@ -13,7 +14,8 @@ The batched rulebook groups output rows by sample, keys ascending within
 each, and gives every sample the rows and gather index it gets alone.  So
 a batch rule assembled from its samples' chains (keys concatenated, rows
 tagged with their sample, each ``src`` shifted by its sample's first input
-row) equals the batched pass bit for bit.
+row and each -1 mapped to the sample's ground entry ``-(B - b)``; see
+:func:`~latticenet.ops.batch_src`) equals the batched pass bit for bit.
 
 Admission follows the TinyLFU doorkeeper (Einziger et al., ACM ToS 2017):
 a key set's first sighting stores a small placeholder and only its second
@@ -32,7 +34,7 @@ from collections import OrderedDict
 import numpy as np
 
 from .grid import GridBatch
-from .ops import shift_rows
+from .ops import batch_src, own_src
 
 CACHE_BYTES = 64 << 20
 """Bound on the bytes a network's cache holds, placeholders included."""
@@ -97,7 +99,7 @@ class RuleCache:
             for (out_keys, _, src), in_start, out_start in rules:
                 rows = slice(out_start[b], out_start[b + 1])
                 chain.append((out_keys[rows].copy(),
-                              shift_rows(src[rows], -in_start[b]).astype(np.int32)))
+                              own_src(src[rows], in_start[b]).astype(np.int32)))
             size = len(data) + _ENTRY_BYTES + sum(k.nbytes + s.nbytes for k, s in chain)
             if size > CACHE_BYTES:  # it would evict every other entry, then itself
                 continue
@@ -125,6 +127,6 @@ def _assemble(chains, start: np.ndarray):
         out_keys = np.concatenate([k for k, _ in layer])
         out_sample = np.repeat(np.arange(B), counts)
         src = np.concatenate([s for _, s in layer], dtype=np.int64)
-        yield out_keys, out_sample, shift_rows(src, start[out_sample, None])
+        yield out_keys, out_sample, batch_src(src, start, out_sample, B)
         start = np.zeros(B + 1, np.int64)
         np.cumsum(counts, out=start[1:])

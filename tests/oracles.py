@@ -6,9 +6,10 @@ no ground states.  The loop ones after them are the original one-segment,
 one-face and one-site-at-a-time active-set builders, and the original
 one-grid-at-a-time rulebook.  The ``addat`` ones at the end are the
 original ``np.add.at`` scatters of the conv and pool backward passes.
-Then the original max-pool argmax, one masked store per footprint
-position, and the original SGD step with its temporaries; the original
-running max over whole arrays, and the original pool scatter with its
+Then the original grounds-first gather that the reference pools read,
+the original max-pool argmax, one masked store per footprint position,
+and the original SGD step with its temporaries; the original running max
+over whole arrays, and the original pool scatter with its
 mask compaction.  Then the original window rulebook, one
 ``searchsorted`` per dimension and a second ``np.unique`` for the
 per-sample grouping.  The last three
@@ -43,7 +44,7 @@ from latticenet.ingest import (
     make_affine,
     rasterize_polyline,
 )
-from latticenet.ops import Plan, _gather_index, _row_starts
+from latticenet.ops import Plan, _row_starts
 from latticenet.train import AffineParams
 
 
@@ -355,6 +356,22 @@ def addat_pool_backward(d_out: np.ndarray, plan):
 
 
 # ---------------------------------------------------------------------------
+# the grounds-first gather of the pools below
+#
+# The original gather formula of ``ops``, which the reference pools keep so
+# that they stay independent of the library's table layout.
+
+
+def grounds_first_gather(batch: GridBatch, src: np.ndarray, out_sample: np.ndarray):
+    """The ``[grounds; rows]`` table of a batch and, per gather position,
+    the table row it reads: ``src + B``, or the ground of its output row's
+    sample where ``src`` is negative.  ``table[idx]`` is the (a_out, F, n)
+    gather."""
+    table = np.concatenate([batch.grounds.astype(batch.rows.dtype, copy=False), batch.rows])
+    return table, np.where(src >= 0, src + batch.B, out_sample[:, None])
+
+
+# ---------------------------------------------------------------------------
 # the masked-store argmax and the copying SGD step
 #
 # The original bodies of ``ops._max_pool`` and ``autograd.sgd_step``, kept
@@ -374,7 +391,7 @@ def putmask_max_pool(batch: GridBatch, out_keys, out_sample, out_shape, src, kee
     never compares greater, so NaN components get their first NaN position
     after the loop.
     """
-    table, idx = _gather_index(batch, src, out_sample)
+    table, idx = grounds_first_gather(batch, src, out_sample)
     F = src.shape[1]
     rows = table[idx[:, 0]]
     vals = np.empty_like(rows)
@@ -435,7 +452,7 @@ def untiled_max_pool(batch: GridBatch, out_keys, out_sample, out_shape, src, kee
     never compares greater, so NaN components get their first NaN position
     after the loop.
     """
-    table, idx = _gather_index(batch, src, out_sample)
+    table, idx = grounds_first_gather(batch, src, out_sample)
     F = src.shape[1]
     rows = table[idx[:, 0]]
     vals = np.empty_like(rows)
@@ -479,7 +496,8 @@ def masked_pool_backward(d_out: np.ndarray, plan: Plan):
 # ---------------------------------------------------------------------------
 # the searchsorted window rulebook
 #
-# The original body of ``ops._window_rulebook``, kept verbatim: one
+# The original body of ``ops._window_rulebook``, kept verbatim but for its
+# ground entries, which follow the library's gather index: one
 # ``searchsorted`` per dimension finds each window start, and a second
 # ``np.unique`` over the tag ``sample * U + rank`` groups the candidates
 # into output rows.
@@ -498,7 +516,8 @@ def searchsorted_window_rulebook(batch: GridBatch, offsets, starts, bound):
     candidate.  Output rows are ordered by sample and then by key:
     candidates are grouped by the tag ``sample * U + rank``, with ``rank``
     the key's rank among the U distinct candidate keys, so the tag fits in
-    int64 whatever the coordinate range.
+    int64 whatever the coordinate range.  An inactive position of sample
+    ``b`` holds ``-(B - b)``.
     """
     sites = batch.sites()
     d = sites.shape[1]
@@ -529,9 +548,10 @@ def searchsorted_window_rulebook(batch: GridBatch, offsets, starts, bound):
     union, rank = np.unique(np.concatenate(keys), return_inverse=True)
     U = max(union.shape[0], 1)  # no candidates means no tags to split
     tags, out_row = np.unique(batch.sample_ids()[rows] * U + rank, return_inverse=True)
-    src = np.full((tags.shape[0], len(offsets)), -1, dtype=np.int64)
+    out_sample = tags // U
+    src = np.repeat(out_sample - batch.B, len(offsets)).reshape(-1, len(offsets))
     src[out_row, k] = rows
-    return union[tags % U], tags // U, src
+    return union[tags % U], out_sample, src
 
 
 # ---------------------------------------------------------------------------

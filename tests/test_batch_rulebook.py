@@ -2,7 +2,9 @@
 
 Every sample of a batch must get exactly what it gets alone: the same
 active output keys, the same gather index in its own row numbers, the same
-rows of ``Q``, and the same pooled values and argmax routing.  Batches mix
+rows of ``Q``, and the same pooled values and argmax routing.  A batch's
+gather index reads the table of input rows and grounds as it is, each
+ground position counting from the table's end to its sample's ground.  Batches mix
 empty and non-empty grids, and one test places sparse sites at the far
 corner of the largest field ``GridShape`` accepts, where packed keys come
 within a few bits of the int64 range.  The backward scatters must equal
@@ -45,7 +47,7 @@ from latticenet.ops import (
     pool_forward_batch,
 )
 
-from conftest import ALL_LATTICES, random_sparse, relative_error
+from conftest import ALL_LATTICES, random_sparse, relative_error, thin_grids
 from oracles import (
     addat_conv_backward,
     addat_pool_backward,
@@ -310,6 +312,37 @@ def test_build_gather_of_every_output_site(lattice, f, s, rng):
         pick = rng.integers(0, every.shape[0], size=7)
         part = build_gather(grid, every[pick], geom, out_shape)
         assert np.array_equal(part.src, src[pick]) and np.array_equal(part.Q, Q[pick])
+
+
+@pytest.mark.parametrize("lattice", ALL_LATTICES)
+def test_ground_entries_index_the_table_from_its_end(lattice, rng):
+    """A rule's ``src`` is the gather's own index into ``[rows; grounds]``:
+    a ground position of sample ``b`` holds ``-(B - b)``, from ``-B`` for
+    the first sample to -1 for the last, and one ``take`` of the table
+    through it gives every sample the gather it gets alone, ground
+    vectors included, on conv, pool and (cubic) FMP rules."""
+    m = field(3, 2, at_least=25 if lattice.ndim == 2 else 13)
+    grids = thin_grids(GridShape(lattice, m), 2, rng)
+    batch = GridBatch.of(grids)
+    assert len({g.ground.tobytes() for g in grids}) == batch.B
+    rules = []
+    for geom in (FilterGeometry(lattice, 2, 1), PoolLayer(lattice, 3, 2).geometry):
+        rules.append((conv_rulebook(batch, geom),
+                      lambda g, keys, f=geom.f, s=geom.s: loop_gather(g, keys, f, s)[0]))
+    if lattice is LatticeKind.CUBIC:
+        regions = fmp_regions(m, FMP_RATIO, 3)
+        rules.append((fmp_rulebook(batch, regions),
+                      lambda g, keys: loop_fmp_gather(g, keys, regions)))
+    for (out_keys, out_sample, src), loop_src in rules:
+        ground = src < 0
+        assert np.array_equal(src[ground], np.broadcast_to(
+            out_sample[:, None] - batch.B, src.shape)[ground])
+        assert {-batch.B, -1} <= set(src[ground].tolist())
+        gather = ops._table(batch).take(src.reshape(-1), axis=0).reshape(*src.shape, -1)
+        for b, grid in enumerate(grids):
+            keys = out_keys[out_sample == b]
+            alone = np.vstack([grid.ground[None], grid.rows])[loop_src(grid, keys) + 1]
+            assert np.array_equal(gather[out_sample == b], alone), b
 
 
 # ---------------------------------------------------------------------------
