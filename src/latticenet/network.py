@@ -79,6 +79,7 @@ from .ops import (
     fmp_regions,
     fmp_rulebook,
     pool_forward_batch,
+    relu_forward_batch,
 )
 from .rulecache import RuleCache
 
@@ -124,17 +125,15 @@ class _Conv:
 
 
 class _Relu:
-    """The rectifier; its input rows are the fresh output rows of the
-    convolution before it, which nothing else holds, so it rectifies them
-    in place.  The tape's mask, ``rows > 0`` of the rectified rows, has the
+    """The rectifier; it rectifies the convolution's fresh output rows in
+    place.  The tape's mask, ``rows > 0`` of the rectified rows, has the
     bits of the input's, NaN included, and is built only when kept."""
 
     kind, layer, params = "relu", None, ()
 
     def forward(self, batch: GridBatch, cached, train_rng, keep_tape: bool):
-        rows = np.maximum(batch.rows, 0, out=batch.rows)
-        out = GridBatch(batch.shape, batch.keys, rows, np.maximum(batch.grounds, 0), batch.start)
-        return out, ("relu", rows > 0 if keep_tape else None), 0, None
+        out = relu_forward_batch(batch)
+        return out, ("relu", out.rows > 0 if keep_tape else None), 0, None
 
     def backward(self, d, entry, wanted: bool):
         return relu_backward(d, entry[1])

@@ -636,16 +636,17 @@ def fmp_forward(grid: SparseGrid, layer: FMPLayer, regions=None, *, keep_plan: b
 # activation and classifier head
 
 
-def relu_forward_batch(batch: GridBatch):
-    """Component-wise max(., 0) on rows and grounds, plus the backward mask."""
-    out = GridBatch(batch.shape, batch.keys, np.maximum(batch.rows, 0),
-                    np.maximum(batch.grounds, 0), batch.start)
-    return out, batch.rows > 0
+def relu_forward_batch(batch: GridBatch) -> GridBatch:
+    """Component-wise max(., 0) on rows and grounds.  The rows are rectified
+    in place: the network's input is a convolution's fresh output, and
+    ``GridBatch.of`` copies the grid's rows for ``relu_forward``."""
+    rows = np.maximum(batch.rows, 0, out=batch.rows)
+    return GridBatch(batch.shape, batch.keys, rows, np.maximum(batch.grounds, 0), batch.start)
 
 
 def relu_forward(grid: SparseGrid):
     """Component-wise max(., 0) on rows and ground; activity set unchanged."""
-    return relu_forward_batch(GridBatch.of([grid]))[0].grid(0)
+    return relu_forward_batch(GridBatch.of([grid])).grid(0)
 
 
 def classifier_forward(grid: SparseGrid, layer: ConvLayer, *, keep_plan: bool = False):
