@@ -7,9 +7,12 @@ Gradients follow the transposed data flow of the forward pass:
   its tape (:func:`input_frame_cheaper`):
 
   - the Q form, for layers that keep or shrink activity: dW = Q^T d_out
-    and dQ = d_out W^T, scattered back to the active input rows
-    (contributions that would land on ground-filled positions are
-    discarded);
+    and dQ = d_out W^T, scattered back through the gather index with no
+    mask: the input gradient gets ``B`` trailing rows, one per sample's
+    ground, which the index's ground entries ``-(B - b)`` reach as they
+    reach the grounds of the forward table, and which are sliced off
+    after, so contributions that land on ground-filled positions are
+    discarded;
   - the input frame, for layers that grow activity: ``srcT[c, k]`` is the
     output row that reads input row ``c`` at position ``k`` (the
     transposed gather index), G (a_in, F * n_out) gathers d_out through
@@ -29,17 +32,18 @@ Gradients follow the transposed data flow of the forward pass:
 
 The Q form's scatter runs one footprint position at a time, from the last
 to the first, as a plain indexed add: within one position the input rows
-are distinct.  The result equals one ``np.add.at`` over the whole gather
-index bit for bit, because each input row receives its terms in the same
-order, ascending output row.  Input site ``c`` lies under position ``o``
-of output ``u`` exactly when ``c - o`` is ``u``'s window start; starts
-ascend with ``u`` (``u * s``, or FMP's region starts) and positions are in
-lexicographic order, so for a fixed ``c`` a later output row is an earlier
-position.  The same fact makes ``srcT`` well defined: an input row lies
-under each position of at most one output row.  The two forms sum the
-same terms in different orders, so they agree to rounding, not bit for
-bit; a layer's form depends only on its sizes, so a given batch always
-takes the same one.
+are distinct (only ground rows repeat, and they are discarded).  The
+result equals one ``np.add.at`` over the whole gather index bit for bit,
+because each input row receives its terms in the same order, ascending
+output row.  Input site ``c`` lies under position ``o`` of output ``u``
+exactly when ``c - o`` is ``u``'s window start; starts ascend with ``u``
+(``u * s``, or FMP's region starts) and positions are in lexicographic
+order, so for a fixed ``c`` a later output row is an earlier position.
+The same fact makes ``srcT`` well defined: an input row lies under each
+position of at most one output row.  The two forms sum the same terms in
+different orders, so they agree to rounding, not bit for bit; a layer's
+form depends only on its sizes, so a given batch always takes the same
+one.
 
 SGD updates each tensor in row tiles of about ``ops.TILE`` elements, all
 five in-place passes per tile, so that the tile stays in cache.
@@ -136,16 +140,15 @@ def conv_backward(d_out: np.ndarray, plan: Plan, layer: ConvLayer, *,
     dW = plan.Q.T @ d_out
     if not input_grad:
         return dW, dB, None
-    d_in = np.zeros((plan.a_in, layer.n_in), dtype=d_out.dtype)
+    # B trailing ground rows, which the ground entries reach, sliced off after
+    d_in = np.zeros((plan.a_in + len(plan), layer.n_in), dtype=d_out.dtype)
     if plan.a_out:
         dQ = (d_out @ layer.W.T).reshape(plan.a_out, -1, layer.n_in)
         # one footprint position at a time, last to first: the order
         # argument is in the module docstring
         for k in reversed(range(plan.src.shape[1])):
-            r = plan.src[:, k]
-            v = np.flatnonzero(r >= 0)
-            d_in[r[v]] += dQ[v, k]
-    return dW, dB, d_in
+            d_in[plan.src[:, k]] += dQ[:, k]
+    return dW, dB, d_in[:plan.a_in]
 
 
 def _input_frame_backward(d_out: np.ndarray, plan: Plan, layer: ConvLayer, input_grad: bool):
@@ -169,7 +172,7 @@ def _input_frame_backward(d_out: np.ndarray, plan: Plan, layer: ConvLayer, input
         np.matmul(ground[rows].T, d_out[rows], out=gsum[s])
     x = plan.in_rows
     dW = x.T @ G
-    dW += plan.in_grounds.astype(x.dtype, copy=False).T @ gsum.reshape(B, F * n_out)
+    dW += plan.in_grounds.T @ gsum.reshape(B, F * n_out)
     dW = dW.reshape(n_in, F, n_out).transpose(1, 0, 2).reshape(F * n_in, n_out)
     if not input_grad:
         return dW, None

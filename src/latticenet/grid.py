@@ -276,21 +276,28 @@ def _check_keys(keys: np.ndarray, shape: GridShape):
 
 @dataclass
 class GridBatch:
-    """The sparse grids of one mini-batch, stored end to end.
+    """The sparse grids of one mini-batch, stored end to end in one table.
 
-    Sample ``b`` owns rows ``start[b]:start[b + 1]`` of ``keys`` and ``rows``
-    (keys ascending within each sample) and has ground state ``grounds[b]``.
-    All samples share one shape.  Instances are treated as immutable.
+    ``table`` is (a + B, n): the batch's ``a`` active rows, then one ground
+    row per sample.  Sample ``b`` owns rows ``start[b]:start[b + 1]`` of
+    ``keys`` and ``table`` (keys ascending within each sample), and its
+    ground state is row ``a + b``, which is also row ``-(B - b)``, counted
+    from the table's end: the row a ground entry of a rulebook's gather
+    index reads (see :mod:`latticenet.ops`).  ``rows`` and ``grounds`` are
+    views of the table's two parts.  All samples share one shape.  The
+    forward ops treat a batch as immutable, but for the rectifier, which
+    rectifies its input's table in place.
     """
 
     shape: GridShape
     keys: np.ndarray
-    rows: np.ndarray
-    grounds: np.ndarray
+    table: np.ndarray
     start: np.ndarray
 
     @classmethod
     def of(cls, grids) -> "GridBatch":
+        """The batch of ``grids``, its table in the rows' dtype, to which
+        the grounds are cast."""
         if not grids:
             raise ValueError("a batch needs at least one grid")
         shape = grids[0].shape
@@ -298,13 +305,22 @@ class GridBatch:
             raise ValueError("the grids of a batch must share one shape")
         start = np.zeros(len(grids) + 1, np.int64)
         np.cumsum([g.a for g in grids], out=start[1:])
-        return cls(shape, np.concatenate([g.keys for g in grids]),
-                   np.concatenate([g.rows for g in grids]),
-                   np.stack([g.ground for g in grids]), start)
+        rows = [g.rows for g in grids]
+        table = np.concatenate(rows + [g.ground[None] for g in grids],
+                               dtype=np.result_type(*rows), casting="unsafe")
+        return cls(shape, np.concatenate([g.keys for g in grids]), table, start)
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self.table[:self.a]
+
+    @property
+    def grounds(self) -> np.ndarray:
+        return self.table[self.a:]
 
     @property
     def B(self) -> int:
-        return self.grounds.shape[0]
+        return self.start.shape[0] - 1
 
     @property
     def a(self) -> int:
@@ -313,7 +329,7 @@ class GridBatch:
 
     @property
     def n(self) -> int:
-        return self.grounds.shape[1]
+        return self.table.shape[1]
 
     def grid(self, b: int) -> SparseGrid:
         lo, hi = self.start[b], self.start[b + 1]

@@ -125,9 +125,10 @@ class _Conv:
 
 
 class _Relu:
-    """The rectifier; it rectifies the convolution's fresh output rows in
-    place.  The tape's mask, ``rows > 0`` of the rectified rows, has the
-    bits of the input's, NaN included, and is built only when kept."""
+    """The rectifier; it rectifies the convolution's fresh output table,
+    rows and grounds, in place.  The tape's mask, ``rows > 0`` of the
+    rectified rows, has the bits of the input's, NaN included, and is built
+    only when kept."""
 
     kind, layer, params = "relu", None, ()
 
@@ -172,7 +173,7 @@ class _FMP(_Pool):
         seed = int(train_rng.integers(0, 2**31)) if train_rng is not None else l.seed
         regions = fmp_regions(batch.shape.m, l.ratio, seed)
         rule = next(cached, None) or fmp_rulebook(batch, regions)
-        out, plan = fmp_forward_batch(batch, l, regions, keep_plan=keep_tape, rule=rule)
+        out, plan = fmp_forward_batch(batch, regions, keep_plan=keep_tape, rule=rule)
         return out, ("pool", plan), 0, rule
 
 
@@ -209,6 +210,8 @@ class Network:
                 head = make_conv(FilterGeometry(spec.lattice, 1, 1), n, classes)
                 self.blocks.append(_Conv("classifier", head, bool(self.blocks)))
         self._params = [p for b in self.blocks for p in b.params]
+        # the blocks with a rule, a checkpoint header and record: all but relu
+        self._rule_blocks = [b for b in self.blocks if not isinstance(b, _Relu)]
         self.rule_cache = RuleCache()
 
     # -- parameters -----------------------------------------------------
@@ -230,10 +233,9 @@ class Network:
         input field size ``m`` and, in eval, each FMP seed.  Training redraws
         FMP regions per batch, so there the chain stops at the first FMP
         layer.  (The layers check the lattice before they use a rule.)"""
-        rule_blocks = [b for b in self.blocks if b.kind != "relu"]
-        kinds = [b.kind for b in rule_blocks]
+        kinds = [b.kind for b in self._rule_blocks]
         depth = kinds.index("fmp") if training and "fmp" in kinds else len(kinds)
-        seeds = [b.layer.seed for b in rule_blocks[:depth] if b.kind == "fmp"]
+        seeds = [b.layer.seed for b in self._rule_blocks[:depth] if b.kind == "fmp"]
         return depth, struct.pack(f"<2I{len(seeds)}Q", m, depth, *seeds)
 
     def _run(self, batch: GridBatch, train_rng: np.random.Generator | None = None,
@@ -280,7 +282,7 @@ class Network:
                 tape.append(entry)
         # the last block is the classifier; a sample with an inactive head
         # site takes its ground logits
-        logits = batch.grounds.astype(batch.rows.dtype)
+        logits = batch.grounds.copy()
         logits[batch.sample_ids()] = batch.rows
         return logits, tape, macs
 
@@ -330,9 +332,8 @@ class Network:
                               self.spec.n_input, self.classes, self.spec.planned_sizes[0]))
         buf.write(struct.pack("<I", len(arch)))
         buf.write(arch)
-        param_blocks = [b for b in self.blocks if b.kind != "relu"]
-        buf.write(struct.pack("<I", len(param_blocks)))
-        for b in param_blocks:
+        buf.write(struct.pack("<I", len(self._rule_blocks)))
+        for b in self._rule_blocks:
             buf.write(b.header())
             if b.kind == "fmp":
                 buf.write(struct.pack("<Q", b.layer.seed))
@@ -378,11 +379,10 @@ class Network:
             net._assemble(spec, classes, np.float32, 0, _zero_conv)
         except ValueError as e:  # e.g. an FMP layer on a lattice other than cubic
             raise FormatError(f"{path}: {e}") from None
-        param_blocks = [b for b in net.blocks if b.kind != "relu"]
-        if nblocks != len(param_blocks):
+        if nblocks != len(net._rule_blocks):
             raise FormatError(f"{path}: checkpoint has {nblocks} blocks, architecture "
-                              f"needs {len(param_blocks)}")
-        for i, b in enumerate(param_blocks):
+                              f"needs {len(net._rule_blocks)}")
+        for i, b in enumerate(net._rule_blocks):
             head = b.header()
             got = r.take(len(head))
             if got != head:

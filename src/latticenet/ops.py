@@ -18,12 +18,14 @@ A convolution over a mini-batch of sparse grids runs in three steps:
    :data:`BOX_CELLS_PER_CANDIDATE`);
 2. gather, for every active output site, the footprint's input vectors
    into one row of a matrix ``Q``, substituting the sample's ground
-   vector at inactive positions.  ``src`` is the gather's own index into
-   the table ``[rows; grounds]`` of the layer's input: an active position
+   vector at inactive positions.  A batch stores its rows and then one
+   ground row per sample in one table (:class:`~latticenet.grid.GridBatch`),
+   and ``src`` is the gather's own index into it: an active position
    holds its input row, an inactive one of sample ``b`` the negative
    index ``-(B - b)``, which counts from the table's end to ``b``'s
-   ground, so the gather is one ``take``;
-3. one dense multiply, ``M_out = Q @ W + B``.
+   ground, so the gather is one ``take`` of the stored table;
+3. one dense multiply, ``M_out = Q @ W + B``, into the first rows of the
+   output's table, whose last rows take the mapped grounds.
 
 Each step runs once per layer and batch, whatever the batch size, and
 gives every sample exactly the rows, row order and gather index that a
@@ -205,9 +207,9 @@ class Plan:
     ``src[i, k]`` is the input row under footprint position ``k`` of output
     row ``i`` (site ``out_keys[i]``), or, where the ground of the row's
     sample ``b`` fills that position, ``-(B - b)``: the index, counted from
-    the end, of that ground in the table ``[input rows; grounds]`` the
-    gather reads (-1 throughout a one-sample plan).  ``in_start`` and
-    ``out_start`` are the row offsets of the
+    the end, of that ground in the input batch's table (its rows, then one
+    ground per sample), which the gather reads (-1 throughout a one-sample
+    plan).  ``in_start`` and ``out_start`` are the row offsets of the
     samples in the layer's input and output batches.  A convolution keeps
     the gather matrix ``Q``; a max pool kept for training keeps ``argmax``,
     where ``argmax[i, c]`` is the position whose value output component
@@ -215,9 +217,9 @@ class Plan:
     the position of its first NaN, as ``ndarray.argmax`` picks, stored in
     the smallest unsigned dtype that holds ``F - 1``.  A convolution whose
     backward pass runs in the input frame (see :mod:`latticenet.autograd`)
-    keeps its input rows ``in_rows`` and per-sample grounds ``in_grounds``
-    in place of ``Q``; ``Q`` is then the gather of ``[in_rows;
-    in_grounds]`` through ``src``.
+    keeps its input rows ``in_rows`` and per-sample grounds ``in_grounds``,
+    the two parts of its input's table, in place of ``Q``; ``Q`` is then
+    the gather of that table through ``src``.
 
     Item ``b`` is sample ``b``'s plan in its own row numbers, built on
     access.
@@ -413,13 +415,6 @@ def conv_rulebook(batch: GridBatch, geometry: FilterGeometry):
     return _window_rulebook(batch, geometry.offsets, (starts,) * out_shape.ndim, bound)
 
 
-def _table(batch: GridBatch) -> np.ndarray:
-    """The ``[rows; grounds]`` table a gather reads through ``src``: batch
-    row ``r`` is table row ``r``, and sample ``b``'s ground is row
-    ``-(B - b)``, counted from the end."""
-    return np.concatenate([batch.rows, batch.grounds.astype(batch.rows.dtype, copy=False)])
-
-
 def conv_active_sites(grid: SparseGrid, geometry: FilterGeometry):
     """Step 1 for one grid: active output sites (sorted packed keys) and the output shape."""
     out_keys, _, _ = conv_rulebook(GridBatch.of([grid]), geometry)
@@ -438,7 +433,7 @@ def build_gather(grid: SparseGrid, out_keys: np.ndarray, geometry: FilterGeometr
     pos = np.searchsorted(keys, out_keys)
     pos[np.append(keys, -1)[pos] != out_keys] = a_rule
     src = np.vstack([src, np.full((1, geometry.volume), -1, np.int64)])[pos]
-    Q = _table(batch).take(src.reshape(-1), axis=0).reshape(a_out, geometry.volume * grid.n)
+    Q = batch.table.take(src.reshape(-1), axis=0).reshape(a_out, geometry.volume * grid.n)
     return Plan(out_keys, src, batch.start, np.array([0, a_out]), Q)
 
 
@@ -462,18 +457,17 @@ def conv_forward_batch(batch: GridBatch, layer: ConvLayer, rule=None):
     geom = layer.geometry
     out_keys, out_sample, src = conv_rulebook(batch, geom) if rule is None else rule
     out_shape = conv_out_shape(batch.shape, geom)
-    Q = _table(batch).take(src.reshape(-1), axis=0)
-    Q = Q.reshape(out_keys.shape[0], geom.volume * batch.n)
-    rows = Q @ layer.W
+    a_out = out_keys.shape[0]
+    Q = batch.table.take(src.reshape(-1), axis=0).reshape(a_out, geom.volume * batch.n)
+    table = np.empty((a_out + batch.B, layer.n_out), np.result_type(Q, layer.W))
+    rows = np.matmul(Q, layer.W, out=table[:a_out])
     rows += layer.B
     # the samples of a batch mostly share one ground, which is then mapped once
     grounds = batch.grounds
     shared = (grounds == grounds[0]).all()
     ground = np.tile(grounds[:1] if shared else grounds, geom.volume).astype(layer.W.dtype)
-    ground = ground @ layer.W + layer.B
-    if shared:
-        ground = ground.repeat(batch.B, axis=0)
-    out = GridBatch(out_shape, out_keys, rows, ground, _row_starts(out_sample, batch.B))
+    table[a_out:] = ground @ layer.W + layer.B
+    out = GridBatch(out_shape, out_keys, table, _row_starts(out_sample, batch.B))
     return out, Plan(out_keys, src, batch.start, out.start, Q)
 
 
@@ -501,15 +495,18 @@ def _max_pool(batch: GridBatch, out_keys, out_sample, out_shape, src, keep_plan:
     never compares greater, so NaN components get their first NaN position
     after a tile's loop, from a gather of the rows that hold one.  Every
     step is elementwise, so tiling changes no bit of the result.  Each step
-    takes a column of ``src`` straight from the :func:`_table`, with
+    takes a column of ``src`` straight from the batch's table, with
     ``mode="wrap"``: the default mode copies ``out`` through a buffer, and
     ``"clip"`` would send a ground entry ``-(B - b)`` to row 0, where
     ``"wrap"`` sends it to ``a_in + b``, ``b``'s ground row, as the default
-    does.
+    does.  The running max fills the first rows of the output's table, and
+    its last ``B`` rows take the input's grounds, which a pool keeps.
     """
-    table = _table(batch)
+    table = batch.table
     a_out, F = src.shape
-    rows = np.empty((a_out, batch.n), table.dtype)
+    out_table = np.empty((a_out + batch.B, batch.n), table.dtype)
+    rows = out_table[:a_out]
+    out_table[a_out:] = batch.grounds
     step = max(1, TILE // max(batch.n, 1))
     vals = np.empty((min(step, a_out), batch.n), table.dtype)
     if keep_plan:
@@ -535,8 +532,7 @@ def _max_pool(batch: GridBatch, out_keys, out_sample, out_shape, src, keep_plan:
             i, c = np.nonzero(np.isnan(r))
             if i.size:
                 am[i, c] = np.isnan(table[idx[i].T, c]).argmax(axis=0)
-    out = GridBatch(out_shape, out_keys, rows, batch.grounds.copy(),
-                    _row_starts(out_sample, batch.B))
+    out = GridBatch(out_shape, out_keys, out_table, _row_starts(out_sample, batch.B))
     if not keep_plan:
         return out, None
     return out, Plan(out_keys, src, batch.start, out.start, argmax=argmax)
@@ -613,8 +609,7 @@ def fmp_rulebook(batch: GridBatch, regions):
     return _window_rulebook(batch, filter_offsets(LatticeKind.CUBIC, 2), regions, None)
 
 
-def fmp_forward_batch(batch: GridBatch, layer: FMPLayer, regions, *, keep_plan: bool = True,
-                      rule=None):
+def fmp_forward_batch(batch: GridBatch, regions, *, keep_plan: bool = True, rule=None):
     """Max pooling over randomized overlapping size-2 regions, for a batch;
     ``rule`` and the result are as in :func:`pool_forward_batch`."""
     if batch.shape.lattice is not LatticeKind.CUBIC:
@@ -628,7 +623,7 @@ def fmp_forward(grid: SparseGrid, layer: FMPLayer, regions=None, *, keep_plan: b
     """Max pooling over randomized overlapping size-2 regions."""
     if regions is None:
         regions = fmp_regions(grid.shape.m, layer.ratio, layer.seed)
-    out, plan = fmp_forward_batch(GridBatch.of([grid]), layer, regions, keep_plan=keep_plan)
+    out, plan = fmp_forward_batch(GridBatch.of([grid]), regions, keep_plan=keep_plan)
     return (out.grid(0), plan) if keep_plan else out.grid(0)
 
 
@@ -637,11 +632,12 @@ def fmp_forward(grid: SparseGrid, layer: FMPLayer, regions=None, *, keep_plan: b
 
 
 def relu_forward_batch(batch: GridBatch) -> GridBatch:
-    """Component-wise max(., 0) on rows and grounds.  The rows are rectified
-    in place: the network's input is a convolution's fresh output, and
-    ``GridBatch.of`` copies the grid's rows for ``relu_forward``."""
-    rows = np.maximum(batch.rows, 0, out=batch.rows)
-    return GridBatch(batch.shape, batch.keys, rows, np.maximum(batch.grounds, 0), batch.start)
+    """Component-wise max(., 0) on rows and grounds, one pass over the
+    batch's table, in place; returns ``batch``.  The network's input is a
+    convolution's fresh output, and ``GridBatch.of`` copies the grid's rows
+    and ground for ``relu_forward``."""
+    np.maximum(batch.table, 0, out=batch.table)
+    return batch
 
 
 def relu_forward(grid: SparseGrid):

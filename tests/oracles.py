@@ -356,6 +356,28 @@ def addat_pool_backward(d_out: np.ndarray, plan):
 
 
 # ---------------------------------------------------------------------------
+# the masked Q-form scatter
+#
+# The original input-gradient scatter of ``autograd.conv_backward``'s Q
+# form, kept verbatim: before the gradient got one trailing row per
+# sample's ground, each footprint position compacted its active rows with
+# a mask.
+
+
+def masked_conv_backward(d_out: np.ndarray, plan, layer) -> np.ndarray:
+    """The Q form's input gradient: each footprint position, last to first,
+    adds only the rows whose gather index is active."""
+    d_in = np.zeros((plan.a_in, layer.n_in), dtype=d_out.dtype)
+    if plan.a_out:
+        dQ = (d_out @ layer.W.T).reshape(plan.a_out, -1, layer.n_in)
+        for k in reversed(range(plan.src.shape[1])):
+            r = plan.src[:, k]
+            v = np.flatnonzero(r >= 0)
+            d_in[r[v]] += dQ[v, k]
+    return d_in
+
+
+# ---------------------------------------------------------------------------
 # the grounds-first gather of the pools below
 #
 # The original gather formula of ``ops``, which the reference pools keep so
@@ -409,7 +431,7 @@ def putmask_max_pool(batch: GridBatch, out_keys, out_sample, out_shape, src, kee
         if nan.any():
             i, c = np.nonzero(nan)
             argmax[i, c] = np.isnan(table[idx[i].T, c]).argmax(axis=0)
-    out = GridBatch(out_shape, out_keys, rows, batch.grounds.copy(),
+    out = GridBatch(out_shape, out_keys, np.concatenate([rows, batch.grounds]),
                     _row_starts(out_sample, batch.B))
     if keep_plan:
         plan = Plan(out_keys, src, batch.start, out.start, argmax=argmax)
@@ -468,7 +490,7 @@ def untiled_max_pool(batch: GridBatch, out_keys, out_sample, out_shape, src, kee
             np.multiply(better, position(k), out=moved)
             np.maximum(argmax, moved, out=argmax)
         np.maximum(rows, vals, out=rows)
-    out = GridBatch(out_shape, out_keys, rows, batch.grounds.copy(),
+    out = GridBatch(out_shape, out_keys, np.concatenate([rows, batch.grounds]),
                     _row_starts(out_sample, batch.B))
     if not keep_plan:
         return out, None

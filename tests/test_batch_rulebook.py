@@ -35,7 +35,6 @@ from latticenet.ops import (
     FMP_RATIO,
     ConvLayer,
     FilterGeometry,
-    FMPLayer,
     PoolLayer,
     build_gather,
     conv_active_sites,
@@ -56,6 +55,7 @@ from oracles import (
     loop_fmp_gather,
     loop_gather,
     loop_max,
+    masked_conv_backward,
     masked_pool_backward,
     plan_Q,
     putmask_max_pool,
@@ -187,7 +187,7 @@ def test_fmp_matches_per_grid(ties, m, ratio, seed, rng):
         grids = tied(grids)
     regions = fmp_regions(m, ratio, seed)
     batch = GridBatch.of(grids)
-    out, plans = fmp_forward_batch(batch, FMPLayer(LatticeKind.CUBIC), regions)
+    out, plans = fmp_forward_batch(batch, regions)
     for b, grid in enumerate(grids):
         keys = loop_fmp_active_keys(grid, regions)
         rows, argmax_src = loop_max(grid, loop_fmp_gather(grid, keys, regions))
@@ -316,7 +316,7 @@ def test_build_gather_of_every_output_site(lattice, f, s, rng):
 
 @pytest.mark.parametrize("lattice", ALL_LATTICES)
 def test_ground_entries_index_the_table_from_its_end(lattice, rng):
-    """A rule's ``src`` is the gather's own index into ``[rows; grounds]``:
+    """A rule's ``src`` is the gather's own index into the batch's table:
     a ground position of sample ``b`` holds ``-(B - b)``, from ``-B`` for
     the first sample to -1 for the last, and one ``take`` of the table
     through it gives every sample the gather it gets alone, ground
@@ -338,11 +338,51 @@ def test_ground_entries_index_the_table_from_its_end(lattice, rng):
         assert np.array_equal(src[ground], np.broadcast_to(
             out_sample[:, None] - batch.B, src.shape)[ground])
         assert {-batch.B, -1} <= set(src[ground].tolist())
-        gather = ops._table(batch).take(src.reshape(-1), axis=0).reshape(*src.shape, -1)
+        gather = batch.table.take(src.reshape(-1), axis=0).reshape(*src.shape, -1)
         for b, grid in enumerate(grids):
             keys = out_keys[out_sample == b]
             alone = np.vstack([grid.ground[None], grid.rows])[loop_src(grid, keys) + 1]
             assert np.array_equal(gather[out_sample == b], alone), b
+
+
+def check_table(out, want_grounds):
+    """``out`` stores one (a + B, n) table whose ``rows`` and ``grounds``
+    are views, sample ``b``'s ground being row ``a + b``, which is also row
+    ``-(B - b)``; ``want_grounds[b]`` is that ground, to float rounding."""
+    a, B = out.a, out.B
+    assert out.table.shape == (a + B, out.n)
+    assert np.shares_memory(out.rows, out.table) and np.shares_memory(out.grounds, out.table)
+    for b in range(B):
+        assert np.array_equal(out.table[a + b], out.table[-(B - b)])
+        assert np.array_equal(out.grid(b).ground, out.table[a + b])
+        assert relative_error(out.table[a + b], want_grounds[b]) <= 1e-6, b
+
+
+@pytest.mark.parametrize("lattice", ALL_LATTICES)
+def test_each_op_stores_one_table_with_grounds_last(lattice, rng):
+    """``GridBatch.of``, conv (distinct and shared grounds), pool, cubic FMP
+    and relu outputs each keep one table, rows then one ground per sample,
+    and relu rectifies its input's table in place, grounds included."""
+    m = field(3, 2, at_least=25 if lattice.ndim == 2 else 13)
+    grids = thin_grids(GridShape(lattice, m), 2, rng)
+    shared = [SparseGrid(g.shape, g.keys, g.rows, grids[0].ground) for g in grids]
+    layer = ConvLayer.init(FilterGeometry(lattice, 2, 1), 2, 3, rng, np.float64)
+    layer.B[:] = rng.normal(size=3) - (50, 0, 0)  # every ground's first component negative
+    for gs in (grids, shared):
+        assert len({g.ground.tobytes() for g in gs}) == (len(gs) if gs is grids else 1)
+        batch = GridBatch.of(gs)
+        check_table(batch, [g.ground for g in gs])
+        out, _ = conv_forward_batch(batch, layer)
+        check_table(out, [ops.conv_forward(g, layer).ground for g in gs])
+        before = out.table.copy()
+        assert ops.relu_forward_batch(out) is out
+        assert np.array_equal(out.table, np.maximum(before, 0)) and (before[out.a:] < 0).any()
+        check_table(out, [np.maximum(g, 0) for g in before[out.a:]])
+        pooled, _ = pool_forward_batch(batch, PoolLayer(lattice, 3, 2))
+        check_table(pooled, [g.ground for g in gs])
+        if lattice is LatticeKind.CUBIC:
+            fmp, _ = fmp_forward_batch(batch, fmp_regions(m, FMP_RATIO, 3))
+            check_table(fmp, [g.ground for g in gs])
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +417,24 @@ def test_conv_backward_matches_add_at(lattice, f, s, dtype, rng):
     want = addat_conv_backward(d_out, gplan, layer)
     for g, w in zip(got, want):  # dW, dB, d_in
         assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("lattice", ALL_LATTICES)
+@pytest.mark.parametrize("f, s", [(2, 1), (3, 1), (3, 2)])
+def test_unmasked_q_form_scatter_matches_masked(lattice, f, s, dtype, rng):
+    """The Q form's input gradient, scattered with no mask through ground
+    rows that are sliced off, equals the masked scatter it replaced bit for
+    bit on thin samples, where most gather positions read a ground."""
+    m = field(f, s, at_least=25 if lattice.ndim == 2 else 13)
+    grids = as_dtype(thin_grids(GridShape(lattice, m), 3, rng), dtype)
+    layer = ConvLayer.init(FilterGeometry(lattice, f, s), 3, 4, rng, dtype)
+    layer.B[:] = rng.normal(size=4)
+    out, qplan = conv_forward_batch(GridBatch.of(grids), layer)
+    assert (qplan.src < 0).mean() > 0.5
+    d_out = rng.normal(size=out.rows.shape).astype(dtype)
+    got, want = conv_backward(d_out, qplan, layer)[2], masked_conv_backward(d_out, qplan, layer)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("lattice", ALL_LATTICES)
@@ -426,8 +484,7 @@ def test_fmp_backward_matches_add_at(ties, m, ratio, seed, dtype, rng):
     grids = as_dtype(batch_of(LatticeKind.CUBIC, m, 2, MIXED, rng), dtype)
     if ties:
         grids = tied(grids)
-    out, pplan = fmp_forward_batch(GridBatch.of(grids), FMPLayer(LatticeKind.CUBIC),
-                                   fmp_regions(m, ratio, seed))
+    out, pplan = fmp_forward_batch(GridBatch.of(grids), fmp_regions(m, ratio, seed))
     check_pool_backward(out, pplan, rng)
 
 
@@ -720,10 +777,9 @@ def test_tiled_fmp_matches_untiled(ties, m, ratio, seed, dtype, tile_rows, rng, 
     if ties:
         grids = tied(grids)
     regions = fmp_regions(m, ratio, seed)
-    layer = FMPLayer(LatticeKind.CUBIC)
     for gs in (grids, with_nans(grids, rng)):
         batch = GridBatch.of(gs)
-        check_tiled_pool(lambda keep: fmp_forward_batch(batch, layer, regions, keep_plan=keep),
+        check_tiled_pool(lambda keep: fmp_forward_batch(batch, regions, keep_plan=keep),
                          tile_rows, monkeypatch, rng)
 
 
