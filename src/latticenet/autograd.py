@@ -213,16 +213,24 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_nll(logits: np.ndarray, label: int):
-    """Negative log likelihood of ``label`` plus the logits gradient."""
-    logits = np.asarray(logits, dtype=np.float64).reshape(-1)
-    if not 0 <= label < logits.shape[0]:
-        raise ValueError(f"label {label} out of range for {logits.shape[0]} classes")
-    p = softmax(logits)
-    loss = -np.log(p[label])
-    d = p.copy()
-    d[label] -= 1.0
-    return loss, d
+def softmax_nll(logits: np.ndarray, label):
+    """Negative log likelihood of ``label`` plus the logits gradient, in
+    float64.  Given a ``(B, classes)`` batch of logits and ``B`` labels, it
+    returns the ``B`` losses and the ``(B, classes)`` gradients, each row
+    as that row alone gives it."""
+    logits = np.asarray(logits, dtype=np.float64)
+    batched = logits.ndim == 2
+    logits = logits.reshape(-1, logits.shape[-1])
+    labels = np.reshape(label, -1)
+    classes = logits.shape[1]
+    bad = labels[(labels < 0) | (labels >= classes)]
+    if bad.size:
+        raise ValueError(f"label {bad[0]} out of range for {classes} classes")
+    d = softmax(logits)
+    rows = np.arange(len(labels))
+    loss = -np.log(d[rows, labels])
+    d[rows, labels] -= 1.0
+    return (loss, d) if batched else (loss[0], d[0])
 
 
 def sgd_step(params: list[ParamState], lr: float, momentum: float = 0.0,

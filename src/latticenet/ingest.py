@@ -33,6 +33,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -530,7 +531,13 @@ KNOT_KINDS = ("unknot", "trefoil", "figure_eight")
 
 
 def knot_curve(kind: str, samples: int = 720) -> np.ndarray:
-    """Closed parametric curve for the knot class, centered, unit radius."""
+    """Closed parametric curve for the knot class, centered, unit radius;
+    a fresh copy of the curve computed once per ``(kind, samples)``."""
+    return _knot_curve(kind, samples).copy()
+
+
+@lru_cache(maxsize=16)
+def _knot_curve(kind: str, samples: int) -> np.ndarray:
     t = np.linspace(0.0, 2 * np.pi, samples, endpoint=False)
     if kind == "unknot":
         pts = np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=1)
@@ -550,6 +557,7 @@ def knot_curve(kind: str, samples: int = 720) -> np.ndarray:
         raise ValueError(f"unknown knot kind {kind!r}; expected one of {KNOT_KINDS}")
     pts -= pts.mean(axis=0)
     pts /= np.abs(pts).max()
+    pts.flags.writeable = False
     return pts
 
 

@@ -36,7 +36,9 @@ chains instead of running the rulebook.  Each sample gets the same rows
 in either case, so the assembled rule, and with it every output, tape and
 gradient, is bit-identical.  A training chain stops at the first FMP
 layer, whose regions are redrawn per batch; an eval chain covers every
-layer and is keyed by the FMP seeds.
+layer and is keyed by the FMP seeds.  An eval batch that repeats the last
+eval batch to hit takes its assembled rules from the cache's memo, and an
+FMP layer with a cached rule builds no regions.
 """
 
 from __future__ import annotations
@@ -161,7 +163,10 @@ class _Pool:
 class _FMP(_Pool):
     """Fractional max pooling; its regions come from a seed that training
     draws per batch from ``train_rng`` and evaluation takes from
-    ``layer.seed``."""
+    ``layer.seed``.  A training pass draws its seed first, whatever else
+    happens, so the random stream does not depend on the cache; the
+    regions are built only when the cache yields no rule, since a cached
+    rule already holds what they decide."""
 
     kind = "fmp"
 
@@ -171,9 +176,8 @@ class _FMP(_Pool):
     def forward(self, batch: GridBatch, cached, train_rng, keep_tape: bool):
         l = self.layer
         seed = int(train_rng.integers(0, 2**31)) if train_rng is not None else l.seed
-        regions = fmp_regions(batch.shape.m, l.ratio, seed)
-        rule = next(cached, None) or fmp_rulebook(batch, regions)
-        out, plan = fmp_forward_batch(batch, regions, keep_plan=keep_tape, rule=rule)
+        rule = next(cached, None) or fmp_rulebook(batch, fmp_regions(batch.shape.m, l.ratio, seed))
+        out, plan = fmp_forward_batch(batch, l, keep_plan=keep_tape, rule=rule)
         return out, ("pool", plan), 0, rule
 
 
@@ -247,8 +251,10 @@ class Network:
         The first ``depth`` rulebook layers take their rules from the cache
         when every sample of the batch hits; otherwise the rulebook runs,
         and samples seen for the second time have their chains stored."""
-        depth, context = self._chain_context(batch.shape.m, train_rng is not None)
-        cached, admit = self.rule_cache.lookup(batch, context) if depth else (iter(()), {})
+        training = train_rng is not None
+        depth, context = self._chain_context(batch.shape.m, training)
+        cached, admit = (self.rule_cache.lookup(batch, context, training) if depth
+                         else (iter(()), {}))
         rules = []
         for block in self.blocks:
             out, entry, macs, rule = block.forward(batch, cached, train_rng, keep_tape)

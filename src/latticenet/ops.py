@@ -609,21 +609,31 @@ def fmp_rulebook(batch: GridBatch, regions):
     return _window_rulebook(batch, filter_offsets(LatticeKind.CUBIC, 2), regions, None)
 
 
-def fmp_forward_batch(batch: GridBatch, regions, *, keep_plan: bool = True, rule=None):
-    """Max pooling over randomized overlapping size-2 regions, for a batch;
-    ``rule`` and the result are as in :func:`pool_forward_batch`."""
+def fmp_forward_batch(batch: GridBatch, layer: FMPLayer, *, keep_plan: bool = True,
+                      rule=None):
+    """Max pooling over randomized overlapping size-2 regions, for a batch.
+
+    ``rule`` is the batch's rule as :func:`fmp_rulebook` gives it; when it
+    is None, the rulebook runs here over the regions of ``layer.seed``.  A
+    rule needs no regions: the output field size is
+    ``fmp_out_size(m, layer.ratio)``.  The result is as in
+    :func:`pool_forward_batch`."""
     if batch.shape.lattice is not LatticeKind.CUBIC:
         raise ValueError("FMP requires a cubic grid")
-    out_shape = GridShape(LatticeKind.CUBIC, regions[0].shape[0])
-    out_keys, out_sample, src = fmp_rulebook(batch, regions) if rule is None else rule
+    m = batch.shape.m
+    out_shape = GridShape(LatticeKind.CUBIC, fmp_out_size(m, layer.ratio))
+    if rule is None:
+        rule = fmp_rulebook(batch, fmp_regions(m, layer.ratio, layer.seed))
+    out_keys, out_sample, src = rule
     return _max_pool(batch, out_keys, out_sample, out_shape, src, keep_plan)
 
 
 def fmp_forward(grid: SparseGrid, layer: FMPLayer, regions=None, *, keep_plan: bool = False):
-    """Max pooling over randomized overlapping size-2 regions."""
-    if regions is None:
-        regions = fmp_regions(grid.shape.m, layer.ratio, layer.seed)
-    out, plan = fmp_forward_batch(GridBatch.of([grid]), regions, keep_plan=keep_plan)
+    """Max pooling over randomized overlapping size-2 regions: ``regions``
+    (drawn at ``layer.ratio``), or those of ``layer.seed``."""
+    batch = GridBatch.of([grid])
+    rule = None if regions is None else fmp_rulebook(batch, regions)
+    out, plan = fmp_forward_batch(batch, layer, keep_plan=keep_plan, rule=rule)
     return (out.grid(0), plan) if keep_plan else out.grid(0)
 
 

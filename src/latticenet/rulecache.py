@@ -24,6 +24,16 @@ passes, cost a placeholder each.  Entries are looked up by a 128-bit
 digest, and a hit also compares the stored key bytes, so two key sets can
 never share a chain.  Chains and placeholders together are held under
 :data:`CACHE_BYTES`, evicting the least recently used first.
+
+An eval pass also remembers the last batch whose samples all hit: its
+context, sample starts and key bytes, and its assembled rules, each array
+read-only.  An eval lookup of the same batch (an identity eval repeat, or
+``fit``'s held-out pass from the fourth epoch on) takes those rules whole,
+with no digest, entry walk or assembly; its bytes count in ``nbytes``.
+Training batches are fresh permutations every epoch, so training lookups
+neither read nor fill the memo.  It holds one batch, so repeats that
+interleave several batches (an evaluation over several chunks) miss it
+and assemble each chunk from its chains.
 """
 
 from __future__ import annotations
@@ -53,21 +63,31 @@ class RuleCache:
     rulebook layer.  A placeholder has neither.  The counters count sample
     lookups (``hits``, ``misses``), chains stored (``admitted``), entries
     dropped for the bound (``evicted``) and the bytes held (``nbytes``).
+    The memo of the last eval batch that hit is ``(context, start, keys,
+    rules, nbytes)``, or None.
     """
 
     def __init__(self):
         self._entries: OrderedDict = OrderedDict()
+        self._memo = None
         self.hits = self.misses = self.admitted = self.evicted = self.nbytes = 0
 
-    def lookup(self, batch: GridBatch, context: bytes):
+    def lookup(self, batch: GridBatch, context: bytes, training: bool):
         """Look every sample of ``batch`` up under ``context``, the bytes of
-        what its chain depends on besides its keys.
+        what its chain depends on besides its keys; ``training`` says the
+        batch is a training batch, which leaves the memo alone.
 
         Returns ``(rules, admit)``.  ``rules`` yields the batch's rule per
         chain layer when every sample hits, else nothing.  ``admit`` maps the
         digest of each key set seen for the second time to
         ``(sample, data)``; pass it to :meth:`admit` with the batch's plans.
         """
+        if not training:
+            memo = self._memo
+            if (memo is not None and memo[0] == context
+                    and memo[1] == batch.start.tobytes() and memo[2] == batch.keys.tobytes()):
+                self.hits += batch.B
+                return iter(memo[3]), {}
         chains, admit = [], {}
         start = batch.start.tolist()
         for b in range(batch.B):
@@ -86,8 +106,29 @@ class RuleCache:
         self.misses += batch.B - len(chains)
         self._shrink()
         if batch.B and len(chains) == batch.B:
-            return _assemble(chains, batch.start), {}
+            if training:
+                return _assemble(chains, batch.start), {}
+            return iter(self._remember(batch, context, chains)), {}
         return iter(()), admit
+
+    def _remember(self, batch: GridBatch, context: bytes, chains) -> list:
+        """Assemble the rules of an eval batch whose samples all hit, and
+        hold them as the memo unless they alone exceed the bound."""
+        rules = list(_assemble(chains, batch.start))
+        for rule in rules:
+            for a in rule:
+                a.flags.writeable = False
+        start, keys = batch.start.tobytes(), batch.keys.tobytes()
+        size = (len(context) + len(start) + len(keys) + _ENTRY_BYTES
+                + sum(a.nbytes for rule in rules for a in rule))
+        if self._memo is not None:
+            self.nbytes -= self._memo[4]
+        self._memo = None
+        if size <= CACHE_BYTES:  # else it would evict every entry and still not fit
+            self._memo = (context, start, keys, rules, size)
+            self.nbytes += size
+            self._shrink()
+        return rules
 
     def admit(self, admit: dict, rules):
         """Store the chains of the samples in ``admit``, cut out of the

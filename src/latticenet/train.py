@@ -67,13 +67,11 @@ def batch_loss_and_grads(net: Network, batch: list[LabeledSample],
     """
     grids = [s.grid for s in batch]
     logits, tape, macs = net.forward_batch(grids, train_rng=train_rng, keep_tape=True)
-    d_logits = np.empty_like(logits)
+    losses, d = softmax_nll(logits, [s.label for s in batch])
     total = 0.0
-    for i, s in enumerate(batch):
-        loss, d = softmax_nll(logits[i], s.label)
+    for loss in losses.tolist():  # left to right: sum() of floats compensates on 3.12
         total += loss
-        d_logits[i] = d / len(batch)
-    net.backward_batch(tape, d_logits, input_grad=False)
+    net.backward_batch(tape, (d / len(batch)).astype(logits.dtype), input_grad=False)
     return total, macs
 
 

@@ -12,6 +12,7 @@ from latticenet.autograd import (
     pool_backward,
     relu_backward,
     sgd_step,
+    softmax,
     softmax_nll,
 )
 from latticenet.geometry import GridShape, LatticeKind
@@ -190,6 +191,25 @@ def test_softmax_nll_matches_fd(rng):
 def test_softmax_nll_label_range():
     with pytest.raises(ValueError):
         softmax_nll(np.zeros(3), 3)
+    with pytest.raises(ValueError, match="label -1 out of range for 3 classes"):
+        softmax_nll(np.zeros((2, 3)), [0, -1])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("classes", [3, 10, 40])
+def test_batched_softmax_nll_matches_each_row(classes, dtype, rng):
+    """A batch gives every row the bits the one-row computation gives it."""
+    logits = (rng.normal(size=(6, classes)) * 5).astype(dtype)
+    labels = rng.integers(0, classes, 6)
+    losses, d = softmax_nll(logits, labels)
+    assert losses.shape == (6,) and d.shape == (6, classes)
+    for row, label, loss, grad in zip(logits, labels, losses, d):
+        p = softmax(row.astype(np.float64))
+        want = p.copy()
+        want[label] -= 1.0
+        assert loss == -np.log(p[label])
+        assert np.array_equal(grad, want)
+        assert softmax_nll(row, int(label))[0] == loss
 
 
 # ---------------------------------------------------------------------------

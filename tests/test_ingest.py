@@ -400,6 +400,14 @@ def test_knot_curves_have_expected_shapes():
         assert pts.shape[1] == 3
 
 
+def test_knot_curve_is_computed_once_and_copied():
+    for kind in KNOT_KINDS:
+        a, b = knot_curve(kind), knot_curve(kind)
+        assert np.array_equal(a, b) and not np.shares_memory(a, b)
+        a[...] = 0.0  # a caller's copy is its own
+        assert np.array_equal(knot_curve(kind), b)
+
+
 def test_synth_trefoil_connected(rng):
     sample = synth_knot("trefoil", 40, rng)
     assert sample.label == 1

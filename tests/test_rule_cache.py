@@ -216,16 +216,18 @@ def test_byte_bound_evicts_least_recently_used(rng, monkeypatch):
     monkeypatch.setattr(rulecache, "CACHE_BYTES", sum(sizes) - 1)
     net = make_net(CUBIC)
     cache = net.rule_cache
-    warm(net, [grids[0]])
-    warm(net, [grids[1]])
-    net.forward_batch([grids[0]])  # grids[1] is now the least recently used
+    # training passes, which leave the eval memo and its bytes out
+    train = {"train_rng": np.random.default_rng(0)}
+    warm(net, [grids[0]], **train)
+    warm(net, [grids[1]], **train)
+    net.forward_batch([grids[0]], **train)  # grids[1] is now the least recently used
     assert cache.evicted == 0
-    warm(net, [grids[2]])
+    warm(net, [grids[2]], **train)
     assert (cache.admitted, cache.evicted) == (3, 1)
     assert cache.nbytes == sizes[0] + sizes[2] <= rulecache.CACHE_BYTES
     for g, hit in zip(grids, (True, False, True)):
         hits = cache.hits
-        net.forward_batch([g])
+        net.forward_batch([g], **train)
         assert cache.hits == hits + hit
 
 
@@ -294,3 +296,127 @@ def test_hit_gives_each_sample_its_own_plans(rng):
             if got[0] != "relu":
                 assert np.array_equal(got[-1][b].out_keys, want[-1][0].out_keys)
                 assert np.array_equal(got[-1][b].src, want[-1][0].src)
+
+
+# ---------------------------------------------------------------------------
+# the memo of the last eval batch that hit
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` so that each call is counted; returns the count."""
+    calls = [0]
+    original = getattr(module, name)
+
+    def counted(*args, **kw):
+        calls[0] += 1
+        return original(*args, **kw)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("arch, field", [("4C2-MP3/2-6C2-output", None), (FMP_ARCH, FMP_FIELD)])
+def test_memo_serves_a_repeated_eval_batch(arch, field, rng, monkeypatch):
+    net, fresh = make_net(CUBIC, arch, field=field), make_net(CUBIC, arch, field=field)
+    grids = grids_for(net, rng, (0.3, 0.6, 0.0, 1.0))
+    warm(net, grids)
+    net.forward_batch(grids)  # the third pass assembles the rule and remembers it
+    digests = count_calls(monkeypatch, rulecache, "_digest")
+    assembles = count_calls(monkeypatch, rulecache, "_assemble")
+    want = forward_backward(fresh, grids)
+    assert (digests[0], assembles[0]) == (len(grids), 0)  # a rulebook pass, no hit
+    digests[0] = 0
+    for _ in range(2):
+        hits = net.rule_cache.hits
+        got = forward_backward(net, grids)
+        assert (digests[0], assembles[0]) == (0, 0)
+        assert net.rule_cache.hits == hits + len(grids)
+        assert_same_run(got, want)
+
+
+def test_memo_does_not_serve_another_batch(rng, monkeypatch):
+    net = make_net(CUBIC, FMP_ARCH, field=FMP_FIELD)
+    fresh = make_net(CUBIC, FMP_ARCH, field=FMP_FIELD)
+    grids = grids_for(net, rng, (0.3, 0.6, 0.5))
+    for _ in range(3):
+        net.forward_batch(grids)
+    memo = net.rule_cache._memo
+    digests = count_calls(monkeypatch, rulecache, "_digest")
+    g = grids[1]
+    changed = SparseGrid(g.shape, g.keys[1:], g.rows[1:], g.ground)  # one key fewer
+    for batch, hits in (([grids[2], grids[0], grids[1]], 3), ([grids[0], changed, grids[2]], 2)):
+        want = forward_backward(fresh, batch)
+        before, digests[0] = net.rule_cache.hits, 0
+        assert_same_run(forward_backward(net, batch), want)
+        assert digests[0] == len(batch)
+        assert net.rule_cache.hits == before + hits
+    assert net.rule_cache._memo is not memo  # the permuted batch hit and replaced it
+    for b in net.blocks + fresh.blocks:
+        if b.kind == "fmp":
+            b.layer.seed += 1
+    want = forward_backward(fresh, grids)
+    before, digests[0] = net.rule_cache.hits, 0
+    assert_same_run(forward_backward(net, grids), want)
+    assert (digests[0], net.rule_cache.hits) == (len(grids), before)
+
+
+def test_training_neither_reads_nor_replaces_the_memo(rng, monkeypatch):
+    net, fresh = make_net(CUBIC), make_net(CUBIC)
+    grids = grids_for(net, rng, (0.3, 0.6, 0.5))
+    for _ in range(3):
+        net.forward_batch(grids)
+    memo, held = net.rule_cache._memo, net.rule_cache.nbytes
+    digests = count_calls(monkeypatch, rulecache, "_digest")
+    for batch in (grids, grids[::-1]):  # the memo's batch, then another that hits
+        want = forward_backward(fresh, batch, train_rng=np.random.default_rng(4))
+        digests[0] = 0
+        assert_same_run(forward_backward(net, batch, train_rng=np.random.default_rng(4)), want)
+        assert digests[0] == len(batch)
+        assert net.rule_cache._memo is memo and net.rule_cache.nbytes == held
+    want = fresh.forward_batch(grids)[0]
+    digests[0] = 0
+    assert np.array_equal(net.forward_batch(grids)[0], want)
+    assert digests[0] == 0
+
+
+def test_memo_arrays_are_read_only_and_counted(rng):
+    net = make_net(CUBIC)
+    grids = grids_for(net, rng, (0.3, 0.6))
+    warm(net, grids)
+    held = net.rule_cache.nbytes
+    net.forward_batch(grids)
+    context, start, keys, rules, size = net.rule_cache._memo
+    assert net.rule_cache.nbytes == held + size
+    assert size > len(context) + len(start) + len(keys) + sum(a.nbytes for r in rules for a in r)
+    for rule in rules:
+        for a in rule:
+            with pytest.raises(ValueError):
+                a[...] = 0
+
+
+def test_memo_larger_than_the_bound_is_not_held(rng, monkeypatch):
+    net, fresh = make_net(CUBIC), make_net(CUBIC)
+    grids = grids_for(net, rng, (0.3, 0.6))
+    warm(net, grids)
+    monkeypatch.setattr(rulecache, "CACHE_BYTES", net.rule_cache.nbytes)
+    for _ in range(2):
+        assert_same_run(forward_backward(net, grids), forward_backward(fresh, grids))
+        assert net.rule_cache._memo is None
+    assert net.rule_cache.hits == 2 * len(grids) and net.rule_cache.evicted == 0
+
+
+def test_fmp_regions_are_built_only_on_a_miss(rng, monkeypatch):
+    from latticenet import network
+
+    net = make_net(CUBIC, FMP_ARCH, field=FMP_FIELD)
+    fmp_blocks = sum(b.kind == "fmp" for b in net.blocks)
+    grids = grids_for(net, rng, (0.4, 0.2))
+    regions = count_calls(monkeypatch, network, "fmp_regions")
+    for calls in (fmp_blocks, fmp_blocks, 0, 0):  # miss, admit, hit, memo hit
+        regions[0] = 0
+        net.forward_batch(grids)
+        assert regions[0] == calls
+    for _ in range(3):  # a training chain stops at the first FMP layer
+        regions[0] = 0
+        net.forward_batch(grids, train_rng=np.random.default_rng(0))
+        assert regions[0] == fmp_blocks
