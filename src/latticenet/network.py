@@ -36,15 +36,20 @@ chains instead of running the rulebook.  Each sample gets the same rows
 in either case, so the assembled rule, and with it every output, tape and
 gradient, is bit-identical.  A training chain stops at the first FMP
 layer, whose regions are redrawn per batch; an eval chain covers every
-layer and is keyed by the FMP seeds.  An eval batch that repeats the last
-eval batch to hit takes its assembled rules from the cache's memo, and an
-FMP layer with a cached rule builds no regions.
+layer and is keyed by the FMP seeds.  Training admits a chain at the key
+set's first sighting, eval at its second.  An eval pass leaves its rules,
+assembled or computed, in the cache's memo, and an eval batch that
+repeats the last one takes them from it, so an identity eval repeat runs
+the rulebook once and ``fit``'s held-out pass from the second epoch on
+runs none.  An FMP layer with a cached rule builds no regions.
 """
 
 from __future__ import annotations
 
 import io
+import os
 import struct
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -243,27 +248,29 @@ class Network:
         return depth, struct.pack(f"<2I{len(seeds)}Q", m, depth, *seeds)
 
     def _run(self, batch: GridBatch, train_rng: np.random.Generator | None = None,
-             keep_tape: bool = False):
+             keep_tape: bool = False, cache: bool = True):
         """Run ``batch`` through the blocks, yielding ``(out, entry, macs)``
         per block: its output batch, its tape entry (None unless
         ``keep_tape``) and the multiply-accumulates it performed.
 
         The first ``depth`` rulebook layers take their rules from the cache
-        when every sample of the batch hits; otherwise the rulebook runs,
-        and samples seen for the second time have their chains stored."""
+        when the memo serves the batch or every sample hits; otherwise the
+        rulebook runs, and the cache stores what the lookup asked for:
+        the chains of samples to admit and, in eval, the pass's rules as
+        the memo.  ``cache=False`` leaves the cache out altogether."""
         training = train_rng is not None
         depth, context = self._chain_context(batch.shape.m, training)
-        cached, admit = (self.rule_cache.lookup(batch, context, training) if depth
-                         else (iter(()), {}))
+        cached, miss = (self.rule_cache.lookup(batch, context, training) if depth and cache
+                        else (iter(()), None))
         rules = []
         for block in self.blocks:
             out, entry, macs, rule = block.forward(batch, cached, train_rng, keep_tape)
-            if admit and rule is not None and len(rules) < depth:
+            if miss and rule is not None and len(rules) < depth:
                 rules.append((rule, batch.start, out.start))
             yield out, entry if keep_tape else None, macs
             batch = out
-        if admit:
-            self.rule_cache.admit(admit, rules)
+        if miss:
+            self.rule_cache.store(miss, rules)
 
     def forward_batch(self, grids: list[SparseGrid], *, train_rng: np.random.Generator | None = None,
                       keep_tape: bool = False):
@@ -312,9 +319,10 @@ class Network:
     # -- ground states ----------------------------------------------------
 
     def ground_states(self) -> list[np.ndarray]:
-        """Per-block output ground vectors (an all-ground field's values)."""
+        """Per-block output ground vectors (an all-ground field's values);
+        the rule cache takes no part."""
         g = SparseGrid.empty(self.input_shape(), np.zeros(self.spec.n_input, self.dtype))
-        return [out.grounds[0].copy() for out, _, _ in self._run(GridBatch.of([g]))]
+        return [out.grounds[0].copy() for out, _, _ in self._run(GridBatch.of([g]), cache=False)]
 
     # -- checkpoints --------------------------------------------------------
     #
@@ -358,7 +366,11 @@ class Network:
         random numbers.  The file's size is checked against the
         architecture's parameter count before anything is allocated."""
         with open(path, "rb") as fh:
-            r = _Reader(fh.read(), path)
+            return cls._read(_Reader(fh, path), path)
+
+    @classmethod
+    def _read(cls, r: "_Reader", path) -> "Network":
+        """:meth:`load` over the open reader ``r`` of ``path``."""
         if r.take(4) != _CKPT_MAGIC:
             raise FormatError(f"{path} is not a network checkpoint")
         version, lat, n_input, classes, field, alen = r.unpack("<IIIIII")
@@ -397,7 +409,7 @@ class Network:
             if b.kind == "fmp":
                 (b.layer.seed,) = r.unpack("<Q")
             for p in b.params:
-                p.values[...] = r.floats(p.values.size).reshape(p.values.shape)
+                r.floats_into(p.values)
         if r.remaining():
             raise FormatError(f"{path}: {r.remaining()} unexpected bytes after the last block")
         return net
@@ -412,26 +424,38 @@ def _zero_conv(geometry: FilterGeometry, n_in: int, n_out: int) -> ConvLayer:
 
 
 class _Reader:
-    """Bounds-checked little-endian reads from a checkpoint's bytes, through
-    a memoryview so that taking a slice copies nothing."""
+    """Bounds-checked little-endian reads from an open checkpoint file; the
+    parameters are read straight into their arrays, with no copy of the
+    file in between."""
 
-    def __init__(self, data: bytes, path):
-        self.data = memoryview(data)
-        self.path = path
+    def __init__(self, fh, path):
+        self.fh, self.path = fh, path
+        self.size = os.fstat(fh.fileno()).st_size
         self.off = 0
 
     def remaining(self) -> int:
-        return len(self.data) - self.off
+        return self.size - self.off
 
-    def take(self, size: int) -> memoryview:
-        if size > self.remaining():
-            raise FormatError(f"{self.path}: checkpoint truncated at byte {len(self.data)}, "
+    def _fill(self, buf):
+        """Fill ``buf`` with the file's next bytes."""
+        size = memoryview(buf).nbytes
+        # a short read means the file shrank after it was opened
+        if size > self.remaining() or self.fh.readinto(buf) < size:
+            raise FormatError(f"{self.path}: checkpoint truncated at byte {self.size}, "
                               f"{size} more bytes expected at byte {self.off}")
         self.off += size
-        return self.data[self.off - size:self.off]
+
+    def take(self, size: int) -> bytearray:
+        data = bytearray(size)
+        self._fill(data)
+        return data
 
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def floats(self, count: int) -> np.ndarray:
-        return np.frombuffer(self.take(4 * count), "<f4")
+    def floats_into(self, out: np.ndarray):
+        """Fill the contiguous float32 array ``out`` from the file's
+        little-endian values."""
+        self._fill(out)
+        if sys.byteorder == "big":
+            out.byteswap(inplace=True)

@@ -17,23 +17,28 @@ tagged with their sample, each ``src`` shifted by its sample's first input
 row and each -1 mapped to the sample's ground entry ``-(B - b)``; see
 :func:`~latticenet.ops.batch_src`) equals the batched pass bit for bit.
 
-Admission follows the TinyLFU doorkeeper (Einziger et al., ACM ToS 2017):
-a key set's first sighting stores a small placeholder and only its second
-stores the chain, so key sets seen once, such as affine-augmented eval
-passes, cost a placeholder each.  Entries are looked up by a 128-bit
-digest, and a hit also compares the stored key bytes, so two key sets can
-never share a chain.  Chains and placeholders together are held under
+Training admits a key set at its first sighting: ``fit`` never augments,
+so every training key set comes back the next epoch.  Eval admission
+follows the TinyLFU doorkeeper (Einziger et al., ACM ToS 2017): a key
+set's first sighting stores a small placeholder and only its second stores
+the chain, so key sets seen once, such as affine-augmented eval passes,
+cost a placeholder each.  Entries are looked up by a 128-bit digest, and a
+hit also compares the stored key bytes, so two key sets can never share a
+chain.  Chains and placeholders together are held under
 :data:`CACHE_BYTES`, evicting the least recently used first.
 
-An eval pass also remembers the last batch whose samples all hit: its
-context, sample starts and key bytes, and its assembled rules, each array
-read-only.  An eval lookup of the same batch (an identity eval repeat, or
-``fit``'s held-out pass from the fourth epoch on) takes those rules whole,
-with no digest, entry walk or assembly; its bytes count in ``nbytes``.
-Training batches are fresh permutations every epoch, so training lookups
-neither read nor fill the memo.  It holds one batch, so repeats that
-interleave several batches (an evaluation over several chunks) miss it
-and assemble each chunk from its chains.
+An eval pass also remembers the last eval batch: its context, sample
+starts and key bytes, and its rules, assembled from the chains or, on a
+miss, as the pass's rulebook computed them, each array read-only.  An
+eval lookup of the same batch (an identity eval repeat from its second
+pass on, or ``fit``'s held-out pass from the second epoch on) takes those
+rules whole, with no digest, entry walk or assembly; its bytes count in
+``nbytes``.  An eval lookup of another batch drops the memo before its
+pass, so two batches' rules are never held at once.  Training batches are
+fresh permutations every epoch, so training lookups neither read nor fill
+the memo.  It holds one batch, so repeats that interleave several batches
+(an evaluation over several chunks) miss it and assemble each chunk from
+its chains.
 """
 
 from __future__ import annotations
@@ -63,8 +68,8 @@ class RuleCache:
     rulebook layer.  A placeholder has neither.  The counters count sample
     lookups (``hits``, ``misses``), chains stored (``admitted``), entries
     dropped for the bound (``evicted``) and the bytes held (``nbytes``).
-    The memo of the last eval batch that hit is ``(context, start, keys,
-    rules, nbytes)``, or None.
+    The memo of the last eval batch is ``(context, start, keys, rules,
+    nbytes)``, or None.
     """
 
     def __init__(self):
@@ -75,69 +80,58 @@ class RuleCache:
     def lookup(self, batch: GridBatch, context: bytes, training: bool):
         """Look every sample of ``batch`` up under ``context``, the bytes of
         what its chain depends on besides its keys; ``training`` says the
-        batch is a training batch, which leaves the memo alone.
+        batch is a training batch, which leaves the memo alone and admits a
+        key set at its first sighting.
 
-        Returns ``(rules, admit)``.  ``rules`` yields the batch's rule per
-        chain layer when every sample hits, else nothing.  ``admit`` maps the
-        digest of each key set seen for the second time to
-        ``(sample, data)``; pass it to :meth:`admit` with the batch's plans.
+        Returns ``(rules, miss)``.  ``rules`` yields the batch's rule per
+        chain layer when the memo serves the batch or every sample hits,
+        and ``miss`` is None; else ``rules`` yields nothing, the rulebook
+        must run, and ``miss`` goes to :meth:`store` with the pass's rules.
         """
+        key = None
         if not training:
-            memo = self._memo
-            if (memo is not None and memo[0] == context
-                    and memo[1] == batch.start.tobytes() and memo[2] == batch.keys.tobytes()):
+            key = (context, batch.start.tobytes(), batch.keys.tobytes())
+            if self._memo is not None and self._memo[:3] == key:
                 self.hits += batch.B
-                return iter(memo[3]), {}
+                return iter(self._memo[3]), None
+            self._forget()  # before the pass, so two batches' rules are never held
         chains, admit = [], {}
         start = batch.start.tolist()
         for b in range(batch.B):
             data = context + batch.keys[start[b]:start[b + 1]].tobytes()
             digest = _digest(data)
             entry = self._entries.get(digest)
-            if entry is None:
+            if entry is None and not training:  # the doorkeeper
                 self._entries[digest] = _PLACEHOLDER
                 self.nbytes += _PLACEHOLDER_BYTES
+            elif entry is None or entry is _PLACEHOLDER:
+                admit[digest] = (b, data)
             elif entry[0] == data:
                 self._entries.move_to_end(digest)
                 chains.append(entry[1])
-            elif entry is _PLACEHOLDER:
-                admit[digest] = (b, data)
         self.hits += len(chains)
         self.misses += batch.B - len(chains)
         self._shrink()
         if batch.B and len(chains) == batch.B:
+            rules = _assemble(chains, batch.start)
             if training:
-                return _assemble(chains, batch.start), {}
-            return iter(self._remember(batch, context, chains)), {}
-        return iter(()), admit
+                return rules, None
+            rules = list(rules)
+            self._remember(key, rules)
+            return iter(rules), None
+        return iter(()), (admit, key)
 
-    def _remember(self, batch: GridBatch, context: bytes, chains) -> list:
-        """Assemble the rules of an eval batch whose samples all hit, and
-        hold them as the memo unless they alone exceed the bound."""
-        rules = list(_assemble(chains, batch.start))
-        for rule in rules:
-            for a in rule:
-                a.flags.writeable = False
-        start, keys = batch.start.tobytes(), batch.keys.tobytes()
-        size = (len(context) + len(start) + len(keys) + _ENTRY_BYTES
-                + sum(a.nbytes for rule in rules for a in rule))
-        if self._memo is not None:
-            self.nbytes -= self._memo[4]
-        self._memo = None
-        if size <= CACHE_BYTES:  # else it would evict every entry and still not fit
-            self._memo = (context, start, keys, rules, size)
-            self.nbytes += size
-            self._shrink()
-        return rules
-
-    def admit(self, admit: dict, rules):
-        """Store the chains of the samples in ``admit``, cut out of the
-        batch's rule per chain layer: ``rules`` holds one ``(rule, in_start,
-        out_start)`` per layer, the rule as the rulebook gives it and the
-        row offsets of the samples in the layer's input and output."""
+    def store(self, miss, layers):
+        """After a pass that ran the rulebook, store what ``miss`` asks for,
+        from ``layers``: one ``(rule, in_start, out_start)`` per chain layer,
+        the rule as the rulebook gives it and the row offsets of the samples
+        in the layer's input and output.  The samples to admit have their
+        chains cut out of the rules, and an eval batch's rules become the
+        memo."""
+        admit, key = miss
         for digest, (b, data) in admit.items():
             chain = []
-            for (out_keys, _, src), in_start, out_start in rules:
+            for (out_keys, _, src), in_start, out_start in layers:
                 rows = slice(out_start[b], out_start[b + 1])
                 chain.append((out_keys[rows].copy(),
                               own_src(src[rows], in_start[b]).astype(np.int32)))
@@ -148,6 +142,26 @@ class RuleCache:
             self._entries[digest] = (data, tuple(chain), size)
             self.admitted += 1
         self._shrink()
+        if key is not None:
+            self._remember(key, [rule for rule, _, _ in layers])
+
+    def _remember(self, key: tuple, rules: list):
+        """Hold ``rules``, the batch rules of the eval batch ``key``
+        describes, as the memo, read-only, unless they alone exceed the
+        bound."""
+        for rule in rules:
+            for a in rule:
+                a.flags.writeable = False
+        size = sum(map(len, key)) + _ENTRY_BYTES + sum(a.nbytes for rule in rules for a in rule)
+        if size <= CACHE_BYTES:  # else it would evict every entry and still not fit
+            self._memo = (*key, rules, size)
+            self.nbytes += size
+            self._shrink()
+
+    def _forget(self):
+        if self._memo is not None:
+            self.nbytes -= self._memo[4]
+            self._memo = None
 
     def _shrink(self):
         while self.nbytes > CACHE_BYTES and self._entries:

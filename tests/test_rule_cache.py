@@ -2,9 +2,10 @@
 
 A network that takes a batch's rules from its cache must give exactly what
 a network that runs the rulebook gives: the same logits, tapes and
-gradients, bit for bit.  The cache admits a key set on its second sighting,
-holds its bytes under ``rulecache.CACHE_BYTES`` by evicting the least
-recently used entry, and keys eval chains by the FMP seeds.
+gradients, bit for bit.  The cache admits a key set at its first sighting
+in training and its second in eval, holds its bytes under
+``rulecache.CACHE_BYTES`` by evicting the least recently used entry, keys
+eval chains by the FMP seeds, and remembers the last eval batch's rules.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from latticenet import rulecache
 from latticenet.autograd import softmax_nll
 from latticenet.geometry import LatticeKind
-from latticenet.grid import LabeledSample, SparseGrid
+from latticenet.grid import GridBatch, LabeledSample, SparseGrid
 from latticenet.ingest import knot_dataset
 from latticenet.netspec import parse, plan
 from latticenet.network import Network
@@ -42,9 +43,13 @@ def _cast(g, dtype):
 
 
 def warm(net, grids, **kw):
-    """Run ``grids`` twice, so that the cache holds every sample's chain."""
-    for _ in range(2):
-        net.forward_batch(grids, **kw)
+    """Run ``grids`` through passes that admit every sample's chain.  A
+    training pass admits at the first sighting, eval at the second; the
+    memo would serve the same eval batch whole, so the second eval pass
+    runs another batch: ``grids`` with its first sample again."""
+    net.forward_batch(grids, **kw)
+    if "train_rng" not in kw:
+        net.forward_batch([*grids, grids[0]], **kw)
 
 
 def tape_arrays(tape):
@@ -127,7 +132,7 @@ def test_empty_input_chain_is_assembled(rng):
     empty = SparseGrid.empty(net.input_shape(), np.zeros(2))
     warm(net, [empty, empty])
     logits, tape, _ = net.forward_batch([empty], keep_tape=True)
-    assert net.rule_cache.hits == 3  # the second warm-up pass hits its own admission
+    assert net.rule_cache.hits == 4  # the first warm-up pass admits, the second hits
     assert all(e[-1].out_keys.size == 0 for e in tape if e[0] != "relu")
     assert np.array_equal(logits, make_net(CUBIC).forward_batch([empty])[0])
 
@@ -148,13 +153,14 @@ def test_fmp_train_then_eval_matches_fresh_eval(rng):
     grids = grids_for(net, rng, (0.4, 0.2, 0.7, 0.5))
     samples = [LabeledSample(g, i % 3) for i, g in enumerate(grids)]
     fit(net, samples, [], TrainConfig(epochs=3, batch_size=2, lr=0.01, seed=3))
-    assert net.rule_cache.hits == len(samples)  # the third epoch's first FMP-free layer
+    assert net.rule_cache.hits == 2 * len(samples)  # epochs 2-3, up to the first FMP layer
     fresh = make_net(CUBIC, FMP_ARCH, field=FMP_FIELD)
     for p, q in zip(fresh.params(), net.params()):
         p.values[...] = q.values
     hits = net.rule_cache.hits
     got = evaluate(net, samples, repeats=3, batch_size=2)
-    assert net.rule_cache.hits == hits + len(samples)  # only the third pass hits
+    # two chunks interleave, so the memo serves neither: pass 2 admits, pass 3 hits
+    assert net.rule_cache.hits == hits + len(samples)
     want = evaluate(fresh, samples, repeats=1, batch_size=2)
     assert np.array_equal(got.outputs, want.outputs)
 
@@ -181,7 +187,7 @@ def test_one_off_key_sets_store_no_chain(rng):
     net.forward_batch(grids)
     cache = net.rule_cache
     assert (cache.hits, cache.misses, cache.admitted) == (0, 3, 0)
-    assert cache.nbytes == 3 * rulecache._PLACEHOLDER_BYTES
+    assert cache.nbytes == 3 * rulecache._PLACEHOLDER_BYTES + cache._memo[4]
 
     def jitter(grid, r):  # a new key set on every pass
         keep = r.random(grid.a) < 0.7
@@ -190,6 +196,8 @@ def test_one_off_key_sets_store_no_chain(rng):
     samples = [LabeledSample(g, 0) for g in grids]
     evaluate(net, samples, repeats=3, augment=jitter)
     assert cache.admitted == 0 and cache.hits == 0
+    # a placeholder per key set, and the last pass's rules as the one memo
+    assert cache.nbytes == len(cache._entries) * rulecache._PLACEHOLDER_BYTES + cache._memo[4]
 
 
 def test_digest_collision_is_a_miss(rng, monkeypatch):
@@ -197,27 +205,27 @@ def test_digest_collision_is_a_miss(rng, monkeypatch):
     net, fresh = make_net(CUBIC), make_net(CUBIC)
     a, b = grids_for(net, rng, (0.3, 0.5))
     warm(net, [a])
-    for _ in range(3):
-        assert_same_run(forward_backward(net, [b]), forward_backward(fresh, [b]))
+    for batch in ([b], [b, b], [b]):  # each another batch, which the memo does not serve
+        assert_same_run(forward_backward(net, batch), forward_backward(fresh, batch))
     assert (net.rule_cache.hits, net.rule_cache.admitted) == (0, 1)
     net.forward_batch([a])
     assert net.rule_cache.hits == 1
 
 
 def test_byte_bound_evicts_least_recently_used(rng, monkeypatch):
+    # training passes, which leave the eval memo and its bytes out
+    train = {"train_rng": np.random.default_rng(0)}
     probe = make_net(CUBIC)
     grids = grids_for(probe, rng, (0.3, 0.5, 0.4))
     sizes = []
     for g in grids:
         held = probe.rule_cache.nbytes
-        warm(probe, [g])
+        warm(probe, [g], **train)
         sizes.append(probe.rule_cache.nbytes - held)
     assert min(sizes) > rulecache._PLACEHOLDER_BYTES
     monkeypatch.setattr(rulecache, "CACHE_BYTES", sum(sizes) - 1)
     net = make_net(CUBIC)
     cache = net.rule_cache
-    # training passes, which leave the eval memo and its bytes out
-    train = {"train_rng": np.random.default_rng(0)}
     warm(net, [grids[0]], **train)
     warm(net, [grids[1]], **train)
     net.forward_batch([grids[0]], **train)  # grids[1] is now the least recently used
@@ -225,22 +233,26 @@ def test_byte_bound_evicts_least_recently_used(rng, monkeypatch):
     warm(net, [grids[2]], **train)
     assert (cache.admitted, cache.evicted) == (3, 1)
     assert cache.nbytes == sizes[0] + sizes[2] <= rulecache.CACHE_BYTES
-    for g, hit in zip(grids, (True, False, True)):
+    for g, hit in zip((grids[0], grids[2], grids[1]), (True, True, False)):
         hits = cache.hits
         net.forward_batch([g], **train)
         assert cache.hits == hits + hit
+    # grids[1]'s miss admits it again, which evicts grids[0], now the least recently used
+    assert (cache.admitted, cache.evicted) == (4, 2)
+    assert cache.nbytes == sizes[2] + sizes[1] <= rulecache.CACHE_BYTES
 
 
 def test_chain_larger_than_the_bound_is_not_admitted(rng, monkeypatch):
     net = make_net(CUBIC)
     small, large = grids_for(net, rng, (0.1, 0.9))
-    warm(net, [small])
+    train = {"train_rng": np.random.default_rng(0)}  # no memo to count
+    warm(net, [small], **train)
     held = net.rule_cache.nbytes
     monkeypatch.setattr(rulecache, "CACHE_BYTES", held + 2 * rulecache._PLACEHOLDER_BYTES)
-    warm(net, [large])
+    warm(net, [large], **train)
     assert (net.rule_cache.admitted, net.rule_cache.evicted) == (1, 0)
     hits = net.rule_cache.hits
-    net.forward_batch([small])
+    net.forward_batch([small], **train)
     assert net.rule_cache.hits == hits + 1
 
 
@@ -263,7 +275,7 @@ def test_ground_states_unaffected(rng):
         assert np.array_equal(a, b)
 
 
-def test_knot_fit_hits_from_the_third_epoch(tmp_path):
+def test_knot_fit_hits_from_the_second_epoch(tmp_path):
     tet = LatticeKind.TETRAHEDRAL
     spec = plan(parse("8C2-MP3/2-8C2-MP3/2-8C2-output", tet, 1))
     samples = knot_dataset(spec.planned_sizes[0], 3, np.random.default_rng(2), lattice=tet)
@@ -273,7 +285,7 @@ def test_knot_fit_hits_from_the_third_epoch(tmp_path):
     hits = []
     logs = fit(net, samples, [], TrainConfig(epochs=3, batch_size=4, seed=1),
                log_fn=lambda log: hits.append(net.rule_cache.hits))
-    assert hits == [0, 0, len(samples)]
+    assert hits == [0, len(samples), 2 * len(samples)]
     assert net.rule_cache.admitted == len(samples)
     # the counters reach neither the epoch log nor the checkpoint
     fresh_logs = fit(fresh, samples, [], TrainConfig(epochs=3, batch_size=4, seed=1))
@@ -288,8 +300,9 @@ def test_hit_gives_each_sample_its_own_plans(rng):
     net = make_net(LatticeKind.SQUARE)
     grids = grids_for(net, rng, (0.3, 0.0, 0.6))
     warm(net, grids)
+    hits = net.rule_cache.hits
     _, batch_tape, _ = net.forward_batch(grids, keep_tape=True)
-    assert net.rule_cache.hits == len(grids)
+    assert net.rule_cache.hits == hits + len(grids)
     for b, g in enumerate(grids):
         _, tape, _ = net.forward_batch([g], keep_tape=True)
         for got, want in zip(batch_tape, tape):
@@ -299,7 +312,7 @@ def test_hit_gives_each_sample_its_own_plans(rng):
 
 
 # ---------------------------------------------------------------------------
-# the memo of the last eval batch that hit
+# the memo of the last eval batch
 
 
 def count_calls(monkeypatch, module, name):
@@ -338,8 +351,8 @@ def test_memo_does_not_serve_another_batch(rng, monkeypatch):
     net = make_net(CUBIC, FMP_ARCH, field=FMP_FIELD)
     fresh = make_net(CUBIC, FMP_ARCH, field=FMP_FIELD)
     grids = grids_for(net, rng, (0.3, 0.6, 0.5))
-    for _ in range(3):
-        net.forward_batch(grids)
+    warm(net, grids)
+    net.forward_batch(grids)  # assembles the rule and remembers it
     memo = net.rule_cache._memo
     digests = count_calls(monkeypatch, rulecache, "_digest")
     g = grids[1]
@@ -363,8 +376,8 @@ def test_memo_does_not_serve_another_batch(rng, monkeypatch):
 def test_training_neither_reads_nor_replaces_the_memo(rng, monkeypatch):
     net, fresh = make_net(CUBIC), make_net(CUBIC)
     grids = grids_for(net, rng, (0.3, 0.6, 0.5))
-    for _ in range(3):
-        net.forward_batch(grids)
+    warm(net, grids)
+    net.forward_batch(grids)
     memo, held = net.rule_cache._memo, net.rule_cache.nbytes
     digests = count_calls(monkeypatch, rulecache, "_digest")
     for batch in (grids, grids[::-1]):  # the memo's batch, then another that hits
@@ -382,27 +395,34 @@ def test_training_neither_reads_nor_replaces_the_memo(rng, monkeypatch):
 def test_memo_arrays_are_read_only_and_counted(rng):
     net = make_net(CUBIC)
     grids = grids_for(net, rng, (0.3, 0.6))
-    warm(net, grids)
-    held = net.rule_cache.nbytes
-    net.forward_batch(grids)
-    context, start, keys, rules, size = net.rule_cache._memo
-    assert net.rule_cache.nbytes == held + size
-    assert size > len(context) + len(start) + len(keys) + sum(a.nbytes for r in rules for a in r)
-    for rule in rules:
-        for a in rule:
-            with pytest.raises(ValueError):
-                a[...] = 0
+    cache = net.rule_cache
+    # the rules a miss computes, then rules assembled from the chains
+    for passes in ([grids], [[*grids, grids[0]], grids]):
+        for batch in passes:
+            net.forward_batch(batch)
+        context, start, keys, rules, size = cache._memo
+        assert keys == GridBatch.of(grids).keys.tobytes()
+        assert cache.nbytes == sum(entry[2] for entry in cache._entries.values()) + size
+        assert size > len(context) + len(start) + len(keys) + sum(a.nbytes for r in rules for a in r)
+        for rule in rules:
+            for a in rule:
+                with pytest.raises(ValueError):
+                    a[...] = 0
+    assert cache.hits == len(grids)  # only the last pass hit
 
 
 def test_memo_larger_than_the_bound_is_not_held(rng, monkeypatch):
     net, fresh = make_net(CUBIC), make_net(CUBIC)
     grids = grids_for(net, rng, (0.3, 0.6))
     warm(net, grids)
-    monkeypatch.setattr(rulecache, "CACHE_BYTES", net.rule_cache.nbytes)
-    for _ in range(2):
+    chains = net.rule_cache.nbytes - net.rule_cache._memo[4]
+    monkeypatch.setattr(rulecache, "CACHE_BYTES", chains)
+    hits = net.rule_cache.hits
+    for _ in range(2):  # a miss on fresh, then its admission; hits on net
         assert_same_run(forward_backward(net, grids), forward_backward(fresh, grids))
-        assert net.rule_cache._memo is None
-    assert net.rule_cache.hits == 2 * len(grids) and net.rule_cache.evicted == 0
+        assert net.rule_cache._memo is None and fresh.rule_cache._memo is None
+    assert net.rule_cache.hits == hits + 2 * len(grids) and net.rule_cache.evicted == 0
+    assert fresh.rule_cache.admitted == len(grids)
 
 
 def test_fmp_regions_are_built_only_on_a_miss(rng, monkeypatch):
@@ -412,11 +432,99 @@ def test_fmp_regions_are_built_only_on_a_miss(rng, monkeypatch):
     fmp_blocks = sum(b.kind == "fmp" for b in net.blocks)
     grids = grids_for(net, rng, (0.4, 0.2))
     regions = count_calls(monkeypatch, network, "fmp_regions")
-    for calls in (fmp_blocks, fmp_blocks, 0, 0):  # miss, admit, hit, memo hit
+    again = [*grids, grids[0]]
+    # miss, memo hit, admission, hit, memo hit
+    for batch, calls in ((grids, fmp_blocks), (grids, 0), (again, fmp_blocks), (grids, 0),
+                         (grids, 0)):
         regions[0] = 0
-        net.forward_batch(grids)
+        net.forward_batch(batch)
         assert regions[0] == calls
     for _ in range(3):  # a training chain stops at the first FMP layer
         regions[0] = 0
         net.forward_batch(grids, train_rng=np.random.default_rng(0))
         assert regions[0] == fmp_blocks
+
+
+def rulebook_calls(monkeypatch):
+    """Count the calls of every rulebook, and of ``fmp_regions``, that the
+    network's blocks make."""
+    from latticenet import network
+
+    return {name: count_calls(monkeypatch, network, name)
+            for name in ("conv_rulebook", "fmp_rulebook", "fmp_regions")}
+
+
+@pytest.mark.parametrize("arch, field", [("4C2-MP3/2-6C2-output", None), (FMP_ARCH, FMP_FIELD)])
+def test_a_repeated_eval_batch_runs_each_rulebook_once(arch, field, rng, monkeypatch):
+    nets = [make_net(CUBIC, arch, field=field) for _ in range(3)]
+    grids = grids_for(nets[0], rng, (0.3, 0.6, 0.0, 1.0))
+    want = nets.pop().forward_batch(grids)[0]
+    fmp = sum(b.kind == "fmp" for b in nets[0].blocks)
+    once = {"conv_rulebook": len(nets[0]._rule_blocks) - fmp, "fmp_rulebook": fmp,
+            "fmp_regions": fmp}
+    calls = rulebook_calls(monkeypatch)
+    for net in nets:
+        for _ in range(3):
+            assert np.array_equal(net.forward_batch(grids)[0], want)
+        assert {name: c[0] for name, c in calls.items()} == once
+        for c in calls.values():
+            c[0] = 0
+
+
+def test_another_eval_batch_drops_the_memo_first(rng, monkeypatch):
+    from latticenet import network
+
+    net = make_net(CUBIC)
+    cache = net.rule_cache
+    grids = grids_for(net, rng, (0.3, 0.6, 0.5))
+    held = []  # (memo, bytes beyond the entries') at each rulebook call
+
+    def entries():
+        return sum(entry[2] for entry in cache._entries.values())
+
+    def rulebook(*args):
+        held.append((cache._memo, cache.nbytes - entries()))
+        return original(*args)
+
+    original = network.conv_rulebook
+    monkeypatch.setattr(network, "conv_rulebook", rulebook)
+    for batch in (grids[:2], grids[1:], grids[:2], grids, grids[1:]):  # misses, then a hit
+        held.clear()
+        net.forward_batch(batch)
+        assert all(h == (None, 0) for h in held)
+        assert cache.nbytes == entries() + cache._memo[4]
+    assert held == [] and cache.admitted == 3
+
+
+def test_ground_states_bypass_the_cache(rng, monkeypatch):
+    net = make_net(CUBIC, FMP_ARCH, field=FMP_FIELD)
+    grids = grids_for(net, rng, (0.4, 0.2))
+    want = net.forward_batch(grids)[0]
+    cache = net.rule_cache
+    memo, counts = cache._memo, (cache.nbytes, cache.hits, cache.misses, len(cache._entries))
+    net.ground_states()
+    assert cache._memo is memo
+    assert (cache.nbytes, cache.hits, cache.misses, len(cache._entries)) == counts
+    calls = rulebook_calls(monkeypatch)
+    assert np.array_equal(net.forward_batch(grids)[0], want)
+    assert all(c[0] == 0 for c in calls.values())
+
+
+def test_fit_hits_from_the_second_epoch_like_an_uncached_fit(tmp_path, rng, monkeypatch):
+    nets = [make_net(CUBIC, FMP_ARCH, np.float32, FMP_FIELD) for _ in range(2)]
+    grids = grids_for(nets[0], rng, (0.4, 0.2, 0.7, 0.5, 0.3, 0.6), np.float32)
+    samples = [LabeledSample(g, i % 3) for i, g in enumerate(grids)]
+    train, heldout = samples[:4], samples[4:]
+    cfg = TrainConfig(epochs=3, batch_size=2, lr=0.01, seed=3)
+    hits = []
+    logs = fit(nets[0], train, heldout, cfg,
+               log_fn=lambda log: hits.append(nets[0].rule_cache.hits))
+    # training up to the first FMP layer, and the held-out pass from the memo
+    assert hits == [0, len(samples), 2 * len(samples)]
+    monkeypatch.setattr(rulecache, "CACHE_BYTES", 0)
+    uncached = fit(nets[1], train, heldout, cfg)
+    assert nets[1].rule_cache.hits == 0
+    assert [l.row() for l in logs] == [l.row() for l in uncached]
+    for i, net in enumerate(nets):
+        net.save(tmp_path / f"{i}.lnck")
+    assert (tmp_path / "0.lnck").read_bytes() == (tmp_path / "1.lnck").read_bytes()
