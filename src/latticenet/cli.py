@@ -10,8 +10,9 @@ names its flag.  Exit codes: 0 success, 2 configuration or parse error,
 
 Epoch logs are tab-separated with deterministic columns only (epoch,
 train loss, held-out error, MACs/sample); wall-clock timings go to
-stderr, so logs and checkpoints are bit-identical for a fixed seed
-regardless of ``--threads``.
+stderr, as do the rule cache counters that end ``train`` and ``eval``,
+so logs and checkpoints are bit-identical for a fixed seed regardless
+of ``--threads``.
 """
 
 from __future__ import annotations
@@ -190,6 +191,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     print(f"checkpoint written to {args.out}; epochs {len(logs)}; "
           f"final held-out accuracy {1.0 - final_err:.4f}" if logs and test_set
           else f"checkpoint written to {args.out}")
+    print(net.rule_cache, file=sys.stderr)
     return EXIT_OK
 
 
@@ -221,6 +223,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     print(f"accuracy {report.accuracy:.4f} over {len(test_set)} samples ({args.repeats}-fold)")
     if not args.out:
         print(text)
+    print(net.rule_cache, file=sys.stderr)
     return EXIT_OK
 
 

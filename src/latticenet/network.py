@@ -30,18 +30,19 @@ gradient accumulation order is fixed and results are bit-identical
 whatever the batch composition.
 
 Each network keeps a :class:`~latticenet.rulecache.RuleCache` of the
-rulebook results of the samples it has seen.  When every sample of a batch
-has a cached chain, each rulebook layer takes its batch rule from the
-chains instead of running the rulebook.  Each sample gets the same rows
-in either case, so the assembled rule, and with it every output, tape and
-gradient, is bit-identical.  A training chain stops at the first FMP
-layer, whose regions are redrawn per batch; an eval chain covers every
-layer and is keyed by the FMP seeds.  Training admits a chain at the key
-set's first sighting, eval at its second.  An eval pass leaves its rules,
-assembled or computed, in the cache's memo, and an eval batch that
-repeats the last one takes them from it, so an identity eval repeat runs
-the rulebook once and ``fit``'s held-out pass from the second epoch on
-runs none.  An FMP layer with a cached rule builds no regions.
+rulebook results of the samples it has seen, as many as fit under its
+bound; it evicts nothing.  When every sample of a batch has a cached
+chain, each rulebook layer takes its batch rule from the chains instead of
+running the rulebook.  Each sample gets the same rows in either case, so
+the assembled rule, and with it every output, tape and gradient, is
+bit-identical.  A training chain stops at the first FMP layer, whose
+regions are redrawn per batch; an eval chain covers every layer and is
+keyed by the FMP seeds.  Training admits a chain at the key set's first
+sighting, eval at its second.  An eval pass leaves its rules, assembled or
+computed, in the cache's memo, and an eval batch that repeats the last one
+takes them from it, so an identity eval repeat runs the rulebook once and
+``fit``'s held-out pass from the second epoch on runs none.  An FMP layer
+with a cached rule builds no regions.
 """
 
 from __future__ import annotations

@@ -24,8 +24,8 @@ set's first sighting stores a small placeholder and only its second stores
 the chain, so key sets seen once, such as affine-augmented eval passes,
 cost a placeholder each.  Entries are looked up by a 128-bit digest, and a
 hit also compares the stored key bytes, so two key sets can never share a
-chain.  Chains and placeholders together are held under
-:data:`CACHE_BYTES`, evicting the least recently used first.
+chain.  A placeholder, chain or memo is stored only if it fits in what is
+left of :data:`CACHE_BYTES`, and nothing stored leaves but the memo.
 
 An eval pass also remembers the last eval batch: its context, sample
 starts and key bytes, and its rules, assembled from the chains or, on a
@@ -44,7 +44,6 @@ its chains.
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 
 import numpy as np
 
@@ -52,30 +51,36 @@ from .grid import GridBatch
 from .ops import batch_src, own_src
 
 CACHE_BYTES = 64 << 20
-"""Bound on the bytes a network's cache holds, placeholders included."""
+"""Bound on the bytes a network's cache holds, placeholders and the memo
+included.  Nothing is evicted: a batch hits only if every sample hits, and
+``fit`` visits each sample once an epoch, so a set that outgrows the bound
+would keep cutting chains that leave before they come back."""
 
-_PLACEHOLDER_BYTES = 128  # a 16-byte digest with its dict slot and link
+_PLACEHOLDER_BYTES = 128  # a 16-byte digest with its dict slot, rounded up
 _ENTRY_BYTES = 512  # a chain's tuple and array headers, besides its data
 
 _PLACEHOLDER = (None, None, _PLACEHOLDER_BYTES)
 
 
 class RuleCache:
-    """LRU map from a sample's input key set to its rulebook chain.
+    """Map from a sample's input key set to its rulebook chain, evicting nothing.
 
     An entry is ``(data, chain, nbytes)``: ``data`` is the context bytes
     followed by the key bytes, ``chain`` one ``(out_keys, src)`` pair per
     rulebook layer.  A placeholder has neither.  The counters count sample
-    lookups (``hits``, ``misses``), chains stored (``admitted``), entries
-    dropped for the bound (``evicted``) and the bytes held (``nbytes``).
-    The memo of the last eval batch is ``(context, start, keys, rules,
-    nbytes)``, or None.
+    lookups (``hits``, ``misses``), chains stored (``admitted``) and the
+    bytes held (``nbytes``).  The memo of the last eval batch is
+    ``(context, start, keys, rules, nbytes)``, or None.
     """
 
     def __init__(self):
-        self._entries: OrderedDict = OrderedDict()
+        self._entries: dict = {}
         self._memo = None
-        self.hits = self.misses = self.admitted = self.evicted = self.nbytes = 0
+        self.hits = self.misses = self.admitted = self.nbytes = 0
+
+    def __str__(self):
+        return (f"rule cache: {self.hits} hits, {self.misses} misses, {self.admitted} chains "
+                f"stored, {self.nbytes} of {CACHE_BYTES} bytes held")
 
     def lookup(self, batch: GridBatch, context: bytes, training: bool):
         """Look every sample of ``batch`` up under ``context``, the bytes of
@@ -91,10 +96,13 @@ class RuleCache:
         key = None
         if not training:
             key = (context, batch.start.tobytes(), batch.keys.tobytes())
-            if self._memo is not None and self._memo[:3] == key:
-                self.hits += batch.B
-                return iter(self._memo[3]), None
-            self._forget()  # before the pass, so two batches' rules are never held
+            if self._memo is not None:
+                if self._memo[:3] == key:
+                    self.hits += batch.B
+                    return iter(self._memo[3]), None
+                # dropped before the pass, so two batches' rules are never held
+                self.nbytes -= self._memo[4]
+                self._memo = None
         chains, admit = [], {}
         start = batch.start.tolist()
         for b in range(batch.B):
@@ -102,16 +110,15 @@ class RuleCache:
             digest = _digest(data)
             entry = self._entries.get(digest)
             if entry is None and not training:  # the doorkeeper
-                self._entries[digest] = _PLACEHOLDER
-                self.nbytes += _PLACEHOLDER_BYTES
+                if self.nbytes + _PLACEHOLDER_BYTES <= CACHE_BYTES:
+                    self._entries[digest] = _PLACEHOLDER
+                    self.nbytes += _PLACEHOLDER_BYTES
             elif entry is None or entry is _PLACEHOLDER:
                 admit[digest] = (b, data)
             elif entry[0] == data:
-                self._entries.move_to_end(digest)
                 chains.append(entry[1])
         self.hits += len(chains)
         self.misses += batch.B - len(chains)
-        self._shrink()
         if batch.B and len(chains) == batch.B:
             rules = _assemble(chains, batch.start)
             if training:
@@ -125,48 +132,36 @@ class RuleCache:
         """After a pass that ran the rulebook, store what ``miss`` asks for,
         from ``layers``: one ``(rule, in_start, out_start)`` per chain layer,
         the rule as the rulebook gives it and the row offsets of the samples
-        in the layer's input and output.  The samples to admit have their
-        chains cut out of the rules, and an eval batch's rules become the
-        memo."""
+        in the layer's input and output.  A sample to admit whose chain fits
+        has it cut out of the rules, replacing its placeholder; a full cache
+        cuts no chain.  An eval batch's rules become the memo if they fit."""
         admit, key = miss
+        # each sample's chain data bytes, its src as int32, before any chain is cut
+        data_bytes = sum(np.diff(o) * (k.itemsize + 4 * s.shape[1]) for (k, _, s), _, o in layers)
         for digest, (b, data) in admit.items():
-            chain = []
-            for (out_keys, _, src), in_start, out_start in layers:
-                rows = slice(out_start[b], out_start[b + 1])
-                chain.append((out_keys[rows].copy(),
-                              own_src(src[rows], in_start[b]).astype(np.int32)))
-            size = len(data) + _ENTRY_BYTES + sum(k.nbytes + s.nbytes for k, s in chain)
-            if size > CACHE_BYTES:  # it would evict every other entry, then itself
+            size = len(data) + _ENTRY_BYTES + int(data_bytes[b])
+            held = self._entries.get(digest, (None, None, 0))[2]  # its placeholder's
+            if self.nbytes - held + size > CACHE_BYTES:
                 continue
-            self.nbytes += size - self._entries.pop(digest, (0, 0, 0))[2]
-            self._entries[digest] = (data, tuple(chain), size)
+            chain = tuple((k[o[b]:o[b + 1]].copy(),
+                           own_src(s[o[b]:o[b + 1]], i[b]).astype(np.int32))
+                          for (k, _, s), i, o in layers)
+            self.nbytes += size - held
+            self._entries[digest] = (data, chain, size)
             self.admitted += 1
-        self._shrink()
         if key is not None:
             self._remember(key, [rule for rule, _, _ in layers])
 
     def _remember(self, key: tuple, rules: list):
         """Hold ``rules``, the batch rules of the eval batch ``key``
-        describes, as the memo, read-only, unless they alone exceed the
-        bound."""
+        describes, as the memo, read-only, if they fit."""
         for rule in rules:
             for a in rule:
                 a.flags.writeable = False
         size = sum(map(len, key)) + _ENTRY_BYTES + sum(a.nbytes for rule in rules for a in rule)
-        if size <= CACHE_BYTES:  # else it would evict every entry and still not fit
+        if self.nbytes + size <= CACHE_BYTES:
             self._memo = (*key, rules, size)
             self.nbytes += size
-            self._shrink()
-
-    def _forget(self):
-        if self._memo is not None:
-            self.nbytes -= self._memo[4]
-            self._memo = None
-
-    def _shrink(self):
-        while self.nbytes > CACHE_BYTES and self._entries:
-            self.nbytes -= self._entries.popitem(last=False)[1][2]
-            self.evicted += 1
 
 
 def _digest(data: bytes) -> bytes:

@@ -3,9 +3,9 @@
 A network that takes a batch's rules from its cache must give exactly what
 a network that runs the rulebook gives: the same logits, tapes and
 gradients, bit for bit.  The cache admits a key set at its first sighting
-in training and its second in eval, holds its bytes under
-``rulecache.CACHE_BYTES`` by evicting the least recently used entry, keys
-eval chains by the FMP seeds, and remembers the last eval batch's rules.
+in training and its second in eval, holds what fits under
+``rulecache.CACHE_BYTES`` and evicts nothing, keys eval chains by the FMP
+seeds, and remembers the last eval batch's rules.
 """
 
 import numpy as np
@@ -212,7 +212,7 @@ def test_digest_collision_is_a_miss(rng, monkeypatch):
     assert net.rule_cache.hits == 1
 
 
-def test_byte_bound_evicts_least_recently_used(rng, monkeypatch):
+def test_a_full_cache_refuses_a_chain_and_keeps_what_it_holds(rng, monkeypatch):
     # training passes, which leave the eval memo and its bytes out
     train = {"train_rng": np.random.default_rng(0)}
     probe = make_net(CUBIC)
@@ -223,23 +223,30 @@ def test_byte_bound_evicts_least_recently_used(rng, monkeypatch):
         warm(probe, [g], **train)
         sizes.append(probe.rule_cache.nbytes - held)
     assert min(sizes) > rulecache._PLACEHOLDER_BYTES
+    # the bytes counted before a chain is cut are the bytes it holds
+    for data, chain, size in probe.rule_cache._entries.values():
+        arrays = sum(k.nbytes + s.nbytes for k, s in chain)
+        assert size == len(data) + rulecache._ENTRY_BYTES + arrays
     monkeypatch.setattr(rulecache, "CACHE_BYTES", sum(sizes) - 1)
     net = make_net(CUBIC)
     cache = net.rule_cache
     warm(net, [grids[0]], **train)
     warm(net, [grids[1]], **train)
-    net.forward_batch([grids[0]], **train)  # grids[1] is now the least recently used
-    assert cache.evicted == 0
+    net.forward_batch([grids[0]], **train)
+    held = set(cache._entries)
+    cuts = count_calls(monkeypatch, rulecache, "own_src")
     warm(net, [grids[2]], **train)
-    assert (cache.admitted, cache.evicted) == (3, 1)
-    assert cache.nbytes == sizes[0] + sizes[2] <= rulecache.CACHE_BYTES
-    for g, hit in zip((grids[0], grids[2], grids[1]), (True, True, False)):
+    # the third chain does not fit, so it is neither cut nor stored, and nothing leaves
+    assert (cache.admitted, cuts[0]) == (2, 0)
+    assert set(cache._entries) == held
+    assert cache.nbytes == sizes[0] + sizes[1] <= rulecache.CACHE_BYTES
+    for g, hit in zip((grids[0], grids[1], grids[2]), (True, True, False)):
         hits = cache.hits
         net.forward_batch([g], **train)
         assert cache.hits == hits + hit
-    # grids[1]'s miss admits it again, which evicts grids[0], now the least recently used
-    assert (cache.admitted, cache.evicted) == (4, 2)
-    assert cache.nbytes == sizes[2] + sizes[1] <= rulecache.CACHE_BYTES
+    # grids[2]'s miss is refused again
+    assert (cache.admitted, cuts[0]) == (2, 0)
+    assert set(cache._entries) == held and cache.nbytes == sizes[0] + sizes[1]
 
 
 def test_chain_larger_than_the_bound_is_not_admitted(rng, monkeypatch):
@@ -250,7 +257,7 @@ def test_chain_larger_than_the_bound_is_not_admitted(rng, monkeypatch):
     held = net.rule_cache.nbytes
     monkeypatch.setattr(rulecache, "CACHE_BYTES", held + 2 * rulecache._PLACEHOLDER_BYTES)
     warm(net, [large], **train)
-    assert (net.rule_cache.admitted, net.rule_cache.evicted) == (1, 0)
+    assert (net.rule_cache.admitted, net.rule_cache.nbytes) == (1, held)
     hits = net.rule_cache.hits
     net.forward_batch([small], **train)
     assert net.rule_cache.hits == hits + 1
@@ -260,11 +267,15 @@ def test_zero_bound_holds_nothing(rng, monkeypatch):
     monkeypatch.setattr(rulecache, "CACHE_BYTES", 0)
     net, fresh = make_net(CUBIC), make_net(CUBIC)
     grids = grids_for(net, rng, (0.3, 0.5))
+    cuts = count_calls(monkeypatch, rulecache, "own_src")
     for _ in range(3):
         got = forward_backward(net, grids)
+    for _ in range(2):  # training offers every chain for admission at its first sighting
+        got_train = forward_backward(net, grids, train_rng=np.random.default_rng(0))
     assert net.rule_cache.nbytes == 0 and net.rule_cache.hits == 0
-    assert net.rule_cache.evicted == net.rule_cache.misses + net.rule_cache.admitted
+    assert (net.rule_cache.admitted, cuts[0]) == (0, 0)  # a chain that cannot be held is not cut
     assert_same_run(got, forward_backward(fresh, grids))
+    assert_same_run(got_train, forward_backward(fresh, grids, train_rng=np.random.default_rng(0)))
 
 
 def test_ground_states_unaffected(rng):
@@ -294,6 +305,47 @@ def test_knot_fit_hits_from_the_second_epoch(tmp_path):
     fresh.save(tmp_path / "fresh.lnck")
     assert (tmp_path / "cached.lnck").read_bytes() == (tmp_path / "fresh.lnck").read_bytes()
     assert Network.load(tmp_path / "cached.lnck").rule_cache.nbytes == 0
+
+
+def test_a_set_larger_than_the_bound_stops_admitting(tmp_path, monkeypatch):
+    from latticenet import train
+
+    tet = LatticeKind.TETRAHEDRAL
+    spec = plan(parse("8C2-MP3/2-8C2-MP3/2-8C2-output", tet, 1))
+    samples = knot_dataset(spec.planned_sizes[0], 40, np.random.default_rng(2), lattice=tet)
+    cfg = TrainConfig(epochs=4, batch_size=16, seed=1)
+    step, held, admitted = train.sgd_step, [], set()
+
+    def run(name):
+        """Fit a fresh network, noting the cache's bytes after every step."""
+        net = Network(spec, 3, np.random.default_rng(0), dtype=np.float32)
+        held.clear()
+        monkeypatch.setattr(train, "sgd_step",
+                            lambda *a: (step(*a), held.append(net.rule_cache.nbytes)))
+        logs = fit(net, samples, [], cfg)
+        net.save(tmp_path / f"{name}.lnck")
+        return net.rule_cache, ([l.row() for l in logs], (tmp_path / f"{name}.lnck").read_bytes())
+
+    cache, unbounded = run("unbounded")
+    assert cache.admitted == len({s.grid.keys.tobytes() for s in samples})
+    bound = cache.nbytes // 2
+    monkeypatch.setattr(rulecache, "CACHE_BYTES", bound)
+    store = rulecache.RuleCache.store
+
+    def store_and_note(self, miss, layers):
+        store(self, miss, layers)
+        admitted.update(d for d in miss[0] if d in self._entries)
+
+    monkeypatch.setattr(rulecache.RuleCache, "store", store_and_note)
+    cache, bounded = run("bounded")
+    assert len(held) == cfg.epochs * -(-len(samples) // cfg.batch_size)
+    assert max(held) <= bound
+    # each chain is admitted once and never leaves
+    assert 0 < cache.admitted == len(admitted) and admitted <= set(cache._entries)
+    monkeypatch.setattr(rulecache, "CACHE_BYTES", 0)
+    cache, zero = run("zero")
+    assert (cache.admitted, cache.nbytes) == (0, 0)
+    assert bounded == unbounded and zero == unbounded
 
 
 def test_hit_gives_each_sample_its_own_plans(rng):
@@ -421,7 +473,8 @@ def test_memo_larger_than_the_bound_is_not_held(rng, monkeypatch):
     for _ in range(2):  # a miss on fresh, then its admission; hits on net
         assert_same_run(forward_backward(net, grids), forward_backward(fresh, grids))
         assert net.rule_cache._memo is None and fresh.rule_cache._memo is None
-    assert net.rule_cache.hits == hits + 2 * len(grids) and net.rule_cache.evicted == 0
+    assert net.rule_cache.hits == hits + 2 * len(grids)
+    assert net.rule_cache.nbytes == chains  # every chain is still held
     assert fresh.rule_cache.admitted == len(grids)
 
 
