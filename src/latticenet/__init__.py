@@ -43,7 +43,6 @@ from .ops import (
     Plan,
     PoolLayer,
     build_gather,
-    classifier_forward,
     conv_active_sites,
     conv_forward,
     fmp_forward,

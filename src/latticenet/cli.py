@@ -10,9 +10,11 @@ names its flag.  Exit codes: 0 success, 2 configuration or parse error,
 
 Epoch logs are tab-separated with deterministic columns only (epoch,
 train loss, held-out error, MACs/sample); wall-clock timings go to
-stderr, as do the rule cache counters that end ``train`` and ``eval``,
-so logs and checkpoints are bit-identical for a fixed seed regardless
-of ``--threads``.
+stderr, as does the line that ends ``train`` and ``eval``: the rule
+cache's hits and misses (sample lookups), its entries stored (training
+chains and eval batches) and the bytes it holds.  So logs and
+checkpoints are bit-identical for a fixed seed regardless of
+``--threads``.
 """
 
 from __future__ import annotations

@@ -133,10 +133,6 @@ class SparseGrid:
         hit = self.keys[pos_c] == query_keys
         return np.where(hit, pos_c, -1)
 
-    def index(self) -> dict:
-        """Site-tuple -> row dict view (for small grids / debugging)."""
-        return {tuple(s): i for i, s in enumerate(self.sites())}
-
     def check_invariants(self):
         assert np.all(np.diff(self.keys) > 0), "keys must be strictly increasing"
         assert self.a <= self.shape.num_sites

@@ -30,19 +30,16 @@ gradient accumulation order is fixed and results are bit-identical
 whatever the batch composition.
 
 Each network keeps a :class:`~latticenet.rulecache.RuleCache` of the
-rulebook results of the samples it has seen, as many as fit under its
-bound; it evicts nothing.  When every sample of a batch has a cached
-chain, each rulebook layer takes its batch rule from the chains instead of
-running the rulebook.  Each sample gets the same rows in either case, so
-the assembled rule, and with it every output, tape and gradient, is
-bit-identical.  A training chain stops at the first FMP layer, whose
-regions are redrawn per batch; an eval chain covers every layer and is
-keyed by the FMP seeds.  Training admits a chain at the key set's first
-sighting, eval at its second.  An eval pass leaves its rules, assembled or
-computed, in the cache's memo, and an eval batch that repeats the last one
-takes them from it, so an identity eval repeat runs the rulebook once and
-``fit``'s held-out pass from the second epoch on runs none.  An FMP layer
-with a cached rule builds no regions.
+rulebook results it has computed, as many as fit under its bound; it
+evicts nothing.  Training keeps each sample's chain, from its first
+sighting; when every sample of a training batch has one, each rulebook
+layer takes its batch rule from the chains.  A training chain stops at the
+first FMP layer, whose regions are redrawn per batch.  Eval keeps each
+batch's own rules, every layer's, keyed by the batch's keys and the FMP
+seeds, so an identity eval repeat runs the rulebook once per chunk and
+``fit``'s held-out pass from the second epoch on runs none.  Each sample
+gets the same rows in either case, so every output, tape and gradient is
+bit-identical.  An FMP layer with a cached rule builds no regions.
 """
 
 from __future__ import annotations
@@ -238,10 +235,10 @@ class Network:
     # -- forward / backward ----------------------------------------------
 
     def _chain_context(self, m: int, training: bool) -> tuple[int, bytes]:
-        """How many rulebook layers a cached chain covers, and the bytes of
+        """How many rulebook layers a cache entry covers, and the bytes of
         what it depends on besides the input keys and the architecture: the
         input field size ``m`` and, in eval, each FMP seed.  Training redraws
-        FMP regions per batch, so there the chain stops at the first FMP
+        FMP regions per batch, so there a chain stops at the first FMP
         layer.  (The layers check the lattice before they use a rule.)"""
         kinds = [b.kind for b in self._rule_blocks]
         depth = kinds.index("fmp") if training and "fmp" in kinds else len(kinds)
@@ -255,10 +252,10 @@ class Network:
         ``keep_tape``) and the multiply-accumulates it performed.
 
         The first ``depth`` rulebook layers take their rules from the cache
-        when the memo serves the batch or every sample hits; otherwise the
-        rulebook runs, and the cache stores what the lookup asked for:
-        the chains of samples to admit and, in eval, the pass's rules as
-        the memo.  ``cache=False`` leaves the cache out altogether."""
+        when the batch hits; otherwise the rulebook runs, and the cache
+        stores what the lookup asked for: the chains of training samples to
+        admit, or the eval batch's rules.  ``cache=False`` leaves the cache
+        out altogether."""
         training = train_rng is not None
         depth, context = self._chain_context(batch.shape.m, training)
         cached, miss = (self.rule_cache.lookup(batch, context, training) if depth and cache
@@ -274,7 +271,7 @@ class Network:
             self.rule_cache.store(miss, rules)
 
     def forward_batch(self, grids: list[SparseGrid], *, train_rng: np.random.Generator | None = None,
-                      keep_tape: bool = False):
+                      keep_tape: bool = False, cache: bool = True):
         """Logits for a batch; one rulebook pass and one dense multiply per layer.
 
         Returns ``(logits, tape, macs)`` where ``macs`` is the total
@@ -286,11 +283,13 @@ class Network:
         batch's rows.  A conv or classifier plan holds either the gather
         matrix ``Q`` or, on a layer whose backward pass runs in the input
         frame, the layer's input rows and grounds (see ``_Conv.forward``).
-        The tape has one entry per block, in block order.
+        The tape has one entry per block, in block order.  ``cache=False``
+        neither reads nor fills the rule cache, for batches that never
+        repeat.
         """
         batch = GridBatch.of(list(grids))
         tape, macs = [], 0
-        for batch, entry, block_macs in self._run(batch, train_rng, keep_tape):
+        for batch, entry, block_macs in self._run(batch, train_rng, keep_tape, cache):
             macs += block_macs
             if keep_tape:
                 tape.append(entry)

@@ -50,11 +50,12 @@ finds ``u``.
 
 The batch forward ops take an optional ``rule``: the ``(out_keys,
 out_sample, src)`` triple the rulebook would give for the batch.  A
-:class:`~latticenet.network.Network` passes one it has assembled from its
-per-sample cache (see :mod:`latticenet.rulecache`) when every sample of
-the batch has been seen before; the op then skips the rulebook, and since
-the assembled rule equals the rulebook's bit for bit, so do the outputs
-and plans.
+:class:`~latticenet.network.Network` passes one from its rule cache (see
+:mod:`latticenet.rulecache`): in training, assembled from the chains of
+the batch's samples once every sample has been seen, and in eval, the
+rules stored when the same batch was seen; the op then skips the
+rulebook, and since the cached rule equals the rulebook's bit for bit, so
+do the outputs and plans.
 
 Each rulebook layer keeps what its backward pass needs in one
 :class:`Plan` over the batch's rows; ``plan[b]`` is sample ``b``'s own, as
@@ -638,7 +639,7 @@ def fmp_forward(grid: SparseGrid, layer: FMPLayer, regions=None, *, keep_plan: b
 
 
 # ---------------------------------------------------------------------------
-# activation and classifier head
+# activation
 
 
 def relu_forward_batch(batch: GridBatch) -> GridBatch:
@@ -653,18 +654,3 @@ def relu_forward_batch(batch: GridBatch) -> GridBatch:
 def relu_forward(grid: SparseGrid):
     """Component-wise max(., 0) on rows and ground; activity set unchanged."""
     return relu_forward_batch(GridBatch.of([grid])).grid(0)
-
-
-def classifier_forward(grid: SparseGrid, layer: ConvLayer, *, keep_plan: bool = False):
-    """Linear head over the single site of a spatially collapsed grid.
-
-    Equivalent to a size-1 convolution at spatial size 1; the logits come
-    from the site's vector, or from the ground state when it is inactive.
-    """
-    if grid.shape.m != 1:
-        raise ValueError(f"classifier needs spatial size 1, got {grid.shape.m}")
-    if layer.geometry.f != 1:
-        raise ValueError("classifier layer must have filter size 1")
-    out, plan = conv_forward(grid, layer, keep_plan=True)
-    logits = out.rows[0] if out.a else out.ground
-    return (logits, plan) if keep_plan else logits

@@ -128,9 +128,10 @@ def evaluate(net: Network, samples: list[LabeledSample], repeats: int = 1,
 
     ``augment`` is a callable ``(grid, rng) -> grid``; when it is None the
     same grid is evaluated every time and the running mean leaves the
-    probabilities bit-identical to a single pass.  A label outside
-    ``0 .. net.classes - 1``, or ``repeats`` or ``batch_size`` below 1,
-    raises ValueError.
+    probabilities bit-identical to a single pass.  Only then does the
+    network's rule cache take part, since augmented batches never repeat.
+    A label outside ``0 .. net.classes - 1``, or ``repeats`` or
+    ``batch_size`` below 1, raises ValueError.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
@@ -150,7 +151,7 @@ def evaluate(net: Network, samples: list[LabeledSample], repeats: int = 1,
         for start in range(0, n, batch_size):
             chunk = samples[start:start + batch_size]
             grids = [augment(s.grid, rng) if augment else s.grid for s in chunk]
-            logits, _, _ = net.forward_batch(grids)
+            logits, _, _ = net.forward_batch(grids, cache=augment is None)
             probs[start:start + len(chunk)] = softmax(logits)
         mean += (probs - mean) / k  # running mean: exact for identical passes
     pred = mean.argmax(axis=1)

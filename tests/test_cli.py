@@ -348,7 +348,7 @@ def test_train_fmp_arch_without_field_exit_2(tmp_path, capsys):
 def test_train_and_eval_end_with_the_rule_cache_counters(tmp_path, capsys):
     cfg = write_cfg(tmp_path, epochs=2)
     ckpt, log, report = tmp_path / "toy.lnck", tmp_path / "toy.log", tmp_path / "toy.json"
-    line = re.compile(r"rule cache: (\d+) hits, (\d+) misses, (\d+) chains stored, "
+    line = re.compile(r"rule cache: (\d+) hits, (\d+) misses, (\d+) entries stored, "
                       rf"(\d+) of {rulecache.CACHE_BYTES} bytes held")
 
     def counters():
@@ -356,14 +356,14 @@ def test_train_and_eval_end_with_the_rule_cache_counters(tmp_path, capsys):
         return [int(n) for n in line.fullmatch(err[-1]).groups()]
 
     assert main(["train", *TOY, "--config", str(cfg), "--out", str(ckpt), "--log", str(log)]) == 0
-    hits, misses, chains, nbytes = counters()
+    hits, misses, entries, nbytes = counters()
     # 24 training and 12 held-out samples in each of 2 epochs
-    assert hits + misses == 2 * (24 + 12) and chains > 0 and 0 < nbytes <= rulecache.CACHE_BYTES
+    assert hits + misses == 2 * (24 + 12) and entries > 0 and 0 < nbytes <= rulecache.CACHE_BYTES
     assert "rule cache" not in log.read_text()
     assert main(["eval", "--checkpoint", str(ckpt), "--test-data", "knots", "--config", str(cfg),
                  "--repeats", "2", "--out", str(report)]) == 0
-    hits, misses, chains, nbytes = counters()
-    # the second pass repeats the first, one chunk, so the memo serves it
+    hits, misses, entries, nbytes = counters()
+    # the second pass repeats the first, one chunk, so it hits the first's entry
     assert hits + misses == 2 * 12 and hits >= 12 and nbytes > 0
     assert "rule cache" not in report.read_text()
 

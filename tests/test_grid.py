@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from latticenet.geometry import GridShape, LatticeKind
+from latticenet.geometry import GridShape, LatticeKind, pack_sites
 from latticenet.grid import DenseGrid, SparseGrid
 
 from conftest import ALL_LATTICES, random_dense, random_sparse
@@ -68,8 +68,7 @@ def test_bijection_invariant(lattice, rng):
     grid = random_sparse(lattice, 7, 3, 0.4, rng)
     grid.check_invariants()
     assert len(set(grid.keys.tolist())) == grid.a
-    idx = grid.index()
-    assert sorted(idx.values()) == list(range(grid.a))
+    assert np.array_equal(grid.lookup(pack_sites(grid.sites())), np.arange(grid.a))
 
 
 def test_from_dense_never_indexes_ground_sites(rng):

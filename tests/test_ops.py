@@ -11,7 +11,6 @@ from latticenet.ops import (
     FMPLayer,
     PoolLayer,
     build_gather,
-    classifier_forward,
     conv_active_sites,
     conv_forward,
     fmp_forward,
@@ -342,21 +341,28 @@ def test_relu_matches_dense_oracle(lattice, rng):
     assert np.allclose(out.to_dense().values, dense_relu(dense).values)
 
 
+# the classifier head is a size-1 convolution over a spatially collapsed
+# (m = 1) grid: its logits are the one site's output row, or the output
+# ground when the site is inactive
+
+
 def test_classifier_inactive_site_uses_ground(rng):
     g = rng.normal(size=4)
     grid = SparseGrid.empty(GridShape(LatticeKind.SQUARE, 1), g)
     layer = rand_conv(LatticeKind.SQUARE, 1, 1, 4, 3, rng)
-    logits = classifier_forward(grid, layer)
-    assert np.allclose(logits, g @ layer.W + layer.B)
+    out = conv_forward(grid, layer)
+    assert out.a == 0
+    assert np.allclose(out.ground, g @ layer.W + layer.B)
 
 
 def test_classifier_equals_f1_conv(rng):
     shape = GridShape(LatticeKind.TETRAHEDRAL, 1)
-    grid = SparseGrid.from_sites(shape, [[0, 0, 0]], rng.normal(size=(1, 4)), np.zeros(4))
+    x = rng.normal(size=(1, 4))
+    grid = SparseGrid.from_sites(shape, [[0, 0, 0]], x, np.zeros(4))
     layer = rand_conv(LatticeKind.TETRAHEDRAL, 1, 1, 4, 5, rng)
-    logits = classifier_forward(grid, layer)
-    conv_out = conv_forward(grid, layer)
-    assert np.allclose(logits, conv_out.rows[0])
+    out = conv_forward(grid, layer)
+    assert (out.shape.m, out.a) == (1, 1)
+    assert np.allclose(out.rows[0], x[0] @ layer.W + layer.B)
 
 
 def test_classifier_identity_weights(rng):
@@ -364,15 +370,7 @@ def test_classifier_identity_weights(rng):
     grid = SparseGrid.from_sites(shape, [[0, 0]], [[0.0, 1.0, 0.0]], np.zeros(3))
     layer = ConvLayer(FilterGeometry(LatticeKind.SQUARE, 1, 1), 3, 3,
                       np.eye(3), np.array([0.1, 0.2, 0.3]))
-    logits = classifier_forward(grid, layer)
-    assert np.allclose(logits, [0.1, 1.2, 0.3])
-
-
-def test_classifier_rejects_wide_grid(rng):
-    grid = random_sparse(LatticeKind.SQUARE, 3, 2, 0.5, rng)
-    layer = rand_conv(LatticeKind.SQUARE, 1, 1, 2, 2, rng)
-    with pytest.raises(ValueError, match="spatial size 1"):
-        classifier_forward(grid, layer)
+    assert np.allclose(conv_forward(grid, layer).rows[0], [0.1, 1.2, 0.3])
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
-"""The per-sample rulebook cache against the batched rulebook it replaces.
+"""The rulebook cache against the batched rulebook it replaces.
 
 A network that takes a batch's rules from its cache must give exactly what
 a network that runs the rulebook gives: the same logits, tapes and
-gradients, bit for bit.  The cache admits a key set at its first sighting
-in training and its second in eval, holds what fits under
-``rulecache.CACHE_BYTES`` and evicts nothing, keys eval chains by the FMP
-seeds, and remembers the last eval batch's rules.
+gradients, bit for bit.  The cache stores a training sample's chain at its
+first sighting and an eval batch's rules at its first, keeps the two
+apart, keys eval entries by the FMP seeds, and holds what fits under
+``rulecache.CACHE_BYTES`` and evicts nothing.
 """
 
 import numpy as np
@@ -43,13 +43,15 @@ def _cast(g, dtype):
 
 
 def warm(net, grids, **kw):
-    """Run ``grids`` through passes that admit every sample's chain.  A
-    training pass admits at the first sighting, eval at the second; the
-    memo would serve the same eval batch whole, so the second eval pass
-    runs another batch: ``grids`` with its first sample again."""
+    """Run ``grids`` through one pass, which stores their cache entries:
+    every sample's chain in training, the batch's rules in eval."""
     net.forward_batch(grids, **kw)
-    if "train_rng" not in kw:
-        net.forward_batch([*grids, grids[0]], **kw)
+
+
+def training():
+    """The keywords of a training pass; a network without FMP layers draws
+    nothing from the generator."""
+    return {"train_rng": np.random.default_rng(0)}
 
 
 def tape_arrays(tape):
@@ -100,13 +102,26 @@ def test_hit_equals_miss(lattice, dtype, rng):
     assert_same_run(got, want)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lattice", ALL_LATTICES)
+def test_assembled_hit_equals_miss(lattice, dtype, rng):
+    cached, fresh = make_net(lattice, dtype=dtype), make_net(lattice, dtype=dtype)
+    grids = grids_for(cached, rng, (0.3, 0.1, 0.6, 0.0, 1.0), dtype)
+    warm(cached, grids[::-1], **training())
+    hits = cached.rule_cache.hits
+    got = forward_backward(cached, grids, **training())  # another batch: assembled
+    assert cached.rule_cache.hits == hits + len(grids)
+    assert_same_run(got, forward_backward(fresh, grids, **training()))
+
+
 def test_hit_equals_miss_in_the_input_frame(rng):
     cached, fresh = make_net(CUBIC, GROWING_ARCH), make_net(CUBIC, GROWING_ARCH)
     grids = thin_grids(cached.input_shape(), 2, rng)
-    warm(cached, grids)
-    got = forward_backward(cached, grids)
+    warm(cached, grids, **training())
+    got = forward_backward(cached, grids, **training())
+    assert cached.rule_cache.hits == len(grids)
     assert any(e[0] == "conv" and e[2].Q is None for e in got[1])
-    assert_same_run(got, forward_backward(fresh, grids))
+    assert_same_run(got, forward_backward(fresh, grids, **training()))
 
 
 @pytest.mark.parametrize("lattice", ALL_LATTICES)
@@ -115,7 +130,7 @@ def test_mixed_permuted_and_empty_batches(lattice, rng):
     grids = grids_for(cached, rng, (0.3, 0.0, 0.5, 0.2))
     grids.append(SparseGrid.empty(cached.input_shape(), np.ones(2)))
     new = grids_for(cached, rng, (0.4,))[0]
-    warm(cached, grids)
+    warm(cached, grids, **training())
     batches = [
         [grids[2], new, grids[0], grids[4], grids[1]],  # cached and new samples
         [grids[3], grids[2], grids[0], grids[4], grids[1]],  # all cached, permuted
@@ -123,16 +138,17 @@ def test_mixed_permuted_and_empty_batches(lattice, rng):
         [grids[4], grids[4], grids[3]],  # a sample twice
     ]
     for batch in batches:
-        assert_same_run(forward_backward(cached, batch), forward_backward(fresh, batch))
+        assert_same_run(forward_backward(cached, batch, **training()),
+                        forward_backward(fresh, batch, **training()))
     assert cached.rule_cache.hits >= len(batches[1]) + len(batches[2]) + len(batches[3])
 
 
 def test_empty_input_chain_is_assembled(rng):
     net = make_net(CUBIC)
     empty = SparseGrid.empty(net.input_shape(), np.zeros(2))
-    warm(net, [empty, empty])
-    logits, tape, _ = net.forward_batch([empty], keep_tape=True)
-    assert net.rule_cache.hits == 4  # the first warm-up pass admits, the second hits
+    warm(net, [empty, empty], **training())
+    logits, tape, _ = net.forward_batch([empty], keep_tape=True, **training())
+    assert (net.rule_cache.hits, net.rule_cache.admitted) == (1, 1)  # one key set, one chain
     assert all(e[-1].out_keys.size == 0 for e in tape if e[0] != "relu")
     assert np.array_equal(logits, make_net(CUBIC).forward_batch([empty])[0])
 
@@ -159,8 +175,9 @@ def test_fmp_train_then_eval_matches_fresh_eval(rng):
         p.values[...] = q.values
     hits = net.rule_cache.hits
     got = evaluate(net, samples, repeats=3, batch_size=2)
-    # two chunks interleave, so the memo serves neither: pass 2 admits, pass 3 hits
-    assert net.rule_cache.hits == hits + len(samples)
+    # eval reads no training chain: pass 1 stores each chunk's entry, and
+    # passes 2 and 3 hit them
+    assert net.rule_cache.hits == hits + 2 * len(samples)
     want = evaluate(fresh, samples, repeats=1, batch_size=2)
     assert np.array_equal(got.outputs, want.outputs)
 
@@ -181,39 +198,65 @@ def test_fmp_seed_change_after_cached_eval(rng):
     assert not np.array_equal(got[0], before)
 
 
+def jitter(grid, r):
+    """Drop about 30% of ``grid``'s sites: a new key set on every pass."""
+    keep = r.random(grid.a) < 0.7
+    return SparseGrid(grid.shape, grid.keys[keep], grid.rows[keep], grid.ground)
+
+
 def test_one_off_key_sets_store_no_chain(rng):
     net = make_net(CUBIC)
     grids = grids_for(net, rng, (0.3, 0.5, 0.2))
-    net.forward_batch(grids)
     cache = net.rule_cache
-    assert (cache.hits, cache.misses, cache.admitted) == (0, 3, 0)
-    assert cache.nbytes == 3 * rulecache._PLACEHOLDER_BYTES + cache._memo[4]
+    r = np.random.default_rng(1)
+    for k in range(1, 4):  # eval batches of key sets seen once
+        net.forward_batch([jitter(g, r) for g in grids])
+        assert (cache.hits, cache.misses, cache.admitted) == (0, 3 * k, k)
+    # an entry per batch, none per sample
+    assert len(cache._batches) == 3 and not cache._chains
 
-    def jitter(grid, r):  # a new key set on every pass
-        keep = r.random(grid.a) < 0.7
-        return SparseGrid(grid.shape, grid.keys[keep], grid.rows[keep], grid.ground)
 
+def test_augmented_evaluate_leaves_the_cache_alone(rng, monkeypatch):
+    from latticenet import network
+
+    net = make_net(CUBIC)
+    grids = grids_for(net, rng, (0.3, 0.5, 0.2))
     samples = [LabeledSample(g, 0) for g in grids]
-    evaluate(net, samples, repeats=3, augment=jitter)
-    assert cache.admitted == 0 and cache.hits == 0
-    # a placeholder per key set, and the last pass's rules as the one memo
-    assert cache.nbytes == len(cache._entries) * rulecache._PLACEHOLDER_BYTES + cache._memo[4]
+    want = evaluate(net, samples)  # stores the batch's entry
+    cache = net.rule_cache
+    counters = (cache.hits, cache.misses, cache.admitted, cache.nbytes)
+    rulebooks = count_calls(monkeypatch, network, "conv_rulebook")
+    # even an augmentation that leaves every grid as it is runs the rulebook
+    got = evaluate(net, samples, repeats=3, augment=lambda grid, r: grid)
+    assert rulebooks[0] == 3 * len(net._rule_blocks)
+    evaluate(net, samples, repeats=2, augment=jitter)
+    assert rulebooks[0] == 5 * len(net._rule_blocks)
+    assert (cache.hits, cache.misses, cache.admitted, cache.nbytes) == counters
+    assert np.array_equal(got.outputs, want.outputs)
 
 
-def test_digest_collision_is_a_miss(rng, monkeypatch):
-    monkeypatch.setattr(rulecache, "_digest", lambda data: bytes(16))
+def test_training_chains_and_eval_entries_never_meet(rng):
     net, fresh = make_net(CUBIC), make_net(CUBIC)
-    a, b = grids_for(net, rng, (0.3, 0.5))
-    warm(net, [a])
-    for batch in ([b], [b, b], [b]):  # each another batch, which the memo does not serve
-        assert_same_run(forward_backward(net, batch), forward_backward(fresh, batch))
-    assert (net.rule_cache.hits, net.rule_cache.admitted) == (0, 1)
-    net.forward_batch([a])
-    assert net.rule_cache.hits == 1
+    shape = net.input_shape()
+    sites = [[1, 0, 0], [1, 1, 1], [2, 2, 2]]
+    one = SparseGrid.from_sites(shape, sites, rng.normal(size=(3, 2)), rng.normal(size=2))
+    # a training sample whose keys are [0, a] followed by ``one``'s
+    two = SparseGrid.from_sites(shape, [[0, 0, 0], [0, 0, len(sites)], *sites],
+                                rng.normal(size=(5, 2)), rng.normal(size=2))
+    eval_key = GridBatch.of([one]).start.tobytes() + one.keys.tobytes()
+    assert two.keys.tobytes() == eval_key
+    for first, second in (({}, training()), (training(), {})):
+        net.rule_cache = rulecache.RuleCache()
+        net.forward_batch([two] if first else [one], **first)
+        assert net.rule_cache.admitted == 1
+        batch = [two] if second else [one]
+        assert_same_run(forward_backward(net, batch, **second),
+                        forward_backward(fresh, batch, **second))
+        assert (net.rule_cache.hits, net.rule_cache.admitted) == (0, 2)
 
 
 def test_a_full_cache_refuses_a_chain_and_keeps_what_it_holds(rng, monkeypatch):
-    # training passes, which leave the eval memo and its bytes out
+    # training passes, which store chains and no eval entry
     train = {"train_rng": np.random.default_rng(0)}
     probe = make_net(CUBIC)
     grids = grids_for(probe, rng, (0.3, 0.5, 0.4))
@@ -222,23 +265,23 @@ def test_a_full_cache_refuses_a_chain_and_keeps_what_it_holds(rng, monkeypatch):
         held = probe.rule_cache.nbytes
         warm(probe, [g], **train)
         sizes.append(probe.rule_cache.nbytes - held)
-    assert min(sizes) > rulecache._PLACEHOLDER_BYTES
+    assert min(sizes) > rulecache._ENTRY_BYTES
     # the bytes counted before a chain is cut are the bytes it holds
-    for data, chain, size in probe.rule_cache._entries.values():
+    for (key, chain), size in zip(probe.rule_cache._chains.items(), sizes, strict=True):
         arrays = sum(k.nbytes + s.nbytes for k, s in chain)
-        assert size == len(data) + rulecache._ENTRY_BYTES + arrays
+        assert size == len(key) + rulecache._ENTRY_BYTES + arrays
     monkeypatch.setattr(rulecache, "CACHE_BYTES", sum(sizes) - 1)
     net = make_net(CUBIC)
     cache = net.rule_cache
     warm(net, [grids[0]], **train)
     warm(net, [grids[1]], **train)
     net.forward_batch([grids[0]], **train)
-    held = set(cache._entries)
+    held = set(cache._chains)
     cuts = count_calls(monkeypatch, rulecache, "own_src")
     warm(net, [grids[2]], **train)
     # the third chain does not fit, so it is neither cut nor stored, and nothing leaves
     assert (cache.admitted, cuts[0]) == (2, 0)
-    assert set(cache._entries) == held
+    assert set(cache._chains) == held
     assert cache.nbytes == sizes[0] + sizes[1] <= rulecache.CACHE_BYTES
     for g, hit in zip((grids[0], grids[1], grids[2]), (True, True, False)):
         hits = cache.hits
@@ -246,16 +289,16 @@ def test_a_full_cache_refuses_a_chain_and_keeps_what_it_holds(rng, monkeypatch):
         assert cache.hits == hits + hit
     # grids[2]'s miss is refused again
     assert (cache.admitted, cuts[0]) == (2, 0)
-    assert set(cache._entries) == held and cache.nbytes == sizes[0] + sizes[1]
+    assert set(cache._chains) == held and cache.nbytes == sizes[0] + sizes[1]
 
 
 def test_chain_larger_than_the_bound_is_not_admitted(rng, monkeypatch):
     net = make_net(CUBIC)
     small, large = grids_for(net, rng, (0.1, 0.9))
-    train = {"train_rng": np.random.default_rng(0)}  # no memo to count
+    train = {"train_rng": np.random.default_rng(0)}  # chains, no eval entry
     warm(net, [small], **train)
     held = net.rule_cache.nbytes
-    monkeypatch.setattr(rulecache, "CACHE_BYTES", held + 2 * rulecache._PLACEHOLDER_BYTES)
+    monkeypatch.setattr(rulecache, "CACHE_BYTES", held + rulecache._ENTRY_BYTES)
     warm(net, [large], **train)
     assert (net.rule_cache.admitted, net.rule_cache.nbytes) == (1, held)
     hits = net.rule_cache.hits
@@ -334,14 +377,14 @@ def test_a_set_larger_than_the_bound_stops_admitting(tmp_path, monkeypatch):
 
     def store_and_note(self, miss, layers):
         store(self, miss, layers)
-        admitted.update(d for d in miss[0] if d in self._entries)
+        admitted.update(key for key in miss if key in self._chains)
 
     monkeypatch.setattr(rulecache.RuleCache, "store", store_and_note)
     cache, bounded = run("bounded")
     assert len(held) == cfg.epochs * -(-len(samples) // cfg.batch_size)
     assert max(held) <= bound
     # each chain is admitted once and never leaves
-    assert 0 < cache.admitted == len(admitted) and admitted <= set(cache._entries)
+    assert 0 < cache.admitted == len(admitted) and admitted <= set(cache._chains)
     monkeypatch.setattr(rulecache, "CACHE_BYTES", 0)
     cache, zero = run("zero")
     assert (cache.admitted, cache.nbytes) == (0, 0)
@@ -351,12 +394,12 @@ def test_a_set_larger_than_the_bound_stops_admitting(tmp_path, monkeypatch):
 def test_hit_gives_each_sample_its_own_plans(rng):
     net = make_net(LatticeKind.SQUARE)
     grids = grids_for(net, rng, (0.3, 0.0, 0.6))
-    warm(net, grids)
+    warm(net, grids, **training())
     hits = net.rule_cache.hits
-    _, batch_tape, _ = net.forward_batch(grids, keep_tape=True)
+    _, batch_tape, _ = net.forward_batch(grids, keep_tape=True, **training())
     assert net.rule_cache.hits == hits + len(grids)
     for b, g in enumerate(grids):
-        _, tape, _ = net.forward_batch([g], keep_tape=True)
+        _, tape, _ = net.forward_batch([g], keep_tape=True)  # eval: the rulebook runs
         for got, want in zip(batch_tape, tape):
             if got[0] != "relu":
                 assert np.array_equal(got[-1][b].out_keys, want[-1][0].out_keys)
@@ -364,7 +407,7 @@ def test_hit_gives_each_sample_its_own_plans(rng):
 
 
 # ---------------------------------------------------------------------------
-# the memo of the last eval batch
+# eval entries: each eval batch's own rules
 
 
 def count_calls(monkeypatch, module, name):
@@ -380,102 +423,111 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+def rulebook_calls(monkeypatch):
+    """Count the calls of every rulebook, and of ``fmp_regions``, that the
+    network's blocks make."""
+    from latticenet import network
+
+    return {name: count_calls(monkeypatch, network, name)
+            for name in ("conv_rulebook", "fmp_rulebook", "fmp_regions")}
+
+
 @pytest.mark.parametrize("arch, field", [("4C2-MP3/2-6C2-output", None), (FMP_ARCH, FMP_FIELD)])
-def test_memo_serves_a_repeated_eval_batch(arch, field, rng, monkeypatch):
+def test_an_eval_entry_serves_its_repeated_batch(arch, field, rng, monkeypatch):
     net, fresh = make_net(CUBIC, arch, field=field), make_net(CUBIC, arch, field=field)
     grids = grids_for(net, rng, (0.3, 0.6, 0.0, 1.0))
-    warm(net, grids)
-    net.forward_batch(grids)  # the third pass assembles the rule and remembers it
-    digests = count_calls(monkeypatch, rulecache, "_digest")
-    assembles = count_calls(monkeypatch, rulecache, "_assemble")
     want = forward_backward(fresh, grids)
-    assert (digests[0], assembles[0]) == (len(grids), 0)  # a rulebook pass, no hit
-    digests[0] = 0
+    warm(net, grids)
+    assert (net.rule_cache.misses, net.rule_cache.admitted) == (len(grids), 1)
+    assembles = count_calls(monkeypatch, rulecache, "_assemble")
+    calls = rulebook_calls(monkeypatch)
     for _ in range(2):
         hits = net.rule_cache.hits
         got = forward_backward(net, grids)
-        assert (digests[0], assembles[0]) == (0, 0)
         assert net.rule_cache.hits == hits + len(grids)
         assert_same_run(got, want)
+    # the batch's rules come back whole: no rulebook and no assembly
+    assert assembles[0] == 0 and all(c[0] == 0 for c in calls.values())
 
 
-def test_memo_does_not_serve_another_batch(rng, monkeypatch):
+def test_an_eval_entry_serves_only_its_own_batch(rng):
     net = make_net(CUBIC, FMP_ARCH, field=FMP_FIELD)
     fresh = make_net(CUBIC, FMP_ARCH, field=FMP_FIELD)
     grids = grids_for(net, rng, (0.3, 0.6, 0.5))
     warm(net, grids)
-    net.forward_batch(grids)  # assembles the rule and remembers it
-    memo = net.rule_cache._memo
-    digests = count_calls(monkeypatch, rulecache, "_digest")
     g = grids[1]
     changed = SparseGrid(g.shape, g.keys[1:], g.rows[1:], g.ground)  # one key fewer
-    for batch, hits in (([grids[2], grids[0], grids[1]], 3), ([grids[0], changed, grids[2]], 2)):
-        want = forward_backward(fresh, batch)
-        before, digests[0] = net.rule_cache.hits, 0
-        assert_same_run(forward_backward(net, batch), want)
-        assert digests[0] == len(batch)
-        assert net.rule_cache.hits == before + hits
-    assert net.rule_cache._memo is not memo  # the permuted batch hit and replaced it
+    # the same samples permuted, then a changed sample: each another batch
+    for k, batch in enumerate(([grids[2], grids[0], grids[1]], [grids[0], changed, grids[2]])):
+        assert_same_run(forward_backward(net, batch), forward_backward(fresh, batch))
+        assert net.rule_cache.admitted == k + 2
     for b in net.blocks + fresh.blocks:
         if b.kind == "fmp":
             b.layer.seed += 1
-    want = forward_backward(fresh, grids)
-    before, digests[0] = net.rule_cache.hits, 0
-    assert_same_run(forward_backward(net, grids), want)
-    assert (digests[0], net.rule_cache.hits) == (len(grids), before)
+    assert_same_run(forward_backward(net, grids), forward_backward(fresh, grids))
+    assert (net.rule_cache.hits, net.rule_cache.admitted) == (0, 4)  # new seeds, a new key
 
 
-def test_training_neither_reads_nor_replaces_the_memo(rng, monkeypatch):
+def test_training_neither_reads_nor_fills_eval_entries(rng, monkeypatch):
     net, fresh = make_net(CUBIC), make_net(CUBIC)
     grids = grids_for(net, rng, (0.3, 0.6, 0.5))
     warm(net, grids)
-    net.forward_batch(grids)
-    memo, held = net.rule_cache._memo, net.rule_cache.nbytes
-    digests = count_calls(monkeypatch, rulecache, "_digest")
-    for batch in (grids, grids[::-1]):  # the memo's batch, then another that hits
-        want = forward_backward(fresh, batch, train_rng=np.random.default_rng(4))
-        digests[0] = 0
-        assert_same_run(forward_backward(net, batch, train_rng=np.random.default_rng(4)), want)
-        assert digests[0] == len(batch)
-        assert net.rule_cache._memo is memo and net.rule_cache.nbytes == held
-    want = fresh.forward_batch(grids)[0]
-    digests[0] = 0
-    assert np.array_equal(net.forward_batch(grids)[0], want)
-    assert digests[0] == 0
+    cache = net.rule_cache
+    entries = dict(cache._batches)
+    # the entry's batch misses and admits the chains, which another batch hits
+    for batch, hits in ((grids, 0), (grids[::-1], len(grids))):
+        want = forward_backward(fresh, batch, **training())
+        before = cache.hits
+        assert_same_run(forward_backward(net, batch, **training()), want)
+        assert cache.hits == before + hits
+        assert cache._batches.keys() == entries.keys()
+        assert all(cache._batches[key] is rules for key, rules in entries.items())
+    assembles = count_calls(monkeypatch, rulecache, "_assemble")
+    hits = cache.hits
+    assert np.array_equal(net.forward_batch(grids)[0], fresh.forward_batch(grids)[0])
+    assert (cache.hits, assembles[0]) == (hits + len(grids), 0)  # the entry, not the chains
 
 
-def test_memo_arrays_are_read_only_and_counted(rng):
+def test_eval_entries_are_read_only_and_counted(rng):
     net = make_net(CUBIC)
     grids = grids_for(net, rng, (0.3, 0.6))
     cache = net.rule_cache
-    # the rules a miss computes, then rules assembled from the chains
-    for passes in ([grids], [[*grids, grids[0]], grids]):
-        for batch in passes:
-            net.forward_batch(batch)
-        context, start, keys, rules, size = cache._memo
-        assert keys == GridBatch.of(grids).keys.tobytes()
-        assert cache.nbytes == sum(entry[2] for entry in cache._entries.values()) + size
-        assert size > len(context) + len(start) + len(keys) + sum(a.nbytes for r in rules for a in r)
+    warm(net, grids, **training())
+    chains = cache.nbytes
+    batches = (grids, [grids[1]])
+    for batch in batches:
+        warm(net, batch)
+    _, context = net._chain_context(net.input_shape().m, False)
+    sizes = 0
+    for batch, (key, rules) in zip(batches, cache._batches.items(), strict=True):
+        b = GridBatch.of(batch)
+        assert key == context + b.start.tobytes() + b.keys.tobytes()
+        assert len(rules) == len(net._rule_blocks)
+        sizes += len(key) + rulecache._ENTRY_BYTES + sum(a.nbytes for r in rules for a in r)
         for rule in rules:
             for a in rule:
                 with pytest.raises(ValueError):
                     a[...] = 0
-    assert cache.hits == len(grids)  # only the last pass hit
+    assert cache.nbytes == chains + sizes
+    assert cache.hits == 0  # eval reads no chain
 
 
-def test_memo_larger_than_the_bound_is_not_held(rng, monkeypatch):
+def test_an_eval_entry_larger_than_the_space_left_is_not_held(rng, monkeypatch):
     net, fresh = make_net(CUBIC), make_net(CUBIC)
     grids = grids_for(net, rng, (0.3, 0.6))
-    warm(net, grids)
-    chains = net.rule_cache.nbytes - net.rule_cache._memo[4]
-    monkeypatch.setattr(rulecache, "CACHE_BYTES", chains)
-    hits = net.rule_cache.hits
-    for _ in range(2):  # a miss on fresh, then its admission; hits on net
+    warm(net, grids, **training())
+    chains = net.rule_cache.nbytes
+    probe = make_net(CUBIC)
+    warm(probe, grids)
+    entry = probe.rule_cache.nbytes
+    monkeypatch.setattr(rulecache, "CACHE_BYTES", chains + entry - 1)
+    for _ in range(2):  # net misses and holds nothing; fresh, with room, stores and hits
         assert_same_run(forward_backward(net, grids), forward_backward(fresh, grids))
-        assert net.rule_cache._memo is None and fresh.rule_cache._memo is None
-    assert net.rule_cache.hits == hits + 2 * len(grids)
-    assert net.rule_cache.nbytes == chains  # every chain is still held
-    assert fresh.rule_cache.admitted == len(grids)
+    assert not net.rule_cache._batches and net.rule_cache.nbytes == chains
+    assert (net.rule_cache.hits, fresh.rule_cache.hits) == (0, len(grids))
+    monkeypatch.setattr(rulecache, "CACHE_BYTES", chains + entry)
+    warm(net, grids)  # an entry that fills the space left exactly is held
+    assert net.rule_cache.nbytes == rulecache.CACHE_BYTES
 
 
 def test_fmp_regions_are_built_only_on_a_miss(rng, monkeypatch):
@@ -486,9 +538,9 @@ def test_fmp_regions_are_built_only_on_a_miss(rng, monkeypatch):
     grids = grids_for(net, rng, (0.4, 0.2))
     regions = count_calls(monkeypatch, network, "fmp_regions")
     again = [*grids, grids[0]]
-    # miss, memo hit, admission, hit, memo hit
+    # a miss, a hit, another batch's miss, and a hit on each batch's entry
     for batch, calls in ((grids, fmp_blocks), (grids, 0), (again, fmp_blocks), (grids, 0),
-                         (grids, 0)):
+                         (again, 0)):
         regions[0] = 0
         net.forward_batch(batch)
         assert regions[0] == calls
@@ -496,15 +548,6 @@ def test_fmp_regions_are_built_only_on_a_miss(rng, monkeypatch):
         regions[0] = 0
         net.forward_batch(grids, train_rng=np.random.default_rng(0))
         assert regions[0] == fmp_blocks
-
-
-def rulebook_calls(monkeypatch):
-    """Count the calls of every rulebook, and of ``fmp_regions``, that the
-    network's blocks make."""
-    from latticenet import network
-
-    return {name: count_calls(monkeypatch, network, name)
-            for name in ("conv_rulebook", "fmp_rulebook", "fmp_regions")}
 
 
 @pytest.mark.parametrize("arch, field", [("4C2-MP3/2-6C2-output", None), (FMP_ARCH, FMP_FIELD)])
@@ -524,29 +567,23 @@ def test_a_repeated_eval_batch_runs_each_rulebook_once(arch, field, rng, monkeyp
             c[0] = 0
 
 
-def test_another_eval_batch_drops_the_memo_first(rng, monkeypatch):
-    from latticenet import network
-
-    net = make_net(CUBIC)
+def test_two_eval_batches_are_both_held_and_each_repeat_hits_its_own(rng, monkeypatch):
+    net, fresh = make_net(CUBIC), make_net(CUBIC)
     cache = net.rule_cache
     grids = grids_for(net, rng, (0.3, 0.6, 0.5))
-    held = []  # (memo, bytes beyond the entries') at each rulebook call
-
-    def entries():
-        return sum(entry[2] for entry in cache._entries.values())
-
-    def rulebook(*args):
-        held.append((cache._memo, cache.nbytes - entries()))
-        return original(*args)
-
-    original = network.conv_rulebook
-    monkeypatch.setattr(network, "conv_rulebook", rulebook)
-    for batch in (grids[:2], grids[1:], grids[:2], grids, grids[1:]):  # misses, then a hit
-        held.clear()
-        net.forward_batch(batch)
-        assert all(h == (None, 0) for h in held)
-        assert cache.nbytes == entries() + cache._memo[4]
-    assert held == [] and cache.admitted == 3
+    batches = (grids[:2], grids[1:])
+    wants = [fresh.forward_batch(batch)[0] for batch in batches]
+    for batch in batches:
+        warm(net, batch)
+    held = cache.nbytes
+    assert (cache.admitted, len(cache._batches)) == (2, 2)
+    calls = rulebook_calls(monkeypatch)
+    for i in (0, 1, 1, 0):
+        hits = cache.hits
+        assert np.array_equal(net.forward_batch(batches[i])[0], wants[i])
+        assert cache.hits == hits + 2
+    assert all(c[0] == 0 for c in calls.values())
+    assert (cache.admitted, cache.nbytes) == (2, held)
 
 
 def test_ground_states_bypass_the_cache(rng, monkeypatch):
@@ -554,10 +591,9 @@ def test_ground_states_bypass_the_cache(rng, monkeypatch):
     grids = grids_for(net, rng, (0.4, 0.2))
     want = net.forward_batch(grids)[0]
     cache = net.rule_cache
-    memo, counts = cache._memo, (cache.nbytes, cache.hits, cache.misses, len(cache._entries))
+    counts = (cache.nbytes, cache.hits, cache.misses, cache.admitted, len(cache._batches))
     net.ground_states()
-    assert cache._memo is memo
-    assert (cache.nbytes, cache.hits, cache.misses, len(cache._entries)) == counts
+    assert (cache.nbytes, cache.hits, cache.misses, cache.admitted, len(cache._batches)) == counts
     calls = rulebook_calls(monkeypatch)
     assert np.array_equal(net.forward_batch(grids)[0], want)
     assert all(c[0] == 0 for c in calls.values())
@@ -572,7 +608,7 @@ def test_fit_hits_from_the_second_epoch_like_an_uncached_fit(tmp_path, rng, monk
     hits = []
     logs = fit(nets[0], train, heldout, cfg,
                log_fn=lambda log: hits.append(nets[0].rule_cache.hits))
-    # training up to the first FMP layer, and the held-out pass from the memo
+    # training up to the first FMP layer, and the held-out pass from its entry
     assert hits == [0, len(samples), 2 * len(samples)]
     monkeypatch.setattr(rulecache, "CACHE_BYTES", 0)
     uncached = fit(nets[1], train, heldout, cfg)
