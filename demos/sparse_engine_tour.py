@@ -34,8 +34,8 @@ draw({tuple(s) for s in grid.sites()}, 6)
 
 geom = FilterGeometry(LatticeKind.SQUARE, 2, 1)
 keys, out_shape = conv_active_sites(grid, geom)
-print(f"\nstep 1: sort the packed keys of the active output sites -> a_out = {len(keys)} "
-      f"in a {out_shape.m}x{out_shape.m} layer")
+print(f"\nstep 1: mark the active output sites in a table over the output box, in key "
+      f"order -> a_out = {len(keys)} in a {out_shape.m}x{out_shape.m} layer")
 out_sites = {tuple(s) for s in
              SparseGrid(out_shape, keys, np.zeros((len(keys), 1)), np.zeros(1)).sites()}
 draw(out_sites, out_shape.m)

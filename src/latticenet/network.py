@@ -80,7 +80,6 @@ from .ops import (
     PoolLayer,
     conv_forward_batch,
     conv_rulebook,
-    fmp_forward_batch,
     fmp_regions,
     fmp_rulebook,
     pool_forward_batch,
@@ -180,7 +179,7 @@ class _FMP(_Pool):
         l = self.layer
         seed = int(train_rng.integers(0, 2**31)) if train_rng is not None else l.seed
         rule = next(cached, None) or fmp_rulebook(batch, fmp_regions(batch.shape.m, l.ratio, seed))
-        out, plan = fmp_forward_batch(batch, l, keep_plan=keep_tape, rule=rule)
+        out, plan = pool_forward_batch(batch, l, keep_plan=keep_tape, rule=rule)
         return out, ("pool", plan), 0, rule
 
 
@@ -234,16 +233,16 @@ class Network:
 
     # -- forward / backward ----------------------------------------------
 
-    def _chain_context(self, m: int, training: bool) -> tuple[int, bytes]:
+    def _chain_context(self, training: bool) -> tuple[int, bytes]:
         """How many rulebook layers a cache entry covers, and the bytes of
-        what it depends on besides the input keys and the architecture: the
-        input field size ``m`` and, in eval, each FMP seed.  Training redraws
-        FMP regions per batch, so there a chain stops at the first FMP
-        layer.  (The layers check the lattice before they use a rule.)"""
+        what it depends on besides the input keys and the planned network:
+        each FMP seed among those layers.  Training redraws FMP regions per
+        batch, so there a chain stops at the first FMP layer and depends on
+        the keys alone."""
         kinds = [b.kind for b in self._rule_blocks]
         depth = kinds.index("fmp") if training and "fmp" in kinds else len(kinds)
         seeds = [b.layer.seed for b in self._rule_blocks[:depth] if b.kind == "fmp"]
-        return depth, struct.pack(f"<2I{len(seeds)}Q", m, depth, *seeds)
+        return depth, struct.pack(f"<{len(seeds)}Q", *seeds)
 
     def _run(self, batch: GridBatch, train_rng: np.random.Generator | None = None,
              keep_tape: bool = False, cache: bool = True):
@@ -257,7 +256,7 @@ class Network:
         admit, or the eval batch's rules.  ``cache=False`` leaves the cache
         out altogether."""
         training = train_rng is not None
-        depth, context = self._chain_context(batch.shape.m, training)
+        depth, context = self._chain_context(training)
         cached, miss = (self.rule_cache.lookup(batch, context, training) if depth and cache
                         else (iter(()), None))
         rules = []
@@ -285,9 +284,13 @@ class Network:
         frame, the layer's input rows and grounds (see ``_Conv.forward``).
         The tape has one entry per block, in block order.  ``cache=False``
         neither reads nor fills the rule cache, for batches that never
-        repeat.
+        repeat.  Every grid must have the planned :meth:`input_shape`.
         """
         batch = GridBatch.of(list(grids))
+        want, got = self.input_shape(), batch.shape
+        if got != want:
+            raise ValueError(f"network input is {want.lattice.value} field {want.m}, "
+                             f"grids are {got.lattice.value} field {got.m}")
         tape, macs = [], 0
         for batch, entry, block_macs in self._run(batch, train_rng, keep_tape, cache):
             macs += block_macs

@@ -34,12 +34,12 @@ code on a batch of one.  The output ground state is what an all-ground
 field would produce, so every layer also maps the ground vector forward
 and inactive sites never need to be touched.
 
-Pooling uses the same active-site rule with a component-wise max over the
-footprint, taken as one running max over the footprint positions, in
-tiles of output rows that fit in cache (see :data:`TILE`).
-Fractional max pooling (FMP) is max pooling over size-2 cubic windows
-whose starts are randomized overlapping regions that shrink each
-dimension by a factor strictly between 1 and 2.  One rulebook serves
+Max pooling, plain (MP) or fractional (FMP), is one op: the layer gives
+its rulebook and output field, and :func:`pool_forward_batch` takes a
+running max over the footprint positions, in tiles of output rows that
+fit in cache (see :data:`TILE`).  FMP pools size-2 cubic windows whose
+starts are randomized overlapping regions that shrink each dimension by
+a factor strictly between 1 and 2.  One rulebook serves
 every layer: along each dimension output coordinate ``u`` has a window
 start, ``u * s`` for a convolution or pool and the region start for FMP,
 and input site ``c`` lies under offset ``o`` exactly when ``c - o`` is a
@@ -185,6 +185,12 @@ class PoolLayer:
     def geometry(self) -> FilterGeometry:
         return FilterGeometry(self.lattice, self.p, self.s)
 
+    def out_shape(self, shape: GridShape) -> GridShape:
+        return conv_out_shape(shape, self.geometry)
+
+    def rulebook(self, batch: GridBatch):
+        return conv_rulebook(batch, self.geometry)
+
 
 @dataclass
 class FMPLayer:
@@ -199,6 +205,12 @@ class FMPLayer:
             raise ValueError("fractional max pooling is defined on the cubic lattice only")
         if not 1.0 < self.ratio < 2.0:
             raise ValueError(f"FMP ratio must lie strictly between 1 and 2, got {self.ratio}")
+
+    def out_shape(self, shape: GridShape) -> GridShape:
+        return GridShape(LatticeKind.CUBIC, fmp_out_size(shape.m, self.ratio))
+
+    def rulebook(self, batch: GridBatch):
+        return fmp_rulebook(batch, fmp_regions(batch.shape.m, self.ratio, self.seed))
 
 
 @dataclass
@@ -539,21 +551,20 @@ def _max_pool(batch: GridBatch, out_keys, out_sample, out_shape, src, keep_plan:
     return out, Plan(out_keys, src, batch.start, out.start, argmax=argmax)
 
 
-def pool_forward_batch(batch: GridBatch, layer: PoolLayer, *, keep_plan: bool = True,
-                       rule=None):
-    """Max pooling; active rule and gather index identical to convolution.
+def pool_forward_batch(batch: GridBatch, layer: PoolLayer | FMPLayer, *,
+                       keep_plan: bool = True, rule=None):
+    """Max pooling, plain (MP) or fractional (FMP), for a batch.
 
-    ``rule`` is as in :func:`conv_forward_batch`.  Returns the output batch
-    and, when ``keep_plan``, the batch's :class:`Plan` with its argmax
-    (else None).
+    ``rule`` is the batch's rule as ``layer.rulebook`` gives it; when it is
+    None, the rulebook runs here.  Returns the output batch and, when
+    ``keep_plan``, the batch's :class:`Plan` with its argmax (else None).
     """
     if batch.shape.lattice is not layer.lattice:
         raise ValueError(
             f"pool layer is {layer.lattice.value}, grid is {batch.shape.lattice.value}"
         )
-    out_keys, out_sample, src = conv_rulebook(batch, layer.geometry) if rule is None else rule
-    out_shape = conv_out_shape(batch.shape, layer.geometry)
-    return _max_pool(batch, out_keys, out_sample, out_shape, src, keep_plan)
+    out_keys, out_sample, src = layer.rulebook(batch) if rule is None else rule
+    return _max_pool(batch, out_keys, out_sample, layer.out_shape(batch.shape), src, keep_plan)
 
 
 def pool_forward(grid: SparseGrid, layer: PoolLayer, *, keep_plan: bool = False):
@@ -610,31 +621,12 @@ def fmp_rulebook(batch: GridBatch, regions):
     return _window_rulebook(batch, filter_offsets(LatticeKind.CUBIC, 2), regions, None)
 
 
-def fmp_forward_batch(batch: GridBatch, layer: FMPLayer, *, keep_plan: bool = True,
-                      rule=None):
-    """Max pooling over randomized overlapping size-2 regions, for a batch.
-
-    ``rule`` is the batch's rule as :func:`fmp_rulebook` gives it; when it
-    is None, the rulebook runs here over the regions of ``layer.seed``.  A
-    rule needs no regions: the output field size is
-    ``fmp_out_size(m, layer.ratio)``.  The result is as in
-    :func:`pool_forward_batch`."""
-    if batch.shape.lattice is not LatticeKind.CUBIC:
-        raise ValueError("FMP requires a cubic grid")
-    m = batch.shape.m
-    out_shape = GridShape(LatticeKind.CUBIC, fmp_out_size(m, layer.ratio))
-    if rule is None:
-        rule = fmp_rulebook(batch, fmp_regions(m, layer.ratio, layer.seed))
-    out_keys, out_sample, src = rule
-    return _max_pool(batch, out_keys, out_sample, out_shape, src, keep_plan)
-
-
 def fmp_forward(grid: SparseGrid, layer: FMPLayer, regions=None, *, keep_plan: bool = False):
     """Max pooling over randomized overlapping size-2 regions: ``regions``
     (drawn at ``layer.ratio``), or those of ``layer.seed``."""
     batch = GridBatch.of([grid])
     rule = None if regions is None else fmp_rulebook(batch, regions)
-    out, plan = fmp_forward_batch(batch, layer, keep_plan=keep_plan, rule=rule)
+    out, plan = pool_forward_batch(batch, layer, keep_plan=keep_plan, rule=rule)
     return (out.grid(0), plan) if keep_plan else out.grid(0)
 
 

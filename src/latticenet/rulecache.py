@@ -5,11 +5,11 @@ A sample's *rulebook chain* holds, for each rulebook layer of a network
 (convolution, pool, FMP and classifier, in order), the sample's active
 output keys and its gather index ``src`` in the sample's own row numbers
 (int32), as a batch of that sample alone gives it, so every ground
-position reads -1.  The chain depends on nothing but the sample's input
-key set, the input field, the architecture and the FMP regions, so a
-network that sees the same key set again can reuse it instead of running
-the rulebook.  Map reuse of this kind follows TorchSparse (Tang et al.
-2022, arXiv:2204.10319).
+position reads -1.  A network runs grids of its planned input field
+only, so the chain depends on nothing but the sample's input key set and
+the FMP regions, and a network that sees the same key set again can
+reuse it instead of running the rulebook.  Map reuse of this kind
+follows TorchSparse (Tang et al. 2022, arXiv:2204.10319).
 
 The batched rulebook groups output rows by sample, keys ascending within
 each, and gives every sample the rows and gather index it gets alone.  So
@@ -25,10 +25,10 @@ samples' chains once all of them are held.  Eval keeps an entry per batch,
 the pass's own rules, read-only: an identity eval repeat and ``fit``'s
 held-out pass repeat the same chunks in the same order, so the same batch
 gets its rules back whole, with no assembly.  The two maps are keyed by
-the bytes themselves, a chain by the context and the sample's keys, an
-eval entry by the context and the batch's sample starts and keys, and
-stay apart: a training sample's key bytes can equal a one-sample eval
-batch's start and key bytes.  An entry is stored only if it fits in what
+the bytes themselves, a chain by the sample's keys (it stops before the
+first FMP layer), an eval entry by the FMP seeds and the batch's sample
+starts and keys, and stay apart: a training sample's key bytes can equal
+a one-sample eval batch's start and key bytes.  An entry is stored only if it fits in what
 is left of :data:`CACHE_BYTES`, and nothing stored leaves.
 """
 
@@ -51,10 +51,10 @@ _ENTRY_BYTES = 512  # an entry's tuple or list and array headers, besides its da
 class RuleCache:
     """Training chains and eval entries under one bound, evicting nothing.
 
-    ``_chains`` maps the context and key bytes of a training sample to its
-    chain, one ``(out_keys, src)`` pair per rulebook layer; ``_batches``
-    maps the context, start and key bytes of an eval batch to its rules,
-    one ``(out_keys, out_sample, src)`` per rulebook layer.  The counters
+    ``_chains`` maps the key bytes of a training sample to its chain, one
+    ``(out_keys, src)`` pair per rulebook layer; ``_batches`` maps the
+    context (the FMP seeds), start and key bytes of an eval batch to its
+    rules, one ``(out_keys, out_sample, src)`` per rulebook layer.  The counters
     count sample lookups (``hits``, ``misses``), entries stored
     (``admitted``, chains and eval batches) and the bytes held
     (``nbytes``).

@@ -41,7 +41,6 @@ from latticenet.ops import (
     conv_active_sites,
     conv_forward_batch,
     conv_rulebook,
-    fmp_forward_batch,
     fmp_regions,
     fmp_rulebook,
     pool_forward_batch,
@@ -188,7 +187,7 @@ def test_fmp_matches_per_grid(ties, m, ratio, seed, rng):
         grids = tied(grids)
     regions = fmp_regions(m, ratio, seed)
     batch = GridBatch.of(grids)
-    out, plans = fmp_forward_batch(batch, FMPLayer(LatticeKind.CUBIC, ratio, seed))
+    out, plans = pool_forward_batch(batch, FMPLayer(LatticeKind.CUBIC, ratio, seed))
     for b, grid in enumerate(grids):
         keys = loop_fmp_active_keys(grid, regions)
         rows, argmax_src = loop_max(grid, loop_fmp_gather(grid, keys, regions))
@@ -382,7 +381,7 @@ def test_each_op_stores_one_table_with_grounds_last(lattice, rng):
         pooled, _ = pool_forward_batch(batch, PoolLayer(lattice, 3, 2))
         check_table(pooled, [g.ground for g in gs])
         if lattice is LatticeKind.CUBIC:
-            fmp, _ = fmp_forward_batch(batch, FMPLayer(LatticeKind.CUBIC, FMP_RATIO, 3))
+            fmp, _ = pool_forward_batch(batch, FMPLayer(LatticeKind.CUBIC, FMP_RATIO, 3))
             check_table(fmp, [g.ground for g in gs])
 
 
@@ -485,7 +484,7 @@ def test_fmp_backward_matches_add_at(ties, m, ratio, seed, dtype, rng):
     grids = as_dtype(batch_of(LatticeKind.CUBIC, m, 2, MIXED, rng), dtype)
     if ties:
         grids = tied(grids)
-    out, pplan = fmp_forward_batch(GridBatch.of(grids), FMPLayer(LatticeKind.CUBIC, ratio, seed))
+    out, pplan = pool_forward_batch(GridBatch.of(grids), FMPLayer(LatticeKind.CUBIC, ratio, seed))
     check_pool_backward(out, pplan, rng)
 
 
@@ -780,7 +779,7 @@ def test_tiled_fmp_matches_untiled(ties, m, ratio, seed, dtype, tile_rows, rng, 
     layer = FMPLayer(LatticeKind.CUBIC, ratio, seed)
     for gs in (grids, with_nans(grids, rng)):
         batch = GridBatch.of(gs)
-        check_tiled_pool(lambda keep: fmp_forward_batch(batch, layer, keep_plan=keep),
+        check_tiled_pool(lambda keep: pool_forward_batch(batch, layer, keep_plan=keep),
                          tile_rows, monkeypatch, rng)
 
 

@@ -110,6 +110,22 @@ def test_forward_macs_equal_count_ops_of_the_tape(lattice, arch, field, training
     assert macs == count_ops(spec, activity, net.classes)["total_macs"]
 
 
+def test_forward_batch_rejects_grids_off_the_planned_field(rng):
+    net = small_net(rng, LatticeKind.CUBIC, "8C2-MP3/2-8C2-output")
+    assert net.input_shape() == GridShape(LatticeKind.CUBIC, 6)
+    logits, _, _ = net.forward_batch(inputs_for(net, rng, 2))
+    assert logits.shape == (2, net.classes)
+    counters = str(net.rule_cache)
+    for lattice, m in ((LatticeKind.CUBIC, 8), (LatticeKind.CUBIC, 4), (TET, 6)):
+        grids = [random_sparse(lattice, m, 1, 0.4, rng) for _ in range(2)]
+        with pytest.raises(ValueError, match=f"network input is cubic field 6, "
+                                             f"grids are {lattice.value} field {m}"):
+            net.forward_batch(grids)
+        with pytest.raises(ValueError, match="network input is cubic field 6"):
+            net.forward_batch(grids, train_rng=rng, keep_tape=True)
+    assert str(net.rule_cache) == counters
+
+
 def test_empty_input_stays_empty_through_network(rng):
     net = small_net(rng)
     g = SparseGrid.empty(net.input_shape(), np.zeros(1))

@@ -3,7 +3,7 @@ import pytest
 
 from latticenet.errors import PlanError, SizeMismatchError
 from latticenet.geometry import GridShape, LatticeKind, out_size
-from latticenet.grid import DenseGrid, SparseGrid
+from latticenet.grid import DenseGrid, GridBatch, SparseGrid
 from latticenet.ops import (
     FMP_RATIO,
     ConvLayer,
@@ -16,6 +16,7 @@ from latticenet.ops import (
     fmp_forward,
     fmp_regions,
     pool_forward,
+    pool_forward_batch,
     relu_forward,
 )
 
@@ -302,6 +303,19 @@ def test_fmp_rejects_non_cubic(rng):
     layer = FMPLayer(LatticeKind.CUBIC)
     with pytest.raises(ValueError):
         fmp_forward(grid, layer)
+
+
+def test_pool_given_a_rule_rejects_the_wrong_lattice(rng):
+    """A rule skips the rulebook, so the lattice check alone stops a grid
+    of another lattice, for MP and FMP alike."""
+    cubic = GridBatch.of([random_sparse(LatticeKind.CUBIC, 6, 1, 0.5, rng)])
+    square = GridBatch.of([random_sparse(LatticeKind.SQUARE, 6, 1, 0.5, rng)])
+    for layer in (PoolLayer(LatticeKind.CUBIC, 2, 2), FMPLayer(LatticeKind.CUBIC)):
+        rule = layer.rulebook(cubic)
+        out, _ = pool_forward_batch(cubic, layer, rule=rule)
+        assert out.shape == layer.out_shape(cubic.shape)
+        with pytest.raises(ValueError, match="pool layer is cubic, grid is square"):
+            pool_forward_batch(square, layer, rule=rule)
 
 
 def test_fmp_ladder_from_scale_20():

@@ -497,7 +497,7 @@ def test_eval_entries_are_read_only_and_counted(rng):
     batches = (grids, [grids[1]])
     for batch in batches:
         warm(net, batch)
-    _, context = net._chain_context(net.input_shape().m, False)
+    _, context = net._chain_context(False)
     sizes = 0
     for batch, (key, rules) in zip(batches, cache._batches.items(), strict=True):
         b = GridBatch.of(batch)
