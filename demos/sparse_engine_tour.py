@@ -22,7 +22,7 @@ from latticenet import (
 shape = GridShape(LatticeKind.SQUARE, 6)
 grid = SparseGrid.from_sites(shape, [[1, 1], [2, 2], [5, 5]],
                              np.array([[1.0], [2.0], [3.0]]), np.zeros(1))
-print(f"input: 6x6 grid, {grid.a} active sites at", [tuple(s) for s in grid.sites()])
+print(f"input: 6x6 grid, {grid.a} active sites at", [tuple(s) for s in grid.sites().tolist()])
 
 
 def draw(active, m):
@@ -30,14 +30,14 @@ def draw(active, m):
         print("   " + " ".join("#" if (x, y) in active else "." for y in range(m)))
 
 
-draw({tuple(s) for s in grid.sites()}, 6)
+draw({tuple(s) for s in grid.sites().tolist()}, 6)
 
 geom = FilterGeometry(LatticeKind.SQUARE, 2, 1)
 keys, out_shape = conv_active_sites(grid, geom)
 print(f"\nstep 1: mark the active output sites in a table over the output box, in key "
       f"order -> a_out = {len(keys)} in a {out_shape.m}x{out_shape.m} layer")
 out_sites = {tuple(s) for s in
-             SparseGrid(out_shape, keys, np.zeros((len(keys), 1)), np.zeros(1)).sites()}
+             SparseGrid(out_shape, keys, np.zeros((len(keys), 1)), np.zeros(1)).sites().tolist()}
 draw(out_sites, out_shape.m)
 
 plan = build_gather(grid, keys, geom, out_shape)

@@ -19,9 +19,12 @@ Front-ends provided here:
 Meshes and polylines are sampled as whole arrays: every face's
 barycentric lattice, or every segment's evenly spaced points (of all a
 sample's strokes together), goes into one point array that is rounded to
-voxels, sorted once and deduplicated by comparing neighbours.  Non-finite
-coordinates are rejected before sampling.  OFF files are decoded the same
-way: one tokenizing pass, then one conversion per array.
+voxels, sorted once and deduplicated by comparing neighbours.  A mesh's
+points are built coordinate-major, as three rows, so that every repeat
+and product runs along a long axis.  Non-finite coordinates are rejected
+before sampling.  OFF files are decoded the same way: one tokenizing
+pass, a walk over the face list by runs of faces with the same count
+token, then one conversion per array.
 
 All randomness is drawn from explicit generators, so ingestion of a
 sample is a pure function of its inputs and seed.
@@ -115,7 +118,10 @@ def load_off(data) -> TriangleMesh:
     header may be glued to the vertex count (``OFF3 1 0``).  The text is
     tokenized in one pass; all vertex coordinates are converted with one
     array conversion and checked for finiteness at once, and all face
-    indices likewise, after a walk over the per-face vertex counts.
+    indices likewise.  The face list is walked by runs of faces whose
+    vertex count is the same token: a run's count is parsed once, its
+    faces' count tokens are found by strided slices and dropped, so only
+    index tokens are converted (an all-triangle file is one run).
     Tokens after the last face are ignored.  A malformed file raises
     :class:`FormatError` for the first bad token in file order, with its
     line number, which is only looked up on that path.  Nothing is
@@ -173,11 +179,13 @@ def load_off(data) -> TriangleMesh:
     if len(coords) < 3 * nv:
         raise end_of_file(f"vertex {len(coords) // 3} coordinate")
 
-    # walk the per-face vertex counts; an error here is raised only after
-    # the index tokens before it are checked, since those come first
-    heads, sizes, late = [], [], None
-    p = end
-    for i in range(nf):
+    # walk the faces by runs of the same count token, parsing each run's
+    # count once; an error here is raised only after the index tokens
+    # before it are checked, since those come first
+    starts, ks, rs = [], [], []  # each run's first head, count and faces
+    body, late = [], None
+    p, i = end, 0
+    while i < nf:
         if p >= len(tokens):
             late = end_of_file(f"face {i} vertex count")
             break
@@ -189,22 +197,42 @@ def load_off(data) -> TriangleMesh:
         if k < 3:
             late = error(f"face {i} has {k} vertices", p)
             break
-        heads.append(p)
-        sizes.append(k)
-        p += 1 + k
+        # the run goes on while the next heads are the same string; if the
+        # next one is, count the equal heads at the front of strided windows
+        # of 1, 2, 4, ... heads, so a run of r faces costs about log2(r)
+        # slices (a slice of all faces left would make alternating face
+        # sizes quadratic)
+        head, r, step = tokens[p], 1, k + 1
+        if tokens[p + step:p + step + 1] == [head]:
+            w = 1
+            while i + r < nf:
+                w = min(w, nf - i - r)
+                window = tokens[p + step * r:p + step * (r + w):step]
+                same = [*map(head.__eq__, window), False].index(False)
+                r += same
+                if same < w:
+                    break
+                w *= 2
+        run = tokens[p:p + step * r]
+        del run[::step]  # keep the index tokens
+        body += run
+        starts.append(p)
+        ks.append(k)
+        rs.append(r)
+        i += r
+        p += step * r
         if p > len(tokens):
-            late = end_of_file(f"face {i} index")
+            late = end_of_file(f"face {i - 1} index")
             break
-    body = tokens[end:p]
-    is_index = np.ones(len(body), dtype=bool)
-    is_index[np.asarray(heads, dtype=np.int64) - end] = False
     try:
-        idx = np.array(body, dtype=np.int64)[is_index]
+        idx = np.array(body, dtype=np.int64)
         clean = not ((idx < 0) | (idx >= nv)).any()
     except (ValueError, OverflowError):
         clean = False
     if not clean:
-        for i, (h, k) in enumerate(zip(heads, sizes)):
+        heads = [(h, k) for h0, k, r in zip(starts, ks, rs)
+                 for h in range(h0, h0 + (k + 1) * r, k + 1)]
+        for i, (h, k) in enumerate(heads):
             for q in range(h + 1, min(h + 1 + k, len(tokens))):
                 try:
                     v = int(tokens[q])
@@ -216,7 +244,7 @@ def load_off(data) -> TriangleMesh:
         raise late
 
     # fan triangulation: face f's triangle j is (first, j + 1, j + 2)
-    sizes = np.asarray(sizes, dtype=np.int64)
+    sizes = np.repeat(np.array(ks, dtype=np.int64), rs)
     fan = np.repeat(np.cumsum(sizes) - sizes, sizes - 2)
     j = fan + _ranks(sizes - 2) + 1
     tris = np.stack([idx[fan], idx[j], idx[j + 1]], axis=1)
@@ -353,8 +381,9 @@ def voxelize_mesh(mesh: TriangleMesh, m: int, rotation: np.ndarray | None = None
     own grid coordinates).  Face ``A, B, C`` is sampled at the barycentric
     lattice ``A + (u/n)(B-A) + (v/n)(C-A)``, ``u + v <= n``, where ``n`` is
     the smallest count that makes every sub-edge shorter than 0.45 voxel.
-    The lattices of all faces form one point array; its rounded, clipped
-    voxels become active with value 1.
+    The lattices of all faces form one coordinate-major ``(3, P)`` point
+    array, so every repeat and product runs along a long last axis; its
+    rounded, clipped voxels become active with value 1.
     """
     if len(mesh.faces) < 1:
         raise ValueError("mesh has no faces to voxelize")
@@ -367,24 +396,30 @@ def voxelize_mesh(mesh: TriangleMesh, m: int, rotation: np.ndarray | None = None
     if fit:
         verts = fit_points(verts, shape, margin=margin)
 
-    corners = verts[mesh.faces]  # (F, 3 corners, 3 coords)
-    n = _subdivisions(corners)
+    n = _subdivisions(verts[mesh.faces])
     # face f has rows u = 0 .. n_f; row u holds v = 0 .. n_f - u.  Per-face
-    # values are repeated to rows, and per-row values to points, in order.
+    # values are repeated to rows, and per-row values to points, in order,
+    # along the last axis of (3, .) coordinate rows
     u = _ranks(n + 1)
     row_n = np.repeat(n, n + 1)
     row_len = row_n + 1 - u
-    v = _ranks(row_len)
-    AB = np.repeat(corners[:, 1] - corners[:, 0], n + 1, axis=0)
-    AC = np.repeat(corners[:, 2] - corners[:, 0], n + 1, axis=0)
+    xyz = np.ascontiguousarray(verts.T)
+    A = xyz[:, mesh.faces[:, 0]]
+    AB = xyz[:, mesh.faces[:, 1]] - A
+    AC = xyz[:, mesh.faces[:, 2]] - A
     # each row's base A + (u/n)(B-A), then + (v/n)(C-A) per point: the
     # same operations in the same order as evaluating the sum per point
-    base = np.repeat(corners[:, 0], n + 1, axis=0) + (u / row_n)[:, None] * AB
-    pts = (np.repeat(base, row_len, axis=0)
-           + (v / np.repeat(row_n, row_len))[:, None] * np.repeat(AC, row_len, axis=0))
-    vox = np.rint(pts).astype(np.int64)
+    # (the in-place adds swap operands, which IEEE addition allows exactly)
+    base = np.repeat(AB, n + 1, axis=1)
+    base *= u / row_n
+    base += np.repeat(A, n + 1, axis=1)
+    pts = np.repeat(base, row_len, axis=1)
+    across = np.repeat(AC, (n + 1) * (n + 2) // 2, axis=1)
+    across *= _ranks(row_len) / np.repeat(row_n, row_len)
+    pts += across
+    vox = np.rint(pts, out=pts).astype(np.int64)
     np.clip(vox, 0, m - 1, out=vox)
-    return _occupancy_grid(shape, pack_sites(vox))
+    return _occupancy_grid(shape, pack_sites(vox.T))
 
 
 def _path_keys(points: np.ndarray, starts: np.ndarray, shape: GridShape) -> np.ndarray:

@@ -71,6 +71,21 @@ def sphere_mesh(nu=24, nv=12) -> TriangleMesh:
     return TriangleMesh(np.array(verts), np.array(tris))
 
 
+def torus_mesh(tube: float, rings: int = 24, sides: int = 12) -> TriangleMesh:
+    """A torus of ring radius 1 as the benchmark draws it: ``rings``
+    vertices around the main circle, ``sides`` around the tube, and two
+    triangles per quad, all (a, b, c) triangles before all (a, c, d)."""
+    u, v = np.meshgrid(2 * np.pi * np.arange(rings) / rings,
+                       2 * np.pi * np.arange(sides) / sides, indexing="ij")
+    ring = 1.0 + tube * np.cos(v)
+    verts = np.stack([ring * np.cos(u), ring * np.sin(u), tube * np.sin(v)], -1).reshape(-1, 3)
+    i, j = np.meshgrid(np.arange(rings), np.arange(sides), indexing="ij")
+    a, b = i * sides + j, (i + 1) % rings * sides + j
+    c, d = (i + 1) % rings * sides + (j + 1) % sides, i * sides + (j + 1) % sides
+    faces = np.concatenate([np.stack([a, b, c], -1), np.stack([a, c, d], -1)]).reshape(-1, 3)
+    return TriangleMesh(verts, faces)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -19,7 +19,6 @@ from latticenet.ingest import (
     CIFAR_RECORD,
     FrameSequence,
     StrokeSample,
-    TriangleMesh,
     _COMMENT,
     load_cifar_batch,
     load_off,
@@ -32,7 +31,7 @@ from latticenet.ingest import (
 from latticenet.netspec import parse, plan
 from latticenet.network import Network
 
-from conftest import ALL_LATTICES, random_sparse, sphere_mesh
+from conftest import ALL_LATTICES, random_sparse, sphere_mesh, torus_mesh
 from oracles import token_walk_load_off
 
 FLIPS = 300
@@ -315,16 +314,8 @@ def check_off(data: bytes):
 
 
 def torus_off_blob(tmp_path, rings=8, sides=5):
-    u, v = np.meshgrid(2 * np.pi * np.arange(rings) / rings,
-                       2 * np.pi * np.arange(sides) / sides, indexing="ij")
-    ring = 1.0 + 0.3 * np.cos(v)
-    verts = np.stack([ring * np.cos(u), ring * np.sin(u), 0.3 * np.sin(v)], -1).reshape(-1, 3)
-    i, j = np.meshgrid(np.arange(rings), np.arange(sides), indexing="ij")
-    a, b = i * sides + j, (i + 1) % rings * sides + j
-    c, d = (i + 1) % rings * sides + (j + 1) % sides, i * sides + (j + 1) % sides
-    faces = np.concatenate([np.stack([a, b, c], -1), np.stack([a, c, d], -1)]).reshape(-1, 3)
     p = tmp_path / "torus.off"
-    save_off(TriangleMesh(verts, faces), p)
+    save_off(torus_mesh(0.3, rings, sides), p)
     return p.read_bytes()
 
 
@@ -374,6 +365,19 @@ def test_off_comment_ends_where_splitlines_breaks():
 
 
 TRIANGLE = "0 0 0\n1 0 0\n0 1 0\n"
+HEXAGON = "0 0 0\n1 0 0\n1 1 0\n0 1 0\n0.5 1.5 0\n-0.5 0.5 1\n"
+
+
+def faces_off(faces: str, nf: int | None = None) -> str:
+    """An OFF text over ``HEXAGON``'s six vertices with the given face
+    lines, which declare ``nf`` faces (by default, one per line)."""
+    if nf is None:
+        nf = len(faces.splitlines())
+    return f"OFF\n6 {nf} 0\n" + HEXAGON + faces
+
+
+RUNS = "".join(f"{k} " + " ".join(str((i + j) % 6) for j in range(k)) + "\n"
+               for i, k in enumerate([3] * 37 + [4] * 5 + [5] + [3] * 12 + [6] * 2))
 
 
 @pytest.mark.parametrize("data", [
@@ -419,6 +423,30 @@ TRIANGLE = "0 0 0\n1 0 0\n0 1 0\n"
     "OFF\n3 1 0\n" + TRIANGLE + "4 0 1 2",
     "OFF\n-1 1 0\n", "OFF\n3 -1 0\n" + TRIANGLE, "OFF\n3 1 -2\n" + TRIANGLE + "3 0 1 2\n",
     "OFF\n0 0 0\n", "OFF\n3 0 0\n" + TRIANGLE, "OFF\n2 0 0\n0 0 0\n1 1\n",
+    # runs of equal count tokens: a triangle run, a quad run, a pentagon;
+    # runs of up to 37 faces; faces alternating between 3 and 4 vertices
+    faces_off("3 0 1 2\n3 1 2 3\n3 2 3 4\n4 0 1 2 3\n4 2 3 4 5\n5 0 1 2 3 4\n"),
+    faces_off(RUNS),
+    faces_off("3 0 1 2\n4 0 1 2 3\n3 1 2 3\n4 1 2 3 4\n3 2 3 4\n4 2 3 4 5\n"),
+    # one count spelled four ways, each its own run
+    faces_off("3 0 1 2\n03 1 2 3\n+3 2 3 4\n\u0663 3 4 5\n3 4 5 0\n"),
+    # files cut inside a run, at a count and in the middle of a face
+    faces_off("3 0 1 2\n3 1 2 3\n", nf=4),
+    faces_off("3 0 1 2\n3 1 2 3\n3 2 3", nf=4),
+    faces_off(RUNS, nf=60),
+    faces_off(RUNS[:-9], nf=57),
+    # a bad count inside a run, alone and after a bad index
+    faces_off("3 0 1 2\n3 1 2 3\nx 2 3 4\n3 3 4 5\n"),
+    faces_off("3 0 1 2\n3 1 2 3\n2 2 3\n3 3 4 5\n"),
+    faces_off("3 0 1 2\n3 1 2 9\nx 2 3 4\n3 3 4 5\n"),
+    faces_off("3 0 1 2\n3 1 2 3\n3 2 3 zebra\n2 3 4\n"),
+    # a comment line between the faces of one run, before a good and a bad face
+    faces_off("3 0 1 2\n# a note\n3 1 2 3\n3 2 3 4\n", nf=3),
+    faces_off("3 0 1 2\n# a note\n3 1 2 3\n3 2 3 7\n", nf=3),
+    # tokens after the last run, some of which look like more faces
+    faces_off("3 0 1 2\n3 1 2 3\n4 0 1 2 3\n3 what ever\n3 2 3 4 # tail\n", nf=3),
+    faces_off(RUNS + "3 0 1 2\n3 0 1 x\n", nf=57),
+    faces_off("3 0 1 2\n3 1 2 3\n3 2 3 4\n3 3 4 5\n3 4 5 0\n", nf=3),
 ])
 def test_off_matches_token_walk_on_crafted_files(data):
     same_decoding(data)

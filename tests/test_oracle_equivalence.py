@@ -26,6 +26,7 @@ from latticenet.grid import DenseGrid, SparseGrid
 from latticenet.ingest import (
     KNOT_KINDS,
     StrokeSample,
+    TriangleMesh,
     _path_keys,
     _subdivisions,
     fit_points,
@@ -40,7 +41,7 @@ from latticenet.network import Network
 from latticenet.ops import FMP_RATIO, FMPLayer, fmp_forward, fmp_regions
 from latticenet.train import AffineParams, TrainConfig, augment_grid, evaluate, fit
 
-from conftest import ALL_LATTICES, cube_surface_mesh, random_sparse, sphere_mesh
+from conftest import ALL_LATTICES, cube_surface_mesh, random_sparse, sphere_mesh, torus_mesh
 from oracles import (
     copying_sgd_step,
     loop_fmp_active_keys,
@@ -86,6 +87,66 @@ def test_voxelize_mesh_matches_loop(mesh):
         assert np.array_equal(_subdivisions(verts[mesh.faces]), ns), seed
         assert np.array_equal(voxelize_mesh(mesh, m, R).keys, keys), seed
 
+
+def graded_mesh() -> TriangleMesh:
+    """30 stacked triangles whose size grows from 1/25 to 1 of the mesh's,
+    and one zero-area face whose corners coincide."""
+    size = np.linspace(0.04, 1.0, 30)
+    corner = np.stack([np.zeros(30), np.zeros(30), np.linspace(0, 0.3, 30)], axis=1)
+    verts = np.concatenate([corner, corner + size[:, None] * [1, 0, 0],
+                            corner + size[:, None] * [0.3, 1, 0.2], [[0, 0.5, 0]] * 3])
+    faces = np.append(np.arange(90).reshape(3, 30).T, [[90, 91, 92]], axis=0)
+    return TriangleMesh(verts, faces)
+
+
+def check_voxelize(mesh, m, R=None, fit=True):
+    """``voxelize_mesh`` against the per-face loop; returns the counts n."""
+    verts = mesh.vertices if R is None else mesh.vertices @ R.T
+    if fit:
+        verts = fit_points(verts, GridShape(LatticeKind.CUBIC, m), margin=1.0)
+    keys, ns = loop_voxelize_mesh(verts, mesh.faces, m)
+    assert np.array_equal(_subdivisions(verts[mesh.faces]), ns)
+    assert np.array_equal(voxelize_mesh(mesh, m, R, fit=fit).keys, keys)
+    return ns
+
+
+@pytest.mark.parametrize("m", [12, 18, 28])
+def test_voxelize_seeded_tori_match_loop(m):
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        check_voxelize(torus_mesh(rng.uniform(0.15, 0.6)), m, random_rotation(rng))
+
+
+@pytest.mark.parametrize("m", [18, 40])
+def test_voxelize_many_subdivision_counts_match_loop(m):
+    for seed in range(4):
+        ns = check_voxelize(graded_mesh(), m, random_rotation(np.random.default_rng(seed)))
+        assert np.unique(ns).shape[0] >= 20 and ns[-1] == 1, (seed, np.unique(ns))
+
+
+def test_voxelize_without_rotation_or_fit_matches_loop():
+    mesh = graded_mesh()
+    check_voxelize(mesh, 24)
+    # grid coordinates as given: part of the mesh lies outside the field
+    # and is clipped to its faces
+    placed = TriangleMesh(mesh.vertices * 30 - [8, 3, -2], mesh.faces)
+    assert (placed.vertices < 0).any() and (placed.vertices > 23).any()
+    ns = check_voxelize(placed, 24, fit=False)
+    assert np.unique(ns).shape[0] >= 20
+    torus = torus_mesh(0.4)
+    placed = TriangleMesh(torus.vertices * 9 + 4, torus.faces)
+    check_voxelize(placed, 16, random_rotation(np.random.default_rng(3)), fit=False)
+
+
+
+def test_voxelize_points_on_tenths_match_loop():
+    # vertices on a 0.1 grid put many points within an ulp of a voxel
+    # boundary, so a sampler that adds A, (u/n)(B-A) and (v/n)(C-A) in
+    # another order rounds some of them into other voxels
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        mesh = TriangleMesh(rng.integers(0, 120, size=(30, 3)) / 10, rng.integers(0, 30, size=(40, 3)))
+        check_voxelize(mesh, 14, fit=False)
 
 def test_fmp_active_keys_match_loop():
     layer = FMPLayer(LatticeKind.CUBIC, FMP_RATIO)
