@@ -291,7 +291,9 @@ def _truthy(text: str) -> bool:
 
 def build_parser(file_settings: dict | None = None) -> argparse.ArgumentParser:
     """The command parser; ``file_settings`` (a config file's ``key = value``
-    pairs) become the defaults of the flags of the same names."""
+    pairs) become the defaults of the flags of the same names.  One file
+    serves several commands, so a command ignores another's keys; a key
+    that no command declares raises ValueError."""
     train = TrainConfig()
     aug = {f"aug-{f.name.replace('_', '-')}": dict(type=float, default=f.default)
            for f in fields(AffineParams)}
@@ -331,6 +333,9 @@ def build_parser(file_settings: dict | None = None) -> argparse.ArgumentParser:
         "input": dict(help="input file (.off, .svid, .json)"),
         "kind": dict(choices=list(ingest.KNOT_KINDS), default="trefoil"),
     }
+    unknown = sorted(set(file_settings or ()) - set(settings))
+    if unknown:
+        raise ValueError(f"unknown setting {unknown[0]!r}: no command declares it")
     common = ("config", "arch", "lattice", "scale", "seed", "threads", "out")
     commands = {  # name -> (function, help, settings beyond the common ones, own defaults)
         "train": (cmd_train, "train a network and write a checkpoint",
@@ -371,7 +376,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.config:
-            args = build_parser(read_config(args.config)).parse_args(argv)
+            file_settings = read_config(args.config)
+            try:
+                parser = build_parser(file_settings)
+            except ValueError as e:
+                raise ValueError(f"config file {args.config}: {e}") from None
+            args = parser.parse_args(argv)
         return args.run(args)
     except (FormatError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)

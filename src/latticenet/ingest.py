@@ -2,8 +2,8 @@
 
 Front-ends provided here:
 
-* OFF triangle meshes -> surface-sampled cubic voxel grids, with uniform
-  random rotation for pose-invariant training;
+* OFF triangle meshes -> surface-sampled cubic voxel grids, under a
+  uniform random rotation that the caller draws once per mesh;
 * 3D polylines -> 26-connected one-voxel-thick rasterized paths (used by
   the synthetic knot generator);
 * ordered pen strokes -> 2+1 dimensional space-time paths, time being the
@@ -12,7 +12,7 @@ Front-ends provided here:
   grid with time as the leading axis;
 * square images -> triangular-lattice grids via an affine placement and
   bilinear resampling;
-* the rotation and scale matrix of training augmentation, and file
+* the rotation and scale matrix of affine augmentation, and file
   formats (OFF, a trivial raw video container, stroke JSON, CIFAR-10
   binary batches).
 

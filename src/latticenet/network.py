@@ -36,8 +36,8 @@ sighting; when every sample of a training batch has one, each rulebook
 layer takes its batch rule from the chains.  A training chain stops at the
 first FMP layer, whose regions are redrawn per batch.  Eval keeps each
 batch's own rules, every layer's, keyed by the batch's keys and the FMP
-seeds, so an identity eval repeat runs the rulebook once per chunk and
-``fit``'s held-out pass from the second epoch on runs none.  Each sample
+seeds, so ``fit``'s held-out pass, which evaluates the same chunks every
+epoch, runs no rulebook from the second epoch on.  Each sample
 gets the same rows in either case, so every output, tape and gradient is
 bit-identical.  An FMP layer with a cached rule builds no regions.
 """

@@ -22,14 +22,14 @@ Training keeps a chain per sample, stored at the key set's first
 sighting: ``fit`` never augments, so every training key set comes back the
 next epoch, in a freshly permuted batch that is assembled from its
 samples' chains once all of them are held.  Eval keeps an entry per batch,
-the pass's own rules, read-only: an identity eval repeat and ``fit``'s
-held-out pass repeat the same chunks in the same order, so the same batch
-gets its rules back whole, with no assembly.  The two maps are keyed by
-the bytes themselves, a chain by the sample's keys (it stops before the
-first FMP layer), an eval entry by the FMP seeds and the batch's sample
-starts and keys, and stay apart: a training sample's key bytes can equal
-a one-sample eval batch's start and key bytes.  An entry is stored only if it fits in what
-is left of :data:`CACHE_BYTES`, and nothing stored leaves.
+the pass's own rules, read-only: ``fit``'s held-out pass evaluates the
+same chunks in the same order every epoch, so the same batch gets its
+rules back whole, with no assembly.  The two maps are keyed by the bytes
+themselves, a chain by the sample's keys (it stops before the first FMP
+layer), an eval entry by the FMP seeds and the batch's sample starts and
+keys, and stay apart: a training sample's key bytes can equal a
+one-sample eval batch's start and key bytes.  An entry is stored only if
+it fits in what is left of :data:`CACHE_BYTES`, and nothing stored leaves.
 """
 
 from __future__ import annotations
@@ -54,10 +54,10 @@ class RuleCache:
     ``_chains`` maps the key bytes of a training sample to its chain, one
     ``(out_keys, src)`` pair per rulebook layer; ``_batches`` maps the
     context (the FMP seeds), start and key bytes of an eval batch to its
-    rules, one ``(out_keys, out_sample, src)`` per rulebook layer.  The counters
-    count sample lookups (``hits``, ``misses``), entries stored
-    (``admitted``, chains and eval batches) and the bytes held
-    (``nbytes``).
+    rules, one ``(out_keys, out_sample, src)`` per rulebook layer, for
+    ``fit``'s next held-out pass.  The counters count sample lookups
+    (``hits``, ``misses``), entries stored (``admitted``, chains and eval
+    batches) and the bytes held (``nbytes``).
     """
 
     def __init__(self):

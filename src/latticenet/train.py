@@ -7,10 +7,9 @@ epoch logs and checkpoints are bit-identical across runs.  ``threads`` is
 accepted for configuration compatibility and changes nothing: each
 mini-batch runs as one batch on the calling thread.
 
-Repetitive testing runs each test sample through ``repeats`` augmented
-forward passes and averages the class probabilities with a running mean,
-which is exact when the passes are identical (zero-magnitude
-augmentation), so 1-fold and n-fold evaluation then agree bit for bit.
+Repetitive testing averages the class probabilities of ``repeats``
+augmented passes per test sample with a running mean.  Without
+augmentation one pass runs: n identical passes would give its report.
 """
 
 from __future__ import annotations
@@ -126,10 +125,11 @@ def evaluate(net: Network, samples: list[LabeledSample], repeats: int = 1,
              batch_size: int = 64) -> EvalReport:
     """Average class probabilities over ``repeats`` augmented passes.
 
-    ``augment`` is a callable ``(grid, rng) -> grid``; when it is None the
-    same grid is evaluated every time and the running mean leaves the
-    probabilities bit-identical to a single pass.  Only then does the
-    network's rule cache take part, since augmented batches never repeat.
+    ``augment`` is a callable ``(grid, rng) -> grid``; when it is None one
+    pass runs, whatever ``repeats`` is, since the running mean of identical
+    passes is that pass bit for bit.  Only then does the network's rule
+    cache take part, as augmented batches never repeat: a later call on the
+    same samples (``fit``'s next held-out pass) reuses each chunk's rules.
     A label outside ``0 .. net.classes - 1``, or ``repeats`` or
     ``batch_size`` below 1, raises ValueError.
     """
@@ -146,7 +146,7 @@ def evaluate(net: Network, samples: list[LabeledSample], repeats: int = 1,
         rng = np.random.default_rng(0)
     n = len(samples)
     mean = np.zeros((n, net.classes))
-    for k in range(1, repeats + 1):
+    for k in range(1, (1 if augment is None else repeats) + 1):
         probs = np.empty((n, net.classes))
         for start in range(0, n, batch_size):
             chunk = samples[start:start + batch_size]
@@ -163,7 +163,7 @@ def evaluate(net: Network, samples: list[LabeledSample], repeats: int = 1,
 
 
 # ---------------------------------------------------------------------------
-# grid-level affine augmentation (used for repetitive testing and training)
+# grid-level affine augmentation (used for repetitive testing)
 
 
 @dataclass

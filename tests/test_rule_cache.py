@@ -173,13 +173,16 @@ def test_fmp_train_then_eval_matches_fresh_eval(rng):
     fresh = make_net(CUBIC, FMP_ARCH, field=FMP_FIELD)
     for p, q in zip(fresh.params(), net.params()):
         p.values[...] = q.values
-    hits = net.rule_cache.hits
+    hits, misses = net.rule_cache.hits, net.rule_cache.misses
     got = evaluate(net, samples, repeats=3, batch_size=2)
-    # eval reads no training chain: pass 1 stores each chunk's entry, and
-    # passes 2 and 3 hit them
-    assert net.rule_cache.hits == hits + 2 * len(samples)
+    # an identity eval is one pass, and it reads no training chain: every
+    # chunk misses and stores its entry
+    assert (net.rule_cache.hits, net.rule_cache.misses) == (hits, misses + len(samples))
+    again = evaluate(net, samples, repeats=3, batch_size=2)
+    assert net.rule_cache.hits == hits + len(samples)  # every chunk hits its entry
     want = evaluate(fresh, samples, repeats=1, batch_size=2)
     assert np.array_equal(got.outputs, want.outputs)
+    assert np.array_equal(again.outputs, want.outputs)
 
 
 def test_fmp_seed_change_after_cached_eval(rng):
@@ -448,6 +451,22 @@ def test_an_eval_entry_serves_its_repeated_batch(arch, field, rng, monkeypatch):
         assert_same_run(got, want)
     # the batch's rules come back whole: no rulebook and no assembly
     assert assembles[0] == 0 and all(c[0] == 0 for c in calls.values())
+
+
+@pytest.mark.parametrize("arch, field", [("4C2-MP3/2-6C2-output", None), (FMP_ARCH, FMP_FIELD)])
+def test_an_identity_evaluate_runs_each_chunk_once(arch, field, rng, monkeypatch):
+    net = make_net(CUBIC, arch, field=field)
+    grids = grids_for(net, rng, (0.3, 0.6, 0.0, 1.0, 0.5))
+    samples = [LabeledSample(g, i % 3) for i, g in enumerate(grids)]
+    want = evaluate(make_net(CUBIC, arch, field=field), samples, batch_size=2)
+    passes = count_calls(monkeypatch, Network, "forward_batch")
+    for repeats in (1, 2, 5):
+        passes[0] = 0
+        got = evaluate(net, samples, repeats=repeats, batch_size=2)
+        assert passes[0] == 3  # 5 samples in chunks of 2, each run once
+        assert got.accuracy == want.accuracy
+        assert np.array_equal(got.confusion, want.confusion)
+        assert np.array_equal(got.outputs, want.outputs)
 
 
 def test_an_eval_entry_serves_only_its_own_batch(rng):
