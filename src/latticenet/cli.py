@@ -5,8 +5,9 @@ Every setting is one flag, declared once in ``build_parser`` with its type
 and default.  A ``key = value`` config file (``--config``) sets the same
 keys; flags given on the command line win.  File values are converted by
 the flag's own type before any data loads, so a bad value exits 2 and
-names its flag.  Exit codes: 0 success, 2 configuration or parse error,
-3 data error, 4 internal invariant violation.
+names its flag; a config file that is missing, unreadable or malformed
+exits 2 and names the file.  Exit codes: 0 success, 2 configuration or
+parse error, 3 data error, 4 internal invariant violation.
 
 Epoch logs are tab-separated with deterministic columns only (epoch,
 train loss, held-out error, MACs/sample); wall-clock timings go to
@@ -139,10 +140,11 @@ def load_dataset(source: str, args: argparse.Namespace, field: GridShape, *,
     if not class_dirs:
         raise FileNotFoundError(f"{root} has no class subdirectories")
     suffix = {"off": ".off", "strokes": ".json", "video": ".svid"}.get(kind)
+    scale = args.scale if args.scale is not None else RENDER_SCALE
     for label, cdir in enumerate(class_dirs):
         for p in sorted(cdir.iterdir()):
             if p.suffix.lower() == suffix:
-                g = _read_grid(p, args, args.scale or RENDER_SCALE, rng)
+                g = _read_grid(p, args, scale, rng)
                 samples.append(LabeledSample(_embed_centered(g, field), label))
     if not samples:
         raise FileNotFoundError(f"no usable {kind} files under {root}")
@@ -222,7 +224,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     text = json.dumps(doc, indent=2)
     if args.out:
         Path(args.out).write_text(text)
-    print(f"accuracy {report.accuracy:.4f} over {len(test_set)} samples ({args.repeats}-fold)")
+    passes = args.repeats if aug else 1  # evaluate runs one pass without augmentation
+    print(f"accuracy {report.accuracy:.4f} over {len(test_set)} samples ({passes}-fold)")
     if not args.out:
         print(text)
     print(net.rule_cache, file=sys.stderr)
@@ -376,10 +379,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.config:
-            file_settings = read_config(args.config)
-            try:
-                parser = build_parser(file_settings)
-            except ValueError as e:
+            try:  # an unreadable or malformed file is bad configuration, not bad data
+                parser = build_parser(read_config(args.config))
+            except (OSError, ValueError) as e:
                 raise ValueError(f"config file {args.config}: {e}") from None
             args = parser.parse_args(argv)
         return args.run(args)

@@ -281,8 +281,8 @@ class GridBatch:
     from the table's end: the row a ground entry of a rulebook's gather
     index reads (see :mod:`latticenet.ops`).  ``rows`` and ``grounds`` are
     views of the table's two parts.  All samples share one shape.  The
-    forward ops treat a batch as immutable, but for the rectifier, which
-    rectifies its input's table in place.
+    forward ops treat a batch as immutable, but for the rectifier, which a
+    convolution block runs on its own fresh output table, in place.
     """
 
     shape: GridShape

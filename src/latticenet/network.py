@@ -1,12 +1,12 @@
 """Network assembly: parameterized layer stack, batching, checkpoints.
 
 A :class:`Network` materializes a planned :class:`~latticenet.netspec.NetworkSpec`
-into a list of blocks, one small private class per kind:
+into one block per spec layer, one small private class per kind:
 
-* ``_Conv``: a convolution (``kind`` "conv") or the classifier head, the
+* ``_Conv``: a convolution with its rectifier (``kind`` "conv"), as
+  ``nCf`` means in the architecture string, or the classifier head, the
   size-1 convolution that the ``output`` token becomes and that produces
   the class logits ("classifier"), with its ``(W, B)`` parameters;
-* ``_Relu``: the rectifier that follows every convolution;
 * ``_Pool``: max pooling ("pool");
 * ``_FMP``: fractional max pooling ("fmp"), a pool over regions drawn
   from a seed.
@@ -14,11 +14,12 @@ into a list of blocks, one small private class per kind:
 Every block has ``forward(batch, cached, train_rng, keep_tape)``, which
 takes its rule from the rule cache's iterator or runs its own rulebook and
 returns its output batch, tape entry, multiply-accumulates and rule, and
-``backward(d, entry, wanted)``, which maps its output gradient to its
-input gradient (None unless ``wanted``) and accumulates its parameters'
-gradients.  All but the rectifier have ``header()``, the bytes of their
-checkpoint record that the architecture fixes.  So the forward pass, the
-ground states and the backward pass are each one loop over the blocks.
+``backward(d, entry, wanted)``, which maps its output gradient (a
+convolution's before its rectifier) to its input gradient (None unless
+``wanted``) and accumulates its parameters' gradients, and ``header()``,
+the bytes of its checkpoint record that the architecture fixes.  So the
+forward pass, the ground states, the backward pass and the checkpoint
+are each one loop over the blocks.
 
 A mini-batch travels through the blocks as one
 :class:`~latticenet.grid.GridBatch`, so every convolution, pool and FMP
@@ -92,10 +93,10 @@ _CKPT_VERSION = 1
 
 
 class _Conv:
-    """A convolution, or the classifier head (``kind`` "classifier"), with
-    its ``(W, B)`` parameters.  ``input_grad`` says whether training's
-    backward pass computes this block's input gradient (all but the first
-    block)."""
+    """A convolution and its rectifier (``kind`` "conv"), or the unrectified
+    classifier head ("classifier"), with its ``(W, B)`` parameters.
+    ``input_grad`` says whether training's backward pass computes this
+    block's input gradient (all but the first block)."""
 
     CODES = {"conv": 0, "classifier": 3}
 
@@ -109,16 +110,23 @@ class _Conv:
                            l.n_in, l.n_out)
 
     def forward(self, batch: GridBatch, cached, train_rng, keep_tape: bool):
-        """The tape plan keeps ``Q`` or, when
+        """A "conv" block rectifies its fresh output table, rows and grounds,
+        in place.  The tape plan keeps ``Q`` or, when
         :func:`~latticenet.autograd.input_frame_cheaper` says the backward
         pass costs less in the input frame (the layer grows activity), the
-        layer's input rows and grounds in its place."""
+        layer's input rows and grounds in its place; a "conv" plan also
+        keeps the rectifier's ``mask``, ``rows > 0`` of the rectified rows,
+        which has the bits of the unrectified rows' mask, NaN included."""
         l = self.layer
         rule = next(cached, None) or conv_rulebook(batch, l.geometry)
         out, plan = conv_forward_batch(batch, l, rule)
         if keep_tape and input_frame_cheaper(batch.a, out.a, l.geometry.volume, l.n_in,
                                              l.n_out, batch.B, self.input_grad):
             plan = replace(plan, Q=None, in_rows=batch.rows, in_grounds=batch.grounds)
+        if self.kind == "conv":
+            relu_forward_batch(out)
+            if keep_tape:
+                plan = replace(plan, mask=out.rows > 0)
         return out, (self.kind, l, plan), out.a * l.geometry.volume * l.n_in * l.n_out, rule
 
     def backward(self, d, entry, wanted: bool):
@@ -126,22 +134,6 @@ class _Conv:
         for p, g in zip(self.params, (dW, dB)):
             p.grad += g.astype(p.values.dtype, copy=False)
         return d
-
-
-class _Relu:
-    """The rectifier; it rectifies the convolution's fresh output table,
-    rows and grounds, in place.  The tape's mask, ``rows > 0`` of the
-    rectified rows, has the bits of the input's, NaN included, and is built
-    only when kept."""
-
-    kind, layer, params = "relu", None, ()
-
-    def forward(self, batch: GridBatch, cached, train_rng, keep_tape: bool):
-        out = relu_forward_batch(batch)
-        return out, ("relu", out.rows > 0 if keep_tape else None), 0, None
-
-    def backward(self, d, entry, wanted: bool):
-        return relu_backward(d, entry[1])
 
 
 class _Pool:
@@ -206,7 +198,7 @@ class Network:
         for ls in spec.layers:
             if isinstance(ls, ConvSpec):
                 conv = make_conv(FilterGeometry(spec.lattice, ls.f, ls.s), n, ls.n_out)
-                self.blocks += [_Conv("conv", conv, bool(self.blocks)), _Relu()]
+                self.blocks.append(_Conv("conv", conv, bool(self.blocks)))
                 n = ls.n_out
             elif isinstance(ls, PoolSpec):
                 self.blocks.append(_Pool(PoolLayer(spec.lattice, ls.p, ls.s)))
@@ -216,8 +208,6 @@ class Network:
                 head = make_conv(FilterGeometry(spec.lattice, 1, 1), n, classes)
                 self.blocks.append(_Conv("classifier", head, bool(self.blocks)))
         self._params = [p for b in self.blocks for p in b.params]
-        # the blocks with a rule, a checkpoint header and record: all but relu
-        self._rule_blocks = [b for b in self.blocks if not isinstance(b, _Relu)]
         self.rule_cache = RuleCache()
 
     # -- parameters -----------------------------------------------------
@@ -239,9 +229,9 @@ class Network:
         each FMP seed among those layers.  Training redraws FMP regions per
         batch, so there a chain stops at the first FMP layer and depends on
         the keys alone."""
-        kinds = [b.kind for b in self._rule_blocks]
+        kinds = [b.kind for b in self.blocks]
         depth = kinds.index("fmp") if training and "fmp" in kinds else len(kinds)
-        seeds = [b.layer.seed for b in self._rule_blocks[:depth] if b.kind == "fmp"]
+        seeds = [b.layer.seed for b in self.blocks[:depth] if b.kind == "fmp"]
         return depth, struct.pack(f"<{len(seeds)}Q", *seeds)
 
     def _run(self, batch: GridBatch, train_rng: np.random.Generator | None = None,
@@ -262,10 +252,11 @@ class Network:
         rules = []
         for block in self.blocks:
             out, entry, macs, rule = block.forward(batch, cached, train_rng, keep_tape)
-            if miss and rule is not None and len(rules) < depth:
+            if miss and len(rules) < depth:
                 rules.append((rule, batch.start, out.start))
             yield out, entry if keep_tape else None, macs
-            batch = out
+            # free this block's plan and rule, unless kept, before the next allocates
+            batch, entry, rule = out, None, None
         if miss:
             self.rule_cache.store(miss, rules)
 
@@ -275,16 +266,17 @@ class Network:
 
         Returns ``(logits, tape, macs)`` where ``macs`` is the total
         multiply-accumulate count actually performed on active sites.  Tape
-        entries are ``(kind, layer, plan)`` for conv and classifier layers,
-        ``("pool", plan)`` for pools and FMP and ``("relu", mask)``, where
-        ``plan`` is the layer's :class:`~latticenet.ops.Plan` over the
-        batch's rows (``plan[b]`` is sample ``b``'s) and ``mask`` covers the
-        batch's rows.  A conv or classifier plan holds either the gather
-        matrix ``Q`` or, on a layer whose backward pass runs in the input
-        frame, the layer's input rows and grounds (see ``_Conv.forward``).
-        The tape has one entry per block, in block order.  ``cache=False``
-        neither reads nor fills the rule cache, for batches that never
-        repeat.  Every grid must have the planned :meth:`input_shape`.
+        entries are ``(kind, layer, plan)`` for conv and classifier layers
+        and ``("pool", plan)`` for pools and FMP, where ``plan`` is the
+        layer's :class:`~latticenet.ops.Plan` over the batch's rows
+        (``plan[b]`` is sample ``b``'s).  A conv or classifier plan holds
+        either the gather matrix ``Q`` or, on a layer whose backward pass
+        runs in the input frame, the layer's input rows and grounds; a conv
+        plan also holds its rectifier's mask (see ``_Conv.forward``).  The
+        tape has one entry per block, which is one per spec layer, in
+        order.  ``cache=False`` neither reads nor fills the rule cache, for
+        batches that never repeat.  Every grid must have the planned
+        :meth:`input_shape`.
         """
         batch = GridBatch.of(list(grids))
         want, got = self.input_shape(), batch.shape
@@ -316,14 +308,17 @@ class Network:
         head = tape[-1][-1]
         d = d_logits[np.repeat(np.arange(len(head)), np.diff(head.out_start))]
         for i in reversed(range(len(tape))):
+            if tape[i][0] == "conv":  # masked here so the unmasked d is freed before conv_backward
+                d = relu_backward(d, tape[i][2].mask)
             d = self.blocks[i].backward(d, tape[i], input_grad or i > 0)
         return np.split(d, tape[0][-1].in_start[1:-1]) if input_grad else None
 
     # -- ground states ----------------------------------------------------
 
     def ground_states(self) -> list[np.ndarray]:
-        """Per-block output ground vectors (an all-ground field's values);
-        the rule cache takes no part."""
+        """Per-block output ground vectors (an all-ground field's values),
+        one per spec layer, a convolution's after its rectifier; the rule
+        cache takes no part."""
         g = SparseGrid.empty(self.input_shape(), np.zeros(self.spec.n_input, self.dtype))
         return [out.grounds[0].copy() for out, _, _ in self._run(GridBatch.of([g]), cache=False)]
 
@@ -349,8 +344,8 @@ class Network:
                               self.spec.n_input, self.classes, self.spec.planned_sizes[0]))
         buf.write(struct.pack("<I", len(arch)))
         buf.write(arch)
-        buf.write(struct.pack("<I", len(self._rule_blocks)))
-        for b in self._rule_blocks:
+        buf.write(struct.pack("<I", len(self.blocks)))
+        for b in self.blocks:
             buf.write(b.header())
             if b.kind == "fmp":
                 buf.write(struct.pack("<Q", b.layer.seed))
@@ -400,10 +395,10 @@ class Network:
             net._assemble(spec, classes, np.float32, 0, _zero_conv)
         except ValueError as e:  # e.g. an FMP layer on a lattice other than cubic
             raise FormatError(f"{path}: {e}") from None
-        if nblocks != len(net._rule_blocks):
+        if nblocks != len(net.blocks):
             raise FormatError(f"{path}: checkpoint has {nblocks} blocks, architecture "
-                              f"needs {len(net._rule_blocks)}")
-        for i, b in enumerate(net._rule_blocks):
+                              f"needs {len(net.blocks)}")
+        for i, b in enumerate(net.blocks):
             head = b.header()
             got = r.take(len(head))
             if got != head:

@@ -232,7 +232,8 @@ class Plan:
     backward pass runs in the input frame (see :mod:`latticenet.autograd`)
     keeps its input rows ``in_rows`` and per-sample grounds ``in_grounds``,
     the two parts of its input's table, in place of ``Q``; ``Q`` is then
-    the gather of that table through ``src``.
+    the gather of that table through ``src``.  A rectified convolution
+    also keeps ``mask``, the output components its rectifier passes.
 
     Item ``b`` is sample ``b``'s plan in its own row numbers, built on
     access.
@@ -246,6 +247,7 @@ class Plan:
     argmax: np.ndarray | None = None  # (a_out, n) footprint positions
     in_rows: np.ndarray | None = None  # (a_in, n_in)
     in_grounds: np.ndarray | None = None  # (B, n_in)
+    mask: np.ndarray | None = None  # (a_out, n_out) rectified rows > 0
 
     @property
     def a_in(self) -> int:
@@ -275,7 +277,8 @@ class Plan:
                     None if self.Q is None else self.Q[rows],
                     None if self.argmax is None else self.argmax[rows],
                     None if self.in_rows is None else self.in_rows[in_rows],
-                    None if self.in_grounds is None else self.in_grounds[b:b + 1])
+                    None if self.in_grounds is None else self.in_grounds[b:b + 1],
+                    None if self.mask is None else self.mask[rows])
 
 
 def own_src(src: np.ndarray, in_start) -> np.ndarray:

@@ -257,8 +257,9 @@ def test_criterion_7_ground_state_induction():
         for block, want in zip(net.blocks, grounds):
             if block.kind in ("conv", "classifier"):
                 cur = cf(cur, block.layer)
-            elif block.kind == "relu":
-                cur = relu_forward(cur)
+                if block.kind == "conv":  # a conv block rectifies its output
+                    ok &= cur.a == 0
+                    cur = relu_forward(cur)
             elif block.kind == "pool":
                 cur = pool_forward(cur, block.layer)
             elif block.kind == "fmp":

@@ -194,6 +194,19 @@ def test_load_dataset_reads_the_files_of_its_kind(tmp_path, kind, suffix):
         assert s.grid.shape == field
 
 
+@pytest.mark.parametrize("scale", [0, -3])
+def test_a_nonpositive_scale_for_file_sources_exits_2(tmp_path, capsys, scale):
+    d = tmp_path / "data" / "a"
+    d.mkdir(parents=True)
+    write_sphere_off(d / "shape.off")
+    out = tmp_path / "never.lnck"
+    assert main(["train", "--arch", "8C2-output", "--lattice", "cubic", "--classes", "1",
+                 "--train-data", f"off:{tmp_path / 'data'}", "--scale", str(scale),
+                 "--out", str(out)]) == 2
+    assert f"voxel grid must have size >= 2, got {scale}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # train / eval
 
@@ -487,6 +500,24 @@ def test_a_config_key_no_command_declares_exits_2_naming_it_and_its_file(
     assert not (tmp_path / "never.lnck").exists()
 
 
+def test_a_config_line_without_equals_exits_2_naming_the_file(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("arch 32C2-output\n")
+    assert main(["count-ops", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: config file {cfg}: expected 'key = value', got 'arch 32C2-output' " \
+           "(line 1)" in err
+    assert "data error" not in err
+
+
+def test_a_missing_config_file_exits_2_naming_it(tmp_path, capsys):
+    cfg = tmp_path / "missing.cfg"
+    assert main(["count-ops", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: config file {cfg}: " in err and "No such file" in err
+    assert "data error" not in err
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--batch-size", "-1", "batch_size must be at least 1"),
     ("--batch-size", "0", "batch_size must be at least 1"),
@@ -535,6 +566,20 @@ def test_eval_repeats_below_one_exit_2(tmp_path, capsys, repeats):
                  "--config", str(cfg), "--repeats", repeats, "--out", str(report)]) == 2
     assert f"repeats must be at least 1, got {repeats}" in capsys.readouterr().err
     assert not report.exists()
+
+
+def test_eval_reports_the_passes_it_ran(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, epochs=0)
+    ckpt = tmp_path / "toy.lnck"
+    assert main(["train", *TOY, "--config", str(cfg), "--out", str(ckpt)]) == 0
+    capsys.readouterr()
+    evals = ["eval", "--checkpoint", str(ckpt), "--test-data", "knots", "--config", str(cfg),
+             "--repeats", "3", "--out", str(tmp_path / "report.json")]
+    # identity repeats are one pass; augmented repeats are one pass each
+    assert main(evals) == 0
+    assert "over 12 samples (1-fold)" in capsys.readouterr().out
+    assert main([*evals, "--aug-rotate-deg", "10"]) == 0
+    assert "over 12 samples (3-fold)" in capsys.readouterr().out
 
 
 def test_eval_repeats_checked_before_the_checkpoint_loads(tmp_path, capsys):

@@ -211,15 +211,14 @@ def test_checkpoint_load_then_save_is_byte_identical(tmp_path, arch, lattice, fi
 
 
 def block_offsets(net, blob):
-    """Byte offset of each non-rectifier block's record in ``blob``."""
+    """Byte offset of each block's record in ``blob``."""
     (alen,) = struct.unpack_from("<I", blob, 24)
     off = 28 + alen + 4
     sizes = {"conv": 17, "classifier": 17, "pool": 9, "fmp": 17}
     offsets = []
     for b in net.blocks:
-        if b.kind != "relu":
-            offsets.append(off)
-            off += sizes[b.kind] + 4 * sum(p.values.size for p in b.params)
+        offsets.append(off)
+        off += sizes[b.kind] + 4 * sum(p.values.size for p in b.params)
     assert off == len(blob)
     return offsets
 

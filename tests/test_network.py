@@ -90,10 +90,42 @@ def test_ground_states_match_empty_forward(lattice, rng):
     assert np.allclose(logits[0], grounds[-1])
 
 
-@pytest.mark.parametrize("lattice, arch, field", [
+# a pool network on every lattice and an FMP network
+NETS = [
     *[(lattice, "4C2-MP3/2-6C2-output", None) for lattice in ALL_LATTICES],
     (LatticeKind.CUBIC, "6C2-FMP-8C2-FMP-output", 6),
-])
+]
+
+
+@pytest.mark.parametrize("lattice, arch, field", NETS)
+def test_blocks_tape_and_grounds_are_one_per_spec_layer(lattice, arch, field, rng):
+    spec = plan(parse(arch, lattice, 1), input_size=field)
+    net = Network(spec, 3, rng)
+    _, tape, _ = net.forward_batch(inputs_for(net, rng, 2), keep_tape=True)
+    assert len(net.blocks) == len(tape) == len(net.ground_states()) == len(spec.layers)
+
+
+def test_conv_plans_keep_each_samples_rectifier_mask(rng):
+    net = small_net(rng)
+    grids = [*inputs_for(net, rng, 3), SparseGrid.empty(net.input_shape(), np.ones(1))]
+    _, tape, _ = net.forward_batch(grids, keep_tape=True)
+    convs = [e[2] for e in tape if e[0] == "conv"]
+    assert len(convs) == 2
+    for b, g in enumerate(grids):
+        _, own, _ = net.forward_batch([g], keep_tape=True)
+        for got, want in zip(tape, own):
+            if got[0] == "conv":
+                assert got[2][b].mask.dtype == bool
+                assert np.array_equal(got[2][b].mask, want[2].mask)
+    # the masks pass some components and stop others
+    masks = np.concatenate([p.mask.ravel() for p in convs])
+    assert masks.any() and not masks.all()
+    # the classifier head does not rectify
+    assert tape[-1][0] == "classifier"
+    assert tape[-1][2].mask is None and tape[-1][2][0].mask is None
+
+
+@pytest.mark.parametrize("lattice, arch, field", NETS)
 @pytest.mark.parametrize("training", [False, True])
 def test_forward_macs_equal_count_ops_of_the_tape(lattice, arch, field, training, rng):
     spec = plan(parse(arch, lattice, 1), input_size=field)
@@ -103,8 +135,7 @@ def test_forward_macs_equal_count_ops_of_the_tape(lattice, arch, field, training
     _, tape, macs = net.forward_batch(grids, train_rng=train_rng, keep_tape=True)
     # one entry per block; FMP entries are headed "pool"
     assert [e[0] for e in tape] == [{"fmp": "pool"}.get(b.kind, b.kind) for b in net.blocks]
-    # a relu entry shares its conv's spec layer
-    activity = [e[-1].a_out for e in tape if e[0] != "relu"]
+    activity = [e[-1].a_out for e in tape]
     assert len(activity) == len(spec.layers)
     assert macs > 0
     assert macs == count_ops(spec, activity, net.classes)["total_macs"]
@@ -135,8 +166,9 @@ def test_empty_input_stays_empty_through_network(rng):
     for block in net.blocks:
         if block.kind == "conv" or block.kind == "classifier":
             state = conv_forward(state, block.layer)
-        elif block.kind == "relu":
-            state = relu_forward(state)
+            if block.kind == "conv":  # a conv block rectifies its output
+                assert state.a == 0
+                state = relu_forward(state)
         elif block.kind == "pool":
             state = pool_forward(state, block.layer)
         assert state.a == 0

@@ -56,15 +56,15 @@ def training():
 
 def tape_arrays(tape):
     """Every array of a tape: gather and pool plans (a convolution's ``Q``
-    regathered where the plan keeps the layer's input), relu masks."""
+    regathered where the plan keeps the layer's input) and each conv plan's
+    rectifier mask."""
     out = []
     for entry in tape:
-        if entry[0] == "relu":
-            out.append(entry[1])
-            continue
         plan = entry[-1]
         out += [plan.out_keys, plan.src, plan.in_start, plan.out_start]
         out.append(plan.argmax if entry[0] == "pool" else plan_Q(plan))
+        if entry[0] == "conv":
+            out.append(plan.mask)
     return out
 
 
@@ -149,7 +149,7 @@ def test_empty_input_chain_is_assembled(rng):
     warm(net, [empty, empty], **training())
     logits, tape, _ = net.forward_batch([empty], keep_tape=True, **training())
     assert (net.rule_cache.hits, net.rule_cache.admitted) == (1, 1)  # one key set, one chain
-    assert all(e[-1].out_keys.size == 0 for e in tape if e[0] != "relu")
+    assert all(e[-1].out_keys.size == 0 for e in tape)
     assert np.array_equal(logits, make_net(CUBIC).forward_batch([empty])[0])
 
 
@@ -231,9 +231,9 @@ def test_augmented_evaluate_leaves_the_cache_alone(rng, monkeypatch):
     rulebooks = count_calls(monkeypatch, network, "conv_rulebook")
     # even an augmentation that leaves every grid as it is runs the rulebook
     got = evaluate(net, samples, repeats=3, augment=lambda grid, r: grid)
-    assert rulebooks[0] == 3 * len(net._rule_blocks)
+    assert rulebooks[0] == 3 * len(net.blocks)
     evaluate(net, samples, repeats=2, augment=jitter)
-    assert rulebooks[0] == 5 * len(net._rule_blocks)
+    assert rulebooks[0] == 5 * len(net.blocks)
     assert (cache.hits, cache.misses, cache.admitted, cache.nbytes) == counters
     assert np.array_equal(got.outputs, want.outputs)
 
@@ -404,9 +404,8 @@ def test_hit_gives_each_sample_its_own_plans(rng):
     for b, g in enumerate(grids):
         _, tape, _ = net.forward_batch([g], keep_tape=True)  # eval: the rulebook runs
         for got, want in zip(batch_tape, tape):
-            if got[0] != "relu":
-                assert np.array_equal(got[-1][b].out_keys, want[-1][0].out_keys)
-                assert np.array_equal(got[-1][b].src, want[-1][0].src)
+            assert np.array_equal(got[-1][b].out_keys, want[-1][0].out_keys)
+            assert np.array_equal(got[-1][b].src, want[-1][0].src)
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +520,7 @@ def test_eval_entries_are_read_only_and_counted(rng):
     for batch, (key, rules) in zip(batches, cache._batches.items(), strict=True):
         b = GridBatch.of(batch)
         assert key == context + b.start.tobytes() + b.keys.tobytes()
-        assert len(rules) == len(net._rule_blocks)
+        assert len(rules) == len(net.blocks)
         sizes += len(key) + rulecache._ENTRY_BYTES + sum(a.nbytes for r in rules for a in r)
         for rule in rules:
             for a in rule:
@@ -575,7 +574,7 @@ def test_a_repeated_eval_batch_runs_each_rulebook_once(arch, field, rng, monkeyp
     grids = grids_for(nets[0], rng, (0.3, 0.6, 0.0, 1.0))
     want = nets.pop().forward_batch(grids)[0]
     fmp = sum(b.kind == "fmp" for b in nets[0].blocks)
-    once = {"conv_rulebook": len(nets[0]._rule_blocks) - fmp, "fmp_rulebook": fmp,
+    once = {"conv_rulebook": len(nets[0].blocks) - fmp, "fmp_rulebook": fmp,
             "fmp_regions": fmp}
     calls = rulebook_calls(monkeypatch)
     for net in nets:
