@@ -257,6 +257,8 @@ def _grid_stats(grid: SparseGrid) -> str:
 
 def cmd_voxelize(args: argparse.Namespace) -> int:
     path = Path(require(args, "input"))
+    if args.lattice is not None and LatticeKind.from_name(args.lattice) is not LatticeKind.CUBIC:
+        raise ValueError(f"voxelize writes cubic grids; lattice {args.lattice} is not supported")
     grid = _read_grid(path, args, args.scale, np.random.default_rng(args.seed))
     if grid.a == 0:
         print("warning: result has no active sites", file=sys.stderr)
@@ -269,7 +271,8 @@ def cmd_voxelize(args: argparse.Namespace) -> int:
 
 def cmd_demo_knot(args: argparse.Namespace) -> int:
     scale = args.scale
-    sample = ingest.synth_knot(args.kind, scale, np.random.default_rng(args.seed))
+    lattice = LatticeKind.CUBIC if args.lattice is None else LatticeKind.from_name(args.lattice)
+    sample = ingest.synth_knot(args.kind, scale, np.random.default_rng(args.seed), lattice)
     grid = sample.grid
     if args.out:
         grid.save(args.out)

@@ -19,10 +19,12 @@ Front-ends provided here:
 Meshes and polylines are sampled as whole arrays: every face's
 barycentric lattice, or every segment's evenly spaced points (of all a
 sample's strokes together), goes into one point array that is rounded to
-voxels, sorted once and deduplicated by comparing neighbours.  A mesh's
-points are built coordinate-major, as three rows, so that every repeat
-and product runs along a long axis.  Non-finite coordinates are rejected
-before sampling.  OFF files are decoded the same way: one tokenizing
+voxels, sorted once and deduplicated by comparing neighbours.  Points
+are fitted and sampled coordinate-major, a mesh's and a polyline's alike,
+as one row per coordinate, so that every repeat, gather and product runs
+along a long axis; each point still gets the arithmetic it would get as a
+row of a point-major array, so the voxels are bit-identical to that
+form's.  Non-finite coordinates are rejected before sampling.  OFF files are decoded the same way: one tokenizing
 pass, a walk over the face list by runs of faces with the same count
 token, then one conversion per array.
 
@@ -310,36 +312,55 @@ def _bilinear_sample(image: DenseGrid, pts: np.ndarray) -> np.ndarray:
 
 
 def fit_points(points: np.ndarray, shape: GridShape, margin: float = 1.0) -> np.ndarray:
-    """Uniformly scale and translate points to fill the grid's valid region.
+    """Uniformly scale and translate ``(P, d)`` points to fill the grid's
+    valid region; returns the ``(P, d)`` fitted points.
 
     Cubic/square grids fit the bounding box into ``[margin, m-1-margin]``;
     simplex grids solve the largest homothety that satisfies the coordinate
-    and coordinate-sum constraints with the same margin.
+    and coordinate-sum constraints with the same margin.  The work runs on
+    the ``(d, P)`` transpose (:func:`_fit_coords`), bit-identical to
+    fitting the rows.
     """
-    points = np.asarray(points, dtype=float)
+    return _fit_coords(np.asarray(points, dtype=float).T, shape, margin).T
+
+
+def _coord_sum(xyz: np.ndarray) -> np.ndarray:
+    """Per-point coordinate sums of ``(d, P)`` rows, added in coordinate
+    order, ``(x + y) + z``: bit for bit what ``sum(axis=1)`` gives on the
+    ``(P, d)`` transpose."""
+    total = xyz[0] + xyz[1]
+    for row in xyz[2:]:
+        total += row
+    return total
+
+
+def _fit_coords(xyz: np.ndarray, shape: GridShape, margin: float) -> np.ndarray:
+    """:func:`fit_points` on coordinate-major ``(d, P)`` points, into a new
+    ``(d, P)`` array; each point gets the arithmetic a ``(P, d)`` row would."""
     span = shape.m - 1 - 2 * margin
     if span <= 0:
         raise ValueError(f"grid size {shape.m} leaves no room at margin {margin}")
-    lo = points.min(axis=0)
-    hi = points.max(axis=0)
+    lo = xyz.min(axis=1, keepdims=True)
+    fitted = xyz - lo
     if not shape.lattice.is_simplex:
-        extent = float((hi - lo).max())
-        scale = span / extent if extent > 0 else 1.0
-        fitted = (points - lo) * scale
+        extent = xyz.max(axis=1, keepdims=True) - lo
+        top = float(extent.max())
+        scale = span / top if top > 0 else 1.0
+        fitted *= scale
         # center the smaller extents
-        pad = (span - (hi - lo) * scale) / 2.0
-        return fitted + pad + margin
+        fitted += (span - extent * scale) / 2.0
+        fitted += margin
+        return fitted
     d = shape.ndim
-    centered = points - lo
-    sum_max = float(centered.sum(axis=1).max())
+    sum_max = float(_coord_sum(fitted).max())
     denom = sum_max if sum_max > 0 else 1.0
     s_total = shape.m - 1 - (d + 1) * margin
     if s_total <= 0:
         raise ValueError(f"grid size {shape.m} leaves no room at margin {margin}")
-    scale = s_total / denom
-    fitted = centered * scale + margin
-    slack = (shape.m - 1 - margin) - float(fitted.sum(axis=1).max())
-    return fitted + slack / (d + 1)
+    fitted *= s_total / denom
+    fitted += margin
+    fitted += ((shape.m - 1 - margin) - float(_coord_sum(fitted).max())) / (d + 1)
+    return fitted
 
 
 # ---------------------------------------------------------------------------
@@ -393,17 +414,17 @@ def voxelize_mesh(mesh: TriangleMesh, m: int, rotation: np.ndarray | None = None
     if rotation is not None:
         verts = verts @ np.asarray(rotation, dtype=float).T
     shape = GridShape(LatticeKind.CUBIC, m)
+    xyz = np.ascontiguousarray(verts.T)
     if fit:
-        verts = fit_points(verts, shape, margin=margin)
+        xyz = _fit_coords(xyz, shape, margin)
 
-    n = _subdivisions(verts[mesh.faces])
+    n = _subdivisions(xyz.T[mesh.faces])
     # face f has rows u = 0 .. n_f; row u holds v = 0 .. n_f - u.  Per-face
     # values are repeated to rows, and per-row values to points, in order,
     # along the last axis of (3, .) coordinate rows
     u = _ranks(n + 1)
     row_n = np.repeat(n, n + 1)
     row_len = row_n + 1 - u
-    xyz = np.ascontiguousarray(verts.T)
     A = xyz[:, mesh.faces[:, 0]]
     AB = xyz[:, mesh.faces[:, 1]] - A
     AC = xyz[:, mesh.faces[:, 2]] - A
@@ -422,57 +443,78 @@ def voxelize_mesh(mesh: TriangleMesh, m: int, rotation: np.ndarray | None = None
     return _occupancy_grid(shape, pack_sites(vox.T))
 
 
-def _path_keys(points: np.ndarray, starts: np.ndarray, shape: GridShape) -> np.ndarray:
+def _path_keys(xyz: np.ndarray, starts: np.ndarray, shape: GridShape) -> np.ndarray:
     """Packed keys of the voxels along polylines, one key per sample.
 
-    Path ``j`` runs through ``points[starts[j]:starts[j + 1]]``, and no
+    ``xyz`` holds the points coordinate-major, as ``(d, P)`` rows.  Path
+    ``j`` runs through points ``starts[j]`` to ``starts[j + 1] - 1``, and no
     segment joins two paths.  Segment ``a -> b`` is sampled at
     ``t = k / steps``, ``k = 0 .. steps`` (the last sample at exactly
     ``t = 1``), with ``steps`` chosen so that consecutive samples are under
-    half a voxel apart; a path of one point is that point.  Samples are in
-    path order, paths in turn, so a sample outside the grid's valid region
-    is an error that names the first such voxel along the paths.
+    half a voxel apart; a path of one point is that point.  Each sample
+    gets the arithmetic it would get as a row of a ``(P, d)`` array, so the
+    voxels are bit-identical to that form's.  The bounds are checked on the
+    voxels' extremes; only a sample outside the grid's valid region looks
+    further, to name the first such voxel along the paths.
     """
-    if not np.isfinite(points).all():
+    if not np.isfinite(xyz).all():
         raise ValueError("polyline has non-finite coordinates")
     # point i is sampled along segment i -> i+1 (k = 0 is the point itself);
     # a path's last point has no segment and adds no samples of its own,
     # unless it is also the path's first
-    delta = np.diff(points, axis=0, append=points[-1:])
-    steps = np.maximum(1, np.ceil(np.abs(delta).max(axis=1) / 0.45).astype(np.int64))
-    last = np.append(starts[1:], points.shape[0]) - 1
+    P = xyz.shape[1]
+    delta = np.empty_like(xyz)
+    np.subtract(xyz[:, 1:], xyz[:, :-1], out=delta[:, :-1])
+    delta[:, -1] = 0.0
+    steps = np.maximum(1, np.ceil(np.abs(delta).max(axis=0) / 0.45).astype(np.int64))
+    last = np.append(starts[1:], P) - 1
     count = steps + 1
     count[last] = last == starts
-    seg = np.repeat(np.arange(points.shape[0]), count)
+    seg = np.repeat(np.arange(P), count)
     k = _ranks(count)
     n = steps[seg]
     # np.linspace(0, 1, n + 1) computes k * (1 / n), then sets the last t = 1
     t = k * (1.0 / n)
     t[k == n] = 1.0
-    vox = np.rint(points[seg] + t[:, None] * delta[seg]).astype(np.int64)
-    bad = shape.outside(vox)
-    if bad.any():
-        culprit = vox[np.argmax(bad)]
+    pts = np.take(delta, seg, axis=1)
+    pts *= t
+    pts += np.take(xyz, seg, axis=1)
+    vox = np.rint(pts, out=pts).astype(np.int64)
+    # a simplex site with no negative coordinate and a sum under m has every
+    # coordinate under m
+    m = shape.m
+    if vox.min() < 0 or (_coord_sum(vox).max() > m - 1 if shape.lattice.is_simplex
+                         else vox.max() >= m):
+        sites = vox.T
+        culprit = sites[np.argmax(shape.outside(sites))]
         raise ValueError(f"point maps to voxel {tuple(culprit.tolist())} outside the grid")
-    return pack_sites(vox)
+    return pack_sites(vox.T)
 
 
 def rasterize_polyline(points: np.ndarray, m: int, shape: GridShape | None = None) -> SparseGrid:
-    """Trace line segments through the grid; visited voxels get value 1.
+    """Trace line segments through the size-``m`` grid (cubic unless
+    ``shape``, which must then have size ``m``, says otherwise); visited
+    voxels get value 1.
 
-    Segment ``a -> b`` is sampled at ``t = k / steps``, ``k = 0 .. steps``
-    (the last sample at exactly ``t = 1``), with ``steps`` chosen so that
-    consecutive samples are under half a voxel apart; the voxel path is
-    therefore 26-connected.  All segments' samples form one point array.
-    A sample outside the grid's valid region is an error that names the
-    first such voxel along the path; non-finite points are an error too.
+    ``points`` is ``(P, d)``; it is sampled on its ``(d, P)`` transpose
+    (see :func:`_path_keys`), which costs no copy when ``points`` is the
+    transpose of a C-ordered ``(d, P)`` array.  Segment ``a -> b`` is
+    sampled at ``t = k / steps``, ``k = 0 .. steps`` (the last sample at
+    exactly ``t = 1``), with ``steps`` chosen so that consecutive samples
+    are under half a voxel apart; the voxel path is therefore 26-connected.
+    All segments' samples form one point array.  A sample outside the
+    grid's valid region is an error that names the first such voxel along
+    the path; non-finite points are an error too.
     """
     if shape is None:
         shape = GridShape(LatticeKind.CUBIC, m)
+    elif shape.m != m:
+        raise ValueError(f"grid size {m} differs from the shape's size {shape.m}")
     points = np.asarray(points, dtype=float).reshape(-1, shape.ndim)
     if points.shape[0] < 1:
         raise ValueError("need at least one point")
-    return _occupancy_grid(shape, _path_keys(points, np.zeros(1, dtype=np.int64), shape))
+    xyz = np.ascontiguousarray(points.T)
+    return _occupancy_grid(shape, _path_keys(xyz, np.zeros(1, dtype=np.int64), shape))
 
 
 def strokes_to_spacetime(sample: StrokeSample, m: int = 40) -> SparseGrid:
@@ -482,16 +524,18 @@ def strokes_to_spacetime(sample: StrokeSample, m: int = 40) -> SparseGrid:
     cumulative point index across all strokes scaled to the grid, so
     redrawing the same shape later lands in a different time slab.  No
     segments are drawn across stroke boundaries.  All strokes are sampled
-    as one point array, stroke after stroke.
+    as one coordinate-major ``(3, P)`` point array, stroke after stroke.
     """
     if not sample.strokes:
         raise ValueError("sample has no strokes")
-    allp = np.vstack(sample.strokes)
-    xy = fit_points(allp, GridShape(LatticeKind.SQUARE, m), margin=0.0)
-    times = np.arange(allp.shape[0]) * ((m - 1) / max(allp.shape[0] - 1, 1))
-    pts = np.column_stack([xy, times])
+    lengths = [len(s) for s in sample.strokes]
+    P = sum(lengths)
+    pts = np.empty((3, P))
+    pts[:2] = np.concatenate(sample.strokes).T
+    pts[:2] = _fit_coords(pts[:2], GridShape(LatticeKind.SQUARE, m), margin=0.0)
+    np.multiply(np.arange(P), (m - 1) / max(P - 1, 1), out=pts[2])
     shape = GridShape(LatticeKind.CUBIC, m)
-    starts = np.cumsum([0] + [len(s) for s in sample.strokes[:-1]])
+    starts = np.cumsum([0] + lengths[:-1])
     return _occupancy_grid(shape, _path_keys(pts, starts, shape))
 
 
@@ -599,13 +643,17 @@ def _knot_curve(kind: str, samples: int) -> np.ndarray:
 def synth_knot(kind: str, m: int, rng: np.random.Generator,
                lattice: LatticeKind = LatticeKind.CUBIC) -> LabeledSample:
     """One randomly rotated, jittered, rasterized knot sample."""
-    pts = knot_curve(kind)
-    pts = pts @ random_rotation(rng).T
+    pts = knot_curve(kind) @ random_rotation(rng).T
     pts *= rng.uniform(0.88, 1.0)  # scale jitter
+    # coordinate-major and closed: the curve's first point repeats at its
+    # end, which changes no extreme of the fit, so the repeat is fitted to
+    # the first point's values
+    closed = np.empty((3, pts.shape[0] + 1))
+    closed[:, :-1] = pts.T
+    closed[:, -1] = closed[:, 0]
     shape = GridShape(lattice, m)
-    fitted = fit_points(pts, shape, margin=0.6)
-    closed = np.vstack([fitted, fitted[:1]])
-    grid = rasterize_polyline(closed, m, shape)
+    fitted = _fit_coords(closed, shape, margin=0.6)
+    grid = rasterize_polyline(fitted.T, m, shape)
     return LabeledSample(grid, KNOT_KINDS.index(kind))
 
 

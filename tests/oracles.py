@@ -12,10 +12,12 @@ and the original SGD step with its temporaries; the original running max
 over whole arrays, and the original pool scatter with its
 mask compaction.  Then the original window rulebook, one
 ``searchsorted`` per dimension and a second ``np.unique`` for the
-per-sample grouping.  The last three
+per-sample grouping.  The last ones
 are original ingestion steps: the OFF decoder that converts one token per
-call, space-time strokes rasterized one stroke at a time, and the
-augmentation that sorts its keys twice.
+call, polylines fitted and sampled as row-major point arrays (knots and
+space-time strokes whole), space-time strokes rasterized one stroke at a
+time, embedding that unpacks and packs every site, and the augmentation
+that sorts its keys twice.
 Slow and obviously correct.  ``plan_Q`` gives tests the gather matrix of
 a convolution's tape plan whichever form it keeps.
 """
@@ -40,8 +42,11 @@ from latticenet.ingest import (
     StrokeSample,
     TriangleMesh,
     _occupancy_grid,
+    _ranks,
     fit_points,
+    knot_curve,
     make_affine,
+    random_rotation,
     rasterize_polyline,
 )
 from latticenet.ops import Plan, _row_starts
@@ -577,14 +582,19 @@ def searchsorted_window_rulebook(batch: GridBatch, offsets, starts, bound):
 
 
 # ---------------------------------------------------------------------------
-# token-at-a-time, stroke-at-a-time and two-sort ingestion
+# token-at-a-time, row-major, stroke-at-a-time and two-sort ingestion
 #
-# The original bodies of ``ingest.load_off``, ``ingest.strokes_to_spacetime``
-# and ``train.augment_grid``, kept verbatim apart from their names.  The
-# decoder converts and checks one token per call, with every token's line
-# number at hand; the strokes are rasterized one ``rasterize_polyline``
-# call per stroke; augmentation finds each key's first row with a stable
-# ``argsort`` and then ``np.unique(return_index=True)``.
+# The original bodies of ``ingest.load_off``, ``ingest.fit_points``,
+# ``ingest._path_keys``, ``ingest.strokes_to_spacetime``,
+# ``grid.SparseGrid.embed`` and ``train.augment_grid``, kept verbatim
+# apart from their names (and returning keys where noted).  The decoder
+# converts and checks one token per call, with every token's line number
+# at hand; polylines are fitted and sampled as row-major ``(P, d)``
+# arrays, one row per point, and bounds-checked per voxel; the strokes
+# are rasterized one ``rasterize_polyline`` call per stroke; embedding
+# unpacks, offsets and packs every site; augmentation finds each key's
+# first row with a stable ``argsort`` and then
+# ``np.unique(return_index=True)``.
 
 
 def token_walk_load_off(data) -> TriangleMesh:
@@ -645,6 +655,123 @@ def token_walk_load_off(data) -> TriangleMesh:
         for j in range(1, k - 1):  # fan triangulation
             tris.append((idx[0], idx[j], idx[j + 1]))
     return TriangleMesh(verts, np.asarray(tris, dtype=np.int64).reshape(-1, 3))
+
+
+def row_major_fit_points(points: np.ndarray, shape: GridShape, margin: float = 1.0) -> np.ndarray:
+    """Uniformly scale and translate points to fill the grid's valid region.
+
+    Cubic/square grids fit the bounding box into ``[margin, m-1-margin]``;
+    simplex grids solve the largest homothety that satisfies the coordinate
+    and coordinate-sum constraints with the same margin.
+    """
+    points = np.asarray(points, dtype=float)
+    span = shape.m - 1 - 2 * margin
+    if span <= 0:
+        raise ValueError(f"grid size {shape.m} leaves no room at margin {margin}")
+    lo = points.min(axis=0)
+    hi = points.max(axis=0)
+    if not shape.lattice.is_simplex:
+        extent = float((hi - lo).max())
+        scale = span / extent if extent > 0 else 1.0
+        fitted = (points - lo) * scale
+        # center the smaller extents
+        pad = (span - (hi - lo) * scale) / 2.0
+        return fitted + pad + margin
+    d = shape.ndim
+    centered = points - lo
+    sum_max = float(centered.sum(axis=1).max())
+    denom = sum_max if sum_max > 0 else 1.0
+    s_total = shape.m - 1 - (d + 1) * margin
+    if s_total <= 0:
+        raise ValueError(f"grid size {shape.m} leaves no room at margin {margin}")
+    scale = s_total / denom
+    fitted = centered * scale + margin
+    slack = (shape.m - 1 - margin) - float(fitted.sum(axis=1).max())
+    return fitted + slack / (d + 1)
+
+
+def row_major_path_keys(points: np.ndarray, starts: np.ndarray, shape: GridShape) -> np.ndarray:
+    """Packed keys of the voxels along polylines, one key per sample.
+
+    Path ``j`` runs through ``points[starts[j]:starts[j + 1]]``, and no
+    segment joins two paths.  Segment ``a -> b`` is sampled at
+    ``t = k / steps``, ``k = 0 .. steps`` (the last sample at exactly
+    ``t = 1``), with ``steps`` chosen so that consecutive samples are under
+    half a voxel apart; a path of one point is that point.  Samples are in
+    path order, paths in turn, so a sample outside the grid's valid region
+    is an error that names the first such voxel along the paths.
+    """
+    if not np.isfinite(points).all():
+        raise ValueError("polyline has non-finite coordinates")
+    # point i is sampled along segment i -> i+1 (k = 0 is the point itself);
+    # a path's last point has no segment and adds no samples of its own,
+    # unless it is also the path's first
+    delta = np.diff(points, axis=0, append=points[-1:])
+    steps = np.maximum(1, np.ceil(np.abs(delta).max(axis=1) / 0.45).astype(np.int64))
+    last = np.append(starts[1:], points.shape[0]) - 1
+    count = steps + 1
+    count[last] = last == starts
+    seg = np.repeat(np.arange(points.shape[0]), count)
+    k = _ranks(count)
+    n = steps[seg]
+    # np.linspace(0, 1, n + 1) computes k * (1 / n), then sets the last t = 1
+    t = k * (1.0 / n)
+    t[k == n] = 1.0
+    vox = np.rint(points[seg] + t[:, None] * delta[seg]).astype(np.int64)
+    bad = shape.outside(vox)
+    if bad.any():
+        culprit = vox[np.argmax(bad)]
+        raise ValueError(f"point maps to voxel {tuple(culprit.tolist())} outside the grid")
+    return pack_sites(vox)
+
+
+def row_major_knot_keys(kind: str, m: int, rng: np.random.Generator,
+                        lattice: LatticeKind = LatticeKind.CUBIC) -> np.ndarray:
+    """Sorted active keys of ``ingest.synth_knot``'s sample, placed and
+    sampled row-major by the two functions above."""
+    pts = knot_curve(kind)
+    pts = pts @ random_rotation(rng).T
+    pts *= rng.uniform(0.88, 1.0)  # scale jitter
+    shape = GridShape(lattice, m)
+    fitted = row_major_fit_points(pts, shape, margin=0.6)
+    closed = np.vstack([fitted, fitted[:1]])
+    return np.unique(row_major_path_keys(closed, np.zeros(1, dtype=np.int64), shape))
+
+
+def row_major_spacetime_keys(sample: StrokeSample, m: int = 40) -> np.ndarray:
+    """Sorted active keys of ``ingest.strokes_to_spacetime``'s grid, with
+    all strokes fitted and sampled row-major by the two functions above."""
+    if not sample.strokes:
+        raise ValueError("sample has no strokes")
+    allp = np.vstack(sample.strokes)
+    xy = row_major_fit_points(allp, GridShape(LatticeKind.SQUARE, m), margin=0.0)
+    times = np.arange(allp.shape[0]) * ((m - 1) / max(allp.shape[0] - 1, 1))
+    pts = np.column_stack([xy, times])
+    shape = GridShape(LatticeKind.CUBIC, m)
+    starts = np.cumsum([0] + [len(s) for s in sample.strokes[:-1]])
+    return np.unique(row_major_path_keys(pts, starts, shape))
+
+
+def unpacked_embed(grid: SparseGrid, fieldshape: GridShape, offset) -> SparseGrid:
+    """Translate all active sites by ``offset`` into a larger field."""
+    if fieldshape.lattice is not grid.shape.lattice:
+        raise ValueError(
+            f"cannot embed {grid.shape.lattice.value} grid into "
+            f"{fieldshape.lattice.value} field"
+        )
+    offset = np.asarray(offset, dtype=np.int64).reshape(-1)
+    if offset.shape[0] != grid.shape.ndim:
+        raise ValueError(f"offset must have {grid.shape.ndim} coordinates")
+    sites = grid.sites() + offset
+    bad = fieldshape.outside(sites)
+    if bad.any():
+        first = sites[np.argmax(bad)]
+        raise ValueError(
+            f"embed offset {tuple(offset)} pushes site {tuple(first)} outside "
+            f"the size-{fieldshape.m} {fieldshape.lattice.value} field"
+        )
+    # translation preserves lexicographic order, so rows stay aligned
+    return SparseGrid(fieldshape, pack_sites(sites), grid.rows, grid.ground)
 
 
 def per_stroke_spacetime(sample: StrokeSample, m: int = 40) -> SparseGrid:

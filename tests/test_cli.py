@@ -99,6 +99,31 @@ def test_demo_knot(tmp_path):
     assert "active" in r.stdout
 
 
+@pytest.mark.parametrize("lattice", [None, "cubic", "tetrahedral"])
+def test_demo_knot_draws_on_its_lattice(tmp_path, lattice):
+    out = tmp_path / "knot.grid"
+    flags = [] if lattice is None else ["--lattice", lattice]
+    r = run_cli("demo-knot", *flags, "--scale", "12", "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    want = lattice or "cubic"
+    assert f"lattice {want}, size 12," in r.stdout
+    grid = SparseGrid.load(out)
+    assert grid.shape.lattice is LatticeKind.from_name(want) and grid.shape.m == 12
+    assert grid.a > 0
+
+
+@pytest.mark.parametrize("lattice", ["tetrahedral", "square", "triangular"])
+def test_voxelize_non_cubic_lattice_exit_2_naming_it(tmp_path, capsys, lattice):
+    sj = tmp_path / "char.json"
+    write_strokes_json(sj, StrokeSample([[[0, 0], [1, 2], [3, 1]], [[2, 2], [0, 3]]]))
+    out = tmp_path / "char.grid"
+    assert main(["voxelize", "--input", str(sj), "--lattice", lattice, "--out", str(out)]) == 2
+    assert f"lattice {lattice}" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["voxelize", "--input", str(sj), "--lattice", "cubic", "--out", str(out)]) == 0
+    assert SparseGrid.load(out).shape.lattice is LatticeKind.CUBIC
+
+
 def test_voxelize_off(tmp_path):
     mesh_path = tmp_path / "sphere.off"
     write_sphere_off(mesh_path)

@@ -238,6 +238,14 @@ def test_rasterize_out_of_range():
         rasterize_polyline(np.array([[0.0, 0.0, 0.0], [12.0, 0.0, 0.0]]), 10)
 
 
+@pytest.mark.parametrize("lattice", [LatticeKind.CUBIC, LatticeKind.TETRAHEDRAL])
+def test_rasterize_size_must_match_the_shape(lattice):
+    pts = np.array([[1.0, 1.0, 1.0], [4.0, 2.0, 1.0]])
+    with pytest.raises(ValueError, match=r"grid size 20 .* size 10"):
+        rasterize_polyline(pts, 20, GridShape(lattice, 10))
+    assert rasterize_polyline(pts, 10, GridShape(lattice, 10)).shape == GridShape(lattice, 10)
+
+
 @pytest.mark.parametrize("pts", [
     [[1.0, 2.0, 3.0], [np.nan, 2.0, 3.0]],
     [[1.0, 2.0, 3.0], [7.0, np.inf, 3.0]],

@@ -1,8 +1,10 @@
 """The whole-array rasterizer, voxelizer and FMP active-site step against
 the per-segment, per-face and per-site loops they replace (oracles.py),
 space-time strokes sampled in one pass against one rasterization per
-stroke, augmentation with one sort against the two-sort form, training
-with the running-max pool argmax and the in-place SGD step against
+stroke, coordinate-major fitting and path sampling (knots and strokes
+whole) against the row-major forms, embedding by packed offset against
+unpack/offset/pack, augmentation with one sort against the two-sort form,
+training with the running-max pool argmax and the in-place SGD step against
 training with the masked-store argmax and the copying step, training with
 the pool and SGD step in small tiles against training with the whole-array
 pool and the copying step, and training with the table rulebook against
@@ -10,9 +12,9 @@ training with the searchsorted rulebook.
 
 Equality is exact: the same active keys for every seed, and for meshes the
 same per-face subdivision counts, so that a different edge-length formula
-cannot hide behind voxel rounding; the same augmented rows, bit for bit;
-the same epoch rows, checkpoint bytes and evaluation outputs, byte for
-byte.
+cannot hide behind voxel rounding; the same fitted values and augmented
+rows, bit for bit; the same epoch rows, checkpoint bytes and evaluation
+outputs, byte for byte.
 """
 
 import re
@@ -31,6 +33,7 @@ from latticenet.ingest import (
     _subdivisions,
     fit_points,
     knot_curve,
+    knot_dataset,
     random_rotation,
     rasterize_polyline,
     strokes_to_spacetime,
@@ -49,8 +52,13 @@ from oracles import (
     loop_voxelize_mesh,
     per_stroke_spacetime,
     putmask_max_pool,
+    row_major_fit_points,
+    row_major_knot_keys,
+    row_major_path_keys,
+    row_major_spacetime_keys,
     searchsorted_window_rulebook,
     two_sort_augment_grid,
+    unpacked_embed,
     untiled_max_pool,
 )
 
@@ -230,13 +238,128 @@ def test_paths_match_one_rasterization_per_path(lattice, hi):
                 for p in paths:
                     loop_rasterize_polyline(p, shape.m, shape)
             with pytest.raises(ValueError, match="outside") as new:
-                _path_keys(np.vstack(paths), starts, shape)
+                _path_keys(np.vstack(paths).T, starts, shape)
             assert culprit(new) == culprit(old), seed
             outside += 1
             continue
-        got = _path_keys(np.vstack(paths), starts, shape)
+        got = _path_keys(np.vstack(paths).T, starts, shape)
         assert np.array_equal(np.unique(got), np.unique(want)), seed
     assert 20 <= outside <= 80, outside
+
+
+@pytest.mark.parametrize("margin", [0.0, 0.6, 1.0])
+@pytest.mark.parametrize("lattice", ALL_LATTICES)
+def test_fit_points_matches_row_major_bit_for_bit(lattice, margin):
+    """Random clouds of 1 to 40 points (one-point clouds and clouds flat in
+    one coordinate included) and whole knots fit to the same values."""
+    d = lattice.ndim
+    for seed in SEEDS:
+        rng = np.random.default_rng(seed)
+        shape = GridShape(lattice, 6 + seed % 37)
+        if seed % 10 == 9:
+            pts = knot_curve(KNOT_KINDS[seed % 3])[:, :d] @ random_rotation(rng)[:d, :d].T
+        else:
+            size = 1 if seed % 5 == 0 else int(rng.integers(2, 41))
+            pts = rng.normal(size=(size, d)) * rng.uniform(0.01, 50.0) + rng.uniform(-9, 9, d)
+            if seed % 7 == 3:
+                pts[:, seed % d] = pts[0, seed % d]
+        got = fit_points(pts, shape, margin)
+        want = row_major_fit_points(pts, shape, margin)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), seed
+
+
+@pytest.mark.parametrize("lattice, m, margin", [
+    (LatticeKind.CUBIC, 3, 1.0), (LatticeKind.TETRAHEDRAL, 3, 0.6),
+    (LatticeKind.TRIANGULAR, 4, 1.0), (LatticeKind.SQUARE, 1, 0.0),
+])
+def test_fit_points_rejects_a_grid_without_room_like_row_major(lattice, m, margin):
+    pts = np.random.default_rng(0).normal(size=(5, lattice.ndim))
+    with pytest.raises(ValueError) as new:
+        fit_points(pts, GridShape(lattice, m), margin)
+    with pytest.raises(ValueError) as old:
+        row_major_fit_points(pts, GridShape(lattice, m), margin)
+    assert str(new.value) == str(old.value)
+
+
+@pytest.mark.parametrize("lattice, hi", [
+    (LatticeKind.CUBIC, 11.6), (LatticeKind.TETRAHEDRAL, 4.2),
+    (LatticeKind.SQUARE, 11.6), (LatticeKind.TRIANGULAR, 6.2),
+])
+def test_path_keys_match_row_major(lattice, hi):
+    """Several paths of one to five points sampled together: the same keys
+    in the same order, or the same first out-of-grid voxel."""
+    shape = GridShape(lattice, 12)
+    outside = one_point = 0
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        paths = [rng.uniform(-0.6, hi, size=(int(rng.integers(1, 6)), lattice.ndim))
+                 for _ in range(int(rng.integers(1, 5)))]
+        one_point += any(len(p) == 1 for p in paths)
+        points = np.vstack(paths)
+        starts = np.cumsum([0] + [len(p) for p in paths[:-1]])
+        try:
+            want = row_major_path_keys(points, starts, shape)
+        except ValueError as e:
+            with pytest.raises(ValueError, match="outside") as new:
+                _path_keys(np.ascontiguousarray(points.T), starts, shape)
+            assert str(new.value) == str(e), seed
+            outside += 1
+            continue
+        got = _path_keys(np.ascontiguousarray(points.T), starts, shape)
+        assert got.dtype == want.dtype and np.array_equal(got, want), seed
+    assert 40 <= outside <= 160 and one_point >= 40, (outside, one_point)
+
+
+@pytest.mark.parametrize("lattice, m", [
+    (LatticeKind.TETRAHEDRAL, 14), (LatticeKind.TETRAHEDRAL, 40),
+    (LatticeKind.CUBIC, 14), (LatticeKind.CUBIC, 30),
+])
+def test_knot_dataset_matches_row_major(lattice, m):
+    for seed in SEEDS:
+        got = knot_dataset(m, 1, np.random.default_rng(seed), lattice=lattice)
+        rng = np.random.default_rng(seed)
+        for kind, sample in zip(KNOT_KINDS, got):
+            assert sample.grid.shape == GridShape(lattice, m)
+            assert np.array_equal(sample.grid.keys, row_major_knot_keys(kind, m, rng, lattice)), seed
+
+
+def test_strokes_to_spacetime_matches_row_major():
+    for seed in SEEDS:
+        sample = random_strokes(np.random.default_rng(seed))
+        for m in (8 + seed % 41, 17, 40):
+            assert np.array_equal(strokes_to_spacetime(sample, m).keys,
+                                  row_major_spacetime_keys(sample, m)), (seed, m)
+
+
+@pytest.mark.parametrize("lattice", ALL_LATTICES)
+def test_embed_matches_unpack_offset_pack(lattice):
+    """Offsets from one below the grid's lowest coordinates up to the
+    field's spare size, into fields of the grid's size up to five more: the
+    same keys and rows, or the same error message."""
+    d = lattice.ndim
+    ok = failed = negative = 0
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        grid = random_sparse(lattice, 3 + seed % 8, 2, rng.uniform(0.0, 0.1), rng)
+        field = GridShape(lattice, grid.shape.m + int(rng.integers(0, 6)))
+        low = grid.sites().min(axis=0) if grid.a else np.zeros(d, np.int64)
+        offset = tuple(int(rng.integers(-c - 1, field.m - grid.shape.m + 1)) for c in low)
+        try:
+            want = unpacked_embed(grid, field, offset)
+        except ValueError as e:
+            with pytest.raises(ValueError) as new:
+                grid.embed(field, offset)
+            assert str(new.value) == str(e), seed
+            failed += 1
+            continue
+        got = grid.embed(field, offset)
+        assert got.shape == want.shape and got.keys.dtype == np.int64, seed
+        assert np.array_equal(got.keys, want.keys), seed
+        assert got.rows.tobytes() == want.rows.tobytes(), seed
+        assert got.ground.tobytes() == want.ground.tobytes(), seed
+        ok += 1
+        negative += min(offset) < 0 and grid.a > 0
+    assert ok >= 50 and failed >= 50 and negative >= 8, (ok, failed, negative)
 
 
 @pytest.mark.parametrize("lattice", ALL_LATTICES)
