@@ -94,12 +94,17 @@ def _read_grid(path: Path, args: argparse.Namespace, scale: int,
 
 
 def load_dataset(source: str, args: argparse.Namespace, field: GridShape, *,
-                 split: str, rng: np.random.Generator) -> list[LabeledSample]:
+                 split: str) -> list[LabeledSample]:
     """Materialize a dataset source specification into embedded grids.
 
     Sources: ``knots`` (synthetic), ``off:<dir>``, ``strokes:<dir>``,
     ``video:<dir>`` (class subdirectories each), ``cifar:<file-or-dir>``.
+    Each split draws its knots and mesh rotations from its own generator,
+    seeded by ``args.seed`` and the split name alone: ``eval`` loads the
+    held-out set that ``train`` loaded, and the test draws never replay
+    the training draws (a knot may still match a training knot by chance).
     """
+    rng = np.random.default_rng(args.seed + 1 if split == "train" else [args.seed + 1, 1])
     if source == "knots":
         m = args.scale if args.scale is not None else field.m
         if m > field.m:
@@ -167,10 +172,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     classes = require(args, "classes")
     rng = np.random.default_rng(args.seed)
 
-    data_rng = np.random.default_rng(args.seed + 1)
-    train_set = load_dataset(require(args, "train_data"), args, field,
-                             split="train", rng=data_rng)
-    test_set = (load_dataset(args.test_data, args, field, split="test", rng=data_rng)
+    train_set = load_dataset(require(args, "train_data"), args, field, split="train")
+    test_set = (load_dataset(args.test_data, args, field, split="test")
                 if args.test_data else [])
 
     net = Network(spec, classes, rng, fmp_eval_seed=args.seed)
@@ -211,9 +214,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             f"checkpoint architecture {netspec.render(net.spec)!r} does not match --arch {args.arch!r}"
         )
     field = net.input_shape()
-    data_rng = np.random.default_rng(args.seed + 1)
-    test_set = load_dataset(require(args, "test_data"), args, field,
-                            split="test", rng=data_rng)
+    test_set = load_dataset(require(args, "test_data"), args, field, split="test")
     params = AffineParams(**{f.name: getattr(args, f"aug_{f.name}") for f in fields(AffineParams)})
     aug = None
     if args.repeats > 1 and not params.is_identity:

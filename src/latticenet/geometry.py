@@ -127,6 +127,21 @@ class GridShape:
             bad |= sites.sum(axis=-1) > self.m - 1
         return bad
 
+    def first_outside(self, xyz: np.ndarray) -> np.ndarray | None:
+        """The first of the coordinate-major ``(d, P)`` integer sites that
+        is not a site of this grid, as a row; None if all are.  Decided on
+        the least coordinate and the largest coordinate (coordinate sum on
+        simplex lattices, which bounds every coordinate once none is
+        negative), so only a site outside pays for the :meth:`outside` scan.
+        """
+        if not xyz.size:
+            return None
+        top = coord_sum(xyz) if self.lattice.is_simplex else xyz
+        if xyz.min() >= 0 and top.max() < self.m:
+            return None
+        sites = xyz.T
+        return sites[np.argmax(self.outside(sites))]
+
     def sites(self):
         """Iterate all valid sites in lexicographic order."""
         d = self.ndim
@@ -134,6 +149,16 @@ class GridShape:
             if self.lattice.is_simplex and sum(s) > self.m - 1:
                 continue
             yield s
+
+
+def coord_sum(xyz: np.ndarray) -> np.ndarray:
+    """Per-point coordinate sums of ``(d, P)`` rows, added in coordinate
+    order, ``(x + y) + z``: bit for bit what ``sum(axis=1)`` gives on the
+    ``(P, d)`` transpose."""
+    total = xyz[0] + xyz[1]
+    for row in xyz[2:]:
+        total += row
+    return total
 
 
 @lru_cache(maxsize=256)

@@ -184,11 +184,11 @@ class SparseGrid:
     def embed(self, fieldshape: GridShape, offset) -> "SparseGrid":
         """Translate all active sites by ``offset`` into a larger field.
 
-        The bounds are checked on the sites' per-coordinate extremes (and
-        largest coordinate sum on simplex lattices); only an error names
-        the first site that leaves the field.  The keys are shifted by the
-        packed offset, since packing is linear while every coordinate
-        stays in ``[0, 2**21)``, negative offsets included.
+        The bounds are checked on the shifted sites' extremes
+        (:meth:`GridShape.first_outside`); an error names the first site
+        that leaves the field.  The keys are shifted by the packed offset,
+        since packing is linear while every coordinate stays in
+        ``[0, 2**21)``, negative offsets included.
         """
         if fieldshape.lattice is not self.shape.lattice:
             raise ValueError(
@@ -201,21 +201,14 @@ class SparseGrid:
         shift = 0
         for o in offset.tolist():
             shift = (shift << COORD_BITS) + o
-        if self.a:
-            sites = self.sites()
-            m = fieldshape.m
-            # on a simplex lattice, no coordinate below 0 and every sum under
-            # m leave every coordinate under m
-            if ((sites.min(axis=0) + offset).min() < 0
-                    or (sites.sum(axis=1).max() + offset.sum() > m - 1
-                        if fieldshape.lattice.is_simplex
-                        else (sites.max(axis=0) + offset).max() >= m)):
-                sites += offset
-                first = sites[np.argmax(fieldshape.outside(sites))]
-                raise ValueError(
-                    f"embed offset {tuple(offset)} pushes site {tuple(first)} outside "
-                    f"the size-{m} {fieldshape.lattice.value} field"
-                )
+        sites = self.sites()
+        sites += offset
+        first = fieldshape.first_outside(sites.T)
+        if first is not None:
+            raise ValueError(
+                f"embed offset {tuple(offset)} pushes site {tuple(first)} outside "
+                f"the size-{fieldshape.m} {fieldshape.lattice.value} field"
+            )
         # translation preserves lexicographic order, so rows stay aligned
         return SparseGrid(fieldshape, self.keys + shift, self.rows, self.ground)
 

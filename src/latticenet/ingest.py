@@ -43,7 +43,15 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import FormatError
-from .geometry import GridShape, LatticeKind, pack_sites, run_heads, site_ordinal, sites_array
+from .geometry import (
+    GridShape,
+    LatticeKind,
+    coord_sum,
+    pack_sites,
+    run_heads,
+    site_ordinal,
+    sites_array,
+)
 from .grid import DenseGrid, LabeledSample, SparseGrid
 
 SQRT3 = np.sqrt(3.0)
@@ -324,16 +332,6 @@ def fit_points(points: np.ndarray, shape: GridShape, margin: float = 1.0) -> np.
     return _fit_coords(np.asarray(points, dtype=float).T, shape, margin).T
 
 
-def _coord_sum(xyz: np.ndarray) -> np.ndarray:
-    """Per-point coordinate sums of ``(d, P)`` rows, added in coordinate
-    order, ``(x + y) + z``: bit for bit what ``sum(axis=1)`` gives on the
-    ``(P, d)`` transpose."""
-    total = xyz[0] + xyz[1]
-    for row in xyz[2:]:
-        total += row
-    return total
-
-
 def _fit_coords(xyz: np.ndarray, shape: GridShape, margin: float) -> np.ndarray:
     """:func:`fit_points` on coordinate-major ``(d, P)`` points, into a new
     ``(d, P)`` array; each point gets the arithmetic a ``(P, d)`` row would."""
@@ -352,14 +350,14 @@ def _fit_coords(xyz: np.ndarray, shape: GridShape, margin: float) -> np.ndarray:
         fitted += margin
         return fitted
     d = shape.ndim
-    sum_max = float(_coord_sum(fitted).max())
+    sum_max = float(coord_sum(fitted).max())
     denom = sum_max if sum_max > 0 else 1.0
     s_total = shape.m - 1 - (d + 1) * margin
     if s_total <= 0:
         raise ValueError(f"grid size {shape.m} leaves no room at margin {margin}")
     fitted *= s_total / denom
     fitted += margin
-    fitted += ((shape.m - 1 - margin) - float(_coord_sum(fitted).max())) / (d + 1)
+    fitted += ((shape.m - 1 - margin) - float(coord_sum(fitted).max())) / (d + 1)
     return fitted
 
 
@@ -480,13 +478,8 @@ def _path_keys(xyz: np.ndarray, starts: np.ndarray, shape: GridShape) -> np.ndar
     pts *= t
     pts += np.take(xyz, seg, axis=1)
     vox = np.rint(pts, out=pts).astype(np.int64)
-    # a simplex site with no negative coordinate and a sum under m has every
-    # coordinate under m
-    m = shape.m
-    if vox.min() < 0 or (_coord_sum(vox).max() > m - 1 if shape.lattice.is_simplex
-                         else vox.max() >= m):
-        sites = vox.T
-        culprit = sites[np.argmax(shape.outside(sites))]
+    culprit = shape.first_outside(vox)
+    if culprit is not None:
         raise ValueError(f"point maps to voxel {tuple(culprit.tolist())} outside the grid")
     return pack_sites(vox.T)
 

@@ -5,7 +5,9 @@ The notation is the usual compact one: ``nCf/s`` is a convolution with
 max pooling with region size ``p`` and stride ``s``; ``FMP`` is one
 fractional-max-pooling step; the string ends in ``output``.  ``/s`` is
 omitted when ``s == 1`` for convolutions and when ``s == p`` for pooling,
-e.g. ``32C2-MP3/2-64C2-MP3/2-96C2-output``.
+e.g. ``32C2-MP3/2-64C2-MP3/2-96C2-output``.  The string splits into
+pieces on ``-``, whitespace is ignored anywhere, and each piece must be
+one whole token.
 
 Planning runs the layer sizes forward from the input field and requires
 a final spatial size of 1.  A conv/pool network fixes its field: the
@@ -89,61 +91,36 @@ class NetworkSpec:
         return out
 
 
-_CONV_RE = re.compile(r"^(\d+)C(\d+)(?:/(\d+))?$")
-_POOL_RE = re.compile(r"^MP(\d+)(?:/(\d+))?$")
+_TOKEN_RE = re.compile(r"(\d+)C(\d+)(?:/(\d+))?|MP(\d+)(?:/(\d+))?|FMP|output")
 
 
 def parse(text: str, lattice: LatticeKind, n_input: int) -> NetworkSpec:
-    """Parse an architecture string; errors carry the byte offset."""
-    stripped = []
-    positions = []
-    for i, ch in enumerate(text):
-        if not ch.isspace():
-            stripped.append(ch)
-            positions.append(i)
-    compact = "".join(stripped)
-    if not compact:
+    """Parse an architecture string; errors carry the byte offset of the
+    failing piece's first non-space character (the next ``-``, or the end
+    of the text, for a piece that is all whitespace)."""
+    if not text.strip():
         raise ParseError("empty architecture string", 0)
-
-    # segment boundaries in the compacted string, mapped back to byte offsets
-    segments = []
-    start = 0
-    for i in range(len(compact) + 1):
-        if i == len(compact) or compact[i] == "-":
-            segments.append((compact[start:i], positions[start] if start < len(positions) else len(text)))
-            start = i + 1
-
     layers: list[LayerSpec] = []
-    saw_output = False
-    for token, offset in segments:
-        if saw_output:
+    start = 0
+    for piece in text.split("-"):
+        token = "".join(piece.split())
+        offset = start + len(piece) - len(piece.lstrip())
+        start += len(piece) + 1
+        if layers and isinstance(layers[-1], OutputSpec):
             raise ParseError(f"unexpected token {token!r} after output", offset)
-        if token == "output":
-            saw_output = True
-            layers.append(OutputSpec())
-            continue
-        if token == "FMP":
-            layers.append(FMPSpec())
-            continue
-        m = _CONV_RE.match(token)
-        if m:
-            n_out, f = int(m.group(1)), int(m.group(2))
-            s = int(m.group(3)) if m.group(3) else 1
-            if n_out < 1 or f < 1 or s < 1:
-                raise ParseError(f"nonpositive integer in {token!r}", offset)
-            layers.append(ConvSpec(n_out, f, s))
-            continue
-        m = _POOL_RE.match(token)
-        if m:
-            p = int(m.group(1))
-            s = int(m.group(2)) if m.group(2) else p
-            if p < 1 or s < 1:
-                raise ParseError(f"nonpositive integer in {token!r}", offset)
-            layers.append(PoolSpec(p, s))
-            continue
-        raise ParseError(f"unknown token {token!r}", offset)
-
-    if not saw_output:
+        m = _TOKEN_RE.fullmatch(token)
+        if m is None:
+            raise ParseError(f"unknown token {token!r}", offset)
+        n_out, f, s, p, ps = m.groups()
+        if any(int(g) < 1 for g in m.groups() if g):
+            raise ParseError(f"nonpositive integer in {token!r}", offset)
+        if n_out:
+            layers.append(ConvSpec(int(n_out), int(f), int(s or 1)))
+        elif p:
+            layers.append(PoolSpec(int(p), int(ps or p)))
+        else:
+            layers.append(FMPSpec() if token == "FMP" else OutputSpec())
+    if not isinstance(layers[-1], OutputSpec):
         raise ParseError("architecture must end in '-output'", len(text))
     if len(layers) < 2:
         raise ParseError("architecture needs at least one layer before output", 0)

@@ -17,17 +17,19 @@ are original ingestion steps: the OFF decoder that converts one token per
 call, polylines fitted and sampled as row-major point arrays (knots and
 space-time strokes whole), space-time strokes rasterized one stroke at a
 time, embedding that unpacks and packs every site, and the augmentation
-that sorts its keys twice.
+that sorts its keys twice.  Last, the architecture parser that walks a
+whitespace-free copy of the text with a map back to byte offsets.
 Slow and obviously correct.  ``plan_Q`` gives tests the gather matrix of
 a convolution's tape plan whichever form it keeps.
 """
 
 import math
+import re
 from functools import lru_cache
 
 import numpy as np
 
-from latticenet.errors import FormatError
+from latticenet.errors import FormatError, ParseError
 from latticenet.geometry import (
     COORD_BITS,
     GridShape,
@@ -49,6 +51,7 @@ from latticenet.ingest import (
     random_rotation,
     rasterize_polyline,
 )
+from latticenet.netspec import ConvSpec, FMPSpec, LayerSpec, NetworkSpec, OutputSpec, PoolSpec
 from latticenet.ops import Plan, _row_starts
 from latticenet.train import AffineParams
 
@@ -833,3 +836,64 @@ def two_sort_augment_grid(grid: SparseGrid, params: AffineParams, rng: np.random
     merged = np.empty((uniq.shape[0], grid.n), dtype=rows.dtype)
     np.maximum.reduceat(rows, first, axis=0, out=merged)
     return SparseGrid(grid.shape, uniq, merged, grid.ground)
+
+
+_CONV_RE = re.compile(r"^(\d+)C(\d+)(?:/(\d+))?$")
+_POOL_RE = re.compile(r"^MP(\d+)(?:/(\d+))?$")
+
+
+def compact_walk_parse(text: str, lattice: LatticeKind, n_input: int) -> NetworkSpec:
+    """Parse an architecture string; errors carry the byte offset."""
+    stripped = []
+    positions = []
+    for i, ch in enumerate(text):
+        if not ch.isspace():
+            stripped.append(ch)
+            positions.append(i)
+    compact = "".join(stripped)
+    if not compact:
+        raise ParseError("empty architecture string", 0)
+
+    # segment boundaries in the compacted string, mapped back to byte offsets
+    segments = []
+    start = 0
+    for i in range(len(compact) + 1):
+        if i == len(compact) or compact[i] == "-":
+            segments.append((compact[start:i], positions[start] if start < len(positions) else len(text)))
+            start = i + 1
+
+    layers: list[LayerSpec] = []
+    saw_output = False
+    for token, offset in segments:
+        if saw_output:
+            raise ParseError(f"unexpected token {token!r} after output", offset)
+        if token == "output":
+            saw_output = True
+            layers.append(OutputSpec())
+            continue
+        if token == "FMP":
+            layers.append(FMPSpec())
+            continue
+        m = _CONV_RE.match(token)
+        if m:
+            n_out, f = int(m.group(1)), int(m.group(2))
+            s = int(m.group(3)) if m.group(3) else 1
+            if n_out < 1 or f < 1 or s < 1:
+                raise ParseError(f"nonpositive integer in {token!r}", offset)
+            layers.append(ConvSpec(n_out, f, s))
+            continue
+        m = _POOL_RE.match(token)
+        if m:
+            p = int(m.group(1))
+            s = int(m.group(2)) if m.group(2) else p
+            if p < 1 or s < 1:
+                raise ParseError(f"nonpositive integer in {token!r}", offset)
+            layers.append(PoolSpec(p, s))
+            continue
+        raise ParseError(f"unknown token {token!r}", offset)
+
+    if not saw_output:
+        raise ParseError("architecture must end in '-output'", len(text))
+    if len(layers) < 2:
+        raise ParseError("architecture needs at least one layer before output", 0)
+    return NetworkSpec(lattice, n_input, tuple(layers))

@@ -198,13 +198,12 @@ def test_load_dataset_reads_the_files_of_its_kind(tmp_path, kind, suffix):
         write_strokes_json(d / "char.json", StrokeSample([[[0.0, 0.0], [5.0, 8.0]]], label=0))
         write_svid(d / "clip.svid", FrameSequence(frames))
         (d / "notes.txt").write_text("not data")
-    args = argparse.Namespace(scale=8, threshold_pct=12.0)
+    args = argparse.Namespace(scale=8, threshold_pct=12.0, seed=0)
     field = GridShape(LatticeKind.CUBIC, 12)
-    samples = load_dataset(f"{kind}:{tmp_path}", args, field, split="train",
-                           rng=np.random.default_rng(0))
+    samples = load_dataset(f"{kind}:{tmp_path}", args, field, split="train")
     assert [s.label for s in samples] == [0, 1]
 
-    rng = np.random.default_rng(0)
+    rng = np.random.default_rng(1)  # the training split's generator at seed 0
     for s, cls in zip(samples, ("a", "b")):
         path = tmp_path / cls / {".off": "shape.off", ".json": "char.json",
                                  ".svid": "clip.svid"}[suffix]
@@ -217,6 +216,33 @@ def test_load_dataset_reads_the_files_of_its_kind(tmp_path, kind, suffix):
             g = ingest.frame_difference(ingest.read_svid(path), 12.0)
         assert s.grid.a == g.a > 0
         assert s.grid.shape == field
+
+
+def test_eval_loads_the_held_out_knots_that_train_loaded():
+    """``eval``'s test split is ``train``'s, and does not replay the
+    training draws: at most a chance few of its key sets are training key
+    sets (when ``eval`` drew from ``train``'s generator afresh, its unknots
+    were the first training unknots)."""
+    from latticenet.cli import build_parser, load_dataset, read_config
+    from latticenet.geometry import GridShape
+
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "knots_toy.cfg"
+    parser = build_parser(read_config(cfg))
+    sizes = ["--train-per-class", "40", "--test-per-class", "20"]
+    train_args = parser.parse_args(["train", "--config", str(cfg), *sizes])
+    eval_args = parser.parse_args(["eval", "--config", str(cfg), "--checkpoint", "x", *sizes[2:]])
+    spec = plan(parse(train_args.arch, LatticeKind.TETRAHEDRAL, 1))
+    field = GridShape(spec.lattice, spec.planned_sizes[0])
+
+    training = load_dataset("knots", train_args, field, split="train")
+    held_out = load_dataset("knots", train_args, field, split="test")
+    tested = load_dataset("knots", eval_args, field, split="test")
+    assert len(training) == 120 and len(tested) == 60
+    assert [s.label for s in tested] == [s.label for s in held_out]
+    assert all(np.array_equal(a.grid.keys, b.grid.keys) for a, b in zip(tested, held_out))
+    seen = {s.grid.keys.tobytes() for s in training}
+    shared = sum(s.grid.keys.tobytes() in seen for s in tested)
+    assert shared <= 0.1 * len(tested), shared
 
 
 @pytest.mark.parametrize("scale", [0, -3])

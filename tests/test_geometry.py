@@ -156,3 +156,27 @@ def test_outside_agrees_with_contains(lattice):
     far = np.zeros((1, lattice.ndim), np.int64)
     far[0, -1] = 1 << 40
     assert shape.outside(far).all()
+
+
+@pytest.mark.parametrize("lattice", ALL_LATTICES)
+def test_first_outside_names_the_first_site_outside_grid(lattice):
+    m = 5
+    shape = GridShape(lattice, m)
+    assert shape.first_outside(sites_array(lattice, m).T) is None
+    assert shape.first_outside(np.zeros((lattice.ndim, 0), np.int64)) is None
+    rng = np.random.default_rng(0)
+    found = 0
+    valid = sites_array(lattice, m)
+    for _ in range(200):
+        # valid sites, some of them replaced by sites of a box one wider
+        sites = valid[rng.integers(0, len(valid), size=int(rng.integers(1, 6)))]
+        stray = rng.random(len(sites)) < 0.2
+        sites[stray] = rng.integers(-1, m + 1, size=(int(stray.sum()), lattice.ndim))
+        mask = shape.outside(sites)
+        got = shape.first_outside(np.ascontiguousarray(sites.T))
+        if mask.any():
+            assert got.tolist() == sites[np.argmax(mask)].tolist()
+            found += 1
+        else:
+            assert got is None
+    assert 40 <= found <= 160, found

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from latticenet.netspec import (
     plan,
     render,
 )
+from oracles import compact_walk_parse
 
 SQ = LatticeKind.SQUARE
 TET = LatticeKind.TETRAHEDRAL
@@ -86,6 +89,75 @@ def test_parse_errors_carry_offsets():
         parse("output", SQ, 1)  # no layers
     with pytest.raises(ParseError):
         parse("32C2-output-MP3", SQ, 1)  # trailing layers
+
+
+@pytest.mark.parametrize("text, message, offset", [
+    ("", "empty architecture string", 0),
+    (" \t\x1c", "empty architecture string", 0),
+    ("32C2--output", "unknown token ''", 5),  # empty piece: the next '-'
+    ("32C2- -output", "unknown token ''", 6),  # whitespace-only piece
+    ("32C2-", "unknown token ''", 5),  # trailing '-': the end of the text
+    ("32C2-output-", "unexpected token '' after output", 12),
+    ("32C2-output - MP3", "unexpected token 'MP3' after output", 14),
+    ("32C2-output-MP3-FMP", "unexpected token 'MP3' after output", 12),
+    ("32C2 -  XP3-output", "unknown token 'XP3'", 8),
+    ("32C2-  MP3/0-output", "nonpositive integer in 'MP3/0'", 7),
+    ("-output", "unknown token ''", 0),
+    ("32C2-MP3 ", "architecture must end in '-output'", 9),
+    (" output ", "architecture needs at least one layer before output", 0),
+])
+def test_parse_error_messages_and_offsets(text, message, offset):
+    for parser in (parse, compact_walk_parse):
+        with pytest.raises(ParseError) as e:
+            parser(text, SQ, 1)
+        assert str(e.value) == f"{message} (at byte {offset})"
+        assert e.value.offset == offset
+
+
+def test_parse_ignores_whitespace_inside_tokens():
+    spec = parse("3 2C2-M P3/\t2 - ou tput", SQ, 1)
+    assert spec.layers == (ConvSpec(32, 2), PoolSpec(3, 2), OutputSpec())
+    assert spec == compact_walk_parse("3 2C2-M P3/\t2 - ou tput", SQ, 1)
+
+
+_FUZZ_ALPHABET = 6 * ["32C2", "8C3/2", "1C1", "MP3/2", "MP2", "FMP", "output"] + [
+    "0C2", "4C0", "MP0", "3C2/0", "MP3/0",  # zero counts and strides
+    "-", " ", "\t", "\x1c", "\u0663", "+1", "1e3", "FMP2",
+    "3", "C2", "/2", "MP",  # parts of tokens, to be joined across whitespace
+]
+
+
+def _random_architecture(rng) -> str:
+    """Up to six pieces of one to three fragments each (valid tokens six
+    times as likely as each other fragment), joined by dashes, then
+    ``-output`` half the time."""
+    pieces = ["".join(rng.choice(_FUZZ_ALPHABET, size=int(rng.choice([1, 1, 1, 1, 2, 3]))))
+              for _ in range(int(rng.integers(0, 7)))]
+    return "-".join(pieces) + ("-output" if rng.random() < 0.5 else "")
+
+
+def _parse_outcome(parser, text):
+    try:
+        return "spec", parser(text, TET, 2)
+    except ParseError as e:
+        return "ParseError", str(e), e.offset
+    except Exception as e:  # any other failure must match too
+        return type(e).__name__, str(e)
+
+
+def test_parse_agrees_with_compact_walk_on_random_strings():
+    """Seeded strings of valid tokens, zero counts and strides, dashes,
+    whitespace, a non-ASCII digit and tokens that only look valid: the same
+    spec, or the same error message and offset, as the original parser."""
+    rng = np.random.default_rng(29)
+    kinds = {}
+    for _ in range(20_000):
+        text = _random_architecture(rng)
+        want = _parse_outcome(compact_walk_parse, text)
+        assert _parse_outcome(parse, text) == want, repr(text)
+        kind = re.split(r" '| \(at", want[1])[0] if want[0] == "ParseError" else want[0]
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert len(kinds) == 7 and min(kinds.values()) >= 50, kinds
 
 
 # ---------------------------------------------------------------------------
