@@ -20,11 +20,11 @@ class SizeMismatchError(LatticeNetError, ValueError):
 class ParseError(LatticeNetError, ValueError):
     """Architecture string could not be parsed.
 
-    ``offset`` is the byte offset of the offending token in the input.
+    ``offset`` is the character offset of the offending token in the input.
     """
 
     def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (at byte {offset})")
+        super().__init__(f"{message} (at character {offset})")
         self.offset = offset
 
 

@@ -184,11 +184,12 @@ class SparseGrid:
     def embed(self, fieldshape: GridShape, offset) -> "SparseGrid":
         """Translate all active sites by ``offset`` into a larger field.
 
-        The bounds are checked on the shifted sites' extremes
-        (:meth:`GridShape.first_outside`); an error names the first site
-        that leaves the field.  The keys are shifted by the packed offset,
-        since packing is linear while every coordinate stays in
-        ``[0, 2**21)``, negative offsets included.
+        When the grid's own shape fits in the field at ``offset``, no site
+        is looked at; otherwise the bounds are checked on the shifted
+        sites' extremes (:meth:`GridShape.first_outside`), and an error
+        names the first site that leaves the field.  The keys are shifted
+        by the packed offset, since packing is linear while every
+        coordinate stays in ``[0, 2**21)``, negative offsets included.
         """
         if fieldshape.lattice is not self.shape.lattice:
             raise ValueError(
@@ -198,17 +199,22 @@ class SparseGrid:
         offset = np.asarray(offset, dtype=np.int64).reshape(-1)
         if offset.shape[0] != self.shape.ndim:
             raise ValueError(f"offset must have {self.shape.ndim} coordinates")
+        offs = offset.tolist()
         shift = 0
-        for o in offset.tolist():
+        for o in offs:
             shift = (shift << COORD_BITS) + o
-        sites = self.sites()
-        sites += offset
-        first = fieldshape.first_outside(sites.T)
-        if first is not None:
-            raise ValueError(
-                f"embed offset {tuple(offset)} pushes site {tuple(first)} outside "
-                f"the size-{fieldshape.m} {fieldshape.lattice.value} field"
-            )
+        # every key is a site of the grid's shape, so the sites stay in the
+        # field when that shape's extremes do
+        reach = sum(offs) if self.shape.lattice.is_simplex else max(offs)
+        if min(offs) < 0 or reach + self.shape.m > fieldshape.m:
+            sites = self.sites()
+            sites += offset
+            first = fieldshape.first_outside(sites.T)
+            if first is not None:
+                raise ValueError(
+                    f"embed offset {tuple(offset)} pushes site {tuple(first)} outside "
+                    f"the size-{fieldshape.m} {fieldshape.lattice.value} field"
+                )
         # translation preserves lexicographic order, so rows stay aligned
         return SparseGrid(fieldshape, self.keys + shift, self.rows, self.ground)
 

@@ -19,14 +19,20 @@ Front-ends provided here:
 Meshes and polylines are sampled as whole arrays: every face's
 barycentric lattice, or every segment's evenly spaced points (of all a
 sample's strokes together), goes into one point array that is rounded to
-voxels, sorted once and deduplicated by comparing neighbours.  Points
-are fitted and sampled coordinate-major, a mesh's and a polyline's alike,
-as one row per coordinate, so that every repeat, gather and product runs
-along a long axis; each point still gets the arithmetic it would get as a
-row of a point-major array, so the voxels are bit-identical to that
-form's.  Non-finite coordinates are rejected before sampling.  OFF files are decoded the same way: one tokenizing
-pass, a walk over the face list by runs of faces with the same count
-token, then one conversion per array.
+voxels, sorted once and deduplicated by comparing neighbours.  A
+polyline's keys first lose their runs of equal keys, since consecutive
+samples along a path mostly share a voxel; a mesh's samples rarely
+repeat the one before, so its keys go straight to the sort.  When no
+segment of a polyline call is long enough to be sampled between its
+ends, the two ends of every segment are built directly, without the
+per-sample gather.  Points are fitted and sampled coordinate-major, a
+mesh's and a polyline's alike, as one row per coordinate, so that every
+repeat, gather and product runs along a long axis; each point still gets
+the arithmetic it would get as a row of a point-major array, so the
+voxels are bit-identical to that form's.  Non-finite coordinates are
+rejected before sampling.  OFF files are decoded the same way: one
+tokenizing pass, a walk over the face list by runs of faces with the
+same count token, then one conversion per array.
 
 All randomness is drawn from explicit generators, so ingestion of a
 sample is a pure function of its inputs and seed.
@@ -279,7 +285,7 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     """Uniform random 3D rotation via a normalized quaternion."""
     q = rng.normal(size=4)
     q /= np.linalg.norm(q)
-    w, x, y, z = q
+    w, x, y, z = q.tolist()
     return np.array([
         [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
         [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
@@ -451,32 +457,51 @@ def _path_keys(xyz: np.ndarray, starts: np.ndarray, shape: GridShape) -> np.ndar
     ``t = 1``), with ``steps`` chosen so that consecutive samples are under
     half a voxel apart; a path of one point is that point.  Each sample
     gets the arithmetic it would get as a row of a ``(P, d)`` array, so the
-    voxels are bit-identical to that form's.  The bounds are checked on the
+    voxels are bit-identical to that form's.  When every segment is one
+    step (``max |b - a| / 0.45 <= 1`` over the call), each point's two
+    samples are built densely into one interleaved array; otherwise every
+    sample is gathered from its segment.  The bounds are checked on the
     voxels' extremes; only a sample outside the grid's valid region looks
     further, to name the first such voxel along the paths.
     """
     if not np.isfinite(xyz).all():
         raise ValueError("polyline has non-finite coordinates")
     # point i is sampled along segment i -> i+1 (k = 0 is the point itself);
-    # a path's last point has no segment and adds no samples of its own,
-    # unless it is also the path's first
-    P = xyz.shape[1]
+    # a path's last point has no segment (its delta, which would join two
+    # paths, is zeroed) and adds no samples of its own, unless it is also
+    # the path's first
+    d, P = xyz.shape
+    last = np.append(starts[1:], P) - 1
     delta = np.empty_like(xyz)
     np.subtract(xyz[:, 1:], xyz[:, :-1], out=delta[:, :-1])
-    delta[:, -1] = 0.0
-    steps = np.maximum(1, np.ceil(np.abs(delta).max(axis=0) / 0.45).astype(np.int64))
-    last = np.append(starts[1:], P) - 1
-    count = steps + 1
-    count[last] = last == starts
-    seg = np.repeat(np.arange(P), count)
-    k = _ranks(count)
-    n = steps[seg]
-    # np.linspace(0, 1, n + 1) computes k * (1 / n), then sets the last t = 1
-    t = k * (1.0 / n)
-    t[k == n] = 1.0
-    pts = np.take(delta, seg, axis=1)
-    pts *= t
-    pts += np.take(xyz, seg, axis=1)
+    delta[:, last] = 0.0
+    reach = np.abs(delta).max(axis=0)
+    if reach.max() / 0.45 <= 1:
+        # every segment is one step, sampled only at its ends: point i
+        # (k = 0; delta * 0.0 + point rounds to the same voxel) and
+        # delta_i + point_i (k = n = 1).  Both are built for every point,
+        # interleaved; a path's last point keeps neither, or its k = 0
+        # when it is also the path's first
+        pts = np.empty((d, P, 2))
+        pts[:, :, 0] = xyz
+        np.add(delta, xyz, out=pts[:, :, 1])
+        keep = np.ones((P, 2), dtype=bool)
+        keep[last, 0] = last == starts
+        keep[last, 1] = False
+        pts = np.compress(keep.reshape(-1), pts.reshape(d, 2 * P), axis=1)
+    else:
+        steps = np.maximum(1, np.ceil(reach / 0.45).astype(np.int64))
+        count = steps + 1
+        count[last] = last == starts
+        seg = np.repeat(np.arange(P), count)
+        k = _ranks(count)
+        n = steps[seg]
+        # np.linspace(0, 1, n + 1) computes k * (1 / n), then sets the last t = 1
+        t = k * (1.0 / n)
+        t[k == n] = 1.0
+        pts = np.take(delta, seg, axis=1)
+        pts *= t
+        pts += np.take(xyz, seg, axis=1)
     vox = np.rint(pts, out=pts).astype(np.int64)
     culprit = shape.first_outside(vox)
     if culprit is not None:
@@ -495,7 +520,8 @@ def rasterize_polyline(points: np.ndarray, m: int, shape: GridShape | None = Non
     sampled at ``t = k / steps``, ``k = 0 .. steps`` (the last sample at
     exactly ``t = 1``), with ``steps`` chosen so that consecutive samples
     are under half a voxel apart; the voxel path is therefore 26-connected.
-    All segments' samples form one point array.  A sample outside the
+    All segments' samples form one point array, and runs of samples in one
+    voxel count once before the keys are sorted.  A sample outside the
     grid's valid region is an error that names the first such voxel along
     the path; non-finite points are an error too.
     """
@@ -506,8 +532,8 @@ def rasterize_polyline(points: np.ndarray, m: int, shape: GridShape | None = Non
     points = np.asarray(points, dtype=float).reshape(-1, shape.ndim)
     if points.shape[0] < 1:
         raise ValueError("need at least one point")
-    xyz = np.ascontiguousarray(points.T)
-    return _occupancy_grid(shape, _path_keys(xyz, np.zeros(1, dtype=np.int64), shape))
+    keys = _path_keys(np.ascontiguousarray(points.T), np.zeros(1, dtype=np.int64), shape)
+    return _occupancy_grid(shape, keys[run_heads(keys)])
 
 
 def strokes_to_spacetime(sample: StrokeSample, m: int = 40) -> SparseGrid:
@@ -528,8 +554,8 @@ def strokes_to_spacetime(sample: StrokeSample, m: int = 40) -> SparseGrid:
     pts[:2] = _fit_coords(pts[:2], GridShape(LatticeKind.SQUARE, m), margin=0.0)
     np.multiply(np.arange(P), (m - 1) / max(P - 1, 1), out=pts[2])
     shape = GridShape(LatticeKind.CUBIC, m)
-    starts = np.cumsum([0] + lengths[:-1])
-    return _occupancy_grid(shape, _path_keys(pts, starts, shape))
+    keys = _path_keys(pts, np.cumsum([0] + lengths[:-1]), shape)
+    return _occupancy_grid(shape, keys[run_heads(keys)])
 
 
 def frame_difference(video: FrameSequence, threshold_pct: float) -> SparseGrid:
@@ -636,7 +662,7 @@ def _knot_curve(kind: str, samples: int) -> np.ndarray:
 def synth_knot(kind: str, m: int, rng: np.random.Generator,
                lattice: LatticeKind = LatticeKind.CUBIC) -> LabeledSample:
     """One randomly rotated, jittered, rasterized knot sample."""
-    pts = knot_curve(kind) @ random_rotation(rng).T
+    pts = _knot_curve(kind, 720) @ random_rotation(rng).T
     pts *= rng.uniform(0.88, 1.0)  # scale jitter
     # coordinate-major and closed: the curve's first point repeats at its
     # end, which changes no extreme of the fit, so the repeat is fitted to

@@ -91,13 +91,14 @@ class NetworkSpec:
         return out
 
 
-_TOKEN_RE = re.compile(r"(\d+)C(\d+)(?:/(\d+))?|MP(\d+)(?:/(\d+))?|FMP|output")
+_TOKEN_RE = re.compile(r"([0-9]+)C([0-9]+)(?:/([0-9]+))?|MP([0-9]+)(?:/([0-9]+))?|FMP|output")
 
 
 def parse(text: str, lattice: LatticeKind, n_input: int) -> NetworkSpec:
-    """Parse an architecture string; errors carry the byte offset of the
-    failing piece's first non-space character (the next ``-``, or the end
-    of the text, for a piece that is all whitespace)."""
+    """Parse an architecture string; counts and strides are ASCII digits.
+    Errors carry the character offset of the failing piece's first
+    non-space character (the next ``-``, or the end of the text, for a
+    piece that is all whitespace)."""
     if not text.strip():
         raise ParseError("empty architecture string", 0)
     layers: list[LayerSpec] = []

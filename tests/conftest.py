@@ -13,6 +13,20 @@ from latticenet.ingest import TriangleMesh
 ALL_LATTICES = list(LatticeKind)
 
 
+def count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name``, a module's function or a class's method, so
+    that each call is counted; returns the count."""
+    calls = [0]
+    original = getattr(owner, name)
+
+    def counted(*args, **kw):
+        calls[0] += 1
+        return original(*args, **kw)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def random_dense(lattice, m, n, sparsity, rng, ground=None):
     """Dense grid whose sites are active with probability ``sparsity``."""
     shape = GridShape(lattice, m)

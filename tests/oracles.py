@@ -16,11 +16,12 @@ per-sample grouping.  The last ones
 are original ingestion steps: the OFF decoder that converts one token per
 call, polylines fitted and sampled as row-major point arrays (knots and
 space-time strokes whole), space-time strokes rasterized one stroke at a
-time, embedding that unpacks and packs every site, and the augmentation
-that sorts its keys twice.  Last, the architecture parser that walks a
-whitespace-free copy of the text with a map back to byte offsets.
-Slow and obviously correct.  ``plan_Q`` gives tests the gather matrix of
-a convolution's tape plan whichever form it keeps.
+time, embedding that unpacks and packs every site, the augmentation
+that sorts its keys twice, and the rotation computed on numpy scalars
+that the row-major knot places its curve with.  Last, the architecture
+parser that walks a whitespace-free copy of the text with a map back to
+character offsets.  Slow and obviously correct.  ``plan_Q`` gives tests
+the gather matrix of a convolution's tape plan whichever form it keeps.
 """
 
 import math
@@ -48,7 +49,6 @@ from latticenet.ingest import (
     fit_points,
     knot_curve,
     make_affine,
-    random_rotation,
     rasterize_polyline,
 )
 from latticenet.netspec import ConvSpec, FMPSpec, LayerSpec, NetworkSpec, OutputSpec, PoolSpec
@@ -728,12 +728,25 @@ def row_major_path_keys(points: np.ndarray, starts: np.ndarray, shape: GridShape
     return pack_sites(vox)
 
 
+def numpy_scalar_rotation(rng: np.random.Generator) -> np.ndarray:
+    """Uniform random 3D rotation via a normalized quaternion, its entries
+    computed on numpy scalars."""
+    q = rng.normal(size=4)
+    q /= np.linalg.norm(q)
+    w, x, y, z = q
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
+
+
 def row_major_knot_keys(kind: str, m: int, rng: np.random.Generator,
                         lattice: LatticeKind = LatticeKind.CUBIC) -> np.ndarray:
-    """Sorted active keys of ``ingest.synth_knot``'s sample, placed and
-    sampled row-major by the two functions above."""
+    """Sorted active keys of ``ingest.synth_knot``'s sample, rotated by the
+    function above and placed and sampled row-major by the two before it."""
     pts = knot_curve(kind)
-    pts = pts @ random_rotation(rng).T
+    pts = pts @ numpy_scalar_rotation(rng).T
     pts *= rng.uniform(0.88, 1.0)  # scale jitter
     shape = GridShape(lattice, m)
     fitted = row_major_fit_points(pts, shape, margin=0.6)
@@ -838,12 +851,12 @@ def two_sort_augment_grid(grid: SparseGrid, params: AffineParams, rng: np.random
     return SparseGrid(grid.shape, uniq, merged, grid.ground)
 
 
-_CONV_RE = re.compile(r"^(\d+)C(\d+)(?:/(\d+))?$")
-_POOL_RE = re.compile(r"^MP(\d+)(?:/(\d+))?$")
+_CONV_RE = re.compile(r"^([0-9]+)C([0-9]+)(?:/([0-9]+))?$")
+_POOL_RE = re.compile(r"^MP([0-9]+)(?:/([0-9]+))?$")
 
 
 def compact_walk_parse(text: str, lattice: LatticeKind, n_input: int) -> NetworkSpec:
-    """Parse an architecture string; errors carry the byte offset."""
+    """Parse an architecture string; errors carry the character offset."""
     stripped = []
     positions = []
     for i, ch in enumerate(text):
@@ -854,7 +867,7 @@ def compact_walk_parse(text: str, lattice: LatticeKind, n_input: int) -> Network
     if not compact:
         raise ParseError("empty architecture string", 0)
 
-    # segment boundaries in the compacted string, mapped back to byte offsets
+    # segment boundaries in the compacted string, mapped back to character offsets
     segments = []
     start = 0
     for i in range(len(compact) + 1):

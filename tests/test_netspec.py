@@ -105,12 +105,14 @@ def test_parse_errors_carry_offsets():
     ("-output", "unknown token ''", 0),
     ("32C2-MP3 ", "architecture must end in '-output'", 9),
     (" output ", "architecture needs at least one layer before output", 0),
+    ("\u0663C2-output", "unknown token '\u0663C2'", 0),  # a non-ASCII digit
+    ("32C2-\u3000XP3-output", "unknown token 'XP3'", 6),  # a 3-byte space is one character
 ])
 def test_parse_error_messages_and_offsets(text, message, offset):
     for parser in (parse, compact_walk_parse):
         with pytest.raises(ParseError) as e:
             parser(text, SQ, 1)
-        assert str(e.value) == f"{message} (at byte {offset})"
+        assert str(e.value) == f"{message} (at character {offset})"
         assert e.value.offset == offset
 
 

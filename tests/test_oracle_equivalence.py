@@ -2,13 +2,15 @@
 the per-segment, per-face and per-site loops they replace (oracles.py),
 space-time strokes sampled in one pass against one rasterization per
 stroke, coordinate-major fitting and path sampling (knots and strokes
-whole) against the row-major forms, embedding by packed offset against
-unpack/offset/pack, augmentation with one sort against the two-sort form,
-training with the running-max pool argmax and the in-place SGD step against
-training with the masked-store argmax and the copying step, training with
-the pool and SGD step in small tiles against training with the whole-array
-pool and the copying step, and training with the table rulebook against
-training with the searchsorted rulebook.
+whole, and one-step segments built densely) against the row-major forms,
+the knot rotation on Python floats against the one on numpy scalars,
+embedding by packed offset against unpack/offset/pack, augmentation with
+one sort against the two-sort form, training with the running-max pool
+argmax and the in-place SGD step against training with the masked-store
+argmax and the copying step, training with the pool and SGD step in small
+tiles against training with the whole-array pool and the copying step,
+and training with the table rulebook against training with the
+searchsorted rulebook.
 
 Equality is exact: the same active keys for every seed, and for meshes the
 same per-face subdivision counts, so that a different edge-length formula
@@ -44,12 +46,20 @@ from latticenet.network import Network
 from latticenet.ops import FMP_RATIO, FMPLayer, fmp_forward, fmp_regions
 from latticenet.train import AffineParams, TrainConfig, augment_grid, evaluate, fit
 
-from conftest import ALL_LATTICES, cube_surface_mesh, random_sparse, sphere_mesh, torus_mesh
+from conftest import (
+    ALL_LATTICES,
+    count_calls,
+    cube_surface_mesh,
+    random_sparse,
+    sphere_mesh,
+    torus_mesh,
+)
 from oracles import (
     copying_sgd_step,
     loop_fmp_active_keys,
     loop_rasterize_polyline,
     loop_voxelize_mesh,
+    numpy_scalar_rotation,
     per_stroke_spacetime,
     putmask_max_pool,
     row_major_fit_points,
@@ -281,33 +291,63 @@ def test_fit_points_rejects_a_grid_without_room_like_row_major(lattice, m, margi
     assert str(new.value) == str(old.value)
 
 
+def one_step_paths(rng, d: int, hi: float) -> list:
+    """One to four random walks from uniform starts in ``[-0.6, hi)``, of
+    one point (three times in ten) or two to forty, whose every step is
+    under 0.44 in each coordinate: no segment is sampled between its ends."""
+    sizes = [1 if rng.random() < 0.3 else int(rng.integers(2, 41))
+             for _ in range(int(rng.integers(1, 5)))]
+    return [np.cumsum(np.vstack([rng.uniform(-0.6, hi, size=(1, d)),
+                                 rng.uniform(-0.44, 0.44, size=(n - 1, d))]), axis=0)
+            for n in sizes]
+
+
 @pytest.mark.parametrize("lattice, hi", [
     (LatticeKind.CUBIC, 11.6), (LatticeKind.TETRAHEDRAL, 4.2),
     (LatticeKind.SQUARE, 11.6), (LatticeKind.TRIANGULAR, 6.2),
 ])
 def test_path_keys_match_row_major(lattice, hi):
-    """Several paths of one to five points sampled together: the same keys
-    in the same order, or the same first out-of-grid voxel."""
+    """Several paths sampled together, of two families that both cross the
+    grid's edge: one to five points anywhere in the grid, whose segments
+    are gathered sample by sample (unless every path is one point), and the
+    walks of :func:`one_step_paths`, whose ends are built densely, with
+    one-point paths first, in the middle and last.  The same keys in the
+    same order, or the same first out-of-grid voxel."""
     shape = GridShape(lattice, 12)
-    outside = one_point = 0
+    seen = dict.fromkeys(["gathered", "one_step", "outside", "one_step_outside",
+                          "one_point", "several", "first", "middle", "last"], 0)
     for seed in range(200):
         rng = np.random.default_rng(seed)
-        paths = [rng.uniform(-0.6, hi, size=(int(rng.integers(1, 6)), lattice.ndim))
-                 for _ in range(int(rng.integers(1, 5)))]
-        one_point += any(len(p) == 1 for p in paths)
-        points = np.vstack(paths)
-        starts = np.cumsum([0] + [len(p) for p in paths[:-1]])
-        try:
-            want = row_major_path_keys(points, starts, shape)
-        except ValueError as e:
-            with pytest.raises(ValueError, match="outside") as new:
-                _path_keys(np.ascontiguousarray(points.T), starts, shape)
-            assert str(new.value) == str(e), seed
-            outside += 1
-            continue
-        got = _path_keys(np.ascontiguousarray(points.T), starts, shape)
-        assert got.dtype == want.dtype and np.array_equal(got, want), seed
-    assert 40 <= outside <= 160 and one_point >= 40, (outside, one_point)
+        spread = [rng.uniform(-0.6, hi, size=(int(rng.integers(1, 6)), lattice.ndim))
+                  for _ in range(int(rng.integers(1, 5)))]
+        walks = one_step_paths(rng, lattice.ndim, hi)
+        single = [len(p) == 1 for p in walks]
+        seen["several"] += len(walks) > 1
+        seen["first"] += len(walks) > 1 and single[0]
+        seen["middle"] += any(single[1:-1])
+        seen["last"] += len(walks) > 1 and single[-1]
+        seen["one_point"] += any(len(p) == 1 for p in spread)
+        for paths in (spread, walks):
+            one_step = all(np.abs(np.diff(p, axis=0)).max(initial=0.0) / 0.45 <= 1
+                           for p in paths)
+            assert one_step or paths is spread, seed
+            seen["one_step" if one_step else "gathered"] += 1
+            points = np.vstack(paths)
+            starts = np.cumsum([0] + [len(p) for p in paths[:-1]])
+            try:
+                want = row_major_path_keys(points, starts, shape)
+            except ValueError as e:
+                with pytest.raises(ValueError, match="outside") as new:
+                    _path_keys(np.ascontiguousarray(points.T), starts, shape)
+                assert str(new.value) == str(e), seed
+                seen["outside" if paths is spread else "one_step_outside"] += 1
+                continue
+            got = _path_keys(np.ascontiguousarray(points.T), starts, shape)
+            assert got.dtype == want.dtype and np.array_equal(got, want), seed
+    assert 40 <= seen["outside"] <= 160 and seen["one_point"] >= 40, seen
+    assert seen["gathered"] >= 150 and seen["one_step"] >= 200, seen
+    assert 30 <= seen["one_step_outside"] <= 170 and seen["several"] >= 100, seen
+    assert min(seen["first"], seen["middle"], seen["last"]) >= 20, seen
 
 
 @pytest.mark.parametrize("lattice, m", [
@@ -323,6 +363,13 @@ def test_knot_dataset_matches_row_major(lattice, m):
             assert np.array_equal(sample.grid.keys, row_major_knot_keys(kind, m, rng, lattice)), seed
 
 
+def test_random_rotation_matches_numpy_scalar_form():
+    for seed in range(10_000):
+        got = random_rotation(np.random.default_rng(seed))
+        want = numpy_scalar_rotation(np.random.default_rng(seed))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), seed
+
+
 def test_strokes_to_spacetime_matches_row_major():
     for seed in SEEDS:
         sample = random_strokes(np.random.default_rng(seed))
@@ -331,35 +378,57 @@ def test_strokes_to_spacetime_matches_row_major():
                                   row_major_spacetime_keys(sample, m)), (seed, m)
 
 
+def check_embed(grid: SparseGrid, field: GridShape, offset, scans) -> str:
+    """``grid.embed`` against ``unpacked_embed``: the same keys and rows, or
+    the same error message.  Returns "fits" when the grid's shape fits in
+    the field at the offset, and then ``GridShape.first_outside`` (counted
+    by ``scans``) must not be called; else "inside" or "outside", after one
+    such call."""
+    reach = sum(offset) if field.lattice.is_simplex else max(offset)
+    fits = min(offset) >= 0 and reach + grid.shape.m <= field.m
+    before = scans[0]
+    try:
+        want = unpacked_embed(grid, field, offset)
+    except ValueError as e:
+        with pytest.raises(ValueError) as new:
+            grid.embed(field, offset)
+        assert str(new.value) == str(e) and not fits
+        return "outside"
+    got = grid.embed(field, offset)
+    assert scans[0] == before + (not fits)
+    assert got.shape == want.shape and got.keys.dtype == np.int64
+    assert np.array_equal(got.keys, want.keys)
+    assert got.rows.tobytes() == want.rows.tobytes()
+    assert got.ground.tobytes() == want.ground.tobytes()
+    return "fits" if fits else "inside"
+
+
 @pytest.mark.parametrize("lattice", ALL_LATTICES)
-def test_embed_matches_unpack_offset_pack(lattice):
+def test_embed_matches_unpack_offset_pack(lattice, monkeypatch):
     """Offsets from one below the grid's lowest coordinates up to the
-    field's spare size, into fields of the grid's size up to five more: the
-    same keys and rows, or the same error message."""
+    field's spare size, and offsets along one axis up to the spare size,
+    which always fit, into fields of the grid's size up to five more
+    (:func:`check_embed`)."""
     d = lattice.ndim
-    ok = failed = negative = 0
+    scans = count_calls(monkeypatch, GridShape, "first_outside")
+    seen = dict.fromkeys(["fits", "inside", "outside"], 0)
+    negative = 0
     for seed in range(200):
         rng = np.random.default_rng(seed)
         grid = random_sparse(lattice, 3 + seed % 8, 2, rng.uniform(0.0, 0.1), rng)
         field = GridShape(lattice, grid.shape.m + int(rng.integers(0, 6)))
+        spare = field.m - grid.shape.m
         low = grid.sites().min(axis=0) if grid.a else np.zeros(d, np.int64)
-        offset = tuple(int(rng.integers(-c - 1, field.m - grid.shape.m + 1)) for c in low)
-        try:
-            want = unpacked_embed(grid, field, offset)
-        except ValueError as e:
-            with pytest.raises(ValueError) as new:
-                grid.embed(field, offset)
-            assert str(new.value) == str(e), seed
-            failed += 1
-            continue
-        got = grid.embed(field, offset)
-        assert got.shape == want.shape and got.keys.dtype == np.int64, seed
-        assert np.array_equal(got.keys, want.keys), seed
-        assert got.rows.tobytes() == want.rows.tobytes(), seed
-        assert got.ground.tobytes() == want.ground.tobytes(), seed
-        ok += 1
-        negative += min(offset) < 0 and grid.a > 0
-    assert ok >= 50 and failed >= 50 and negative >= 8, (ok, failed, negative)
+        offset = tuple(int(rng.integers(-c - 1, spare + 1)) for c in low)
+        along = tuple(int(rng.integers(0, spare + 1)) * (i == seed % d) for i in range(d))
+        assert check_embed(grid, field, along, scans) == "fits", seed
+        outcome = check_embed(grid, field, offset, scans)
+        seen[outcome] += 1
+        negative += outcome != "outside" and min(offset) < 0 and grid.a > 0
+    ok = seen["fits"] + seen["inside"]
+    assert ok >= 50 and seen["outside"] >= 50 and negative >= 8, (seen, negative)
+    fits = 200 + seen["fits"]  # with every offset along one axis
+    assert min(fits, seen["inside"] + seen["outside"]) >= 50, seen
 
 
 @pytest.mark.parametrize("lattice", ALL_LATTICES)

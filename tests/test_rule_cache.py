@@ -20,7 +20,7 @@ from latticenet.netspec import parse, plan
 from latticenet.network import Network
 from latticenet.train import TrainConfig, evaluate, fit
 
-from conftest import ALL_LATTICES, GROWING_ARCH, random_sparse, thin_grids
+from conftest import ALL_LATTICES, GROWING_ARCH, count_calls, random_sparse, thin_grids
 from oracles import plan_Q
 
 CUBIC = LatticeKind.CUBIC
@@ -410,19 +410,6 @@ def test_hit_gives_each_sample_its_own_plans(rng):
 
 # ---------------------------------------------------------------------------
 # eval entries: each eval batch's own rules
-
-
-def count_calls(monkeypatch, module, name):
-    """Wrap ``module.name`` so that each call is counted; returns the count."""
-    calls = [0]
-    original = getattr(module, name)
-
-    def counted(*args, **kw):
-        calls[0] += 1
-        return original(*args, **kw)
-
-    monkeypatch.setattr(module, name, counted)
-    return calls
 
 
 def rulebook_calls(monkeypatch):
