@@ -212,7 +212,7 @@ class SparseGrid:
             first = fieldshape.first_outside(sites.T)
             if first is not None:
                 raise ValueError(
-                    f"embed offset {tuple(offset)} pushes site {tuple(first)} outside "
+                    f"embed offset {tuple(offs)} pushes site {tuple(first.tolist())} outside "
                     f"the size-{fieldshape.m} {fieldshape.lattice.value} field"
                 )
         # translation preserves lexicographic order, so rows stay aligned

@@ -11,15 +11,15 @@ into one block per spec layer, one small private class per kind:
 * ``_FMP``: fractional max pooling ("fmp"), a pool over regions drawn
   from a seed.
 
-Every block has ``forward(batch, cached, train_rng, keep_tape)``, which
-takes its rule from the rule cache's iterator or runs its own rulebook and
-returns its output batch, tape entry, multiply-accumulates and rule, and
-``backward(d, entry, wanted)``, which maps its output gradient (a
-convolution's before its rectifier) to its input gradient (None unless
-``wanted``) and accumulates its parameters' gradients, and ``header()``,
-the bytes of its checkpoint record that the architecture fixes.  So the
-forward pass, the ground states, the backward pass and the checkpoint
-are each one loop over the blocks.
+Every block has ``forward(batch, rule, keep_tape)``, which applies the
+rule that :meth:`Network._run` picks, the rule cache's or its layer's
+``rulebook(batch, rng)``, and returns its output batch, tape entry and
+multiply-accumulates, ``backward(d, entry, wanted)``, which maps its
+output gradient (a convolution's before its rectifier) to its input
+gradient (None unless ``wanted``) and accumulates its parameters'
+gradients, and ``header()``, the bytes of its checkpoint record that the
+architecture fixes.  So the forward pass, the ground states, the backward
+pass and the checkpoint are each one loop over the blocks.
 
 A mini-batch travels through the blocks as one
 :class:`~latticenet.grid.GridBatch`, so every convolution, pool and FMP
@@ -80,9 +80,6 @@ from .ops import (
     FMPLayer,
     PoolLayer,
     conv_forward_batch,
-    conv_rulebook,
-    fmp_regions,
-    fmp_rulebook,
     pool_forward_batch,
     relu_forward_batch,
 )
@@ -109,7 +106,7 @@ class _Conv:
         return struct.pack("<BIIII", self.CODES[self.kind], l.geometry.f, l.geometry.s,
                            l.n_in, l.n_out)
 
-    def forward(self, batch: GridBatch, cached, train_rng, keep_tape: bool):
+    def forward(self, batch: GridBatch, rule, keep_tape: bool):
         """A "conv" block rectifies its fresh output table, rows and grounds,
         in place.  The tape plan keeps ``Q`` or, when
         :func:`~latticenet.autograd.input_frame_cheaper` says the backward
@@ -118,7 +115,6 @@ class _Conv:
         keeps the rectifier's ``mask``, ``rows > 0`` of the rectified rows,
         which has the bits of the unrectified rows' mask, NaN included."""
         l = self.layer
-        rule = next(cached, None) or conv_rulebook(batch, l.geometry)
         out, plan = conv_forward_batch(batch, l, rule)
         if keep_tape and input_frame_cheaper(batch.a, out.a, l.geometry.volume, l.n_in,
                                              l.n_out, batch.B, self.input_grad):
@@ -127,7 +123,7 @@ class _Conv:
             relu_forward_batch(out)
             if keep_tape:
                 plan = replace(plan, mask=out.rows > 0)
-        return out, (self.kind, l, plan), out.a * l.geometry.volume * l.n_in * l.n_out, rule
+        return out, (self.kind, l, plan), out.a * l.geometry.volume * l.n_in * l.n_out
 
     def backward(self, d, entry, wanted: bool):
         dW, dB, d = conv_backward(d, entry[2], self.layer, input_grad=wanted)
@@ -145,34 +141,24 @@ class _Pool:
     def header(self) -> bytes:
         return struct.pack("<BII", 1, self.layer.p, self.layer.s)
 
-    def forward(self, batch: GridBatch, cached, train_rng, keep_tape: bool):
-        rule = next(cached, None) or conv_rulebook(batch, self.layer.geometry)
+    def forward(self, batch: GridBatch, rule, keep_tape: bool):
         out, plan = pool_forward_batch(batch, self.layer, keep_plan=keep_tape, rule=rule)
-        return out, ("pool", plan), 0, rule
+        return out, ("pool", plan), 0
 
     def backward(self, d, entry, wanted: bool):
         return pool_backward(d, entry[1]) if wanted else None
 
 
 class _FMP(_Pool):
-    """Fractional max pooling; its regions come from a seed that training
-    draws per batch from ``train_rng`` and evaluation takes from
-    ``layer.seed``.  A training pass draws its seed first, whatever else
-    happens, so the random stream does not depend on the cache; the
-    regions are built only when the cache yields no rule, since a cached
-    rule already holds what they decide."""
+    """Fractional max pooling: the pool's ``forward(batch, rule, keep_tape)``
+    over the rule ``_run`` picks.  A training chain stops before the first
+    FMP layer, so in training the layer's rulebook always runs and draws its
+    seed from ``train_rng``; in eval it uses ``layer.seed``."""
 
     kind = "fmp"
 
     def header(self) -> bytes:
         return struct.pack("<Bd", 2, self.layer.ratio)
-
-    def forward(self, batch: GridBatch, cached, train_rng, keep_tape: bool):
-        l = self.layer
-        seed = int(train_rng.integers(0, 2**31)) if train_rng is not None else l.seed
-        rule = next(cached, None) or fmp_rulebook(batch, fmp_regions(batch.shape.m, l.ratio, seed))
-        out, plan = pool_forward_batch(batch, l, keep_plan=keep_tape, rule=rule)
-        return out, ("pool", plan), 0, rule
 
 
 class Network:
@@ -192,7 +178,6 @@ class Network:
         self.spec = spec
         self.classes = classes
         self.dtype = dtype
-        self.fmp_eval_seed = fmp_eval_seed
         self.blocks = []
         n = spec.n_input
         for ls in spec.layers:
@@ -240,18 +225,19 @@ class Network:
         per block: its output batch, its tape entry (None unless
         ``keep_tape``) and the multiply-accumulates it performed.
 
-        The first ``depth`` rulebook layers take their rules from the cache
-        when the batch hits; otherwise the rulebook runs, and the cache
-        stores what the lookup asked for: the chains of training samples to
-        admit, or the eval batch's rules.  ``cache=False`` leaves the cache
-        out altogether."""
+        Each block's rule is picked here: the first ``depth`` blocks take
+        theirs from the cache when the batch hits; otherwise its layer's
+        rulebook runs, and the cache stores what the lookup asked for: the
+        chains of training samples to admit, or the eval batch's rules.
+        ``cache=False`` leaves the cache out altogether."""
         training = train_rng is not None
         depth, context = self._chain_context(training)
         cached, miss = (self.rule_cache.lookup(batch, context, training) if depth and cache
                         else (iter(()), None))
         rules = []
         for block in self.blocks:
-            out, entry, macs, rule = block.forward(batch, cached, train_rng, keep_tape)
+            rule = next(cached, None) or block.layer.rulebook(batch, train_rng)
+            out, entry, macs = block.forward(batch, rule, keep_tape)
             if miss and len(rules) < depth:
                 rules.append((rule, batch.start, out.start))
             yield out, entry if keep_tape else None, macs

@@ -48,14 +48,14 @@ indexed by coordinate over the batch's extent, holds ``u`` at each start
 and -1 elsewhere, so one lookup per dimension both tests ``c - o`` and
 finds ``u``.
 
-The batch forward ops take an optional ``rule``: the ``(out_keys,
-out_sample, src)`` triple the rulebook would give for the batch.  A
-:class:`~latticenet.network.Network` passes one from its rule cache (see
-:mod:`latticenet.rulecache`): in training, assembled from the chains of
-the batch's samples once every sample has been seen, and in eval, the
-rules stored when the same batch was seen; the op then skips the
-rulebook, and since the cached rule equals the rulebook's bit for bit, so
-do the outputs and plans.
+Every layer gives its rule, the ``(out_keys, out_sample, src)`` triple,
+as ``layer.rulebook(batch, rng)``; only an FMP layer reads ``rng``, to
+draw a training batch's seed.  The batch forward ops take an optional
+``rule`` and run ``layer.rulebook`` without one.  A
+:class:`~latticenet.network.Network` always passes one: from its rule
+cache (see :mod:`latticenet.rulecache`) on a hit, else the layer's.  A
+cached rule equals the rulebook's bit for bit, and so do the outputs and
+plans.
 
 Each rulebook layer keeps what its backward pass needs in one
 :class:`Plan` over the batch's rows; ``plan[b]`` is sample ``b``'s own, as
@@ -162,6 +162,9 @@ class ConvLayer:
         if self.B.shape[0] != self.n_out:
             raise ValueError(f"B must have {self.n_out} entries, got {self.B.shape[0]}")
 
+    def rulebook(self, batch: GridBatch, rng=None):
+        return conv_rulebook(batch, self.geometry)
+
     @classmethod
     def init(cls, geometry: FilterGeometry, n_in: int, n_out: int, rng: np.random.Generator,
              dtype=np.float32) -> "ConvLayer":
@@ -188,7 +191,7 @@ class PoolLayer:
     def out_shape(self, shape: GridShape) -> GridShape:
         return conv_out_shape(shape, self.geometry)
 
-    def rulebook(self, batch: GridBatch):
+    def rulebook(self, batch: GridBatch, rng=None):
         return conv_rulebook(batch, self.geometry)
 
 
@@ -209,8 +212,10 @@ class FMPLayer:
     def out_shape(self, shape: GridShape) -> GridShape:
         return GridShape(LatticeKind.CUBIC, fmp_out_size(shape.m, self.ratio))
 
-    def rulebook(self, batch: GridBatch):
-        return fmp_rulebook(batch, fmp_regions(batch.shape.m, self.ratio, self.seed))
+    def rulebook(self, batch: GridBatch, rng: np.random.Generator | None = None):
+        """The rule of the regions of a seed drawn from ``rng``, else of ``self.seed``."""
+        seed = self.seed if rng is None else int(rng.integers(0, 2**31))
+        return fmp_rulebook(batch, fmp_regions(batch.shape.m, self.ratio, seed))
 
 
 @dataclass
@@ -460,9 +465,9 @@ def build_gather(grid: SparseGrid, out_keys: np.ndarray, geometry: FilterGeometr
 def conv_forward_batch(batch: GridBatch, layer: ConvLayer, rule=None):
     """Steps 1-3 for a batch: one rulebook pass and one dense multiply.
 
-    ``rule`` is the batch's rule as :func:`conv_rulebook` gives it; when it
-    is None, the rulebook runs here.  Returns the output batch and the
-    batch's :class:`Plan`, which keeps ``Q``.
+    ``rule`` is the batch's rule as ``layer.rulebook`` gives it; when it is
+    None, the rulebook runs here.  Returns the output batch and the batch's
+    :class:`Plan`, which keeps ``Q``.
     """
     if batch.n != layer.n_in:
         raise ValueError(f"layer expects {layer.n_in} input features, grid has {batch.n}")
@@ -471,7 +476,7 @@ def conv_forward_batch(batch: GridBatch, layer: ConvLayer, rule=None):
             f"layer is {layer.geometry.lattice.value}, grid is {batch.shape.lattice.value}"
         )
     geom = layer.geometry
-    out_keys, out_sample, src = conv_rulebook(batch, geom) if rule is None else rule
+    out_keys, out_sample, src = layer.rulebook(batch) if rule is None else rule
     out_shape = conv_out_shape(batch.shape, geom)
     a_out = out_keys.shape[0]
     Q = batch.table.take(src.reshape(-1), axis=0).reshape(a_out, geom.volume * batch.n)

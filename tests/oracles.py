@@ -783,7 +783,7 @@ def unpacked_embed(grid: SparseGrid, fieldshape: GridShape, offset) -> SparseGri
     if bad.any():
         first = sites[np.argmax(bad)]
         raise ValueError(
-            f"embed offset {tuple(offset)} pushes site {tuple(first)} outside "
+            f"embed offset {tuple(offset.tolist())} pushes site {tuple(first.tolist())} outside "
             f"the size-{fieldshape.m} {fieldshape.lattice.value} field"
         )
     # translation preserves lexicographic order, so rows stay aligned

@@ -218,6 +218,35 @@ def test_load_dataset_reads_the_files_of_its_kind(tmp_path, kind, suffix):
         assert s.grid.shape == field
 
 
+@pytest.mark.parametrize("lattice, m, offset", [
+    (LatticeKind.SQUARE, 32, 0), (LatticeKind.SQUARE, 36, 2),
+    # load_dataset resamples a 32-pixel image onto a size-69 triangle
+    (LatticeKind.TRIANGULAR, 69, 0), (LatticeKind.TRIANGULAR, 75, 2),
+])
+def test_load_dataset_reads_cifar_records(tmp_path, lattice, m, offset):
+    from latticenet.cli import load_dataset
+    from latticenet.geometry import GridShape
+    from latticenet.ingest import image_to_dense, load_cifar_batch, square_to_triangular
+
+    labels = [3, 0, 9, 3]
+    rng = np.random.default_rng(2)
+    batch = tmp_path / "data_batch_1.bin"
+    batch.write_bytes(b"".join(bytes([lab]) + rng.integers(0, 256, 3072, np.uint8).tobytes()
+                               for lab in labels))
+    field = GridShape(lattice, m)
+    samples = load_dataset(f"cifar:{batch}", argparse.Namespace(seed=0), field, split="test")
+    assert [s.label for s in samples] == labels
+    for s, img in zip(samples, load_cifar_batch(batch)[1]):
+        dense = image_to_dense(img)
+        want = (SparseGrid.from_dense(dense, np.zeros(3, np.float32))
+                if lattice is LatticeKind.SQUARE else square_to_triangular(dense, 69))
+        want = want.embed(field, (offset, offset))
+        assert s.grid.shape == field and want.a > 0
+        assert np.array_equal(s.grid.keys, want.keys)
+        assert np.array_equal(s.grid.rows, want.rows)
+        assert np.array_equal(s.grid.ground, want.ground)
+
+
 def test_eval_loads_the_held_out_knots_that_train_loaded():
     """``eval``'s test split is ``train``'s, and does not replay the
     training draws: at most a chance few of its key sets are training key

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -99,8 +101,14 @@ def test_embed_planner_field(rng):
 def test_embed_out_of_bounds():
     shape = GridShape(LatticeKind.SQUARE, 4)
     grid = SparseGrid.from_sites(shape, [[3, 3]], [[1.0]], np.zeros(1))
-    with pytest.raises(ValueError, match="outside"):
+    # the message names plain integers, not numpy scalars
+    want = "embed offset (1, 0) pushes site (4, 3) outside the size-4 square field"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
         grid.embed(shape, (1, 0))
+    with pytest.raises(ValueError, match="cannot embed square grid into triangular field"):
+        grid.embed(GridShape(LatticeKind.TRIANGULAR, 8), (0, 0))
+    with pytest.raises(ValueError, match="offset must have 2 coordinates"):
+        grid.embed(GridShape(LatticeKind.SQUARE, 8), (0, 0, 0))
     # simplex sum violation
     tri = SparseGrid.from_sites(GridShape(LatticeKind.TRIANGULAR, 4), [[2, 1]], [[1.0]], np.zeros(1))
     with pytest.raises(ValueError):

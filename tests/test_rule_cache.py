@@ -8,10 +8,12 @@ apart, keys eval entries by the FMP seeds, and holds what fits under
 ``rulecache.CACHE_BYTES`` and evicts nothing.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
-from latticenet import rulecache
+from latticenet import ops, rulecache
 from latticenet.autograd import softmax_nll
 from latticenet.geometry import LatticeKind
 from latticenet.grid import GridBatch, LabeledSample, SparseGrid
@@ -220,15 +222,13 @@ def test_one_off_key_sets_store_no_chain(rng):
 
 
 def test_augmented_evaluate_leaves_the_cache_alone(rng, monkeypatch):
-    from latticenet import network
-
     net = make_net(CUBIC)
     grids = grids_for(net, rng, (0.3, 0.5, 0.2))
     samples = [LabeledSample(g, 0) for g in grids]
     want = evaluate(net, samples)  # stores the batch's entry
     cache = net.rule_cache
     counters = (cache.hits, cache.misses, cache.admitted, cache.nbytes)
-    rulebooks = count_calls(monkeypatch, network, "conv_rulebook")
+    rulebooks = count_calls(monkeypatch, ops, "conv_rulebook")
     # even an augmentation that leaves every grid as it is runs the rulebook
     got = evaluate(net, samples, repeats=3, augment=lambda grid, r: grid)
     assert rulebooks[0] == 3 * len(net.blocks)
@@ -414,10 +414,8 @@ def test_hit_gives_each_sample_its_own_plans(rng):
 
 def rulebook_calls(monkeypatch):
     """Count the calls of every rulebook, and of ``fmp_regions``, that the
-    network's blocks make."""
-    from latticenet import network
-
-    return {name: count_calls(monkeypatch, network, name)
+    network's layers make."""
+    return {name: count_calls(monkeypatch, ops, name)
             for name in ("conv_rulebook", "fmp_rulebook", "fmp_regions")}
 
 
@@ -536,12 +534,10 @@ def test_an_eval_entry_larger_than_the_space_left_is_not_held(rng, monkeypatch):
 
 
 def test_fmp_regions_are_built_only_on_a_miss(rng, monkeypatch):
-    from latticenet import network
-
     net = make_net(CUBIC, FMP_ARCH, field=FMP_FIELD)
     fmp_blocks = sum(b.kind == "fmp" for b in net.blocks)
     grids = grids_for(net, rng, (0.4, 0.2))
-    regions = count_calls(monkeypatch, network, "fmp_regions")
+    regions = count_calls(monkeypatch, ops, "fmp_regions")
     again = [*grids, grids[0]]
     # a miss, a hit, another batch's miss, and a hit on each batch's entry
     for batch, calls in ((grids, fmp_blocks), (grids, 0), (again, fmp_blocks), (grids, 0),
@@ -553,6 +549,57 @@ def test_fmp_regions_are_built_only_on_a_miss(rng, monkeypatch):
         regions[0] = 0
         net.forward_batch(grids, train_rng=np.random.default_rng(0))
         assert regions[0] == fmp_blocks
+
+
+def drawn(seed, draws):
+    """The state of a generator of ``seed`` after ``draws`` FMP seed draws."""
+    r = np.random.default_rng(seed)
+    for _ in range(draws):
+        r.integers(0, 2**31)
+    return r.bit_generator.state
+
+
+def test_a_training_pass_draws_one_seed_per_fmp_block(rng):
+    """On a miss and on a hit of the first layer's chain alike, a training
+    pass draws exactly one seed per FMP block from its generator; a network
+    without FMP draws nothing."""
+    net = make_net(CUBIC, FMP_ARCH, field=FMP_FIELD)
+    fmp_blocks = sum(b.kind == "fmp" for b in net.blocks)
+    grids = grids_for(net, rng, (0.4, 0.2))
+    for hits in (0, len(grids)):
+        r = np.random.default_rng(11)
+        net.forward_batch(grids, train_rng=r)
+        assert net.rule_cache.hits == hits
+        assert r.bit_generator.state == drawn(11, fmp_blocks)
+    plain = make_net(CUBIC)
+    for hits in (0, len(grids)):
+        r = np.random.default_rng(11)
+        plain.forward_batch(grids_for(plain, np.random.default_rng(1), (0.4, 0.2)), train_rng=r)
+        assert plain.rule_cache.hits == hits
+        assert r.bit_generator.state == drawn(11, 0)
+
+
+def assert_same_rule(got, want):
+    assert len(got) == len(want) == 3
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_each_layer_gives_its_rulebook_rule(rng):
+    """A layer's ``rulebook`` is the ops rulebook of its geometry or of the
+    regions of its seed: one drawn from ``rng``, else ``layer.seed``."""
+    net = make_net(CUBIC, FMP_ARCH, field=FMP_FIELD)
+    batch = GridBatch.of(grids_for(net, rng, (0.4, 0.2)))
+    conv, fmp = net.blocks[0].layer, net.blocks[1].layer
+    assert_same_rule(conv.rulebook(batch), ops.conv_rulebook(batch, conv.geometry))
+    m = batch.shape.m
+    r = np.random.default_rng(4)
+    seed = int(copy.deepcopy(r).integers(0, 2**31))
+    assert_same_rule(fmp.rulebook(batch, r),
+                     ops.fmp_rulebook(batch, ops.fmp_regions(m, fmp.ratio, seed)))
+    assert r.bit_generator.state == drawn(4, 1)
+    assert_same_rule(fmp.rulebook(batch),
+                     ops.fmp_rulebook(batch, ops.fmp_regions(m, fmp.ratio, fmp.seed)))
 
 
 @pytest.mark.parametrize("arch, field", [("4C2-MP3/2-6C2-output", None), (FMP_ARCH, FMP_FIELD)])
