@@ -32,7 +32,8 @@ the arithmetic it would get as a row of a point-major array, so the
 voxels are bit-identical to that form's.  Non-finite coordinates are
 rejected before sampling.  OFF files are decoded the same way: one
 tokenizing pass, a walk over the face list by runs of faces with the
-same count token, then one conversion per array.
+same count token, then one conversion per array; a file this array pass
+cannot read is walked again, token by token, to name its first bad token.
 
 All randomness is drawn from explicit generators, so ingestion of a
 sample is a pure function of its inputs and seed.
@@ -132,30 +133,24 @@ def load_off(data) -> TriangleMesh:
 
     ``#`` starts a comment that runs to the end of its line, and the
     header may be glued to the vertex count (``OFF3 1 0``).  The text is
-    tokenized in one pass; all vertex coordinates are converted with one
-    array conversion and checked for finiteness at once, and all face
-    indices likewise.  The face list is walked by runs of faces whose
-    vertex count is the same token: a run's count is parsed once, its
-    faces' count tokens are found by strided slices and dropped, so only
-    index tokens are converted (an all-triangle file is one run).
-    Tokens after the last face are ignored.  A malformed file raises
-    :class:`FormatError` for the first bad token in file order, with its
-    line number, which is only looked up on that path.  Nothing is
-    allocated from the header's counts before the tokens are there, so a
-    count larger than the file is an unexpected end of file.
+    tokenized in one pass, and all vertex coordinates, like all face
+    indices, are converted with one array conversion.  The face list is
+    walked by runs of faces whose vertex count is the same token: a run's
+    count is parsed once, its faces' count tokens are found by strided
+    slices and dropped, so only index tokens are converted (an
+    all-triangle file is one run).  :class:`TriangleMesh` checks the
+    indices' range and the coordinates' finiteness.  Tokens after the
+    last face are ignored.  A file this array pass cannot read is walked
+    again, token by token, to raise the :class:`FormatError` of its first
+    bad token in file order, with that token's line (:func:`_off_error`).
+    Nothing is allocated from the header's counts before the tokens are
+    there, so a count larger than the file is an unexpected end of file.
     """
     if isinstance(data, bytes):
         data = data.decode("ascii", errors="replace")
     tokens = _COMMENT.sub("", data).split()
     if not tokens:
         raise FormatError("empty OFF file", 1)
-
-    def error(message: str, index: int) -> FormatError:
-        return FormatError(message, _token_line(data, index))
-
-    def end_of_file(what: str) -> FormatError:
-        return error(f"unexpected end of file while reading {what}", len(tokens) - 1)
-
     pos = 0
     if tokens[0].upper() == "OFF":
         pos = 1
@@ -163,108 +158,92 @@ def load_off(data) -> TriangleMesh:
         # header glued to the first count, e.g. "OFF3 3 0"
         tokens[0] = tokens[0][3:]
     else:
-        raise error("missing OFF header", 0)
-    counts = []
-    for what in ("vertex count", "face count", "edge count"):
-        if pos >= len(tokens):
-            raise end_of_file(what)
-        try:
-            counts.append(int(tokens[pos]))
-        except ValueError:
-            raise error(f"expected {what}, got {tokens[pos]!r}", pos) from None
-        pos += 1
-    nv, nf, _ = counts
-    if nv < 0 or nf < 0:
-        raise error("negative counts in OFF header", 0)
-
-    end = pos + 3 * nv
-    coords = tokens[pos:end]
+        raise FormatError("missing OFF header", _token_line(data, 0))
     try:
-        verts = np.array(coords, dtype=np.float64)
-        clean = bool(np.isfinite(verts).all())
-    except ValueError:
-        clean = False
-    if not clean:
-        for j, tok in enumerate(coords):
-            try:
-                x = float(tok)
-            except ValueError:
-                raise error(f"expected vertex {j // 3} coordinate, got {tok!r}", pos + j) from None
-            if not math.isfinite(x):
-                raise error(f"vertex {j // 3} has a non-finite coordinate", pos + j)
-    if len(coords) < 3 * nv:
-        raise end_of_file(f"vertex {len(coords) // 3} coordinate")
-
-    # walk the faces by runs of the same count token, parsing each run's
-    # count once; an error here is raised only after the index tokens
-    # before it are checked, since those come first
-    starts, ks, rs = [], [], []  # each run's first head, count and faces
-    body, late = [], None
-    p, i = end, 0
-    while i < nf:
-        if p >= len(tokens):
-            late = end_of_file(f"face {i} vertex count")
-            break
-        try:
-            k = int(tokens[p])
-        except ValueError:
-            late = error(f"expected face {i} vertex count, got {tokens[p]!r}", p)
-            break
-        if k < 3:
-            late = error(f"face {i} has {k} vertices", p)
-            break
-        # the run goes on while the next heads are the same string; if the
-        # next one is, count the equal heads at the front of strided windows
-        # of 1, 2, 4, ... heads, so a run of r faces costs about log2(r)
-        # slices (a slice of all faces left would make alternating face
-        # sizes quadratic)
-        head, r, step = tokens[p], 1, k + 1
-        if tokens[p + step:p + step + 1] == [head]:
-            w = 1
-            while i + r < nf:
-                w = min(w, nf - i - r)
-                window = tokens[p + step * r:p + step * (r + w):step]
-                same = [*map(head.__eq__, window), False].index(False)
-                r += same
-                if same < w:
-                    break
-                w *= 2
-        run = tokens[p:p + step * r]
-        del run[::step]  # keep the index tokens
-        body += run
-        starts.append(p)
-        ks.append(k)
-        rs.append(r)
-        i += r
-        p += step * r
+        nv, nf, _ = map(int, tokens[pos:pos + 3])
+        if nv < 0 or nf < 0:
+            raise ValueError("negative counts")
+        end = pos + 3 + 3 * nv
+        verts = np.array(tokens[pos + 3:end], dtype=np.float64).reshape(nv, 3)
+        # walk the faces by runs of the same count token, parsing each
+        # run's count once
+        ks, rs, body = [], [], []  # each run's count and faces; all indices
+        p, i = end, 0
+        while i < nf:
+            head = tokens[p]
+            k = int(head)
+            if k < 3:
+                raise ValueError("a face of fewer than 3 vertices")
+            # the run goes on while the next heads are the same string; if
+            # the next one is, count the equal heads at the front of
+            # strided windows of 1, 2, 4, ... heads, so a run of r faces
+            # costs about log2(r) slices (a slice of all faces left would
+            # make alternating face sizes quadratic)
+            r, step = 1, k + 1
+            if tokens[p + step:p + step + 1] == [head]:
+                w = 1
+                while i + r < nf:
+                    w = min(w, nf - i - r)
+                    window = tokens[p + step * r:p + step * (r + w):step]
+                    same = [*map(head.__eq__, window), False].index(False)
+                    r += same
+                    if same < w:
+                        break
+                    w *= 2
+            run = tokens[p:p + step * r]
+            del run[::step]  # keep the index tokens
+            body += run
+            ks.append(k)
+            rs.append(r)
+            i += r
+            p += step * r
         if p > len(tokens):
-            late = end_of_file(f"face {i - 1} index")
-            break
-    try:
+            raise IndexError("the file ends inside a face")
         idx = np.array(body, dtype=np.int64)
-        clean = not ((idx < 0) | (idx >= nv)).any()
-    except (ValueError, OverflowError):
-        clean = False
-    if not clean:
-        heads = [(h, k) for h0, k, r in zip(starts, ks, rs)
-                 for h in range(h0, h0 + (k + 1) * r, k + 1)]
-        for i, (h, k) in enumerate(heads):
-            for q in range(h + 1, min(h + 1 + k, len(tokens))):
-                try:
-                    v = int(tokens[q])
-                except ValueError:
-                    raise error(f"expected face {i} index, got {tokens[q]!r}", q) from None
-                if v < 0 or v >= nv:
-                    raise error(f"face {i} references vertex {v} of {nv}", q)
-    if late is not None:
-        raise late
+        # fan triangulation: face f's triangle j is (first, j + 1, j + 2)
+        sizes = np.repeat(np.array(ks, dtype=np.int64), rs)
+        fan = np.repeat(np.cumsum(sizes) - sizes, sizes - 2)
+        j = fan + _ranks(sizes - 2) + 1
+        return TriangleMesh(verts, np.stack([idx[fan], idx[j], idx[j + 1]], axis=1))
+    except (ValueError, IndexError, OverflowError):
+        raise _off_error(data, tokens, pos) from None
 
-    # fan triangulation: face f's triangle j is (first, j + 1, j + 2)
-    sizes = np.repeat(np.array(ks, dtype=np.int64), rs)
-    fan = np.repeat(np.cumsum(sizes) - sizes, sizes - 2)
-    j = fan + _ranks(sizes - 2) + 1
-    tris = np.stack([idx[fan], idx[j], idx[j + 1]], axis=1)
-    return TriangleMesh(verts.reshape(nv, 3), tris)
+
+def _off_error(data: str, tokens: list[str], pos: int) -> FormatError:
+    """The :class:`FormatError` of the first bad token of an OFF text,
+    found by reading ``tokens`` one at a time from the first count, at
+    ``pos``, in file order."""
+
+    def check(ok: bool, message: str, index: int | None = None):
+        """Raise ``message`` at token ``index``, by default the last read."""
+        if not ok:
+            raise FormatError(message, _token_line(data, pos - 1 if index is None else index))
+
+    def read(kind, what):
+        nonlocal pos
+        check(pos < len(tokens), f"unexpected end of file while reading {what}")
+        pos += 1
+        try:
+            return kind(tokens[pos - 1])
+        except ValueError:
+            raise FormatError(f"expected {what}, got {tokens[pos - 1]!r}",
+                              _token_line(data, pos - 1)) from None
+
+    try:
+        nv, nf, _ = [read(int, what) for what in ("vertex count", "face count", "edge count")]
+        check(nv >= 0 and nf >= 0, "negative counts in OFF header", 0)
+        for i in range(3 * nv):
+            x = read(float, f"vertex {i // 3} coordinate")
+            check(math.isfinite(x), f"vertex {i // 3} has a non-finite coordinate")
+        for i in range(nf):
+            k = read(int, f"face {i} vertex count")
+            check(k >= 3, f"face {i} has {k} vertices")
+            for _ in range(k):
+                v = read(int, f"face {i} index")
+                check(0 <= v < nv, f"face {i} references vertex {v} of {nv}")
+    except FormatError as error:
+        return error
+    raise AssertionError("load_off's array pass rejected an OFF text with no bad token")
 
 
 def save_off(mesh: TriangleMesh, path):

@@ -101,15 +101,15 @@ TILE = 1 << 16
 # than BOX_CELLS_PER_CANDIDATE cells per candidate (plus 1024 candidates'
 # worth) and fewer than BOX_CELLS_MAX cells, and through a sort of the
 # candidates' keys otherwise.  Measured on a 2-vCPU Sapphire Rapids host,
-# min of 18-30 in process, on training-batch layers of the three benchmark
-# workloads with one site added far out to widen the box: the table takes
-# 0.5-0.9 of the sort's time up to ~30 cells per candidate, and breaks
-# even at ~45 (knot L0, 4K candidates), 70-100 (10-35K candidates) and
-# ~140 (casia L0-L1, 54-74K).  From 4M cells on, its 32 MB row table is
-# above the largest block glibc's malloc reuses, so every call maps fresh
-# pages, and the table takes 1.6-3.5x the sort's time at any ratio (casia
-# L0-L2 at 57-103 cells per candidate).  The workloads' own layers have
-# at most 22 cells per candidate and 1.2M cells (casia L0).
+# min of 18-30 in process, on training-batch layers of the three workloads
+# with one site added far out to widen the box: the table takes 0.5-0.9 of
+# the sort's time up to ~30 cells per candidate, and breaks even at ~45
+# (knot L0, 4K candidates), 70-100 (10-35K candidates) and ~140 (casia
+# L0-L1, 54-74K).  From 4M cells on, its 32 MB row table is above the
+# largest block glibc's malloc reuses, so every call maps fresh pages, and
+# the table takes 1.6-3.5x the sort's time at any ratio (casia L0-L2 at
+# 57-103).  Training layers stay under 24 (casia L0 at 1.2M cells), but
+# casia's augmented-eval L0 (26K candidates) reads 28-35, so 4 of 8 calls sort.
 BOX_CELLS_PER_CANDIDATE = 32
 BOX_CELLS_MAX = 1 << 22
 

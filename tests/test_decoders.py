@@ -7,11 +7,18 @@ OFF meshes are also decoded by the token-at-a-time decoder of
 ``oracles.py``, which must give the same mesh or the same error.
 """
 
+import json
+import os
+import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import latticenet
 from latticenet.errors import FormatError
 from latticenet.geometry import GridShape, LatticeKind
 from latticenet.grid import SparseGrid
@@ -449,6 +456,106 @@ RUNS = "".join(f"{k} " + " ".join(str((i + j) % 6) for j in range(k)) + "\n"
 ])
 def test_off_matches_token_walk_on_crafted_files(data):
     same_decoding(data)
+
+
+OFF_ERRORS = {  # each FormatError family of an OFF text, by its message
+    "end of file": "^unexpected end of file while reading",
+    "bad token": "^expected ",
+    "non-finite": "has a non-finite coordinate",
+    "short face": r"face \d+ has -?\d+ vertices",
+    "bad index": "references vertex",
+    "negative count": "negative counts in OFF header",
+}
+REPLACEMENTS = ["x", "-1", "99", "2", "nan", "1e999", "03", "+3", "7", ""]
+
+
+def mixed_faces_off(rng) -> str:
+    """A seeded OFF text of 3-8 vertices and runs of 1-11 faces of 3-6
+    vertices, with an occasional comment line between faces and, in 30%
+    of texts, trailing tokens; in 80% of texts one token after the header
+    is then replaced, deleted or duplicated."""
+    nv = int(rng.integers(3, 9))
+    lines = [["OFF"], [], *(list(map(str, rng.integers(-9, 10, 3) / 4)) for _ in range(nv))]
+    nf = 0
+    for _ in range(rng.integers(1, 5)):
+        k = int(rng.integers(3, 7))
+        for _ in range(rng.integers(1, 12)):
+            if rng.random() < 0.05:
+                lines.append(["# note"])
+            lines.append([str(k), *map(str, rng.integers(0, nv, k))])
+            nf += 1
+    lines[1] = [str(nv), str(nf), "0"]
+    if rng.random() < 0.3:
+        lines += [["3", "0", "1", "2"], ["x", "y"]]
+    tokens = [(ln, j) for ln, line in enumerate(lines[1:], start=1)
+              for j in range(len(line)) if line[j] != "# note"]
+    if rng.random() < 0.8:
+        ln, j = tokens[rng.integers(len(tokens))]
+        how = rng.integers(3)
+        if how == 0:
+            lines[ln][j] = REPLACEMENTS[rng.integers(len(REPLACEMENTS))]
+        elif how == 1:
+            del lines[ln][j]
+        else:
+            lines[ln].insert(j, lines[ln][j])
+    return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+def test_off_matches_token_walk_on_mixed_faces():
+    rng = np.random.default_rng(33)
+    seen = dict.fromkeys(["mesh", *OFF_ERRORS], 0)
+    for _ in range(2000):
+        data = mixed_faces_off(rng)
+        same_decoding(data)
+        try:
+            load_off(data)
+            seen["mesh"] += 1
+        except FormatError as e:
+            family, = (name for name, pattern in OFF_ERRORS.items() if re.search(pattern, str(e)))
+            seen[family] += 1
+    assert all(seen.values()), seen
+
+
+def test_off_decodes_the_same_under_python_O():
+    """``python -O`` strips asserts; the decoder must not depend on any."""
+    texts = [
+        "OFF\n8 6 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n0 0 1\n1 0 1\n1 1 1\n0 1 1\n"
+        "4 0 3 2 1\n4 4 5 6 7\n4 0 1 5 4\n4 2 3 7 6\n4 1 2 6 5\n4 0 4 7 3\n",
+        "OFF\n3 1 0\n" + TRIANGLE + "3 0 1 3\n",
+        "OFF\n3 1 0\n0 0 0\n1 nan 0\n0 1 0\n3 0 1 2\n",
+        "OFF\n3 2 0\n" + TRIANGLE + "3 0 1 2\n2 0 1\n",
+        "OFF\n3 2 0\n" + TRIANGLE + "3 0 1 2\n3 0 1\n",
+    ]
+    script = (
+        "import json, sys\n"
+        "from latticenet.errors import FormatError\n"
+        "from latticenet.ingest import load_off\n"
+        "def decode(text):\n"
+        "    try:\n"
+        "        mesh = load_off(text)\n"
+        "    except FormatError as e:\n"
+        "        return [str(e), e.line]\n"
+        "    return [mesh.vertices.tobytes().hex(), mesh.faces.tobytes().hex()]\n"
+        "print(json.dumps([decode(text) for text in json.load(sys.stdin)]))\n"
+    )
+    path = [str(Path(latticenet.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    run = subprocess.run([sys.executable, "-O", "-c", script], input=json.dumps(texts),
+                         capture_output=True, text=True, env=env, check=True)
+    want = []
+    for text in texts:
+        try:
+            mesh = load_off(text)
+            want.append([mesh.vertices.tobytes().hex(), mesh.faces.tobytes().hex()])
+        except FormatError as e:
+            want.append([str(e), e.line])
+    assert json.loads(run.stdout) == want
+    assert [w[0] for w in want[1:]] == [
+        "face 0 references vertex 3 of 3 (line 6)",
+        "vertex 1 has a non-finite coordinate (line 4)",
+        "face 1 has 2 vertices (line 7)",
+        "unexpected end of file while reading face 1 index (line 7)",
+    ]
 
 
 def strokes_blob(tmp_path, rng):
