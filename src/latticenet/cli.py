@@ -39,7 +39,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_INTERNAL = 4
-RENDER_SCALE = 40  # object render scale for every source but knots
+# object render scale of meshes and strokes; knots default to the input
+# field, and video ignores the scale (frame_difference sizes its own grid)
+RENDER_SCALE = 40
 
 
 def read_config(path) -> dict:
@@ -78,14 +80,19 @@ def _embed_centered(grid: SparseGrid, field: GridShape) -> SparseGrid:
     return grid.embed(field, (off,) * d)
 
 
-def _read_grid(path: Path, args: argparse.Namespace, scale: int,
+def _read_grid(path: Path, args: argparse.Namespace, lattice: LatticeKind, scale: int,
                rng: np.random.Generator) -> SparseGrid:
-    """One ``.off`` mesh (randomly rotated), ``.json`` stroke document or
-    ``.svid`` video as a sparse grid, chosen by the file's suffix."""
+    """One ``.off`` mesh (randomly rotated, on ``lattice``), ``.json``
+    stroke document or ``.svid`` video (both cubic only) as a sparse grid,
+    chosen by the file's suffix.  Video ignores ``scale``: its grid fits
+    the frames (:func:`ingest.frame_difference`)."""
     suffix = path.suffix.lower()
     if suffix == ".off":
         return ingest.voxelize_mesh(ingest.load_off(path.read_bytes()), scale,
-                                    ingest.random_rotation(rng))
+                                    ingest.random_rotation(rng), lattice=lattice)
+    if suffix in (".json", ".svid") and lattice is not LatticeKind.CUBIC:
+        raise ValueError(f"{suffix} data builds cubic grids; lattice {lattice.value} "
+                         "is not supported")
     if suffix == ".json":
         return ingest.strokes_to_spacetime(ingest.read_strokes_json(path), scale)
     if suffix == ".svid":
@@ -149,7 +156,7 @@ def load_dataset(source: str, args: argparse.Namespace, field: GridShape, *,
     for label, cdir in enumerate(class_dirs):
         for p in sorted(cdir.iterdir()):
             if p.suffix.lower() == suffix:
-                g = _read_grid(p, args, scale, rng)
+                g = _read_grid(p, args, field.lattice, scale, rng)
                 samples.append(LabeledSample(_embed_centered(g, field), label))
     if not samples:
         raise FileNotFoundError(f"no usable {kind} files under {root}")
@@ -258,9 +265,8 @@ def _grid_stats(grid: SparseGrid) -> str:
 
 def cmd_voxelize(args: argparse.Namespace) -> int:
     path = Path(require(args, "input"))
-    if args.lattice is not None and LatticeKind.from_name(args.lattice) is not LatticeKind.CUBIC:
-        raise ValueError(f"voxelize writes cubic grids; lattice {args.lattice} is not supported")
-    grid = _read_grid(path, args, args.scale, np.random.default_rng(args.seed))
+    lattice = LatticeKind.CUBIC if args.lattice is None else LatticeKind.from_name(args.lattice)
+    grid = _read_grid(path, args, lattice, args.scale, np.random.default_rng(args.seed))
     if grid.a == 0:
         print("warning: result has no active sites", file=sys.stderr)
     out = args.out or str(path.with_suffix(".grid"))
@@ -307,9 +313,12 @@ def build_parser(file_settings: dict | None = None) -> argparse.ArgumentParser:
     settings = {  # flag name -> add_argument keywords, every setting once
         "config": dict(help="key = value settings file (flags win)"),
         "arch": dict(help="architecture string, e.g. 32C2-MP3/2-output"),
-        "lattice": dict(choices=[k.value for k in LatticeKind]),
+        "lattice": dict(choices=[k.value for k in LatticeKind],
+                        help="lattice kind; train, eval and voxelize build meshes on "
+                             "it, while strokes and video stay cubic"),
         "scale": dict(type=int, help="object render scale (default: the input "
-                                     f"field for knots, {RENDER_SCALE} otherwise)"),
+                                     f"field for knots, {RENDER_SCALE} otherwise); "
+                                     "video ignores it and sizes its grid to the frames"),
         "seed": dict(type=int, default=train.seed),
         "threads": dict(type=int, default=train.threads, help="accepted; has no effect"),
         "out": dict(help="output path"),

@@ -2,8 +2,9 @@
 
 Front-ends provided here:
 
-* OFF triangle meshes -> surface-sampled cubic voxel grids, under a
-  uniform random rotation that the caller draws once per mesh;
+* OFF triangle meshes -> surface-sampled cubic or tetrahedral voxel
+  grids, under a uniform random rotation that the caller draws once per
+  mesh;
 * 3D polylines -> 26-connected one-voxel-thick rasterized paths (used by
   the synthetic knot generator);
 * ordered pen strokes -> 2+1 dimensional space-time paths, time being the
@@ -32,8 +33,9 @@ the arithmetic it would get as a row of a point-major array, so the
 voxels are bit-identical to that form's.  Non-finite coordinates are
 rejected before sampling.  OFF files are decoded the same way: one
 tokenizing pass, a walk over the face list by runs of faces with the
-same count token, then one conversion per array; a file this array pass
-cannot read is walked again, token by token, to name its first bad token.
+same count token (each run's heads read by one lazy strided scan), then
+one conversion per array; a file this array pass cannot read is walked
+again, token by token, to name its first bad token.
 
 All randomness is drawn from explicit generators, so ingestion of a
 sample is a pure function of its inputs and seed.
@@ -46,6 +48,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import takewhile
 
 import numpy as np
 
@@ -136,15 +139,16 @@ def load_off(data) -> TriangleMesh:
     tokenized in one pass, and all vertex coordinates, like all face
     indices, are converted with one array conversion.  The face list is
     walked by runs of faces whose vertex count is the same token: a run's
-    count is parsed once, its faces' count tokens are found by strided
-    slices and dropped, so only index tokens are converted (an
-    all-triangle file is one run).  :class:`TriangleMesh` checks the
-    indices' range and the coordinates' finiteness.  Tokens after the
-    last face are ignored.  A file this array pass cannot read is walked
-    again, token by token, to raise the :class:`FormatError` of its first
-    bad token in file order, with that token's line (:func:`_off_error`).
-    Nothing is allocated from the header's counts before the tokens are
-    there, so a count larger than the file is an unexpected end of file.
+    count is parsed once, one lazy strided scan of the heads of the faces
+    left finds its length, and its heads are deleted by one strided slice,
+    so only index tokens are converted (an all-triangle file is one run).
+    :class:`TriangleMesh` checks the indices' range and the coordinates'
+    finiteness.  Tokens after the last face are ignored.  A file this
+    array pass cannot read is walked again, token by token, to raise the
+    :class:`FormatError` of its first bad token in file order, with its
+    line (:func:`_off_error`).  Nothing is allocated from the header's
+    counts before the tokens are there, so a count larger than the file
+    is an unexpected end of file.
     """
     if isinstance(data, bytes):
         data = data.decode("ascii", errors="replace")
@@ -174,22 +178,12 @@ def load_off(data) -> TriangleMesh:
             k = int(head)
             if k < 3:
                 raise ValueError("a face of fewer than 3 vertices")
-            # the run goes on while the next heads are the same string; if
-            # the next one is, count the equal heads at the front of
-            # strided windows of 1, 2, 4, ... heads, so a run of r faces
-            # costs about log2(r) slices (a slice of all faces left would
-            # make alternating face sizes quadratic)
+            # the run goes on while the next heads are the same string: read
+            # the heads of the faces left lazily, up to the first that differs
             r, step = 1, k + 1
             if tokens[p + step:p + step + 1] == [head]:
-                w = 1
-                while i + r < nf:
-                    w = min(w, nf - i - r)
-                    window = tokens[p + step * r:p + step * (r + w):step]
-                    same = [*map(head.__eq__, window), False].index(False)
-                    r += same
-                    if same < w:
-                        break
-                    w *= 2
+                heads = map(tokens.__getitem__, range(p, p + step * (nf - i), step))
+                r = len(list(takewhile(head.__eq__, heads)))
             run = tokens[p:p + step * r]
             del run[::step]  # keep the index tokens
             body += run
@@ -377,26 +371,33 @@ def _subdivisions(corners: np.ndarray) -> np.ndarray:
 
 
 def voxelize_mesh(mesh: TriangleMesh, m: int, rotation: np.ndarray | None = None,
-                  margin: float = 1.0, fit: bool = True) -> SparseGrid:
-    """Surface-sample a triangle mesh into a cubic occupancy grid.
+                  margin: float = 1.0, fit: bool = True,
+                  lattice: LatticeKind = LatticeKind.CUBIC) -> SparseGrid:
+    """Surface-sample a triangle mesh into a cubic (or tetrahedral)
+    occupancy grid.
 
-    The mesh is optionally rotated, then uniformly scaled and centered to
-    fit the grid with a one-voxel margin (``fit=False`` keeps the mesh's
-    own grid coordinates).  Face ``A, B, C`` is sampled at the barycentric
-    lattice ``A + (u/n)(B-A) + (v/n)(C-A)``, ``u + v <= n``, where ``n`` is
-    the smallest count that makes every sub-edge shorter than 0.45 voxel.
-    The lattices of all faces form one coordinate-major ``(3, P)`` point
+    The mesh is optionally rotated, then uniformly scaled and placed to
+    fit the grid with a one-voxel margin, as :func:`fit_points` fits
+    (``fit=False`` keeps the mesh's own grid coordinates).  Face
+    ``A, B, C`` is sampled at the barycentric lattice
+    ``A + (u/n)(B-A) + (v/n)(C-A)``, ``u + v <= n``, where ``n`` is the
+    smallest count that makes every sub-edge shorter than 0.45 voxel.  The
+    lattices of all faces form one coordinate-major ``(3, P)`` point
     array, so every repeat and product runs along a long last axis; its
-    rounded, clipped voxels become active with value 1.
+    rounded voxels become active with value 1.  Cubic voxels are clipped
+    into the grid; on the tetrahedral lattice a voxel outside the simplex
+    (which a fitted mesh never has) is an error that names it.
     """
     if len(mesh.faces) < 1:
         raise ValueError("mesh has no faces to voxelize")
     if m < 2:
         raise ValueError(f"voxel grid must have size >= 2, got {m}")
+    if lattice.ndim != 3:
+        raise ValueError(f"meshes are 3D; lattice {lattice.value} is 2D")
     verts = mesh.vertices
     if rotation is not None:
         verts = verts @ np.asarray(rotation, dtype=float).T
-    shape = GridShape(LatticeKind.CUBIC, m)
+    shape = GridShape(lattice, m)
     xyz = np.ascontiguousarray(verts.T)
     if fit:
         xyz = _fit_coords(xyz, shape, margin)
@@ -422,7 +423,12 @@ def voxelize_mesh(mesh: TriangleMesh, m: int, rotation: np.ndarray | None = None
     across *= _ranks(row_len) / np.repeat(row_n, row_len)
     pts += across
     vox = np.rint(pts, out=pts).astype(np.int64)
-    np.clip(vox, 0, m - 1, out=vox)
+    if lattice.is_simplex:
+        culprit = shape.first_outside(vox)
+        if culprit is not None:
+            raise ValueError(f"mesh point maps to voxel {tuple(culprit.tolist())} outside the grid")
+    else:
+        np.clip(vox, 0, m - 1, out=vox)
     return _occupancy_grid(shape, pack_sites(vox.T))
 
 

@@ -13,7 +13,14 @@ from latticenet import rulecache
 from latticenet.cli import main
 from latticenet.geometry import LatticeKind
 from latticenet.grid import SparseGrid
-from latticenet.ingest import FrameSequence, StrokeSample, write_strokes_json, write_svid
+from latticenet.ingest import (
+    FrameSequence,
+    StrokeSample,
+    TriangleMesh,
+    save_off,
+    write_strokes_json,
+    write_svid,
+)
 from latticenet.netspec import parse, plan
 from latticenet.network import Network
 
@@ -124,6 +131,28 @@ def test_voxelize_non_cubic_lattice_exit_2_naming_it(tmp_path, capsys, lattice):
     assert SparseGrid.load(out).shape.lattice is LatticeKind.CUBIC
 
 
+def test_voxelize_off_on_the_tetrahedral_lattice(tmp_path):
+    mesh_path = tmp_path / "sphere.off"
+    write_sphere_off(mesh_path)
+    out = tmp_path / "sphere.grid"
+    r = run_cli("voxelize", "--input", str(mesh_path), "--lattice", "tetrahedral",
+                "--scale", "12", "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    assert "lattice tetrahedral, size 12," in r.stdout
+    grid = SparseGrid.load(out)
+    assert grid.shape.lattice is LatticeKind.TETRAHEDRAL and grid.shape.m == 12
+    assert grid.a > 0
+
+
+@pytest.mark.parametrize("name", ["clip.svid", "char.json"])
+def test_voxelize_video_and_strokes_refuse_other_lattices_before_reading(tmp_path, capsys,
+                                                                         name):
+    missing = tmp_path / name
+    assert main(["voxelize", "--input", str(missing), "--lattice", "tetrahedral"]) == 2
+    err = capsys.readouterr().err
+    assert "lattice tetrahedral" in err and "No such file" not in err
+
+
 def test_voxelize_off(tmp_path):
     mesh_path = tmp_path / "sphere.off"
     write_sphere_off(mesh_path)
@@ -216,6 +245,29 @@ def test_load_dataset_reads_the_files_of_its_kind(tmp_path, kind, suffix):
             g = ingest.frame_difference(ingest.read_svid(path), 12.0)
         assert s.grid.a == g.a > 0
         assert s.grid.shape == field
+
+
+def test_load_dataset_builds_meshes_on_the_field_lattice(tmp_path):
+    from latticenet import ingest
+    from latticenet.cli import load_dataset
+    from latticenet.geometry import GridShape
+
+    for cls in ("a", "b"):
+        (tmp_path / cls).mkdir()
+        write_sphere_off(tmp_path / cls / "shape.off")
+        write_strokes_json(tmp_path / cls / "char.json", StrokeSample([[[0.0, 0.0], [5.0, 8.0]]]))
+    args = argparse.Namespace(scale=8, threshold_pct=12.0, seed=0)
+    field = GridShape(LatticeKind.TETRAHEDRAL, 20)
+    samples = load_dataset(f"off:{tmp_path}", args, field, split="train")
+    rng = np.random.default_rng(1)  # the training split's generator at seed 0
+    mesh = ingest.load_off((tmp_path / "a" / "shape.off").read_bytes())
+    for s in samples:
+        g = ingest.voxelize_mesh(mesh, 8, ingest.random_rotation(rng),
+                                 lattice=LatticeKind.TETRAHEDRAL)
+        assert s.grid.shape == field and s.grid.a == g.a > 0
+        assert np.array_equal(s.grid.keys, g.embed(field, (3, 3, 3)).keys)
+    with pytest.raises(ValueError, match="lattice tetrahedral"):
+        load_dataset(f"strokes:{tmp_path}", args, field, split="train")
 
 
 @pytest.mark.parametrize("lattice, m, offset", [
@@ -544,6 +596,52 @@ def test_config_files_parse_to_the_types_of_their_flags(path):
                 assert value == SETTING_TYPES[key](text)
                 read.add(key)
     assert read == set(cfg), f"keys no command reads: {set(cfg) - read}"
+
+
+def tiny_dataset(root, kind) -> str:
+    """A data source of two one-sample classes in ``kind``'s format under
+    ``root``: two class directories of one file each, or one two-record
+    CIFAR batch."""
+    rng = np.random.default_rng(0)
+    root.mkdir()
+    if kind == "cifar":
+        batch = root / "data_batch_1.bin"
+        batch.write_bytes(b"".join(bytes([label]) + rng.integers(0, 256, 3072, np.uint8).tobytes()
+                                   for label in (0, 1)))
+        return f"cifar:{batch}"
+    for label in (0, 1):
+        d = root / f"class{label}"
+        d.mkdir()
+        if kind == "off":
+            corners = [[0, 0, 0], [1 + label, 0, 0], [0, 1, 0], [0, 0, 1]]
+            save_off(TriangleMesh(corners, [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]),
+                     d / "tetra.off")
+        elif kind == "strokes":
+            write_strokes_json(d / "char.json",
+                               StrokeSample([[[0, 0], [1 + label, 2], [3, 1]]], label=label))
+        else:
+            write_svid(d / "clip.svid",
+                       FrameSequence(rng.integers(0, 256, size=(3, 8, 8), dtype=np.uint8)))
+    return f"{kind}:{root}"
+
+
+@pytest.mark.parametrize("path", [p for p in CONFIGS if p.stem != "knots_toy"],
+                         ids=lambda p: p.stem)
+def test_every_dataset_recipe_trains_and_evaluates(tmp_path, capsys, path):
+    """Each shipped recipe, with only its data and epochs replaced, trains
+    on a tiny set of its own format and evaluates the checkpoint."""
+    from latticenet.cli import read_config
+
+    kind = read_config(path)["train-data"].partition(":")[0]
+    source = tiny_dataset(tmp_path / "data", kind)
+    ckpt, report = tmp_path / "net.lnck", tmp_path / "report.json"
+    data = ["--config", str(path), "--test-data", source]
+    assert main(["train", *data, "--train-data", source, "--epochs", "1",
+                 "--out", str(ckpt)]) == 0, capsys.readouterr().err
+    assert main(["eval", *data, "--checkpoint", str(ckpt), "--out", str(report)]) == 0, \
+        capsys.readouterr().err
+    doc = json.loads(report.read_text())
+    assert doc["labels"] == [0, 1] and 0 <= doc["accuracy"] <= 1
 
 
 def fail_on_ingest(monkeypatch):

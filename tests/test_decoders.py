@@ -10,9 +10,11 @@ OFF meshes are also decoded by the token-at-a-time decoder of
 import json
 import os
 import re
+import signal
 import struct
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -304,6 +306,21 @@ def test_svid_bad_fields(tmp_path, blob, message):
 # OFF meshes, stroke JSON documents and CIFAR-10 batches
 
 
+@contextmanager
+def deadline(seconds: float = 2.0):
+    """Raise TimeoutError in the block once it has run ``seconds``, so a
+    decoder that stops advancing fails instead of hanging."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still decoding after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def off_blob(tmp_path):
     p = tmp_path / "sphere.off"
     save_off(sphere_mesh(12, 6), p)
@@ -312,7 +329,8 @@ def off_blob(tmp_path):
 
 def check_off(data: bytes):
     try:
-        mesh = load_off(data)
+        with deadline():
+            mesh = load_off(data)
     except FormatError:
         return
     assert np.isfinite(mesh.vertices).all()
@@ -341,15 +359,17 @@ OFF # the header
 
 def same_decoding(data):
     """``load_off`` gives the token-at-a-time decoder's mesh, equal in dtype,
-    shape and bits, or raises its FormatError message and line."""
+    shape and bits, or raises its FormatError message and line, within a
+    :func:`deadline`."""
     try:
         want = token_walk_load_off(data)
     except FormatError as e:
-        with pytest.raises(FormatError) as got:
+        with pytest.raises(FormatError) as got, deadline():
             load_off(data)
         assert (str(got.value), got.value.line) == (str(e), e.line), data
         return
-    got = load_off(data)
+    with deadline():
+        got = load_off(data)
     for a, b in ((got.vertices, want.vertices), (got.faces, want.faces)):
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), data
 
@@ -449,13 +469,66 @@ RUNS = "".join(f"{k} " + " ".join(str((i + j) % 6) for j in range(k)) + "\n"
     # a comment line between the faces of one run, before a good and a bad face
     faces_off("3 0 1 2\n# a note\n3 1 2 3\n3 2 3 4\n", nf=3),
     faces_off("3 0 1 2\n# a note\n3 1 2 3\n3 2 3 7\n", nf=3),
+    # a face count within int64 but far beyond the file: nothing is
+    # allocated from it before the file is found to end inside the face
+    "OFF\n3 1 0\n" + TRIANGLE + "1000000000000000 0 1 2\n",
+    "OFF\n3 2 0\n" + TRIANGLE + "3 0 1 2\n1000000000000000 0 1 2\n",
     # tokens after the last run, some of which look like more faces
     faces_off("3 0 1 2\n3 1 2 3\n4 0 1 2 3\n3 what ever\n3 2 3 4 # tail\n", nf=3),
     faces_off(RUNS + "3 0 1 2\n3 0 1 x\n", nf=57),
     faces_off("3 0 1 2\n3 1 2 3\n3 2 3 4\n3 3 4 5\n3 4 5 0\n", nf=3),
+    # a trailing triangle after a last triangle, which a scan of all the
+    # tokens left would take for one more face of the run
+    pytest.param(faces_off("3 0 1 2\n" * 301, nf=300), id="triangle-after-300"),
+    pytest.param(faces_off("4 0 1 2 3\n" + "3 0 1 2\n" * 2, nf=2), id="triangle-after-1"),
+    # a lone trailing token equal to the last count token
+    pytest.param(faces_off("3 0 1 2\n" * 300 + "3\n", nf=300), id="count-after-300"),
+    pytest.param(faces_off("5 0 1 2 3 4\n" * 64 + "3 1 2 3\n3\n", nf=65), id="count-after-1"),
+    # a file cut inside a long run, in and after a face, and at a run boundary
+    pytest.param(faces_off("3 0 1 2\n" * 200 + "3 1 2", nf=300), id="cut-in-face-200"),
+    pytest.param(faces_off("3 0 1 2\n" * 200, nf=300), id="cut-after-face-200"),
+    pytest.param(faces_off("3 0 1 2\n" * 128 + "4 0 1 2 3\n" * 129, nf=300),
+                 id="cut-after-run-129"),
+    pytest.param(faces_off("3 0 1 2\n" * 128, nf=257), id="cut-at-run-boundary-128"),
 ])
 def test_off_matches_token_walk_on_crafted_files(data):
     same_decoding(data)
+
+
+# run lengths at and around powers of two, and one long run
+RUN_LENGTHS = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 129, 300]
+
+
+def long_runs_texts(rng):
+    """A seeded OFF text over ``HEXAGON`` of 1-4 runs of lengths from
+    ``RUN_LENGTHS``, each of faces of 3-6 vertices, another size than the
+    run before; then its variants: a trailing face ``3 0 1 2``, a lone
+    trailing token equal to the last count token, and the file cut inside
+    the last run (inside a face and after one) and exactly at each
+    boundary between two runs."""
+    runs, k = [], 0
+    for r in rng.choice(RUN_LENGTHS, size=rng.integers(1, 5)):
+        k = int(rng.choice([s for s in range(3, 7) if s != k]))
+        runs.append((k, int(r)))
+    lines = [f"{size} " + " ".join(map(str, rng.integers(0, 6, size)))
+             for size, r in runs for _ in range(r)]
+    nf = len(lines)
+    text = "\n".join(lines) + "\n"
+    yield faces_off(text)
+    yield faces_off(text + "3 0 1 2\n", nf=nf)
+    yield faces_off(text + f"{k}\n", nf=nf)
+    cut = int(rng.integers(nf - runs[-1][1], nf))
+    yield faces_off("\n".join(lines[:cut]) + "\n", nf=nf)
+    yield faces_off("\n".join(lines[:cut]) + f"\n{lines[cut][:3]}", nf=nf)
+    for end in np.cumsum([r for _, r in runs[:-1]]):
+        yield faces_off("\n".join(lines[:end]) + "\n", nf=nf)
+
+
+def test_off_matches_token_walk_on_long_runs():
+    rng = np.random.default_rng(34)
+    for _ in range(40):
+        for data in long_runs_texts(rng):
+            same_decoding(data)
 
 
 OFF_ERRORS = {  # each FormatError family of an OFF text, by its message

@@ -12,6 +12,7 @@ from latticenet.ingest import (
     FrameSequence,
     StrokeSample,
     TriangleMesh,
+    fit_points,
     frame_difference,
     image_to_dense,
     knot_curve,
@@ -30,7 +31,7 @@ from latticenet.ingest import (
     write_svid,
 )
 
-from conftest import cube_surface_mesh, sphere_mesh
+from conftest import cube_surface_mesh, sphere_mesh, torus_mesh
 
 
 def connected_components(grid: SparseGrid) -> int:
@@ -212,6 +213,35 @@ def test_voxelize_rotation_covariance(rng):
     got = {tuple(s) for s in a.sites() // 2}
     jac = len(got & rot) / len(got | rot)
     assert jac >= 0.8
+
+
+def test_voxelize_tetrahedral_is_the_simplex_fit_sampled(rng):
+    """On the tetrahedral lattice a mesh is fitted into the simplex as
+    :func:`fit_points` fits it, then sampled as a mesh already in grid
+    coordinates is; no fitted mesh leaves the simplex."""
+    tet = GridShape(LatticeKind.TETRAHEDRAL, 20)
+    for tube in (0.2, 0.5):
+        for _ in range(15):
+            mesh, R = torus_mesh(tube, 12, 6), random_rotation(rng)
+            grid = voxelize_mesh(mesh, 20, R, lattice=LatticeKind.TETRAHEDRAL)
+            placed = TriangleMesh(fit_points(mesh.vertices @ R.T, tet), mesh.faces)
+            want = voxelize_mesh(placed, 20, fit=False)
+            assert grid.shape == tet and grid.a > 0
+            assert np.array_equal(grid.keys, want.keys)
+
+
+def test_voxelize_tetrahedral_outside_the_simplex_names_the_voxel():
+    mesh = TriangleMesh(np.array([[3.0, 3.0, 3.0], [3.1, 3.0, 3.0], [3.0, 3.1, 3.0]]),
+                        np.array([[0, 1, 2]]))
+    with pytest.raises(ValueError, match=r"voxel \(3, 3, 3\) outside the grid"):
+        voxelize_mesh(mesh, 8, fit=False, lattice=LatticeKind.TETRAHEDRAL)
+    assert voxelize_mesh(mesh, 10, fit=False, lattice=LatticeKind.TETRAHEDRAL).a == 1
+
+
+@pytest.mark.parametrize("lattice", [LatticeKind.SQUARE, LatticeKind.TRIANGULAR])
+def test_voxelize_on_a_2d_lattice_rejected(lattice):
+    with pytest.raises(ValueError, match=f"lattice {lattice.value}"):
+        voxelize_mesh(sphere_mesh(), 10, lattice=lattice)
 
 
 def test_voxelize_empty_mesh_rejected():
