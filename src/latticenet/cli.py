@@ -176,14 +176,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
     spec = netspec.plan(_parsed_spec(args), input_size=args.field)
     field = GridShape(spec.lattice, spec.planned_sizes[0])
-    classes = require(args, "classes")
-    rng = np.random.default_rng(args.seed)
-
+    # the network checks its class count before any data loads
+    net = Network(spec, require(args, "classes"), np.random.default_rng(args.seed),
+                  fmp_eval_seed=args.seed)
     train_set = load_dataset(require(args, "train_data"), args, field, split="train")
     test_set = (load_dataset(args.test_data, args, field, split="test")
                 if args.test_data else [])
-
-    net = Network(spec, classes, rng, fmp_eval_seed=args.seed)
     log_fh = open(args.log, "w") if args.log else None
 
     def emit(log):
@@ -229,7 +227,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     report = evaluate(net, test_set, repeats=args.repeats, augment=aug,
                       rng=np.random.default_rng(args.seed + 2))
     doc = report.to_dict()
-    text = json.dumps(doc, indent=2)
+    text = json.dumps(doc)  # an indent makes json take its pure-Python encoder, seconds slower
     if args.out:
         Path(args.out).write_text(text)
     passes = args.repeats if aug else 1  # evaluate runs one pass without augmentation
@@ -299,7 +297,12 @@ def cmd_demo_knot(args: argparse.Namespace) -> int:
 
 
 def _truthy(text: str) -> bool:
-    return text.lower() in ("1", "true", "yes", "on")
+    """``1/true/yes/on`` or ``0/false/no/off``, in any case; any other word
+    raises ValueError, which argparse reports as its flag's invalid value."""
+    word = text.lower()
+    if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError(f"not a yes/no word: {text!r}")
+    return word in ("1", "true", "yes", "on")
 
 
 def build_parser(file_settings: dict | None = None) -> argparse.ArgumentParser:

@@ -74,6 +74,11 @@ class NetworkSpec:
     layers: tuple[LayerSpec, ...]
     planned_sizes: tuple[int, ...] | None = None
 
+    def __post_init__(self):
+        if self.n_input < 1:
+            raise ValueError(
+                f"a network needs at least 1 input feature, got n_input={self.n_input}")
+
     @property
     def has_fmp(self) -> bool:
         return any(isinstance(l, FMPSpec) for l in self.layers)
@@ -203,6 +208,8 @@ def count_ops(spec: NetworkSpec, activity="dense", classes: int | None = None) -
     """
     if spec.planned_sizes is None:
         raise PlanError("spec must be planned before counting operations")
+    if classes is not None and classes < 1:
+        raise ValueError(f"a classifier needs at least 1 class, got classes={classes}")
     feats = spec.feature_counts()
     sizes = spec.planned_sizes
     if activity != "dense":
@@ -273,6 +280,8 @@ def centered_box(lattice: LatticeKind, m: int, width: int) -> tuple[np.ndarray, 
     On simplex lattices "centered" balances the slack against the origin
     faces and the diagonal face.
     """
+    if width < 1:
+        raise ValueError(f"box width must be >= 1, got {width}")
     d = lattice.ndim
     if lattice.is_simplex:
         lo_val = (m - 1 - d * (width - 1)) // (d + 1)

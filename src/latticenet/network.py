@@ -175,6 +175,8 @@ class Network:
         makes each convolution and the classifier head, in block order."""
         if spec.planned_sizes is None:
             raise ValueError("network needs a planned spec (call netspec.plan first)")
+        if classes < 1:
+            raise ValueError(f"a network needs at least 1 class, got classes={classes}")
         self.spec = spec
         self.classes = classes
         self.dtype = dtype
@@ -225,10 +227,11 @@ class Network:
         per block: its output batch, its tape entry (None unless
         ``keep_tape``) and the multiply-accumulates it performed.
 
-        Each block's rule is picked here: the first ``depth`` blocks take
-        theirs from the cache when the batch hits; otherwise its layer's
-        rulebook runs, and the cache stores what the lookup asked for: the
-        chains of training samples to admit, or the eval batch's rules.
+        Each block's rule, a :class:`~latticenet.ops.Plan`, is picked here:
+        the first ``depth`` blocks take theirs from the cache when the batch
+        hits; otherwise its layer's rulebook runs, and the cache stores what
+        the lookup asked for from the rules alone: the chains of training
+        samples to admit, or the eval batch's Plans.
         ``cache=False`` leaves the cache out altogether."""
         training = train_rng is not None
         depth, context = self._chain_context(training)
@@ -236,10 +239,11 @@ class Network:
                         else (iter(()), None))
         rules = []
         for block in self.blocks:
-            rule = next(cached, None) or block.layer.rulebook(batch, train_rng)
+            rule = next(cached, None)  # a Plan has a length: test for None, not truth
+            rule = block.layer.rulebook(batch, train_rng) if rule is None else rule
             out, entry, macs = block.forward(batch, rule, keep_tape)
             if miss and len(rules) < depth:
-                rules.append((rule, batch.start, out.start))
+                rules.append(rule)
             yield out, entry if keep_tape else None, macs
             # free this block's plan and rule, unless kept, before the next allocates
             batch, entry, rule = out, None, None

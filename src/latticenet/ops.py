@@ -48,24 +48,24 @@ indexed by coordinate over the batch's extent, holds ``u`` at each start
 and -1 elsewhere, so one lookup per dimension both tests ``c - o`` and
 finds ``u``.
 
-Every layer gives its rule, the ``(out_keys, out_sample, src)`` triple,
-as ``layer.rulebook(batch, rng)``; only an FMP layer reads ``rng``, to
-draw a training batch's seed.  The batch forward ops take an optional
-``rule`` and run ``layer.rulebook`` without one.  A
-:class:`~latticenet.network.Network` always passes one: from its rule
-cache (see :mod:`latticenet.rulecache`) on a hit, else the layer's.  A
-cached rule equals the rulebook's bit for bit, and so do the outputs and
-plans.
-
-Each rulebook layer keeps what its backward pass needs in one
-:class:`Plan` over the batch's rows; ``plan[b]`` is sample ``b``'s own, as
-a batch of that sample alone gives it.
+Every layer gives its rule as ``layer.rulebook(batch, rng)``: a
+:class:`Plan` over the batch's rows that holds the output keys, the
+gather index ``src`` and the samples' row offsets in the layer's input
+and output; only an FMP layer reads ``rng``, to draw a training batch's
+seed.  The batch forward ops take an optional ``rule`` and run
+``layer.rulebook`` without one.  A :class:`~latticenet.network.Network`
+always passes one: from its rule cache (see :mod:`latticenet.rulecache`)
+on a hit, else the layer's.  A cached rule equals the rulebook's bit for
+bit, and so do the outputs and plans.  Plans are frozen, so an op
+completes a copy of its rule with what its backward pass needs (``Q``,
+``argmax``) and never writes into a rule the cache holds; ``plan[b]`` is
+sample ``b``'s own, as a batch of that sample alone gives it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import prod
 
 import numpy as np
@@ -218,18 +218,22 @@ class FMPLayer:
         return fmp_rulebook(batch, fmp_regions(batch.shape.m, self.ratio, seed))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Plan:
-    """What one rulebook layer keeps for the backward pass, for a batch.
+    """A rulebook layer's rule over a batch, and what its backward pass keeps.
 
-    ``src[i, k]`` is the input row under footprint position ``k`` of output
-    row ``i`` (site ``out_keys[i]``), or, where the ground of the row's
-    sample ``b`` fills that position, ``-(B - b)``: the index, counted from
-    the end, of that ground in the input batch's table (its rows, then one
-    ground per sample), which the gather reads (-1 throughout a one-sample
-    plan).  ``in_start`` and ``out_start`` are the row offsets of the
-    samples in the layer's input and output batches.  A convolution keeps
-    the gather matrix ``Q``; a max pool kept for training keeps ``argmax``,
+    The rule is the first four fields, as ``layer.rulebook`` gives them.
+    Output row ``i`` is site ``out_keys[i]``; rows are grouped by sample,
+    keys ascending within each.  ``src[i, k]`` is the input row under
+    footprint position ``k`` of output row ``i``, or, where the ground of
+    the row's sample ``b`` fills that position, ``-(B - b)``: the index,
+    counted from the end, of that ground in the input batch's table (its
+    rows, then one ground per sample), which the gather reads (-1
+    throughout a one-sample plan).  ``in_start`` and ``out_start`` are the
+    row offsets of the samples in the layer's input and output batches.
+
+    The forward ops complete a copy of the rule.  A convolution keeps the
+    gather matrix ``Q``; a max pool kept for training keeps ``argmax``,
     where ``argmax[i, c]`` is the position whose value output component
     ``(i, c)`` took: the lowest of equal maxima, and for a NaN component
     the position of its first NaN, as ``ndarray.argmax`` picks, stored in
@@ -306,8 +310,8 @@ def batch_src(src: np.ndarray, in_start: np.ndarray, out_sample: np.ndarray, B: 
 
 
 def _window_rulebook(batch: GridBatch, offsets, starts, bound):
-    """Active output rows of a windowed layer over a batch: (out_keys,
-    out_sample, src).
+    """The rule of a windowed layer over a batch: its :class:`Plan` of
+    active output rows, with neither ``Q`` nor ``argmax``.
 
     Along dimension ``j`` the window of output coordinate ``u`` starts at
     ``starts[j][u]`` (strictly ascending), so input site ``c`` lies under
@@ -341,7 +345,8 @@ def _window_rulebook(batch: GridBatch, offsets, starts, bound):
     column is instead the rank of the candidate's key among the U distinct
     candidate keys, from one sort, and the width is U.  Each output row's
     ``src`` starts as its sample's ground entry, and the candidates write
-    their input rows into it through one flat index.
+    their input rows into it through one flat index.  The rows' samples,
+    ascending, give the output's sample offsets by one search.
     """
     d = batch.shape.ndim
     # c[j] holds coordinate j of every row, unpacked straight from the keys
@@ -404,16 +409,12 @@ def _window_rulebook(batch: GridBatch, offsets, starts, bound):
     src = np.empty((tags.shape[0], len(offsets)), np.int64)
     src[:] = (out_sample - batch.B)[:, None]  # every position ground, then the active ones
     src.reshape(-1)[row[tag] * len(offsets) + k] = rows
+    out_start = np.searchsorted(out_sample, np.arange(batch.B + 1))
     if not box:
-        return union[column], out_sample, src
+        return Plan(union[column], src, batch.start, out_start)
     u = np.unravel_index(column, n)
     out_keys = sum((u[j] + lo[j]) << (COORD_BITS * (d - 1 - j)) for j in range(d))
-    return out_keys, out_sample, src
-
-
-def _row_starts(sample: np.ndarray, B: int) -> np.ndarray:
-    """Row offsets of samples 0..B-1 in rows sorted by ``sample``."""
-    return np.searchsorted(sample, np.arange(B + 1))
+    return Plan(out_keys, src, batch.start, out_start)
 
 
 def conv_out_shape(shape: GridShape, geometry: FilterGeometry) -> GridShape:
@@ -421,15 +422,10 @@ def conv_out_shape(shape: GridShape, geometry: FilterGeometry) -> GridShape:
     return GridShape(shape.lattice, out_size(shape.m, geometry.f, geometry.s))
 
 
-def conv_rulebook(batch: GridBatch, geometry: FilterGeometry):
-    """Steps 1-2 for a whole batch: the rule ``(out_keys, out_sample, src)``.
-
-    Output row ``i`` is site ``out_keys[i]`` of sample ``out_sample[i]``;
-    rows are grouped by sample, keys ascending within each.  ``src[i, k]``
-    is the batch row under footprint position ``k`` of output row ``i``,
-    or ``-(B - out_sample[i])`` where that position is inactive (see
-    :class:`Plan`).  The window of output site ``u`` starts at ``u * s``.
-    """
+def conv_rulebook(batch: GridBatch, geometry: FilterGeometry) -> Plan:
+    """Steps 1-2 for a whole batch: the rule, a :class:`Plan` of the
+    active output sites and the gather index.  The window of output site
+    ``u`` starts at ``u * s``."""
     out_shape = conv_out_shape(batch.shape, geometry)
     starts = range(0, out_shape.m * geometry.s, geometry.s)
     bound = starts[-1] if out_shape.lattice.is_simplex else None
@@ -438,7 +434,7 @@ def conv_rulebook(batch: GridBatch, geometry: FilterGeometry):
 
 def conv_active_sites(grid: SparseGrid, geometry: FilterGeometry):
     """Step 1 for one grid: active output sites (sorted packed keys) and the output shape."""
-    out_keys, _, _ = conv_rulebook(GridBatch.of([grid]), geometry)
+    out_keys = conv_rulebook(GridBatch.of([grid]), geometry).out_keys
     return out_keys, conv_out_shape(grid.shape, geometry)
 
 
@@ -449,13 +445,12 @@ def build_gather(grid: SparseGrid, out_keys: np.ndarray, geometry: FilterGeometr
     the ground, for a site the rulebook leaves inactive) and the gather matrix Q
     (a_out, F * n_in), as a one-sample :class:`Plan`."""
     batch = GridBatch.of([grid])
-    keys, _, src = conv_rulebook(batch, geometry)
-    a_out, a_rule = out_keys.shape[0], keys.shape[0]
-    pos = np.searchsorted(keys, out_keys)
-    pos[np.append(keys, -1)[pos] != out_keys] = a_rule
-    src = np.vstack([src, np.full((1, geometry.volume), -1, np.int64)])[pos]
-    Q = batch.table.take(src.reshape(-1), axis=0).reshape(a_out, geometry.volume * grid.n)
-    return Plan(out_keys, src, batch.start, np.array([0, a_out]), Q)
+    rule = conv_rulebook(batch, geometry)
+    pos = np.searchsorted(rule.out_keys, out_keys)
+    pos[np.append(rule.out_keys, -1)[pos] != out_keys] = rule.a_out
+    src = np.vstack([rule.src, np.full((1, geometry.volume), -1, np.int64)])[pos]
+    Q = batch.table.take(src.reshape(-1), axis=0).reshape(len(out_keys), geometry.volume * grid.n)
+    return Plan(out_keys, src, batch.start, np.array([0, len(out_keys)]), Q)
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +461,8 @@ def conv_forward_batch(batch: GridBatch, layer: ConvLayer, rule=None):
     """Steps 1-3 for a batch: one rulebook pass and one dense multiply.
 
     ``rule`` is the batch's rule as ``layer.rulebook`` gives it; when it is
-    None, the rulebook runs here.  Returns the output batch and the batch's
-    :class:`Plan`, which keeps ``Q``.
+    None, the rulebook runs here.  Returns the output batch, on the rule's
+    keys and sample offsets, and a copy of the rule that keeps ``Q``.
     """
     if batch.n != layer.n_in:
         raise ValueError(f"layer expects {layer.n_in} input features, grid has {batch.n}")
@@ -476,10 +471,9 @@ def conv_forward_batch(batch: GridBatch, layer: ConvLayer, rule=None):
             f"layer is {layer.geometry.lattice.value}, grid is {batch.shape.lattice.value}"
         )
     geom = layer.geometry
-    out_keys, out_sample, src = layer.rulebook(batch) if rule is None else rule
-    out_shape = conv_out_shape(batch.shape, geom)
-    a_out = out_keys.shape[0]
-    Q = batch.table.take(src.reshape(-1), axis=0).reshape(a_out, geom.volume * batch.n)
+    rule = layer.rulebook(batch) if rule is None else rule
+    a_out = rule.a_out
+    Q = batch.table.take(rule.src.reshape(-1), axis=0).reshape(a_out, geom.volume * batch.n)
     table = np.empty((a_out + batch.B, layer.n_out), np.result_type(Q, layer.W))
     rows = np.matmul(Q, layer.W, out=table[:a_out])
     rows += layer.B
@@ -488,8 +482,8 @@ def conv_forward_batch(batch: GridBatch, layer: ConvLayer, rule=None):
     shared = (grounds == grounds[0]).all()
     ground = np.tile(grounds[:1] if shared else grounds, geom.volume).astype(layer.W.dtype)
     table[a_out:] = ground @ layer.W + layer.B
-    out = GridBatch(out_shape, out_keys, table, _row_starts(out_sample, batch.B))
-    return out, Plan(out_keys, src, batch.start, out.start, Q)
+    out = GridBatch(conv_out_shape(batch.shape, geom), rule.out_keys, table, rule.out_start)
+    return out, replace(rule, Q=Q)
 
 
 def conv_forward(grid: SparseGrid, layer: ConvLayer, *, keep_plan: bool = False):
@@ -498,9 +492,9 @@ def conv_forward(grid: SparseGrid, layer: ConvLayer, *, keep_plan: bool = False)
     return (out.grid(0), plan) if keep_plan else out.grid(0)
 
 
-def _max_pool(batch: GridBatch, out_keys, out_sample, out_shape, src, keep_plan: bool):
+def _max_pool(batch: GridBatch, rule: Plan, out_shape: GridShape, keep_plan: bool):
     """Shared tail of pooling ops: one running max over the footprint
-    positions, plus the batch's :class:`Plan` with its argmax when
+    positions of ``rule``, plus a copy of the rule with its argmax when
     ``keep_plan`` (else None).
 
     The output rows run in tiles of about ``TILE`` elements, and each tile
@@ -523,7 +517,7 @@ def _max_pool(batch: GridBatch, out_keys, out_sample, out_shape, src, keep_plan:
     does.  The running max fills the first rows of the output's table, and
     its last ``B`` rows take the input's grounds, which a pool keeps.
     """
-    table = batch.table
+    table, src = batch.table, rule.src
     a_out, F = src.shape
     out_table = np.empty((a_out + batch.B, batch.n), table.dtype)
     rows = out_table[:a_out]
@@ -553,10 +547,8 @@ def _max_pool(batch: GridBatch, out_keys, out_sample, out_shape, src, keep_plan:
             i, c = np.nonzero(np.isnan(r))
             if i.size:
                 am[i, c] = np.isnan(table[idx[i].T, c]).argmax(axis=0)
-    out = GridBatch(out_shape, out_keys, out_table, _row_starts(out_sample, batch.B))
-    if not keep_plan:
-        return out, None
-    return out, Plan(out_keys, src, batch.start, out.start, argmax=argmax)
+    out = GridBatch(out_shape, rule.out_keys, out_table, rule.out_start)
+    return out, replace(rule, argmax=argmax) if keep_plan else None
 
 
 def pool_forward_batch(batch: GridBatch, layer: PoolLayer | FMPLayer, *,
@@ -565,14 +557,14 @@ def pool_forward_batch(batch: GridBatch, layer: PoolLayer | FMPLayer, *,
 
     ``rule`` is the batch's rule as ``layer.rulebook`` gives it; when it is
     None, the rulebook runs here.  Returns the output batch and, when
-    ``keep_plan``, the batch's :class:`Plan` with its argmax (else None).
+    ``keep_plan``, a copy of the rule with its argmax (else None).
     """
     if batch.shape.lattice is not layer.lattice:
         raise ValueError(
             f"pool layer is {layer.lattice.value}, grid is {batch.shape.lattice.value}"
         )
-    out_keys, out_sample, src = layer.rulebook(batch) if rule is None else rule
-    return _max_pool(batch, out_keys, out_sample, layer.out_shape(batch.shape), src, keep_plan)
+    rule = layer.rulebook(batch) if rule is None else rule
+    return _max_pool(batch, rule, layer.out_shape(batch.shape), keep_plan)
 
 
 def pool_forward(grid: SparseGrid, layer: PoolLayer, *, keep_plan: bool = False):
@@ -622,7 +614,7 @@ def fmp_out_size(m_in: int, ratio: float) -> int:
     return m_out
 
 
-def fmp_rulebook(batch: GridBatch, regions):
+def fmp_rulebook(batch: GridBatch, regions) -> Plan:
     """The rule of an FMP layer over a batch, as :func:`conv_rulebook` gives
     a convolution's: region ``u`` of dimension ``j`` covers ``regions[j][u]``
     and the site after it, a size-2 cubic window at an irregular start."""

@@ -52,7 +52,7 @@ from latticenet.ingest import (
     rasterize_polyline,
 )
 from latticenet.netspec import ConvSpec, FMPSpec, LayerSpec, NetworkSpec, OutputSpec, PoolSpec
-from latticenet.ops import Plan, _row_starts
+from latticenet.ops import Plan
 from latticenet.train import AffineParams
 
 
@@ -392,6 +392,11 @@ def masked_conv_backward(d_out: np.ndarray, plan, layer) -> np.ndarray:
 # that they stay independent of the library's table layout.
 
 
+def rule_samples(rule: Plan) -> np.ndarray:
+    """The sample of each output row of ``rule``, from its row offsets."""
+    return np.repeat(np.arange(len(rule)), np.diff(rule.out_start))
+
+
 def grounds_first_gather(batch: GridBatch, src: np.ndarray, out_sample: np.ndarray):
     """The ``[grounds; rows]`` table of a batch and, per gather position,
     the table row it reads: ``src + B``, or the ground of its output row's
@@ -405,12 +410,13 @@ def grounds_first_gather(batch: GridBatch, src: np.ndarray, out_sample: np.ndarr
 # the masked-store argmax and the copying SGD step
 #
 # The original bodies of ``ops._max_pool`` and ``autograd.sgd_step``, kept
-# verbatim: the pool moves its argmax with one ``np.putmask`` per footprint
+# verbatim but for the pool's arguments, which are now the layer's rule
+# (see ``rule_samples``): the pool moves its argmax with one ``np.putmask`` per footprint
 # position, and the step builds ``grad + wd * values`` and ``lr * g`` as new
 # arrays.
 
 
-def putmask_max_pool(batch: GridBatch, out_keys, out_sample, out_shape, src, keep_plan: bool):
+def putmask_max_pool(batch: GridBatch, rule: Plan, out_shape, keep_plan: bool):
     """Shared tail of pooling ops: one running max over the footprint
     positions, plus the :class:`Plan` argmax when ``keep_plan``.
 
@@ -421,6 +427,7 @@ def putmask_max_pool(batch: GridBatch, out_keys, out_sample, out_shape, src, kee
     never compares greater, so NaN components get their first NaN position
     after the loop.
     """
+    src, out_sample = rule.src, rule_samples(rule)
     table, idx = grounds_first_gather(batch, src, out_sample)
     F = src.shape[1]
     rows = table[idx[:, 0]]
@@ -439,10 +446,10 @@ def putmask_max_pool(batch: GridBatch, out_keys, out_sample, out_shape, src, kee
         if nan.any():
             i, c = np.nonzero(nan)
             argmax[i, c] = np.isnan(table[idx[i].T, c]).argmax(axis=0)
-    out = GridBatch(out_shape, out_keys, np.concatenate([rows, batch.grounds]),
-                    _row_starts(out_sample, batch.B))
+    out = GridBatch(out_shape, rule.out_keys, np.concatenate([rows, batch.grounds]),
+                    rule.out_start)
     if keep_plan:
-        plan = Plan(out_keys, src, batch.start, out.start, argmax=argmax)
+        plan = Plan(rule.out_keys, src, batch.start, out.start, argmax=argmax)
     return out, plan
 
 
@@ -461,13 +468,13 @@ def copying_sgd_step(params, lr: float, momentum: float = 0.0,
 # the whole-array running max and the masked pool scatter
 #
 # The original bodies of ``ops._max_pool`` and ``autograd.pool_backward``,
-# kept verbatim: the pool builds the whole (a_out, F) gather index and runs
-# every footprint position over all output rows at once, and the backward
-# pass compacts the components the ground did not win with two boolean
-# masks before one ``np.add.at``.
+# kept verbatim but for the pool's arguments, as above: the pool builds
+# the whole (a_out, F) gather index and runs every footprint position over
+# all output rows at once, and the backward pass compacts the components
+# the ground did not win with two boolean masks before one ``np.add.at``.
 
 
-def untiled_max_pool(batch: GridBatch, out_keys, out_sample, out_shape, src, keep_plan: bool):
+def untiled_max_pool(batch: GridBatch, rule: Plan, out_shape, keep_plan: bool):
     """Shared tail of pooling ops: one running max over the footprint
     positions, plus the batch's :class:`Plan` with its argmax when
     ``keep_plan`` (else None).
@@ -482,6 +489,7 @@ def untiled_max_pool(batch: GridBatch, out_keys, out_sample, out_shape, src, kee
     never compares greater, so NaN components get their first NaN position
     after the loop.
     """
+    src, out_sample = rule.src, rule_samples(rule)
     table, idx = grounds_first_gather(batch, src, out_sample)
     F = src.shape[1]
     rows = table[idx[:, 0]]
@@ -498,15 +506,15 @@ def untiled_max_pool(batch: GridBatch, out_keys, out_sample, out_shape, src, kee
             np.multiply(better, position(k), out=moved)
             np.maximum(argmax, moved, out=argmax)
         np.maximum(rows, vals, out=rows)
-    out = GridBatch(out_shape, out_keys, np.concatenate([rows, batch.grounds]),
-                    _row_starts(out_sample, batch.B))
+    out = GridBatch(out_shape, rule.out_keys, np.concatenate([rows, batch.grounds]),
+                    rule.out_start)
     if not keep_plan:
         return out, None
     nan = np.isnan(rows)
     if nan.any():
         i, c = np.nonzero(nan)
         argmax[i, c] = np.isnan(table[idx[i].T, c]).argmax(axis=0)
-    return out, Plan(out_keys, src, batch.start, out.start, argmax=argmax)
+    return out, Plan(rule.out_keys, src, batch.start, out.start, argmax=argmax)
 
 
 def masked_pool_backward(d_out: np.ndarray, plan: Plan):
@@ -527,15 +535,17 @@ def masked_pool_backward(d_out: np.ndarray, plan: Plan):
 # the searchsorted window rulebook
 #
 # The original body of ``ops._window_rulebook``, kept verbatim but for its
-# ground entries, which follow the library's gather index: one
+# ground entries, which follow the library's gather index, and its result,
+# which is the library's rule record, a ``Plan``: one
 # ``searchsorted`` per dimension finds each window start, and a second
 # ``np.unique`` over the tag ``sample * U + rank`` groups the candidates
 # into output rows.
 
 
 def searchsorted_window_rulebook(batch: GridBatch, offsets, starts, bound):
-    """Active output rows of a windowed layer over a batch: (out_keys,
-    out_sample, src).
+    """The rule of a windowed layer over a batch: the :class:`Plan` of its
+    active output rows, with the output's sample offsets found by one
+    ``searchsorted`` over the rows' samples.
 
     Along dimension ``j`` the window of output coordinate ``u`` starts at
     ``starts[j][u]`` (ascending), so input site ``c`` lies under footprint
@@ -581,7 +591,8 @@ def searchsorted_window_rulebook(batch: GridBatch, offsets, starts, bound):
     out_sample = tags // U
     src = np.repeat(out_sample - batch.B, len(offsets)).reshape(-1, len(offsets))
     src[out_row, k] = rows
-    return union[tags % U], out_sample, src
+    return Plan(union[tags % U], src, batch.start,
+                np.searchsorted(out_sample, np.arange(batch.B + 1)))
 
 
 # ---------------------------------------------------------------------------

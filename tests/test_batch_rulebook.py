@@ -59,6 +59,7 @@ from oracles import (
     masked_pool_backward,
     plan_Q,
     putmask_max_pool,
+    rule_samples,
     searchsorted_window_rulebook,
     untiled_max_pool,
 )
@@ -333,7 +334,8 @@ def test_ground_entries_index_the_table_from_its_end(lattice, rng):
         regions = fmp_regions(m, FMP_RATIO, 3)
         rules.append((fmp_rulebook(batch, regions),
                       lambda g, keys: loop_fmp_gather(g, keys, regions)))
-    for (out_keys, out_sample, src), loop_src in rules:
+    for rule, loop_src in rules:
+        out_keys, src, out_sample = rule.out_keys, rule.src, rule_samples(rule)
         ground = src < 0
         assert np.array_equal(src[ground], np.broadcast_to(
             out_sample[:, None] - batch.B, src.shape)[ground])
@@ -520,8 +522,7 @@ def test_pool_argmax_targeted_positions(lattice, p, moves, want):
     out, pplan = pool_forward_batch(batch, PoolLayer(lattice, p, 1))
     assert pplan.argmax.dtype == np.min_scalar_type(geom.volume - 1)
     assert pplan.argmax.tolist() == [want]
-    out_keys, out_sample, src = conv_rulebook(batch, geom)
-    _, ref = putmask_max_pool(batch, out_keys, out_sample, out.shape, src, True)
+    _, ref = putmask_max_pool(batch, conv_rulebook(batch, geom), out.shape, True)
     assert np.array_equal(pplan.argmax, ref.argmax)
 
 
@@ -569,8 +570,14 @@ def unique_calls(mp):
     return calls
 
 
+# the fields of a Plan that a rulebook gives
+RULE_FIELDS = ("out_keys", "src", "in_start", "out_start")
+
+
 def check_rule(monkeypatch, make_rule, groupings=tuple(GROUPINGS)):
-    """``make_rule()`` gives the same (out_keys, out_sample, src) as with
+    """``make_rule()`` gives the same rule (``out_keys``, ``src``,
+    ``in_start`` and ``out_start``, whose output offsets the searchsorted
+    rulebook finds with ``np.searchsorted`` over its rows' samples) as with
     the searchsorted rulebook in place of the table rulebook, under each
     of ``groupings``; the sort runs one ``np.unique``, the box tables none.
     Returns the rule at the module's caps."""
@@ -586,7 +593,8 @@ def check_rule(monkeypatch, make_rule, groupings=tuple(GROUPINGS)):
             rules.append(make_rule())
         if name != "cap":
             assert len(sorts) == (name == "sort"), name
-        for g, w in zip(rules[-1], want, strict=True):
+        for field in RULE_FIELDS:
+            g, w = getattr(rules[-1], field), getattr(want, field)
             assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w), name
     return rules[0]
 
@@ -626,8 +634,8 @@ def test_table_rulebook_matches_searchsorted_fmp(m, ratio, rng, monkeypatch):
         regions = fmp_regions(m, ratio, seed)
         assert all(r[-1] == m - 2 for r in regions)
         for batch in (GridBatch.of(grids), GridBatch.of([edge])):
-            out_keys, _, _ = check_rule(monkeypatch, lambda: fmp_rulebook(batch, regions))
-            assert out_keys.shape[0] > 0
+            rule = check_rule(monkeypatch, lambda: fmp_rulebook(batch, regions))
+            assert rule.a_out > 0
 
 
 @pytest.mark.parametrize("lattice", ALL_LATTICES)
@@ -638,8 +646,8 @@ def test_table_rulebook_matches_searchsorted_all_empty(lattice, rng, monkeypatch
     if lattice is LatticeKind.CUBIC:
         batch = GridBatch.of(grids)
         regions = fmp_regions(7, FMP_RATIO, 0)
-        out_keys, _, src = check_rule(monkeypatch, lambda: fmp_rulebook(batch, regions))
-        assert out_keys.shape == (0,) and src.shape == (0, 8)
+        rule = check_rule(monkeypatch, lambda: fmp_rulebook(batch, regions))
+        assert rule.out_keys.shape == (0,) and rule.src.shape == (0, 8)
 
 
 @pytest.mark.parametrize("lattice", [LatticeKind.CUBIC, LatticeKind.TETRAHEDRAL])
@@ -666,13 +674,13 @@ def test_far_corner_rule_sorts_in_little_memory(lattice, f, s, rng, monkeypatch)
     sorts = unique_calls(monkeypatch)
     tracemalloc.start()
     try:
-        out_keys, _, src = conv_rulebook(batch, geom)
+        rule = conv_rulebook(batch, geom)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(sorts) == 1
     assert peak < 1 << 20, peak
-    assert src.shape[0] == out_keys.shape[0] > 0
+    assert rule.src.shape[0] == rule.out_keys.shape[0] > 0
 
 
 def disjoint_grids(lattice, count, m, rng):

@@ -91,6 +91,54 @@ def test_count_ops_bad_arch_exit_2():
     assert "error" in r.stderr
 
 
+KNOT_ARCH = ["--arch", "32C2-MP3/2-64C2-MP3/2-96C2-output", "--lattice", "tetrahedral"]
+
+
+@pytest.mark.parametrize("word, as_json", [("1", True), ("TRUE", True), ("yes", True),
+                                           ("On", True), ("0", False), ("false", False),
+                                           ("NO", False), ("off", False)])
+def test_count_ops_json_takes_yes_and_no_words(tmp_path, capsys, word, as_json):
+    """From the command line and from a config file alike."""
+    cfg = tmp_path / "count.cfg"
+    cfg.write_text(f"json = {word}\n")
+    for flags in (["--json", word], ["--config", str(cfg)]):
+        assert main(["count-ops", *KNOT_ARCH, *flags]) == 0
+        out = capsys.readouterr().out
+        if as_json:
+            assert json.loads(out)["total_macs"] > 0
+        else:
+            assert "MegaOps" in out
+
+
+def test_count_ops_json_refuses_any_other_word_naming_its_flag(tmp_path, capsys):
+    cfg = tmp_path / "count.cfg"
+    cfg.write_text("json = sure\n")
+    for flags, word in ((["--json", "maybe"], "maybe"), (["--config", str(cfg)], "sure")):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["count-ops", *KNOT_ARCH, *flags])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument --json: invalid _truthy value: {word!r}" in captured.err
+        assert not captured.out
+
+
+@pytest.mark.parametrize("width", ["0", "-3"])
+def test_count_ops_geometric_box_without_sites_exits_2(capsys, width):
+    assert main(["count-ops", *KNOT_ARCH, "--mode", "geometric", "--width", width]) == 2
+    captured = capsys.readouterr()
+    assert f"box width must be >= 1, got {width}" in captured.err and not captured.out
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--n-input", "0"], "a network needs at least 1 input feature, got n_input=0"),
+    (["--classes", "0"], "a classifier needs at least 1 class, got classes=0"),
+])
+def test_count_ops_zero_features_or_classes_exits_2(capsys, flags, message):
+    assert main(["count-ops", *KNOT_ARCH, *flags]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and not captured.out
+
+
 # ---------------------------------------------------------------------------
 # demo-knot and voxelize
 
@@ -707,6 +755,20 @@ def test_train_out_of_range_setting_exits_2_before_ingest(tmp_path, capsys, monk
     cfg = write_cfg(tmp_path)
     out = tmp_path / "never.lnck"
     assert main(["train", *TOY, "--config", str(cfg), flag, value, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--n-input", "a network needs at least 1 input feature, got n_input=0"),
+    ("--classes", "a network needs at least 1 class, got classes=0"),
+])
+def test_train_zero_features_or_classes_exits_2_before_ingest(tmp_path, capsys, monkeypatch,
+                                                             flag, message):
+    fail_on_ingest(monkeypatch)
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "never.lnck"
+    assert main(["train", *TOY, "--config", str(cfg), flag, "0", "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
 

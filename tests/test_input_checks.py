@@ -17,7 +17,14 @@ from latticenet.ingest import (
     frame_difference,
     square_to_triangular,
 )
-from latticenet.netspec import _box_site_count, centered_box, geometric_activity, parse, plan
+from latticenet.netspec import (
+    _box_site_count,
+    centered_box,
+    count_ops,
+    geometric_activity,
+    parse,
+    plan,
+)
 from latticenet.network import Network
 from latticenet.ops import (
     ConvLayer,
@@ -90,6 +97,14 @@ CASES = [
     (lambda: centered_box(SQ, 4, 5), ValueError, "box of width 5 does not fit in size-4 grid"),
     (lambda: centered_box(TRI, 4, 3), ValueError,
      "box of width 3 does not fit in size-4 triangular grid"),
+    (lambda: centered_box(SQ, 4, 0), ValueError, "box width must be >= 1, got 0"),
+    (lambda: centered_box(TRI, 4, -3), ValueError, "box width must be >= 1, got -3"),
+    (lambda: parse("4C2-output", SQ, 0), ValueError,
+     "a network needs at least 1 input feature, got n_input=0"),
+    (lambda: Network(plan(parse("4C2-output", SQ, 1)), 0, np.random.default_rng(0)),
+     ValueError, "a network needs at least 1 class, got classes=0"),
+    (lambda: count_ops(plan(parse("4C2-output", SQ, 1)), classes=0), ValueError,
+     "a classifier needs at least 1 class, got classes=0"),
     (lambda: geometric_activity(parse("4C2-output", SQ, 1), 2), PlanError,
      "spec must be planned before estimating activity"),
 ]

@@ -9,6 +9,7 @@ apart, keys eval entries by the FMP seeds, and holds what fits under
 """
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -378,8 +379,8 @@ def test_a_set_larger_than_the_bound_stops_admitting(tmp_path, monkeypatch):
     monkeypatch.setattr(rulecache, "CACHE_BYTES", bound)
     store = rulecache.RuleCache.store
 
-    def store_and_note(self, miss, layers):
-        store(self, miss, layers)
+    def store_and_note(self, miss, plans):
+        store(self, miss, plans)
         admitted.update(key for key in miss if key in self._chains)
 
     monkeypatch.setattr(rulecache.RuleCache, "store", store_and_note)
@@ -506,13 +507,39 @@ def test_eval_entries_are_read_only_and_counted(rng):
         b = GridBatch.of(batch)
         assert key == context + b.start.tobytes() + b.keys.tobytes()
         assert len(rules) == len(net.blocks)
-        sizes += len(key) + rulecache._ENTRY_BYTES + sum(a.nbytes for r in rules for a in r)
-        for rule in rules:
-            for a in rule:
-                with pytest.raises(ValueError):
-                    a[...] = 0
+        # a layer's out_start is the next one's in_start, held and counted once
+        for prev, rule in zip(rules, rules[1:]):
+            assert rule.in_start is prev.out_start
+        arrays = {id(a): a for rule in rules for a in rule_arrays(rule)}
+        assert len(arrays) == 3 * len(rules) + 1
+        sizes += len(key) + rulecache._ENTRY_BYTES + sum(a.nbytes for a in arrays.values())
+        for a in arrays.values():
+            with pytest.raises(ValueError):
+                a[...] = 0
     assert cache.nbytes == chains + sizes
     assert cache.hits == 0  # eval reads no chain
+
+
+def test_an_eval_hit_leaves_its_entry_as_stored(rng):
+    """An eval entry holds the pass's Plans, which every hit hands to the
+    ops: after two hits the entry holds the same Plan objects, still bare
+    rules, since the ops complete a copy and a Plan's fields cannot be
+    assigned."""
+    net = make_net(CUBIC)
+    grids = grids_for(net, rng, (0.3, 0.6))
+    warm(net, grids)
+    (rules,) = net.rule_cache._batches.values()
+    held = list(rules)
+    for _ in range(2):
+        forward_backward(net, grids)
+    assert net.rule_cache.hits == 2 * len(grids)
+    assert all(isinstance(r, ops.Plan) for r in rules)
+    assert all(r is h for r, h in zip(rules, held, strict=True))
+    assert all(r.Q is None and r.argmax is None and r.mask is None for r in rules)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rules[0].Q = np.zeros((rules[0].a_out, 1))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rules[0].out_keys = rules[0].out_keys.copy()
 
 
 def test_an_eval_entry_larger_than_the_space_left_is_not_held(rng, monkeypatch):
@@ -579,9 +606,14 @@ def test_a_training_pass_draws_one_seed_per_fmp_block(rng):
         assert r.bit_generator.state == drawn(11, 0)
 
 
+def rule_arrays(rule):
+    """The arrays of a rule, the fields of a Plan that a rulebook fills."""
+    return [rule.out_keys, rule.src, rule.in_start, rule.out_start]
+
+
 def assert_same_rule(got, want):
-    assert len(got) == len(want) == 3
-    for a, b in zip(got, want):
+    assert isinstance(got, ops.Plan) and isinstance(want, ops.Plan)
+    for a, b in zip(rule_arrays(got), rule_arrays(want), strict=True):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
