@@ -187,15 +187,13 @@ def pool_backward(d_out: np.ndarray, plan: Plan):
     A ground-filled position of sample ``b`` reads row ``-(B - b)`` of a
     gradient with ``B`` trailing ground rows, sliced off at the end, so
     one unmasked flat ``np.add.at`` takes every component in row-major
-    order.  The flat index is mapped per gather position, (a_out, F),
-    before the argmax picks it per component, (a_out, n)."""
+    order, at the flat index ``argmax_src * n + component``."""
     if d_out.shape != plan.argmax.shape:
         raise ValueError(f"d_out must be {plan.argmax.shape}, got {d_out.shape}")
     n, a_in = d_out.shape[1], plan.a_in
     d_in = np.zeros((a_in + len(plan)) * n, dtype=d_out.dtype)
     # one flat index per component: a 2-D index tuple misses add.at's fast path
-    start = plan.src * n
-    flat = np.take_along_axis(start, plan.argmax, axis=1)
+    flat = plan.argmax_src * n
     flat += np.arange(n)
     np.add.at(d_in, flat.reshape(-1), d_out.reshape(-1))
     return d_in[:a_in * n].reshape(a_in, n)

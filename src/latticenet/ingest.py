@@ -26,16 +26,21 @@ samples along a path mostly share a voxel; a mesh's samples rarely
 repeat the one before, so its keys go straight to the sort.  When no
 segment of a polyline call is long enough to be sampled between its
 ends, the two ends of every segment are built directly, without the
-per-sample gather.  Points are fitted and sampled coordinate-major, a
-mesh's and a polyline's alike, as one row per coordinate, so that every
-repeat, gather and product runs along a long axis; each point still gets
-the arithmetic it would get as a row of a point-major array, so the
-voxels are bit-identical to that form's.  Non-finite coordinates are
-rejected before sampling.  OFF files are decoded the same way: one
-tokenizing pass, a walk over the face list by runs of faces with the
-same count token (each run's heads read by one lazy strided scan), then
-one conversion per array; a file this array pass cannot read is walked
-again, token by token, to name its first bad token.
+per-sample gather.  A stack of polylines of one length (the synthetic
+knots, :data:`KNOT_CHUNK` at a time) is fitted and sampled as one array
+too, each polyline on its own, and its grids come back as one batch: each
+polyline's keys move up the first axis by its place in the stack, so that
+one sort orders every grid's keys apart.  Points are fitted and sampled
+coordinate-major, a mesh's and a polyline's alike, as one row per
+coordinate, so that every repeat, gather and product runs along a long
+axis; each point still gets the arithmetic it would get as a row of a
+point-major array, so the voxels are bit-identical to that form's.
+Non-finite coordinates are rejected before sampling.  OFF files are
+decoded the same way: one tokenizing pass, a walk over the face list by
+runs of faces with the same count token (each run's heads read by one
+lazy strided scan), then one conversion per array; a file this array
+pass cannot read is walked again, token by token, to name its first bad
+token.
 
 All randomness is drawn from explicit generators, so ingestion of a
 sample is a pure function of its inputs and seed.
@@ -54,6 +59,8 @@ import numpy as np
 
 from .errors import FormatError
 from .geometry import (
+    COORD_BITS,
+    MAX_COORD,
     GridShape,
     LatticeKind,
     coord_sum,
@@ -62,7 +69,7 @@ from .geometry import (
     site_ordinal,
     sites_array,
 )
-from .grid import DenseGrid, LabeledSample, SparseGrid
+from .grid import DenseGrid, GridBatch, LabeledSample, SparseGrid
 
 SQRT3 = np.sqrt(3.0)
 
@@ -257,13 +264,13 @@ def save_off(mesh: TriangleMesh, path):
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
     """Uniform random 3D rotation via a normalized quaternion."""
     q = rng.normal(size=4)
-    q /= np.linalg.norm(q)
+    q /= np.sqrt(q.dot(q))  # np.linalg.norm(q), without its argument handling
     w, x, y, z = q.tolist()
     return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
+        1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+        2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+        2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+    ]).reshape(3, 3)
 
 
 def make_affine(d: int, rotation: float = 0.0, scale: float = 1.0) -> np.ndarray:
@@ -313,31 +320,49 @@ def fit_points(points: np.ndarray, shape: GridShape, margin: float = 1.0) -> np.
 
 def _fit_coords(xyz: np.ndarray, shape: GridShape, margin: float) -> np.ndarray:
     """:func:`fit_points` on coordinate-major ``(d, P)`` points, into a new
-    ``(d, P)`` array; each point gets the arithmetic a ``(P, d)`` row would."""
+    ``(d, P)`` array; each point gets the arithmetic a ``(P, d)`` row would.
+
+    A ``(d, K, P)`` stack of K point sets fits each set on its own, into a
+    new ``(d, K, P)`` array, bit for bit as fitting it alone: every
+    reduction runs over the last axis, and a set's scalars become ``(K, 1)``
+    columns.  One set keeps them as Python floats, which cost less.
+    """
     span = shape.m - 1 - 2 * margin
     if span <= 0:
         raise ValueError(f"grid size {shape.m} leaves no room at margin {margin}")
-    lo = xyz.min(axis=1, keepdims=True)
+    stack = xyz.ndim == 3
+    lo = xyz.min(axis=-1, keepdims=True)
     fitted = xyz - lo
     if not shape.lattice.is_simplex:
-        extent = xyz.max(axis=1, keepdims=True) - lo
-        top = float(extent.max())
-        scale = span / top if top > 0 else 1.0
+        extent = xyz.max(axis=-1, keepdims=True) - lo
+        scale = span / _divisor(extent.max(axis=0) if stack else float(extent.max()))
         fitted *= scale
         # center the smaller extents
         fitted += (span - extent * scale) / 2.0
         fitted += margin
         return fitted
     d = shape.ndim
-    sum_max = float(coord_sum(fitted).max())
-    denom = sum_max if sum_max > 0 else 1.0
+    sums = coord_sum(fitted)
+    denom = _divisor(sums.max(axis=-1, keepdims=True) if stack else float(sums.max()))
     s_total = shape.m - 1 - (d + 1) * margin
     if s_total <= 0:
         raise ValueError(f"grid size {shape.m} leaves no room at margin {margin}")
     fitted *= s_total / denom
     fitted += margin
-    fitted += ((shape.m - 1 - margin) - float(coord_sum(fitted).max())) / (d + 1)
+    top = coord_sum(fitted).max(axis=-1, keepdims=stack)
+    fitted += ((shape.m - 1 - margin) - top) / (d + 1)
     return fitted
+
+
+def _divisor(top):
+    """A point set's largest extent or coordinate sum ``top`` (a float, or
+    a column of them for a stack) as the divisor of its scale, 1 where it
+    is 0: that set's fitted points are then all 0, which any finite scale
+    leaves as they are."""
+    if isinstance(top, float):
+        return top if top > 0 else 1.0
+    top += top == 0
+    return top
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +457,11 @@ def voxelize_mesh(mesh: TriangleMesh, m: int, rotation: np.ndarray | None = None
     return _occupancy_grid(shape, pack_sites(vox.T))
 
 
-def _path_keys(xyz: np.ndarray, starts: np.ndarray, shape: GridShape) -> np.ndarray:
-    """Packed keys of the voxels along polylines, one key per sample.
+def _path_keys(xyz: np.ndarray, starts: np.ndarray,
+               shape: GridShape) -> tuple[np.ndarray, np.ndarray]:
+    """Packed keys of the voxels along polylines, one key per sample, and
+    the offset at which each path's samples end: path ``j``'s keys run
+    from ``ends[j - 1]`` (0 for the first) to ``ends[j]``.
 
     ``xyz`` holds the points coordinate-major, as ``(d, P)`` rows.  Path
     ``j`` runs through points ``starts[j]`` to ``starts[j + 1] - 1``, and no
@@ -444,10 +472,12 @@ def _path_keys(xyz: np.ndarray, starts: np.ndarray, shape: GridShape) -> np.ndar
     gets the arithmetic it would get as a row of a ``(P, d)`` array, so the
     voxels are bit-identical to that form's.  When every segment is one
     step (``max |b - a| / 0.45 <= 1`` over the call), each point's two
-    samples are built densely into one interleaved array; otherwise every
-    sample is gathered from its segment.  The bounds are checked on the
-    voxels' extremes; only a sample outside the grid's valid region looks
-    further, to name the first such voxel along the paths.
+    samples are built densely into one interleaved array, from which paths
+    that all have one length (a stack) drop each last point's two by a
+    slice, and other paths by a mask; otherwise every sample is gathered
+    from its segment.  The bounds are checked on the voxels' extremes; only
+    a sample outside the grid's valid region looks further, to name the
+    first such voxel along the paths.
     """
     if not np.isfinite(xyz).all():
         raise ValueError("polyline has non-finite coordinates")
@@ -456,12 +486,18 @@ def _path_keys(xyz: np.ndarray, starts: np.ndarray, shape: GridShape) -> np.ndar
     # paths, is zeroed) and adds no samples of its own, unless it is also
     # the path's first
     d, P = xyz.shape
-    last = np.append(starts[1:], P) - 1
+    K = starts.shape[0]
+    L = P // K
+    even = K * L == P and starts.tolist() == list(range(0, P, L))
+    width = 0  # samples per path of a stack, when a slice cuts them
     delta = np.empty_like(xyz)
     np.subtract(xyz[:, 1:], xyz[:, :-1], out=delta[:, :-1])
-    delta[:, last] = 0.0
-    reach = np.abs(delta).max(axis=0)
-    if reach.max() / 0.45 <= 1:
+    if even:
+        delta.reshape(d, K, L)[:, :, -1] = 0.0
+    else:
+        last = np.append(starts[1:], P) - 1
+        delta[:, last] = 0.0
+    if max(delta.max(), -delta.min()) / 0.45 <= 1:
         # every segment is one step, sampled only at its ends: point i
         # (k = 0; delta * 0.0 + point rounds to the same voxel) and
         # delta_i + point_i (k = n = 1).  Both are built for every point,
@@ -470,16 +506,26 @@ def _path_keys(xyz: np.ndarray, starts: np.ndarray, shape: GridShape) -> np.ndar
         pts = np.empty((d, P, 2))
         pts[:, :, 0] = xyz
         np.add(delta, xyz, out=pts[:, :, 1])
-        keep = np.ones((P, 2), dtype=bool)
-        keep[last, 0] = last == starts
-        keep[last, 1] = False
-        pts = np.compress(keep.reshape(-1), pts.reshape(d, 2 * P), axis=1)
+        if even:  # a path of one point keeps its k = 0
+            width = 2 * L - 2 or 1
+            ends = np.arange(width, K * width + 1, width)
+        else:
+            keep = np.ones((P, 2), dtype=bool)
+            lone = last == starts
+            keep[last, 0] = lone
+            keep[last, 1] = False
+            pts = np.compress(keep.reshape(-1), pts.reshape(d, 2 * P), axis=1)
+            ends = np.cumsum(2 * (last - starts) + lone)
     else:
-        steps = np.maximum(1, np.ceil(reach / 0.45).astype(np.int64))
+        if even:
+            last = starts + (L - 1)
+        steps = np.maximum(1, np.ceil(np.abs(delta).max(axis=0) / 0.45).astype(np.int64))
         count = steps + 1
         count[last] = last == starts
+        end = np.cumsum(count)
+        ends = end[last]
         seg = np.repeat(np.arange(P), count)
-        k = _ranks(count)
+        k = np.arange(end[-1]) - np.repeat(end - count, count)  # _ranks(count)
         n = steps[seg]
         # np.linspace(0, 1, n + 1) computes k * (1 / n), then sets the last t = 1
         t = k * (1.0 / n)
@@ -487,38 +533,75 @@ def _path_keys(xyz: np.ndarray, starts: np.ndarray, shape: GridShape) -> np.ndar
         pts = np.take(delta, seg, axis=1)
         pts *= t
         pts += np.take(xyz, seg, axis=1)
-    vox = np.rint(pts, out=pts).astype(np.int64)
+    np.rint(pts, out=pts)
+    if width:  # each path of a stack drops its last point's two samples
+        pts = pts.reshape(d, K, 2 * L)[:, :, :width]
+    vox = pts.astype(np.int64).reshape(d, -1)
     culprit = shape.first_outside(vox)
     if culprit is not None:
         raise ValueError(f"point maps to voxel {tuple(culprit.tolist())} outside the grid")
-    return pack_sites(vox.T)
+    return pack_sites(vox.T), ends
 
 
-def rasterize_polyline(points: np.ndarray, m: int, shape: GridShape | None = None) -> SparseGrid:
+def rasterize_polyline(points: np.ndarray, m: int,
+                       shape: GridShape | None = None) -> SparseGrid | GridBatch:
     """Trace line segments through the size-``m`` grid (cubic unless
     ``shape``, which must then have size ``m``, says otherwise); visited
     voxels get value 1.
 
-    ``points`` is ``(P, d)``; it is sampled on its ``(d, P)`` transpose
-    (see :func:`_path_keys`), which costs no copy when ``points`` is the
-    transpose of a C-ordered ``(d, P)`` array.  Segment ``a -> b`` is
-    sampled at ``t = k / steps``, ``k = 0 .. steps`` (the last sample at
-    exactly ``t = 1``), with ``steps`` chosen so that consecutive samples
-    are under half a voxel apart; the voxel path is therefore 26-connected.
-    All segments' samples form one point array, and runs of samples in one
-    voxel count once before the keys are sorted.  A sample outside the
-    grid's valid region is an error that names the first such voxel along
-    the path; non-finite points are an error too.
+    ``points`` is ``(P, d)``, one polyline, whose grid is returned; or a
+    ``(K, P, d)`` stack of K polylines, whose K grids are returned as one
+    :class:`GridBatch` (rows 1, grounds 0).  Points are sampled on their
+    coordinate-major transpose (see :func:`_path_keys`), which costs no
+    copy when ``points`` is the transpose of a C-ordered ``(d, P)`` or
+    ``(d, K, P)`` array.  Segment ``a -> b`` is sampled at
+    ``t = k / steps``, ``k = 0 .. steps`` (the last sample at exactly
+    ``t = 1``), with ``steps`` chosen so that consecutive samples are under
+    half a voxel apart; the voxel path is therefore 26-connected.  All
+    segments' samples, of every polyline of a stack, form one point array,
+    and runs of samples in one voxel count once before each polyline's keys
+    are sorted.  A sample outside the grid's valid region is an error that
+    names the first such voxel along the polylines, the voxel that
+    rasterizing them one at a time would name; non-finite points are an
+    error too.
     """
     if shape is None:
         shape = GridShape(LatticeKind.CUBIC, m)
     elif shape.m != m:
         raise ValueError(f"grid size {m} differs from the shape's size {shape.m}")
-    points = np.asarray(points, dtype=float).reshape(-1, shape.ndim)
-    if points.shape[0] < 1:
-        raise ValueError("need at least one point")
-    keys = _path_keys(np.ascontiguousarray(points.T), np.zeros(1, dtype=np.int64), shape)
-    return _occupancy_grid(shape, keys[run_heads(keys)])
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 3:
+        points = points.reshape(-1, shape.ndim)
+        if points.shape[0] < 1:
+            raise ValueError("need at least one point")
+        keys, _ = _path_keys(np.ascontiguousarray(points.T), np.zeros(1, dtype=np.int64), shape)
+        return _occupancy_grid(shape, keys[run_heads(keys)])
+    K, P, d = points.shape
+    if d != shape.ndim:
+        raise ValueError(f"a stack of {shape.ndim}D polylines must be (K, P, {shape.ndim}), "
+                         f"got {points.shape}")
+    if K < 1 or P < 1:
+        raise ValueError("need at least one polyline of at least one point")
+    if K > MAX_COORD // m:  # more grids than fit end to end in one key range
+        return GridBatch.of([rasterize_polyline(p, m, shape) for p in points])
+    xyz = np.ascontiguousarray(points.transpose(2, 0, 1)).reshape(d, K * P)
+    keys, ends = _path_keys(xyz, np.arange(0, K * P, P), shape)
+    # polyline j's keys move j grids up the first axis, to the keys of
+    # sites (x + j m, y, ...), so that one sort orders every grid's keys
+    # apart and a key's remainder modulo that shift is its own
+    shift = m << COORD_BITS * (d - 1)
+    head = run_heads(keys)
+    head[ends[:-1]] = True  # a polyline's first key starts a run
+    at = np.flatnonzero(head)
+    keys = keys[at]
+    keys += np.searchsorted(ends, at, side="right") * shift
+    keys.sort()
+    keys = keys[run_heads(keys)]
+    start = np.searchsorted(keys, np.arange(0, (K + 1) * shift, shift))
+    keys %= shift
+    table = np.zeros((keys.shape[0] + K, 1), dtype=np.float32)
+    table[:keys.shape[0]] = 1.0
+    return GridBatch(shape, keys, table, start)
 
 
 def strokes_to_spacetime(sample: StrokeSample, m: int = 40) -> SparseGrid:
@@ -539,7 +622,7 @@ def strokes_to_spacetime(sample: StrokeSample, m: int = 40) -> SparseGrid:
     pts[:2] = _fit_coords(pts[:2], GridShape(LatticeKind.SQUARE, m), margin=0.0)
     np.multiply(np.arange(P), (m - 1) / max(P - 1, 1), out=pts[2])
     shape = GridShape(LatticeKind.CUBIC, m)
-    keys = _path_keys(pts, np.cumsum([0] + lengths[:-1]), shape)
+    keys, _ = _path_keys(pts, np.cumsum([0] + lengths[:-1]), shape)
     return _occupancy_grid(shape, keys[run_heads(keys)])
 
 
@@ -644,30 +727,58 @@ def _knot_curve(kind: str, samples: int) -> np.ndarray:
     return pts
 
 
+# Knots are fitted and rasterized this many at a time.  knot_dataset(m, 48)
+# per knot, warm, the best of 9 interleaved runs (median in brackets) on a
+# 2-vCPU Xeon with numpy 2.4: tetrahedral m = 14 takes 65 (67) us at 3,
+# 53 (57) at 6, 52 (54) at 8, 55 (73) at 12 and 91 (94) at 16; cubic m = 40
+# takes 78 (83) at 3, 71 (75) at 6, 70 (82) at 8 and 96 (116) at 10, larger
+# stacks falling out of cache
+KNOT_CHUNK = 6
+
+
 def synth_knot(kind: str, m: int, rng: np.random.Generator,
                lattice: LatticeKind = LatticeKind.CUBIC) -> LabeledSample:
     """One randomly rotated, jittered, rasterized knot sample."""
-    pts = _knot_curve(kind, 720) @ random_rotation(rng).T
-    pts *= rng.uniform(0.88, 1.0)  # scale jitter
-    # coordinate-major and closed: the curve's first point repeats at its
-    # end, which changes no extreme of the fit, so the repeat is fitted to
-    # the first point's values
-    closed = np.empty((3, pts.shape[0] + 1))
-    closed[:, :-1] = pts.T
-    closed[:, -1] = closed[:, 0]
-    shape = GridShape(lattice, m)
-    fitted = _fit_coords(closed, shape, margin=0.6)
-    grid = rasterize_polyline(fitted.T, m, shape)
-    return LabeledSample(grid, KNOT_KINDS.index(kind))
+    return _knots([kind], m, rng, lattice)[0]
 
 
 def knot_dataset(m: int, per_class: int, rng: np.random.Generator,
                  lattice: LatticeKind = LatticeKind.CUBIC) -> list[LabeledSample]:
     """per_class samples of each knot kind, in class-major order."""
+    if per_class < 0:
+        raise ValueError(f"per_class must be 0 or more, got {per_class}")
+    return _knots([kind for kind in KNOT_KINDS for _ in range(per_class)], m, rng, lattice)
+
+
+def _knots(kinds: list[str], m: int, rng: np.random.Generator,
+           lattice: LatticeKind) -> list[LabeledSample]:
+    """A randomly rotated, jittered, rasterized knot of each kind in turn.
+
+    Each knot draws its rotation, then its scale, from ``rng``, knot after
+    knot; the knots are fitted and rasterized in stacks of up to
+    :data:`KNOT_CHUNK`, each one :func:`_fit_coords` call and one
+    :func:`rasterize_polyline` call, whose grids equal those of the knots
+    built one at a time.
+    """
+    shape = GridShape(lattice, m)
     out = []
-    for kind in KNOT_KINDS:
-        for _ in range(per_class):
-            out.append(synth_knot(kind, m, rng, lattice))
+    for lo in range(0, len(kinds), KNOT_CHUNK):
+        chunk = kinds[lo:lo + KNOT_CHUNK]
+        # coordinate-major and closed: each curve's first point repeats at
+        # its end, which changes no extreme of the fit, so the repeat is
+        # fitted to the first point's values
+        closed = np.empty((3, len(chunk), 721))
+        for j, kind in enumerate(chunk):
+            pts = _knot_curve(kind, 720) @ random_rotation(rng).T
+            np.multiply(pts.T, rng.uniform(0.88, 1.0), out=closed[:, j, :-1])  # scale jitter
+        closed[:, :, -1] = closed[:, :, 0]
+        if len(chunk) == 1:  # a stack of one costs more than one knot alone
+            grids = [rasterize_polyline(_fit_coords(closed[:, 0], shape, 0.6).T, m, shape)]
+        else:
+            batch = rasterize_polyline(_fit_coords(closed, shape, 0.6).transpose(1, 2, 0),
+                                       m, shape)
+            grids = [batch.grid(j) for j in range(len(chunk))]
+        out += [LabeledSample(grid, KNOT_KINDS.index(kind)) for grid, kind in zip(grids, chunk)]
     return out
 
 

@@ -269,8 +269,11 @@ class Plan:
     @property
     def argmax_src(self) -> np.ndarray:
         """(a_out, n): the input row each component took, negative where the
-        ground won."""
-        return np.take_along_axis(self.src, self.argmax, axis=1)
+        ground won; one flat ``take`` of ``src`` at each component's
+        position ``argmax + F * row``."""
+        F = self.src.shape[1]
+        flat = np.arange(0, self.a_out * F, F)[:, None] + self.argmax
+        return self.src.reshape(-1).take(flat)
 
     def __len__(self) -> int:
         return self.in_start.shape[0] - 1

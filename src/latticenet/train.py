@@ -14,6 +14,7 @@ augmentation one pass runs: n identical passes would give its report.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -43,6 +44,10 @@ class TrainConfig:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be at least 0, got {self.epochs}")
+        for name in ("lr", "lr_decay", "momentum", "weight_decay"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass
@@ -76,7 +81,10 @@ def batch_loss_and_grads(net: Network, batch: list[LabeledSample],
 
 def fit(net: Network, train: list[LabeledSample], heldout: list[LabeledSample],
         cfg: TrainConfig, log_fn=None) -> list[EpochLog]:
-    """SGD with momentum; returns one log entry per epoch."""
+    """SGD with momentum; returns one log entry per epoch.  An empty
+    training set raises ValueError before the first epoch."""
+    if not train:
+        raise ValueError("fit needs at least one training sample, got an empty training set")
     rng = np.random.default_rng(cfg.seed)
     logs = []
     lr = cfg.lr
@@ -93,8 +101,8 @@ def fit(net: Network, train: list[LabeledSample], heldout: list[LabeledSample],
             sgd_step(net.params(), lr, cfg.momentum, cfg.weight_decay)
         report = evaluate(net, heldout, repeats=1) if heldout else None
         err = 1.0 - report.accuracy if report else float("nan")
-        log = EpochLog(epoch, total_loss / max(len(train), 1), err,
-                       total_macs / max(len(train), 1), time.perf_counter() - t0)
+        log = EpochLog(epoch, total_loss / len(train), err, total_macs / len(train),
+                       time.perf_counter() - t0)
         logs.append(log)
         if log_fn:
             log_fn(log)

@@ -711,6 +711,34 @@ def test_bad_config_value_exits_2_naming_its_flag_before_ingest(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message, loads", [
+    (["--train-per-class", "0"], "got an empty training set", True),
+    (["--test-per-class", "-1"], "per_class must be 0 or more, got -1", True),
+    (["--lr", "nan"], "lr must be finite, got nan", False),
+    (["--momentum", "inf"], "momentum must be finite, got inf", False),
+])
+def test_train_without_data_or_with_a_non_finite_setting_exits_2(tmp_path, capsys, monkeypatch,
+                                                                  flags, message, loads):
+    """No checkpoint is written; a non-finite optimizer setting is refused
+    before any data loads."""
+    if not loads:
+        fail_on_ingest(monkeypatch)
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "never.lnck"
+    assert main(["train", *TOY, "--config", str(cfg), *flags, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_no_held_out_knots_is_no_held_out_set(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    ckpt = tmp_path / "toy.lnck"
+    assert main(["train", *TOY, "--config", str(cfg), "--test-per-class", "0",
+                 "--out", str(ckpt)]) == 0
+    assert "heldout-err nan" in capsys.readouterr().err
+    assert ckpt.exists()
+
+
 @pytest.mark.parametrize("command, flags", [
     ("count-ops", TOY[:4]),
     ("train", [*TOY, "--out", "never.lnck"]),

@@ -15,6 +15,8 @@ from latticenet.ingest import (
     StrokeSample,
     TriangleMesh,
     frame_difference,
+    knot_dataset,
+    rasterize_polyline,
     square_to_triangular,
 )
 from latticenet.netspec import (
@@ -35,6 +37,8 @@ from latticenet.ops import (
     fmp_out_size,
     fmp_regions,
 )
+
+from latticenet.train import TrainConfig, fit
 
 from conftest import ALL_LATTICES
 
@@ -107,6 +111,23 @@ CASES = [
      "a classifier needs at least 1 class, got classes=0"),
     (lambda: geometric_activity(parse("4C2-output", SQ, 1), 2), PlanError,
      "spec must be planned before estimating activity"),
+    (lambda: rasterize_polyline(np.zeros((2, 5, 2)), 10), ValueError,
+     "a stack of 3D polylines must be (K, P, 3), got (2, 5, 2)"),
+    (lambda: rasterize_polyline(np.zeros((0, 5, 3)), 10), ValueError,
+     "need at least one polyline of at least one point"),
+    (lambda: rasterize_polyline(np.zeros((2, 0, 3)), 10), ValueError,
+     "need at least one polyline of at least one point"),
+    (lambda: knot_dataset(6, -1, np.random.default_rng(0)), ValueError,
+     "per_class must be 0 or more, got -1"),
+    (lambda: fit(Network(plan(parse("4C2-output", SQ, 1)), 2, np.random.default_rng(0)), [], [],
+                 TrainConfig(epochs=1)), ValueError,
+     "fit needs at least one training sample, got an empty training set"),
+    (lambda: TrainConfig(lr=float("nan")), ValueError, "lr must be finite, got nan"),
+    (lambda: TrainConfig(lr_decay=float("inf")), ValueError, "lr_decay must be finite, got inf"),
+    (lambda: TrainConfig(momentum=float("-inf")), ValueError,
+     "momentum must be finite, got -inf"),
+    (lambda: TrainConfig(weight_decay=float("nan")), ValueError,
+     "weight_decay must be finite, got nan"),
 ]
 
 

@@ -3,6 +3,8 @@ the per-segment, per-face and per-site loops they replace (oracles.py),
 space-time strokes sampled in one pass against one rasterization per
 stroke, coordinate-major fitting and path sampling (knots and strokes
 whole, and one-step segments built densely) against the row-major forms,
+stacks of polylines and of point sets against each one alone, knots
+built a stack at a time against knots built one at a time,
 the knot rotation on Python floats against the one on numpy scalars,
 embedding by packed offset against unpack/offset/pack, augmentation with
 one sort against the two-sort form, training with the running-max pool
@@ -25,12 +27,13 @@ import numpy as np
 import pytest
 
 from latticenet import autograd, ops, train
-from latticenet.geometry import GridShape, LatticeKind
-from latticenet.grid import DenseGrid, SparseGrid
+from latticenet.geometry import MAX_COORD, GridShape, LatticeKind
+from latticenet.grid import DenseGrid, GridBatch, SparseGrid
 from latticenet.ingest import (
     KNOT_KINDS,
     StrokeSample,
     TriangleMesh,
+    _fit_coords,
     _path_keys,
     _subdivisions,
     fit_points,
@@ -39,6 +42,7 @@ from latticenet.ingest import (
     random_rotation,
     rasterize_polyline,
     strokes_to_spacetime,
+    synth_knot,
     voxelize_mesh,
 )
 from latticenet.netspec import parse, plan
@@ -214,6 +218,116 @@ def test_rasterize_first_out_of_grid_voxel_matches_loop(lattice, pts, voxel):
     assert culprit(new) == culprit(old) == voxel
 
 
+def polyline_stack(rng, K: int, d: int, lo: float, hi: float, one_step: bool) -> np.ndarray:
+    """K polylines of one random length (one point, one time in five),
+    from uniform starts in ``[lo, hi)``: walks whose every step is under
+    0.44 in each coordinate, or points anywhere in that range."""
+    P = 1 if rng.random() < 0.2 else int(rng.integers(2, 30))
+    if not one_step:
+        return rng.uniform(lo, hi, size=(K, P, d))
+    steps = rng.uniform(-0.44, 0.44, size=(K, P, d))
+    steps[:, 0] = rng.uniform(lo, hi, size=(K, d))
+    return np.cumsum(steps, axis=1)
+
+
+@pytest.mark.parametrize("lattice, inside, hi", [
+    (LatticeKind.CUBIC, (2.0, 9.0), 11.6), (LatticeKind.TETRAHEDRAL, (1.0, 2.2), 4.2),
+    (LatticeKind.SQUARE, (2.0, 9.0), 11.6), (LatticeKind.TRIANGULAR, (1.5, 3.5), 6.2),
+])
+def test_stacked_rasterize_polyline_matches_loop(lattice, inside, hi):
+    """A stack of K = 1 .. 6 polylines gives one batch whose grid j is
+    polyline j's, through both sampler branches; a stack that leaves the
+    grid (drawn up to ``hi`` one time in four) names the voxel that the
+    polylines rasterized one at a time name."""
+    shape = GridShape(lattice, 12)
+    seen = dict.fromkeys(["one_step", "gathered", "outside"], 0)
+    for seed in range(160):
+        rng = np.random.default_rng(seed)
+        K = 1 + seed % 6
+        one_step = seed % 2 == 0
+        lo, top = (-0.6, hi) if seed % 4 == 3 else inside
+        stack = polyline_stack(rng, K, lattice.ndim, lo, top, one_step)
+        try:
+            want = [loop_rasterize_polyline(p, shape.m, shape) for p in stack]
+        except ValueError:
+            with pytest.raises(ValueError, match="outside") as old:
+                for p in stack:
+                    loop_rasterize_polyline(p, shape.m, shape)
+            with pytest.raises(ValueError, match="outside") as new:
+                rasterize_polyline(stack, shape.m, shape)
+            assert culprit(new) == culprit(old), seed
+            seen["outside"] += 1
+            continue
+        batch = rasterize_polyline(stack, shape.m, shape)
+        assert isinstance(batch, GridBatch) and batch.B == K and batch.shape == shape, seed
+        assert batch.table.dtype == np.float32 and (batch.rows == 1).all(), seed
+        assert (batch.grounds == 0).all() and batch.n == 1, seed
+        for j in range(K):
+            assert np.array_equal(batch.grid(j).keys, want[j]), (seed, j)
+        seen["one_step" if one_step or stack.shape[1] == 1 else "gathered"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_stack_wider_than_one_key_range_matches_one_at_a_time():
+    """More grids than fit end to end in a key range are rasterized one at
+    a time, into the same batch."""
+    m = MAX_COORD // 2
+    shape = GridShape(LatticeKind.CUBIC, m)
+    stack = np.random.default_rng(0).uniform(m - 40.0, m - 1.0, size=(3, 5, 3))
+    batch = rasterize_polyline(stack, m, shape)
+    assert batch.B == 3
+    for j in range(3):
+        assert np.array_equal(batch.grid(j).keys, loop_rasterize_polyline(stack[j], m, shape))
+    stack[1, 2, 0] = m + 0.5
+    with pytest.raises(ValueError, match="outside") as new:
+        rasterize_polyline(stack, m, shape)
+    with pytest.raises(ValueError, match="outside") as old:
+        loop_rasterize_polyline(stack[1], m, shape)
+    assert culprit(new) == culprit(old)
+
+
+@pytest.mark.parametrize("margin", [0.0, 0.6, 1.0])
+@pytest.mark.parametrize("lattice", ALL_LATTICES)
+def test_stacked_fit_matches_fitting_each_set_alone(lattice, margin):
+    """A (d, K, P) stack of point sets, some of one point or flat in one
+    coordinate, fits each set to the values it gets alone, bit for bit."""
+    d = lattice.ndim
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        shape = GridShape(lattice, 6 + seed % 37)
+        K, P = 1 + seed % 5, 1 if seed % 7 == 0 else int(rng.integers(2, 41))
+        stack = rng.normal(size=(d, K, P)) * rng.uniform(0.01, 50.0, size=(1, K, 1))
+        stack += rng.uniform(-9, 9, size=(d, K, 1))
+        if seed % 3 == 1:
+            stack[seed % d, seed % K] = stack[seed % d, seed % K, 0]
+        got = _fit_coords(stack, shape, margin)
+        assert got.shape == stack.shape, seed
+        for j in range(K):
+            alone = _fit_coords(np.ascontiguousarray(stack[:, j]), shape, margin)
+            assert got[:, j].tobytes() == alone.tobytes(), (seed, j)
+            want = row_major_fit_points(stack[:, j].T, shape, margin)
+            assert got[:, j].T.tobytes() == np.ascontiguousarray(want).tobytes(), (seed, j)
+
+
+@pytest.mark.parametrize("lattice", [LatticeKind.TETRAHEDRAL, LatticeKind.CUBIC])
+@pytest.mark.parametrize("m", [6, 14, 60])
+def test_knot_dataset_matches_sequential_synth_knot(lattice, m):
+    """Knots built in stacks, with chunk boundaries inside classes, give
+    the keys and labels of knots drawn one ``synth_knot`` at a time, and
+    leave the generator in the same state."""
+    for per_class in range(1, 10):
+        rng = np.random.default_rng(per_class)
+        got = knot_dataset(m, per_class, rng, lattice=lattice)
+        seq = np.random.default_rng(per_class)
+        want = [synth_knot(kind, m, seq, lattice) for kind in KNOT_KINDS for _ in range(per_class)]
+        assert len(got) == len(want) == 3 * per_class
+        for a, b in zip(got, want):
+            assert a.label == b.label and a.grid.shape == b.grid.shape
+            assert np.array_equal(a.grid.keys, b.grid.keys), per_class
+            assert np.array_equal(a.grid.rows, b.grid.rows) and a.grid.rows.dtype == b.grid.rows.dtype
+        assert rng.bit_generator.state == seq.bit_generator.state, per_class
+
+
 def random_strokes(rng) -> StrokeSample:
     """One to five pen strokes of one to sixteen points, some of one point."""
     return StrokeSample([np.cumsum(rng.normal(0.0, 0.1, size=(int(rng.integers(1, 17)), 2)), axis=0)
@@ -252,8 +366,12 @@ def test_paths_match_one_rasterization_per_path(lattice, hi):
             assert culprit(new) == culprit(old), seed
             outside += 1
             continue
-        got = _path_keys(np.vstack(paths).T, starts, shape)
+        got, ends = _path_keys(np.vstack(paths).T, starts, shape)
         assert np.array_equal(np.unique(got), np.unique(want)), seed
+        bounds = np.concatenate([[0], ends])
+        for j, p in enumerate(paths):
+            own = np.unique(got[bounds[j]:bounds[j + 1]])
+            assert np.array_equal(own, loop_rasterize_polyline(p, shape.m, shape)), (seed, j)
     assert 20 <= outside <= 80, outside
 
 
@@ -342,8 +460,10 @@ def test_path_keys_match_row_major(lattice, hi):
                 assert str(new.value) == str(e), seed
                 seen["outside" if paths is spread else "one_step_outside"] += 1
                 continue
-            got = _path_keys(np.ascontiguousarray(points.T), starts, shape)
+            got, ends = _path_keys(np.ascontiguousarray(points.T), starts, shape)
             assert got.dtype == want.dtype and np.array_equal(got, want), seed
+            own = [row_major_path_keys(p, np.zeros(1, np.int64), shape) for p in paths]
+            assert np.array_equal(np.diff(ends, prepend=0), [len(k) for k in own]), seed
     assert 40 <= seen["outside"] <= 160 and seen["one_point"] >= 40, seen
     assert seen["gathered"] >= 150 and seen["one_step"] >= 200, seen
     assert 30 <= seen["one_step_outside"] <= 170 and seen["several"] >= 100, seen
