@@ -21,6 +21,7 @@ checkpoints are bit-identical for a fixed seed regardless of
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import fields
@@ -182,7 +183,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     train_set = load_dataset(require(args, "train_data"), args, field, split="train")
     test_set = (load_dataset(args.test_data, args, field, split="test")
                 if args.test_data else [])
-    log_fh = open(args.log, "w") if args.log else None
+    # fit checks this too, but only after --log has been opened for writing
+    if not train_set:
+        raise ValueError("fit needs at least one training sample, got an empty training set")
 
     def emit(log):
         line = log.row()
@@ -194,9 +197,8 @@ def cmd_train(args: argparse.Namespace) -> int:
               f"macs/sample {log.macs_per_sample:.0f} "
               f"({log.wall_seconds:.1f}s)", file=sys.stderr)
 
-    logs = fit(net, train_set, test_set, cfg, log_fn=emit)
-    if log_fh:
-        log_fh.close()
+    with open(args.log, "w") if args.log else contextlib.nullcontext() as log_fh:
+        logs = fit(net, train_set, test_set, cfg, log_fn=emit)
 
     net.save(args.out)
     final_err = logs[-1].heldout_error if logs else float("nan")

@@ -324,45 +324,49 @@ def _fit_coords(xyz: np.ndarray, shape: GridShape, margin: float) -> np.ndarray:
 
     A ``(d, K, P)`` stack of K point sets fits each set on its own, into a
     new ``(d, K, P)`` array, bit for bit as fitting it alone: every
-    reduction runs over the last axis, and a set's scalars become ``(K, 1)``
-    columns.  One set keeps them as Python floats, which cost less.
+    reduction runs over the last axis, and a set's scalars, computed in
+    Python floats as for one set, become ``(K, 1)`` columns.
     """
     span = shape.m - 1 - 2 * margin
     if span <= 0:
         raise ValueError(f"grid size {shape.m} leaves no room at margin {margin}")
-    stack = xyz.ndim == 3
     lo = xyz.min(axis=-1, keepdims=True)
     fitted = xyz - lo
     if not shape.lattice.is_simplex:
         extent = xyz.max(axis=-1, keepdims=True) - lo
-        scale = span / _divisor(extent.max(axis=0) if stack else float(extent.max()))
+        scale = _per_set(extent[..., 0].max(axis=0), lambda top: span / _divisor(top))
         fitted *= scale
         # center the smaller extents
         fitted += (span - extent * scale) / 2.0
         fitted += margin
         return fitted
     d = shape.ndim
-    sums = coord_sum(fitted)
-    denom = _divisor(sums.max(axis=-1, keepdims=True) if stack else float(sums.max()))
     s_total = shape.m - 1 - (d + 1) * margin
     if s_total <= 0:
         raise ValueError(f"grid size {shape.m} leaves no room at margin {margin}")
-    fitted *= s_total / denom
+    fitted *= _per_set(coord_sum(fitted).max(axis=-1), lambda top: s_total / _divisor(top))
     fitted += margin
-    top = coord_sum(fitted).max(axis=-1, keepdims=stack)
-    fitted += ((shape.m - 1 - margin) - top) / (d + 1)
+    top_sum = shape.m - 1 - margin
+    fitted += _per_set(coord_sum(fitted).max(axis=-1), lambda top: (top_sum - top) / (d + 1))
     return fitted
 
 
-def _divisor(top):
-    """A point set's largest extent or coordinate sum ``top`` (a float, or
-    a column of them for a stack) as the divisor of its scale, 1 where it
-    is 0: that set's fitted points are then all 0, which any finite scale
-    leaves as they are."""
-    if isinstance(top, float):
-        return top if top > 0 else 1.0
-    top += top == 0
-    return top
+def _per_set(tops: np.ndarray, f):
+    """``f`` of each point set's largest extent or coordinate sum ``tops``
+    (0-d for one set, ``(K,)`` for a stack of K): a float when there is one
+    set, a stack of one too, else a ``(K, 1)`` column.  Small columns cost
+    less built from Python floats than computed as arrays."""
+    tops = tops.tolist() if tops.ndim else [float(tops)]
+    if len(tops) == 1:
+        return f(tops[0])
+    return np.array([f(top) for top in tops]).reshape(-1, 1)
+
+
+def _divisor(top: float) -> float:
+    """A point set's largest extent or coordinate sum ``top`` as the
+    divisor of its scale, 1 where it is 0: that set's fitted points are
+    then all 0, which any finite scale leaves as they are."""
+    return top if top > 0 else 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +381,12 @@ def _occupancy_grid(shape: GridShape, keys: np.ndarray) -> SparseGrid:
     return SparseGrid(shape, keys, rows, np.zeros(1, dtype=np.float32))
 
 
-def _ranks(counts: np.ndarray) -> np.ndarray:
-    """``concatenate([arange(c) for c in counts])`` without the loop."""
-    starts = np.cumsum(counts) - counts
-    return np.arange(int(counts.sum())) - np.repeat(starts, counts)
+def _ranks(counts: np.ndarray, ends: np.ndarray | None = None) -> np.ndarray:
+    """``concatenate([arange(c) for c in counts])`` without the loop;
+    ``ends``, if given, is ``np.cumsum(counts)``."""
+    if ends is None:
+        ends = np.cumsum(counts)
+    return np.arange(ends[-1] if ends.size else 0) - np.repeat(ends - counts, counts)
 
 
 def _subdivisions(corners: np.ndarray) -> np.ndarray:
@@ -497,7 +503,8 @@ def _path_keys(xyz: np.ndarray, starts: np.ndarray,
     else:
         last = np.append(starts[1:], P) - 1
         delta[:, last] = 0.0
-    if max(delta.max(), -delta.min()) / 0.45 <= 1:
+    # the max alone decides most multi-step calls (strokes), which skip the min
+    if delta.max() / 0.45 <= 1 and -delta.min() / 0.45 <= 1:
         # every segment is one step, sampled only at its ends: point i
         # (k = 0; delta * 0.0 + point rounds to the same voxel) and
         # delta_i + point_i (k = n = 1).  Both are built for every point,
@@ -525,7 +532,7 @@ def _path_keys(xyz: np.ndarray, starts: np.ndarray,
         end = np.cumsum(count)
         ends = end[last]
         seg = np.repeat(np.arange(P), count)
-        k = np.arange(end[-1]) - np.repeat(end - count, count)  # _ranks(count)
+        k = _ranks(count, end)
         n = steps[seg]
         # np.linspace(0, 1, n + 1) computes k * (1 / n), then sets the last t = 1
         t = k * (1.0 / n)
@@ -588,13 +595,13 @@ def rasterize_polyline(points: np.ndarray, m: int,
     keys, ends = _path_keys(xyz, np.arange(0, K * P, P), shape)
     # polyline j's keys move j grids up the first axis, to the keys of
     # sites (x + j m, y, ...), so that one sort orders every grid's keys
-    # apart and a key's remainder modulo that shift is its own
+    # apart and a key's remainder modulo that shift is its own; each
+    # polyline's first key then starts a run of its own
     shift = m << COORD_BITS * (d - 1)
-    head = run_heads(keys)
-    head[ends[:-1]] = True  # a polyline's first key starts a run
-    at = np.flatnonzero(head)
-    keys = keys[at]
-    keys += np.searchsorted(ends, at, side="right") * shift
+    bounds = ends.tolist()
+    for j, (lo, hi) in enumerate(zip(bounds, bounds[1:]), 1):
+        keys[lo:hi] += j * shift
+    keys = keys[run_heads(keys)]
     keys.sort()
     keys = keys[run_heads(keys)]
     start = np.searchsorted(keys, np.arange(0, (K + 1) * shift, shift))
@@ -772,13 +779,9 @@ def _knots(kinds: list[str], m: int, rng: np.random.Generator,
             pts = _knot_curve(kind, 720) @ random_rotation(rng).T
             np.multiply(pts.T, rng.uniform(0.88, 1.0), out=closed[:, j, :-1])  # scale jitter
         closed[:, :, -1] = closed[:, :, 0]
-        if len(chunk) == 1:  # a stack of one costs more than one knot alone
-            grids = [rasterize_polyline(_fit_coords(closed[:, 0], shape, 0.6).T, m, shape)]
-        else:
-            batch = rasterize_polyline(_fit_coords(closed, shape, 0.6).transpose(1, 2, 0),
-                                       m, shape)
-            grids = [batch.grid(j) for j in range(len(chunk))]
-        out += [LabeledSample(grid, KNOT_KINDS.index(kind)) for grid, kind in zip(grids, chunk)]
+        batch = rasterize_polyline(_fit_coords(closed, shape, 0.6).transpose(1, 2, 0), m, shape)
+        out += [LabeledSample(batch.grid(j), KNOT_KINDS.index(kind))
+                for j, kind in enumerate(chunk)]
     return out
 
 

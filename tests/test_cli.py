@@ -719,15 +719,17 @@ def test_bad_config_value_exits_2_naming_its_flag_before_ingest(tmp_path, capsys
 ])
 def test_train_without_data_or_with_a_non_finite_setting_exits_2(tmp_path, capsys, monkeypatch,
                                                                   flags, message, loads):
-    """No checkpoint is written; a non-finite optimizer setting is refused
-    before any data loads."""
+    """No checkpoint or log is written; a non-finite optimizer setting is
+    refused before any data loads."""
     if not loads:
         fail_on_ingest(monkeypatch)
     cfg = write_cfg(tmp_path)
-    out = tmp_path / "never.lnck"
-    assert main(["train", *TOY, "--config", str(cfg), *flags, "--out", str(out)]) == 2
+    out, log = tmp_path / "never.lnck", tmp_path / "never.log"
+    assert main(["train", *TOY, "--config", str(cfg), *flags, "--out", str(out),
+                 "--log", str(log)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+    assert not log.exists()
 
 
 def test_no_held_out_knots_is_no_held_out_set(tmp_path, capsys):
