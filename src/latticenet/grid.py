@@ -96,9 +96,12 @@ class SparseGrid:
     ground: np.ndarray
 
     def __post_init__(self):
-        self.keys = np.asarray(self.keys, dtype=np.int64).reshape(-1)
-        self.rows = np.atleast_2d(np.asarray(self.rows))
-        self.ground = np.asarray(self.ground).reshape(-1)
+        keys, rows, ground = self.keys, self.rows, self.ground
+        if not (type(keys) is type(rows) is type(ground) is np.ndarray and keys.dtype == np.int64
+                and keys.ndim == ground.ndim == 1 and rows.ndim == 2):
+            self.keys = np.asarray(keys, dtype=np.int64).reshape(-1)
+            self.rows = np.atleast_2d(np.asarray(rows))
+            self.ground = np.asarray(ground).reshape(-1)
         if self.rows.shape[0] != self.keys.shape[0]:
             raise ValueError(
                 f"{self.keys.shape[0]} keys but {self.rows.shape[0]} feature rows"

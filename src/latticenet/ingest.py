@@ -20,27 +20,24 @@ Front-ends provided here:
 Meshes and polylines are sampled as whole arrays: every face's
 barycentric lattice, or every segment's evenly spaced points (of all a
 sample's strokes together), goes into one point array that is rounded to
-voxels, sorted once and deduplicated by comparing neighbours.  A
-polyline's keys first lose their runs of equal keys, since consecutive
-samples along a path mostly share a voxel; a mesh's samples rarely
-repeat the one before, so its keys go straight to the sort.  When no
-segment of a polyline call is long enough to be sampled between its
-ends, the two ends of every segment are built directly, without the
-per-sample gather.  A stack of polylines of one length (the synthetic
-knots, :data:`KNOT_CHUNK` at a time) is fitted and sampled as one array
-too, each polyline on its own, and its grids come back as one batch: each
-polyline's keys move up the first axis by its place in the stack, so that
-one sort orders every grid's keys apart.  Points are fitted and sampled
-coordinate-major, a mesh's and a polyline's alike, as one row per
-coordinate, so that every repeat, gather and product runs along a long
-axis; each point still gets the arithmetic it would get as a row of a
-point-major array, so the voxels are bit-identical to that form's.
-Non-finite coordinates are rejected before sampling.  OFF files are
-decoded the same way: one tokenizing pass, a walk over the face list by
-runs of faces with the same count token (each run's heads read by one
-lazy strided scan), then one conversion per array; a file this array
-pass cannot read is walked again, token by token, to name its first bad
-token.
+voxels.  A mesh's voxels set one flag each in a table over their box,
+read back in key order (a sort past the rulebook's box caps).  A
+polyline's keys lose their runs of equal keys, since consecutive samples
+along a path mostly share a voxel, then are sorted once and deduplicated
+by comparing neighbours.  When no segment of a polyline call is long
+enough to be sampled between its ends, the two ends of every segment are
+built directly, without the per-sample gather.  A stack of polylines of
+one length (the synthetic knots, :data:`KNOT_CHUNK` at a time) is fitted
+and sampled as one array too, each polyline on its own, and its grids
+come back as one batch: each polyline's keys move up the first axis by
+its place in the stack, so that one sort orders every grid's keys apart.
+Points are fitted and sampled coordinate-major, one row per coordinate,
+so that every repeat, gather and product runs along a long axis; each
+point still gets the arithmetic it would get as a row of a point-major
+array, so the voxels are bit-identical to that form's.  Non-finite
+coordinates are rejected before sampling.  An OFF file's vertex tokens
+are converted in one call, and a face list of digits and whitespace is
+read as integers in one more; any other file is read token by token.
 
 All randomness is drawn from explicit generators, so ingestion of a
 sample is a pure function of its inputs and seed.
@@ -53,10 +50,10 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import takewhile
 
 import numpy as np
 
+from . import ops
 from .errors import FormatError
 from .geometry import (
     COORD_BITS,
@@ -142,24 +139,20 @@ def load_off(data) -> TriangleMesh:
     """Parse an ASCII OFF file; polygon faces are fan-triangulated.
 
     ``#`` starts a comment that runs to the end of its line, and the
-    header may be glued to the vertex count (``OFF3 1 0``).  The text is
-    tokenized in one pass, and all vertex coordinates, like all face
-    indices, are converted with one array conversion.  The face list is
-    walked by runs of faces whose vertex count is the same token: a run's
-    count is parsed once, one lazy strided scan of the heads of the faces
-    left finds its length, and its heads are deleted by one strided slice,
-    so only index tokens are converted (an all-triangle file is one run).
-    :class:`TriangleMesh` checks the indices' range and the coordinates'
-    finiteness.  Tokens after the last face are ignored.  A file this
-    array pass cannot read is walked again, token by token, to raise the
-    :class:`FormatError` of its first bad token in file order, with its
-    line (:func:`_off_error`).  Nothing is allocated from the header's
-    counts before the tokens are there, so a count larger than the file
-    is an unexpected end of file.
+    header may be glued to the vertex count (``OFF3 1 0``); tokens after
+    the last face are ignored.  The vertex tokens are split off and
+    converted in one call each.  A face list of ASCII digits and C
+    whitespace alone, which ``np.fromstring`` and ``str.split`` read
+    alike, is read as int64 in one C-level parse, and its faces are found
+    on those integers: by one strided comparison when all have the first's
+    size, else by one step per face.  Any other text goes to
+    :func:`_walk_off`.  Nothing is allocated from the counts before the
+    tokens are there: a count larger than the file is an end of file.
     """
     if isinstance(data, bytes):
         data = data.decode("ascii", errors="replace")
-    tokens = _COMMENT.sub("", data).split()
+    text = _COMMENT.sub("", data) if "#" in data else data
+    tokens = text.split(None, 4)  # the header, three counts and the rest
     if not tokens:
         raise FormatError("empty OFF file", 1)
     pos = 0
@@ -174,46 +167,38 @@ def load_off(data) -> TriangleMesh:
         nv, nf, _ = map(int, tokens[pos:pos + 3])
         if nv < 0 or nf < 0:
             raise ValueError("negative counts")
-        end = pos + 3 + 3 * nv
-        verts = np.array(tokens[pos + 3:end], dtype=np.float64).reshape(nv, 3)
-        # walk the faces by runs of the same count token, parsing each
-        # run's count once
-        ks, rs, body = [], [], []  # each run's count and faces; all indices
-        p, i = end, 0
-        while i < nf:
-            head = tokens[p]
-            k = int(head)
-            if k < 3:
-                raise ValueError("a face of fewer than 3 vertices")
-            # the run goes on while the next heads are the same string: read
-            # the heads of the faces left lazily, up to the first that differs
-            r, step = 1, k + 1
-            if tokens[p + step:p + step + 1] == [head]:
-                heads = map(tokens.__getitem__, range(p, p + step * (nf - i), step))
-                r = len(list(takewhile(head.__eq__, heads)))
-            run = tokens[p:p + step * r]
-            del run[::step]  # keep the index tokens
-            body += run
-            ks.append(k)
-            rs.append(r)
-            i += r
-            p += step * r
-        if p > len(tokens):
-            raise IndexError("the file ends inside a face")
-        idx = np.array(body, dtype=np.int64)
+        body = " ".join(tokens[pos + 3:]).split(None, 3 * nv)
+        verts = np.array(body[:3 * nv], dtype=np.float64).reshape(nv, 3)
+        faces = "".join(body[3 * nv:])  # the face list and any tokens after it
+        if faces.encode("ascii").translate(None, b"0123456789 \t\n\r\x0b\x0c"):
+            raise ValueError("a face list np.fromstring may read otherwise than str.split")
+        # a value np.fromstring saturates is an index past the vertices or a count past the file
+        ints = np.fromstring(faces, np.int64, sep=" ")
+        step = int(ints[0]) + 1 if nf else 4  # no faces: any size above 2 reads none
+        if step > 3 and nf * step <= ints.shape[0] and (ints[:nf * step:step] == step - 1).all():
+            heads = np.arange(0, nf * step, step)
+        else:
+            heads, p, vals = [], 0, ints.tolist()
+            for _ in range(nf):
+                heads.append(p)
+                p += vals[p] + 1
+            if p > len(vals) or min(vals[h] for h in heads) < 3:
+                raise ValueError("a face past the file, or of fewer than 3 vertices")
+            heads = np.array(heads, dtype=np.int64)
         # fan triangulation: face f's triangle j is (first, j + 1, j + 2)
-        sizes = np.repeat(np.array(ks, dtype=np.int64), rs)
-        fan = np.repeat(np.cumsum(sizes) - sizes, sizes - 2)
-        j = fan + _ranks(sizes - 2) + 1
-        return TriangleMesh(verts, np.stack([idx[fan], idx[j], idx[j + 1]], axis=1))
+        tris = ints[heads] - 2
+        fan = np.repeat(heads + 1, tris)
+        j = fan + _ranks(tris) + 1
+        return TriangleMesh(verts, np.stack([ints[fan], ints[j], ints[j + 1]], axis=1))
     except (ValueError, IndexError, OverflowError):
-        raise _off_error(data, tokens, pos) from None
+        pass
+    tokens[1:] = text.split()[1:]  # the header token as cut above, then every token
+    return _walk_off(data, tokens, pos)
 
 
-def _off_error(data: str, tokens: list[str], pos: int) -> FormatError:
-    """The :class:`FormatError` of the first bad token of an OFF text,
-    found by reading ``tokens`` one at a time from the first count, at
-    ``pos``, in file order."""
+def _walk_off(data: str, tokens: list[str], pos: int) -> TriangleMesh:
+    """The mesh of an OFF text, or the :class:`FormatError` (with its line)
+    of its first bad token, reading ``tokens`` one at a time from ``pos``."""
 
     def check(ok: bool, message: str, index: int | None = None):
         """Raise ``message`` at token ``index``, by default the last read."""
@@ -230,21 +215,22 @@ def _off_error(data: str, tokens: list[str], pos: int) -> FormatError:
             raise FormatError(f"expected {what}, got {tokens[pos - 1]!r}",
                               _token_line(data, pos - 1)) from None
 
-    try:
-        nv, nf, _ = [read(int, what) for what in ("vertex count", "face count", "edge count")]
-        check(nv >= 0 and nf >= 0, "negative counts in OFF header", 0)
-        for i in range(3 * nv):
-            x = read(float, f"vertex {i // 3} coordinate")
-            check(math.isfinite(x), f"vertex {i // 3} has a non-finite coordinate")
-        for i in range(nf):
-            k = read(int, f"face {i} vertex count")
-            check(k >= 3, f"face {i} has {k} vertices")
-            for _ in range(k):
-                v = read(int, f"face {i} index")
-                check(0 <= v < nv, f"face {i} references vertex {v} of {nv}")
-    except FormatError as error:
-        return error
-    raise AssertionError("load_off's array pass rejected an OFF text with no bad token")
+    nv, nf, _ = [read(int, what) for what in ("vertex count", "face count", "edge count")]
+    check(nv >= 0 and nf >= 0, "negative counts in OFF header", 0)
+    coords, tris = [], []
+    for i in range(3 * nv):
+        coords.append(read(float, f"vertex {i // 3} coordinate"))
+        check(math.isfinite(coords[-1]), f"vertex {i // 3} has a non-finite coordinate")
+    for i in range(nf):
+        k = read(int, f"face {i} vertex count")
+        check(k >= 3, f"face {i} has {k} vertices")
+        face = []
+        for _ in range(k):
+            face.append(read(int, f"face {i} index"))
+            check(0 <= face[-1] < nv, f"face {i} references vertex {face[-1]} of {nv}")
+        tris += [(face[0], face[j], face[j + 1]) for j in range(1, k - 1)]
+    return TriangleMesh(np.array(coords, dtype=np.float64).reshape(nv, 3),
+                        np.array(tris, dtype=np.int64).reshape(-1, 3))
 
 
 def save_off(mesh: TriangleMesh, path):
@@ -377,8 +363,7 @@ def _occupancy_grid(shape: GridShape, keys: np.ndarray) -> SparseGrid:
     """Occupancy grid of the given packed keys: value 1 at each, ground 0."""
     keys = np.sort(keys)
     keys = keys[run_heads(keys)]
-    rows = np.ones((keys.shape[0], 1), dtype=np.float32)
-    return SparseGrid(shape, keys, rows, np.zeros(1, dtype=np.float32))
+    return SparseGrid(shape, keys, np.ones((keys.shape[0], 1), np.float32), np.zeros(1, np.float32))
 
 
 def _ranks(counts: np.ndarray, ends: np.ndarray | None = None) -> np.ndarray:
@@ -417,7 +402,9 @@ def voxelize_mesh(mesh: TriangleMesh, m: int, rotation: np.ndarray | None = None
     array, so every repeat and product runs along a long last axis; its
     rounded voxels become active with value 1.  Cubic voxels are clipped
     into the grid; on the tetrahedral lattice a voxel outside the simplex
-    (which a fitted mesh never has) is an error that names it.
+    (which a fitted mesh never has) is an error that names it.  Voxels set
+    flags in a table over their box, read in raster order, which is key
+    order; a box past the rulebook's caps (:mod:`latticenet.ops`) sorts.
     """
     if len(mesh.faces) < 1:
         raise ValueError("mesh has no faces to voxelize")
@@ -454,13 +441,23 @@ def voxelize_mesh(mesh: TriangleMesh, m: int, rotation: np.ndarray | None = None
     across *= _ranks(row_len) / np.repeat(row_n, row_len)
     pts += across
     vox = np.rint(pts, out=pts).astype(np.int64)
+    lo, hi = vox.min(axis=1), vox.max(axis=1)
     if lattice.is_simplex:
         culprit = shape.first_outside(vox)
         if culprit is not None:
             raise ValueError(f"mesh point maps to voxel {tuple(culprit.tolist())} outside the grid")
-    else:
+    elif lo.min() < 0 or hi.max() >= m:
+        lo, hi = np.clip(lo, 0, m - 1), np.clip(hi, 0, m - 1)
         np.clip(vox, 0, m - 1, out=vox)
-    return _occupancy_grid(shape, pack_sites(vox.T))
+    n = (hi - lo + 1).tolist()
+    if math.prod(n) >= min(ops.BOX_CELLS_PER_CANDIDATE * (vox.shape[1] + 1024), ops.BOX_CELLS_MAX):
+        return _occupancy_grid(shape, pack_sites(vox.T))
+    origin = int((lo[0] * n[1] + lo[1]) * n[2] + lo[2])  # raster(vox - lo), x slowest
+    seen = np.zeros(math.prod(n), dtype=bool)
+    seen[(vox[0] * n[1] + vox[1]) * n[2] + (vox[2] - origin)] = True
+    x, y, z = np.unravel_index(np.flatnonzero(seen), n)
+    keys = ((x << COORD_BITS | y) << COORD_BITS | z) + pack_sites(lo)
+    return SparseGrid(shape, keys, np.ones((keys.shape[0], 1), np.float32), np.zeros(1, np.float32))
 
 
 def _path_keys(xyz: np.ndarray, starts: np.ndarray,

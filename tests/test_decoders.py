@@ -406,6 +406,43 @@ RUNS = "".join(f"{k} " + " ".join(str((i + j) % 6) for j in range(k)) + "\n"
                for i, k in enumerate([3] * 37 + [4] * 5 + [5] + [3] * 12 + [6] * 2))
 
 
+# text that the face list's integer parse must leave to the token walk,
+# or read exactly as the walk reads it
+PITFALLS = [
+    # face tokens int() reads that np.fromstring does not, or reads otherwise
+    pytest.param(faces_off("+3 0 1 2\n3 1 2 +3\n"), id="plus-sign"),
+    pytest.param(faces_off("3 0 1 1_0\n"), id="underscore-bad-index"),
+    pytest.param(faces_off("3 0 0_1 2\n3 1 2 3\n"), id="underscore"),
+    pytest.param(faces_off("3 0 1 \u0662\n3 1 2 3\n"), id="arabic-indic-digit"),
+    pytest.param(faces_off("3 0\x1c1 2\n3\x1d1 2 3\n", nf=2), id="x1c-separator"),
+    pytest.param(faces_off("3 0 1\x002\n"), id="nul-in-token"),
+    pytest.param(faces_off("3 0 1 -0\n"), id="minus-zero"),
+    # 20-digit values, which np.fromstring saturates to 2**63 - 1
+    pytest.param(faces_off("3 0 1 99999999999999999999\n"), id="20-digit-index"),
+    pytest.param(faces_off("3 0 1 00000000000000000002\n"), id="20-digit-small-index"),
+    pytest.param(faces_off("99999999999999999999 0 1 2\n"), id="20-digit-count"),
+    pytest.param(faces_off("3 0 1 2\n99999999999999999999 3\n", nf=1), id="20-digit-trailing"),
+    # a face list of whitespace only, which np.fromstring reads as one 0
+    pytest.param(faces_off("  \n\t\x0b\x0c\n", nf=1), id="whitespace-faces"),
+    pytest.param(faces_off("  \n\t\x0b\x0c\n", nf=0), id="whitespace-no-faces"),
+    pytest.param("OFF\n0 0 0\n \r\n", id="whitespace-no-vertices"),
+    # a count that is not an integer, and tokens after the last face
+    pytest.param(faces_off("3.0 0 1 2\n"), id="float-count"),
+    pytest.param(faces_off("3 0 1 2\n3 1 2 3\nend of faces 7\n", nf=2), id="trailing-words"),
+    pytest.param(faces_off("3 0 1 2\n3 1 2 3\n3 2 3\n", nf=2), id="trailing-short-face"),
+    # all quads, all pentagons, and sizes that differ from the first face's
+    pytest.param(faces_off("4 0 1 2 3\n" * 40), id="all-quads"),
+    pytest.param(faces_off("5 0 1 2 3 4\n4 1 2 3 4\n" * 20), id="pentagon-quad"),
+    pytest.param(faces_off("4 0 1 2 3\n" * 40 + "4 0 1 2 9\n"), id="all-quads-bad-last"),
+    pytest.param(faces_off("3 0 1 2\n" * 39 + "4 0 1 2 3\n"), id="triangles-then-quad"),
+    # a face count larger than the file, on one face size and on two
+    pytest.param(faces_off("3 0 1 2\n" * 4, nf=5), id="count-past-file"),
+    pytest.param(faces_off("3 0 1 2\n4 0 1 2 3\n", nf=1000000000000000),
+                 id="count-far-past-file"),
+    pytest.param(faces_off("3 0 1 2\n" + "4 0 1 2 3\n" * 3, nf=5), id="mixed-count-past-file"),
+]
+
+
 @pytest.mark.parametrize("data", [
     # glued, lower-case and damaged headers
     "OFF3 1 0\n" + TRIANGLE + "3 0 1 2\n",
@@ -490,8 +527,27 @@ RUNS = "".join(f"{k} " + " ".join(str((i + j) % 6) for j in range(k)) + "\n"
     pytest.param(faces_off("3 0 1 2\n" * 128 + "4 0 1 2 3\n" * 129, nf=300),
                  id="cut-after-run-129"),
     pytest.param(faces_off("3 0 1 2\n" * 128, nf=257), id="cut-at-run-boundary-128"),
-])
+] + PITFALLS)
 def test_off_matches_token_walk_on_crafted_files(data):
+    same_decoding(data)
+
+
+@pytest.mark.parametrize("data", PITFALLS)
+def test_off_pitfalls_match_token_walk_under_a_lenient_fromstring(data, monkeypatch):
+    """Until its deprecation expired, ``np.fromstring`` returned the numbers
+    before the first character it could not read, with a warning, where it
+    now raises: only a face list of digits and whitespace may reach it, so
+    that such a reader still decodes every text as the token walk does."""
+    strict = np.fromstring
+
+    def lenient(text, dtype, sep):
+        try:
+            return strict(text, dtype, sep=sep)
+        except ValueError:
+            read = re.match(r"(?:[ \t\n\r\x0b\x0c]*[+-]?[0-9]+)*", text).group(0)
+            return strict(read, dtype, sep=sep)
+
+    monkeypatch.setattr(np, "fromstring", lenient)
     same_decoding(data)
 
 

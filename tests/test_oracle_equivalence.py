@@ -1,8 +1,10 @@
-"""The whole-array rasterizer, voxelizer and FMP active-site step against
-the per-segment, per-face and per-site loops they replace (oracles.py),
-space-time strokes sampled in one pass against one rasterization per
-stroke, coordinate-major fitting and path sampling (knots and strokes
-whole, and one-step segments built densely) against the row-major forms,
+"""The whole-array rasterizer, voxelizer (through its occupancy table and
+through the sort past the rulebook's box caps) and FMP active-site step
+against the per-segment, per-face and per-site loops they replace
+(oracles.py), space-time strokes sampled in one pass against one
+rasterization per stroke, coordinate-major fitting and path sampling
+(knots and strokes whole, and one-step segments built densely) against
+the row-major forms,
 stacks of polylines and of point sets against each one alone, knots
 built a stack at a time against knots built one at a time,
 the knot rotation on Python floats against the one on numpy scalars,
@@ -26,7 +28,7 @@ import re
 import numpy as np
 import pytest
 
-from latticenet import autograd, ops, train
+from latticenet import autograd, ingest, ops, train
 from latticenet.geometry import MAX_COORD, GridShape, LatticeKind
 from latticenet.grid import DenseGrid, GridBatch, SparseGrid
 from latticenet.ingest import (
@@ -121,14 +123,16 @@ def graded_mesh() -> TriangleMesh:
     return TriangleMesh(verts, faces)
 
 
-def check_voxelize(mesh, m, R=None, fit=True):
-    """``voxelize_mesh`` against the per-face loop; returns the counts n."""
+def check_voxelize(mesh, m, R=None, fit=True, lattice=LatticeKind.CUBIC):
+    """``voxelize_mesh`` against the per-face loop; returns the counts n.
+    A fitted mesh lies inside the tetrahedral simplex, where the loop's
+    clip to the cube changes nothing."""
     verts = mesh.vertices if R is None else mesh.vertices @ R.T
     if fit:
-        verts = fit_points(verts, GridShape(LatticeKind.CUBIC, m), margin=1.0)
+        verts = fit_points(verts, GridShape(lattice, m), margin=1.0)
     keys, ns = loop_voxelize_mesh(verts, mesh.faces, m)
     assert np.array_equal(_subdivisions(verts[mesh.faces]), ns)
-    assert np.array_equal(voxelize_mesh(mesh, m, R, fit=fit).keys, keys)
+    assert np.array_equal(voxelize_mesh(mesh, m, R, fit=fit, lattice=lattice).keys, keys)
     return ns
 
 
@@ -137,6 +141,33 @@ def test_voxelize_seeded_tori_match_loop(m):
     for seed in range(8):
         rng = np.random.default_rng(seed)
         check_voxelize(torus_mesh(rng.uniform(0.15, 0.6)), m, random_rotation(rng))
+
+
+def corner_mesh() -> TriangleMesh:
+    """Two small triangles at opposite corners of the mesh's box: a few
+    dozen samples whose box, fitted, spans nearly the whole field."""
+    verts = [[0, 0, 0], [0.02, 0, 0], [0, 0.02, 0], [1, 1, 1], [0.98, 1, 1], [1, 0.98, 1]]
+    return TriangleMesh(verts, [[0, 1, 2], [3, 4, 5]])
+
+
+@pytest.mark.parametrize("lattice", [LatticeKind.CUBIC, LatticeKind.TETRAHEDRAL])
+@pytest.mark.parametrize("caps", ["rulebook", "zero"])
+def test_voxelize_table_and_sort_match_loop(lattice, caps, monkeypatch):
+    """Seeded tori at fields 6-64 deduplicate through the occupancy table
+    under the rulebook's box caps, and through the sort with the caps at
+    0; the corner mesh's box passes the caps at fields 150 and 300 and
+    sorts.  The sort goes through ``_occupancy_grid``, which counts it."""
+    if caps == "zero":
+        monkeypatch.setattr(ops, "BOX_CELLS_PER_CANDIDATE", 0)
+    sorts = count_calls(monkeypatch, ingest, "_occupancy_grid")
+    fields = [6, 9, 14, 18, 27, 40, 64]
+    for seed, m in enumerate(fields):
+        rng = np.random.default_rng(seed)
+        check_voxelize(torus_mesh(rng.uniform(0.15, 0.6)), m, random_rotation(rng), lattice=lattice)
+    assert sorts[0] == (0 if caps == "rulebook" else len(fields))
+    for m in (150, 300):
+        check_voxelize(corner_mesh(), m, lattice=lattice)
+    assert sorts[0] == (0 if caps == "rulebook" else len(fields)) + 2
 
 
 @pytest.mark.parametrize("m", [18, 40])
