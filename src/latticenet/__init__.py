@@ -1,8 +1,8 @@
 """Sparse convolutional networks on square, triangular, cubic and
 tetrahedral lattices: active sites as sorted packed keys, a rulebook
 that tests windows arithmetically (FMP's through a start table) and
-numbers rows through a seen table over the batch's box (a sort past the
-``ops.BOX_CELLS_*`` caps), gather-matrix convolution, ground-state
+numbers rows through a seen table over the batch's box (a sort past
+``ops.box_numbering``'s caps), gather-matrix convolution, ground-state
 propagation, training, an architecture-string parser with a MAC cost
 model, and voxelization/ingestion front-ends.
 """

@@ -15,7 +15,7 @@ stderr, as does the line that ends ``train`` and ``eval``: the rule
 cache's hits and misses (sample lookups), its entries stored (training
 chains and eval batches) and the bytes it holds.  So logs and
 checkpoints are bit-identical for a fixed seed regardless of
-``--threads``.
+``--threads``, on one host at one OpenBLAS thread count.
 """
 
 from __future__ import annotations

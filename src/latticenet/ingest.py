@@ -21,23 +21,26 @@ Meshes and polylines are sampled as whole arrays: every face's
 barycentric lattice, or every segment's evenly spaced points (of all a
 sample's strokes together), goes into one point array that is rounded to
 voxels.  A mesh's voxels set one flag each in a table over their box,
-read back in key order (a sort past the rulebook's box caps).  A
-polyline's keys lose their runs of equal keys, since consecutive samples
-along a path mostly share a voxel, then are sorted once and deduplicated
-by comparing neighbours.  When no segment of a polyline call is long
-enough to be sampled between its ends, the two ends of every segment are
-built directly, without the per-sample gather.  A stack of polylines of
-one length (the synthetic knots, :data:`KNOT_CHUNK` at a time) is fitted
-and sampled as one array too, each polyline on its own, and its grids
-come back as one batch: each polyline's keys move up the first axis by
-its place in the stack, so that one sort orders every grid's keys apart.
-Points are fitted and sampled coordinate-major, one row per coordinate,
-so that every repeat, gather and product runs along a long axis; each
-point still gets the arithmetic it would get as a row of a point-major
-array, so the voxels are bit-identical to that form's.  Non-finite
-coordinates are rejected before sampling.  An OFF file's vertex tokens
-are converted in one call, and a face list of digits and whitespace is
-read as integers in one more; any other file is read token by token.
+read back in key order, unless :func:`latticenet.ops.box_numbering`
+sends them to a sort.  A polyline's keys lose their runs of equal keys,
+since consecutive samples along a path mostly share a voxel, then are
+sorted once and deduplicated by comparing neighbours.  When no segment
+of a polyline call is long enough to be sampled between its ends, the
+two ends of every segment are built directly, without the per-sample
+gather.  A stack of polylines of one length (the synthetic knots,
+:data:`KNOT_CHUNK` at a time) is fitted and sampled as one array too,
+each polyline on its own, and its grids come back as one batch: each
+polyline's keys move up the first axis by its place in the stack, so
+that one sort orders every grid's keys apart.  A lone polyline is a
+stack of one.  Keys are packed only by
+:func:`latticenet.geometry.pack_sites`.  Points are fitted and sampled
+coordinate-major, one row per coordinate, so that every repeat, gather
+and product runs along a long axis; each point still gets the arithmetic
+it would get as a row of a point-major array, so the voxels are
+bit-identical to that form's.  Non-finite coordinates are rejected
+before sampling.  An OFF file's vertex tokens are converted in one call,
+and a face list of digits and whitespace is read as integers in one
+more; any other file is read token by token.
 
 All randomness is drawn from explicit generators, so ingestion of a
 sample is a pure function of its inputs and seed.
@@ -56,7 +59,6 @@ import numpy as np
 from . import ops
 from .errors import FormatError
 from .geometry import (
-    COORD_BITS,
     MAX_COORD,
     GridShape,
     LatticeKind,
@@ -310,8 +312,9 @@ def _fit_coords(xyz: np.ndarray, shape: GridShape, margin: float) -> np.ndarray:
 
     A ``(d, K, P)`` stack of K point sets fits each set on its own, into a
     new ``(d, K, P)`` array, bit for bit as fitting it alone: every
-    reduction runs over the last axis, and a set's scalars, computed in
-    Python floats as for one set, become ``(K, 1)`` columns.
+    reduction runs over the last axis, and each set's scale and shift are
+    an entry of a column (a set of extent 0, whose points are all 0,
+    divides by 1).
     """
     span = shape.m - 1 - 2 * margin
     if span <= 0:
@@ -320,7 +323,8 @@ def _fit_coords(xyz: np.ndarray, shape: GridShape, margin: float) -> np.ndarray:
     fitted = xyz - lo
     if not shape.lattice.is_simplex:
         extent = xyz.max(axis=-1, keepdims=True) - lo
-        scale = _per_set(extent[..., 0].max(axis=0), lambda top: span / _divisor(top))
+        top = extent.max(axis=0)
+        scale = span / np.where(top > 0, top, 1.0)
         fitted *= scale
         # center the smaller extents
         fitted += (span - extent * scale) / 2.0
@@ -330,29 +334,11 @@ def _fit_coords(xyz: np.ndarray, shape: GridShape, margin: float) -> np.ndarray:
     s_total = shape.m - 1 - (d + 1) * margin
     if s_total <= 0:
         raise ValueError(f"grid size {shape.m} leaves no room at margin {margin}")
-    fitted *= _per_set(coord_sum(fitted).max(axis=-1), lambda top: s_total / _divisor(top))
+    top = coord_sum(fitted).max(axis=-1, keepdims=True)
+    fitted *= s_total / np.where(top > 0, top, 1.0)
     fitted += margin
-    top_sum = shape.m - 1 - margin
-    fitted += _per_set(coord_sum(fitted).max(axis=-1), lambda top: (top_sum - top) / (d + 1))
+    fitted += (shape.m - 1 - margin - coord_sum(fitted).max(axis=-1, keepdims=True)) / (d + 1)
     return fitted
-
-
-def _per_set(tops: np.ndarray, f):
-    """``f`` of each point set's largest extent or coordinate sum ``tops``
-    (0-d for one set, ``(K,)`` for a stack of K): a float when there is one
-    set, a stack of one too, else a ``(K, 1)`` column.  Small columns cost
-    less built from Python floats than computed as arrays."""
-    tops = tops.tolist() if tops.ndim else [float(tops)]
-    if len(tops) == 1:
-        return f(tops[0])
-    return np.array([f(top) for top in tops]).reshape(-1, 1)
-
-
-def _divisor(top: float) -> float:
-    """A point set's largest extent or coordinate sum ``top`` as the
-    divisor of its scale, 1 where it is 0: that set's fitted points are
-    then all 0, which any finite scale leaves as they are."""
-    return top if top > 0 else 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -366,11 +352,9 @@ def _occupancy_grid(shape: GridShape, keys: np.ndarray) -> SparseGrid:
     return SparseGrid(shape, keys, np.ones((keys.shape[0], 1), np.float32), np.zeros(1, np.float32))
 
 
-def _ranks(counts: np.ndarray, ends: np.ndarray | None = None) -> np.ndarray:
-    """``concatenate([arange(c) for c in counts])`` without the loop;
-    ``ends``, if given, is ``np.cumsum(counts)``."""
-    if ends is None:
-        ends = np.cumsum(counts)
+def _ranks(counts: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(c) for c in counts])`` without the loop."""
+    ends = np.cumsum(counts)
     return np.arange(ends[-1] if ends.size else 0) - np.repeat(ends - counts, counts)
 
 
@@ -404,7 +388,8 @@ def voxelize_mesh(mesh: TriangleMesh, m: int, rotation: np.ndarray | None = None
     into the grid; on the tetrahedral lattice a voxel outside the simplex
     (which a fitted mesh never has) is an error that names it.  Voxels set
     flags in a table over their box, read in raster order, which is key
-    order; a box past the rulebook's caps (:mod:`latticenet.ops`) sorts.
+    order, unless :func:`latticenet.ops.box_numbering` rules the box too
+    large for its points, as it rules for the rulebook; then they sort.
     """
     if len(mesh.faces) < 1:
         raise ValueError("mesh has no faces to voxelize")
@@ -450,13 +435,12 @@ def voxelize_mesh(mesh: TriangleMesh, m: int, rotation: np.ndarray | None = None
         lo, hi = np.clip(lo, 0, m - 1), np.clip(hi, 0, m - 1)
         np.clip(vox, 0, m - 1, out=vox)
     n = (hi - lo + 1).tolist()
-    if math.prod(n) >= min(ops.BOX_CELLS_PER_CANDIDATE * (vox.shape[1] + 1024), ops.BOX_CELLS_MAX):
+    if not ops.box_numbering(math.prod(n), vox.shape[1]):
         return _occupancy_grid(shape, pack_sites(vox.T))
     origin = int((lo[0] * n[1] + lo[1]) * n[2] + lo[2])  # raster(vox - lo), x slowest
     seen = np.zeros(math.prod(n), dtype=bool)
     seen[(vox[0] * n[1] + vox[1]) * n[2] + (vox[2] - origin)] = True
-    x, y, z = np.unravel_index(np.flatnonzero(seen), n)
-    keys = ((x << COORD_BITS | y) << COORD_BITS | z) + pack_sites(lo)
+    keys = pack_sites(np.array(np.unravel_index(np.flatnonzero(seen), n)).T) + pack_sites(lo)
     return SparseGrid(shape, keys, np.ones((keys.shape[0], 1), np.float32), np.zeros(1, np.float32))
 
 
@@ -529,7 +513,7 @@ def _path_keys(xyz: np.ndarray, starts: np.ndarray,
         end = np.cumsum(count)
         ends = end[last]
         seg = np.repeat(np.arange(P), count)
-        k = _ranks(count, end)
+        k = _ranks(count)
         n = steps[seg]
         # np.linspace(0, 1, n + 1) computes k * (1 / n), then sets the last t = 1
         t = k * (1.0 / n)
@@ -553,18 +537,19 @@ def rasterize_polyline(points: np.ndarray, m: int,
     ``shape``, which must then have size ``m``, says otherwise); visited
     voxels get value 1.
 
-    ``points`` is ``(P, d)``, one polyline, whose grid is returned; or a
-    ``(K, P, d)`` stack of K polylines, whose K grids are returned as one
-    :class:`GridBatch` (rows 1, grounds 0).  Points are sampled on their
-    coordinate-major transpose (see :func:`_path_keys`), which costs no
-    copy when ``points`` is the transpose of a C-ordered ``(d, P)`` or
-    ``(d, K, P)`` array.  Segment ``a -> b`` is sampled at
-    ``t = k / steps``, ``k = 0 .. steps`` (the last sample at exactly
-    ``t = 1``), with ``steps`` chosen so that consecutive samples are under
-    half a voxel apart; the voxel path is therefore 26-connected.  All
-    segments' samples, of every polyline of a stack, form one point array,
-    and runs of samples in one voxel count once before each polyline's keys
-    are sorted.  A sample outside the grid's valid region is an error that
+    ``points`` is ``(P, d)``, one polyline, whose grid is returned (it is
+    rasterized as a stack of one); or a ``(K, P, d)`` stack of K
+    polylines, whose K grids are returned as one :class:`GridBatch`
+    (rows 1, grounds 0).  Points are sampled on their coordinate-major
+    transpose (see :func:`_path_keys`), which costs no copy when
+    ``points`` is the transpose of a C-ordered ``(d, P)`` or ``(d, K, P)``
+    array.  Segment ``a -> b`` is sampled at ``t = k / steps``,
+    ``k = 0 .. steps`` (the last sample at exactly ``t = 1``), with
+    ``steps`` chosen so that consecutive samples are under half a voxel
+    apart; the voxel path is therefore 26-connected.  All segments'
+    samples, of every polyline of a stack, form one point array, and runs
+    of samples in one voxel count once before each polyline's keys are
+    sorted.  A sample outside the grid's valid region is an error that
     names the first such voxel along the polylines, the voxel that
     rasterizing them one at a time would name; non-finite points are an
     error too.
@@ -575,11 +560,7 @@ def rasterize_polyline(points: np.ndarray, m: int,
         raise ValueError(f"grid size {m} differs from the shape's size {shape.m}")
     points = np.asarray(points, dtype=float)
     if points.ndim != 3:
-        points = points.reshape(-1, shape.ndim)
-        if points.shape[0] < 1:
-            raise ValueError("need at least one point")
-        keys, _ = _path_keys(np.ascontiguousarray(points.T), np.zeros(1, dtype=np.int64), shape)
-        return _occupancy_grid(shape, keys[run_heads(keys)])
+        return rasterize_polyline(points.reshape(1, -1, shape.ndim), m, shape).grid(0)
     K, P, d = points.shape
     if d != shape.ndim:
         raise ValueError(f"a stack of {shape.ndim}D polylines must be (K, P, {shape.ndim}), "
@@ -594,7 +575,7 @@ def rasterize_polyline(points: np.ndarray, m: int,
     # sites (x + j m, y, ...), so that one sort orders every grid's keys
     # apart and a key's remainder modulo that shift is its own; each
     # polyline's first key then starts a run of its own
-    shift = m << COORD_BITS * (d - 1)
+    shift = int(pack_sites((m,) + (0,) * (d - 1)))
     bounds = ends.tolist()
     for j, (lo, hi) in enumerate(zip(bounds, bounds[1:]), 1):
         keys[lo:hi] += j * shift

@@ -27,8 +27,9 @@ layer builds its rulebook (active output sites and gather index) in one
 pass over the whole batch and performs a single dense multiply.  Each
 sample's rows keep the order a one-sample batch gives them, and the
 backward pass mirrors the forward pass over the same batch rows, so
-gradient accumulation order is fixed and results are bit-identical
-whatever the batch composition.
+gradient accumulation order is fixed.  A sample's rows, their order and
+its gather index are the same in any batch, but its logits can differ in
+the last bits, as the multiply's size picks the BLAS path (ROADMAP item 12).
 
 Each network keeps a :class:`~latticenet.rulecache.RuleCache` of the
 rulebook results it has computed, as many as fit under its bound; it

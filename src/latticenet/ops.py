@@ -15,7 +15,7 @@ A convolution over a mini-batch of sparse grids runs in three steps:
    rows, which fills the gather index ``src`` at the same time.  When the
    box has many cells per candidate, as a sparse batch over a large field
    has, a sort of the candidates' keys takes its place (see
-   :data:`BOX_CELLS_PER_CANDIDATE`);
+   :func:`box_numbering`);
 2. gather, for every active output site, the footprint's input vectors
    into one row of a matrix ``Q``, substituting the sample's ground
    vector at inactive positions.  A batch stores its rows and then one
@@ -112,6 +112,13 @@ TILE = 1 << 16
 # casia's augmented-eval L0 (26K candidates) reads 28-35, so 4 of 8 calls sort.
 BOX_CELLS_PER_CANDIDATE = 32
 BOX_CELLS_MAX = 1 << 22
+
+
+def box_numbering(cells: int, candidates: int) -> bool:
+    """Whether ``candidates`` keys in a box of ``cells`` cells are numbered
+    through a table over the box, else a sort: the rulebook's rule, which
+    :func:`latticenet.ingest.voxelize_mesh` follows too."""
+    return cells < min(BOX_CELLS_PER_CANDIDATE * (candidates + 1024), BOX_CELLS_MAX)
 
 
 @dataclass(frozen=True)
@@ -343,10 +350,10 @@ def _window_rulebook(batch: GridBatch, offsets, starts, bound):
     lo)`` over the ``n_j`` starts of each dimension, whose ``M = prod(n_j)``
     cells are the width.  Raster order is packed-key order, so no sort is
     needed, and the keys are rebuilt from the columns.  When the ``B * M``
-    cells (a Python int, as a wide batch's box overflows int64) pass the
-    caps of :data:`BOX_CELLS_PER_CANDIDATE` and :data:`BOX_CELLS_MAX`, the
-    column is instead the rank of the candidate's key among the U distinct
-    candidate keys, from one sort, and the width is U.  Each output row's
+    cells (a Python int, as a wide batch's box overflows int64) fail
+    :func:`box_numbering`, the column is instead the rank of the
+    candidate's key among the U distinct candidate keys, from one sort,
+    and the width is U.  Each output row's
     ``src`` starts as its sample's ground entry, and the candidates write
     their input rows into it through one flat index.  The rows' samples,
     ascending, give the output's sample offsets by one search.
@@ -388,8 +395,7 @@ def _window_rulebook(batch: GridBatch, offsets, starts, bound):
             ok &= site_sum <= bound + sum(off)
         rows.append(np.flatnonzero(ok))
     k = np.repeat(np.arange(len(offsets)), [r.shape[0] for r in rows])
-    cells = batch.B * prod(n)
-    box = cells < min(BOX_CELLS_PER_CANDIDATE * (k.shape[0] + 1024), BOX_CELLS_MAX)
+    box = box_numbering(batch.B * prod(n), k.shape[0])
     if box:  # raster(u - lo), dimension 0 slowest
         stride = [prod(n[j + 1:]) for j in range(d)]
         part = [u[:, j] * stride[j] for j in range(d)]

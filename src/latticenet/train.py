@@ -3,9 +3,11 @@
 Training is deterministic for a fixed seed: shuffling, initialization and
 FMP randomness all come from one generator, batches are processed in a
 fixed order and gradients are reduced inside single matrix multiplies, so
-epoch logs and checkpoints are bit-identical across runs.  ``threads`` is
-accepted for configuration compatibility and changes nothing: each
-mini-batch runs as one batch on the calling thread.
+epoch logs and checkpoints are bit-identical across runs on one host at
+one OpenBLAS thread count; at another count the BLAS's products, and so
+the checkpoints, can differ in their last bits (ROADMAP item 11).
+``threads`` is accepted for configuration compatibility and changes
+nothing: each mini-batch runs as one batch on the calling thread.
 
 Repetitive testing averages the class probabilities of ``repeats``
 augmented passes per test sample with a running mean.  Without
@@ -191,9 +193,11 @@ class AffineParams:
 def augment_grid(grid: SparseGrid, params: AffineParams, rng: np.random.Generator) -> SparseGrid:
     """Random affine jitter of the active sites; identity params are a no-op.
 
-    Sites are transformed about the field center, rounded back to the
-    lattice, and collisions keep the component-wise max.  Sites leaving
-    the field are dropped (augmentation semantics, not an error).
+    Sites are transformed about the field's centre, where the command
+    line centres a sample (``(m - 1) / (d + 1)`` in every coordinate on a
+    simplex field, else ``(m - 1) / 2``), rounded back to the lattice, and
+    collisions keep the component-wise max.  Sites leaving the field are
+    dropped (augmentation semantics, not an error).
     """
     if params.is_identity:
         return grid
@@ -213,7 +217,7 @@ def augment_grid(grid: SparseGrid, params: AffineParams, rng: np.random.Generato
         A = A @ S
     t = rng.uniform(-params.translate, params.translate, size=d) if params.translate else np.zeros(d)
 
-    center = (grid.shape.m - 1) / 2.0
+    center = (grid.shape.m - 1) / (d + 1 if grid.shape.lattice.is_simplex else 2.0)
     pts = grid.sites().astype(float) - center
     pts = pts @ A.T + t + center
     sites = np.rint(pts).astype(np.int64)

@@ -44,8 +44,6 @@ from latticenet.grid import DenseGrid, GridBatch, SparseGrid
 from latticenet.ingest import (
     StrokeSample,
     TriangleMesh,
-    _occupancy_grid,
-    _ranks,
     fit_points,
     knot_curve,
     make_affine,
@@ -601,9 +599,12 @@ def searchsorted_window_rulebook(batch: GridBatch, offsets, starts, bound):
 # The original bodies of ``ingest.load_off``, ``ingest.fit_points``,
 # ``ingest._path_keys``, ``ingest.strokes_to_spacetime``,
 # ``grid.SparseGrid.embed`` and ``train.augment_grid``, kept verbatim
-# apart from their names (and returning keys where noted).  The decoder
-# converts and checks one token per call, with every token's line number
-# at hand; polylines are fitted and sampled as row-major ``(P, d)``
+# apart from their names (and returning keys where noted), except that
+# none calls a private helper of the code it checks (counts are ranked
+# and keys deduplicated with plain numpy) and augmentation takes
+# ``train.augment_grid``'s centre, since the merge is what it checks.
+# The decoder converts and checks one token per call, with every token's
+# line number at hand; polylines are fitted and sampled as row-major ``(P, d)``
 # arrays, one row per point, and bounds-checked per voxel; the strokes
 # are rasterized one ``rasterize_polyline`` call per stroke; embedding
 # unpacks, offsets and packs every site; augmentation finds each key's
@@ -726,7 +727,7 @@ def row_major_path_keys(points: np.ndarray, starts: np.ndarray, shape: GridShape
     count = steps + 1
     count[last] = last == starts
     seg = np.repeat(np.arange(points.shape[0]), count)
-    k = _ranks(count)
+    k = np.concatenate([np.arange(c) for c in count])
     n = steps[seg]
     # np.linspace(0, 1, n + 1) computes k * (1 / n), then sets the last t = 1
     t = k * (1.0 / n)
@@ -817,8 +818,9 @@ def per_stroke_spacetime(sample: StrokeSample, m: int = 40) -> SparseGrid:
     pts = np.column_stack([xy, times])
     shape = GridShape(LatticeKind.CUBIC, m)
     ends = np.cumsum([len(s) for s in sample.strokes])[:-1]
-    keys = [rasterize_polyline(p, m, shape).keys for p in np.split(pts, ends)]
-    return _occupancy_grid(shape, np.concatenate(keys))
+    keys = np.unique(np.concatenate([rasterize_polyline(p, m, shape).keys
+                                     for p in np.split(pts, ends)]))
+    return SparseGrid(shape, keys, np.ones((keys.shape[0], 1), np.float32), np.zeros(1, np.float32))
 
 
 def two_sort_augment_grid(grid: SparseGrid, params: AffineParams, rng: np.random.Generator) -> SparseGrid:
@@ -846,7 +848,7 @@ def two_sort_augment_grid(grid: SparseGrid, params: AffineParams, rng: np.random
         A = A @ S
     t = rng.uniform(-params.translate, params.translate, size=d) if params.translate else np.zeros(d)
 
-    center = (grid.shape.m - 1) / 2.0
+    center = (grid.shape.m - 1) / (d + 1 if grid.shape.lattice.is_simplex else 2.0)
     pts = grid.sites().astype(float) - center
     pts = pts @ A.T + t + center
     sites = np.rint(pts).astype(np.int64)

@@ -25,10 +25,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from latticenet import ops
+from latticenet import ingest, ops
 from latticenet.autograd import conv_backward, pool_backward
 from latticenet.geometry import MAX_COORD, GridShape, LatticeKind, pack_sites, sites_array
 from latticenet.grid import GridBatch, SparseGrid
+from latticenet.ingest import random_rotation, voxelize_mesh
 from latticenet.netspec import parse, plan
 from latticenet.network import Network
 from latticenet.ops import (
@@ -46,7 +47,14 @@ from latticenet.ops import (
     pool_forward_batch,
 )
 
-from conftest import ALL_LATTICES, random_sparse, relative_error, thin_grids
+from conftest import (
+    ALL_LATTICES,
+    count_calls,
+    random_sparse,
+    relative_error,
+    thin_grids,
+    torus_mesh,
+)
 from oracles import (
     addat_conv_backward,
     addat_pool_backward,
@@ -681,6 +689,42 @@ def test_far_corner_rule_sorts_in_little_memory(lattice, f, s, rng, monkeypatch)
     assert len(sorts) == 1
     assert peak < 1 << 20, peak
     assert rule.src.shape[0] == rule.out_keys.shape[0] > 0
+
+
+def test_box_rule_boundary_is_shared_with_meshes(rng, monkeypatch):
+    """``ops.box_numbering`` decides for the rulebook and for
+    ``ingest.voxelize_mesh`` alike.  With ``BOX_CELLS_MAX`` at the exact
+    cell count of a mesh's voxel box, or of a batch's box of outputs, both
+    sort; one cell above, both take the table, with the same result.  Both
+    cell counts are rebuilt here from the outputs: the mesh's box is its
+    voxels' bounding box, and the batch's (size-3 windows at stride 1,
+    away from the field's faces) is its sites' box widened by 2 below,
+    once per sample."""
+    mesh, rotation = torus_mesh(0.4), random_rotation(np.random.default_rng(3))
+    sites = voxelize_mesh(mesh, 24, rotation).sites()
+    mesh_cells = int(np.prod(sites.max(axis=0) - sites.min(axis=0) + 1))
+    shape = GridShape(LatticeKind.CUBIC, 16)
+    grids = [SparseGrid.from_sites(shape, sites_array(LatticeKind.CUBIC, 5)[pick] + 5,
+                                   rng.normal(size=(12, 2)), rng.normal(size=2))
+             for pick in (rng.permutation(125)[:12] for _ in range(2))]
+    batch = GridBatch.of(grids)
+    box = batch.sites().max(axis=0) - batch.sites().min(axis=0) + 3
+    batch_cells = batch.B * int(np.prod(box))
+    geom = FilterGeometry(LatticeKind.CUBIC, 3, 1)
+    assert 32 * 1024 > max(mesh_cells, batch_cells)  # below the per-candidate cap
+    meshes, rules = [], []
+    for extra in (0, 1):
+        with monkeypatch.context() as mp:
+            mp.setattr(ops, "BOX_CELLS_MAX", mesh_cells + extra)
+            mesh_sorts = count_calls(mp, ingest, "_occupancy_grid")
+            meshes.append(voxelize_mesh(mesh, 24, rotation))
+            mp.setattr(ops, "BOX_CELLS_MAX", batch_cells + extra)
+            rule_sorts = unique_calls(mp)
+            rules.append(conv_rulebook(batch, geom))
+        assert mesh_sorts[0] == len(rule_sorts) == 1 - extra, extra
+    assert np.array_equal(meshes[0].keys, meshes[1].keys)
+    for name in RULE_FIELDS:
+        assert np.array_equal(getattr(rules[0], name), getattr(rules[1], name)), name
 
 
 def disjoint_grids(lattice, count, m, rng):

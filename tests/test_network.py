@@ -365,6 +365,25 @@ def test_augment_preserves_count_under_small_translation(rng):
     assert out.a == 3
 
 
+@pytest.mark.parametrize("lattice, m, centre, cubic", [
+    (LatticeKind.TETRAHEDRAL, 13, (3, 3, 3), LatticeKind.CUBIC),
+    (LatticeKind.TRIANGULAR, 13, (4, 4), LatticeKind.SQUARE),
+])
+def test_augment_fixes_the_centre_where_samples_are_centred(lattice, m, centre, cubic):
+    """A simplex field's centre is its centroid, ``(m - 1) / (d + 1)`` in
+    every coordinate, where the command line centres a sample; a lone
+    site there stays put under every rotation and scale, as one at
+    ``(m - 1) / 2`` does on the square or cubic field of that size."""
+    params = AffineParams(rotate_deg=30.0, scale=0.2)
+    for shape, site in ((GridShape(lattice, m), centre),
+                        (GridShape(cubic, m), ((m - 1) // 2,) * len(centre))):
+        g = SparseGrid.from_sites(shape, [site], np.ones((1, 1)), np.zeros(1))
+        rng = np.random.default_rng(5)
+        for draw in range(20):
+            out = augment_grid(g, params, rng)
+            assert np.array_equal(out.keys, g.keys), (shape, draw)
+
+
 def test_empty_grid_keeps_a_float32_batch_float32(rng):
     net = small_net(rng, dtype=np.float32)
     shape = net.input_shape()
