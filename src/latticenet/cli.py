@@ -13,7 +13,7 @@ Epoch logs are tab-separated with deterministic columns only (epoch,
 train loss, held-out error, MACs/sample); wall-clock timings go to
 stderr, as does the line that ends ``train`` and ``eval``: the rule
 cache's hits and misses (sample lookups), its entries stored (training
-chains and eval batches) and the bytes it holds.  So logs and
+samples and eval batches) and the bytes it holds.  So logs and
 checkpoints are bit-identical for a fixed seed regardless of
 ``--threads``, on one host at one OpenBLAS thread count.
 """

@@ -457,12 +457,13 @@ def _path_keys(xyz: np.ndarray, starts: np.ndarray,
     ``t = 1``), with ``steps`` chosen so that consecutive samples are under
     half a voxel apart; a path of one point is that point.  Each sample
     gets the arithmetic it would get as a row of a ``(P, d)`` array, so the
-    voxels are bit-identical to that form's.  When every segment is one
-    step (``max |b - a| / 0.45 <= 1`` over the call), each point's two
-    samples are built densely into one interleaved array, from which paths
-    that all have one length (a stack) drop each last point's two by a
-    slice, and other paths by a mask; otherwise every sample is gathered
-    from its segment.  The bounds are checked on the voxels' extremes; only
+    voxels are bit-identical to that form's.  When the paths all have one
+    length (a stack) and every segment is one step (``max |b - a| / 0.45
+    <= 1`` over the call), each point's two samples are built densely into
+    one interleaved array, from which each path drops its last point's two
+    by a slice; otherwise every sample is gathered from its segment, a
+    one-step segment's at ``k = 0`` and ``k = 1`` with the same arithmetic.
+    The bounds are checked on the voxels' extremes; only
     a sample outside the grid's valid region looks further, to name the
     first such voxel along the paths.
     """
@@ -484,26 +485,17 @@ def _path_keys(xyz: np.ndarray, starts: np.ndarray,
     else:
         last = np.append(starts[1:], P) - 1
         delta[:, last] = 0.0
-    # the max alone decides most multi-step calls (strokes), which skip the min
-    if delta.max() / 0.45 <= 1 and -delta.min() / 0.45 <= 1:
-        # every segment is one step, sampled only at its ends: point i
-        # (k = 0; delta * 0.0 + point rounds to the same voxel) and
+    if even and delta.max() / 0.45 <= 1 and -delta.min() / 0.45 <= 1:
+        # a stack whose every segment is one step, sampled only at its ends:
+        # point i (k = 0; delta * 0.0 + point rounds to the same voxel) and
         # delta_i + point_i (k = n = 1).  Both are built for every point,
         # interleaved; a path's last point keeps neither, or its k = 0
         # when it is also the path's first
         pts = np.empty((d, P, 2))
         pts[:, :, 0] = xyz
         np.add(delta, xyz, out=pts[:, :, 1])
-        if even:  # a path of one point keeps its k = 0
-            width = 2 * L - 2 or 1
-            ends = np.arange(width, K * width + 1, width)
-        else:
-            keep = np.ones((P, 2), dtype=bool)
-            lone = last == starts
-            keep[last, 0] = lone
-            keep[last, 1] = False
-            pts = np.compress(keep.reshape(-1), pts.reshape(d, 2 * P), axis=1)
-            ends = np.cumsum(2 * (last - starts) + lone)
+        width = 2 * L - 2 or 1
+        ends = np.arange(width, K * width + 1, width)
     else:
         if even:
             last = starts + (L - 1)

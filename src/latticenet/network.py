@@ -33,15 +33,17 @@ the last bits, as the multiply's size picks the BLAS path (ROADMAP item 12).
 
 Each network keeps a :class:`~latticenet.rulecache.RuleCache` of the
 rulebook results it has computed, as many as fit under its bound; it
-evicts nothing.  Training keeps each sample's chain, from its first
-sighting; when every sample of a training batch has one, each rulebook
-layer takes its batch rule from the chains.  A training chain stops at the
-first FMP layer, whose regions are redrawn per batch.  Eval keeps each
-batch's own rules, every layer's, keyed by the batch's keys and the FMP
-seeds, so ``fit``'s held-out pass, which evaluates the same chunks every
-epoch, runs no rulebook from the second epoch on.  Each sample
-gets the same rows in either case, so every output, tape and gradient is
-bit-identical.  An FMP layer with a cached rule builds no regions.
+evicts nothing.  Every entry is a list of :class:`~latticenet.ops.Plan`,
+one per cached rulebook layer.  Training keeps each sample's own plans,
+from its first sighting; when every sample of a training batch has them,
+each rulebook layer takes its batch rule from ``Plan.join`` of the
+samples' plans.  A training entry stops at the first FMP layer, whose
+regions are redrawn per batch.  Eval keeps each batch's own rules, every
+layer's, keyed by the batch's keys and the FMP seeds, so ``fit``'s
+held-out pass, which evaluates the same chunks every epoch, runs no
+rulebook from the second epoch on.  Each sample gets the same rows in
+either case, so every output, tape and gradient is bit-identical.  An FMP
+layer with a cached rule builds no regions.
 """
 
 from __future__ import annotations
@@ -152,7 +154,7 @@ class _Pool:
 
 class _FMP(_Pool):
     """Fractional max pooling: the pool's ``forward(batch, rule, keep_tape)``
-    over the rule ``_run`` picks.  A training chain stops before the first
+    over the rule ``_run`` picks.  A training entry stops before the first
     FMP layer, so in training the layer's rulebook always runs and draws its
     seed from ``train_rng``; in eval it uses ``layer.seed``."""
 
@@ -211,11 +213,11 @@ class Network:
 
     # -- forward / backward ----------------------------------------------
 
-    def _chain_context(self, training: bool) -> tuple[int, bytes]:
+    def _cache_context(self, training: bool) -> tuple[int, bytes]:
         """How many rulebook layers a cache entry covers, and the bytes of
         what it depends on besides the input keys and the planned network:
         each FMP seed among those layers.  Training redraws FMP regions per
-        batch, so there a chain stops at the first FMP layer and depends on
+        batch, so there an entry stops at the first FMP layer and depends on
         the keys alone."""
         kinds = [b.kind for b in self.blocks]
         depth = kinds.index("fmp") if training and "fmp" in kinds else len(kinds)
@@ -231,11 +233,11 @@ class Network:
         Each block's rule, a :class:`~latticenet.ops.Plan`, is picked here:
         the first ``depth`` blocks take theirs from the cache when the batch
         hits; otherwise its layer's rulebook runs, and the cache stores what
-        the lookup asked for from the rules alone: the chains of training
+        the lookup asked for from the rules alone: the own plans of training
         samples to admit, or the eval batch's Plans.
         ``cache=False`` leaves the cache out altogether."""
         training = train_rng is not None
-        depth, context = self._chain_context(training)
+        depth, context = self._cache_context(training)
         cached, miss = (self.rule_cache.lookup(batch, context, training) if depth and cache
                         else (iter(()), None))
         rules = []

@@ -59,7 +59,8 @@ on a hit, else the layer's.  A cached rule equals the rulebook's bit for
 bit, and so do the outputs and plans.  Plans are frozen, so an op
 completes a copy of its rule with what its backward pass needs (``Q``,
 ``argmax``) and never writes into a rule the cache holds; ``plan[b]`` is
-sample ``b``'s own, as a batch of that sample alone gives it.
+sample ``b``'s own, as a batch of that sample alone gives it, and
+``Plan.join`` puts such plans back together into a batch's rule.
 """
 
 from __future__ import annotations
@@ -252,7 +253,8 @@ class Plan:
     also keeps ``mask``, the output components its rectifier passes.
 
     Item ``b`` is sample ``b``'s plan in its own row numbers, built on
-    access.
+    access, where its ground reads -1; :meth:`join` puts such plans back
+    together into a batch's rule.
     """
 
     out_keys: np.ndarray
@@ -291,7 +293,8 @@ class Plan:
         b %= len(self)
         in_start, out_start = self.in_start[b:b + 2], self.out_start[b:b + 2]
         rows, in_rows = slice(*out_start), slice(*in_start)
-        return Plan(self.out_keys[rows], own_src(self.src[rows], in_start[0]),
+        src = self.src[rows]
+        return Plan(self.out_keys[rows], np.where(src >= 0, src - in_start[0], -1),
                     in_start - in_start[0], out_start - out_start[0],
                     None if self.Q is None else self.Q[rows],
                     None if self.argmax is None else self.argmax[rows],
@@ -299,20 +302,22 @@ class Plan:
                     None if self.in_grounds is None else self.in_grounds[b:b + 1],
                     None if self.mask is None else self.mask[rows])
 
-
-def own_src(src: np.ndarray, in_start) -> np.ndarray:
-    """Gather index rows of one sample whose input rows start at
-    ``in_start`` in the batch, as a batch of that sample alone gives them:
-    input rows moved back by ``in_start``, ground -1."""
-    return np.where(src >= 0, src - in_start, -1)
-
-
-def batch_src(src: np.ndarray, in_start: np.ndarray, out_sample: np.ndarray, B: int):
-    """The inverse of :func:`own_src` over a batch of ``B`` samples: row
-    ``i`` of ``src``, sample ``out_sample[i]``'s own, with its input rows
-    moved by that sample's ``in_start`` and its ground positions
-    ``-(B - out_sample[i])``."""
-    return np.where(src >= 0, src + in_start[out_sample, None], out_sample[:, None] - B)
+    @classmethod
+    def join(cls, plans) -> "Plan":
+        """The inverse of item access: the rule of a batch whose samples'
+        plans, each in its own row numbers, are ``plans``, in order.  Keys
+        and ``src`` rows are concatenated; sample ``b``'s input rows move
+        by its first input row in the batch and its ground, -1, becomes
+        ``-(B - b)``.  Only the rule is joined, with neither ``Q`` nor
+        ``argmax``, and ``src`` comes back as int64 whatever the plans hold."""
+        B = len(plans)
+        in_start, out_start = np.zeros(B + 1, np.int64), np.zeros(B + 1, np.int64)
+        np.cumsum([p.a_in for p in plans], out=in_start[1:])
+        np.cumsum([p.a_out for p in plans], out=out_start[1:])
+        sample = np.repeat(np.arange(B), np.diff(out_start))
+        src = np.concatenate([p.src for p in plans], dtype=np.int64)
+        src = np.where(src >= 0, src + in_start[sample, None], sample[:, None] - B)
+        return cls(np.concatenate([p.out_keys for p in plans]), src, in_start, out_start)
 
 
 # ---------------------------------------------------------------------------

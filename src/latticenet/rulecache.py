@@ -1,45 +1,40 @@
-"""A bounded cache of rulebook results: chains per training sample, rules
-per eval batch.
+"""A bounded cache of rulebook results, every entry a list of rules.
 
 A rule is the :class:`~latticenet.ops.Plan` that a layer's rulebook gives
 for a batch: its output keys, gather index ``src`` and the samples' row
-offsets in the layer's input and output.  The cache stores rules and
-returns rules, so a hit hands the forward ops the very record the
-rulebook would have given.
+offsets in the layer's input and output.  An entry holds one rule per
+rulebook layer of a network (convolution, pool, FMP and classifier, in
+order), so a hit hands the forward ops the rules the rulebook would have
+given.  A network runs grids of its planned input field only, so the
+rules depend on nothing but the input key sets and the FMP regions, and a
+network that sees the same key sets again can reuse them instead of
+running the rulebook.  Map reuse of this kind follows TorchSparse (Tang
+et al. 2022, arXiv:2204.10319).
 
-A sample's *rulebook chain* holds, for each rulebook layer of a network
-(convolution, pool, FMP and classifier, in order), the sample's active
-output keys and its gather index ``src`` in the sample's own row numbers
-(int32), as a batch of that sample alone gives it, so every ground
-position reads -1.  A network runs grids of its planned input field
-only, so the chain depends on nothing but the sample's input key set and
-the FMP regions, and a network that sees the same key set again can
-reuse it instead of running the rulebook.  Map reuse of this kind
-follows TorchSparse (Tang et al. 2022, arXiv:2204.10319).
+Training keeps an entry per sample, stored at the key set's first
+sighting: ``fit`` never augments, so every training key set comes back
+the next epoch, in a freshly permuted batch.  A sample's entry is its own
+plans as ``plan[b]`` cuts them out of the batch's (its ``src`` as int32),
+and a batch whose samples all hit gets its rules joined from them by
+:meth:`~latticenet.ops.Plan.join`.  The batched rulebook groups output
+rows by sample, keys ascending within each, and gives every sample the
+rows and gather index it gets alone, so the joined rules equal the
+batched pass bit for bit.  A training entry stops before the first FMP
+layer, whose regions are redrawn per batch.
 
-The batched rulebook groups output rows by sample, keys ascending within
-each, and gives every sample the rows and gather index it gets alone.  So
-a batch rule assembled from its samples' chains (keys concatenated, each
-``src`` shifted by its sample's first input row and each -1 mapped to the
-sample's ground entry ``-(B - b)``, see :func:`~latticenet.ops.batch_src`,
-and the output offsets summed from the chains' row counts) equals the
-batched pass bit for bit.
-
-Training keeps a chain per sample, stored at the key set's first
-sighting: ``fit`` never augments, so every training key set comes back the
-next epoch, in a freshly permuted batch that is assembled from its
-samples' chains once all of them are held.  Eval keeps an entry per batch,
-the pass's own Plans with their arrays made read-only: ``fit``'s held-out
+Eval keeps an entry per batch, the pass's own Plans: ``fit``'s held-out
 pass evaluates the same chunks in the same order every epoch, so the same
-batch gets its Plans back whole, with no assembly.  Every hit hands the
-ops those very objects; a Plan is frozen, so the ops complete copies of
-them and the entry keeps bare rules, with no ``Q`` or ``argmax``.  The
-two maps are keyed by the bytes themselves, a chain by the sample's keys
-(it stops before the first FMP layer), an eval entry by the FMP seeds and
-the batch's sample starts and keys, and stay apart: a training sample's
-key bytes can equal a one-sample eval batch's start and key bytes.  An
-entry is stored only if it fits in what is left of :data:`CACHE_BYTES`,
-and nothing stored leaves.
+batch gets its Plans back whole, with no join.  Every hit hands the ops
+the very objects the entry holds; a Plan is frozen and every array an
+entry holds is read-only, so the ops complete copies and the entry keeps
+bare rules, with no ``Q`` or ``argmax``.
+
+An entry is keyed by the bytes themselves: a kind byte, the FMP seeds it
+covers, then a training sample's keys, or an eval batch's sample starts
+and keys.  The kind byte keeps the two lookups apart, since a training
+sample's key bytes can equal a one-sample eval batch's start and key
+bytes.  An entry is stored only if it fits in what is left of
+:data:`CACHE_BYTES`, and nothing stored leaves.
 """
 
 from __future__ import annotations
@@ -47,32 +42,30 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import GridBatch
-from .ops import Plan, batch_src, own_src
+from .ops import Plan
 
 CACHE_BYTES = 64 << 20
-"""Bound on the bytes a network's cache holds, chains and eval entries
+"""Bound on the bytes a network's cache holds, training and eval entries
 together.  Nothing is evicted: a batch hits only if every sample hits, and
 ``fit`` visits each sample once an epoch, so a set that outgrows the bound
-would keep cutting chains that leave before they come back."""
+would keep cutting entries that leave before they come back."""
 
-_ENTRY_BYTES = 512  # an entry's tuple or list, Plans and array headers, besides its data
+_ENTRY_BYTES = 512  # an entry's list, Plans and array headers, besides its data
+_TRAIN, _EVAL = b"t", b"e"  # the kind byte that leads a training and an eval key
 
 
 class RuleCache:
-    """Training chains and eval entries under one bound, evicting nothing.
+    """Training and eval entries in one map under one bound, evicting nothing.
 
-    ``_chains`` maps the key bytes of a training sample to its chain, one
-    ``(out_keys, src)`` pair per rulebook layer; ``_batches`` maps the
-    context (the FMP seeds), start and key bytes of an eval batch to its
-    rules, one :class:`~latticenet.ops.Plan` per rulebook layer, for
-    ``fit``'s next held-out pass.  The counters count sample lookups
-    (``hits``, ``misses``), entries stored (``admitted``, chains and eval
-    batches) and the bytes held (``nbytes``).
+    ``_entries`` maps a key (see the module docstring) to a list of
+    :class:`~latticenet.ops.Plan`, one per cached rulebook layer: a
+    training sample's own plans or an eval batch's.  The counters count
+    sample lookups (``hits``, ``misses``), entries stored (``admitted``)
+    and the bytes held (``nbytes``).
     """
 
     def __init__(self):
-        self._chains: dict = {}
-        self._batches: dict = {}
+        self._entries: dict = {}
         self.hits = self.misses = self.admitted = self.nbytes = 0
 
     def __str__(self):
@@ -81,82 +74,62 @@ class RuleCache:
 
     def lookup(self, batch: GridBatch, context: bytes, training: bool):
         """Look ``batch`` up under ``context``, the bytes of what its rules
-        depend on besides its keys: sample by sample among the chains if
-        ``training``, else whole among the eval entries.
+        depend on besides its keys: sample by sample if ``training``, else
+        whole.
 
         Returns ``(rules, miss)``.  ``rules`` yields the batch's rule, a
         :class:`~latticenet.ops.Plan`, per cached layer when the batch
         hits, and ``miss`` is None; else ``rules`` yields nothing, the
         rulebook must run, and ``miss`` goes to :meth:`store` with the
-        pass's rules: the batch's eval key, or the key and batch position
-        of each training sample to admit.
+        pass's rules: it maps each key to store to the batch position of
+        its training sample, or to None for the eval batch's own key.
         """
         if not training:
-            key = context + batch.start.tobytes() + batch.keys.tobytes()
-            rules = self._batches.get(key)
-            if rules is None:
+            key = _EVAL + context + batch.start.tobytes() + batch.keys.tobytes()
+            plans = self._entries.get(key)
+            if plans is None:
                 self.misses += batch.B
-                return iter(()), key
+                return iter(()), {key: None}
             self.hits += batch.B
-            return iter(rules), None
-        chains, admit = [], {}
+            return iter(plans), None
+        entries, admit = [], {}
         start = batch.start.tolist()
         for b in range(batch.B):
-            key = context + batch.keys[start[b]:start[b + 1]].tobytes()
-            chain = self._chains.get(key)
-            if chain is None:
+            key = _TRAIN + context + batch.keys[start[b]:start[b + 1]].tobytes()
+            plans = self._entries.get(key)
+            if plans is None:
                 admit[key] = b
             else:
-                chains.append(chain)
-        self.hits += len(chains)
-        self.misses += batch.B - len(chains)
-        if batch.B and len(chains) == batch.B:
-            return _assemble(chains, batch.start), None
+                entries.append(plans)
+        self.hits += len(entries)
+        self.misses += batch.B - len(entries)
+        if batch.B and len(entries) == batch.B:
+            return map(Plan.join, zip(*entries)), None
         return iter(()), admit
 
-    def store(self, miss, plans):
+    def store(self, miss: dict, plans: list[Plan]):
         """After a pass that ran the rulebook, store what ``miss`` asks for,
         from ``plans``: the rule of each cached layer, as the rulebook gives
-        it.  An eval batch keeps the Plans themselves, their arrays made
-        read-only; each training sample to admit has its chain cut out of
-        them, by its rows ``out_start[b]:out_start[b + 1]`` and its first
-        input row ``in_start[b]``.  Only what fits is stored, and a sample
-        whose chain does not fit is not cut."""
-        if isinstance(miss, bytes):  # an eval batch's key
-            # a layer's out_start is the next layer's in_start: count it once
-            arrays = {id(a): a for p in plans for a in (p.out_keys, p.src, p.in_start, p.out_start)}
-            size = len(miss) + _ENTRY_BYTES + sum(a.nbytes for a in arrays.values())
-            if self.nbytes + size <= CACHE_BYTES:
-                for a in arrays.values():
-                    a.flags.writeable = False
-                self._batches[miss] = plans
-                self.nbytes += size
-                self.admitted += 1
-            return
-        # each sample's chain data bytes, its src as int32, before any chain is cut
-        data_bytes = sum(np.diff(p.out_start) * (p.out_keys.itemsize + 4 * p.src.shape[1])
-                         for p in plans)
+        it.  An eval batch keeps ``plans`` themselves; training sample ``b``
+        keeps each plan's item ``b``, its keys copied and its ``src`` as
+        int32.  Only what fits is stored, its arrays made read-only, and a
+        sample whose entry does not fit is not cut."""
+        # a layer's out_start is the next layer's in_start: count it once
+        arrays = {id(a): a for p in plans for a in (p.out_keys, p.src, p.in_start, p.out_start)}
+        batch_bytes = sum(a.nbytes for a in arrays.values())
+        # each sample's entry bytes, its src as int32, from its row counts before any cut
+        sample_bytes = sum(np.diff(p.out_start) * (p.out_keys.itemsize + 4 * p.src.shape[1])
+                           + 2 * (p.in_start.itemsize + p.out_start.itemsize) for p in plans)
         for key, b in miss.items():
-            size = len(key) + _ENTRY_BYTES + int(data_bytes[b])
+            size = len(key) + _ENTRY_BYTES + (batch_bytes if b is None else int(sample_bytes[b]))
             if self.nbytes + size > CACHE_BYTES:
                 continue
-            self._chains[key] = tuple(
-                (p.out_keys[rows].copy(), own_src(p.src[rows], p.in_start[b]).astype(np.int32))
-                for p in plans for rows in [slice(*p.out_start[b:b + 2])])
+            entry = plans if b is None else [
+                Plan(own.out_keys.copy(), own.src.astype(np.int32), own.in_start, own.out_start)
+                for own in (p[b] for p in plans)]
+            for p in entry:
+                for a in (p.out_keys, p.src, p.in_start, p.out_start):
+                    a.flags.writeable = False
+            self._entries[key] = entry
             self.nbytes += size
             self.admitted += 1
-
-
-def _assemble(chains, start: np.ndarray):
-    """Yield the batch rules, one :class:`~latticenet.ops.Plan` per layer,
-    of samples whose chains are ``chains``; the first layer reads input
-    rows ``start``."""
-    B = len(chains)
-    for layer in zip(*chains):
-        counts = [k.shape[0] for k, _ in layer]
-        out_start = np.zeros(B + 1, np.int64)
-        np.cumsum(counts, out=out_start[1:])
-        src = np.concatenate([s for _, s in layer], dtype=np.int64)
-        src = batch_src(src, start, np.repeat(np.arange(B), counts), B)
-        yield Plan(np.concatenate([k for k, _ in layer]), src, start, out_start)
-        start = out_start

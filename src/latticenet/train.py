@@ -84,7 +84,8 @@ def batch_loss_and_grads(net: Network, batch: list[LabeledSample],
 def fit(net: Network, train: list[LabeledSample], heldout: list[LabeledSample],
         cfg: TrainConfig, log_fn=None) -> list[EpochLog]:
     """SGD with momentum; returns one log entry per epoch.  An empty
-    training set raises ValueError before the first epoch."""
+    training set raises ValueError before the first epoch; an empty
+    ``heldout`` means no held-out set, and every epoch's error is NaN."""
     if not train:
         raise ValueError("fit needs at least one training sample, got an empty training set")
     rng = np.random.default_rng(cfg.seed)
@@ -140,13 +141,15 @@ def evaluate(net: Network, samples: list[LabeledSample], repeats: int = 1,
     passes is that pass bit for bit.  Only then does the network's rule
     cache take part, as augmented batches never repeat: a later call on the
     same samples (``fit``'s next held-out pass) reuses each chunk's rules.
-    A label outside ``0 .. net.classes - 1``, or ``repeats`` or
-    ``batch_size`` below 1, raises ValueError.
+    An empty sample list, a label outside ``0 .. net.classes - 1``, or
+    ``repeats`` or ``batch_size`` below 1, raises ValueError.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be at least 1, got {batch_size}")
+    if not samples:
+        raise ValueError("evaluate needs at least one sample, got an empty test set")
     labels = np.array([s.label for s in samples], dtype=np.int64)
     bad = np.flatnonzero((labels < 0) | (labels >= net.classes))
     if bad.size:
@@ -168,7 +171,7 @@ def evaluate(net: Network, samples: list[LabeledSample], repeats: int = 1,
     confusion = np.zeros((net.classes, net.classes), dtype=np.int64)
     for t, p in zip(labels, pred):
         confusion[t, p] += 1
-    acc = float((pred == labels).mean()) if n else 0.0
+    acc = float((pred == labels).mean())
     return EvalReport(acc, confusion, mean, labels)
 
 

@@ -741,6 +741,19 @@ def test_no_held_out_knots_is_no_held_out_set(tmp_path, capsys):
     assert ckpt.exists()
 
 
+def test_eval_of_no_held_out_knots_exits_2_and_writes_no_report(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, epochs=0)
+    ckpt, out = tmp_path / "toy.lnck", tmp_path / "never.json"
+    assert main(["train", *TOY, "--config", str(cfg), "--out", str(ckpt)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ckpt), "--test-data", "knots", "--config", str(cfg),
+                 "--test-per-class", "0", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "evaluate needs at least one sample, got an empty test set" in captured.err
+    assert "accuracy" not in captured.out
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, flags", [
     ("count-ops", TOY[:4]),
     ("train", [*TOY, "--out", "never.lnck"]),

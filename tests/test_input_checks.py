@@ -38,7 +38,7 @@ from latticenet.ops import (
     fmp_regions,
 )
 
-from latticenet.train import TrainConfig, fit
+from latticenet.train import TrainConfig, evaluate, fit
 
 from conftest import ALL_LATTICES
 
@@ -122,6 +122,9 @@ CASES = [
     (lambda: fit(Network(plan(parse("4C2-output", SQ, 1)), 2, np.random.default_rng(0)), [], [],
                  TrainConfig(epochs=1)), ValueError,
      "fit needs at least one training sample, got an empty training set"),
+    (lambda: evaluate(Network(plan(parse("4C2-output", SQ, 1)), 2, np.random.default_rng(0)),
+                      []), ValueError,
+     "evaluate needs at least one sample, got an empty test set"),
     (lambda: TrainConfig(lr=float("nan")), ValueError, "lr must be finite, got nan"),
     (lambda: TrainConfig(lr_decay=float("inf")), ValueError, "lr_decay must be finite, got inf"),
     (lambda: TrainConfig(momentum=float("-inf")), ValueError,

@@ -3,7 +3,7 @@ through the sort past the rulebook's box caps) and FMP active-site step
 against the per-segment, per-face and per-site loops they replace
 (oracles.py), space-time strokes sampled in one pass against one
 rasterization per stroke, coordinate-major fitting and path sampling
-(knots and strokes whole, and one-step segments built densely) against
+(knots and strokes whole, and ragged one-step paths) against
 the row-major forms,
 stacks of polylines and of point sets against each one alone, knots
 built a stack at a time against knots built one at a time,
@@ -459,7 +459,7 @@ def test_path_keys_match_row_major(lattice, hi):
     """Several paths sampled together, of two families that both cross the
     grid's edge: one to five points anywhere in the grid, whose segments
     are gathered sample by sample (unless every path is one point), and the
-    walks of :func:`one_step_paths`, whose ends are built densely, with
+    walks of :func:`one_step_paths`, whose every segment is one step, with
     one-point paths first, in the middle and last.  The same keys in the
     same order, or the same first out-of-grid voxel."""
     shape = GridShape(lattice, 12)

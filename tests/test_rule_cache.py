@@ -2,9 +2,9 @@
 
 A network that takes a batch's rules from its cache must give exactly what
 a network that runs the rulebook gives: the same logits, tapes and
-gradients, bit for bit.  The cache stores a training sample's chain at its
-first sighting and an eval batch's rules at its first, keeps the two
-apart, keys eval entries by the FMP seeds, and holds what fits under
+gradients, bit for bit.  The cache stores a training sample's own plans
+at its first sighting and an eval batch's rules at its first, keeps the
+two apart, keys eval entries by the FMP seeds, and holds what fits under
 ``rulecache.CACHE_BYTES`` and evicts nothing.
 """
 
@@ -47,8 +47,14 @@ def _cast(g, dtype):
 
 def warm(net, grids, **kw):
     """Run ``grids`` through one pass, which stores their cache entries:
-    every sample's chain in training, the batch's rules in eval."""
+    every sample's plans in training, the batch's rules in eval."""
     net.forward_batch(grids, **kw)
+
+
+def kind_entries(cache, kind):
+    """The entries of ``cache`` whose keys lead with ``kind``, the kind
+    byte of a training or an eval key."""
+    return {key: plans for key, plans in cache._entries.items() if key[:1] == kind}
 
 
 def training():
@@ -112,7 +118,7 @@ def test_assembled_hit_equals_miss(lattice, dtype, rng):
     grids = grids_for(cached, rng, (0.3, 0.1, 0.6, 0.0, 1.0), dtype)
     warm(cached, grids[::-1], **training())
     hits = cached.rule_cache.hits
-    got = forward_backward(cached, grids, **training())  # another batch: assembled
+    got = forward_backward(cached, grids, **training())  # another batch: joined
     assert cached.rule_cache.hits == hits + len(grids)
     assert_same_run(got, forward_backward(fresh, grids, **training()))
 
@@ -151,7 +157,7 @@ def test_empty_input_chain_is_assembled(rng):
     empty = SparseGrid.empty(net.input_shape(), np.zeros(2))
     warm(net, [empty, empty], **training())
     logits, tape, _ = net.forward_batch([empty], keep_tape=True, **training())
-    assert (net.rule_cache.hits, net.rule_cache.admitted) == (1, 1)  # one key set, one chain
+    assert (net.rule_cache.hits, net.rule_cache.admitted) == (1, 1)  # one key set, one entry
     assert all(e[-1].out_keys.size == 0 for e in tape)
     assert np.array_equal(logits, make_net(CUBIC).forward_batch([empty])[0])
 
@@ -178,7 +184,7 @@ def test_fmp_train_then_eval_matches_fresh_eval(rng):
         p.values[...] = q.values
     hits, misses = net.rule_cache.hits, net.rule_cache.misses
     got = evaluate(net, samples, repeats=3, batch_size=2)
-    # an identity eval is one pass, and it reads no training chain: every
+    # an identity eval is one pass, and it reads no training entry: every
     # chunk misses and stores its entry
     assert (net.rule_cache.hits, net.rule_cache.misses) == (hits, misses + len(samples))
     again = evaluate(net, samples, repeats=3, batch_size=2)
@@ -219,7 +225,7 @@ def test_one_off_key_sets_store_no_chain(rng):
         net.forward_batch([jitter(g, r) for g in grids])
         assert (cache.hits, cache.misses, cache.admitted) == (0, 3 * k, k)
     # an entry per batch, none per sample
-    assert len(cache._batches) == 3 and not cache._chains
+    assert len(kind_entries(cache, rulecache._EVAL)) == len(cache._entries) == 3
 
 
 def test_augmented_evaluate_leaves_the_cache_alone(rng, monkeypatch):
@@ -260,7 +266,7 @@ def test_training_chains_and_eval_entries_never_meet(rng):
 
 
 def test_a_full_cache_refuses_a_chain_and_keeps_what_it_holds(rng, monkeypatch):
-    # training passes, which store chains and no eval entry
+    # training passes, which store sample entries and no eval entry
     train = {"train_rng": np.random.default_rng(0)}
     probe = make_net(CUBIC)
     grids = grids_for(probe, rng, (0.3, 0.5, 0.4))
@@ -270,9 +276,10 @@ def test_a_full_cache_refuses_a_chain_and_keeps_what_it_holds(rng, monkeypatch):
         warm(probe, [g], **train)
         sizes.append(probe.rule_cache.nbytes - held)
     assert min(sizes) > rulecache._ENTRY_BYTES
-    # the bytes counted before a chain is cut are the bytes it holds
-    for (key, chain), size in zip(probe.rule_cache._chains.items(), sizes, strict=True):
-        arrays = sum(k.nbytes + s.nbytes for k, s in chain)
+    # the bytes counted before an entry is cut are the bytes it holds
+    entries = kind_entries(probe.rule_cache, rulecache._TRAIN)
+    for (key, plans), size in zip(entries.items(), sizes, strict=True):
+        arrays = sum(a.nbytes for p in plans for a in rule_arrays(p))
         assert size == len(key) + rulecache._ENTRY_BYTES + arrays
     monkeypatch.setattr(rulecache, "CACHE_BYTES", sum(sizes) - 1)
     net = make_net(CUBIC)
@@ -280,12 +287,12 @@ def test_a_full_cache_refuses_a_chain_and_keeps_what_it_holds(rng, monkeypatch):
     warm(net, [grids[0]], **train)
     warm(net, [grids[1]], **train)
     net.forward_batch([grids[0]], **train)
-    held = set(cache._chains)
-    cuts = count_calls(monkeypatch, rulecache, "own_src")
+    held = set(cache._entries)
+    cuts = count_calls(monkeypatch, ops.Plan, "__getitem__")
     warm(net, [grids[2]], **train)
-    # the third chain does not fit, so it is neither cut nor stored, and nothing leaves
+    # the third entry does not fit, so it is neither cut nor stored, and nothing leaves
     assert (cache.admitted, cuts[0]) == (2, 0)
-    assert set(cache._chains) == held
+    assert set(cache._entries) == held
     assert cache.nbytes == sizes[0] + sizes[1] <= rulecache.CACHE_BYTES
     for g, hit in zip((grids[0], grids[1], grids[2]), (True, True, False)):
         hits = cache.hits
@@ -293,13 +300,13 @@ def test_a_full_cache_refuses_a_chain_and_keeps_what_it_holds(rng, monkeypatch):
         assert cache.hits == hits + hit
     # grids[2]'s miss is refused again
     assert (cache.admitted, cuts[0]) == (2, 0)
-    assert set(cache._chains) == held and cache.nbytes == sizes[0] + sizes[1]
+    assert set(cache._entries) == held and cache.nbytes == sizes[0] + sizes[1]
 
 
 def test_chain_larger_than_the_bound_is_not_admitted(rng, monkeypatch):
     net = make_net(CUBIC)
     small, large = grids_for(net, rng, (0.1, 0.9))
-    train = {"train_rng": np.random.default_rng(0)}  # chains, no eval entry
+    train = {"train_rng": np.random.default_rng(0)}  # sample entries, no eval entry
     warm(net, [small], **train)
     held = net.rule_cache.nbytes
     monkeypatch.setattr(rulecache, "CACHE_BYTES", held + rulecache._ENTRY_BYTES)
@@ -314,13 +321,13 @@ def test_zero_bound_holds_nothing(rng, monkeypatch):
     monkeypatch.setattr(rulecache, "CACHE_BYTES", 0)
     net, fresh = make_net(CUBIC), make_net(CUBIC)
     grids = grids_for(net, rng, (0.3, 0.5))
-    cuts = count_calls(monkeypatch, rulecache, "own_src")
+    cuts = count_calls(monkeypatch, ops.Plan, "__getitem__")
     for _ in range(3):
         got = forward_backward(net, grids)
-    for _ in range(2):  # training offers every chain for admission at its first sighting
+    for _ in range(2):  # training offers every sample for admission at its first sighting
         got_train = forward_backward(net, grids, train_rng=np.random.default_rng(0))
     assert net.rule_cache.nbytes == 0 and net.rule_cache.hits == 0
-    assert (net.rule_cache.admitted, cuts[0]) == (0, 0)  # a chain that cannot be held is not cut
+    assert (net.rule_cache.admitted, cuts[0]) == (0, 0)  # an entry that cannot be held is not cut
     assert_same_run(got, forward_backward(fresh, grids))
     assert_same_run(got_train, forward_backward(fresh, grids, train_rng=np.random.default_rng(0)))
 
@@ -381,14 +388,14 @@ def test_a_set_larger_than_the_bound_stops_admitting(tmp_path, monkeypatch):
 
     def store_and_note(self, miss, plans):
         store(self, miss, plans)
-        admitted.update(key for key in miss if key in self._chains)
+        admitted.update(key for key in miss if key in self._entries)
 
     monkeypatch.setattr(rulecache.RuleCache, "store", store_and_note)
     cache, bounded = run("bounded")
     assert len(held) == cfg.epochs * -(-len(samples) // cfg.batch_size)
     assert max(held) <= bound
-    # each chain is admitted once and never leaves
-    assert 0 < cache.admitted == len(admitted) and admitted <= set(cache._chains)
+    # each entry is admitted once and never leaves
+    assert 0 < cache.admitted == len(admitted) and admitted <= set(cache._entries)
     monkeypatch.setattr(rulecache, "CACHE_BYTES", 0)
     cache, zero = run("zero")
     assert (cache.admitted, cache.nbytes) == (0, 0)
@@ -427,15 +434,15 @@ def test_an_eval_entry_serves_its_repeated_batch(arch, field, rng, monkeypatch):
     want = forward_backward(fresh, grids)
     warm(net, grids)
     assert (net.rule_cache.misses, net.rule_cache.admitted) == (len(grids), 1)
-    assembles = count_calls(monkeypatch, rulecache, "_assemble")
+    joins = count_calls(monkeypatch, ops.Plan, "join")
     calls = rulebook_calls(monkeypatch)
     for _ in range(2):
         hits = net.rule_cache.hits
         got = forward_backward(net, grids)
         assert net.rule_cache.hits == hits + len(grids)
         assert_same_run(got, want)
-    # the batch's rules come back whole: no rulebook and no assembly
-    assert assembles[0] == 0 and all(c[0] == 0 for c in calls.values())
+    # the batch's rules come back whole: no rulebook and no join
+    assert joins[0] == 0 and all(c[0] == 0 for c in calls.values())
 
 
 @pytest.mark.parametrize("arch, field", [("4C2-MP3/2-6C2-output", None), (FMP_ARCH, FMP_FIELD)])
@@ -477,19 +484,19 @@ def test_training_neither_reads_nor_fills_eval_entries(rng, monkeypatch):
     grids = grids_for(net, rng, (0.3, 0.6, 0.5))
     warm(net, grids)
     cache = net.rule_cache
-    entries = dict(cache._batches)
-    # the entry's batch misses and admits the chains, which another batch hits
+    entries = dict(cache._entries)
+    # the entry's batch misses and admits its samples, which another batch hits
     for batch, hits in ((grids, 0), (grids[::-1], len(grids))):
         want = forward_backward(fresh, batch, **training())
         before = cache.hits
         assert_same_run(forward_backward(net, batch, **training()), want)
         assert cache.hits == before + hits
-        assert cache._batches.keys() == entries.keys()
-        assert all(cache._batches[key] is rules for key, rules in entries.items())
-    assembles = count_calls(monkeypatch, rulecache, "_assemble")
+        assert kind_entries(cache, rulecache._EVAL).keys() == entries.keys()
+        assert all(cache._entries[key] is rules for key, rules in entries.items())
+    joins = count_calls(monkeypatch, ops.Plan, "join")
     hits = cache.hits
     assert np.array_equal(net.forward_batch(grids)[0], fresh.forward_batch(grids)[0])
-    assert (cache.hits, assembles[0]) == (hits + len(grids), 0)  # the entry, not the chains
+    assert (cache.hits, joins[0]) == (hits + len(grids), 0)  # the batch's entry, not its samples
 
 
 def test_eval_entries_are_read_only_and_counted(rng):
@@ -497,15 +504,16 @@ def test_eval_entries_are_read_only_and_counted(rng):
     grids = grids_for(net, rng, (0.3, 0.6))
     cache = net.rule_cache
     warm(net, grids, **training())
-    chains = cache.nbytes
+    samples = cache.nbytes
     batches = (grids, [grids[1]])
     for batch in batches:
         warm(net, batch)
-    _, context = net._chain_context(False)
+    _, context = net._cache_context(False)
     sizes = 0
-    for batch, (key, rules) in zip(batches, cache._batches.items(), strict=True):
+    evals = kind_entries(cache, rulecache._EVAL)
+    for batch, (key, rules) in zip(batches, evals.items(), strict=True):
         b = GridBatch.of(batch)
-        assert key == context + b.start.tobytes() + b.keys.tobytes()
+        assert key == rulecache._EVAL + context + b.start.tobytes() + b.keys.tobytes()
         assert len(rules) == len(net.blocks)
         # a layer's out_start is the next one's in_start, held and counted once
         for prev, rule in zip(rules, rules[1:]):
@@ -516,8 +524,54 @@ def test_eval_entries_are_read_only_and_counted(rng):
         for a in arrays.values():
             with pytest.raises(ValueError):
                 a[...] = 0
-    assert cache.nbytes == chains + sizes
-    assert cache.hits == 0  # eval reads no chain
+    assert cache.nbytes == samples + sizes
+    assert cache.hits == 0  # eval reads no training entry
+
+
+def test_training_entries_are_read_only_and_counted(rng):
+    """A training sample's entry is its own plans, one per layer, with int32
+    ``src``; every array is read-only, and the bytes counted for the entry
+    are the bytes its arrays hold, besides its key and the fixed overhead."""
+    net = make_net(CUBIC)
+    grids = grids_for(net, rng, (0.3, 0.0, 0.6))
+    warm(net, grids, **training())
+    _, tape, _ = net.forward_batch(grids, keep_tape=True, cache=False)
+    cache = net.rule_cache
+    entries = kind_entries(cache, rulecache._TRAIN)
+    assert len(entries) == len(cache._entries) == len(grids)
+    size = 0
+    for (key, plans), g, b in zip(entries.items(), grids, range(len(grids)), strict=True):
+        assert key == rulecache._TRAIN + g.keys.tobytes()
+        assert len(plans) == len(net.blocks)
+        for got, entry in zip(plans, tape, strict=True):
+            want = entry[-1][b]
+            assert isinstance(got, ops.Plan) and got.src.dtype == np.int32
+            assert np.array_equal(got.src, want.src)
+            for x, y in zip(rule_arrays(got)[::2], rule_arrays(want)[::2]):
+                assert x.dtype == y.dtype and np.array_equal(x, y)
+        arrays = {id(a): a for p in plans for a in rule_arrays(p)}
+        assert len(arrays) == 4 * len(plans)
+        for a in arrays.values():
+            with pytest.raises(ValueError):
+                a[...] = 0
+        size += len(key) + rulecache._ENTRY_BYTES + sum(a.nbytes for a in arrays.values())
+    assert cache.nbytes == size
+
+
+def test_join_is_the_inverse_of_item_access(rng):
+    """``Plan.join`` of a batch rule's items gives the rule back, and a
+    join of one item is that item with its ground as a one-sample batch's."""
+    net = make_net(LatticeKind.TRIANGULAR)
+    grids = grids_for(net, rng, (0.3, 0.0, 0.6, 1.0))
+    batch = GridBatch.of(grids)
+    for block in net.blocks:
+        rule = block.layer.rulebook(batch)
+        assert_same_rule(ops.Plan.join([rule[b] for b in range(len(rule))]), rule)
+        one = rule[1]
+        assert_same_rule(ops.Plan.join([one]), one)
+        assert_same_rule(ops.Plan.join([dataclasses.replace(one, src=one.src.astype(np.int32))]),
+                         one)
+        batch = block.forward(batch, rule, False)[0]
 
 
 def test_an_eval_hit_leaves_its_entry_as_stored(rng):
@@ -528,7 +582,7 @@ def test_an_eval_hit_leaves_its_entry_as_stored(rng):
     net = make_net(CUBIC)
     grids = grids_for(net, rng, (0.3, 0.6))
     warm(net, grids)
-    (rules,) = net.rule_cache._batches.values()
+    (rules,) = net.rule_cache._entries.values()
     held = list(rules)
     for _ in range(2):
         forward_backward(net, grids)
@@ -546,16 +600,17 @@ def test_an_eval_entry_larger_than_the_space_left_is_not_held(rng, monkeypatch):
     net, fresh = make_net(CUBIC), make_net(CUBIC)
     grids = grids_for(net, rng, (0.3, 0.6))
     warm(net, grids, **training())
-    chains = net.rule_cache.nbytes
+    samples = net.rule_cache.nbytes
     probe = make_net(CUBIC)
     warm(probe, grids)
     entry = probe.rule_cache.nbytes
-    monkeypatch.setattr(rulecache, "CACHE_BYTES", chains + entry - 1)
+    monkeypatch.setattr(rulecache, "CACHE_BYTES", samples + entry - 1)
     for _ in range(2):  # net misses and holds nothing; fresh, with room, stores and hits
         assert_same_run(forward_backward(net, grids), forward_backward(fresh, grids))
-    assert not net.rule_cache._batches and net.rule_cache.nbytes == chains
+    assert not kind_entries(net.rule_cache, rulecache._EVAL)
+    assert net.rule_cache.nbytes == samples
     assert (net.rule_cache.hits, fresh.rule_cache.hits) == (0, len(grids))
-    monkeypatch.setattr(rulecache, "CACHE_BYTES", chains + entry)
+    monkeypatch.setattr(rulecache, "CACHE_BYTES", samples + entry)
     warm(net, grids)  # an entry that fills the space left exactly is held
     assert net.rule_cache.nbytes == rulecache.CACHE_BYTES
 
@@ -572,7 +627,7 @@ def test_fmp_regions_are_built_only_on_a_miss(rng, monkeypatch):
         regions[0] = 0
         net.forward_batch(batch)
         assert regions[0] == calls
-    for _ in range(3):  # a training chain stops at the first FMP layer
+    for _ in range(3):  # a training entry stops at the first FMP layer
         regions[0] = 0
         net.forward_batch(grids, train_rng=np.random.default_rng(0))
         assert regions[0] == fmp_blocks
@@ -587,7 +642,7 @@ def drawn(seed, draws):
 
 
 def test_a_training_pass_draws_one_seed_per_fmp_block(rng):
-    """On a miss and on a hit of the first layer's chain alike, a training
+    """On a miss and on a hit of the training entries alike, a training
     pass draws exactly one seed per FMP block from its generator; a network
     without FMP draws nothing."""
     net = make_net(CUBIC, FMP_ARCH, field=FMP_FIELD)
@@ -660,7 +715,7 @@ def test_two_eval_batches_are_both_held_and_each_repeat_hits_its_own(rng, monkey
     for batch in batches:
         warm(net, batch)
     held = cache.nbytes
-    assert (cache.admitted, len(cache._batches)) == (2, 2)
+    assert (cache.admitted, len(cache._entries)) == (2, 2)
     calls = rulebook_calls(monkeypatch)
     for i in (0, 1, 1, 0):
         hits = cache.hits
@@ -675,9 +730,9 @@ def test_ground_states_bypass_the_cache(rng, monkeypatch):
     grids = grids_for(net, rng, (0.4, 0.2))
     want = net.forward_batch(grids)[0]
     cache = net.rule_cache
-    counts = (cache.nbytes, cache.hits, cache.misses, cache.admitted, len(cache._batches))
+    counts = (cache.nbytes, cache.hits, cache.misses, cache.admitted, len(cache._entries))
     net.ground_states()
-    assert (cache.nbytes, cache.hits, cache.misses, cache.admitted, len(cache._batches)) == counts
+    assert (cache.nbytes, cache.hits, cache.misses, cache.admitted, len(cache._entries)) == counts
     calls = rulebook_calls(monkeypatch)
     assert np.array_equal(net.forward_batch(grids)[0], want)
     assert all(c[0] == 0 for c in calls.values())
