@@ -8,31 +8,30 @@ Gradients follow the transposed data flow of the forward pass:
 
   - the Q form, for layers that keep or shrink activity: dW = Q^T d_out
     and dQ = d_out W^T, scattered back through the gather index with no
-    mask: the input gradient gets ``B`` trailing rows, one per sample's
-    ground, which the index's ground entries ``-(B - b)`` reach as they
-    reach the grounds of the forward table, and which are sliced off
-    after, so contributions that land on ground-filled positions are
-    discarded;
+    mask: the input gradient gets one trailing row, for the ground, which
+    the index's ground entries -1 reach as they reach the ground of the
+    forward table, and which is sliced off after, so contributions that
+    land on ground-filled positions are discarded;
   - the input frame, for layers that grow activity: ``srcT[c, k]`` is the
     output row that reads input row ``c`` at position ``k`` (the
     transposed gather index), G (a_in, F * n_out) gathers d_out through
-    it, and dW = X^T G + grounds^T gsum, d_in = G W', where X is the
-    layer's input rows, ``gsum[s, k]`` is sample ``s``'s d_out summed over
-    its rows whose position ``k`` is ground, and W' is W rearranged to
-    (F * n_out, n_in).  dW sees the ground exactly as Q^T d_out does,
-    and no scatter runs;
+    it, and dW = X^T G + outer(ground, gsum), d_in = G W', where X is the
+    layer's input rows, ``gsum[k]`` is d_out summed over the rows whose
+    position ``k`` is ground, and W' is W rearranged to (F * n_out,
+    n_in).  dW sees the ground as Q^T d_out does, to rounding, and no
+    scatter runs;
 * pool:  the plan stores, per output component, the footprint position
   that won the max (ties resolved toward the lowest position); the
   component's gradient goes to the input row that position reads, or
   nowhere when the ground won, in one flat ``np.add.at`` with no mask: the
-  gradient gets ``B`` trailing rows, one per sample's ground, which the
-  gather index's ground entries ``-(B - b)`` reach as they reach the
-  grounds of the forward table, and which are sliced off after;
+  gradient gets one trailing row, for the ground, which the gather
+  index's ground entries -1 reach as they reach the ground of the forward
+  table, and which is sliced off after;
 * relu:  gradient masked by the forward sign.
 
 The Q form's scatter runs one footprint position at a time, from the last
 to the first, as a plain indexed add: within one position the input rows
-are distinct (only ground rows repeat, and they are discarded).  The
+are distinct (only the ground row repeats, and it is discarded).  The
 result equals one ``np.add.at`` over the whole gather index bit for bit,
 because each input row receives its terms in the same order, ascending
 output row.  Input site ``c`` lies under position ``o`` of output ``u``
@@ -90,11 +89,11 @@ MOVE = 64
 CALL = 150_000
 
 
-def input_frame_cheaper(a_in: int, a_out: int, F: int, n_in: int, n_out: int, B: int,
+def input_frame_cheaper(a_in: int, a_out: int, F: int, n_in: int, n_out: int,
                         input_grad: bool) -> bool:
-    """Whether a convolution from ``a_in`` to ``a_out`` rows over a batch of
-    ``B`` samples, with footprint ``F`` and ``n_in`` to ``n_out`` features,
-    runs its backward pass for less in the input frame than in the Q form.
+    """Whether a convolution from ``a_in`` to ``a_out`` rows, with footprint
+    ``F`` and ``n_in`` to ``n_out`` features, runs its backward pass for
+    less in the input frame than in the Q form.
 
     The count is in multiply-accumulates, with an element moved by an
     indexed gather or scatter counted as ``MOVE`` and a numpy call as
@@ -103,7 +102,7 @@ def input_frame_cheaper(a_in: int, a_out: int, F: int, n_in: int, n_out: int, B:
 
         Q form:       a_out F n_in n_out                      (dW)
                       + a_out F n_in (n_out + MOVE) + CALL 4F (dQ, its scatter)
-        input frame:  a_in F n_out (n_in + MOVE) + CALL (B + 12)  (G, gsum, dW)
+        input frame:  a_in F n_out (n_in + MOVE) + CALL 13    (G, gsum, dW)
                       + a_in F n_out n_in                     (d_in)
 
     where the terms of the input gradient count only when ``input_grad``.
@@ -117,7 +116,7 @@ def input_frame_cheaper(a_in: int, a_out: int, F: int, n_in: int, n_out: int, B:
     if a_in >= a_out:
         return False
     q_form = a_out * F * n_in * n_out
-    input_frame = a_in * F * n_out * (n_in + MOVE) + CALL * (B + 12)
+    input_frame = a_in * F * n_out * (n_in + MOVE) + CALL * 13
     if input_grad:
         q_form += a_out * F * n_in * (n_out + MOVE) + CALL * 4 * F
         input_frame += a_in * F * n_out * n_in
@@ -140,8 +139,8 @@ def conv_backward(d_out: np.ndarray, plan: Plan, layer: ConvLayer, *,
     dW = plan.Q.T @ d_out
     if not input_grad:
         return dW, dB, None
-    # B trailing ground rows, which the ground entries reach, sliced off after
-    d_in = np.zeros((plan.a_in + len(plan), layer.n_in), dtype=d_out.dtype)
+    # a trailing ground row, which the ground entries reach, sliced off after
+    d_in = np.zeros((plan.a_in + 1, layer.n_in), dtype=d_out.dtype)
     if plan.a_out:
         dQ = (d_out @ layer.W.T).reshape(plan.a_out, -1, layer.n_in)
         # one footprint position at a time, last to first: the order
@@ -153,7 +152,7 @@ def conv_backward(d_out: np.ndarray, plan: Plan, layer: ConvLayer, *,
 
 def _input_frame_backward(d_out: np.ndarray, plan: Plan, layer: ConvLayer, input_grad: bool):
     """(dW, d_in_rows) of a convolution from the input its plan keeps."""
-    (a_out, F), B = plan.src.shape, len(plan)
+    a_out, F = plan.src.shape
     n_in, n_out = layer.n_in, layer.n_out
     # srcT[c, k], flat: the output row that reads input row c at position
     # k, or a_out, the zero row appended to d_out, where none does
@@ -163,16 +162,10 @@ def _input_frame_backward(d_out: np.ndarray, plan: Plan, layer: ConvLayer, input
     srcT[flat[read] * F + read % F] = read // F
     G = np.vstack([d_out, np.zeros((1, n_out), d_out.dtype)]).take(srcT, axis=0)
     G = G.reshape(plan.a_in, F * n_out)
-    # gsum[s, k]: sample s's d_out summed over its rows whose position k is
-    # ground, one small GEMM per sample
-    ground = (plan.src < 0).astype(d_out.dtype)
-    gsum = np.empty((B, F, n_out), d_out.dtype)
-    for s in range(B):
-        rows = slice(plan.out_start[s], plan.out_start[s + 1])
-        np.matmul(ground[rows].T, d_out[rows], out=gsum[s])
-    x = plan.in_rows
-    dW = x.T @ G
-    dW += plan.in_grounds.T @ gsum.reshape(B, F * n_out)
+    # gsum[k]: d_out summed over the rows whose position k is ground
+    gsum = (plan.src < 0).astype(d_out.dtype).T @ d_out
+    dW = plan.in_rows.T @ G
+    dW += np.outer(plan.in_ground, gsum)
     dW = dW.reshape(n_in, F, n_out).transpose(1, 0, 2).reshape(F * n_in, n_out)
     if not input_grad:
         return dW, None
@@ -184,14 +177,14 @@ def pool_backward(d_out: np.ndarray, plan: Plan):
     """Route each output gradient component to the input row its argmax
     position reads; components the ground won take no gradient.
 
-    A ground-filled position of sample ``b`` reads row ``-(B - b)`` of a
-    gradient with ``B`` trailing ground rows, sliced off at the end, so
-    one unmasked flat ``np.add.at`` takes every component in row-major
-    order, at the flat index ``argmax_src * n + component``."""
+    A ground-filled position reads row -1 of a gradient with one trailing
+    ground row, sliced off at the end, so one unmasked flat ``np.add.at``
+    takes every component in row-major order, at the flat index
+    ``argmax_src * n + component``."""
     if d_out.shape != plan.argmax.shape:
         raise ValueError(f"d_out must be {plan.argmax.shape}, got {d_out.shape}")
     n, a_in = d_out.shape[1], plan.a_in
-    d_in = np.zeros((a_in + len(plan)) * n, dtype=d_out.dtype)
+    d_in = np.zeros((a_in + 1) * n, dtype=d_out.dtype)
     # one flat index per component: a 2-D index tuple misses add.at's fast path
     flat = plan.argmax_src * n
     flat += np.arange(n)

@@ -294,15 +294,16 @@ def _check_keys(keys: np.ndarray, shape: GridShape):
 class GridBatch:
     """The sparse grids of one mini-batch, stored end to end in one table.
 
-    ``table`` is (a + B, n): the batch's ``a`` active rows, then one ground
-    row per sample.  Sample ``b`` owns rows ``start[b]:start[b + 1]`` of
-    ``keys`` and ``table`` (keys ascending within each sample), and its
-    ground state is row ``a + b``, which is also row ``-(B - b)``, counted
-    from the table's end: the row a ground entry of a rulebook's gather
-    index reads (see :mod:`latticenet.ops`).  ``rows`` and ``grounds`` are
-    views of the table's two parts.  All samples share one shape.  The
-    forward ops treat a batch as immutable, but for the rectifier, which a
-    convolution block runs on its own fresh output table, in place.
+    ``table`` is (a + 1, n): the batch's ``a`` active rows, then the
+    ground state that all its samples share, the table's last row, which
+    a ground entry -1 of a rulebook's gather index reads (see
+    :mod:`latticenet.ops`).  Sample ``b`` owns rows ``start[b]:start[b +
+    1]`` of ``keys`` and ``table`` (keys ascending within each sample).
+    ``rows`` and ``ground`` are views of the table's two parts.  All
+    samples share one shape and one ground, so every layer's output
+    ground is one vector too.  The forward ops treat a batch as immutable,
+    but for the rectifier, which a convolution block runs on its own fresh
+    output table, in place.
     """
 
     shape: GridShape
@@ -313,17 +314,21 @@ class GridBatch:
     @classmethod
     def of(cls, grids) -> "GridBatch":
         """The batch of ``grids``, its table in the rows' dtype, to which
-        the grounds are cast."""
+        the ground is cast.  Every grid's ground, so cast, must equal the
+        first's bit for bit (0.0 and -0.0 differ, equal NaNs agree)."""
         if not grids:
             raise ValueError("a batch needs at least one grid")
         shape = grids[0].shape
         if any(g.shape != shape for g in grids):
             raise ValueError("the grids of a batch must share one shape")
+        rows = [g.rows for g in grids]
+        dtype = np.result_type(*rows)
+        ground = grids[0].ground.astype(dtype).tobytes()
+        if any(g.ground.astype(dtype).tobytes() != ground for g in grids[1:]):
+            raise ValueError("the grids of a batch must share one ground state")
         start = np.zeros(len(grids) + 1, np.int64)
         np.cumsum([g.a for g in grids], out=start[1:])
-        rows = [g.rows for g in grids]
-        table = np.concatenate(rows + [g.ground[None] for g in grids],
-                               dtype=np.result_type(*rows), casting="unsafe")
+        table = np.concatenate(rows + [grids[0].ground[None]], dtype=dtype, casting="unsafe")
         return cls(shape, np.concatenate([g.keys for g in grids]), table, start)
 
     @property
@@ -331,8 +336,8 @@ class GridBatch:
         return self.table[:self.a]
 
     @property
-    def grounds(self) -> np.ndarray:
-        return self.table[self.a:]
+    def ground(self) -> np.ndarray:
+        return self.table[self.a]
 
     @property
     def B(self) -> int:
@@ -349,7 +354,7 @@ class GridBatch:
 
     def grid(self, b: int) -> SparseGrid:
         lo, hi = self.start[b], self.start[b + 1]
-        return SparseGrid(self.shape, self.keys[lo:hi], self.rows[lo:hi], self.grounds[b])
+        return SparseGrid(self.shape, self.keys[lo:hi], self.rows[lo:hi], self.ground)
 
     def sites(self) -> np.ndarray:
         return unpack_sites(self.keys, self.shape.ndim)

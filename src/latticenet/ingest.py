@@ -532,7 +532,7 @@ def rasterize_polyline(points: np.ndarray, m: int,
     ``points`` is ``(P, d)``, one polyline, whose grid is returned (it is
     rasterized as a stack of one); or a ``(K, P, d)`` stack of K
     polylines, whose K grids are returned as one :class:`GridBatch`
-    (rows 1, grounds 0).  Points are sampled on their coordinate-major
+    (rows 1, ground 0).  Points are sampled on their coordinate-major
     transpose (see :func:`_path_keys`), which costs no copy when
     ``points`` is the transpose of a C-ordered ``(d, P)`` or ``(d, K, P)``
     array.  Segment ``a -> b`` is sampled at ``t = k / steps``,
@@ -576,7 +576,7 @@ def rasterize_polyline(points: np.ndarray, m: int,
     keys = keys[run_heads(keys)]
     start = np.searchsorted(keys, np.arange(0, (K + 1) * shift, shift))
     keys %= shift
-    table = np.zeros((keys.shape[0] + K, 1), dtype=np.float32)
+    table = np.zeros((keys.shape[0] + 1, 1), dtype=np.float32)
     table[:keys.shape[0]] = 1.0
     return GridBatch(shape, keys, table, start)
 

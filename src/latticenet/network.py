@@ -110,18 +110,18 @@ class _Conv:
                            l.n_in, l.n_out)
 
     def forward(self, batch: GridBatch, rule, keep_tape: bool):
-        """A "conv" block rectifies its fresh output table, rows and grounds,
+        """A "conv" block rectifies its fresh output table, rows and ground,
         in place.  The tape plan keeps ``Q`` or, when
         :func:`~latticenet.autograd.input_frame_cheaper` says the backward
         pass costs less in the input frame (the layer grows activity), the
-        layer's input rows and grounds in its place; a "conv" plan also
+        layer's input rows and ground in its place; a "conv" plan also
         keeps the rectifier's ``mask``, ``rows > 0`` of the rectified rows,
         which has the bits of the unrectified rows' mask, NaN included."""
         l = self.layer
         out, plan = conv_forward_batch(batch, l, rule)
         if keep_tape and input_frame_cheaper(batch.a, out.a, l.geometry.volume, l.n_in,
-                                             l.n_out, batch.B, self.input_grad):
-            plan = replace(plan, Q=None, in_rows=batch.rows, in_grounds=batch.grounds)
+                                             l.n_out, self.input_grad):
+            plan = replace(plan, Q=None, in_rows=batch.rows, in_ground=batch.ground)
         if self.kind == "conv":
             relu_forward_batch(out)
             if keep_tape:
@@ -264,12 +264,13 @@ class Network:
         layer's :class:`~latticenet.ops.Plan` over the batch's rows
         (``plan[b]`` is sample ``b``'s).  A conv or classifier plan holds
         either the gather matrix ``Q`` or, on a layer whose backward pass
-        runs in the input frame, the layer's input rows and grounds; a conv
+        runs in the input frame, the layer's input rows and ground; a conv
         plan also holds its rectifier's mask (see ``_Conv.forward``).  The
         tape has one entry per block, which is one per spec layer, in
         order.  ``cache=False`` neither reads nor fills the rule cache, for
         batches that never repeat.  Every grid must have the planned
-        :meth:`input_shape`.
+        :meth:`input_shape`, and all must share one ground state, bit for
+        bit (see :meth:`GridBatch.of`), which every layer then maps once.
         """
         batch = GridBatch.of(list(grids))
         want, got = self.input_shape(), batch.shape
@@ -282,8 +283,8 @@ class Network:
             if keep_tape:
                 tape.append(entry)
         # the last block is the classifier; a sample with an inactive head
-        # site takes its ground logits
-        logits = batch.grounds.copy()
+        # site takes the ground logits
+        logits = np.tile(batch.ground, (batch.B, 1))
         logits[batch.sample_ids()] = batch.rows
         return logits, tape, macs
 
@@ -313,7 +314,7 @@ class Network:
         one per spec layer, a convolution's after its rectifier; the rule
         cache takes no part."""
         g = SparseGrid.empty(self.input_shape(), np.zeros(self.spec.n_input, self.dtype))
-        return [out.grounds[0].copy() for out, _, _ in self._run(GridBatch.of([g]), cache=False)]
+        return [out.ground.copy() for out, _, _ in self._run(GridBatch.of([g]), cache=False)]
 
     # -- checkpoints --------------------------------------------------------
     #

@@ -17,15 +17,14 @@ A convolution over a mini-batch of sparse grids runs in three steps:
    has, a sort of the candidates' keys takes its place (see
    :func:`box_numbering`);
 2. gather, for every active output site, the footprint's input vectors
-   into one row of a matrix ``Q``, substituting the sample's ground
-   vector at inactive positions.  A batch stores its rows and then one
-   ground row per sample in one table (:class:`~latticenet.grid.GridBatch`),
+   into one row of a matrix ``Q``, substituting the ground vector at
+   inactive positions.  A batch stores its rows and then the one ground
+   its samples share in one table (:class:`~latticenet.grid.GridBatch`),
    and ``src`` is the gather's own index into it: an active position
-   holds its input row, an inactive one of sample ``b`` the negative
-   index ``-(B - b)``, which counts from the table's end to ``b``'s
-   ground, so the gather is one ``take`` of the stored table;
+   holds its input row, an inactive one -1, the table's last row, so the
+   gather is one ``take`` of the stored table;
 3. one dense multiply, ``M_out = Q @ W + B``, into the first rows of the
-   output's table, whose last rows take the mapped grounds.
+   output's table, whose last row takes the mapped ground.
 
 Each step runs once per layer and batch, whatever the batch size, and
 gives every sample exactly the rows, row order and gather index that a
@@ -233,12 +232,11 @@ class Plan:
     The rule is the first four fields, as ``layer.rulebook`` gives them.
     Output row ``i`` is site ``out_keys[i]``; rows are grouped by sample,
     keys ascending within each.  ``src[i, k]`` is the input row under
-    footprint position ``k`` of output row ``i``, or, where the ground of
-    the row's sample ``b`` fills that position, ``-(B - b)``: the index,
-    counted from the end, of that ground in the input batch's table (its
-    rows, then one ground per sample), which the gather reads (-1
-    throughout a one-sample plan).  ``in_start`` and ``out_start`` are the
-    row offsets of the samples in the layer's input and output batches.
+    footprint position ``k`` of output row ``i``, or -1 where the ground
+    fills that position: the last row of the input batch's table (its
+    rows, then its ground), which the gather reads.  ``in_start`` and
+    ``out_start`` are the row offsets of the samples in the layer's input
+    and output batches.
 
     The forward ops complete a copy of the rule.  A convolution keeps the
     gather matrix ``Q``; a max pool kept for training keeps ``argmax``,
@@ -247,24 +245,24 @@ class Plan:
     the position of its first NaN, as ``ndarray.argmax`` picks, stored in
     the smallest unsigned dtype that holds ``F - 1``.  A convolution whose
     backward pass runs in the input frame (see :mod:`latticenet.autograd`)
-    keeps its input rows ``in_rows`` and per-sample grounds ``in_grounds``,
-    the two parts of its input's table, in place of ``Q``; ``Q`` is then
-    the gather of that table through ``src``.  A rectified convolution
+    keeps its input rows ``in_rows`` and ground ``in_ground``, the two
+    parts of its input's table, in place of ``Q``; ``Q`` is then the
+    gather of that table through ``src``.  A rectified convolution
     also keeps ``mask``, the output components its rectifier passes.
 
     Item ``b`` is sample ``b``'s plan in its own row numbers, built on
-    access, where its ground reads -1; :meth:`join` puts such plans back
-    together into a batch's rule.
+    access; :meth:`join` puts such plans back together into a batch's
+    rule.
     """
 
     out_keys: np.ndarray
-    src: np.ndarray  # (a_out, F) input rows, -(B - b) = ground of sample b
+    src: np.ndarray  # (a_out, F) input rows, -1 = ground
     in_start: np.ndarray
     out_start: np.ndarray
     Q: np.ndarray | None = None  # (a_out, F * n_in)
     argmax: np.ndarray | None = None  # (a_out, n) footprint positions
     in_rows: np.ndarray | None = None  # (a_in, n_in)
-    in_grounds: np.ndarray | None = None  # (B, n_in)
+    in_ground: np.ndarray | None = None  # (n_in,)
     mask: np.ndarray | None = None  # (a_out, n_out) rectified rows > 0
 
     @property
@@ -299,7 +297,7 @@ class Plan:
                     None if self.Q is None else self.Q[rows],
                     None if self.argmax is None else self.argmax[rows],
                     None if self.in_rows is None else self.in_rows[in_rows],
-                    None if self.in_grounds is None else self.in_grounds[b:b + 1],
+                    self.in_ground,
                     None if self.mask is None else self.mask[rows])
 
     @classmethod
@@ -307,8 +305,8 @@ class Plan:
         """The inverse of item access: the rule of a batch whose samples'
         plans, each in its own row numbers, are ``plans``, in order.  Keys
         and ``src`` rows are concatenated; sample ``b``'s input rows move
-        by its first input row in the batch and its ground, -1, becomes
-        ``-(B - b)``.  Only the rule is joined, with neither ``Q`` nor
+        by its first input row in the batch, and a ground entry stays -1.
+        Only the rule is joined, with neither ``Q`` nor
         ``argmax``, and ``src`` comes back as int64 whatever the plans hold."""
         B = len(plans)
         in_start, out_start = np.zeros(B + 1, np.int64), np.zeros(B + 1, np.int64)
@@ -316,7 +314,7 @@ class Plan:
         np.cumsum([p.a_out for p in plans], out=out_start[1:])
         sample = np.repeat(np.arange(B), np.diff(out_start))
         src = np.concatenate([p.src for p in plans], dtype=np.int64)
-        src = np.where(src >= 0, src + in_start[sample, None], sample[:, None] - B)
+        src = np.where(src >= 0, src + in_start[sample, None], -1)
         return cls(np.concatenate([p.out_keys for p in plans]), src, in_start, out_start)
 
 
@@ -359,8 +357,8 @@ def _window_rulebook(batch: GridBatch, offsets, starts, bound):
     :func:`box_numbering`, the column is instead the rank of the
     candidate's key among the U distinct candidate keys, from one sort,
     and the width is U.  Each output row's
-    ``src`` starts as its sample's ground entry, and the candidates write
-    their input rows into it through one flat index.  The rows' samples,
+    ``src`` starts as ground entries, -1, and the candidates write their
+    input rows into it through one flat index.  The rows' samples,
     ascending, give the output's sample offsets by one search.
     """
     d = batch.shape.ndim
@@ -420,8 +418,7 @@ def _window_rulebook(batch: GridBatch, offsets, starts, bound):
     row = np.empty(seen.shape[0], np.intp)
     row[tags] = np.arange(tags.shape[0])
     out_sample, column = np.divmod(tags, width)
-    src = np.empty((tags.shape[0], len(offsets)), np.int64)
-    src[:] = (out_sample - batch.B)[:, None]  # every position ground, then the active ones
+    src = np.full((tags.shape[0], len(offsets)), -1, np.int64)  # ground, then the active ones
     src.reshape(-1)[row[tag] * len(offsets) + k] = rows
     out_start = np.searchsorted(out_sample, np.arange(batch.B + 1))
     if not box:
@@ -488,13 +485,10 @@ def conv_forward_batch(batch: GridBatch, layer: ConvLayer, rule=None):
     rule = layer.rulebook(batch) if rule is None else rule
     a_out = rule.a_out
     Q = batch.table.take(rule.src.reshape(-1), axis=0).reshape(a_out, geom.volume * batch.n)
-    table = np.empty((a_out + batch.B, layer.n_out), np.result_type(Q, layer.W))
+    table = np.empty((a_out + 1, layer.n_out), np.result_type(Q, layer.W))
     rows = np.matmul(Q, layer.W, out=table[:a_out])
     rows += layer.B
-    # the samples of a batch mostly share one ground, which is then mapped once
-    grounds = batch.grounds
-    shared = (grounds == grounds[0]).all()
-    ground = np.tile(grounds[:1] if shared else grounds, geom.volume).astype(layer.W.dtype)
+    ground = np.tile(batch.ground, (1, geom.volume)).astype(layer.W.dtype)
     table[a_out:] = ground @ layer.W + layer.B
     out = GridBatch(conv_out_shape(batch.shape, geom), rule.out_keys, table, rule.out_start)
     return out, replace(rule, Q=Q)
@@ -526,16 +520,16 @@ def _max_pool(batch: GridBatch, rule: Plan, out_shape: GridShape, keep_plan: boo
     step is elementwise, so tiling changes no bit of the result.  Each step
     takes a column of ``src`` straight from the batch's table, with
     ``mode="wrap"``: the default mode copies ``out`` through a buffer, and
-    ``"clip"`` would send a ground entry ``-(B - b)`` to row 0, where
-    ``"wrap"`` sends it to ``a_in + b``, ``b``'s ground row, as the default
-    does.  The running max fills the first rows of the output's table, and
-    its last ``B`` rows take the input's grounds, which a pool keeps.
+    ``"clip"`` would send a ground entry -1 to row 0, where ``"wrap"``
+    sends it to the ground row, the table's last, as the default does.
+    The running max fills the first rows of the output's table, and its
+    last row takes the input's ground, which a pool keeps.
     """
     table, src = batch.table, rule.src
     a_out, F = src.shape
-    out_table = np.empty((a_out + batch.B, batch.n), table.dtype)
+    out_table = np.empty((a_out + 1, batch.n), table.dtype)
     rows = out_table[:a_out]
-    out_table[a_out:] = batch.grounds
+    out_table[a_out:] = batch.ground
     step = max(1, TILE // max(batch.n, 1))
     vals = np.empty((min(step, a_out), batch.n), table.dtype)
     if keep_plan:
@@ -649,7 +643,7 @@ def fmp_forward(grid: SparseGrid, layer: FMPLayer, regions=None, *, keep_plan: b
 
 
 def relu_forward_batch(batch: GridBatch) -> GridBatch:
-    """Component-wise max(., 0) on rows and grounds, one pass over the
+    """Component-wise max(., 0) on rows and ground, one pass over the
     batch's table, in place; returns ``batch``.  The network's input is a
     convolution's fresh output, and ``GridBatch.of`` copies the grid's rows
     and ground for ``relu_forward``."""

@@ -44,6 +44,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        if self.threads < 1:
+            raise ValueError(f"threads must be at least 1, got {self.threads}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be at least 0, got {self.epochs}")
         for name in ("lr", "lr_decay", "momentum", "weight_decay"):

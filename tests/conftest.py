@@ -48,8 +48,9 @@ GROWING_ARCH = "8C2-16C2-16C2-16C2-MP2-16C2-output"
 
 
 def thin_grids(shape, n, rng):
-    """Thin samples with nonzero grounds, one of them empty."""
-    return [random_sparse(shape.lattice, shape.m, n, p, rng, ground=rng.normal(size=n))
+    """Thin samples on one random nonzero ground, one of them empty."""
+    ground = rng.normal(size=n)
+    return [random_sparse(shape.lattice, shape.m, n, p, rng, ground=ground)
             for p in (0.02, 0.0, 0.05, 0.01)]
 
 

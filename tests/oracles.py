@@ -6,7 +6,7 @@ no ground states.  The loop ones after them are the original one-segment,
 one-face and one-site-at-a-time active-set builders, and the original
 one-grid-at-a-time rulebook.  The ``addat`` ones at the end are the
 original ``np.add.at`` scatters of the conv and pool backward passes.
-Then the original grounds-first gather that the reference pools read,
+Then the original ground-first gather that the reference pools read,
 the original max-pool argmax, one masked store per footprint position,
 and the original SGD step with its temporaries; the original running max
 over whole arrays, and the original pool scatter with its
@@ -315,14 +315,17 @@ def loop_fmp_gather(grid, out_keys: np.ndarray, regions) -> np.ndarray:
 def plan_Q(plan: Plan) -> np.ndarray:
     """The gather matrix ``Q`` of a convolution's plan: the one it keeps, or,
     for a plan that keeps the layer's input in its place, that input
-    gathered through ``src`` (a ground-filled position reads its sample's
-    ground)."""
+    gathered through ``src`` (a ground-filled position reads the ground)."""
     if plan.Q is not None:
         return plan.Q
-    sample = np.repeat(np.arange(len(plan)), np.diff(plan.out_start))
-    ground = plan.in_grounds.astype(plan.in_rows.dtype)[sample][:, None, :]
+    ground = plan.in_ground.astype(plan.in_rows.dtype)
     Q = np.where(plan.src[..., None] >= 0, plan.in_rows[np.maximum(plan.src, 0)], ground)
     return Q.reshape(plan.a_out, plan.src.shape[1] * plan.in_rows.shape[1])
+
+
+def rule_samples(rule: Plan) -> np.ndarray:
+    """The sample of each output row of ``rule``, from its row offsets."""
+    return np.repeat(np.arange(len(rule)), np.diff(rule.out_start))
 
 
 # ---------------------------------------------------------------------------
@@ -384,34 +387,27 @@ def masked_conv_backward(d_out: np.ndarray, plan, layer) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the grounds-first gather of the pools below
+# the ground-first gather of the pools below
 #
 # The original gather formula of ``ops``, which the reference pools keep so
 # that they stay independent of the library's table layout.
 
 
-def rule_samples(rule: Plan) -> np.ndarray:
-    """The sample of each output row of ``rule``, from its row offsets."""
-    return np.repeat(np.arange(len(rule)), np.diff(rule.out_start))
-
-
-def grounds_first_gather(batch: GridBatch, src: np.ndarray, out_sample: np.ndarray):
-    """The ``[grounds; rows]`` table of a batch and, per gather position,
-    the table row it reads: ``src + B``, or the ground of its output row's
-    sample where ``src`` is negative.  ``table[idx]`` is the (a_out, F, n)
-    gather."""
-    table = np.concatenate([batch.grounds.astype(batch.rows.dtype, copy=False), batch.rows])
-    return table, np.where(src >= 0, src + batch.B, out_sample[:, None])
+def ground_first_gather(batch: GridBatch, src: np.ndarray):
+    """The ``[ground; rows]`` table of a batch and, per gather position,
+    the table row it reads: ``src + 1``, which is the ground, row 0, where
+    ``src`` is -1.  ``table[idx]`` is the (a_out, F, n) gather."""
+    table = np.concatenate([batch.ground[None].astype(batch.rows.dtype, copy=False), batch.rows])
+    return table, src + 1
 
 
 # ---------------------------------------------------------------------------
 # the masked-store argmax and the copying SGD step
 #
 # The original bodies of ``ops._max_pool`` and ``autograd.sgd_step``, kept
-# verbatim but for the pool's arguments, which are now the layer's rule
-# (see ``rule_samples``): the pool moves its argmax with one ``np.putmask`` per footprint
-# position, and the step builds ``grad + wd * values`` and ``lr * g`` as new
-# arrays.
+# verbatim but for the pool's arguments, which are now the layer's rule:
+# the pool moves its argmax with one ``np.putmask`` per footprint position,
+# and the step builds ``grad + wd * values`` and ``lr * g`` as new arrays.
 
 
 def putmask_max_pool(batch: GridBatch, rule: Plan, out_shape, keep_plan: bool):
@@ -425,8 +421,8 @@ def putmask_max_pool(batch: GridBatch, rule: Plan, out_shape, keep_plan: bool):
     never compares greater, so NaN components get their first NaN position
     after the loop.
     """
-    src, out_sample = rule.src, rule_samples(rule)
-    table, idx = grounds_first_gather(batch, src, out_sample)
+    src = rule.src
+    table, idx = ground_first_gather(batch, src)
     F = src.shape[1]
     rows = table[idx[:, 0]]
     vals = np.empty_like(rows)
@@ -444,7 +440,7 @@ def putmask_max_pool(batch: GridBatch, rule: Plan, out_shape, keep_plan: bool):
         if nan.any():
             i, c = np.nonzero(nan)
             argmax[i, c] = np.isnan(table[idx[i].T, c]).argmax(axis=0)
-    out = GridBatch(out_shape, rule.out_keys, np.concatenate([rows, batch.grounds]),
+    out = GridBatch(out_shape, rule.out_keys, np.concatenate([rows, batch.ground[None]]),
                     rule.out_start)
     if keep_plan:
         plan = Plan(rule.out_keys, src, batch.start, out.start, argmax=argmax)
@@ -487,8 +483,8 @@ def untiled_max_pool(batch: GridBatch, rule: Plan, out_shape, keep_plan: bool):
     never compares greater, so NaN components get their first NaN position
     after the loop.
     """
-    src, out_sample = rule.src, rule_samples(rule)
-    table, idx = grounds_first_gather(batch, src, out_sample)
+    src = rule.src
+    table, idx = ground_first_gather(batch, src)
     F = src.shape[1]
     rows = table[idx[:, 0]]
     vals = np.empty_like(rows)
@@ -504,7 +500,7 @@ def untiled_max_pool(batch: GridBatch, rule: Plan, out_shape, keep_plan: bool):
             np.multiply(better, position(k), out=moved)
             np.maximum(argmax, moved, out=argmax)
         np.maximum(rows, vals, out=rows)
-    out = GridBatch(out_shape, rule.out_keys, np.concatenate([rows, batch.grounds]),
+    out = GridBatch(out_shape, rule.out_keys, np.concatenate([rows, batch.ground[None]]),
                     rule.out_start)
     if not keep_plan:
         return out, None
@@ -554,8 +550,7 @@ def searchsorted_window_rulebook(batch: GridBatch, offsets, starts, bound):
     candidate.  Output rows are ordered by sample and then by key:
     candidates are grouped by the tag ``sample * U + rank``, with ``rank``
     the key's rank among the U distinct candidate keys, so the tag fits in
-    int64 whatever the coordinate range.  An inactive position of sample
-    ``b`` holds ``-(B - b)``.
+    int64 whatever the coordinate range.  An inactive position holds -1.
     """
     sites = batch.sites()
     d = sites.shape[1]
@@ -587,7 +582,7 @@ def searchsorted_window_rulebook(batch: GridBatch, offsets, starts, bound):
     U = max(union.shape[0], 1)  # no candidates means no tags to split
     tags, out_row = np.unique(batch.sample_ids()[rows] * U + rank, return_inverse=True)
     out_sample = tags // U
-    src = np.repeat(out_sample - batch.B, len(offsets)).reshape(-1, len(offsets))
+    src = np.full((tags.shape[0], len(offsets)), -1, np.int64)
     src[out_row, k] = rows
     return Plan(union[tags % U], src, batch.start,
                 np.searchsorted(out_sample, np.arange(batch.B + 1)))

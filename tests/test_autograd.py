@@ -401,17 +401,17 @@ def test_conv_backward_without_input_grad(lattice, rng):
 
 
 @pytest.mark.parametrize("sizes, input_grad, want", [
-    # measured layers of the benchmark's workloads: (a_in, a_out, F, n_in, n_out, B)
-    ((7904, 16314, 8, 32, 64, 16), True, True),  # casia-cubic L3
-    ((5327, 10143, 8, 64, 128, 16), True, True),  # casia-cubic L6
-    ((3038, 4149, 8, 128, 256, 16), True, True),  # casia-cubic L9
-    ((6710, 9771, 8, 32, 64, 16), True, True),  # shrec-fmp L3
-    ((1932, 21275, 27, 1, 32, 16), False, False),  # casia-cubic L0, first block
-    ((431, 16, 27, 256, 512, 16), True, False),  # casia-cubic L12 shrinks
-    ((2727, 1936, 8, 64, 96, 16), True, False),  # shrec-fmp L6 shrinks
-    ((728, 756, 4, 32, 64, 32), True, False),  # knot-tetra L3, small
-    ((1223, 2907, 4, 1, 32, 32), False, False),  # knot-tetra L0, first block
-    ((16, 16, 1, 512, 8, 16), True, False),  # a classifier head
+    # measured layers of the benchmark's workloads: (a_in, a_out, F, n_in, n_out)
+    ((7904, 16314, 8, 32, 64), True, True),  # casia-cubic L3
+    ((5327, 10143, 8, 64, 128), True, True),  # casia-cubic L6
+    ((3038, 4149, 8, 128, 256), True, True),  # casia-cubic L9
+    ((6710, 9771, 8, 32, 64), True, True),  # shrec-fmp L3
+    ((1932, 21275, 27, 1, 32), False, False),  # casia-cubic L0, first block
+    ((431, 16, 27, 256, 512), True, False),  # casia-cubic L12 shrinks
+    ((2727, 1936, 8, 64, 96), True, False),  # shrec-fmp L6 shrinks
+    ((728, 756, 4, 32, 64), True, False),  # knot-tetra L3, small
+    ((1223, 2907, 4, 1, 32), False, False),  # knot-tetra L0, first block
+    ((16, 16, 1, 512, 8), True, False),  # a classifier head
 ])
 def test_input_frame_cheaper_on_measured_layers(sizes, input_grad, want):
     assert input_frame_cheaper(*sizes, input_grad) is want
@@ -438,12 +438,12 @@ def test_growing_conv_keeps_its_input_on_the_tape(rng, monkeypatch):
         _, layer, p = entry
         F, n_in = layer.geometry.volume, layer.n_in
         assert (p.Q is None) == input_frame_cheaper(p.a_in, p.a_out, F, n_in, layer.n_out,
-                                                    len(p), i > 0)
+                                                    i > 0)
         if p.Q is None:
             framed += 1
             arrays = [v for v in vars(p).values() if isinstance(v, np.ndarray)]
             assert all(a.shape != (p.a_out, F * n_in) for a in arrays)
-            assert p.in_rows.shape == (p.a_in, n_in) and p.in_grounds.shape == (len(p), n_in)
+            assert p.in_rows.shape == (p.a_in, n_in) and p.in_ground.shape == (n_in,)
     assert framed
     d_logits = rng.normal(size=logits.shape)
     got = backprop(net, tape, d_logits)

@@ -3,11 +3,11 @@
 Every sample of a batch must get exactly what it gets alone: the same
 active output keys, the same gather index in its own row numbers, the same
 rows of ``Q``, and the same pooled values and argmax routing.  A batch's
-gather index reads the table of input rows and grounds as it is, each
-ground position counting from the table's end to its sample's ground.  Batches mix
-empty and non-empty grids, and one test places sparse sites at the far
-corner of the largest field ``GridShape`` accepts, where packed keys come
-within a few bits of the int64 range.  The backward scatters must equal
+gather index reads the table of input rows and ground as it is, each
+ground position reading the table's last row, the batch's one ground.
+Batches mix empty and non-empty grids on one random ground, and one test
+places sparse sites at the far corner of the largest field ``GridShape``
+accepts, where packed keys come within a few bits of the int64 range.  The backward scatters must equal
 the ``np.add.at`` scatters they replaced bit for bit, which holds only if
 they add each input row's terms in the same order; the input frame's
 convolution gradients must equal the Q form's to rounding.  The table rulebook
@@ -77,8 +77,9 @@ MIXED = (0.0, 0.3, 0.0, 1.0, 0.1, 0.6)
 
 
 def batch_of(lattice, m, n, sparsities, rng):
-    return [random_sparse(lattice, m, n, p, rng, ground=rng.normal(size=n))
-            for p in sparsities]
+    """One grid per sparsity, all on one random ground."""
+    ground = rng.normal(size=n)
+    return [random_sparse(lattice, m, n, p, rng, ground=ground) for p in sparsities]
 
 
 def tied(grids):
@@ -89,11 +90,11 @@ def tied(grids):
 
 
 def with_nans(grids, rng):
-    """NaNs in ~30% of row components and in sample 1's ground."""
+    """NaNs in ~30% of row components and in the batch's one ground."""
+    ground = np.array([np.nan, 0.0, 1.0], grids[0].rows.dtype)
     out = []
-    for i, g in enumerate(grids):
+    for g in grids:
         rows = np.where(rng.random(g.rows.shape) < 0.3, np.nan, g.rows)
-        ground = np.array([np.nan, 0.0, 1.0], g.rows.dtype) if i == 1 else g.ground
         out.append(SparseGrid(g.shape, g.keys, rows, ground))
     return out
 
@@ -207,7 +208,8 @@ def test_fmp_matches_per_grid(ties, m, ratio, seed, rng):
 
 def far_corner_grids(lattice, count, rng):
     """Sparse grids in the largest packable field, sites clustered at the
-    origin and at the far corner, several keys shared between samples."""
+    origin and at the far corner, several keys shared between samples, on
+    one random ground."""
     m = MAX_COORD - 1  # odd, so stride 2 with footprint 3 divides it
     shape = GridShape(lattice, m)
     d = shape.ndim
@@ -218,7 +220,7 @@ def far_corner_grids(lattice, count, rng):
         corners.append(far)
     if not lattice.is_simplex:
         corners.append(np.full(d, m - 1))
-    grids = []
+    grids, ground = [], rng.normal(size=2)
     for _ in range(count):
         sites = set()
         for c in corners:
@@ -228,7 +230,7 @@ def far_corner_grids(lattice, count, rng):
                     sites.add(tuple(int(v) for v in site))
         sites = sorted(sites)
         grids.append(SparseGrid.from_sites(shape, sites, rng.normal(size=(len(sites), 2)),
-                                           rng.normal(size=2)))
+                                           ground))
     return grids
 
 
@@ -285,10 +287,10 @@ def test_sample_plans_indexing(rng):
         rows = slice(gplan.out_start[b], gplan.out_start[b + 1])
         assert np.array_equal(gplan[b].Q, gplan.Q[rows]), b
     # a plan that keeps the layer's input cuts it per sample
-    iplan = replace(gplan, Q=None, in_rows=batch.rows, in_grounds=batch.grounds)
+    iplan = replace(gplan, Q=None, in_rows=batch.rows, in_ground=batch.ground)
     for b, grid in enumerate(grids):
         assert np.array_equal(iplan[b].in_rows, grid.rows), b
-        assert np.array_equal(iplan[b].in_grounds, grid.ground[None]), b
+        assert np.array_equal(iplan[b].in_ground, grid.ground), b
         assert np.array_equal(plan_Q(iplan[b]), gplan[b].Q), b
 
 
@@ -299,6 +301,39 @@ def test_batch_rejects_mixed_shapes(rng):
         GridBatch.of([a, b])
     with pytest.raises(ValueError):
         GridBatch.of([])
+
+
+def test_batch_refuses_grounds_that_differ_in_any_bit(rng):
+    """A batch holds one ground: ``GridBatch.of`` and ``forward_batch``
+    refuse grids whose grounds, cast to the rows' dtype, differ in any bit,
+    0.0 against -0.0 included, and take equal NaN grounds.  A lone grid
+    runs on any ground."""
+    net = Network(plan(parse("4C2-MP3/2-6C2-output", LatticeKind.SQUARE, 1)), 3, rng,
+                  dtype=np.float32)
+    shape = net.input_shape()
+
+    def grid(ground):
+        g = random_sparse(shape.lattice, shape.m, 1, 0.3, rng)
+        return SparseGrid(shape, g.keys, g.rows.astype(np.float32), np.array([ground]))
+
+    for a, b in ((0.0, -0.0), (1.0, 1.0 + 2.0**-23), (np.nan, 0.0)):
+        for grids in ([grid(a), grid(b)], [grid(b), grid(a), grid(b)]):
+            with pytest.raises(ValueError, match="the grids of a batch must share one ground"):
+                GridBatch.of(grids)
+            with pytest.raises(ValueError, match="the grids of a batch must share one ground"):
+                net.forward_batch(grids)
+    # 1 + 2**-40 is 1 in float32, the rows' dtype
+    for a, b in ((np.nan, np.nan), (1.0, 1.0 + 2.0**-40)):
+        grids = [grid(a), grid(b)]
+        batch = GridBatch.of(grids)
+        assert batch.table.shape == (batch.a + 1, 1) and batch.table.dtype == np.float32
+        assert batch.ground.tobytes() == np.float32([a]).tobytes()
+        logits, _, _ = net.forward_batch(grids)
+        assert logits.shape == (2, 3)
+    for ground in (-0.0, np.nan, 3.5):
+        lone = grid(ground)
+        assert GridBatch.of([lone]).ground.tobytes() == np.float32([ground]).tobytes()
+        assert net.forward_batch([lone])[0].shape == (1, 3)
 
 
 @pytest.mark.parametrize("lattice", ALL_LATTICES)
@@ -324,16 +359,17 @@ def test_build_gather_of_every_output_site(lattice, f, s, rng):
 
 
 @pytest.mark.parametrize("lattice", ALL_LATTICES)
-def test_ground_entries_index_the_table_from_its_end(lattice, rng):
-    """A rule's ``src`` is the gather's own index into the batch's table:
-    a ground position of sample ``b`` holds ``-(B - b)``, from ``-B`` for
-    the first sample to -1 for the last, and one ``take`` of the table
-    through it gives every sample the gather it gets alone, ground
-    vectors included, on conv, pool and (cubic) FMP rules."""
+def test_ground_entries_read_the_tables_last_row(lattice, rng):
+    """A rule's ``src`` is the gather's own index into the batch's table of
+    ``a + 1`` rows: every ground entry is -1, the table's last row, which
+    holds the batch's one ground, and one ``take`` of the table through it
+    gives every sample the gather it gets alone, ground vector included,
+    on conv, pool and (cubic) FMP rules."""
     m = field(3, 2, at_least=25 if lattice.ndim == 2 else 13)
     grids = thin_grids(GridShape(lattice, m), 2, rng)
     batch = GridBatch.of(grids)
-    assert len({g.ground.tobytes() for g in grids}) == batch.B
+    assert batch.table.shape == (batch.a + 1, batch.n)
+    assert np.array_equal(batch.table[-1], grids[0].ground)
     rules = []
     for geom in (FilterGeometry(lattice, 2, 1), PoolLayer(lattice, 3, 2).geometry):
         rules.append((conv_rulebook(batch, geom),
@@ -344,10 +380,7 @@ def test_ground_entries_index_the_table_from_its_end(lattice, rng):
                       lambda g, keys: loop_fmp_gather(g, keys, regions)))
     for rule, loop_src in rules:
         out_keys, src, out_sample = rule.out_keys, rule.src, rule_samples(rule)
-        ground = src < 0
-        assert np.array_equal(src[ground], np.broadcast_to(
-            out_sample[:, None] - batch.B, src.shape)[ground])
-        assert {-batch.B, -1} <= set(src[ground].tolist())
+        assert set(src[src < 0].tolist()) == {-1}
         gather = batch.table.take(src.reshape(-1), axis=0).reshape(*src.shape, -1)
         for b, grid in enumerate(grids):
             keys = out_keys[out_sample == b]
@@ -356,43 +389,39 @@ def test_ground_entries_index_the_table_from_its_end(lattice, rng):
 
 
 def check_table(out, want_grounds):
-    """``out`` stores one (a + B, n) table whose ``rows`` and ``grounds``
-    are views, sample ``b``'s ground being row ``a + b``, which is also row
-    ``-(B - b)``; ``want_grounds[b]`` is that ground, to float rounding."""
-    a, B = out.a, out.B
-    assert out.table.shape == (a + B, out.n)
-    assert np.shares_memory(out.rows, out.table) and np.shares_memory(out.grounds, out.table)
-    for b in range(B):
-        assert np.array_equal(out.table[a + b], out.table[-(B - b)])
-        assert np.array_equal(out.grid(b).ground, out.table[a + b])
-        assert relative_error(out.table[a + b], want_grounds[b]) <= 1e-6, b
+    """``out`` stores one (a + 1, n) table whose ``rows`` and ``ground``
+    are views, every sample's ground being the last row;
+    ``want_grounds[b]`` is sample ``b``'s ground, to float rounding."""
+    a = out.a
+    assert out.table.shape == (a + 1, out.n)
+    assert np.shares_memory(out.rows, out.table) and np.shares_memory(out.ground, out.table)
+    for b in range(out.B):
+        assert np.array_equal(out.grid(b).ground, out.table[a])
+        assert relative_error(out.table[a], want_grounds[b]) <= 1e-6, b
 
 
 @pytest.mark.parametrize("lattice", ALL_LATTICES)
 def test_each_op_stores_one_table_with_grounds_last(lattice, rng):
-    """``GridBatch.of``, conv (distinct and shared grounds), pool, cubic FMP
-    and relu outputs each keep one table, rows then one ground per sample,
-    and relu rectifies its input's table in place, grounds included."""
+    """``GridBatch.of``, conv, pool, cubic FMP and relu outputs each keep
+    one table, rows then the batch's one ground, and relu rectifies its
+    input's table in place, ground included."""
     m = field(3, 2, at_least=25 if lattice.ndim == 2 else 13)
     grids = thin_grids(GridShape(lattice, m), 2, rng)
-    shared = [SparseGrid(g.shape, g.keys, g.rows, grids[0].ground) for g in grids]
     layer = ConvLayer.init(FilterGeometry(lattice, 2, 1), 2, 3, rng, np.float64)
-    layer.B[:] = rng.normal(size=3) - (50, 0, 0)  # every ground's first component negative
-    for gs in (grids, shared):
-        assert len({g.ground.tobytes() for g in gs}) == (len(gs) if gs is grids else 1)
-        batch = GridBatch.of(gs)
-        check_table(batch, [g.ground for g in gs])
-        out, _ = conv_forward_batch(batch, layer)
-        check_table(out, [ops.conv_forward(g, layer).ground for g in gs])
-        before = out.table.copy()
-        assert ops.relu_forward_batch(out) is out
-        assert np.array_equal(out.table, np.maximum(before, 0)) and (before[out.a:] < 0).any()
-        check_table(out, [np.maximum(g, 0) for g in before[out.a:]])
-        pooled, _ = pool_forward_batch(batch, PoolLayer(lattice, 3, 2))
-        check_table(pooled, [g.ground for g in gs])
-        if lattice is LatticeKind.CUBIC:
-            fmp, _ = pool_forward_batch(batch, FMPLayer(LatticeKind.CUBIC, FMP_RATIO, 3))
-            check_table(fmp, [g.ground for g in gs])
+    layer.B[:] = rng.normal(size=3) - (50, 0, 0)  # the ground's first component negative
+    batch = GridBatch.of(grids)
+    check_table(batch, [g.ground for g in grids])
+    out, _ = conv_forward_batch(batch, layer)
+    check_table(out, [ops.conv_forward(g, layer).ground for g in grids])
+    before = out.table.copy()
+    assert ops.relu_forward_batch(out) is out
+    assert np.array_equal(out.table, np.maximum(before, 0)) and (before[out.a:] < 0).any()
+    check_table(out, [np.maximum(before[out.a], 0)] * out.B)
+    pooled, _ = pool_forward_batch(batch, PoolLayer(lattice, 3, 2))
+    check_table(pooled, [g.ground for g in grids])
+    if lattice is LatticeKind.CUBIC:
+        fmp, _ = pool_forward_batch(batch, FMPLayer(LatticeKind.CUBIC, FMP_RATIO, 3))
+        check_table(fmp, [g.ground for g in grids])
 
 
 # ---------------------------------------------------------------------------
@@ -452,19 +481,19 @@ def test_unmasked_q_form_scatter_matches_masked(lattice, f, s, dtype, rng):
 @pytest.mark.parametrize("s", [1, 2])
 def test_input_frame_matches_q_form(lattice, f, s, rng):
     """The input frame's dW, dB and input gradient equal the Q form's to
-    float64 rounding.  Grounds are nonzero, one sample is empty and one
+    float64 rounding.  The ground is nonzero, one sample is empty and one
     holds a single site at the origin, so that its one output row reads
     the ground at every position but the first."""
     m = field(f, s)
     grids = batch_of(lattice, m, 3, MIXED, rng)
     origin = SparseGrid.from_sites(GridShape(lattice, m), [(0,) * lattice.ndim],
-                                   rng.normal(size=(1, 3)), rng.normal(size=3))
+                                   rng.normal(size=(1, 3)), grids[0].ground)
     grids.insert(2, origin)
     batch = GridBatch.of(grids)
     layer = ConvLayer.init(FilterGeometry(lattice, f, s), 3, 4, rng, np.float64)
     layer.B[:] = rng.normal(size=4)
     out, qplan = conv_forward_batch(batch, layer)
-    iplan = replace(qplan, Q=None, in_rows=batch.rows, in_grounds=batch.grounds)
+    iplan = replace(qplan, Q=None, in_rows=batch.rows, in_ground=batch.ground)
     assert (qplan[2].src[:, 1:] < 0).all() and qplan[2].a_out == 1
     assert any(p.a_out == 0 for p in qplan)
     d_out = rng.normal(size=out.rows.shape)
@@ -635,9 +664,10 @@ def test_table_rulebook_matches_searchsorted_fmp(m, ratio, rng, monkeypatch):
     shape = GridShape(LatticeKind.CUBIC, m)
     top = m - 1
     sites = sorted({(top, 0, 0), (0, top, 0), (0, 0, top), (top, 0, top), (top, top, top)})
+    grids = batch_of(LatticeKind.CUBIC, m, 2, MIXED, rng)
     edge = SparseGrid.from_sites(shape, sites, rng.normal(size=(len(sites), 2)),
-                                 rng.normal(size=2))
-    grids = [edge, *batch_of(LatticeKind.CUBIC, m, 2, MIXED, rng)]
+                                 grids[0].ground)
+    grids.insert(0, edge)
     for seed in range(6):
         regions = fmp_regions(m, ratio, seed)
         assert all(r[-1] == m - 2 for r in regions)
@@ -703,9 +733,9 @@ def test_box_rule_boundary_is_shared_with_meshes(rng, monkeypatch):
     mesh, rotation = torus_mesh(0.4), random_rotation(np.random.default_rng(3))
     sites = voxelize_mesh(mesh, 24, rotation).sites()
     mesh_cells = int(np.prod(sites.max(axis=0) - sites.min(axis=0) + 1))
-    shape = GridShape(LatticeKind.CUBIC, 16)
+    shape, ground = GridShape(LatticeKind.CUBIC, 16), rng.normal(size=2)
     grids = [SparseGrid.from_sites(shape, sites_array(LatticeKind.CUBIC, 5)[pick] + 5,
-                                   rng.normal(size=(12, 2)), rng.normal(size=2))
+                                   rng.normal(size=(12, 2)), ground)
              for pick in (rng.permutation(125)[:12] for _ in range(2))]
     batch = GridBatch.of(grids)
     box = batch.sites().max(axis=0) - batch.sites().min(axis=0) + 3
@@ -731,7 +761,7 @@ def disjoint_grids(lattice, count, m, rng):
     """``count`` sparse grids in a size-``m`` field, each in its own block,
     so that no two samples share an output key and ``B * U`` is at its
     largest (fewer on the triangular lattice, where fewer blocks fit
-    inside the simplex)."""
+    inside the simplex), on one random ground."""
     shape = GridShape(lattice, m)
     d = shape.ndim
     per_dim, block = 8, 4
@@ -739,12 +769,12 @@ def disjoint_grids(lattice, count, m, rng):
     if lattice.is_simplex:  # keep every block inside the simplex
         corners = corners[corners.sum(axis=1) < per_dim - 1]
     pick = rng.permutation(corners.shape[0])[:count]
-    grids = []
+    grids, ground = [], rng.normal(size=1)
     for corner in corners[np.sort(pick)] * block * 2:
         sites = corner + rng.integers(0, block, size=(10, d))
         sites = sorted({tuple(int(v) for v in site) for site in sites})
         grids.append(SparseGrid.from_sites(shape, sites, rng.normal(size=(len(sites), 1)),
-                                           rng.normal(size=1)))
+                                           ground))
     return grids
 
 
@@ -796,7 +826,7 @@ def check_tiled_pool(run, tile_rows, monkeypatch, rng):
         assert np.array_equal(out.keys, want.keys) and np.array_equal(out.start, want.start)
         assert out.rows.dtype == want.rows.dtype
         assert np.array_equal(out.rows, want.rows, equal_nan=True)
-        assert np.array_equal(out.grounds, want.grounds, equal_nan=True)
+        assert np.array_equal(out.ground, want.ground, equal_nan=True)
     assert gplan.argmax.dtype == wplan.argmax.dtype
     assert np.array_equal(gplan.argmax, wplan.argmax)
     assert np.array_equal(gplan.argmax_src, wplan.argmax_src)

@@ -791,6 +791,8 @@ def test_a_missing_config_file_exits_2_naming_it(tmp_path, capsys):
     ("--batch-size", "-1", "batch_size must be at least 1"),
     ("--batch-size", "0", "batch_size must be at least 1"),
     ("--epochs", "-2", "epochs must be at least 0"),
+    ("--threads", "-3", "threads must be at least 1, got -3"),
+    ("--threads", "0", "threads must be at least 1, got 0"),
 ])
 def test_train_out_of_range_setting_exits_2_before_ingest(tmp_path, capsys, monkeypatch,
                                                          flag, value, message):

@@ -107,7 +107,7 @@ def test_blocks_tape_and_grounds_are_one_per_spec_layer(lattice, arch, field, rn
 
 def test_conv_plans_keep_each_samples_rectifier_mask(rng):
     net = small_net(rng)
-    grids = [*inputs_for(net, rng, 3), SparseGrid.empty(net.input_shape(), np.ones(1))]
+    grids = [*inputs_for(net, rng, 3), SparseGrid.empty(net.input_shape(), np.zeros(1))]
     _, tape, _ = net.forward_batch(grids, keep_tape=True)
     convs = [e[2] for e in tape if e[0] == "conv"]
     assert len(convs) == 2

@@ -292,7 +292,7 @@ def test_stacked_rasterize_polyline_matches_loop(lattice, inside, hi):
         batch = rasterize_polyline(stack, shape.m, shape)
         assert isinstance(batch, GridBatch) and batch.B == K and batch.shape == shape, seed
         assert batch.table.dtype == np.float32 and (batch.rows == 1).all(), seed
-        assert (batch.grounds == 0).all() and batch.n == 1, seed
+        assert batch.table.shape == (batch.a + 1, 1) and (batch.ground == 0).all(), seed
         for j in range(K):
             assert np.array_equal(batch.grid(j).keys, want[j]), (seed, j)
         seen["one_step" if one_step or stack.shape[1] == 1 else "gathered"] += 1

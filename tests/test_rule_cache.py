@@ -36,9 +36,10 @@ def make_net(lattice, arch="4C2-MP3/2-6C2-output", dtype=np.float64, field=None,
 
 
 def grids_for(net, rng, sparsities, dtype=np.float64):
-    shape = net.input_shape()
-    return [_cast(random_sparse(shape.lattice, shape.m, 2, p, rng, ground=rng.normal(size=2)),
-                  dtype) for p in sparsities]
+    """One grid per sparsity, all on one random ground."""
+    shape, ground = net.input_shape(), rng.normal(size=2)
+    return [_cast(random_sparse(shape.lattice, shape.m, 2, p, rng, ground=ground), dtype)
+            for p in sparsities]
 
 
 def _cast(g, dtype):
@@ -136,9 +137,8 @@ def test_hit_equals_miss_in_the_input_frame(rng):
 @pytest.mark.parametrize("lattice", ALL_LATTICES)
 def test_mixed_permuted_and_empty_batches(lattice, rng):
     cached, fresh = make_net(lattice), make_net(lattice)
-    grids = grids_for(cached, rng, (0.3, 0.0, 0.5, 0.2))
-    grids.append(SparseGrid.empty(cached.input_shape(), np.ones(2)))
-    new = grids_for(cached, rng, (0.4,))[0]
+    *grids, new = grids_for(cached, rng, (0.3, 0.0, 0.5, 0.2, 0.4))
+    grids.append(SparseGrid.empty(cached.input_shape(), new.ground))
     warm(cached, grids, **training())
     batches = [
         [grids[2], new, grids[0], grids[4], grids[1]],  # cached and new samples
