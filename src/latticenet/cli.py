@@ -2,8 +2,10 @@
 
 Commands: ``train``, ``eval``, ``count-ops``, ``voxelize``, ``demo-knot``.
 Every setting is one flag, declared once in ``build_parser`` with its type
-and default.  A ``key = value`` config file (``--config``) sets the same
-keys; flags given on the command line win.  File values are converted by
+and default, and each command takes only the settings it reads, so a flag
+it would ignore exits 2.  A ``key = value`` config file (``--config``) sets
+the same keys, and a command ignores the keys only other commands take;
+flags given on the command line win.  File values are converted by
 the flag's own type before any data loads, so a bad value exits 2 and
 names its flag; a config file that is missing, unreadable or malformed
 exits 2 and names the file.  Exit codes: 0 success, 2 configuration or
@@ -14,8 +16,8 @@ train loss, held-out error, MACs/sample); wall-clock timings go to
 stderr, as does the line that ends ``train`` and ``eval``: the rule
 cache's hits and misses (sample lookups), its entries stored (training
 samples and eval batches) and the bytes it holds.  So logs and
-checkpoints are bit-identical for a fixed seed regardless of
-``--threads``, on one host at one OpenBLAS thread count.
+checkpoints are bit-identical for a fixed seed regardless of ``train
+--threads``, on one host at one OpenBLAS thread count.
 """
 
 from __future__ import annotations
@@ -285,13 +287,14 @@ def cmd_demo_knot(args: argparse.Namespace) -> int:
         grid.save(args.out)
         print(f"written to {args.out}")
     print(_grid_stats(grid))
-    # coarse projection so the shape is visible in a terminal
-    sites = grid.sites()
-    img = np.zeros((scale, scale), dtype=bool)
-    img[sites[:, 0], sites[:, 1]] = True
+    # coarse projection so the shape is visible in a terminal: a cell is
+    # '#' when any site falls in its step x step block
     step = max(1, scale // 40)
-    for r in range(0, scale, step):
-        print("".join("#" if img[r, c:c + step].any() else "." for c in range(0, scale, step)))
+    sites = grid.sites() // step
+    cells = np.zeros((-(-scale // step),) * 2, dtype=bool)
+    cells[sites[:, 0], sites[:, 1]] = True
+    for row in cells:
+        print("".join("#" if c else "." for c in row))
     return EXIT_OK
 
 
@@ -319,8 +322,8 @@ def build_parser(file_settings: dict | None = None) -> argparse.ArgumentParser:
         "config": dict(help="key = value settings file (flags win)"),
         "arch": dict(help="architecture string, e.g. 32C2-MP3/2-output"),
         "lattice": dict(choices=[k.value for k in LatticeKind],
-                        help="lattice kind; train, eval and voxelize build meshes on "
-                             "it, while strokes and video stay cubic"),
+                        help="lattice kind; train and voxelize build meshes on it (eval "
+                             "on its checkpoint's), while strokes and video stay cubic"),
         "scale": dict(type=int, help="object render scale (default: the input "
                                      f"field for knots, {RENDER_SCALE} otherwise); "
                                      "video ignores it and sizes its grid to the frames"),
@@ -357,22 +360,20 @@ def build_parser(file_settings: dict | None = None) -> argparse.ArgumentParser:
     unknown = sorted(set(file_settings or ()) - set(settings))
     if unknown:
         raise ValueError(f"unknown setting {unknown[0]!r}: no command declares it")
-    common = ("config", "arch", "lattice", "scale", "seed", "threads", "out")
-    commands = {  # name -> (function, help, settings beyond the common ones, own defaults)
+    commands = {  # name -> (function, help, the settings it reads besides --config, defaults)
         "train": (cmd_train, "train a network and write a checkpoint",
-                  ("train-data", "test-data", "train-per-class", "test-per-class", "classes",
-                   "n-input", "field", "epochs", "batch-size", "lr", "lr-decay", "momentum",
-                   "weight-decay", "target-accuracy", "threshold-pct", "log"),
-                  {"out": "checkpoint.lnck"}),
+                  "arch lattice scale seed threads out train-data test-data train-per-class "
+                  "test-per-class classes n-input field epochs batch-size lr lr-decay momentum "
+                  "weight-decay target-accuracy threshold-pct log", {"out": "checkpoint.lnck"}),
         "eval": (cmd_eval, "evaluate a checkpoint with n-fold repetitive testing",
-                 ("checkpoint", "test-data", "test-per-class", "repeats", "threshold-pct",
-                  *aug), {}),
+                 "arch scale seed out checkpoint test-data test-per-class repeats threshold-pct "
+                 + " ".join(aug), {}),
         "count-ops": (cmd_count_ops, "plan an architecture and count MACs",
-                      ("mode", "width", "classes", "n-input", "field", "json"), {}),
+                      "arch lattice mode width classes n-input field json", {}),
         "voxelize": (cmd_voxelize, "convert a data file into a sparse grid record",
-                     ("input", "threshold-pct"), {"scale": RENDER_SCALE}),
+                     "lattice scale seed out input threshold-pct", {"scale": RENDER_SCALE}),
         "demo-knot": (cmd_demo_knot, "rasterize a synthetic knot and print it",
-                      ("kind",), {"scale": RENDER_SCALE}),
+                      "lattice scale seed out kind", {"scale": RENDER_SCALE}),
     }
 
     ap = argparse.ArgumentParser(
@@ -380,9 +381,9 @@ def build_parser(file_settings: dict | None = None) -> argparse.ArgumentParser:
         description="sparse CNNs on square/triangular/cubic/tetrahedral lattices",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for command, (run, help_text, own, defaults) in commands.items():
+    for command, (run, help_text, reads, defaults) in commands.items():
         p = sub.add_parser(command, help=help_text)
-        names = common + own
+        names = ["config", *reads.split()]
         for name in names:
             p.add_argument(f"--{name}", **settings[name])
         p.set_defaults(run=run, **defaults)

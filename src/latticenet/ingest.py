@@ -735,8 +735,10 @@ def _knots(kinds: list[str], m: int, rng: np.random.Generator,
     knot; the knots are fitted and rasterized in stacks of up to
     :data:`KNOT_CHUNK`, each one :func:`_fit_coords` call and one
     :func:`rasterize_polyline` call, whose grids equal those of the knots
-    built one at a time.
+    built one at a time.  A 2D lattice is refused before anything is drawn.
     """
+    if lattice.ndim != 3:
+        raise ValueError(f"knots are 3D; lattice {lattice.value} is 2D")
     shape = GridShape(lattice, m)
     out = []
     for lo in range(0, len(kinds), KNOT_CHUNK):

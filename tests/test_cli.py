@@ -167,6 +167,33 @@ def test_demo_knot_draws_on_its_lattice(tmp_path, lattice):
     assert grid.a > 0
 
 
+@pytest.mark.parametrize("lattice", ["square", "triangular"])
+@pytest.mark.parametrize("command", [
+    ["demo-knot"],
+    ["train", "--arch", "4C2-output", "--classes", "3", "--train-data", "knots"],
+], ids=["demo-knot", "train"])
+def test_knots_on_a_2d_lattice_exit_2_naming_it(tmp_path, capsys, command, lattice):
+    out = tmp_path / "never"
+    assert main([*command, "--lattice", lattice, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: knots are 3D; lattice {lattice} is 2D" in captured.err and not captured.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scale", [80, 123, 400])
+def test_demo_knot_prints_every_block_that_holds_a_site(tmp_path, capsys, scale):
+    """A printed cell is '#' exactly when a site of the written grid falls
+    in its step x step block, step = scale // 40."""
+    out = tmp_path / "knot.grid"
+    assert main(["demo-knot", "--scale", str(scale), "--seed", "2", "--out", str(out)]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]  # after the written-to and stats lines
+    step = scale // 40
+    cells = -(-scale // step)
+    assert len(rows) == cells and all(len(row) == cells and set(row) <= set("#.") for row in rows)
+    printed = {(i, j) for i, row in enumerate(rows) for j, c in enumerate(row) if c == "#"}
+    assert printed == {(x // step, y // step) for x, y, _ in SparseGrid.load(out).sites()}
+
+
 @pytest.mark.parametrize("lattice", ["tetrahedral", "square", "triangular"])
 def test_voxelize_non_cubic_lattice_exit_2_naming_it(tmp_path, capsys, lattice):
     sj = tmp_path / "char.json"
@@ -767,6 +794,53 @@ def test_a_config_key_no_command_declares_exits_2_naming_it_and_its_file(
     err = capsys.readouterr().err
     assert f"config file {cfg}: unknown setting 'epoch'" in err
     assert not (tmp_path / "never.lnck").exists()
+
+
+def accepted_invocation(tmp_path, command):
+    """An invocation of ``command`` that runs, writing any file into
+    ``tmp_path``."""
+    if command == "eval":
+        ckpt = tmp_path / "net.lnck"
+        Network(plan(parse(TOY[1], LatticeKind.TETRAHEDRAL, 1)), 3,
+                np.random.default_rng(0)).save(ckpt)
+        return ["eval", "--checkpoint", str(ckpt), "--test-data", "knots",
+                "--test-per-class", "1", "--out", str(tmp_path / "report.json")]
+    if command == "count-ops":
+        return ["count-ops", *KNOT_ARCH]
+    if command == "voxelize":
+        write_sphere_off(tmp_path / "sphere.off")
+        return ["voxelize", "--input", str(tmp_path / "sphere.off"), "--scale", "8",
+                "--out", str(tmp_path / "sphere.grid")]
+    return ["demo-knot", "--scale", "12", "--out", str(tmp_path / "knot.grid")]
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("eval", "--lattice", "cubic"),
+    ("eval", "--threads", "2"),
+    ("count-ops", "--scale", "20"),
+    ("count-ops", "--seed", "3"),
+    ("count-ops", "--threads", "2"),
+    ("count-ops", "--out", "report.json"),
+    ("voxelize", "--arch", "x"),
+    ("voxelize", "--threads", "2"),
+    ("demo-knot", "--arch", "x"),
+    ("demo-knot", "--threads", "2"),
+])
+def test_a_flag_its_command_does_not_read_exits_2_and_writes_nothing(
+        tmp_path, capsys, monkeypatch, command, flag, value):
+    """Each command takes only the settings it reads, so a flag it would
+    parse and drop is refused before anything runs."""
+    monkeypatch.chdir(tmp_path)
+    argv = accepted_invocation(tmp_path, command)
+    before = set(tmp_path.iterdir())
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, flag, value])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert f"unrecognized arguments: {flag} {value}" in captured.err and not captured.out
+    assert set(tmp_path.iterdir()) == before
+    assert main(argv) == 0  # without the flag the same invocation runs
+    assert set(tmp_path.iterdir()) != before or command == "count-ops"
 
 
 def test_a_config_line_without_equals_exits_2_naming_the_file(tmp_path, capsys):

@@ -475,6 +475,16 @@ def test_unknown_knot_kind(rng):
         synth_knot("granny", 20, rng)
 
 
+@pytest.mark.parametrize("lattice", [LatticeKind.SQUARE, LatticeKind.TRIANGULAR])
+def test_knots_refuse_a_2d_lattice_before_drawing(rng, lattice):
+    state = rng.bit_generator.state
+    for make in (lambda: synth_knot("trefoil", 20, rng, lattice),
+                 lambda: knot_dataset(20, 2, rng, lattice=lattice)):
+        with pytest.raises(ValueError, match=f"^knots are 3D; lattice {lattice.value} is 2D$"):
+            make()
+    assert rng.bit_generator.state == state  # no rotation or scale was drawn
+
+
 # ---------------------------------------------------------------------------
 # containers
 
