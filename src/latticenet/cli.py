@@ -3,9 +3,10 @@
 Commands: ``train``, ``eval``, ``count-ops``, ``voxelize``, ``demo-knot``.
 Every setting is one flag, declared once in ``build_parser`` with its type
 and default, and each command takes only the settings it reads, so a flag
-it would ignore exits 2.  A ``key = value`` config file (``--config``) sets
-the same keys, and a command ignores the keys only other commands take;
-flags given on the command line win.  File values are converted by
+it would ignore exits 2, reported under that command's usage.  A
+``key = value`` config file (``--config``) sets the same keys, and a
+command ignores the keys only other commands take; flags given on the
+command line win.  File values are converted by
 the flag's own type before any data loads, so a bad value exits 2 and
 names its flag; a config file that is missing, unreadable or malformed
 exits 2 and names the file.  Exit codes: 0 success, 2 configuration or
@@ -386,7 +387,7 @@ def build_parser(file_settings: dict | None = None) -> argparse.ArgumentParser:
         names = ["config", *reads.split()]
         for name in names:
             p.add_argument(f"--{name}", **settings[name])
-        p.set_defaults(run=run, **defaults)
+        p.set_defaults(run=run, parser=p, **defaults)
         # string defaults go through the flag's type when parsed, so a bad
         # file value is reported as that flag's error
         p.set_defaults(**{k.replace("-", "_"): v for k, v in (file_settings or {}).items()
@@ -394,15 +395,24 @@ def build_parser(file_settings: dict | None = None) -> argparse.ArgumentParser:
     return ap
 
 
+def _parse(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """``argv`` parsed by ``parser``; an argument its command does not take
+    is reported under that command's usage, and exits 2."""
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(build_parser(), argv)
     try:
         if args.config:
             try:  # an unreadable or malformed file is bad configuration, not bad data
                 parser = build_parser(read_config(args.config))
             except (OSError, ValueError) as e:
                 raise ValueError(f"config file {args.config}: {e}") from None
-            args = parser.parse_args(argv)
+            args = _parse(parser, argv)
         return args.run(args)
     except (FormatError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)

@@ -36,8 +36,8 @@ rulebook results it has computed, as many as fit under its bound; it
 evicts nothing.  Every entry is a list of :class:`~latticenet.ops.Plan`,
 one per cached rulebook layer.  Training keeps each sample's own plans,
 from its first sighting; when every sample of a training batch has them,
-each rulebook layer takes its batch rule from ``Plan.join`` of the
-samples' plans.  A training entry stops at the first FMP layer, whose
+one ``Plan.join`` of the samples' plans gives every cached rulebook layer
+its batch rule.  A training entry stops at the first FMP layer, whose
 regions are redrawn per batch.  Eval keeps each batch's own rules, every
 layer's, keyed by the batch's keys and the FMP seeds, so ``fit``'s
 held-out pass, which evaluates the same chunks every epoch, runs no

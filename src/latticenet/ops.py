@@ -58,8 +58,10 @@ on a hit, else the layer's.  A cached rule equals the rulebook's bit for
 bit, and so do the outputs and plans.  Plans are frozen, so an op
 completes a copy of its rule with what its backward pass needs (``Q``,
 ``argmax``) and never writes into a rule the cache holds; ``plan[b]`` is
-sample ``b``'s own, as a batch of that sample alone gives it, and
-``Plan.join`` puts such plans back together into a batch's rule.
+sample ``b``'s own, as a batch of that sample alone gives it,
+``Plan.cut`` cuts several samples' own out of a batch's rule in one pass,
+and ``Plan.join`` puts such plans, a chain of layers per sample, back
+together into a batch's rules.
 """
 
 from __future__ import annotations
@@ -251,8 +253,9 @@ class Plan:
     also keeps ``mask``, the output components its rectifier passes.
 
     Item ``b`` is sample ``b``'s plan in its own row numbers, built on
-    access; :meth:`join` puts such plans back together into a batch's
-    rule.
+    access; :meth:`cut` gives several samples' rules at once, in one pass,
+    and :meth:`join` puts such plans, a chain of layers per sample, back
+    together into a batch's rules.
     """
 
     out_keys: np.ndarray
@@ -300,22 +303,71 @@ class Plan:
                     self.in_ground,
                     None if self.mask is None else self.mask[rows])
 
+    def cut(self, samples: list[int]) -> list["Plan"]:
+        """The rules of samples ``samples`` (batch positions), each as
+        ``plan[b]`` gives it but with ``src`` as int32, cut in one pass:
+        their keys are copied once, and their ``src`` rows moved to each
+        sample's own input rows (a ground entry stays -1) and cast to int32
+        once.  Every returned Plan holds read-only views of those arrays,
+        which hold the samples' rows and no other."""
+        sel = np.asarray(samples, np.int64)
+        first_in, first_out = self.in_start[sel], self.out_start[sel]
+        counts = self.out_start[sel + 1] - first_out
+        bounds = np.zeros(len(sel) + 1, np.int64)
+        np.cumsum(counts, out=bounds[1:])
+        if list(samples) == list(range(len(self))):  # the whole batch, in order
+            keys, src = self.out_keys.copy(), self.src
+        else:
+            rows = np.arange(bounds[-1]) + np.repeat(first_out - bounds[:-1], counts)
+            keys, src = self.out_keys[rows], self.src[rows]
+        # a row moves to its sample's own numbers, and a ground entry, now
+        # below -1, goes back to -1 (batch rows are fewer than 2**31)
+        own = np.empty(src.shape, np.int32)
+        np.subtract(src, np.repeat(first_in, counts)[:, None], out=own, casting="unsafe")
+        np.maximum(own, -1, out=own)
+        # each sample's in_start and out_start, its first row 0 in both
+        in_start, out_start = (np.zeros((len(sel), 2), self.in_start.dtype) for _ in range(2))
+        in_start[:, 1], out_start[:, 1] = self.in_start[sel + 1] - first_in, counts
+        for a in (keys, own, in_start, out_start):
+            a.flags.writeable = False
+        bounds = bounds.tolist()
+        return [Plan(keys[i:j], own[i:j], s, t)
+                for i, j, s, t in zip(bounds, bounds[1:], in_start, out_start)]
+
     @classmethod
-    def join(cls, plans) -> "Plan":
-        """The inverse of item access: the rule of a batch whose samples'
-        plans, each in its own row numbers, are ``plans``, in order.  Keys
-        and ``src`` rows are concatenated; sample ``b``'s input rows move
-        by its first input row in the batch, and a ground entry stays -1.
-        Only the rule is joined, with neither ``Q`` nor
-        ``argmax``, and ``src`` comes back as int64 whatever the plans hold."""
-        B = len(plans)
-        in_start, out_start = np.zeros(B + 1, np.int64), np.zeros(B + 1, np.int64)
-        np.cumsum([p.a_in for p in plans], out=in_start[1:])
-        np.cumsum([p.a_out for p in plans], out=out_start[1:])
-        sample = np.repeat(np.arange(B), np.diff(out_start))
-        src = np.concatenate([p.src for p in plans], dtype=np.int64)
-        src = np.where(src >= 0, src + in_start[sample, None], -1)
-        return cls(np.concatenate([p.out_keys for p in plans]), src, in_start, out_start)
+    def join(cls, chains) -> list["Plan"]:
+        """The inverse of item access over a chain of layers: the rules,
+        layer by layer, of a batch whose samples' plans, each in its own
+        row numbers, are ``chains`` (per sample in batch order, one plan
+        per layer).  The keys of every layer and sample are one
+        concatenation, and their ``src`` one int64 array, in which sample
+        ``b``'s input rows move by its first input row in the batch, a
+        ground entry staying -1; each layer's rule is a view of the two.
+        Only the rule is joined, with neither ``Q`` nor ``argmax``, and
+        ``src`` comes back as int64 whatever the plans hold."""
+        layers = list(zip(*chains))
+        keys = [p.out_keys for layer in layers for p in layer]
+        # rows per (layer, sample): the samples' input rows, then each layer's output rows
+        counts = np.zeros((len(layers) + 1, len(chains)), np.int64)
+        counts[0] = np.concatenate([p.in_start for p in layers[0]])[1::2]
+        counts[1:].flat = list(map(len, keys))
+        starts = np.zeros((len(layers) + 1, len(chains) + 1), np.int64)
+        np.cumsum(counts, axis=1, out=starts[:, 1:])
+        F = np.array([layer[0].src.shape[1] for layer in layers])
+        rows = [0, *np.cumsum(starts[1:, -1]).tolist()]
+        cells = [0, *np.cumsum(starts[1:, -1] * F).tolist()]
+        # a concatenation per layer, each into its part of one array, is
+        # faster than one of every plan's flattened src
+        src = np.empty(cells[-1], np.int64)
+        for l, layer in enumerate(layers):
+            np.concatenate([p.src for p in layer], out=src[cells[l]:cells[l + 1]].reshape(-1, F[l]))
+        ground = src >> 63  # -1 at a ground entry, every bit set, else 0
+        src += np.repeat(starts[:-1, :-1].ravel(), (counts[1:] * F[:, None]).ravel())
+        src |= ground
+        keys = np.concatenate(keys)
+        return [cls(keys[rows[l]:rows[l + 1]], src[cells[l]:cells[l + 1]].reshape(-1, f),
+                    starts[l], starts[l + 1])
+                for l, f in enumerate(F.tolist())]
 
 
 # ---------------------------------------------------------------------------

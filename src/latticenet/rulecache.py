@@ -14,13 +14,18 @@ et al. 2022, arXiv:2204.10319).
 Training keeps an entry per sample, stored at the key set's first
 sighting: ``fit`` never augments, so every training key set comes back
 the next epoch, in a freshly permuted batch.  A sample's entry is its own
-plans as ``plan[b]`` cuts them out of the batch's (its ``src`` as int32),
-and a batch whose samples all hit gets its rules joined from them by
-:meth:`~latticenet.ops.Plan.join`.  The batched rulebook groups output
-rows by sample, keys ascending within each, and gives every sample the
-rows and gather index it gets alone, so the joined rules equal the
-batched pass bit for bit.  A training entry stops before the first FMP
-layer, whose regions are redrawn per batch.
+plans as ``plan[b]`` gives them, with ``src`` as int32:
+:meth:`~latticenet.ops.Plan.cut` cuts all of a batch's admitted samples
+out of a layer's plan in one pass, and each entry's plans are views of
+those arrays, which hold the admitted samples' rows and no other.  A
+batch whose samples all hit gets its whole chain of rules from one
+:meth:`~latticenet.ops.Plan.join`: one concatenation of the keys and one
+of ``src`` across every layer and sample, each layer's rule a view of
+them.  The batched rulebook groups output rows by sample, keys ascending
+within each, and gives every sample the rows and gather index it gets
+alone, so the joined rules equal the batched pass bit for bit.  A
+training entry stops before the first FMP layer, whose regions are
+redrawn per batch.
 
 Eval keeps an entry per batch, the pass's own Plans: ``fit``'s held-out
 pass evaluates the same chunks in the same order every epoch, so the same
@@ -104,32 +109,38 @@ class RuleCache:
         self.hits += len(entries)
         self.misses += batch.B - len(entries)
         if batch.B and len(entries) == batch.B:
-            return map(Plan.join, zip(*entries)), None
+            return iter(Plan.join(entries)), None
         return iter(()), admit
 
     def store(self, miss: dict, plans: list[Plan]):
         """After a pass that ran the rulebook, store what ``miss`` asks for,
         from ``plans``: the rule of each cached layer, as the rulebook gives
-        it.  An eval batch keeps ``plans`` themselves; training sample ``b``
-        keeps each plan's item ``b``, its keys copied and its ``src`` as
-        int32.  Only what fits is stored, its arrays made read-only, and a
-        sample whose entry does not fit is not cut."""
+        it.  An eval batch keeps ``plans`` themselves; the admitted training
+        samples are cut out of each plan in one pass (:meth:`Plan.cut`),
+        and sample ``b`` keeps its own plans, their keys copied and their
+        ``src`` as int32.  Only what fits is stored, its arrays made
+        read-only, and a sample whose entry does not fit is not cut."""
         # a layer's out_start is the next layer's in_start: count it once
         arrays = {id(a): a for p in plans for a in (p.out_keys, p.src, p.in_start, p.out_start)}
         batch_bytes = sum(a.nbytes for a in arrays.values())
         # each sample's entry bytes, its src as int32, from its row counts before any cut
         sample_bytes = sum(np.diff(p.out_start) * (p.out_keys.itemsize + 4 * p.src.shape[1])
                            + 2 * (p.in_start.itemsize + p.out_start.itemsize) for p in plans)
+        admit = {}
         for key, b in miss.items():
             size = len(key) + _ENTRY_BYTES + (batch_bytes if b is None else int(sample_bytes[b]))
             if self.nbytes + size > CACHE_BYTES:
                 continue
-            entry = plans if b is None else [
-                Plan(own.out_keys.copy(), own.src.astype(np.int32), own.in_start, own.out_start)
-                for own in (p[b] for p in plans)]
-            for p in entry:
-                for a in (p.out_keys, p.src, p.in_start, p.out_start):
-                    a.flags.writeable = False
-            self._entries[key] = entry
+            if b is None:
+                for p in plans:
+                    for a in (p.out_keys, p.src, p.in_start, p.out_start):
+                        a.flags.writeable = False
+                self._entries[key] = plans
+            else:
+                admit[key] = b
             self.nbytes += size
             self.admitted += 1
+        if admit:
+            samples = list(admit.values())
+            cuts = [p.cut(samples) for p in plans]  # per layer, a plan per admitted sample
+            self._entries.update(zip(admit, map(list, zip(*cuts))))

@@ -814,7 +814,7 @@ def accepted_invocation(tmp_path, command):
     return ["demo-knot", "--scale", "12", "--out", str(tmp_path / "knot.grid")]
 
 
-@pytest.mark.parametrize("command, flag, value", [
+UNREAD_FLAGS = [  # (command, a flag another command takes, a value for it)
     ("eval", "--lattice", "cubic"),
     ("eval", "--threads", "2"),
     ("count-ops", "--scale", "20"),
@@ -825,7 +825,10 @@ def accepted_invocation(tmp_path, command):
     ("voxelize", "--threads", "2"),
     ("demo-knot", "--arch", "x"),
     ("demo-knot", "--threads", "2"),
-])
+]
+
+
+@pytest.mark.parametrize("command, flag, value", UNREAD_FLAGS)
 def test_a_flag_its_command_does_not_read_exits_2_and_writes_nothing(
         tmp_path, capsys, monkeypatch, command, flag, value):
     """Each command takes only the settings it reads, so a flag it would
@@ -841,6 +844,28 @@ def test_a_flag_its_command_does_not_read_exits_2_and_writes_nothing(
     assert set(tmp_path.iterdir()) == before
     assert main(argv) == 0  # without the flag the same invocation runs
     assert set(tmp_path.iterdir()) != before or command == "count-ops"
+
+
+@pytest.mark.parametrize("command, flag, value", UNREAD_FLAGS)
+def test_a_flag_its_command_does_not_read_is_reported_in_its_usage(
+        tmp_path, capsys, monkeypatch, command, flag, value):
+    """The refusal names the command: its own usage line and error prefix,
+    not the top-level ``latticenet [-h] {train,...}`` usage, with and
+    without a config file."""
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("")
+    for extra in ([], ["--config", str(cfg)]):
+        argv = [*accepted_invocation(tmp_path, command), *extra]
+        before = set(tmp_path.iterdir())
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, flag, value])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"usage: latticenet {command} [-h] [--config CONFIG]")
+        last = captured.err.strip().splitlines()[-1]
+        assert last == f"latticenet {command}: error: unrecognized arguments: {flag} {value}"
+        assert not captured.out and set(tmp_path.iterdir()) == before
 
 
 def test_a_config_line_without_equals_exits_2_naming_the_file(tmp_path, capsys):

@@ -288,7 +288,7 @@ def test_a_full_cache_refuses_a_chain_and_keeps_what_it_holds(rng, monkeypatch):
     warm(net, [grids[1]], **train)
     net.forward_batch([grids[0]], **train)
     held = set(cache._entries)
-    cuts = count_calls(monkeypatch, ops.Plan, "__getitem__")
+    cuts = count_calls(monkeypatch, ops.Plan, "cut")
     warm(net, [grids[2]], **train)
     # the third entry does not fit, so it is neither cut nor stored, and nothing leaves
     assert (cache.admitted, cuts[0]) == (2, 0)
@@ -321,7 +321,7 @@ def test_zero_bound_holds_nothing(rng, monkeypatch):
     monkeypatch.setattr(rulecache, "CACHE_BYTES", 0)
     net, fresh = make_net(CUBIC), make_net(CUBIC)
     grids = grids_for(net, rng, (0.3, 0.5))
-    cuts = count_calls(monkeypatch, ops.Plan, "__getitem__")
+    cuts = count_calls(monkeypatch, ops.Plan, "cut")
     for _ in range(3):
         got = forward_backward(net, grids)
     for _ in range(2):  # training offers every sample for admission at its first sighting
@@ -558,20 +558,29 @@ def test_training_entries_are_read_only_and_counted(rng):
     assert cache.nbytes == size
 
 
+def rulebook_chain(net, grids, depth):
+    """The batched rulebook's rules of ``grids`` for the first ``depth`` blocks."""
+    batch, rules = GridBatch.of(grids), []
+    for block in net.blocks[:depth]:
+        rules.append(block.layer.rulebook(batch))
+        batch = block.forward(batch, rules[-1], False)[0]
+    return rules
+
+
 def test_join_is_the_inverse_of_item_access(rng):
-    """``Plan.join`` of a batch rule's items gives the rule back, and a
-    join of one item is that item with its ground as a one-sample batch's."""
+    """``Plan.join`` of the items of a batch's rules, layer by layer, gives
+    the rules back, and a join of one sample's items is those items with
+    their ground as a one-sample batch's, whatever their ``src`` dtype."""
     net = make_net(LatticeKind.TRIANGULAR)
     grids = grids_for(net, rng, (0.3, 0.0, 0.6, 1.0))
-    batch = GridBatch.of(grids)
-    for block in net.blocks:
-        rule = block.layer.rulebook(batch)
-        assert_same_rule(ops.Plan.join([rule[b] for b in range(len(rule))]), rule)
-        one = rule[1]
-        assert_same_rule(ops.Plan.join([one]), one)
-        assert_same_rule(ops.Plan.join([dataclasses.replace(one, src=one.src.astype(np.int32))]),
-                         one)
-        batch = block.forward(batch, rule, False)[0]
+    rules = rulebook_chain(net, grids, len(net.blocks))
+    chains = [[rule[b] for rule in rules] for b in range(len(grids))]
+    for got, want in zip(ops.Plan.join(chains), rules, strict=True):
+        assert_same_rule(got, want)
+    one = chains[1]
+    for chain in (one, [dataclasses.replace(p, src=p.src.astype(np.int32)) for p in one]):
+        for got, want in zip(ops.Plan.join([chain]), one, strict=True):
+            assert_same_rule(got, want)
 
 
 def test_an_eval_hit_leaves_its_entry_as_stored(rng):
@@ -756,3 +765,119 @@ def test_fit_hits_from_the_second_epoch_like_an_uncached_fit(tmp_path, rng, monk
     for i, net in enumerate(nets):
         net.save(tmp_path / f"{i}.lnck")
     assert (tmp_path / "0.lnck").read_bytes() == (tmp_path / "1.lnck").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the one-pass cut and the chain join, fuzzed
+
+
+def random_arch(r):
+    """One to three stages of a convolution, strided or not, each maybe
+    followed by a plain pool, then the head."""
+    tokens = []
+    for _ in range(r.integers(1, 4)):
+        f = int(r.integers(1, 4))
+        tokens.append(f"{r.integers(1, 5)}C{f}" + ("/2" if f > 1 and r.random() < 0.3 else ""))
+        if r.random() < 0.5:
+            tokens.append(str(r.choice(["MP2", "MP3/2"])))
+    return "-".join(tokens + ["output"])
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_cut_and_join_equal_the_rulebook(seed, monkeypatch):
+    """Random architectures on every lattice, and FMP_ARCH, whose entry
+    stops at the first FMP layer.  Batches with new, cached, repeated and
+    empty samples, and a batch of one, are each trained once; every entry
+    they store is its sample's ``plan[b]`` with int32 ``src``, read-only,
+    and shares no memory with the pass's rules.  Each is then run again as
+    a permutation, whose rules, from one join, equal the batched
+    rulebook's bit for bit."""
+    r = np.random.default_rng(seed)
+    if seed % 5 == 4:
+        net = make_net(CUBIC, FMP_ARCH, field=FMP_FIELD, seed=seed)
+    else:
+        net = make_net(ALL_LATTICES[seed % 4], random_arch(r), seed=seed)
+    cache = net.rule_cache
+    depth, context = net._cache_context(True)
+    assert depth == (1 if seed % 5 == 4 else len(net.blocks))
+    grids = grids_for(net, r, r.uniform(0.05, 0.8, size=6))
+    grids.append(SparseGrid.empty(net.input_shape(), grids[0].ground))
+    g = [grids[i] for i in r.permutation(len(grids))]
+    batches = [
+        g[:3],  # every sample new
+        [g[3], g[1], g[3], g[4]],  # a cached sample and a new one twice
+        [g[5]],  # a batch of one
+        [g[6], g[0], g[2]],  # a cached batch but for one sample
+    ]
+    stored = []
+    store = rulecache.RuleCache.store
+
+    def recording(self, miss, plans):
+        store(self, miss, plans)
+        stored.append((miss, plans))
+
+    monkeypatch.setattr(rulecache.RuleCache, "store", recording)
+    joins = count_calls(monkeypatch, ops.Plan, "join")
+    for batch in batches:
+        net.forward_batch(batch, train_rng=np.random.default_rng(seed))
+    assert cache.admitted == len(cache._entries) == len({x.keys.tobytes() for x in grids})
+    joins[0] = 0
+    for miss, plans in stored:
+        assert len(plans) == depth
+        for key, b in miss.items():
+            entry = cache._entries[key]
+            for got, rule in zip(entry, plans, strict=True):
+                want = rule[b]
+                assert got.src.dtype == np.int32 and np.array_equal(got.src, want.src)
+                for x, y in zip(rule_arrays(got)[::2], rule_arrays(want)[::2]):
+                    assert x.dtype == y.dtype and np.array_equal(x, y)
+                for a in rule_arrays(got):
+                    with pytest.raises(ValueError):
+                        a[...] = 0
+                assert not any(np.shares_memory(x, y) for x in rule_arrays(got)
+                               for y in rule_arrays(rule))
+    for k, batch in enumerate(batches, 1):
+        perm = [batch[i] for i in r.permutation(len(batch))]
+        rules, miss = cache.lookup(GridBatch.of(perm), context, True)
+        assert miss is None and joins[0] == k  # one join for the whole chain
+        for got, want in zip(rules, rulebook_chain(net, perm, depth), strict=True):
+            assert got.src.dtype == np.int64
+            assert_same_rule(got, want)
+
+
+def test_a_partly_admitted_batch_holds_only_its_admitted_rows(rng, monkeypatch):
+    """With room for only some of a batch's new samples, no held entry
+    shares memory with the batch's rules, a refused sample's rows least of
+    all, and the bytes counted are the bytes of every array the entries
+    reach, besides their keys and the fixed overhead."""
+    probe = make_net(CUBIC)
+    grids = grids_for(probe, rng, (0.3, 0.6, 0.2, 0.5, 0.4))
+    sizes = []
+    for g in grids:
+        held = probe.rule_cache.nbytes
+        warm(probe, [g], **training())
+        sizes.append(probe.rule_cache.nbytes - held)
+    # admitted in order: room for samples 0 and 2, none for 1, 3 or 4 after them
+    assert sizes[1] > sizes[2]
+    monkeypatch.setattr(rulecache, "CACHE_BYTES", sizes[0] + sizes[2])
+    net = make_net(CUBIC)
+    cache = net.rule_cache
+    _, tape, _ = net.forward_batch(grids, keep_tape=True, **training())
+    held = [b for b, g in enumerate(grids) if rulecache._TRAIN + g.keys.tobytes() in cache._entries]
+    assert held == [0, 2] and cache.nbytes == rulecache.CACHE_BYTES
+    bases = {}
+    for plans in cache._entries.values():
+        for a in (a for p in plans for a in rule_arrays(p)):
+            while a.base is not None:
+                a = a.base
+            bases[id(a)] = a
+    assert cache.nbytes == sum(len(key) + rulecache._ENTRY_BYTES for key in cache._entries) \
+        + sum(a.nbytes for a in bases.values())
+    for entry in tape:
+        plan = entry[-1]
+        for b in (1, 3, 4):
+            rows = slice(*plan.out_start[b:b + 2])
+            assert not any(np.shares_memory(a, x) for a in bases.values()
+                           for x in (plan.out_keys[rows], plan.src[rows]))
+        assert not any(np.shares_memory(a, x) for a in bases.values()
+                       for x in rule_arrays(plan))
