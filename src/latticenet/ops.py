@@ -315,11 +315,8 @@ class Plan:
         counts = self.out_start[sel + 1] - first_out
         bounds = np.zeros(len(sel) + 1, np.int64)
         np.cumsum(counts, out=bounds[1:])
-        if list(samples) == list(range(len(self))):  # the whole batch, in order
-            keys, src = self.out_keys.copy(), self.src
-        else:
-            rows = np.arange(bounds[-1]) + np.repeat(first_out - bounds[:-1], counts)
-            keys, src = self.out_keys[rows], self.src[rows]
+        rows = np.arange(bounds[-1]) + np.repeat(first_out - bounds[:-1], counts)
+        keys, src = self.out_keys[rows], self.src[rows]
         # a row moves to its sample's own numbers, and a ground entry, now
         # below -1, goes back to -1 (batch rows are fewer than 2**31)
         own = np.empty(src.shape, np.int32)
