@@ -43,7 +43,6 @@ from .ops import (
     FilterGeometry,
     FMPLayer,
     Plan,
-    PoolLayer,
     build_gather,
     conv_active_sites,
     conv_forward,

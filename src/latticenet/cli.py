@@ -217,6 +217,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     # test set have loaded
     if args.repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {args.repeats}")
+    params = AffineParams(**{f.name: getattr(args, f"aug_{f.name}") for f in fields(AffineParams)})
     net = Network.load(require(args, "checkpoint"))
     if args.arch and netspec.render(net.spec) != netspec.render(
             netspec.parse(args.arch, net.spec.lattice, net.spec.n_input)):
@@ -225,7 +226,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         )
     field = net.input_shape()
     test_set = load_dataset(require(args, "test_data"), args, field, split="test")
-    params = AffineParams(**{f.name: getattr(args, f"aug_{f.name}") for f in fields(AffineParams)})
     aug = None
     if args.repeats > 1 and not params.is_identity:
         aug = lambda g, r: augment_grid(g, params, r)

@@ -364,9 +364,7 @@ def _subdivisions(corners: np.ndarray) -> np.ndarray:
     edges = np.stack([corners[:, 1] - corners[:, 0],
                       corners[:, 2] - corners[:, 0],
                       corners[:, 2] - corners[:, 1]], axis=1)
-    # matmul's vector-vector case calls the same BLAS dot as np.linalg.norm
-    # does on one vector, so lengths (and hence n) match it bit for bit
-    length = np.sqrt((edges[..., None, :] @ edges[..., :, None])[..., 0, 0])
+    length = np.sqrt(np.einsum("fki,fki->fk", edges, edges))
     return np.maximum(1, np.ceil(length.max(axis=1) / 0.45).astype(np.int64))
 
 

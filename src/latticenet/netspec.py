@@ -13,8 +13,10 @@ Planning runs the layer sizes forward from the input field and requires
 a final spatial size of 1.  A conv/pool network fixes its field: the
 size recurrence solved backward from 1 (convolutions here are unpadded)
 yields it, and input data gets centered inside it.  Networks containing
-FMP layers need a caller-given field, since the FMP ratio fixes no
-unique preimage.
+FMP layers need a caller-given field, since an FMP step's floor division
+by the fixed ratio ``FMP_RATIO`` has no unique preimage.  FMP is defined
+on the cubic lattice only, and the field may not exceed the packable
+maximum ``MAX_COORD``.
 
 Cost is counted in multiply-accumulate operations: a convolution costs
 ``a_out * F * n_in * n_out`` where ``a_out`` is the number of active
@@ -34,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ParseError, PlanError
-from .geometry import LatticeKind, filter_volume, in_size, out_size, site_count
+from .geometry import MAX_COORD, LatticeKind, filter_volume, in_size, out_size, site_count
 from .ops import FMP_RATIO, fmp_out_size
 
 
@@ -53,7 +55,7 @@ class PoolSpec:
 
 @dataclass(frozen=True)
 class FMPSpec:
-    ratio: float = FMP_RATIO
+    pass
 
 
 @dataclass(frozen=True)
@@ -124,6 +126,8 @@ def parse(text: str, lattice: LatticeKind, n_input: int) -> NetworkSpec:
             layers.append(ConvSpec(int(n_out), int(f), int(s or 1)))
         elif p:
             layers.append(PoolSpec(int(p), int(ps or p)))
+        elif token == "FMP" and lattice is not LatticeKind.CUBIC:
+            raise ParseError("fractional max pooling is defined on the cubic lattice only", offset)
         else:
             layers.append(FMPSpec() if token == "FMP" else OutputSpec())
     if not isinstance(layers[-1], OutputSpec):
@@ -177,12 +181,14 @@ def plan_partial(spec: NetworkSpec, input_size: int) -> NetworkSpec:
     For cost analysis of layer fragments (a full network for training must
     still satisfy :func:`plan`).
     """
+    if input_size > MAX_COORD:
+        raise PlanError(f"input field {input_size} exceeds the packable maximum {MAX_COORD}")
     sizes = []
     m = input_size
     for i, layer in enumerate(spec.layers):
         sizes.append(m)
         if isinstance(layer, FMPSpec):
-            m = fmp_out_size(m, layer.ratio)
+            m = fmp_out_size(m)
         else:
             m = out_size(m, *_window(layer), layer=f"#{i} {render_layer(layer)}")
     return replace(spec, planned_sizes=tuple(sizes))
@@ -301,7 +307,7 @@ def geometric_activity(spec: NetworkSpec, input_width: int) -> list[int]:
     Propagates the per-dimension cover interval of the box through each
     layer (an output site is active when its footprint meets the box) and
     counts lattice sites inside the interval exactly.  FMP intervals are
-    approximated by dividing the endpoints by the ratio.
+    approximated by dividing the endpoints by ``FMP_RATIO``.
     """
     if spec.planned_sizes is None:
         raise PlanError("spec must be planned before estimating activity")
@@ -311,8 +317,8 @@ def geometric_activity(spec: NetworkSpec, input_width: int) -> list[int]:
         m_out = (spec.planned_sizes[i + 1] if i + 1 < len(spec.planned_sizes)
                  else spec.planned_sizes[i])
         if isinstance(layer, FMPSpec):
-            lo = np.floor(lo / layer.ratio).astype(np.int64)
-            hi = np.minimum(np.ceil(hi / layer.ratio).astype(np.int64), m_out - 1)
+            lo = np.floor(lo / FMP_RATIO).astype(np.int64)
+            hi = np.minimum(np.ceil(hi / FMP_RATIO).astype(np.int64), m_out - 1)
         else:
             k, s = _window(layer)
             lo = np.ceil((lo - k + 1) / s).astype(np.int64)

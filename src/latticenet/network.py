@@ -7,7 +7,8 @@ into one block per spec layer, one small private class per kind:
   ``nCf`` means in the architecture string, or the classifier head, the
   size-1 convolution that the ``output`` token becomes and that produces
   the class logits ("classifier"), with its ``(W, B)`` parameters;
-* ``_Pool``: max pooling ("pool");
+* ``_Pool``: max pooling ("pool"), whose layer is the
+  :class:`~latticenet.ops.FilterGeometry` of its window;
 * ``_FMP``: fractional max pooling ("fmp"), a pool over regions drawn
   from a seed.
 
@@ -78,10 +79,10 @@ from .netspec import (
     render,
 )
 from .ops import (
+    FMP_RATIO,
     ConvLayer,
     FilterGeometry,
     FMPLayer,
-    PoolLayer,
     conv_forward_batch,
     pool_forward_batch,
     relu_forward_batch,
@@ -138,11 +139,11 @@ class _Conv:
 class _Pool:
     kind, params = "pool", ()
 
-    def __init__(self, layer: PoolLayer | FMPLayer):
+    def __init__(self, layer: FilterGeometry | FMPLayer):
         self.layer = layer
 
     def header(self) -> bytes:
-        return struct.pack("<BII", 1, self.layer.p, self.layer.s)
+        return struct.pack("<BII", 1, self.layer.f, self.layer.s)
 
     def forward(self, batch: GridBatch, rule, keep_tape: bool):
         out, plan = pool_forward_batch(batch, self.layer, keep_plan=keep_tape, rule=rule)
@@ -161,7 +162,7 @@ class _FMP(_Pool):
     kind = "fmp"
 
     def header(self) -> bytes:
-        return struct.pack("<Bd", 2, self.layer.ratio)
+        return struct.pack("<Bd", 2, FMP_RATIO)
 
 
 class Network:
@@ -191,9 +192,9 @@ class Network:
                 self.blocks.append(_Conv("conv", conv, bool(self.blocks)))
                 n = ls.n_out
             elif isinstance(ls, PoolSpec):
-                self.blocks.append(_Pool(PoolLayer(spec.lattice, ls.p, ls.s)))
+                self.blocks.append(_Pool(FilterGeometry(spec.lattice, ls.p, ls.s)))
             elif isinstance(ls, FMPSpec):
-                self.blocks.append(_FMP(FMPLayer(spec.lattice, ls.ratio, fmp_eval_seed)))
+                self.blocks.append(_FMP(FMPLayer(spec.lattice, fmp_eval_seed)))
             elif isinstance(ls, OutputSpec):
                 head = make_conv(FilterGeometry(spec.lattice, 1, 1), n, classes)
                 self.blocks.append(_Conv("classifier", head, bool(self.blocks)))
@@ -324,8 +325,8 @@ class Network:
     #   u32 block count, then per block its header (the block's header()):
     #     u8 kind (0 conv, 1 pool, 2 fmp, 3 classifier), then
     #     conv/classifier: u32 f, u32 s, u32 n_in, u32 n_out
-    #     pool:            u32 p, u32 s
-    #     fmp:             f64 ratio
+    #     pool:            u32 p, u32 s (its FilterGeometry's f and s)
+    #     fmp:             f64 ratio, always FMP_RATIO
     #   then the FMP u64 seed, or the W (row-major) and B float32 values
     #   of a conv or classifier.  The architecture string fixes every
     #   header, so load compares them byte for byte.
@@ -375,7 +376,6 @@ class Network:
         try:
             arch = str(arch, "utf-8")
             spec = plan(parse(arch, lattice, n_input), input_size=field)
-            GridShape(lattice, field)  # an FMP plan takes any field; a grid has a maximum
         except ValueError as e:  # also bad utf-8 and every parse or plan error
             raise FormatError(f"{path}: bad architecture in checkpoint: {e}") from None
         (nblocks,) = r.unpack("<I")
@@ -385,10 +385,7 @@ class Network:
             raise FormatError(f"{path}: checkpoint truncated: {n_params} parameters need "
                               f"{4 * n_params} bytes, {r.remaining()} left")
         net = cls.__new__(cls)
-        try:
-            net._assemble(spec, classes, np.float32, 0, _zero_conv)
-        except ValueError as e:  # e.g. an FMP layer on a lattice other than cubic
-            raise FormatError(f"{path}: {e}") from None
+        net._assemble(spec, classes, np.float32, 0, _zero_conv)
         if nblocks != len(net.blocks):
             raise FormatError(f"{path}: checkpoint has {nblocks} blocks, architecture "
                               f"needs {len(net.blocks)}")

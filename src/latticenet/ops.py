@@ -36,9 +36,10 @@ and inactive sites never need to be touched.
 Max pooling, plain (MP) or fractional (FMP), is one op: the layer gives
 its rulebook and output field, and :func:`pool_forward_batch` takes a
 running max over the footprint positions, in tiles of output rows that
-fit in cache (see :data:`TILE`).  FMP pools size-2 cubic windows whose
-starts are randomized overlapping regions that shrink each dimension by
-a factor strictly between 1 and 2.  One rulebook serves
+fit in cache (see :data:`TILE`).  An ``MPp/s`` layer is the
+:class:`FilterGeometry` of its window, as a convolution's footprint is.
+FMP pools size-2 cubic windows whose starts are randomized overlapping
+regions that shrink each dimension by :data:`FMP_RATIO`.  One rulebook serves
 every layer: along each dimension output coordinate ``u`` has a window
 start, ``u * s`` for a convolution or pool and the region start for FMP,
 and input site ``c`` lies under offset ``o`` exactly when ``c - o`` is a
@@ -84,6 +85,8 @@ from .geometry import (
 )
 from .grid import GridBatch, SparseGrid
 
+# Each FMP step divides the field by 2^(2/3), so two steps halve it; the
+# ratio is fixed, as the FMP token takes none.
 FMP_RATIO = 2.0 ** (2.0 / 3.0)
 
 # Elements (rows x features) per tile of the pool's running max and of
@@ -125,7 +128,8 @@ def box_numbering(cells: int, candidates: int) -> bool:
 
 @dataclass(frozen=True)
 class FilterGeometry:
-    """Filter footprint on a lattice: linear size ``f``, stride ``s``."""
+    """Filter footprint on a lattice: linear size ``f``, stride ``s``; a
+    convolution's footprint, and itself the layer of a max pool."""
 
     lattice: LatticeKind
     f: int
@@ -142,6 +146,13 @@ class FilterGeometry:
     @property
     def offsets(self) -> tuple[tuple[int, ...], ...]:
         return filter_offsets(self.lattice, self.f)
+
+    def out_shape(self, shape: GridShape) -> GridShape:
+        """The output grid of a convolution or pool over ``shape``."""
+        return GridShape(shape.lattice, out_size(shape.m, self.f, self.s))
+
+    def rulebook(self, batch: GridBatch, rng=None):
+        return conv_rulebook(batch, self)
 
 
 @dataclass
@@ -172,7 +183,7 @@ class ConvLayer:
             raise ValueError(f"B must have {self.n_out} entries, got {self.B.shape[0]}")
 
     def rulebook(self, batch: GridBatch, rng=None):
-        return conv_rulebook(batch, self.geometry)
+        return self.geometry.rulebook(batch)
 
     @classmethod
     def init(cls, geometry: FilterGeometry, n_in: int, n_out: int, rng: np.random.Generator,
@@ -184,47 +195,23 @@ class ConvLayer:
 
 
 @dataclass
-class PoolLayer:
-    lattice: LatticeKind
-    p: int
-    s: int
-
-    def __post_init__(self):
-        if self.p < 1 or self.s < 1:
-            raise ValueError(f"pool size and stride must be >= 1, got p={self.p} s={self.s}")
-
-    @property
-    def geometry(self) -> FilterGeometry:
-        return FilterGeometry(self.lattice, self.p, self.s)
-
-    def out_shape(self, shape: GridShape) -> GridShape:
-        return conv_out_shape(shape, self.geometry)
-
-    def rulebook(self, batch: GridBatch, rng=None):
-        return conv_rulebook(batch, self.geometry)
-
-
-@dataclass
 class FMPLayer:
     """Fractional max pooling; cubic lattice only."""
 
     lattice: LatticeKind
-    ratio: float = FMP_RATIO
     seed: int = 0
 
     def __post_init__(self):
         if self.lattice is not LatticeKind.CUBIC:
             raise ValueError("fractional max pooling is defined on the cubic lattice only")
-        if not 1.0 < self.ratio < 2.0:
-            raise ValueError(f"FMP ratio must lie strictly between 1 and 2, got {self.ratio}")
 
     def out_shape(self, shape: GridShape) -> GridShape:
-        return GridShape(LatticeKind.CUBIC, fmp_out_size(shape.m, self.ratio))
+        return GridShape(LatticeKind.CUBIC, fmp_out_size(shape.m))
 
     def rulebook(self, batch: GridBatch, rng: np.random.Generator | None = None):
         """The rule of the regions of a seed drawn from ``rng``, else of ``self.seed``."""
         seed = self.seed if rng is None else int(rng.integers(0, 2**31))
-        return fmp_rulebook(batch, fmp_regions(batch.shape.m, self.ratio, seed))
+        return fmp_rulebook(batch, fmp_regions(batch.shape.m, seed))
 
 
 @dataclass(frozen=True)
@@ -477,16 +464,11 @@ def _window_rulebook(batch: GridBatch, offsets, starts, bound):
     return Plan(out_keys, src, batch.start, out_start)
 
 
-def conv_out_shape(shape: GridShape, geometry: FilterGeometry) -> GridShape:
-    """The output grid of a convolution or pool with footprint ``geometry``."""
-    return GridShape(shape.lattice, out_size(shape.m, geometry.f, geometry.s))
-
-
 def conv_rulebook(batch: GridBatch, geometry: FilterGeometry) -> Plan:
     """Steps 1-2 for a whole batch: the rule, a :class:`Plan` of the
     active output sites and the gather index.  The window of output site
     ``u`` starts at ``u * s``."""
-    out_shape = conv_out_shape(batch.shape, geometry)
+    out_shape = geometry.out_shape(batch.shape)
     starts = range(0, out_shape.m * geometry.s, geometry.s)
     bound = starts[-1] if out_shape.lattice.is_simplex else None
     return _window_rulebook(batch, geometry.offsets, (starts,) * out_shape.ndim, bound)
@@ -495,7 +477,7 @@ def conv_rulebook(batch: GridBatch, geometry: FilterGeometry) -> Plan:
 def conv_active_sites(grid: SparseGrid, geometry: FilterGeometry):
     """Step 1 for one grid: active output sites (sorted packed keys) and the output shape."""
     out_keys = conv_rulebook(GridBatch.of([grid]), geometry).out_keys
-    return out_keys, conv_out_shape(grid.shape, geometry)
+    return out_keys, geometry.out_shape(grid.shape)
 
 
 def build_gather(grid: SparseGrid, out_keys: np.ndarray, geometry: FilterGeometry,
@@ -539,7 +521,7 @@ def conv_forward_batch(batch: GridBatch, layer: ConvLayer, rule=None):
     rows += layer.B
     ground = np.tile(batch.ground, (1, geom.volume)).astype(layer.W.dtype)
     table[a_out:] = ground @ layer.W + layer.B
-    out = GridBatch(conv_out_shape(batch.shape, geom), rule.out_keys, table, rule.out_start)
+    out = GridBatch(geom.out_shape(batch.shape), rule.out_keys, table, rule.out_start)
     return out, replace(rule, Q=Q)
 
 
@@ -608,9 +590,10 @@ def _max_pool(batch: GridBatch, rule: Plan, out_shape: GridShape, keep_plan: boo
     return out, replace(rule, argmax=argmax) if keep_plan else None
 
 
-def pool_forward_batch(batch: GridBatch, layer: PoolLayer | FMPLayer, *,
+def pool_forward_batch(batch: GridBatch, layer: FilterGeometry | FMPLayer, *,
                        keep_plan: bool = True, rule=None):
-    """Max pooling, plain (MP) or fractional (FMP), for a batch.
+    """Max pooling, plain (MP, whose layer is its window's
+    :class:`FilterGeometry`) or fractional (FMP), for a batch.
 
     ``rule`` is the batch's rule as ``layer.rulebook`` gives it; when it is
     None, the rulebook runs here.  Returns the output batch and, when
@@ -624,7 +607,7 @@ def pool_forward_batch(batch: GridBatch, layer: PoolLayer | FMPLayer, *,
     return _max_pool(batch, rule, layer.out_shape(batch.shape), keep_plan)
 
 
-def pool_forward(grid: SparseGrid, layer: PoolLayer, *, keep_plan: bool = False):
+def pool_forward(grid: SparseGrid, layer: FilterGeometry, *, keep_plan: bool = False):
     """Max pooling; active rule and gather identical to convolution."""
     out, plan = pool_forward_batch(GridBatch.of([grid]), layer, keep_plan=keep_plan)
     return (out.grid(0), plan) if keep_plan else out.grid(0)
@@ -634,18 +617,16 @@ def pool_forward(grid: SparseGrid, layer: PoolLayer, *, keep_plan: bool = False)
 # fractional max pooling
 
 
-def fmp_regions(m_in: int, ratio: float, seed: int) -> tuple[np.ndarray, ...]:
+def fmp_regions(m_in: int, seed: int) -> tuple[np.ndarray, ...]:
     """Region starts along each of the three (cubic) dimensions for one FMP
     application.
 
-    Each dimension gets ``m_out = fmp_out_size(m_in, ratio)`` overlapping
+    Each dimension gets ``m_out = fmp_out_size(m_in)`` overlapping
     size-2 regions ``[r, r+1]``: the first starts at 0, the last at
     ``m_in - 2``, and consecutive starts differ by a pseudorandom step of 1
     or 2.  The step sequence is a deterministic function of ``seed``.
     """
-    if not 1.0 < ratio < 2.0:
-        raise ValueError(f"FMP ratio must lie strictly between 1 and 2, got {ratio}")
-    n_steps = fmp_out_size(m_in, ratio) - 1
+    n_steps = fmp_out_size(m_in) - 1
     n_twos = (m_in - 2) - n_steps
     rng = np.random.default_rng(seed)
     dims = []
@@ -658,10 +639,10 @@ def fmp_regions(m_in: int, ratio: float, seed: int) -> tuple[np.ndarray, ...]:
     return tuple(dims)
 
 
-def fmp_out_size(m_in: int, ratio: float) -> int:
-    """Output size of one FMP step: ``floor(m_in / ratio)``, provided that
-    many overlapping size-2 regions can cover ``m_in``."""
-    m_out = int(np.floor(m_in / ratio))
+def fmp_out_size(m_in: int) -> int:
+    """Output size of one FMP step: ``floor(m_in / FMP_RATIO)``, provided
+    that many overlapping size-2 regions can cover ``m_in``."""
+    m_out = int(np.floor(m_in / FMP_RATIO))
     if m_out < 1:
         raise PlanError(f"FMP output size would be {m_out} for input {m_in}")
     if (m_in - 2) - (m_out - 1) > max(m_out - 1, 0) or m_in < 2:
@@ -680,7 +661,7 @@ def fmp_rulebook(batch: GridBatch, regions) -> Plan:
 
 def fmp_forward(grid: SparseGrid, layer: FMPLayer, regions=None, *, keep_plan: bool = False):
     """Max pooling over randomized overlapping size-2 regions: ``regions``
-    (drawn at ``layer.ratio``), or those of ``layer.seed``."""
+    (as :func:`fmp_regions` draws them), or those of ``layer.seed``."""
     batch = GridBatch.of([grid])
     rule = None if regions is None else fmp_rulebook(batch, regions)
     out, plan = pool_forward_batch(batch, layer, keep_plan=keep_plan, rule=rule)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -183,12 +183,19 @@ def evaluate(net: Network, samples: list[LabeledSample], repeats: int = 1,
 
 @dataclass
 class AffineParams:
-    """Magnitudes of the random affine jitter; all zero means identity."""
+    """Magnitudes of the random affine jitter, each finite and at least 0;
+    all zero means identity."""
 
     rotate_deg: float = 0.0
     scale: float = 0.0
     shear: float = 0.0
     translate: float = 0.0
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{f.name} must be finite and at least 0, got {value}")
 
     @property
     def is_identity(self) -> bool:

@@ -893,6 +893,9 @@ def compact_walk_parse(text: str, lattice: LatticeKind, n_input: int) -> Network
             layers.append(OutputSpec())
             continue
         if token == "FMP":
+            if lattice is not LatticeKind.CUBIC:
+                raise ParseError("fractional max pooling is defined on the cubic lattice only",
+                                 offset)
             layers.append(FMPSpec())
             continue
         m = _CONV_RE.match(token)

@@ -26,7 +26,6 @@ from latticenet.network import Network
 from latticenet.ops import (
     ConvLayer,
     FilterGeometry,
-    PoolLayer,
     conv_active_sites,
     conv_forward,
     fmp_forward,
@@ -92,7 +91,7 @@ def test_criterion_1_oracle_equivalence():
             want = dense_conv(dense, f, s, W, B).values
             worst = max(worst, np.abs(got - want).max() / max(np.abs(want).max(), 1e-12))
 
-            got_p = pool_forward(grid, PoolLayer(lattice, f, s)).to_dense().values
+            got_p = pool_forward(grid, FilterGeometry(lattice, f, s)).to_dense().values
             want_p = dense_pool(dense, f, s).values
             worst = max(worst, np.abs(got_p - want_p).max() / max(np.abs(want_p).max(), 1e-12))
 
@@ -263,7 +262,7 @@ def test_criterion_7_ground_state_induction():
             elif block.kind == "pool":
                 cur = pool_forward(cur, block.layer)
             elif block.kind == "fmp":
-                regions = fmp_regions(cur.shape.m, block.layer.ratio, block.layer.seed)
+                regions = fmp_regions(cur.shape.m, block.layer.seed)
                 cur = fmp_forward(cur, block.layer, regions)
             ok &= cur.a == 0
             dense = cur.to_dense().values

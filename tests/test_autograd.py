@@ -19,7 +19,7 @@ from latticenet.geometry import GridShape, LatticeKind
 from latticenet.grid import DenseGrid, LabeledSample, SparseGrid
 from latticenet.netspec import parse, plan
 from latticenet.network import Network
-from latticenet.ops import ConvLayer, FilterGeometry, PoolLayer, conv_forward, pool_forward
+from latticenet.ops import ConvLayer, FilterGeometry, conv_forward, pool_forward
 from latticenet.train import batch_loss_and_grads
 
 from conftest import (
@@ -99,7 +99,7 @@ def test_conv_backward_shape_check(rng):
 
 def test_pool_backward_shape_check(rng):
     grid = random_sparse(LatticeKind.SQUARE, 4, 2, 0.5, rng)
-    out, pplan = pool_forward(grid, PoolLayer(LatticeKind.SQUARE, 2, 2), keep_plan=True)
+    out, pplan = pool_forward(grid, FilterGeometry(LatticeKind.SQUARE, 2, 2), keep_plan=True)
     want = re.escape(f"d_out must be {(out.a, 2)}")
     for bad in ((out.a + 1, 2), (out.a, 3), (out.a, 1), (out.a,)):
         with pytest.raises(ValueError, match=want):
@@ -121,7 +121,7 @@ def test_relu_backward_shape_check():
 def test_pool_backward_routes_to_argmax(rng):
     shape = GridShape(LatticeKind.SQUARE, 2)
     grid = SparseGrid.from_sites(shape, [[0, 0], [1, 1]], [[5.0], [1.0]], np.zeros(1))
-    out, pplan = pool_forward(grid, PoolLayer(LatticeKind.SQUARE, 2, 2), keep_plan=True)
+    out, pplan = pool_forward(grid, FilterGeometry(LatticeKind.SQUARE, 2, 2), keep_plan=True)
     d_in = pool_backward(np.array([[2.0]]), pplan)
     assert np.array_equal(d_in, [[2.0], [0.0]])
 
@@ -129,7 +129,7 @@ def test_pool_backward_routes_to_argmax(rng):
 def test_pool_backward_tie_lowest_offset(rng):
     shape = GridShape(LatticeKind.SQUARE, 2)
     grid = SparseGrid.from_sites(shape, [[0, 0], [1, 1]], [[3.0], [3.0]], np.zeros(1))
-    out, pplan = pool_forward(grid, PoolLayer(LatticeKind.SQUARE, 2, 2), keep_plan=True)
+    out, pplan = pool_forward(grid, FilterGeometry(LatticeKind.SQUARE, 2, 2), keep_plan=True)
     d_in = pool_backward(np.array([[1.0]]), pplan)
     assert np.array_equal(d_in, [[1.0], [0.0]])
 
@@ -141,7 +141,7 @@ def test_pool_backward_matches_dense(lattice, rng):
     vals = rng.permutation(shape.num_sites).astype(float).reshape(-1, 1) + 1.0
     dense = DenseGrid(shape, vals)
     grid = SparseGrid.from_dense(dense, np.zeros(1))
-    out, pplan = pool_forward(grid, PoolLayer(lattice, 2, 2), keep_plan=True)
+    out, pplan = pool_forward(grid, FilterGeometry(lattice, 2, 2), keep_plan=True)
     d_out = rng.normal(size=(out.a, 1))
     d_in = pool_backward(d_out, pplan)
     # dense oracle: route each region's gradient to its max site by enumeration

@@ -33,11 +33,9 @@ from latticenet.ingest import random_rotation, voxelize_mesh
 from latticenet.netspec import parse, plan
 from latticenet.network import Network
 from latticenet.ops import (
-    FMP_RATIO,
     ConvLayer,
     FilterGeometry,
     FMPLayer,
-    PoolLayer,
     build_gather,
     conv_active_sites,
     conv_forward_batch,
@@ -124,7 +122,7 @@ def check_conv(grids, f, s, rng):
 def check_pool(grids, p, s):
     lattice = grids[0].shape.lattice
     batch = GridBatch.of(grids)
-    out, plans = pool_forward_batch(batch, PoolLayer(lattice, p, s))
+    out, plans = pool_forward_batch(batch, FilterGeometry(lattice, p, s))
     for b, grid in enumerate(grids):
         keys = loop_conv_active_sites(grid, p, s)
         src, _ = loop_gather(grid, keys, p, s)
@@ -176,28 +174,26 @@ def test_all_empty_batch(rng):
 
 
 def fmp_cases():
-    """(ties, field, ratio, region seed): field 2 has one region per
-    dimension, field 3 two regions at ratio 1.5 (the default ratio cannot
-    cover it), and every field has sites with ``c - o = -1`` and sites past
-    the last region start.  The first field-12 cases keep their old ids."""
+    """(ties, field, region seed): field 2 has one region per dimension,
+    and every field has sites with ``c - o = -1`` and sites past the last
+    region start.  The first field-12 cases keep their old ids."""
     for ties in (False, True):
         name = "ties" if ties else "random"
-        yield pytest.param(ties, 12, FMP_RATIO, 7, id=name)
-        for m, ratio in ((2, FMP_RATIO), (3, 1.5), (5, FMP_RATIO), (12, FMP_RATIO),
-                         (31, FMP_RATIO)):
+        yield pytest.param(ties, 12, 7, id=name)
+        for m in (2, 5, 12, 31):
             for seed in (0, 3, 7):
                 if (m, seed) != (12, 7):
-                    yield pytest.param(ties, m, ratio, seed, id=f"{name}-m{m}-seed{seed}")
+                    yield pytest.param(ties, m, seed, id=f"{name}-m{m}-seed{seed}")
 
 
-@pytest.mark.parametrize("ties, m, ratio, seed", fmp_cases())
-def test_fmp_matches_per_grid(ties, m, ratio, seed, rng):
+@pytest.mark.parametrize("ties, m, seed", fmp_cases())
+def test_fmp_matches_per_grid(ties, m, seed, rng):
     grids = batch_of(LatticeKind.CUBIC, m, 2, MIXED, rng)
     if ties:
         grids = tied(grids)
-    regions = fmp_regions(m, ratio, seed)
+    regions = fmp_regions(m, seed)
     batch = GridBatch.of(grids)
-    out, plans = pool_forward_batch(batch, FMPLayer(LatticeKind.CUBIC, ratio, seed))
+    out, plans = pool_forward_batch(batch, FMPLayer(LatticeKind.CUBIC, seed))
     for b, grid in enumerate(grids):
         keys = loop_fmp_active_keys(grid, regions)
         rows, argmax_src = loop_max(grid, loop_fmp_gather(grid, keys, regions))
@@ -273,7 +269,7 @@ def test_sample_plans_indexing(rng):
     grids = batch_of(LatticeKind.SQUARE, 6, 1, (0.5, 0.0, 0.5), rng)
     batch = GridBatch.of(grids)
     layer = ConvLayer.init(FilterGeometry(LatticeKind.SQUARE, 2, 2), 1, 3, rng, np.float64)
-    _, pplan = pool_forward_batch(batch, PoolLayer(LatticeKind.SQUARE, 2, 2))
+    _, pplan = pool_forward_batch(batch, FilterGeometry(LatticeKind.SQUARE, 2, 2))
     _, gplan = conv_forward_batch(batch, layer)
     for plans in (pplan, gplan):
         assert [p.a_in for p in plans] == [g.a for g in grids]
@@ -371,11 +367,11 @@ def test_ground_entries_read_the_tables_last_row(lattice, rng):
     assert batch.table.shape == (batch.a + 1, batch.n)
     assert np.array_equal(batch.table[-1], grids[0].ground)
     rules = []
-    for geom in (FilterGeometry(lattice, 2, 1), PoolLayer(lattice, 3, 2).geometry):
+    for geom in (FilterGeometry(lattice, 2, 1), FilterGeometry(lattice, 3, 2)):
         rules.append((conv_rulebook(batch, geom),
                       lambda g, keys, f=geom.f, s=geom.s: loop_gather(g, keys, f, s)[0]))
     if lattice is LatticeKind.CUBIC:
-        regions = fmp_regions(m, FMP_RATIO, 3)
+        regions = fmp_regions(m, 3)
         rules.append((fmp_rulebook(batch, regions),
                       lambda g, keys: loop_fmp_gather(g, keys, regions)))
     for rule, loop_src in rules:
@@ -417,10 +413,10 @@ def test_each_op_stores_one_table_with_grounds_last(lattice, rng):
     assert ops.relu_forward_batch(out) is out
     assert np.array_equal(out.table, np.maximum(before, 0)) and (before[out.a:] < 0).any()
     check_table(out, [np.maximum(before[out.a], 0)] * out.B)
-    pooled, _ = pool_forward_batch(batch, PoolLayer(lattice, 3, 2))
+    pooled, _ = pool_forward_batch(batch, FilterGeometry(lattice, 3, 2))
     check_table(pooled, [g.ground for g in grids])
     if lattice is LatticeKind.CUBIC:
-        fmp, _ = pool_forward_batch(batch, FMPLayer(LatticeKind.CUBIC, FMP_RATIO, 3))
+        fmp, _ = pool_forward_batch(batch, FMPLayer(LatticeKind.CUBIC, 3))
         check_table(fmp, [g.ground for g in grids])
 
 
@@ -513,17 +509,17 @@ def test_input_frame_matches_q_form(lattice, f, s, rng):
 def test_pool_backward_matches_add_at(lattice, p, s, dtype, rng):
     grids = as_dtype(batch_of(lattice, field(p, s), 3, MIXED, rng), dtype)
     for gs in (grids, tied(grids)):
-        out, pplan = pool_forward_batch(GridBatch.of(gs), PoolLayer(lattice, p, s))
+        out, pplan = pool_forward_batch(GridBatch.of(gs), FilterGeometry(lattice, p, s))
         check_pool_backward(out, pplan, rng)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("ties, m, ratio, seed", fmp_cases())
-def test_fmp_backward_matches_add_at(ties, m, ratio, seed, dtype, rng):
+@pytest.mark.parametrize("ties, m, seed", fmp_cases())
+def test_fmp_backward_matches_add_at(ties, m, seed, dtype, rng):
     grids = as_dtype(batch_of(LatticeKind.CUBIC, m, 2, MIXED, rng), dtype)
     if ties:
         grids = tied(grids)
-    out, pplan = pool_forward_batch(GridBatch.of(grids), FMPLayer(LatticeKind.CUBIC, ratio, seed))
+    out, pplan = pool_forward_batch(GridBatch.of(grids), FMPLayer(LatticeKind.CUBIC, seed))
     check_pool_backward(out, pplan, rng)
 
 
@@ -532,7 +528,7 @@ def test_pool_footprint_past_255(rng):
     uint16, and positions past 255 must route like the rest."""
     grids = batch_of(LatticeKind.CUBIC, 9, 2, MIXED, rng)
     check_pool(grids, 7, 2)
-    out, pplan = pool_forward_batch(GridBatch.of(grids), PoolLayer(LatticeKind.CUBIC, 7, 2))
+    out, pplan = pool_forward_batch(GridBatch.of(grids), FilterGeometry(LatticeKind.CUBIC, 7, 2))
     assert pplan.src.shape[1] == 343
     assert pplan.argmax.dtype == np.uint16 and pplan.argmax.max() > 255
     check_pool_backward(out, pplan, rng)
@@ -556,7 +552,7 @@ def test_pool_argmax_targeted_positions(lattice, p, moves, want):
         rows[list(move), c] = list(move.values())
     grid = SparseGrid.from_sites(GridShape(lattice, p), geom.offsets, rows, np.zeros(len(moves)))
     batch = GridBatch.of([grid])
-    out, pplan = pool_forward_batch(batch, PoolLayer(lattice, p, 1))
+    out, pplan = pool_forward_batch(batch, geom)
     assert pplan.argmax.dtype == np.min_scalar_type(geom.volume - 1)
     assert pplan.argmax.tolist() == [want]
     _, ref = putmask_max_pool(batch, conv_rulebook(batch, geom), out.shape, True)
@@ -570,7 +566,7 @@ def test_pool_nan_matches_loop_max(p, s, rng):
     sit in rows and in one sample's ground, several per window."""
     nan_grids = with_nans(batch_of(LatticeKind.CUBIC, field(p, s), 3, MIXED, rng), rng)
     batch = GridBatch.of(nan_grids)
-    out, plans = pool_forward_batch(batch, PoolLayer(LatticeKind.CUBIC, p, s))
+    out, plans = pool_forward_batch(batch, FilterGeometry(LatticeKind.CUBIC, p, s))
     assert np.isnan(out.rows).any()
     for b, grid in enumerate(nan_grids):
         keys = loop_conv_active_sites(grid, p, s)
@@ -656,9 +652,8 @@ def test_table_rulebook_matches_searchsorted(lattice, f, s, rng, monkeypatch):
         check_window_rules(monkeypatch, [grid], [(f, s)])
 
 
-@pytest.mark.parametrize("m, ratio", [(2, FMP_RATIO), (3, 1.5), (5, FMP_RATIO),
-                                      (12, FMP_RATIO), (31, FMP_RATIO)])
-def test_table_rulebook_matches_searchsorted_fmp(m, ratio, rng, monkeypatch):
+@pytest.mark.parametrize("m", [2, 5, 12, 31])
+def test_table_rulebook_matches_searchsorted_fmp(m, rng, monkeypatch):
     """FMP regions differ per dimension, so each gets its own start table;
     sites at ``m - 1`` lie past the last region start, ``m - 2``."""
     shape = GridShape(LatticeKind.CUBIC, m)
@@ -669,7 +664,7 @@ def test_table_rulebook_matches_searchsorted_fmp(m, ratio, rng, monkeypatch):
                                  grids[0].ground)
     grids.insert(0, edge)
     for seed in range(6):
-        regions = fmp_regions(m, ratio, seed)
+        regions = fmp_regions(m, seed)
         assert all(r[-1] == m - 2 for r in regions)
         for batch in (GridBatch.of(grids), GridBatch.of([edge])):
             rule = check_rule(monkeypatch, lambda: fmp_rulebook(batch, regions))
@@ -683,7 +678,7 @@ def test_table_rulebook_matches_searchsorted_all_empty(lattice, rng, monkeypatch
     check_window_rules(monkeypatch, grids[:1], [(3, 2)])
     if lattice is LatticeKind.CUBIC:
         batch = GridBatch.of(grids)
-        regions = fmp_regions(7, FMP_RATIO, 0)
+        regions = fmp_regions(7, 0)
         rule = check_rule(monkeypatch, lambda: fmp_rulebook(batch, regions))
         assert rule.out_keys.shape == (0,) and rule.src.shape == (0, 8)
 
@@ -697,7 +692,7 @@ def test_table_rulebook_matches_searchsorted_far_corner(lattice, rng, monkeypatc
     check_window_rules(monkeypatch, grids, [(1, 1), (2, 1), (3, 2)], ("cap", "sort"))
     if lattice is LatticeKind.CUBIC:
         batch = GridBatch.of(grids)
-        regions = fmp_regions(batch.shape.m, FMP_RATIO, 1)
+        regions = fmp_regions(batch.shape.m, 1)
         check_rule(monkeypatch, lambda: fmp_rulebook(batch, regions), ("cap", "sort"))
 
 
@@ -843,7 +838,7 @@ def test_tiled_pool_matches_untiled(lattice, p, s, dtype, tile_rows, rng, monkey
     """Random, tied and NaN inputs, and a batch of empty samples."""
     grids = as_dtype(batch_of(lattice, field(p, s), 3, MIXED, rng), dtype)
     empty = as_dtype(batch_of(lattice, field(p, s), 3, (0.0, 0.0), rng), dtype)
-    layer = PoolLayer(lattice, p, s)
+    layer = FilterGeometry(lattice, p, s)
     for gs in (grids, tied(grids), with_nans(grids, rng), empty):
         batch = GridBatch.of(gs)
         check_tiled_pool(lambda keep: pool_forward_batch(batch, layer, keep_plan=keep),
@@ -852,13 +847,12 @@ def test_tiled_pool_matches_untiled(lattice, p, s, dtype, tile_rows, rng, monkey
 
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("ties", [False, True], ids=["random", "ties"])
-@pytest.mark.parametrize("m, ratio, seed", [(12, FMP_RATIO, 7), (5, FMP_RATIO, 3),
-                                            (3, 1.5, 0), (2, FMP_RATIO, 0)])
-def test_tiled_fmp_matches_untiled(ties, m, ratio, seed, dtype, tile_rows, rng, monkeypatch):
+@pytest.mark.parametrize("m, seed", [(12, 7), (5, 3), (2, 0)])
+def test_tiled_fmp_matches_untiled(ties, m, seed, dtype, tile_rows, rng, monkeypatch):
     grids = as_dtype(batch_of(LatticeKind.CUBIC, m, 3, MIXED, rng), dtype)
     if ties:
         grids = tied(grids)
-    layer = FMPLayer(LatticeKind.CUBIC, ratio, seed)
+    layer = FMPLayer(LatticeKind.CUBIC, seed)
     for gs in (grids, with_nans(grids, rng)):
         batch = GridBatch.of(gs)
         check_tiled_pool(lambda keep: pool_forward_batch(batch, layer, keep_plan=keep),
@@ -875,7 +869,7 @@ def test_tiled_pool_nan_in_later_tile(dtype, tile_rows, rng, monkeypatch):
     rows[-1, 1] = np.nan
     grids[-1] = SparseGrid(last.shape, last.keys, rows, last.ground)
     batch = GridBatch.of(grids)
-    layer = PoolLayer(LatticeKind.CUBIC, 3, 2)
+    layer = FilterGeometry(LatticeKind.CUBIC, 3, 2)
     out, plan = check_tiled_pool(lambda keep: pool_forward_batch(batch, layer, keep_plan=keep),
                                  tile_rows, monkeypatch, rng)
     i, c = np.nonzero(np.isnan(out.rows))

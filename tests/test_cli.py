@@ -139,6 +139,19 @@ def test_count_ops_zero_features_or_classes_exits_2(capsys, flags, message):
     assert message in captured.err and not captured.out
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--arch", "8C2-FMP-output", "--lattice", lattice, "--field", "3"],
+     "fractional max pooling is defined on the cubic lattice only (at character 4)")
+    for lattice in ("square", "triangular", "tetrahedral")] + [
+    (["--arch", "8C2-output", "--lattice", "cubic", "--field", "2097153"],
+     "input field 2097153 exceeds the packable maximum 2097152"),
+])
+def test_count_ops_refuses_a_network_no_command_can_build(capsys, flags, message):
+    assert main(["count-ops", *flags]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and not captured.out
+
+
 # ---------------------------------------------------------------------------
 # demo-knot and voxelize
 
@@ -757,6 +770,24 @@ def test_train_without_data_or_with_a_non_finite_setting_exits_2(tmp_path, capsy
     assert message in capsys.readouterr().err
     assert not out.exists()
     assert not log.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("flag", ["--aug-rotate-deg", "--aug-scale", "--aug-shear",
+                                  "--aug-translate"])
+def test_eval_refuses_a_non_finite_or_negative_augmentation_before_loading(
+        tmp_path, capsys, monkeypatch, flag, value):
+    """The magnitude is checked before the checkpoint loads, so a missing
+    checkpoint is never read: exit 2 naming the setting, not 3, with no
+    exception escaping ``main``, and no report is written."""
+    fail_on_ingest(monkeypatch)
+    out = tmp_path / "never.json"
+    assert main(["eval", "--checkpoint", str(tmp_path / "missing.lnck"), "--test-data", "knots",
+                 "--repeats", "2", flag, value, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    name = flag.removeprefix("--aug-").replace("-", "_")
+    assert f"error: {name} must be finite and at least 0, got {float(value)}" in err
+    assert not out.exists()
 
 
 def test_no_held_out_knots_is_no_held_out_set(tmp_path, capsys):

@@ -22,7 +22,7 @@ import pytest
 
 import latticenet
 from latticenet.errors import FormatError
-from latticenet.geometry import GridShape, LatticeKind
+from latticenet.geometry import MAX_COORD, GridShape, LatticeKind
 from latticenet.grid import SparseGrid
 from latticenet.ingest import (
     CIFAR_RECORD,
@@ -191,6 +191,15 @@ def test_checkpoint_fmp_on_other_lattice(tmp_path):
     blob = bytearray(checkpoint_blob(tmp_path, "2C2-FMP-3C2-FMP-output", LatticeKind.CUBIC, 6))
     blob[8:12] = struct.pack("<I", 3)  # tetrahedral
     with pytest.raises(FormatError):
+        load_bytes(tmp_path, bytes(blob))
+
+
+def test_checkpoint_field_above_the_packable_maximum(tmp_path):
+    """An FMP architecture plans from the file's field, which the planner
+    refuses above the largest field a grid packs."""
+    blob = bytearray(checkpoint_blob(tmp_path, "2C2-FMP-3C2-FMP-output", LatticeKind.CUBIC, 6))
+    blob[20:24] = struct.pack("<I", MAX_COORD + 1)
+    with pytest.raises(FormatError, match=f"exceeds the packable maximum {MAX_COORD}"):
         load_bytes(tmp_path, bytes(blob))
 
 

@@ -31,11 +31,8 @@ from latticenet.network import Network
 from latticenet.ops import (
     ConvLayer,
     FilterGeometry,
-    FMPLayer,
-    PoolLayer,
     conv_forward_batch,
     fmp_out_size,
-    fmp_regions,
 )
 
 from latticenet.train import TrainConfig, evaluate, fit
@@ -63,15 +60,13 @@ CASES = [
     (lambda: _conv(SQ, W_rows=7), ValueError,
      "W must be (8, 3) for footprint 4 x 2 inputs, got (7, 3)"),
     (lambda: _conv(SQ, B_len=2), ValueError, "B must have 3 entries, got 2"),
-    (lambda: PoolLayer(SQ, 0, 1), ValueError, "pool size and stride must be >= 1, got p=0 s=1"),
-    (lambda: PoolLayer(SQ, 3, 0), ValueError, "pool size and stride must be >= 1, got p=3 s=0"),
-    (lambda: FMPLayer(CUBIC, 2.0), ValueError,
-     "FMP ratio must lie strictly between 1 and 2, got 2.0"),
-    (lambda: fmp_regions(8, 1.0, 0), ValueError,
-     "FMP ratio must lie strictly between 1 and 2, got 1.0"),
+    (lambda: FilterGeometry(SQ, 0, 1), ValueError,
+     "filter size and stride must be >= 1, got f=0 s=1"),
+    (lambda: FilterGeometry(SQ, 3, 0), ValueError,
+     "filter size and stride must be >= 1, got f=3 s=0"),
     (lambda: conv_forward_batch(_square_batch(), _conv(TRI, W_rows=6)), ValueError,
      "layer is triangular, grid is square"),
-    (lambda: fmp_out_size(1, 1.5), PlanError, "FMP output size would be 0 for input 1"),
+    (lambda: fmp_out_size(1), PlanError, "FMP output size would be 0 for input 1"),
     (lambda: SparseGrid(GridShape(SQ, 4), [0, 1], np.zeros((1, 2)), np.zeros(2)), ValueError,
      "2 keys but 1 feature rows"),
     (lambda: SparseGrid(GridShape(SQ, 4), [0], np.zeros((1, 2)), np.zeros(3)), ValueError,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from latticenet.errors import ParseError, PlanError
-from latticenet.geometry import LatticeKind
+from latticenet.geometry import MAX_COORD, LatticeKind
 from latticenet.netspec import (
     ConvSpec,
     FMPSpec,
@@ -17,6 +17,7 @@ from latticenet.netspec import (
     geometric_activity,
     parse,
     plan,
+    plan_partial,
     render,
 )
 from oracles import compact_walk_parse
@@ -73,7 +74,25 @@ def test_parse_whitespace_ignored():
 def test_parse_fmp():
     spec = parse("32C2-FMP-64C2-output", LatticeKind.CUBIC, 1)
     assert isinstance(spec.layers[1], FMPSpec)
-    assert 1.0 < spec.layers[1].ratio < 2.0
+    assert spec.layers[1] == FMPSpec()
+
+
+@pytest.mark.parametrize("lattice", [SQ, LatticeKind.TRIANGULAR, TET])
+def test_parse_refuses_fmp_off_the_cubic_lattice_at_its_token(lattice):
+    with pytest.raises(ParseError, match=re.escape(
+            "fractional max pooling is defined on the cubic lattice only (at character 6)")):
+        parse("32C2- FMP-64C2-output", lattice, 1)
+
+
+def test_plan_refuses_a_field_above_the_packable_maximum():
+    spec = parse("8C2-output", LatticeKind.CUBIC, 1)
+    assert plan_partial(spec, MAX_COORD).planned_sizes == (MAX_COORD, MAX_COORD - 1)
+    for plan_it in (lambda: plan_partial(spec, MAX_COORD + 1),
+                    lambda: plan(parse("8C2-FMP-output", LatticeKind.CUBIC, 1), MAX_COORD + 1),
+                    lambda: plan(parse(f"8C{MAX_COORD + 1}-output", LatticeKind.CUBIC, 1))):
+        with pytest.raises(PlanError, match=re.escape(
+                f"input field {MAX_COORD + 1} exceeds the packable maximum {MAX_COORD}")):
+            plan_it()
 
 
 def test_parse_errors_carry_offsets():
@@ -149,8 +168,9 @@ def _parse_outcome(parser, text):
 
 def test_parse_agrees_with_compact_walk_on_random_strings():
     """Seeded strings of valid tokens, zero counts and strides, dashes,
-    whitespace, a non-ASCII digit and tokens that only look valid: the same
-    spec, or the same error message and offset, as the original parser."""
+    whitespace, a non-ASCII digit, tokens that only look valid and FMP,
+    which the tetrahedral lattice refuses: the same spec, or the same error
+    message and offset, as the original parser."""
     rng = np.random.default_rng(29)
     kinds = {}
     for _ in range(20_000):
@@ -159,7 +179,7 @@ def test_parse_agrees_with_compact_walk_on_random_strings():
         assert _parse_outcome(parse, text) == want, repr(text)
         kind = re.split(r" '| \(at", want[1])[0] if want[0] == "ParseError" else want[0]
         kinds[kind] = kinds.get(kind, 0) + 1
-    assert len(kinds) == 7 and min(kinds.values()) >= 50, kinds
+    assert len(kinds) == 8 and min(kinds.values()) >= 50, kinds
 
 
 # ---------------------------------------------------------------------------

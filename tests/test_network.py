@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -213,6 +215,25 @@ def test_checkpoint_load_is_bit_exact(lattice, arch, field, fmp_seed, tmp_path):
     again = tmp_path / "again.lnck"
     back.save(again)
     assert again.read_bytes() == p.read_bytes()
+
+
+@pytest.mark.parametrize("lattice, arch, field, digest", [
+    (TET, "32C2-MP3/2-64C2-MP3/2-96C2-output", None,
+     "9d924300fa309417464e0cbfc7eebb2ab151790bdf4448bb898413b1a3163b8e"),
+    (LatticeKind.CUBIC, "6C2-FMP-8C2-FMP-output", 6,
+     "7e333186e2df0b45b964eb5ef7c35c710ee4b4e1121f5f89d18768f79977278e"),
+], ids=["tetrahedral-mp", "cubic-fmp"])
+def test_checkpoint_bytes_are_pinned(lattice, arch, field, digest, tmp_path):
+    """The checkpoint format, byte for byte: every header (the pool's
+    ``p, s``, the FMP ratio and seed) and the parameters' layout.  Zero
+    weights make the bytes independent of the generator and of BLAS."""
+    net = Network(plan(parse(arch, lattice, 1), input_size=field), 3,
+                  np.random.default_rng(0), fmp_eval_seed=918_273_645)
+    for p in net.params():
+        p.values[...] = 0
+    path = tmp_path / "net.lnck"
+    net.save(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_checkpoint_load_draws_no_weights(tmp_path, rng, monkeypatch):

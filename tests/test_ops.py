@@ -5,11 +5,9 @@ from latticenet.errors import PlanError, SizeMismatchError
 from latticenet.geometry import GridShape, LatticeKind, out_size
 from latticenet.grid import DenseGrid, GridBatch, SparseGrid
 from latticenet.ops import (
-    FMP_RATIO,
     ConvLayer,
     FilterGeometry,
     FMPLayer,
-    PoolLayer,
     build_gather,
     conv_active_sites,
     conv_forward,
@@ -183,7 +181,7 @@ def test_conv_matches_dense_oracle(lattice, f, s, sparsity, rng):
 def test_pool_all_inactive_passes_ground_through(rng):
     g = rng.normal(size=3)
     grid = SparseGrid.empty(GridShape(LatticeKind.CUBIC, 5), g)
-    out = pool_forward(grid, PoolLayer(LatticeKind.CUBIC, 3, 2))
+    out = pool_forward(grid, FilterGeometry(LatticeKind.CUBIC, 3, 2))
     assert out.a == 0
     assert np.array_equal(out.ground, g)
     assert out.shape.m == 2
@@ -205,7 +203,7 @@ def test_pool_matches_dense_oracle(lattice, p, s, sparsity, rng):
     ground = rng.normal(size=2)
     dense = random_dense(lattice, m, 2, sparsity, rng, ground)
     grid = SparseGrid.from_dense(dense, ground)
-    out = pool_forward(grid, PoolLayer(lattice, p, s))
+    out = pool_forward(grid, FilterGeometry(lattice, p, s))
     expect = dense_pool(dense, p, s)
     assert np.allclose(out.to_dense().values, expect.values)
 
@@ -213,7 +211,7 @@ def test_pool_matches_dense_oracle(lattice, p, s, sparsity, rng):
 def test_pool_tie_routes_to_lowest_offset(rng):
     shape = GridShape(LatticeKind.SQUARE, 2)
     grid = SparseGrid.from_sites(shape, [[0, 0], [1, 1]], [[3.0], [3.0]], np.zeros(1))
-    out, plan = pool_forward(grid, PoolLayer(LatticeKind.SQUARE, 2, 2), keep_plan=True)
+    out, plan = pool_forward(grid, FilterGeometry(LatticeKind.SQUARE, 2, 2), keep_plan=True)
     assert out.rows[0, 0] == 3.0
     assert plan.argmax_src[0, 0] == 0  # row of (0,0): offset (0,0) is canonical first
 
@@ -223,12 +221,12 @@ def test_pool_tie_routes_to_lowest_offset(rng):
 
 
 def test_fmp_regions_m2():
-    regions = fmp_regions(2, 1.59, seed=0)
+    regions = fmp_regions(2, seed=0)
     assert all(np.array_equal(r, [0]) for r in regions)
 
 
 def test_fmp_regions_m20():
-    regions = fmp_regions(20, FMP_RATIO, seed=42)
+    regions = fmp_regions(20, seed=42)
     for starts in regions:
         assert starts.shape[0] == 12          # floor(20 / 1.5874)
         assert starts[0] == 0
@@ -238,23 +236,23 @@ def test_fmp_regions_m20():
 
 
 def test_fmp_regions_deterministic_per_seed():
-    a = fmp_regions(20, FMP_RATIO, seed=7)
-    b = fmp_regions(20, FMP_RATIO, seed=7)
-    c = fmp_regions(20, FMP_RATIO, seed=8)
+    a = fmp_regions(20, seed=7)
+    b = fmp_regions(20, seed=7)
+    c = fmp_regions(20, seed=8)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
     assert any(not np.array_equal(x, y) for x, y in zip(a, c))
 
 
 def test_fmp_infeasible_m3():
     with pytest.raises(PlanError):
-        fmp_regions(3, FMP_RATIO, seed=0)
+        fmp_regions(3, seed=0)
 
 
 def test_fmp_uniform_input_uniform_output(rng):
     shape = GridShape(LatticeKind.CUBIC, 7)
     dense = DenseGrid(shape, np.full((shape.num_sites, 1), 2.5))
     grid = SparseGrid.from_dense(dense, np.zeros(1))
-    layer = FMPLayer(LatticeKind.CUBIC, FMP_RATIO, seed=3)
+    layer = FMPLayer(LatticeKind.CUBIC, seed=3)
     out = fmp_forward(grid, layer)
     assert np.allclose(out.rows, 2.5)
 
@@ -264,8 +262,8 @@ def test_fmp_matches_dense_oracle(sparsity, rng):
     ground = rng.normal(size=2)
     dense = random_dense(LatticeKind.CUBIC, 8, 2, sparsity, rng, ground)
     grid = SparseGrid.from_dense(dense, ground)
-    layer = FMPLayer(LatticeKind.CUBIC, FMP_RATIO, seed=11)
-    regions = fmp_regions(8, FMP_RATIO, seed=11)
+    layer = FMPLayer(LatticeKind.CUBIC, seed=11)
+    regions = fmp_regions(8, seed=11)
     out = fmp_forward(grid, layer, regions)
     expect = dense_fmp(dense, regions)
     assert np.allclose(out.to_dense().values, expect.values)
@@ -274,7 +272,7 @@ def test_fmp_matches_dense_oracle(sparsity, rng):
 def test_fmp_empty_grid_carries_ground():
     ground = np.array([0.25, -3.0])
     grid = SparseGrid.empty(GridShape(LatticeKind.CUBIC, 20), ground)
-    out, plan = fmp_forward(grid, FMPLayer(LatticeKind.CUBIC, FMP_RATIO, seed=5), keep_plan=True)
+    out, plan = fmp_forward(grid, FMPLayer(LatticeKind.CUBIC, seed=5), keep_plan=True)
     assert out.a == 0 and plan.argmax_src.shape == (0, 2)
     assert out.shape.m == 12
     assert np.array_equal(out.ground, ground)
@@ -282,17 +280,17 @@ def test_fmp_empty_grid_carries_ground():
 
 @pytest.mark.parametrize("m", [2, 8, 20])
 def test_fmp_site_at_far_edge_hits_last_region(m):
-    regions = fmp_regions(m, FMP_RATIO, seed=9)
+    regions = fmp_regions(m, seed=9)
     last = regions[0].shape[0] - 1
     shape = GridShape(LatticeKind.CUBIC, m)
     corner = SparseGrid.from_sites(shape, np.array([[m - 1, m - 1, m - 1]]), np.array([[7.0]]),
                                    np.zeros(1))
-    out = fmp_forward(corner, FMPLayer(LatticeKind.CUBIC, FMP_RATIO), regions)
+    out = fmp_forward(corner, FMPLayer(LatticeKind.CUBIC), regions)
     assert [tuple(s) for s in out.sites()] == [(last, last, last)]
     assert np.array_equal(out.rows, [[7.0]])
     # one face only: x = m - 1 meets the last region, y and z = 0 the first
     edge = SparseGrid.from_sites(shape, np.array([[m - 1, 0, 0]]), np.array([[1.0]]), np.zeros(1))
-    out = fmp_forward(edge, FMPLayer(LatticeKind.CUBIC, FMP_RATIO), regions)
+    out = fmp_forward(edge, FMPLayer(LatticeKind.CUBIC), regions)
     assert [tuple(s) for s in out.sites()] == [(last, 0, 0)]
 
 
@@ -310,7 +308,7 @@ def test_pool_given_a_rule_rejects_the_wrong_lattice(rng):
     of another lattice, for MP and FMP alike."""
     cubic = GridBatch.of([random_sparse(LatticeKind.CUBIC, 6, 1, 0.5, rng)])
     square = GridBatch.of([random_sparse(LatticeKind.SQUARE, 6, 1, 0.5, rng)])
-    for layer in (PoolLayer(LatticeKind.CUBIC, 2, 2), FMPLayer(LatticeKind.CUBIC)):
+    for layer in (FilterGeometry(LatticeKind.CUBIC, 2, 2), FMPLayer(LatticeKind.CUBIC)):
         rule = layer.rulebook(cubic)
         out, _ = pool_forward_batch(cubic, layer, rule=rule)
         assert out.shape == layer.out_shape(cubic.shape)
@@ -323,7 +321,7 @@ def test_fmp_ladder_from_scale_20():
     from latticenet.ops import fmp_out_size
     m, levels = 20, 0
     while m > 1:
-        m = fmp_out_size(m, FMP_RATIO)
+        m = fmp_out_size(m)
         levels += 1
     assert levels == 5
 

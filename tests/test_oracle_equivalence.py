@@ -49,7 +49,7 @@ from latticenet.ingest import (
 )
 from latticenet.netspec import parse, plan
 from latticenet.network import Network
-from latticenet.ops import FMP_RATIO, FMPLayer, fmp_forward, fmp_regions
+from latticenet.ops import FMPLayer, fmp_forward, fmp_regions
 from latticenet.train import AffineParams, TrainConfig, augment_grid, evaluate, fit
 
 from conftest import (
@@ -202,12 +202,12 @@ def test_voxelize_points_on_tenths_match_loop():
         check_voxelize(mesh, 14, fit=False)
 
 def test_fmp_active_keys_match_loop():
-    layer = FMPLayer(LatticeKind.CUBIC, FMP_RATIO)
+    layer = FMPLayer(LatticeKind.CUBIC)
     meshes = [sphere_mesh(), cube_surface_mesh()]
     for seed in SEEDS:
         rng = np.random.default_rng(seed)
         grid = voxelize_mesh(meshes[seed % 2], 20, random_rotation(rng))
-        regions = fmp_regions(20, FMP_RATIO, seed)
+        regions = fmp_regions(20, seed)
         out = fmp_forward(grid, layer, regions)
         assert np.array_equal(out.keys, loop_fmp_active_keys(grid, regions)), seed
 
@@ -216,8 +216,8 @@ def test_fmp_active_keys_match_loop():
 def test_fmp_empty_and_full_grids_match_loop(m):
     shape = GridShape(LatticeKind.CUBIC, m)
     ground = np.array([0.5, -1.0])
-    regions = fmp_regions(m, FMP_RATIO, seed=m)
-    layer = FMPLayer(LatticeKind.CUBIC, FMP_RATIO)
+    regions = fmp_regions(m, seed=m)
+    layer = FMPLayer(LatticeKind.CUBIC)
     empty = SparseGrid.empty(shape, ground)
     full = SparseGrid.from_dense(DenseGrid(shape, np.ones((shape.num_sites, 2))), ground)
     for grid in (empty, full):

@@ -692,10 +692,10 @@ def test_each_layer_gives_its_rulebook_rule(rng):
     r = np.random.default_rng(4)
     seed = int(copy.deepcopy(r).integers(0, 2**31))
     assert_same_rule(fmp.rulebook(batch, r),
-                     ops.fmp_rulebook(batch, ops.fmp_regions(m, fmp.ratio, seed)))
+                     ops.fmp_rulebook(batch, ops.fmp_regions(m, seed)))
     assert r.bit_generator.state == drawn(4, 1)
     assert_same_rule(fmp.rulebook(batch),
-                     ops.fmp_rulebook(batch, ops.fmp_regions(m, fmp.ratio, fmp.seed)))
+                     ops.fmp_rulebook(batch, ops.fmp_regions(m, fmp.seed)))
 
 
 @pytest.mark.parametrize("arch, field", [("4C2-MP3/2-6C2-output", None), (FMP_ARCH, FMP_FIELD)])
