@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -363,6 +364,20 @@ def test_nfold_with_real_augmentation_differs(rng):
     one = evaluate(net, samples, repeats=1, augment=aug, rng=np.random.default_rng(1))
     many = evaluate(net, samples, repeats=8, augment=aug, rng=np.random.default_rng(1))
     assert not np.array_equal(one.outputs, many.outputs)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1.0])
+@pytest.mark.parametrize("name", ["rotate_deg", "scale", "shear", "translate"])
+def test_affine_params_refuse_a_non_finite_or_negative_magnitude(name, value):
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name} must be finite and at least 0, got {value}")):
+        AffineParams(**{name: value})
+
+
+def test_affine_params_accept_zero_and_positive_magnitudes():
+    assert AffineParams(0.0, 0.0, 0.0, 0.0).is_identity
+    params = AffineParams(rotate_deg=8.0, scale=0.1, shear=0.1, translate=2.0)
+    assert not params.is_identity
 
 
 def test_augment_identity_returns_same_grid(rng):

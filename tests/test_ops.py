@@ -208,6 +208,19 @@ def test_pool_matches_dense_oracle(lattice, p, s, sparsity, rng):
     assert np.allclose(out.to_dense().values, expect.values)
 
 
+@pytest.mark.parametrize("lattice", ALL_LATTICES)
+def test_filter_geometry_out_shape_is_the_conv_and_pool_output(lattice, rng):
+    """One geometry gives a convolution's and a max pool's output grid."""
+    for f, s in ((2, 1), (3, 2), (2, 2), (3, 3)):
+        m = f + 2 * s
+        geom = FilterGeometry(lattice, f, s)
+        grid = random_sparse(lattice, m, 1, 0.4, rng)
+        want = GridShape(lattice, out_size(m, f, s))
+        assert geom.out_shape(grid.shape) == want
+        assert pool_forward(grid, geom).shape == want
+        assert conv_forward(grid, rand_conv(lattice, f, s, 1, 2, rng)).shape == want
+
+
 def test_pool_tie_routes_to_lowest_offset(rng):
     shape = GridShape(LatticeKind.SQUARE, 2)
     grid = SparseGrid.from_sites(shape, [[0, 0], [1, 1]], [[3.0], [3.0]], np.zeros(1))
