@@ -5,7 +5,16 @@ numbers rows through a seen table over the batch's box (a sort past
 ``ops.box_numbering``'s caps), gather-matrix convolution, ground-state
 propagation, training, an architecture-string parser with a MAC cost
 model, and voxelization/ingestion front-ends.
+
+On glibc, importing the package pins malloc's mmap and trim thresholds at
+the values glibc's own rule climbs to (32 and 64 MiB), so freed heap stays
+in the process and a warm training step takes no page faults; explicit
+glibc malloc tunables in the environment win (``_heap``).
 """
+
+from . import _heap
+
+_heap_pinned = _heap.pin_thresholds()
 
 from .errors import (
     FormatError,

@@ -52,6 +52,12 @@ class TrainConfig:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        for name, ok, bound in (("lr", self.lr >= 0, "at least 0"),
+                                ("lr_decay", self.lr_decay > 0, "above 0"),
+                                ("momentum", 0 <= self.momentum < 1, "in [0, 1)"),
+                                ("weight_decay", self.weight_decay >= 0, "at least 0")):
+            if not ok:
+                raise ValueError(f"{name} must be {bound}, got {getattr(self, name)}")
 
 
 @dataclass

@@ -1,9 +1,11 @@
 import argparse
 import json
+import math
 import re
 import struct
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,7 @@ from latticenet.ingest import (
 )
 from latticenet.netspec import parse, plan
 from latticenet.network import Network
+from latticenet.train import TrainConfig
 
 
 def run_cli(*args, **kw):
@@ -651,7 +654,8 @@ def test_voxelize_malformed_strokes_exit_3(tmp_path, content, capsys):
 # ---------------------------------------------------------------------------
 # settings: one flag per key, config files as flag defaults
 
-CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+CONFIGS_DIR = Path(__file__).resolve().parents[1] / "configs"
+CONFIGS = sorted(CONFIGS_DIR.glob("*.cfg"))
 
 SETTING_TYPES = {
     **dict.fromkeys(["arch", "lattice", "train-data", "test-data"], str),
@@ -684,6 +688,9 @@ def test_config_files_parse_to_the_types_of_their_flags(path):
                 assert value == SETTING_TYPES[key](text)
                 read.add(key)
     assert read == set(cfg), f"keys no command reads: {set(cfg) - read}"
+    # the file's training settings lie within their bounds
+    args = build_parser(cfg).parse_args(["train"])
+    TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
 
 
 def tiny_dataset(root, kind) -> str:
@@ -770,6 +777,43 @@ def test_train_without_data_or_with_a_non_finite_setting_exits_2(tmp_path, capsy
     assert message in capsys.readouterr().err
     assert not out.exists()
     assert not log.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--lr", "-0.5", "lr must be at least 0, got -0.5"),
+    ("--lr-decay", "0", "lr_decay must be above 0, got 0.0"),
+    ("--momentum", "5", "momentum must be in [0, 1), got 5.0"),
+    ("--momentum", "1", "momentum must be in [0, 1), got 1.0"),
+    ("--momentum", "-0.1", "momentum must be in [0, 1), got -0.1"),
+    ("--weight-decay", "-0.001", "weight_decay must be at least 0, got -0.001"),
+])
+def test_train_refuses_an_optimizer_setting_out_of_range(tmp_path, capsys, monkeypatch,
+                                                         flag, value, message):
+    """knots_toy with a setting past its bound exits 2 naming it, with no
+    traceback, before any data loads, and writes no checkpoint or log."""
+    fail_on_ingest(monkeypatch)
+    out, log = tmp_path / "never.lnck", tmp_path / "never.log"
+    assert main(["train", "--config", str(CONFIGS_DIR / "knots_toy.cfg"), flag, value,
+                 "--out", str(out), "--log", str(log)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    assert not log.exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--lr", "0"),
+    ("--lr-decay", "5e-324"),
+    ("--momentum", "0"),
+    ("--momentum", repr(math.nextafter(1.0, 0.0))),
+    ("--weight-decay", "0"),
+])
+def test_train_takes_an_optimizer_setting_on_the_edge_of_its_range(tmp_path, capsys, flag, value):
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "toy.lnck"
+    assert main(["train", *TOY, "--config", str(cfg), flag, value, "--out", str(out)]) == 0
+    assert out.exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])

@@ -2,6 +2,7 @@
 bad input raises its error type with a message that names the problem,
 and the site counts the cost model uses match a brute-force count."""
 
+import math
 import re
 
 import numpy as np
@@ -126,6 +127,14 @@ CASES = [
      "momentum must be finite, got -inf"),
     (lambda: TrainConfig(weight_decay=float("nan")), ValueError,
      "weight_decay must be finite, got nan"),
+    (lambda: TrainConfig(lr=-0.5), ValueError, "lr must be at least 0, got -0.5"),
+    (lambda: TrainConfig(lr_decay=0.0), ValueError, "lr_decay must be above 0, got 0.0"),
+    (lambda: TrainConfig(lr_decay=-1.0), ValueError, "lr_decay must be above 0, got -1.0"),
+    (lambda: TrainConfig(momentum=-1e-9), ValueError, "momentum must be in [0, 1), got -1e-09"),
+    (lambda: TrainConfig(momentum=1.0), ValueError, "momentum must be in [0, 1), got 1.0"),
+    (lambda: TrainConfig(momentum=5.0), ValueError, "momentum must be in [0, 1), got 5.0"),
+    (lambda: TrainConfig(weight_decay=-1e-6), ValueError,
+     "weight_decay must be at least 0, got -1e-06"),
 ]
 
 
@@ -134,6 +143,17 @@ def test_bad_input_is_refused(call, error, message):
     with pytest.raises(error, match=re.escape(message)) as caught:
         call()
     assert type(caught.value) is error
+
+
+@pytest.mark.parametrize("setting, value", [
+    ("lr", 0.0),
+    ("lr_decay", 5e-324),
+    ("momentum", 0.0),
+    ("momentum", math.nextafter(1.0, 0.0)),
+    ("weight_decay", 0.0),
+])
+def test_an_optimizer_setting_on_the_edge_of_its_range_is_taken(setting, value):
+    assert getattr(TrainConfig(**{setting: value}), setting) == value
 
 
 @pytest.mark.parametrize("lattice", ALL_LATTICES)
