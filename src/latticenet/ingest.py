@@ -369,8 +369,7 @@ def _subdivisions(corners: np.ndarray) -> np.ndarray:
 
 
 def voxelize_mesh(mesh: TriangleMesh, m: int, rotation: np.ndarray | None = None,
-                  margin: float = 1.0, fit: bool = True,
-                  lattice: LatticeKind = LatticeKind.CUBIC) -> SparseGrid:
+                  fit: bool = True, lattice: LatticeKind = LatticeKind.CUBIC) -> SparseGrid:
     """Surface-sample a triangle mesh into a cubic (or tetrahedral)
     occupancy grid.
 
@@ -401,7 +400,7 @@ def voxelize_mesh(mesh: TriangleMesh, m: int, rotation: np.ndarray | None = None
     shape = GridShape(lattice, m)
     xyz = np.ascontiguousarray(verts.T)
     if fit:
-        xyz = _fit_coords(xyz, shape, margin)
+        xyz = _fit_coords(xyz, shape, 1.0)
 
     n = _subdivisions(xyz.T[mesh.faces])
     # face f has rows u = 0 .. n_f; row u holds v = 0 .. n_f - u.  Per-face
@@ -522,10 +521,9 @@ def _path_keys(xyz: np.ndarray, starts: np.ndarray,
 
 
 def rasterize_polyline(points: np.ndarray, m: int,
-                       shape: GridShape | None = None) -> SparseGrid | GridBatch:
-    """Trace line segments through the size-``m`` grid (cubic unless
-    ``shape``, which must then have size ``m``, says otherwise); visited
-    voxels get value 1.
+                       lattice: LatticeKind = LatticeKind.CUBIC) -> SparseGrid | GridBatch:
+    """Trace line segments through the size-``m`` grid of ``lattice``;
+    visited voxels get value 1.
 
     ``points`` is ``(P, d)``, one polyline, whose grid is returned (it is
     rasterized as a stack of one); or a ``(K, P, d)`` stack of K
@@ -544,13 +542,10 @@ def rasterize_polyline(points: np.ndarray, m: int,
     rasterizing them one at a time would name; non-finite points are an
     error too.
     """
-    if shape is None:
-        shape = GridShape(LatticeKind.CUBIC, m)
-    elif shape.m != m:
-        raise ValueError(f"grid size {m} differs from the shape's size {shape.m}")
+    shape = GridShape(lattice, m)
     points = np.asarray(points, dtype=float)
     if points.ndim != 3:
-        return rasterize_polyline(points.reshape(1, -1, shape.ndim), m, shape).grid(0)
+        return rasterize_polyline(points.reshape(1, -1, shape.ndim), m, lattice).grid(0)
     K, P, d = points.shape
     if d != shape.ndim:
         raise ValueError(f"a stack of {shape.ndim}D polylines must be (K, P, {shape.ndim}), "
@@ -558,7 +553,7 @@ def rasterize_polyline(points: np.ndarray, m: int,
     if K < 1 or P < 1:
         raise ValueError("need at least one polyline of at least one point")
     if K > MAX_COORD // m:  # more grids than fit end to end in one key range
-        return GridBatch.of([rasterize_polyline(p, m, shape) for p in points])
+        return GridBatch.of([rasterize_polyline(p, m, lattice) for p in points])
     xyz = np.ascontiguousarray(points.transpose(2, 0, 1)).reshape(d, K * P)
     keys, ends = _path_keys(xyz, np.arange(0, K * P, P), shape)
     # polyline j's keys move j grids up the first axis, to the keys of
@@ -579,7 +574,7 @@ def rasterize_polyline(points: np.ndarray, m: int,
     return GridBatch(shape, keys, table, start)
 
 
-def strokes_to_spacetime(sample: StrokeSample, m: int = 40) -> SparseGrid:
+def strokes_to_spacetime(sample: StrokeSample, m: int) -> SparseGrid:
     """Encode ordered strokes as paths in (x, y, time) space.
 
     x and y are scaled/centered into the grid; the time coordinate is the
@@ -669,17 +664,19 @@ def square_to_triangular(image: DenseGrid, m_tri: int) -> SparseGrid:
 
 
 KNOT_KINDS = ("unknot", "trefoil", "figure_eight")
+KNOT_SAMPLES = 720  # points per knot curve
 
 
-def knot_curve(kind: str, samples: int = 720) -> np.ndarray:
-    """Closed parametric curve for the knot class, centered, unit radius;
-    a fresh copy of the curve computed once per ``(kind, samples)``."""
-    return _knot_curve(kind, samples).copy()
+def knot_curve(kind: str) -> np.ndarray:
+    """Closed parametric curve for the knot class, centered, unit radius,
+    as :data:`KNOT_SAMPLES` points; a fresh copy of the curve computed
+    once per ``kind``."""
+    return _knot_curve(kind).copy()
 
 
 @lru_cache(maxsize=16)
-def _knot_curve(kind: str, samples: int) -> np.ndarray:
-    t = np.linspace(0.0, 2 * np.pi, samples, endpoint=False)
+def _knot_curve(kind: str) -> np.ndarray:
+    t = np.linspace(0.0, 2 * np.pi, KNOT_SAMPLES, endpoint=False)
     if kind == "unknot":
         pts = np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=1)
     elif kind == "trefoil":
@@ -744,12 +741,12 @@ def _knots(kinds: list[str], m: int, rng: np.random.Generator,
         # coordinate-major and closed: each curve's first point repeats at
         # its end, which changes no extreme of the fit, so the repeat is
         # fitted to the first point's values
-        closed = np.empty((3, len(chunk), 721))
+        closed = np.empty((3, len(chunk), KNOT_SAMPLES + 1))
         for j, kind in enumerate(chunk):
-            pts = _knot_curve(kind, 720) @ random_rotation(rng).T
+            pts = _knot_curve(kind) @ random_rotation(rng).T
             np.multiply(pts.T, rng.uniform(0.88, 1.0), out=closed[:, j, :-1])  # scale jitter
         closed[:, :, -1] = closed[:, :, 0]
-        batch = rasterize_polyline(_fit_coords(closed, shape, 0.6).transpose(1, 2, 0), m, shape)
+        batch = rasterize_polyline(_fit_coords(closed, shape, 0.6).transpose(1, 2, 0), m, lattice)
         out += [LabeledSample(batch.grid(j), KNOT_KINDS.index(kind))
                 for j, kind in enumerate(chunk)]
     return out

@@ -267,17 +267,12 @@ def _box_site_count(lattice: LatticeKind, m: int, lo: np.ndarray, hi: np.ndarray
     hi = np.minimum(hi, m - 1)
     if np.any(hi < lo):
         return 0
-    widths = hi - lo + 1
     if not lattice.is_simplex:
-        return int(np.prod(widths))
-    if lattice.ndim == 2:
-        x = np.arange(lo[0], hi[0] + 1)
-        ymax = np.minimum(hi[1], m - 1 - x)
-        return int(np.maximum(ymax - lo[1] + 1, 0).sum())
-    x = np.arange(lo[0], hi[0] + 1)[:, None]
-    y = np.arange(lo[1], hi[1] + 1)[None, :]
-    zmax = np.minimum(hi[2], m - 1 - x - y)
-    return int(np.maximum(zmax - lo[2] + 1, 0).sum())
+        return int(np.prod(hi - lo + 1))
+    # the last coordinate runs from lo up to hi or to m - 1 less the others' sum
+    lead = sum(np.ogrid[tuple(slice(a, b + 1) for a, b in zip(lo[:-1], hi[:-1]))])
+    last = np.minimum(hi[-1], m - 1 - lead)
+    return int(np.maximum(last - lo[-1] + 1, 0).sum())
 
 
 def centered_box(lattice: LatticeKind, m: int, width: int) -> tuple[np.ndarray, np.ndarray]:

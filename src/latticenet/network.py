@@ -194,7 +194,7 @@ class Network:
             elif isinstance(ls, PoolSpec):
                 self.blocks.append(_Pool(FilterGeometry(spec.lattice, ls.p, ls.s)))
             elif isinstance(ls, FMPSpec):
-                self.blocks.append(_FMP(FMPLayer(spec.lattice, fmp_eval_seed)))
+                self.blocks.append(_FMP(FMPLayer(fmp_eval_seed)))
             elif isinstance(ls, OutputSpec):
                 head = make_conv(FilterGeometry(spec.lattice, 1, 1), n, classes)
                 self.blocks.append(_Conv("classifier", head, bool(self.blocks)))

@@ -70,6 +70,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from math import prod
+from typing import ClassVar
 
 import numpy as np
 
@@ -196,17 +197,15 @@ class ConvLayer:
 
 @dataclass
 class FMPLayer:
-    """Fractional max pooling; cubic lattice only."""
+    """Fractional max pooling, ``FMPLayer(seed)``; cubic lattice only, so
+    ``lattice`` is a class constant, against which
+    :func:`pool_forward_batch` checks a batch."""
 
-    lattice: LatticeKind
+    lattice: ClassVar[LatticeKind] = LatticeKind.CUBIC
     seed: int = 0
 
-    def __post_init__(self):
-        if self.lattice is not LatticeKind.CUBIC:
-            raise ValueError("fractional max pooling is defined on the cubic lattice only")
-
     def out_shape(self, shape: GridShape) -> GridShape:
-        return GridShape(LatticeKind.CUBIC, fmp_out_size(shape.m))
+        return GridShape(self.lattice, fmp_out_size(shape.m))
 
     def rulebook(self, batch: GridBatch, rng: np.random.Generator | None = None):
         """The rule of the regions of a seed drawn from ``rng``, else of ``self.seed``."""

@@ -55,7 +55,9 @@ class TrainConfig:
         for name, ok, bound in (("lr", self.lr >= 0, "at least 0"),
                                 ("lr_decay", self.lr_decay > 0, "above 0"),
                                 ("momentum", 0 <= self.momentum < 1, "in [0, 1)"),
-                                ("weight_decay", self.weight_decay >= 0, "at least 0")):
+                                ("weight_decay", self.weight_decay >= 0, "at least 0"),
+                                ("target_accuracy", self.target_accuracy is None
+                                 or 0 <= self.target_accuracy <= 1, "in [0, 1]")):
             if not ok:
                 raise ValueError(f"{name} must be {bound}, got {getattr(self, name)}")
 
@@ -139,10 +141,14 @@ class EvalReport:
         }
 
 
+# evaluate runs its samples through the network this many at a time
+EVAL_BATCH = 64
+
+
 def evaluate(net: Network, samples: list[LabeledSample], repeats: int = 1,
-             augment=None, rng: np.random.Generator | None = None,
-             batch_size: int = 64) -> EvalReport:
-    """Average class probabilities over ``repeats`` augmented passes.
+             augment=None, rng: np.random.Generator | None = None) -> EvalReport:
+    """Average class probabilities over ``repeats`` augmented passes, each
+    in chunks of :data:`EVAL_BATCH` samples.
 
     ``augment`` is a callable ``(grid, rng) -> grid``; when it is None one
     pass runs, whatever ``repeats`` is, since the running mean of identical
@@ -150,12 +156,10 @@ def evaluate(net: Network, samples: list[LabeledSample], repeats: int = 1,
     cache take part, as augmented batches never repeat: a later call on the
     same samples (``fit``'s next held-out pass) reuses each chunk's rules.
     An empty sample list, a label outside ``0 .. net.classes - 1``, or
-    ``repeats`` or ``batch_size`` below 1, raises ValueError.
+    ``repeats`` below 1, raises ValueError.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     if not samples:
         raise ValueError("evaluate needs at least one sample, got an empty test set")
     labels = np.array([s.label for s in samples], dtype=np.int64)
@@ -169,8 +173,8 @@ def evaluate(net: Network, samples: list[LabeledSample], repeats: int = 1,
     mean = np.zeros((n, net.classes))
     for k in range(1, (1 if augment is None else repeats) + 1):
         probs = np.empty((n, net.classes))
-        for start in range(0, n, batch_size):
-            chunk = samples[start:start + batch_size]
+        for start in range(0, n, EVAL_BATCH):
+            chunk = samples[start:start + EVAL_BATCH]
             grids = [augment(s.grid, rng) if augment else s.grid for s in chunk]
             logits, _, _ = net.forward_batch(grids, cache=augment is None)
             probs[start:start + len(chunk)] = softmax(logits)

@@ -158,10 +158,10 @@ def dense_conv_backward(dense_in: DenseGrid, f: int, s: int, W: np.ndarray,
 # grids) so the whole-array versions can be checked for identical output.
 
 
-def loop_rasterize_polyline(points: np.ndarray, m: int, shape: GridShape | None = None) -> np.ndarray:
+def loop_rasterize_polyline(points: np.ndarray, m: int,
+                            lattice: LatticeKind = LatticeKind.CUBIC) -> np.ndarray:
     """Sorted active keys of the rasterized polyline."""
-    if shape is None:
-        shape = GridShape(LatticeKind.CUBIC, m)
+    shape = GridShape(lattice, m)
     points = np.asarray(points, dtype=float).reshape(-1, shape.ndim)
     if points.shape[0] < 1:
         raise ValueError("need at least one point")
@@ -761,7 +761,7 @@ def row_major_knot_keys(kind: str, m: int, rng: np.random.Generator,
     return np.unique(row_major_path_keys(closed, np.zeros(1, dtype=np.int64), shape))
 
 
-def row_major_spacetime_keys(sample: StrokeSample, m: int = 40) -> np.ndarray:
+def row_major_spacetime_keys(sample: StrokeSample, m: int) -> np.ndarray:
     """Sorted active keys of ``ingest.strokes_to_spacetime``'s grid, with
     all strokes fitted and sampled row-major by the two functions above."""
     if not sample.strokes:
@@ -797,7 +797,7 @@ def unpacked_embed(grid: SparseGrid, fieldshape: GridShape, offset) -> SparseGri
     return SparseGrid(fieldshape, pack_sites(sites), grid.rows, grid.ground)
 
 
-def per_stroke_spacetime(sample: StrokeSample, m: int = 40) -> SparseGrid:
+def per_stroke_spacetime(sample: StrokeSample, m: int) -> SparseGrid:
     """Encode ordered strokes as paths in (x, y, time) space.
 
     x and y are scaled/centered into the grid; the time coordinate is the
@@ -813,7 +813,7 @@ def per_stroke_spacetime(sample: StrokeSample, m: int = 40) -> SparseGrid:
     pts = np.column_stack([xy, times])
     shape = GridShape(LatticeKind.CUBIC, m)
     ends = np.cumsum([len(s) for s in sample.strokes])[:-1]
-    keys = np.unique(np.concatenate([rasterize_polyline(p, m, shape).keys
+    keys = np.unique(np.concatenate([rasterize_polyline(p, m).keys
                                      for p in np.split(pts, ends)]))
     return SparseGrid(shape, keys, np.ones((keys.shape[0], 1), np.float32), np.zeros(1, np.float32))
 

@@ -193,7 +193,7 @@ def test_fmp_matches_per_grid(ties, m, seed, rng):
         grids = tied(grids)
     regions = fmp_regions(m, seed)
     batch = GridBatch.of(grids)
-    out, plans = pool_forward_batch(batch, FMPLayer(LatticeKind.CUBIC, seed))
+    out, plans = pool_forward_batch(batch, FMPLayer(seed))
     for b, grid in enumerate(grids):
         keys = loop_fmp_active_keys(grid, regions)
         rows, argmax_src = loop_max(grid, loop_fmp_gather(grid, keys, regions))
@@ -416,7 +416,7 @@ def test_each_op_stores_one_table_with_grounds_last(lattice, rng):
     pooled, _ = pool_forward_batch(batch, FilterGeometry(lattice, 3, 2))
     check_table(pooled, [g.ground for g in grids])
     if lattice is LatticeKind.CUBIC:
-        fmp, _ = pool_forward_batch(batch, FMPLayer(LatticeKind.CUBIC, 3))
+        fmp, _ = pool_forward_batch(batch, FMPLayer(3))
         check_table(fmp, [g.ground for g in grids])
 
 
@@ -519,7 +519,7 @@ def test_fmp_backward_matches_add_at(ties, m, seed, dtype, rng):
     grids = as_dtype(batch_of(LatticeKind.CUBIC, m, 2, MIXED, rng), dtype)
     if ties:
         grids = tied(grids)
-    out, pplan = pool_forward_batch(GridBatch.of(grids), FMPLayer(LatticeKind.CUBIC, seed))
+    out, pplan = pool_forward_batch(GridBatch.of(grids), FMPLayer(seed))
     check_pool_backward(out, pplan, rng)
 
 
@@ -852,7 +852,7 @@ def test_tiled_fmp_matches_untiled(ties, m, seed, dtype, tile_rows, rng, monkeyp
     grids = as_dtype(batch_of(LatticeKind.CUBIC, m, 3, MIXED, rng), dtype)
     if ties:
         grids = tied(grids)
-    layer = FMPLayer(LatticeKind.CUBIC, seed)
+    layer = FMPLayer(seed)
     for gs in (grids, with_nans(grids, rng)):
         batch = GridBatch.of(gs)
         check_tiled_pool(lambda keep: pool_forward_batch(batch, layer, keep_plan=keep),

@@ -786,6 +786,9 @@ def test_train_without_data_or_with_a_non_finite_setting_exits_2(tmp_path, capsy
     ("--momentum", "1", "momentum must be in [0, 1), got 1.0"),
     ("--momentum", "-0.1", "momentum must be in [0, 1), got -0.1"),
     ("--weight-decay", "-0.001", "weight_decay must be at least 0, got -0.001"),
+    ("--target-accuracy", "2", "target_accuracy must be in [0, 1], got 2.0"),
+    ("--target-accuracy", "-0.5", "target_accuracy must be in [0, 1], got -0.5"),
+    ("--target-accuracy", "nan", "target_accuracy must be in [0, 1], got nan"),
 ])
 def test_train_refuses_an_optimizer_setting_out_of_range(tmp_path, capsys, monkeypatch,
                                                          flag, value, message):
@@ -808,6 +811,8 @@ def test_train_refuses_an_optimizer_setting_out_of_range(tmp_path, capsys, monke
     ("--momentum", "0"),
     ("--momentum", repr(math.nextafter(1.0, 0.0))),
     ("--weight-decay", "0"),
+    ("--target-accuracy", "0"),
+    ("--target-accuracy", "1"),
 ])
 def test_train_takes_an_optimizer_setting_on_the_edge_of_its_range(tmp_path, capsys, flag, value):
     cfg = write_cfg(tmp_path)

@@ -269,11 +269,9 @@ def test_rasterize_out_of_range():
 
 
 @pytest.mark.parametrize("lattice", [LatticeKind.CUBIC, LatticeKind.TETRAHEDRAL])
-def test_rasterize_size_must_match_the_shape(lattice):
+def test_rasterize_grid_has_the_size_and_lattice_asked_for(lattice):
     pts = np.array([[1.0, 1.0, 1.0], [4.0, 2.0, 1.0]])
-    with pytest.raises(ValueError, match=r"grid size 20 .* size 10"):
-        rasterize_polyline(pts, 20, GridShape(lattice, 10))
-    assert rasterize_polyline(pts, 10, GridShape(lattice, 10)).shape == GridShape(lattice, 10)
+    assert rasterize_polyline(pts, 10, lattice).shape == GridShape(lattice, 10)
 
 
 @pytest.mark.parametrize("pts", [

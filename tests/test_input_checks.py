@@ -135,6 +135,12 @@ CASES = [
     (lambda: TrainConfig(momentum=5.0), ValueError, "momentum must be in [0, 1), got 5.0"),
     (lambda: TrainConfig(weight_decay=-1e-6), ValueError,
      "weight_decay must be at least 0, got -1e-06"),
+    (lambda: TrainConfig(target_accuracy=2.0), ValueError,
+     "target_accuracy must be in [0, 1], got 2.0"),
+    (lambda: TrainConfig(target_accuracy=-0.5), ValueError,
+     "target_accuracy must be in [0, 1], got -0.5"),
+    (lambda: TrainConfig(target_accuracy=float("nan")), ValueError,
+     "target_accuracy must be in [0, 1], got nan"),
 ]
 
 
@@ -151,6 +157,8 @@ def test_bad_input_is_refused(call, error, message):
     ("momentum", 0.0),
     ("momentum", math.nextafter(1.0, 0.0)),
     ("weight_decay", 0.0),
+    ("target_accuracy", 0.0),
+    ("target_accuracy", 1.0),
 ])
 def test_an_optimizer_setting_on_the_edge_of_its_range_is_taken(setting, value):
     assert getattr(TrainConfig(**{setting: value}), setting) == value

@@ -334,7 +334,7 @@ def test_evaluate_rejects_labels_outside_the_classes(rng, label):
         evaluate(net, samples)
 
 
-@pytest.mark.parametrize("kw", [{"repeats": 0}, {"repeats": -3}, {"batch_size": 0}])
+@pytest.mark.parametrize("kw", [{"repeats": 0}, {"repeats": -3}])
 def test_evaluate_rejects_counts_below_one(rng, kw):
     net = small_net(rng, dtype=np.float32)
     samples = [LabeledSample(g, 0) for g in inputs_for(net, rng, 2)]

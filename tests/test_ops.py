@@ -265,7 +265,7 @@ def test_fmp_uniform_input_uniform_output(rng):
     shape = GridShape(LatticeKind.CUBIC, 7)
     dense = DenseGrid(shape, np.full((shape.num_sites, 1), 2.5))
     grid = SparseGrid.from_dense(dense, np.zeros(1))
-    layer = FMPLayer(LatticeKind.CUBIC, seed=3)
+    layer = FMPLayer(seed=3)
     out = fmp_forward(grid, layer)
     assert np.allclose(out.rows, 2.5)
 
@@ -275,7 +275,7 @@ def test_fmp_matches_dense_oracle(sparsity, rng):
     ground = rng.normal(size=2)
     dense = random_dense(LatticeKind.CUBIC, 8, 2, sparsity, rng, ground)
     grid = SparseGrid.from_dense(dense, ground)
-    layer = FMPLayer(LatticeKind.CUBIC, seed=11)
+    layer = FMPLayer(seed=11)
     regions = fmp_regions(8, seed=11)
     out = fmp_forward(grid, layer, regions)
     expect = dense_fmp(dense, regions)
@@ -285,7 +285,7 @@ def test_fmp_matches_dense_oracle(sparsity, rng):
 def test_fmp_empty_grid_carries_ground():
     ground = np.array([0.25, -3.0])
     grid = SparseGrid.empty(GridShape(LatticeKind.CUBIC, 20), ground)
-    out, plan = fmp_forward(grid, FMPLayer(LatticeKind.CUBIC, seed=5), keep_plan=True)
+    out, plan = fmp_forward(grid, FMPLayer(seed=5), keep_plan=True)
     assert out.a == 0 and plan.argmax_src.shape == (0, 2)
     assert out.shape.m == 12
     assert np.array_equal(out.ground, ground)
@@ -298,35 +298,35 @@ def test_fmp_site_at_far_edge_hits_last_region(m):
     shape = GridShape(LatticeKind.CUBIC, m)
     corner = SparseGrid.from_sites(shape, np.array([[m - 1, m - 1, m - 1]]), np.array([[7.0]]),
                                    np.zeros(1))
-    out = fmp_forward(corner, FMPLayer(LatticeKind.CUBIC), regions)
+    out = fmp_forward(corner, FMPLayer(), regions)
     assert [tuple(s) for s in out.sites()] == [(last, last, last)]
     assert np.array_equal(out.rows, [[7.0]])
     # one face only: x = m - 1 meets the last region, y and z = 0 the first
     edge = SparseGrid.from_sites(shape, np.array([[m - 1, 0, 0]]), np.array([[1.0]]), np.zeros(1))
-    out = fmp_forward(edge, FMPLayer(LatticeKind.CUBIC), regions)
+    out = fmp_forward(edge, FMPLayer(), regions)
     assert [tuple(s) for s in out.sites()] == [(last, 0, 0)]
 
 
 def test_fmp_rejects_non_cubic(rng):
-    with pytest.raises(ValueError):
-        FMPLayer(LatticeKind.TETRAHEDRAL)
     grid = random_sparse(LatticeKind.SQUARE, 5, 1, 0.5, rng)
-    layer = FMPLayer(LatticeKind.CUBIC)
     with pytest.raises(ValueError):
-        fmp_forward(grid, layer)
+        fmp_forward(grid, FMPLayer())
 
 
 def test_pool_given_a_rule_rejects_the_wrong_lattice(rng):
     """A rule skips the rulebook, so the lattice check alone stops a grid
     of another lattice, for MP and FMP alike."""
     cubic = GridBatch.of([random_sparse(LatticeKind.CUBIC, 6, 1, 0.5, rng)])
-    square = GridBatch.of([random_sparse(LatticeKind.SQUARE, 6, 1, 0.5, rng)])
-    for layer in (FilterGeometry(LatticeKind.CUBIC, 2, 2), FMPLayer(LatticeKind.CUBIC)):
+    others = [GridBatch.of([random_sparse(lattice, 6, 1, 0.5, rng)])
+              for lattice in (LatticeKind.SQUARE, LatticeKind.TETRAHEDRAL)]
+    for layer in (FilterGeometry(LatticeKind.CUBIC, 2, 2), FMPLayer()):
         rule = layer.rulebook(cubic)
         out, _ = pool_forward_batch(cubic, layer, rule=rule)
         assert out.shape == layer.out_shape(cubic.shape)
-        with pytest.raises(ValueError, match="pool layer is cubic, grid is square"):
-            pool_forward_batch(square, layer, rule=rule)
+        for other in others:
+            with pytest.raises(ValueError,
+                               match=f"pool layer is cubic, grid is {other.shape.lattice.value}"):
+                pool_forward_batch(other, layer, rule=rule)
 
 
 def test_fmp_ladder_from_scale_20():

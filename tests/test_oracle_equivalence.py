@@ -95,8 +95,8 @@ def test_rasterize_polyline_matches_loop(lattice):
     for seed in SEEDS:
         shape = GridShape(lattice, 10 + seed % 31)
         pts = knot_polyline(seed, shape)
-        got = rasterize_polyline(pts, shape.m, shape)
-        assert np.array_equal(got.keys, loop_rasterize_polyline(pts, shape.m, shape)), seed
+        got = rasterize_polyline(pts, shape.m, lattice)
+        assert np.array_equal(got.keys, loop_rasterize_polyline(pts, shape.m, lattice)), seed
 
 
 @pytest.mark.parametrize("mesh", [sphere_mesh(12, 6), cube_surface_mesh()],
@@ -202,7 +202,7 @@ def test_voxelize_points_on_tenths_match_loop():
         check_voxelize(mesh, 14, fit=False)
 
 def test_fmp_active_keys_match_loop():
-    layer = FMPLayer(LatticeKind.CUBIC)
+    layer = FMPLayer()
     meshes = [sphere_mesh(), cube_surface_mesh()]
     for seed in SEEDS:
         rng = np.random.default_rng(seed)
@@ -217,7 +217,7 @@ def test_fmp_empty_and_full_grids_match_loop(m):
     shape = GridShape(LatticeKind.CUBIC, m)
     ground = np.array([0.5, -1.0])
     regions = fmp_regions(m, seed=m)
-    layer = FMPLayer(LatticeKind.CUBIC)
+    layer = FMPLayer()
     empty = SparseGrid.empty(shape, ground)
     full = SparseGrid.from_dense(DenseGrid(shape, np.ones((shape.num_sites, 2))), ground)
     for grid in (empty, full):
@@ -240,12 +240,11 @@ def culprit(excinfo) -> tuple[int, ...]:
     (LatticeKind.TETRAHEDRAL, [[1, 1, 1], [3, 1, 1], [3, 3, 1], [3, 3, 6]], (3, 3, 4)),
 ])
 def test_rasterize_first_out_of_grid_voxel_matches_loop(lattice, pts, voxel):
-    shape = GridShape(lattice, 10)
     pts = np.asarray(pts, dtype=float)
     with pytest.raises(ValueError, match="outside") as new:
-        rasterize_polyline(pts, 10, shape)
+        rasterize_polyline(pts, 10, lattice)
     with pytest.raises(ValueError, match="outside") as old:
-        loop_rasterize_polyline(pts, 10, shape)
+        loop_rasterize_polyline(pts, 10, lattice)
     assert culprit(new) == culprit(old) == voxel
 
 
@@ -279,17 +278,17 @@ def test_stacked_rasterize_polyline_matches_loop(lattice, inside, hi):
         lo, top = (-0.6, hi) if seed % 4 == 3 else inside
         stack = polyline_stack(rng, K, lattice.ndim, lo, top, one_step)
         try:
-            want = [loop_rasterize_polyline(p, shape.m, shape) for p in stack]
+            want = [loop_rasterize_polyline(p, shape.m, lattice) for p in stack]
         except ValueError:
             with pytest.raises(ValueError, match="outside") as old:
                 for p in stack:
-                    loop_rasterize_polyline(p, shape.m, shape)
+                    loop_rasterize_polyline(p, shape.m, lattice)
             with pytest.raises(ValueError, match="outside") as new:
-                rasterize_polyline(stack, shape.m, shape)
+                rasterize_polyline(stack, shape.m, lattice)
             assert culprit(new) == culprit(old), seed
             seen["outside"] += 1
             continue
-        batch = rasterize_polyline(stack, shape.m, shape)
+        batch = rasterize_polyline(stack, shape.m, lattice)
         assert isinstance(batch, GridBatch) and batch.B == K and batch.shape == shape, seed
         assert batch.table.dtype == np.float32 and (batch.rows == 1).all(), seed
         assert batch.table.shape == (batch.a + 1, 1) and (batch.ground == 0).all(), seed
@@ -303,17 +302,16 @@ def test_stack_wider_than_one_key_range_matches_one_at_a_time():
     """More grids than fit end to end in a key range are rasterized one at
     a time, into the same batch."""
     m = MAX_COORD // 2
-    shape = GridShape(LatticeKind.CUBIC, m)
     stack = np.random.default_rng(0).uniform(m - 40.0, m - 1.0, size=(3, 5, 3))
-    batch = rasterize_polyline(stack, m, shape)
+    batch = rasterize_polyline(stack, m)
     assert batch.B == 3
     for j in range(3):
-        assert np.array_equal(batch.grid(j).keys, loop_rasterize_polyline(stack[j], m, shape))
+        assert np.array_equal(batch.grid(j).keys, loop_rasterize_polyline(stack[j], m))
     stack[1, 2, 0] = m + 0.5
     with pytest.raises(ValueError, match="outside") as new:
-        rasterize_polyline(stack, m, shape)
+        rasterize_polyline(stack, m)
     with pytest.raises(ValueError, match="outside") as old:
-        loop_rasterize_polyline(stack[1], m, shape)
+        loop_rasterize_polyline(stack[1], m)
     assert culprit(new) == culprit(old)
 
 
@@ -387,11 +385,11 @@ def test_paths_match_one_rasterization_per_path(lattice, hi):
                  for _ in range(int(rng.integers(1, 5)))]
         starts = np.cumsum([0] + [len(p) for p in paths[:-1]])
         try:
-            want = np.concatenate([loop_rasterize_polyline(p, shape.m, shape) for p in paths])
+            want = np.concatenate([loop_rasterize_polyline(p, shape.m, lattice) for p in paths])
         except ValueError:
             with pytest.raises(ValueError, match="outside") as old:
                 for p in paths:
-                    loop_rasterize_polyline(p, shape.m, shape)
+                    loop_rasterize_polyline(p, shape.m, lattice)
             with pytest.raises(ValueError, match="outside") as new:
                 _path_keys(np.vstack(paths).T, starts, shape)
             assert culprit(new) == culprit(old), seed
@@ -402,7 +400,7 @@ def test_paths_match_one_rasterization_per_path(lattice, hi):
         bounds = np.concatenate([[0], ends])
         for j, p in enumerate(paths):
             own = np.unique(got[bounds[j]:bounds[j + 1]])
-            assert np.array_equal(own, loop_rasterize_polyline(p, shape.m, shape)), (seed, j)
+            assert np.array_equal(own, loop_rasterize_polyline(p, shape.m, lattice)), (seed, j)
     assert 20 <= outside <= 80, outside
 
 

@@ -173,7 +173,8 @@ def test_fmp_training_hit_equals_miss(rng):
     assert_same_run(got, want)
 
 
-def test_fmp_train_then_eval_matches_fresh_eval(rng):
+def test_fmp_train_then_eval_matches_fresh_eval(rng, monkeypatch):
+    monkeypatch.setattr("latticenet.train.EVAL_BATCH", 2)
     net = make_net(CUBIC, FMP_ARCH, field=FMP_FIELD)
     grids = grids_for(net, rng, (0.4, 0.2, 0.7, 0.5))
     samples = [LabeledSample(g, i % 3) for i, g in enumerate(grids)]
@@ -183,13 +184,13 @@ def test_fmp_train_then_eval_matches_fresh_eval(rng):
     for p, q in zip(fresh.params(), net.params()):
         p.values[...] = q.values
     hits, misses = net.rule_cache.hits, net.rule_cache.misses
-    got = evaluate(net, samples, repeats=3, batch_size=2)
+    got = evaluate(net, samples, repeats=3)
     # an identity eval is one pass, and it reads no training entry: every
     # chunk misses and stores its entry
     assert (net.rule_cache.hits, net.rule_cache.misses) == (hits, misses + len(samples))
-    again = evaluate(net, samples, repeats=3, batch_size=2)
+    again = evaluate(net, samples, repeats=3)
     assert net.rule_cache.hits == hits + len(samples)  # every chunk hits its entry
-    want = evaluate(fresh, samples, repeats=1, batch_size=2)
+    want = evaluate(fresh, samples, repeats=1)
     assert np.array_equal(got.outputs, want.outputs)
     assert np.array_equal(again.outputs, want.outputs)
 
@@ -450,11 +451,12 @@ def test_an_identity_evaluate_runs_each_chunk_once(arch, field, rng, monkeypatch
     net = make_net(CUBIC, arch, field=field)
     grids = grids_for(net, rng, (0.3, 0.6, 0.0, 1.0, 0.5))
     samples = [LabeledSample(g, i % 3) for i, g in enumerate(grids)]
-    want = evaluate(make_net(CUBIC, arch, field=field), samples, batch_size=2)
+    monkeypatch.setattr("latticenet.train.EVAL_BATCH", 2)
+    want = evaluate(make_net(CUBIC, arch, field=field), samples)
     passes = count_calls(monkeypatch, Network, "forward_batch")
     for repeats in (1, 2, 5):
         passes[0] = 0
-        got = evaluate(net, samples, repeats=repeats, batch_size=2)
+        got = evaluate(net, samples, repeats=repeats)
         assert passes[0] == 3  # 5 samples in chunks of 2, each run once
         assert got.accuracy == want.accuracy
         assert np.array_equal(got.confusion, want.confusion)
