@@ -38,7 +38,7 @@ print(f"dataset: {len(train)} train + {len(test)} test samples "
 net = Network(spec, classes=3, rng=np.random.default_rng(7))
 cfg = TrainConfig(epochs=30, batch_size=32, lr=0.03, lr_decay=0.95,
                   momentum=0.9, weight_decay=1e-6, seed=7, target_accuracy=0.92)
-print(f"\ntraining ({net.param_count()} parameters):")
+print(f"\ntraining ({sum(p.values.size for p in net.params())} parameters):")
 logs = fit(net, train, test, cfg,
            log_fn=lambda l: print(f"  epoch {l.epoch:2d}: loss {l.train_loss:.3f}  "
                                   f"heldout err {l.heldout_error:.3f}  "

@@ -6,11 +6,14 @@ and default, and each command takes only the settings it reads, so a flag
 it would ignore exits 2, reported under that command's usage.  A
 ``key = value`` config file (``--config``) sets the same keys, and a
 command ignores the keys only other commands take; flags given on the
-command line win.  File values are converted by
-the flag's own type before any data loads, so a bad value exits 2 and
-names its flag; a config file that is missing, unreadable or malformed
-exits 2 and names the file.  Exit codes: 0 success, 2 configuration or
-parse error, 3 data error, 4 internal invariant violation.
+command line win.  File values are converted by the flag's own type
+before any data loads, so a bad value exits 2 and names its flag; a
+config file that is missing, unreadable or malformed exits 2 and names
+the file, and an unknown data source kind exits 2 and names the kinds.
+An output or log file whose directory is missing exits 3 before the
+network is built or any data loads.  Exit codes: 0 success, 2
+configuration or parse error, 3 data error, 4 internal invariant
+violation.
 
 Epoch logs are tab-separated with deterministic columns only (epoch,
 train loss, held-out error, MACs/sample); wall-clock timings go to
@@ -46,6 +49,9 @@ EXIT_INTERNAL = 4
 # object render scale of meshes and strokes; knots default to the input
 # field, and video ignores the scale (frame_difference sizes its own grid)
 RENDER_SCALE = 40
+# each file data source kind (``KIND:PATH``; the other source is ``knots``)
+# and the suffix of the files it reads
+DATA_SUFFIXES = {"off": ".off", "strokes": ".json", "video": ".svid", "cifar": ".bin"}
 
 
 def read_config(path) -> dict:
@@ -109,8 +115,9 @@ def load_dataset(source: str, args: argparse.Namespace, field: GridShape, *,
     """Materialize a dataset source specification into embedded grids.
 
     Sources: ``knots`` (synthetic), ``off:<dir>``, ``strokes:<dir>``,
-    ``video:<dir>`` (class subdirectories each), ``cifar:<file-or-dir>``.
-    Each split draws its knots and mesh rotations from its own generator,
+    ``video:<dir>`` (class subdirectories each), ``cifar:<file-or-dir>``;
+    any other kind raises ValueError before a path is looked at.  Each
+    split draws its knots and mesh rotations from its own generator,
     seeded by ``args.seed`` and the split name alone: ``eval`` loads the
     held-out set that ``train`` loaded, and the test draws never replay
     the training draws (a knot may still match a training knot by chance).
@@ -127,6 +134,10 @@ def load_dataset(source: str, args: argparse.Namespace, field: GridShape, *,
         return [LabeledSample(_embed_centered(s.grid, field), s.label) for s in samples]
 
     kind, _, root = source.partition(":")
+    if kind not in DATA_SUFFIXES:
+        raise ValueError(f"unknown data source {source!r}; expected knots or one of "
+                         + ", ".join(f"{k}:PATH" for k in DATA_SUFFIXES))
+    suffix = DATA_SUFFIXES[kind]
     if not root:
         raise ValueError(f"data source {kind!r} needs a path, e.g. '{kind}:/data/{split}'")
     root = Path(root)
@@ -135,9 +146,9 @@ def load_dataset(source: str, args: argparse.Namespace, field: GridShape, *,
 
     samples: list[LabeledSample] = []
     if kind == "cifar":
-        paths = sorted(root.glob("*.bin")) if root.is_dir() else [root]
+        paths = sorted(root.glob("*" + suffix)) if root.is_dir() else [root]
         if not paths:
-            raise FileNotFoundError(f"no .bin batches in {root}")
+            raise FileNotFoundError(f"no {suffix} batches in {root}")
         for p in paths:
             labels, imgs = ingest.load_cifar_batch(p)
             for lab, img in zip(labels, imgs):
@@ -155,7 +166,6 @@ def load_dataset(source: str, args: argparse.Namespace, field: GridShape, *,
     class_dirs = sorted(d for d in root.iterdir() if d.is_dir())
     if not class_dirs:
         raise FileNotFoundError(f"{root} has no class subdirectories")
-    suffix = {"off": ".off", "strokes": ".json", "video": ".svid"}.get(kind)
     scale = args.scale if args.scale is not None else RENDER_SCALE
     for label, cdir in enumerate(class_dirs):
         for p in sorted(cdir.iterdir()):
@@ -176,10 +186,19 @@ def _parsed_spec(args: argparse.Namespace) -> netspec.NetworkSpec:
 # commands
 
 
+def _check_out_dirs(*paths):
+    """Raise FileNotFoundError, a data error, for a path given whose
+    directory is missing, so that a command fails before its work."""
+    for path in paths:
+        if path and not Path(path).parent.is_dir():
+            raise FileNotFoundError(f"directory of {path} does not exist")
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
     spec = netspec.plan(_parsed_spec(args), input_size=args.field)
     field = GridShape(spec.lattice, spec.planned_sizes[0])
+    _check_out_dirs(args.out, args.log)
     # the network checks its class count before any data loads
     net = Network(spec, require(args, "classes"), np.random.default_rng(args.seed),
                   fmp_eval_seed=args.seed)
@@ -218,6 +237,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {args.repeats}")
     params = AffineParams(**{f.name: getattr(args, f"aug_{f.name}") for f in fields(AffineParams)})
+    _check_out_dirs(args.out)
     net = Network.load(require(args, "checkpoint"))
     if args.arch and netspec.render(net.spec) != netspec.render(
             netspec.parse(args.arch, net.spec.lattice, net.spec.n_input)):

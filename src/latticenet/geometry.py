@@ -57,22 +57,20 @@ class LatticeKind(Enum):
 
 
 def filter_volume(lattice: LatticeKind, f: int) -> int:
-    """Number of input sites a filter of linear size ``f`` covers."""
-    if f < 1:
-        raise ValueError(f"filter size must be >= 1, got {f}")
+    """Number of input sites a filter of linear size ``f`` covers; an ``f``
+    below 1 raises ValueError, as it does in :func:`site_count`."""
     return site_count(lattice, f)
 
 
 @lru_cache(maxsize=None)
 def filter_offsets(lattice: LatticeKind, f: int) -> tuple[tuple[int, ...], ...]:
     """Canonical (lexicographically sorted) offset list of a size-f filter:
-    the sites of the size-f grid of the lattice.
+    the sites of the size-f grid of the lattice.  An ``f`` below 1 raises
+    ValueError, as it does in :class:`GridShape`.
 
     The order returned here defines the row-block layout of convolution
     weight matrices, so it must never change.
     """
-    if f < 1:
-        raise ValueError(f"filter size must be >= 1, got {f}")
     return tuple(GridShape(lattice, f).sites())
 
 
@@ -109,15 +107,6 @@ class GridShape:
     @property
     def num_sites(self) -> int:
         return site_count(self.lattice, self.m)
-
-    def contains(self, site) -> bool:
-        if len(site) != self.ndim:
-            return False
-        if any(c < 0 or c >= self.m for c in site):
-            return False
-        if self.lattice.is_simplex and sum(site) > self.m - 1:
-            return False
-        return True
 
     def outside(self, sites: np.ndarray) -> np.ndarray:
         """Mask of the (..., d) integer sites that are not sites of this grid."""

@@ -138,9 +138,9 @@ class SparseGrid:
         return np.where(hit, pos_c, -1)
 
     def check_invariants(self):
-        assert np.all(np.diff(self.keys) > 0), "keys must be strictly increasing"
-        assert self.a <= self.shape.num_sites
-        assert not self.shape.outside(self.sites()).any()
+        """Raise FormatError unless the keys are strictly increasing packed
+        sites of the grid's shape, the rule :meth:`from_bytes` applies."""
+        _check_keys(self.keys, self.shape)
 
     # -- construction / conversion -------------------------------------
 

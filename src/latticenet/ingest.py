@@ -13,8 +13,7 @@ Front-ends provided here:
   grid with time as the leading axis;
 * square images -> triangular-lattice grids via an affine placement and
   bilinear resampling;
-* the rotation and scale matrix of affine augmentation, and file
-  formats (OFF, a trivial raw video container, stroke JSON, CIFAR-10
+* file formats (OFF, a trivial raw video container, stroke JSON, CIFAR-10
   binary batches).
 
 Meshes and polylines are sampled as whole arrays: every face's
@@ -246,7 +245,7 @@ def save_off(mesh: TriangleMesh, path):
 
 
 # ---------------------------------------------------------------------------
-# rotations and affine helpers
+# random rotations and image resampling
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -259,18 +258,6 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
         2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
         2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
     ]).reshape(3, 3)
-
-
-def make_affine(d: int, rotation: float = 0.0, scale: float = 1.0) -> np.ndarray:
-    """Scaling by ``scale`` followed by a rotation of ``rotation`` radians
-    in the first two axes, as a (d, d) matrix."""
-    A = np.eye(d) * scale
-    if rotation:
-        c, s = np.cos(rotation), np.sin(rotation)
-        R = np.eye(d)
-        R[0, 0], R[0, 1], R[1, 0], R[1, 1] = c, -s, s, c
-        A = R @ A
-    return A
 
 
 def _bilinear_sample(image: DenseGrid, pts: np.ndarray) -> np.ndarray:

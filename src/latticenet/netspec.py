@@ -210,7 +210,9 @@ def count_ops(spec: NetworkSpec, activity="dense", classes: int | None = None) -
     """Per-layer and total multiply-accumulate counts.
 
     ``activity`` is "dense" (every valid site active) or a per-layer list
-    of active output-site counts, one entry per layer of the spec.
+    of active output-site counts, one entry per layer of the spec.  The
+    output head counts as the size-1 convolution it is, to ``classes``
+    outputs, and as nothing when ``classes`` is None.
     """
     if spec.planned_sizes is None:
         raise PlanError("spec must be planned before counting operations")
@@ -233,15 +235,13 @@ def count_ops(spec: NetworkSpec, activity="dense", classes: int | None = None) -
         n_in, n_out = feats[i]
         a_out = site_count(spec.lattice, m_out) if activity == "dense" else activity[i]
         F = 8 if isinstance(layer, FMPSpec) else filter_volume(spec.lattice, _window(layer)[0])
-        if isinstance(layer, ConvSpec):
+        if isinstance(layer, OutputSpec):
+            n_out = classes or 0  # the head: a size-1 convolution to the classes
+        if isinstance(layer, (ConvSpec, OutputSpec)):
             macs = a_out * F * n_in * n_out
             params = F * n_in * n_out + n_out
-        elif isinstance(layer, OutputSpec):
-            macs = a_out * n_in * classes if classes else 0
-            params = (n_in * classes + classes) if classes else 0
         else:
-            macs = 0  # pooling is I/O-bound, counted as free
-            params = 0
+            macs = params = 0  # pooling is I/O-bound, counted as free
         rows.append({
             "layer": render_layer(layer),
             "m_in": m_in,

@@ -49,7 +49,6 @@ layer with a cached rule builds no regions.
 
 from __future__ import annotations
 
-import io
 import os
 import struct
 import sys
@@ -91,6 +90,8 @@ from .rulecache import RuleCache
 
 _CKPT_MAGIC = b"LNCK"
 _CKPT_VERSION = 1
+# the six u32 after the magic (see Network's checkpoint layout)
+_CKPT_HEADER = struct.Struct("<IIIIII")
 
 
 class _Conv:
@@ -206,9 +207,6 @@ class Network:
     def params(self) -> list[ParamState]:
         return self._params
 
-    def param_count(self) -> int:
-        return sum(p.values.size for p in self._params)
-
     def input_shape(self) -> GridShape:
         return GridShape(self.spec.lattice, self.spec.planned_sizes[0])
 
@@ -320,8 +318,8 @@ class Network:
     # -- checkpoints --------------------------------------------------------
     #
     # Layout (little-endian):
-    #   "LNCK" u32 version, u32 lattice, u32 n_input, u32 classes,
-    #   u32 input field size, u32 arch length, arch utf-8,
+    #   "LNCK", then _CKPT_HEADER: u32 version, u32 lattice, u32 n_input,
+    #   u32 classes, u32 input field size, u32 arch length; arch utf-8,
     #   u32 block count, then per block its header (the block's header()):
     #     u8 kind (0 conv, 1 pool, 2 fmp, 3 classifier), then
     #     conv/classifier: u32 f, u32 s, u32 n_in, u32 n_out
@@ -332,22 +330,18 @@ class Network:
     #   header, so load compares them byte for byte.
 
     def save(self, path):
-        buf = io.BytesIO()
+        """Write the checkpoint straight to ``path``, one parameter at a time."""
         arch = render(self.spec).encode()
-        buf.write(_CKPT_MAGIC)
-        buf.write(struct.pack("<IIIII", _CKPT_VERSION, lattice_code(self.spec.lattice),
-                              self.spec.n_input, self.classes, self.spec.planned_sizes[0]))
-        buf.write(struct.pack("<I", len(arch)))
-        buf.write(arch)
-        buf.write(struct.pack("<I", len(self.blocks)))
-        for b in self.blocks:
-            buf.write(b.header())
-            if b.kind == "fmp":
-                buf.write(struct.pack("<Q", b.layer.seed))
-            for p in b.params:
-                buf.write(p.values.astype("<f4").tobytes())
+        head = _CKPT_HEADER.pack(_CKPT_VERSION, lattice_code(self.spec.lattice), self.spec.n_input,
+                                 self.classes, self.spec.planned_sizes[0], len(arch))
         with open(path, "wb") as fh:
-            fh.write(buf.getvalue())
+            fh.write(_CKPT_MAGIC + head + arch + struct.pack("<I", len(self.blocks)))
+            for b in self.blocks:
+                fh.write(b.header())
+                if b.kind == "fmp":
+                    fh.write(struct.pack("<Q", b.layer.seed))
+                for p in b.params:  # writing the array itself raised peak RSS (ROADMAP)
+                    fh.write(p.values.astype("<f4").tobytes())
 
     @classmethod
     def load(cls, path) -> "Network":
@@ -366,7 +360,7 @@ class Network:
         """:meth:`load` over the open reader ``r`` of ``path``."""
         if r.take(4) != _CKPT_MAGIC:
             raise FormatError(f"{path} is not a network checkpoint")
-        version, lat, n_input, classes, field, alen = r.unpack("<IIIIII")
+        version, lat, n_input, classes, field, alen = r.unpack(_CKPT_HEADER.format)
         if version != _CKPT_VERSION:
             raise FormatError(f"{path}: checkpoint version {version}, expected {_CKPT_VERSION}")
         lattice = lattice_from_code(lat)

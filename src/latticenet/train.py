@@ -25,7 +25,6 @@ import numpy as np
 from .autograd import sgd_step, softmax, softmax_nll
 from .geometry import pack_sites, run_heads
 from .grid import LabeledSample, SparseGrid
-from .ingest import make_affine
 from .network import Network
 
 
@@ -215,11 +214,16 @@ class AffineParams:
 def augment_grid(grid: SparseGrid, params: AffineParams, rng: np.random.Generator) -> SparseGrid:
     """Random affine jitter of the active sites; identity params are a no-op.
 
-    Sites are transformed about the field's centre, where the command
-    line centres a sample (``(m - 1) / (d + 1)`` in every coordinate on a
-    simplex field, else ``(m - 1) / 2``), rounded back to the lattice, and
-    collisions keep the component-wise max.  Sites leaving the field are
-    dropped (augmentation semantics, not an error).
+    A site moves by ``R (1 + u) S``, then by a translation: ``S`` is a
+    shear, the identity with its off-diagonal entries drawn in one
+    row-major call, and ``R`` a rotation in the first two axes.  The
+    angle, ``u``, the shear entries and the translation are uniform within
+    their magnitudes, drawn in that order, each only when its magnitude
+    is nonzero.  Sites are transformed about the field's centre, where
+    the command line centres a sample (``(m - 1) / (d + 1)`` in every
+    coordinate on a simplex field, else ``(m - 1) / 2``), rounded back to
+    the lattice, and collisions keep the component-wise max.  Sites
+    leaving the field are dropped (augmentation semantics, not an error).
     """
     if params.is_identity:
         return grid
@@ -229,13 +233,14 @@ def augment_grid(grid: SparseGrid, params: AffineParams, rng: np.random.Generato
         ang = np.deg2rad(rng.uniform(-params.rotate_deg, params.rotate_deg))
     if params.scale:
         scale = rng.uniform(-params.scale, params.scale)
-    A = make_affine(d, rotation=ang, scale=1.0 + scale)
+    A = np.eye(d) * (1.0 + scale)
+    if ang:
+        R = np.eye(d)
+        R[:2, :2] = [[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]]
+        A = R @ A
     if params.shear:
         S = np.eye(d)
-        for i in range(d):
-            for j in range(d):
-                if i != j:
-                    S[i, j] = rng.uniform(-params.shear, params.shear)
+        S[~np.eye(d, dtype=bool)] = rng.uniform(-params.shear, params.shear, d * (d - 1))
         A = A @ S
     t = rng.uniform(-params.translate, params.translate, size=d) if params.translate else np.zeros(d)
 

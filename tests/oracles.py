@@ -46,7 +46,6 @@ from latticenet.ingest import (
     TriangleMesh,
     fit_points,
     knot_curve,
-    make_affine,
     rasterize_polyline,
 )
 from latticenet.netspec import ConvSpec, FMPSpec, LayerSpec, NetworkSpec, OutputSpec, PoolSpec
@@ -823,7 +822,9 @@ def two_sort_augment_grid(grid: SparseGrid, params: AffineParams, rng: np.random
 
     Sites are transformed about the field center, rounded back to the
     lattice, and collisions keep the component-wise max.  Sites leaving
-    the field are dropped (augmentation semantics, not an error).
+    the field are dropped (augmentation semantics, not an error).  The
+    matrix is built entry by entry: the rotation's four entries, then one
+    scalar draw per off-diagonal shear entry in row-major order.
     """
     if params.is_identity:
         return grid
@@ -833,7 +834,12 @@ def two_sort_augment_grid(grid: SparseGrid, params: AffineParams, rng: np.random
         ang = np.deg2rad(rng.uniform(-params.rotate_deg, params.rotate_deg))
     if params.scale:
         scale = rng.uniform(-params.scale, params.scale)
-    A = make_affine(d, rotation=ang, scale=1.0 + scale)
+    A = np.eye(d) * (1.0 + scale)
+    if ang:
+        c, s = np.cos(ang), np.sin(ang)
+        R = np.eye(d)
+        R[0, 0], R[0, 1], R[1, 0], R[1, 1] = c, -s, s, c
+        A = R @ A
     if params.shear:
         S = np.eye(d)
         for i in range(d):

@@ -474,6 +474,51 @@ def test_train_missing_data_exit_3(tmp_path):
     assert r.returncode == 3
 
 
+@pytest.mark.parametrize("source", ["knot", "bogus:{tmp}", "bogus:{tmp}/nowhere"])
+def test_an_unknown_data_source_exits_2_naming_it_and_the_kinds(tmp_path, capsys, monkeypatch,
+                                                                source):
+    """A typo in a source's kind is a configuration error, reported before
+    its path is looked at, with no checkpoint or log written."""
+    fail_on_ingest(monkeypatch)
+    source = source.format(tmp=tmp_path)
+    out, log = tmp_path / "never.lnck", tmp_path / "never.log"
+    assert main(["train", *TOY, "--train-data", source, "--out", str(out),
+                 "--log", str(log)]) == 2
+    err = capsys.readouterr().err
+    assert (f"error: unknown data source {source!r}; expected knots or one of off:PATH, "
+            "strokes:PATH, video:PATH, cifar:PATH") in err
+    assert not out.exists() and not log.exists()
+
+
+@pytest.mark.parametrize("command, flag", [("train", "--out"), ("train", "--log"),
+                                           ("eval", "--out")])
+def test_a_missing_output_directory_exits_3_before_any_work(tmp_path, capsys, monkeypatch,
+                                                            command, flag):
+    """The directory of ``train --out`` or ``--log``, or of ``eval --out``,
+    is checked before the network is built or any data loads: a data error,
+    no epoch run and no file written."""
+    cfg = write_cfg(tmp_path, epochs=0)
+    ckpt = tmp_path / "toy.lnck"
+    assert main(["train", *TOY, "--config", str(cfg), "--out", str(ckpt)]) == 0
+    capsys.readouterr()
+    fail_on_ingest(monkeypatch)
+    monkeypatch.setattr("latticenet.cli.Network", None)  # building or loading one fails
+    missing = tmp_path / "missing" / "file"
+    if command == "train":
+        others = {"--out": tmp_path / "never.lnck", "--log": tmp_path / "never.log"}
+        others[flag] = missing
+        argv = ["train", *TOY, "--config", str(cfg), "--epochs", "1",
+                *(str(a) for kv in others.items() for a in kv)]
+    else:
+        argv = ["eval", "--checkpoint", str(ckpt), "--test-data", "knots", "--config", str(cfg),
+                "--out", str(missing)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"data error: directory of {missing} does not exist" in err
+    assert "epoch 1:" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["toy.cfg", "toy.lnck"]
+
+
 def test_train_eval_cycle_and_nfold_exactness(tmp_path):
     cfg = write_cfg(tmp_path, epochs=2)
     ckpt = tmp_path / "toy.lnck"

@@ -101,7 +101,7 @@ def test_grid_tetrahedral_key_outside_simplex():
     blob = struct.pack("<4sIIII", b"SGRD", 3, 4, 1, 1) + struct.pack("<q", (3 << 21) | 3)
     with pytest.raises(FormatError, match="not a site"):
         SparseGrid.from_bytes(blob + b"\0" * 8)
-    assert not shape.contains((0, 3, 3))
+    assert shape.outside((0, 3, 3))
 
 
 def checkpoint_blob(tmp_path, arch, lattice, field=None):

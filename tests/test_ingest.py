@@ -562,3 +562,12 @@ def test_cifar_batch_label_out_of_range(tmp_path, rng, label):
 def test_image_to_dense_rejects_non_square():
     with pytest.raises(ValueError):
         image_to_dense(np.zeros((4, 5)))
+
+
+def test_importing_the_package_leaves_ingest_unloaded():
+    """Ingestion is a front-end that the engine, training and augmentation
+    never import: a fresh ``import latticenet`` leaves it unloaded."""
+    from test_heap import fresh_interpreter
+
+    script = "import json, sys, latticenet\nprint(json.dumps('latticenet.ingest' in sys.modules))"
+    assert fresh_interpreter(script) is False

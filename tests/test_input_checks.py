@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 from latticenet.errors import PlanError
-from latticenet.geometry import MAX_COORD, GridShape, LatticeKind, site_count
+from latticenet.geometry import (
+    MAX_COORD,
+    GridShape,
+    LatticeKind,
+    filter_offsets,
+    filter_volume,
+    site_count,
+)
 from latticenet.grid import DenseGrid, GridBatch, SparseGrid
 from latticenet.ingest import (
     FrameSequence,
@@ -80,6 +87,8 @@ CASES = [
     (lambda: GridShape(SQ, MAX_COORD + 1), ValueError,
      f"grid size {MAX_COORD + 1} exceeds packable maximum {MAX_COORD}"),
     (lambda: site_count(SQ, 0), ValueError, "grid size must be >= 1, got 0"),
+    (lambda: filter_volume(SQ, 0), ValueError, "grid size must be >= 1, got 0"),
+    (lambda: filter_offsets(SQ, 0), ValueError, "grid size must be >= 1, got 0"),
     (lambda: LatticeKind.from_name("hexagonal"), ValueError, "unknown lattice 'hexagonal'"),
     (lambda: TriangleMesh(np.zeros((3, 3)), [[0, 1, 3]]), ValueError,
      "face references a vertex that does not exist"),

@@ -583,14 +583,18 @@ def test_embed_matches_unpack_offset_pack(lattice, monkeypatch):
 @pytest.mark.parametrize("lattice", ALL_LATTICES)
 def test_augment_grid_matches_two_sort(lattice):
     """Shrinking, shearing jitter makes sites collide; the merged rows and
-    keys equal the two-sort form's bit for bit."""
+    keys equal the two-sort form's bit for bit.  That form draws each shear
+    entry on its own, so this also pins the one draw of all the entries,
+    which leaves the generator where the scalar draws leave it."""
     jitter = AffineParams(rotate_deg=40.0, scale=0.6, shear=0.3, translate=1.5)
     merged = 0
     for seed in range(40):
         rng = np.random.default_rng(seed)
         grid = random_sparse(lattice, 9, 3, 0.4, rng, ground=rng.normal(size=3))
-        got = augment_grid(grid, jitter, np.random.default_rng(seed))
-        want = two_sort_augment_grid(grid, jitter, np.random.default_rng(seed))
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = augment_grid(grid, jitter, got_rng)
+        want = two_sort_augment_grid(grid, jitter, want_rng)
+        assert got_rng.random() == want_rng.random(), seed
         assert np.array_equal(got.keys, want.keys), seed
         assert got.rows.dtype == want.rows.dtype and got.rows.tobytes() == want.rows.tobytes(), seed
         assert got.ground.tobytes() == want.ground.tobytes(), seed
