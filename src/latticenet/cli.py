@@ -2,18 +2,20 @@
 
 Commands: ``train``, ``eval``, ``count-ops``, ``voxelize``, ``demo-knot``.
 Every setting is one flag, declared once in ``build_parser`` with its type
-and default, and each command takes only the settings it reads, so a flag
-it would ignore exits 2, reported under that command's usage.  A
+and default (``TrainConfig``'s and ``AffineParams``' flags are derived
+from their fields), and each command takes only the settings it reads, so
+a flag it would ignore exits 2, reported under that command's usage.  A
 ``key = value`` config file (``--config``) sets the same keys, and a
 command ignores the keys only other commands take; flags given on the
-command line win.  File values are converted by the flag's own type
-before any data loads, so a bad value exits 2 and names its flag; a
-config file that is missing, unreadable or malformed exits 2 and names
-the file, and an unknown data source kind exits 2 and names the kinds.
-An output or log file whose directory is missing exits 3 before the
-network is built or any data loads.  Exit codes: 0 success, 2
-configuration or parse error, 3 data error, 4 internal invariant
-violation.
+command line win.  File values are converted by the flag's own type, and
+checked against its choices, before any data loads, so a bad value exits
+2 and names its flag; a config file that is missing, unreadable or
+malformed exits 2 and names the file.  An unknown data source kind,
+training or held-out, exits 2 and names the kinds, and an output or log
+path that names a directory or whose directory is missing exits 3, both
+before the network is built or read or any data loads.  Exit codes: 0
+success, 2 configuration or parse error, 3 data error, 4 internal
+invariant violation.
 
 Epoch logs are tab-separated with deterministic columns only (epoch,
 train loss, held-out error, MACs/sample); wall-clock timings go to
@@ -110,6 +112,22 @@ def _read_grid(path: Path, args: argparse.Namespace, lattice: LatticeKind, scale
     raise ValueError(f"cannot detect input format of {path} (expected .off/.svid/.json)")
 
 
+def _data_source(source: str, split: str) -> tuple[str, Path | None]:
+    """The kind and path of the data source ``source`` of ``split``, read
+    without touching the file system: ``knots`` has no path, and any other
+    kind must be a key of ``DATA_SUFFIXES`` and give a path, or ValueError
+    is raised."""
+    if source == "knots":
+        return source, None
+    kind, _, root = source.partition(":")
+    if kind not in DATA_SUFFIXES:
+        raise ValueError(f"unknown data source {source!r}; expected knots or one of "
+                         + ", ".join(f"{k}:PATH" for k in DATA_SUFFIXES))
+    if not root:
+        raise ValueError(f"data source {kind!r} needs a path, e.g. '{kind}:/data/{split}'")
+    return kind, Path(root)
+
+
 def load_dataset(source: str, args: argparse.Namespace, field: GridShape, *,
                  split: str) -> list[LabeledSample]:
     """Materialize a dataset source specification into embedded grids.
@@ -122,8 +140,9 @@ def load_dataset(source: str, args: argparse.Namespace, field: GridShape, *,
     held-out set that ``train`` loaded, and the test draws never replay
     the training draws (a knot may still match a training knot by chance).
     """
+    kind, root = _data_source(source, split)
     rng = np.random.default_rng(args.seed + 1 if split == "train" else [args.seed + 1, 1])
-    if source == "knots":
+    if kind == "knots":
         m = args.scale if args.scale is not None else field.m
         if m > field.m:
             raise ValueError(
@@ -133,14 +152,7 @@ def load_dataset(source: str, args: argparse.Namespace, field: GridShape, *,
         samples = ingest.knot_dataset(m, per, rng, lattice=field.lattice)
         return [LabeledSample(_embed_centered(s.grid, field), s.label) for s in samples]
 
-    kind, _, root = source.partition(":")
-    if kind not in DATA_SUFFIXES:
-        raise ValueError(f"unknown data source {source!r}; expected knots or one of "
-                         + ", ".join(f"{k}:PATH" for k in DATA_SUFFIXES))
     suffix = DATA_SUFFIXES[kind]
-    if not root:
-        raise ValueError(f"data source {kind!r} needs a path, e.g. '{kind}:/data/{split}'")
-    root = Path(root)
     if not root.exists():
         raise FileNotFoundError(f"data path {root} does not exist")
 
@@ -186,23 +198,29 @@ def _parsed_spec(args: argparse.Namespace) -> netspec.NetworkSpec:
 # commands
 
 
-def _check_out_dirs(*paths):
-    """Raise FileNotFoundError, a data error, for a path given whose
-    directory is missing, so that a command fails before its work."""
-    for path in paths:
-        if path and not Path(path).parent.is_dir():
+def _check_out_paths(*paths):
+    """Raise an OSError, a data error, for an output path given that names a
+    directory or whose directory is missing, so that a command fails before
+    its work."""
+    for path in filter(None, paths):
+        if Path(path).is_dir():
+            raise IsADirectoryError(f"{path} is a directory")
+        if not Path(path).parent.is_dir():
             raise FileNotFoundError(f"directory of {path} does not exist")
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
     spec = netspec.plan(_parsed_spec(args), input_size=args.field)
-    field = GridShape(spec.lattice, spec.planned_sizes[0])
-    _check_out_dirs(args.out, args.log)
+    _data_source(require(args, "train_data"), "train")
+    if args.test_data:
+        _data_source(args.test_data, "test")
+    _check_out_paths(args.out, args.log)
     # the network checks its class count before any data loads
     net = Network(spec, require(args, "classes"), np.random.default_rng(args.seed),
                   fmp_eval_seed=args.seed)
-    train_set = load_dataset(require(args, "train_data"), args, field, split="train")
+    field = net.input_shape()
+    train_set = load_dataset(args.train_data, args, field, split="train")
     test_set = (load_dataset(args.test_data, args, field, split="test")
                 if args.test_data else [])
     # fit checks this too, but only after --log has been opened for writing
@@ -237,15 +255,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {args.repeats}")
     params = AffineParams(**{f.name: getattr(args, f"aug_{f.name}") for f in fields(AffineParams)})
-    _check_out_dirs(args.out)
+    _data_source(require(args, "test_data"), "test")
+    _check_out_paths(args.out)
     net = Network.load(require(args, "checkpoint"))
     if args.arch and netspec.render(net.spec) != netspec.render(
             netspec.parse(args.arch, net.spec.lattice, net.spec.n_input)):
         raise ValueError(
             f"checkpoint architecture {netspec.render(net.spec)!r} does not match --arch {args.arch!r}"
         )
-    field = net.input_shape()
-    test_set = load_dataset(require(args, "test_data"), args, field, split="test")
+    test_set = load_dataset(args.test_data, args, net.input_shape(), split="test")
     aug = None
     if args.repeats > 1 and not params.is_identity:
         aug = lambda g, r: augment_grid(g, params, r)
@@ -269,12 +287,8 @@ def cmd_count_ops(args: argparse.Namespace) -> int:
         spec = netspec.plan_partial(parsed, args.field)
     else:
         spec = netspec.plan(parsed, input_size=args.field)
-    if args.mode == "dense":
-        activity = "dense"
-    elif args.mode == "geometric":
-        activity = netspec.geometric_activity(spec, require(args, "width"))
-    else:
-        raise ValueError(f"unknown activity mode {args.mode!r}; use dense or geometric")
+    activity = ("dense" if args.mode == "dense"
+                else netspec.geometric_activity(spec, require(args, "width")))
     report = netspec.count_ops(spec, activity, classes=args.classes)
     print(netspec.format_report(report, as_json=args.json))
     return EXIT_OK
@@ -302,8 +316,7 @@ def cmd_voxelize(args: argparse.Namespace) -> int:
 def cmd_demo_knot(args: argparse.Namespace) -> int:
     scale = args.scale
     lattice = LatticeKind.CUBIC if args.lattice is None else LatticeKind.from_name(args.lattice)
-    sample = ingest.synth_knot(args.kind, scale, np.random.default_rng(args.seed), lattice)
-    grid = sample.grid
+    grid = ingest.synth_knot(args.kind, scale, np.random.default_rng(args.seed), lattice).grid
     if args.out:
         grid.save(args.out)
         print(f"written to {args.out}")
@@ -331,25 +344,39 @@ def _truthy(text: str) -> bool:
     return word in ("1", "true", "yes", "on")
 
 
+def _choices(words: list[str]) -> dict:
+    """``add_argument`` keywords for a flag that takes one of ``words``.
+    argparse converts a config-file value, a string default, by its flag's
+    type but checks no ``choices``, so the type checks them: a bad file
+    value exits 2 naming its flag, as a bad flag value does."""
+    def word(text: str) -> str:
+        if text in words:
+            return text
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {text!r} (choose from {', '.join(words)})")
+    return dict(choices=words, type=word)
+
+
 def build_parser(file_settings: dict | None = None) -> argparse.ArgumentParser:
     """The command parser; ``file_settings`` (a config file's ``key = value``
     pairs) become the defaults of the flags of the same names.  One file
     serves several commands, so a command ignores another's keys; a key
     that no command declares raises ValueError."""
-    train = TrainConfig()
-    aug = {f"aug-{f.name.replace('_', '-')}": dict(type=float, default=f.default)
-           for f in fields(AffineParams)}
+    # a dataclass field's flag takes its default and that default's type
+    # (float where the default is None)
+    flag = lambda f: dict(type=float if f.default is None else type(f.default), default=f.default)
+    train = {f.name.replace("_", "-"): flag(f) for f in fields(TrainConfig)}
+    train["threads"]["help"] = "accepted; has no effect"
+    aug = {f"aug-{f.name.replace('_', '-')}": flag(f) for f in fields(AffineParams)}
     settings = {  # flag name -> add_argument keywords, every setting once
         "config": dict(help="key = value settings file (flags win)"),
         "arch": dict(help="architecture string, e.g. 32C2-MP3/2-output"),
-        "lattice": dict(choices=[k.value for k in LatticeKind],
+        "lattice": dict(**_choices([k.value for k in LatticeKind]),
                         help="lattice kind; train and voxelize build meshes on it (eval "
                              "on its checkpoint's), while strokes and video stay cubic"),
         "scale": dict(type=int, help="object render scale (default: the input "
                                      f"field for knots, {RENDER_SCALE} otherwise); "
                                      "video ignores it and sizes its grid to the frames"),
-        "seed": dict(type=int, default=train.seed),
-        "threads": dict(type=int, default=train.threads, help="accepted; has no effect"),
         "out": dict(help="output path"),
         "train-data": dict(help="data source (knots | off:DIR | strokes:DIR | "
                                 "video:DIR | cifar:PATH)"),
@@ -361,22 +388,16 @@ def build_parser(file_settings: dict | None = None) -> argparse.ArgumentParser:
         "n-input": dict(type=int, default=1, help="input features per site"),
         "field": dict(type=int, help="input field size (required for FMP architectures; "
                                      "must match the planned field otherwise)"),
-        "epochs": dict(type=int, default=train.epochs),
-        "batch-size": dict(type=int, default=train.batch_size),
-        "lr": dict(type=float, default=train.lr),
-        "lr-decay": dict(type=float, default=train.lr_decay),
-        "momentum": dict(type=float, default=train.momentum),
-        "weight-decay": dict(type=float, default=train.weight_decay),
-        "target-accuracy": dict(type=float, default=train.target_accuracy),
         "log": dict(help="epoch log file (tab-separated)"),
         "repeats": dict(type=int, default=1, help="augmented passes per test sample"),
+        **train,
         **aug,
         "threshold-pct": dict(type=float, default=12.0),
-        "mode": dict(choices=["dense", "geometric"], default="dense"),
+        "mode": dict(**_choices(["dense", "geometric"]), default="dense"),
         "width": dict(type=int, help="active box width for geometric mode"),
         "json": dict(nargs="?", const=True, default=False, type=_truthy),
         "input": dict(help="input file (.off, .svid, .json)"),
-        "kind": dict(choices=list(ingest.KNOT_KINDS), default="trefoil"),
+        "kind": dict(**_choices(list(ingest.KNOT_KINDS)), default="trefoil"),
     }
     unknown = sorted(set(file_settings or ()) - set(settings))
     if unknown:

@@ -56,12 +56,6 @@ class LatticeKind(Enum):
             ) from None
 
 
-def filter_volume(lattice: LatticeKind, f: int) -> int:
-    """Number of input sites a filter of linear size ``f`` covers; an ``f``
-    below 1 raises ValueError, as it does in :func:`site_count`."""
-    return site_count(lattice, f)
-
-
 @lru_cache(maxsize=None)
 def filter_offsets(lattice: LatticeKind, f: int) -> tuple[tuple[int, ...], ...]:
     """Canonical (lexicographically sorted) offset list of a size-f filter:
@@ -85,6 +79,10 @@ def site_count(lattice: LatticeKind, m: int) -> int:
     if lattice is LatticeKind.TRIANGULAR:
         return m * (m + 1) // 2
     return m * (m + 1) * (m + 2) // 6
+
+
+# a filter of linear size f covers the sites of the size-f grid
+filter_volume = site_count
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ network's layers run once per batch instead of once per sample.
 
 from __future__ import annotations
 
-import io
 import struct
 from dataclasses import dataclass
 
@@ -37,25 +36,19 @@ from .geometry import (
     unpack_sites,
 )
 
-_LATTICE_CODES = {
-    LatticeKind.SQUARE: 0,
-    LatticeKind.TRIANGULAR: 1,
-    LatticeKind.CUBIC: 2,
-    LatticeKind.TETRAHEDRAL: 3,
-}
-_LATTICE_FROM_CODE = {v: k for k, v in _LATTICE_CODES.items()}
+# each lattice at the index of its code
+_LATTICES = (LatticeKind.SQUARE, LatticeKind.TRIANGULAR, LatticeKind.CUBIC, LatticeKind.TETRAHEDRAL)
 
 
 def lattice_code(lattice: LatticeKind) -> int:
     """The lattice's code in the binary formats (``.grid`` and ``.lnck``)."""
-    return _LATTICE_CODES[lattice]
+    return _LATTICES.index(lattice)
 
 
 def lattice_from_code(code: int) -> LatticeKind:
-    try:
-        return _LATTICE_FROM_CODE[code]
-    except KeyError:
-        raise FormatError(f"unknown lattice code {code}") from None
+    if not 0 <= code < len(_LATTICES):
+        raise FormatError(f"unknown lattice code {code}")
+    return _LATTICES[code]
 
 
 _HEADER = struct.Struct("<4sIIII")
@@ -230,14 +223,9 @@ class SparseGrid:
     #   n   * float32 ground vector
 
     def to_bytes(self) -> bytes:
-        buf = io.BytesIO()
-        buf.write(
-            _HEADER.pack(_MAGIC, lattice_code(self.shape.lattice), self.shape.m, self.n, self.a)
-        )
-        buf.write(self.keys.astype("<i8").tobytes())
-        buf.write(self.rows.astype("<f4").tobytes())
-        buf.write(self.ground.astype("<f4").tobytes())
-        return buf.getvalue()
+        head = _HEADER.pack(_MAGIC, lattice_code(self.shape.lattice), self.shape.m, self.n, self.a)
+        return b"".join((head, self.keys.astype("<i8").tobytes(), self.rows.astype("<f4").tobytes(),
+                         self.ground.astype("<f4").tobytes()))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SparseGrid":

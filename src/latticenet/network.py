@@ -167,17 +167,12 @@ class _FMP(_Pool):
 
 
 class Network:
-    """A sparse CNN with one classifier head, built from a planned spec."""
+    """A sparse CNN with one classifier head, built from a planned spec.
+    Its weights are drawn from ``rng``; ``rng=None`` allocates them zero,
+    drawing nothing, for :meth:`load` to fill."""
 
-    def __init__(self, spec: NetworkSpec, classes: int, rng: np.random.Generator,
+    def __init__(self, spec: NetworkSpec, classes: int, rng: np.random.Generator | None,
                  dtype=np.float32, fmp_eval_seed: int = 0):
-        self._assemble(spec, classes, dtype, fmp_eval_seed,
-                       lambda geom, n_in, n_out: ConvLayer.init(geom, n_in, n_out, rng,
-                                                                dtype=dtype))
-
-    def _assemble(self, spec: NetworkSpec, classes: int, dtype, fmp_eval_seed: int, make_conv):
-        """Build the blocks of ``spec``; ``make_conv(geometry, n_in, n_out)``
-        makes each convolution and the classifier head, in block order."""
         if spec.planned_sizes is None:
             raise ValueError("network needs a planned spec (call netspec.plan first)")
         if classes < 1:
@@ -189,7 +184,8 @@ class Network:
         n = spec.n_input
         for ls in spec.layers:
             if isinstance(ls, ConvSpec):
-                conv = make_conv(FilterGeometry(spec.lattice, ls.f, ls.s), n, ls.n_out)
+                conv = ConvLayer.init(FilterGeometry(spec.lattice, ls.f, ls.s), n, ls.n_out, rng,
+                                      dtype)
                 self.blocks.append(_Conv("conv", conv, bool(self.blocks)))
                 n = ls.n_out
             elif isinstance(ls, PoolSpec):
@@ -197,7 +193,7 @@ class Network:
             elif isinstance(ls, FMPSpec):
                 self.blocks.append(_FMP(FMPLayer(fmp_eval_seed)))
             elif isinstance(ls, OutputSpec):
-                head = make_conv(FilterGeometry(spec.lattice, 1, 1), n, classes)
+                head = ConvLayer.init(FilterGeometry(spec.lattice, 1, 1), n, classes, rng, dtype)
                 self.blocks.append(_Conv("classifier", head, bool(self.blocks)))
         self._params = [p for b in self.blocks for p in b.params]
         self.rule_cache = RuleCache()
@@ -347,10 +343,10 @@ class Network:
     def load(cls, path) -> "Network":
         """Read a checkpoint; any malformed file raises :class:`FormatError`.
 
-        The network is built by the same block loop as a training network,
-        but its weights are allocated, not drawn: every value comes from the
-        file, so loading costs one copy of the parameters and consumes no
-        random numbers.  The file's size is checked against the
+        The network is built by its constructor with ``rng=None``, so its
+        weights are allocated, not drawn: every value comes from the file,
+        so loading costs one copy of the parameters and consumes no random
+        numbers.  The file's size is checked against the
         architecture's parameter count before anything is allocated."""
         with open(path, "rb") as fh:
             return cls._read(_Reader(fh, path), path)
@@ -378,8 +374,7 @@ class Network:
         if 4 * n_params > r.remaining():
             raise FormatError(f"{path}: checkpoint truncated: {n_params} parameters need "
                               f"{4 * n_params} bytes, {r.remaining()} left")
-        net = cls.__new__(cls)
-        net._assemble(spec, classes, np.float32, 0, _zero_conv)
+        net = cls(spec, classes, None)
         if nblocks != len(net.blocks):
             raise FormatError(f"{path}: checkpoint has {nblocks} blocks, architecture "
                               f"needs {len(net.blocks)}")
@@ -396,14 +391,6 @@ class Network:
         if r.remaining():
             raise FormatError(f"{path}: {r.remaining()} unexpected bytes after the last block")
         return net
-
-
-def _zero_conv(geometry: FilterGeometry, n_in: int, n_out: int) -> ConvLayer:
-    """A float32 convolution with zero ``W`` and ``B``, for
-    :meth:`Network.load` to fill from the checkpoint."""
-    return ConvLayer(geometry, n_in, n_out,
-                     np.zeros((geometry.volume * n_in, n_out), np.float32),
-                     np.zeros(n_out, np.float32))
 
 
 class _Reader:

@@ -187,10 +187,14 @@ class ConvLayer:
         return self.geometry.rulebook(batch)
 
     @classmethod
-    def init(cls, geometry: FilterGeometry, n_in: int, n_out: int, rng: np.random.Generator,
-             dtype=np.float32) -> "ConvLayer":
+    def init(cls, geometry: FilterGeometry, n_in: int, n_out: int,
+             rng: np.random.Generator | None, dtype=np.float32) -> "ConvLayer":
+        """He-normal ``W`` drawn from ``rng`` and zero ``B``; with ``rng``
+        None, ``W`` is zero too, allocated without a draw (for a checkpoint
+        to fill)."""
         fan_in = geometry.volume * n_in
-        W = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, n_out)).astype(dtype)
+        W = (np.zeros((fan_in, n_out), dtype) if rng is None
+             else rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, n_out)).astype(dtype))
         B = np.zeros(n_out, dtype=dtype)
         return cls(geometry, n_in, n_out, W, B)
 

@@ -474,49 +474,107 @@ def test_train_missing_data_exit_3(tmp_path):
     assert r.returncode == 3
 
 
-@pytest.mark.parametrize("source", ["knot", "bogus:{tmp}", "bogus:{tmp}/nowhere"])
+def fail_on_work(monkeypatch):
+    """Make building or loading a network, and loading a data set, fail:
+    a command that reaches any of them exits 4, an internal error."""
+    def work(*a, **kw):
+        raise AssertionError("a network was built or loaded, or data was loaded")
+    monkeypatch.setattr(Network, "__init__", work)
+    monkeypatch.setattr(Network, "load", work)
+    monkeypatch.setattr("latticenet.cli.load_dataset", work)
+
+
+@pytest.mark.parametrize("command, flag, source", [
+    pytest.param("train", "--train-data", "knot", id="knot"),
+    pytest.param("train", "--train-data", "bogus:{tmp}", id="bogus:{tmp}"),
+    pytest.param("train", "--train-data", "bogus:{tmp}/nowhere", id="bogus:{tmp}/nowhere"),
+    pytest.param("train", "--test-data", "knot", id="train-test-data-knot"),
+    pytest.param("train", "--test-data", "bogus:{tmp}/nowhere", id="train-test-data-bogus"),
+    pytest.param("eval", "--test-data", "knot", id="eval-knot"),
+    pytest.param("eval", "--test-data", "bogus:{tmp}/nowhere", id="eval-bogus"),
+])
 def test_an_unknown_data_source_exits_2_naming_it_and_the_kinds(tmp_path, capsys, monkeypatch,
-                                                                source):
-    """A typo in a source's kind is a configuration error, reported before
-    its path is looked at, with no checkpoint or log written."""
-    fail_on_ingest(monkeypatch)
+                                                                command, flag, source):
+    """A typo in a source's kind, training or held-out, is a configuration
+    error, reported before its path is looked at and before a network is
+    built or loaded or any data loads, with no checkpoint, log or report
+    written; eval reports it even when its checkpoint is missing."""
+    fail_on_work(monkeypatch)
     source = source.format(tmp=tmp_path)
-    out, log = tmp_path / "never.lnck", tmp_path / "never.log"
-    assert main(["train", *TOY, "--train-data", source, "--out", str(out),
-                 "--log", str(log)]) == 2
+    out, log = tmp_path / "never.out", tmp_path / "never.log"
+    if command == "train":
+        argv = ["train", *TOY, flag, source, "--out", str(out), "--log", str(log)]
+    else:
+        argv = ["eval", "--checkpoint", str(tmp_path / "missing.lnck"), flag, source,
+                "--out", str(out)]
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert (f"error: unknown data source {source!r}; expected knots or one of off:PATH, "
             "strokes:PATH, video:PATH, cifar:PATH") in err
     assert not out.exists() and not log.exists()
 
 
-@pytest.mark.parametrize("command, flag", [("train", "--out"), ("train", "--log"),
-                                           ("eval", "--out")])
+@pytest.mark.parametrize("command, flag, target", [
+    pytest.param(command, flag, target, id=f"{command}-{flag}" if target == "missing"
+                 else f"directory-{command}-{flag}")
+    for target in ("missing", "directory")
+    for command, flag in (("train", "--out"), ("train", "--log"), ("eval", "--out"))])
 def test_a_missing_output_directory_exits_3_before_any_work(tmp_path, capsys, monkeypatch,
-                                                            command, flag):
+                                                            command, flag, target):
     """The directory of ``train --out`` or ``--log``, or of ``eval --out``,
-    is checked before the network is built or any data loads: a data error,
+    must exist and the path must not name a directory; both are checked
+    before the network is built or loaded or any data loads: a data error,
     no epoch run and no file written."""
     cfg = write_cfg(tmp_path, epochs=0)
     ckpt = tmp_path / "toy.lnck"
     assert main(["train", *TOY, "--config", str(cfg), "--out", str(ckpt)]) == 0
     capsys.readouterr()
-    fail_on_ingest(monkeypatch)
-    monkeypatch.setattr("latticenet.cli.Network", None)  # building or loading one fails
-    missing = tmp_path / "missing" / "file"
+    fail_on_work(monkeypatch)
+    if target == "missing":
+        bad = tmp_path / "missing" / "file"
+        message = f"directory of {bad} does not exist"
+    else:
+        bad = tmp_path / "dir"
+        bad.mkdir()
+        message = f"{bad} is a directory"
     if command == "train":
         others = {"--out": tmp_path / "never.lnck", "--log": tmp_path / "never.log"}
-        others[flag] = missing
+        others[flag] = bad
         argv = ["train", *TOY, "--config", str(cfg), "--epochs", "1",
                 *(str(a) for kv in others.items() for a in kv)]
     else:
         argv = ["eval", "--checkpoint", str(ckpt), "--test-data", "knots", "--config", str(cfg),
-                "--out", str(missing)]
+                "--out", str(bad)]
     assert main(argv) == 3
     err = capsys.readouterr().err
-    assert f"data error: directory of {missing} does not exist" in err
+    assert f"data error: {message}" in err
     assert "epoch 1:" not in err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["toy.cfg", "toy.lnck"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["toy.cfg", "toy.lnck", *(["dir"] if target == "directory" else [])])
+    assert target == "missing" or not any(bad.iterdir())
+
+
+@pytest.mark.parametrize("command, setting, value", [
+    ("count-ops", "mode", "bogus"),
+    ("count-ops", "lattice", "hexagonal"),
+    ("train", "lattice", "hexagonal"),
+    ("demo-knot", "kind", "bogus"),
+])
+def test_a_config_value_outside_its_flags_choices_exits_2_naming_the_flag(
+        tmp_path, capsys, monkeypatch, command, setting, value):
+    """A config-file value is checked against its flag's choices as a flag
+    value is, before any work, and the error names the flag."""
+    fail_on_work(monkeypatch)
+    fail_on_ingest(monkeypatch)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"arch = 8C2-output\n{setting} = {value}\n")
+    out = tmp_path / "never.out"  # count-ops writes no file and takes no --out
+    argv = [command, "--config", str(cfg), *([] if command == "count-ops" else ["--out", str(out)])]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert f"argument --{setting}: invalid choice: {value!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_eval_cycle_and_nfold_exactness(tmp_path):

@@ -238,19 +238,28 @@ def test_checkpoint_bytes_are_pinned(lattice, arch, field, digest, tmp_path):
 
 
 def test_checkpoint_load_draws_no_weights(tmp_path, rng, monkeypatch):
-    from latticenet import ops
-
+    """``Network.load`` makes no generator and leaves numpy's global one
+    alone, and the network it returns equals the saved one; a network built
+    with ``rng=None`` holds zero parameters."""
     net = small_net(rng, dtype=np.float32)
     p = tmp_path / "net.lnck"
     net.save(p)
 
-    def no_draws(*args, **kwargs):
-        raise AssertionError("Network.load drew initial weights")
+    def no_generator(*args, **kwargs):
+        raise AssertionError("Network.load made a random generator")
 
-    monkeypatch.setattr(ops.ConvLayer, "init", classmethod(no_draws))
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    before = np.random.get_state()
     back = Network.load(p)
-    for ours, theirs in zip(back.params(), net.params()):
+    after = np.random.get_state()
+    assert np.array_equal(after[1], before[1]) and after[2:] == before[2:]
+    assert (back.spec, back.classes, back.dtype) == (net.spec, net.classes, np.float32)
+    for ours, theirs in zip(back.params(), net.params(), strict=True):
         assert np.array_equal(ours.values, theirs.values)
+    back.save(tmp_path / "again.lnck")
+    assert (tmp_path / "again.lnck").read_bytes() == p.read_bytes()
+    zero = Network(net.spec, net.classes, None)
+    assert all(p.values.dtype == np.float32 and not p.values.any() for p in zero.params())
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
