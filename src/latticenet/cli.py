@@ -10,12 +10,15 @@ command ignores the keys only other commands take; flags given on the
 command line win.  File values are converted by the flag's own type, and
 checked against its choices, before any data loads, so a bad value exits
 2 and names its flag; a config file that is missing, unreadable or
-malformed exits 2 and names the file.  An unknown data source kind,
-training or held-out, exits 2 and names the kinds, and an output or log
-path that names a directory or whose directory is missing exits 3, both
-before the network is built or read or any data loads.  Exit codes: 0
-success, 2 configuration or parse error, 3 data error, 4 internal
-invariant violation.
+malformed exits 2 and names the file.  One pass in ``main``, after
+parsing and before the command runs, checks the settings of the command
+that its work would find bad only late: a seed outside [0, 2**64), the
+range of a checkpoint's FMP seed, exits 2, and so does an unknown data
+source kind, training or held-out, naming the kinds; an output or log
+path that names a directory or whose directory is missing exits 3.  So
+each is reported before a network is built or read, or any data is read,
+drawn or rasterized.  Exit codes: 0 success, 2 configuration or parse
+error, 3 data error, 4 internal invariant violation.
 
 Epoch logs are tab-separated with deterministic columns only (epoch,
 train loss, held-out error, MACs/sample); wall-clock timings go to
@@ -38,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ingest, netspec
-from .errors import FormatError, LatticeNetError, ParseError, PlanError
+from .errors import FormatError
 from .geometry import GridShape, LatticeKind
 from .grid import LabeledSample, SparseGrid
 from .network import Network
@@ -85,10 +88,7 @@ def require(args: argparse.Namespace, name: str):
 
 def _embed_centered(grid: SparseGrid, field: GridShape) -> SparseGrid:
     d = field.ndim
-    if field.lattice.is_simplex:
-        off = (field.m - grid.shape.m) // (d + 1)
-    else:
-        off = (field.m - grid.shape.m) // 2
+    off = (field.m - grid.shape.m) // (d + 1 if field.lattice.is_simplex else 2)
     return grid.embed(field, (off,) * d)
 
 
@@ -200,8 +200,7 @@ def _parsed_spec(args: argparse.Namespace) -> netspec.NetworkSpec:
 
 def _check_out_paths(*paths):
     """Raise an OSError, a data error, for an output path given that names a
-    directory or whose directory is missing, so that a command fails before
-    its work."""
+    directory or whose directory is missing."""
     for path in filter(None, paths):
         if Path(path).is_dir():
             raise IsADirectoryError(f"{path} is a directory")
@@ -209,13 +208,26 @@ def _check_out_paths(*paths):
             raise FileNotFoundError(f"directory of {path} does not exist")
 
 
+def _check_before_work(args: argparse.Namespace):
+    """Check the settings a command reads that its work would otherwise
+    find bad late, before any work: ``seed`` must be in [0, 2**64), the
+    range of a checkpoint's FMP seed; a data source given must be of a
+    known kind and give a path (:func:`_data_source`); an output or log
+    path given must not name a directory, and its directory must exist
+    (:func:`_check_out_paths`).  A command's namespace holds the settings
+    it reads and no others, so each command is checked for exactly those."""
+    if not 0 <= getattr(args, "seed", 0) < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {args.seed}")
+    for split in ("train", "test"):
+        if getattr(args, f"{split}_data", None):
+            _data_source(getattr(args, f"{split}_data"), split)
+    _check_out_paths(getattr(args, "out", None), getattr(args, "log", None))
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
     spec = netspec.plan(_parsed_spec(args), input_size=args.field)
-    _data_source(require(args, "train_data"), "train")
-    if args.test_data:
-        _data_source(args.test_data, "test")
-    _check_out_paths(args.out, args.log)
+    require(args, "train_data")
     # the network checks its class count before any data loads
     net = Network(spec, require(args, "classes"), np.random.default_rng(args.seed),
                   fmp_eval_seed=args.seed)
@@ -255,8 +267,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {args.repeats}")
     params = AffineParams(**{f.name: getattr(args, f"aug_{f.name}") for f in fields(AffineParams)})
-    _data_source(require(args, "test_data"), "test")
-    _check_out_paths(args.out)
+    require(args, "test_data")
     net = Network.load(require(args, "checkpoint"))
     if args.arch and netspec.render(net.spec) != netspec.render(
             netspec.parse(args.arch, net.spec.lattice, net.spec.n_input)):
@@ -302,8 +313,8 @@ def _grid_stats(grid: SparseGrid) -> str:
 
 def cmd_voxelize(args: argparse.Namespace) -> int:
     path = Path(require(args, "input"))
-    lattice = LatticeKind.CUBIC if args.lattice is None else LatticeKind.from_name(args.lattice)
-    grid = _read_grid(path, args, lattice, args.scale, np.random.default_rng(args.seed))
+    grid = _read_grid(path, args, LatticeKind.from_name(args.lattice), args.scale,
+                      np.random.default_rng(args.seed))
     if grid.a == 0:
         print("warning: result has no active sites", file=sys.stderr)
     out = args.out or str(path.with_suffix(".grid"))
@@ -315,8 +326,8 @@ def cmd_voxelize(args: argparse.Namespace) -> int:
 
 def cmd_demo_knot(args: argparse.Namespace) -> int:
     scale = args.scale
-    lattice = LatticeKind.CUBIC if args.lattice is None else LatticeKind.from_name(args.lattice)
-    grid = ingest.synth_knot(args.kind, scale, np.random.default_rng(args.seed), lattice).grid
+    grid = ingest.synth_knot(args.kind, scale, np.random.default_rng(args.seed),
+                             LatticeKind.from_name(args.lattice)).grid
     if args.out:
         grid.save(args.out)
         print(f"written to {args.out}")
@@ -404,18 +415,19 @@ def build_parser(file_settings: dict | None = None) -> argparse.ArgumentParser:
         raise ValueError(f"unknown setting {unknown[0]!r}: no command declares it")
     commands = {  # name -> (function, help, the settings it reads besides --config, defaults)
         "train": (cmd_train, "train a network and write a checkpoint",
-                  "arch lattice scale seed threads out train-data test-data train-per-class "
-                  "test-per-class classes n-input field epochs batch-size lr lr-decay momentum "
-                  "weight-decay target-accuracy threshold-pct log", {"out": "checkpoint.lnck"}),
+                  "arch lattice scale out train-data test-data train-per-class test-per-class "
+                  "classes n-input field threshold-pct log " + " ".join(train),
+                  {"out": "checkpoint.lnck"}),
         "eval": (cmd_eval, "evaluate a checkpoint with n-fold repetitive testing",
                  "arch scale seed out checkpoint test-data test-per-class repeats threshold-pct "
                  + " ".join(aug), {}),
         "count-ops": (cmd_count_ops, "plan an architecture and count MACs",
                       "arch lattice mode width classes n-input field json", {}),
         "voxelize": (cmd_voxelize, "convert a data file into a sparse grid record",
-                     "lattice scale seed out input threshold-pct", {"scale": RENDER_SCALE}),
+                     "lattice scale seed out input threshold-pct",
+                     {"scale": RENDER_SCALE, "lattice": "cubic"}),
         "demo-knot": (cmd_demo_knot, "rasterize a synthetic knot and print it",
-                      "lattice scale seed out kind", {"scale": RENDER_SCALE}),
+                      "lattice scale seed out kind", {"scale": RENDER_SCALE, "lattice": "cubic"}),
     }
 
     ap = argparse.ArgumentParser(
@@ -454,14 +466,15 @@ def main(argv=None) -> int:
             except (OSError, ValueError) as e:
                 raise ValueError(f"config file {args.config}: {e}") from None
             args = _parse(parser, argv)
+        _check_before_work(args)
         return args.run(args)
     except (FormatError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
-    except (ParseError, PlanError, ValueError) as e:
+    except ValueError as e:  # every error of this package but FormatError is one
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (AssertionError, LatticeNetError) as e:
+    except AssertionError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return EXIT_INTERNAL
 

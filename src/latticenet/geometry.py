@@ -220,16 +220,12 @@ def out_size(m_in: int, k: int, s: int, layer: str = "") -> int:
     Raises :class:`SizeMismatchError` when the stride does not divide
     evenly; nothing in this package ever crops silently.
     """
+    where = f" in layer {layer}" if layer else ""
     if m_in < k:
-        where = f" in layer {layer}" if layer else ""
-        raise SizeMismatchError(
-            f"input size {m_in} smaller than footprint {k}{where}"
-        )
+        raise SizeMismatchError(f"input size {m_in} smaller than footprint {k}{where}")
     if (m_in - k) % s != 0:
-        where = f" in layer {layer}" if layer else ""
         raise SizeMismatchError(
-            f"stride {s} does not divide input size {m_in} with footprint {k}{where}"
-        )
+            f"stride {s} does not divide input size {m_in} with footprint {k}{where}")
     return (m_in - k) // s + 1
 
 

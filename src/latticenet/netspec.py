@@ -82,6 +82,13 @@ class NetworkSpec:
                 f"a network needs at least 1 input feature, got n_input={self.n_input}")
 
     @property
+    def out_sizes(self) -> tuple[int, ...]:
+        """The spatial size leaving each layer of a planned spec: the size
+        entering the next, and for the output head, which is a size-1
+        convolution, the size entering it."""
+        return self.planned_sizes[1:] + self.planned_sizes[-1:]
+
+    @property
     def has_fmp(self) -> bool:
         return any(isinstance(l, FMPSpec) for l in self.layers)
 
@@ -161,7 +168,7 @@ def plan(spec: NetworkSpec, input_size: int | None = None) -> NetworkSpec:
     if not spec.has_fmp:
         m = 1
         for layer in reversed(spec.layers):
-            m = in_size(m, *_window(layer))
+            m = in_size(m, *window(layer))
         if input_size is not None and input_size != m:
             raise PlanError(f"architecture requires input field {m}, got {input_size}")
         input_size = m
@@ -190,11 +197,11 @@ def plan_partial(spec: NetworkSpec, input_size: int) -> NetworkSpec:
         if isinstance(layer, FMPSpec):
             m = fmp_out_size(m)
         else:
-            m = out_size(m, *_window(layer), layer=f"#{i} {render_layer(layer)}")
+            m = out_size(m, *window(layer), layer=f"#{i} {render_layer(layer)}")
     return replace(spec, planned_sizes=tuple(sizes))
 
 
-def _window(layer: LayerSpec) -> tuple[int, int]:
+def window(layer: LayerSpec) -> tuple[int, int]:
     """(size, stride) of a conv, pool or output layer's window; the output
     head is a size-1 convolution, which keeps the spatial size."""
     if isinstance(layer, OutputSpec):
@@ -219,7 +226,6 @@ def count_ops(spec: NetworkSpec, activity="dense", classes: int | None = None) -
     if classes is not None and classes < 1:
         raise ValueError(f"a classifier needs at least 1 class, got classes={classes}")
     feats = spec.feature_counts()
-    sizes = spec.planned_sizes
     if activity != "dense":
         activity = list(activity)
         if len(activity) != len(spec.layers):
@@ -229,12 +235,10 @@ def count_ops(spec: NetworkSpec, activity="dense", classes: int | None = None) -
 
     rows = []
     total = 0
-    for i, layer in enumerate(spec.layers):
-        m_in = sizes[i]
-        m_out = sizes[i + 1] if i + 1 < len(sizes) else m_in
+    for i, (layer, m_in, m_out) in enumerate(zip(spec.layers, spec.planned_sizes, spec.out_sizes)):
         n_in, n_out = feats[i]
         a_out = site_count(spec.lattice, m_out) if activity == "dense" else activity[i]
-        F = 8 if isinstance(layer, FMPSpec) else filter_volume(spec.lattice, _window(layer)[0])
+        F = 8 if isinstance(layer, FMPSpec) else filter_volume(spec.lattice, window(layer)[0])
         if isinstance(layer, OutputSpec):
             n_out = classes or 0  # the head: a size-1 convolution to the classes
         if isinstance(layer, (ConvSpec, OutputSpec)):
@@ -308,14 +312,12 @@ def geometric_activity(spec: NetworkSpec, input_width: int) -> list[int]:
         raise PlanError("spec must be planned before estimating activity")
     lo, hi = centered_box(spec.lattice, spec.planned_sizes[0], input_width)
     counts = []
-    for i, layer in enumerate(spec.layers):
-        m_out = (spec.planned_sizes[i + 1] if i + 1 < len(spec.planned_sizes)
-                 else spec.planned_sizes[i])
+    for layer, m_out in zip(spec.layers, spec.out_sizes):
         if isinstance(layer, FMPSpec):
             lo = np.floor(lo / FMP_RATIO).astype(np.int64)
             hi = np.minimum(np.ceil(hi / FMP_RATIO).astype(np.int64), m_out - 1)
         else:
-            k, s = _window(layer)
+            k, s = window(layer)
             lo = np.ceil((lo - k + 1) / s).astype(np.int64)
             hi = np.floor(hi / s).astype(np.int64)
         lo = np.maximum(lo, 0)

@@ -32,19 +32,10 @@ gradient accumulation order is fixed.  A sample's rows, their order and
 its gather index are the same in any batch, but its logits can differ in
 the last bits, as the multiply's size picks the BLAS path (ROADMAP item 12).
 
-Each network keeps a :class:`~latticenet.rulecache.RuleCache` of the
-rulebook results it has computed, as many as fit under its bound; it
-evicts nothing.  Every entry is a list of :class:`~latticenet.ops.Plan`,
-one per cached rulebook layer.  Training keeps each sample's own plans,
-from its first sighting; when every sample of a training batch has them,
-one ``Plan.join`` of the samples' plans gives every cached rulebook layer
-its batch rule.  A training entry stops at the first FMP layer, whose
-regions are redrawn per batch.  Eval keeps each batch's own rules, every
-layer's, keyed by the batch's keys and the FMP seeds, so ``fit``'s
-held-out pass, which evaluates the same chunks every epoch, runs no
-rulebook from the second epoch on.  Each sample gets the same rows in
-either case, so every output, tape and gradient is bit-identical.  An FMP
-layer with a cached rule builds no regions.
+Each network keeps a :class:`~latticenet.rulecache.RuleCache`, which
+tells what it stores and why a hit changes no bit.  :meth:`Network._run`
+takes a batch's rules from it on a hit and runs each layer's rulebook on a
+miss; an FMP layer with a cached rule builds no regions.
 """
 
 from __future__ import annotations
@@ -70,12 +61,12 @@ from .netspec import (
     ConvSpec,
     FMPSpec,
     NetworkSpec,
-    OutputSpec,
     PoolSpec,
     count_ops,
     parse,
     plan,
     render,
+    window,
 )
 from .ops import (
     FMP_RATIO,
@@ -177,24 +168,23 @@ class Network:
             raise ValueError("network needs a planned spec (call netspec.plan first)")
         if classes < 1:
             raise ValueError(f"a network needs at least 1 class, got classes={classes}")
+        if not 0 <= fmp_eval_seed < 2**64:  # a checkpoint stores it as a u64
+            raise ValueError(f"fmp_eval_seed must be in [0, 2**64), got {fmp_eval_seed}")
         self.spec = spec
         self.classes = classes
         self.dtype = dtype
         self.blocks = []
-        n = spec.n_input
-        for ls in spec.layers:
-            if isinstance(ls, ConvSpec):
-                conv = ConvLayer.init(FilterGeometry(spec.lattice, ls.f, ls.s), n, ls.n_out, rng,
-                                      dtype)
-                self.blocks.append(_Conv("conv", conv, bool(self.blocks)))
-                n = ls.n_out
-            elif isinstance(ls, PoolSpec):
-                self.blocks.append(_Pool(FilterGeometry(spec.lattice, ls.p, ls.s)))
-            elif isinstance(ls, FMPSpec):
+        for ls, (n_in, n_out) in zip(spec.layers, spec.feature_counts()):
+            if isinstance(ls, FMPSpec):
                 self.blocks.append(_FMP(FMPLayer(fmp_eval_seed)))
-            elif isinstance(ls, OutputSpec):
-                head = ConvLayer.init(FilterGeometry(spec.lattice, 1, 1), n, classes, rng, dtype)
-                self.blocks.append(_Conv("classifier", head, bool(self.blocks)))
+                continue
+            geometry = FilterGeometry(spec.lattice, *window(ls))
+            if isinstance(ls, PoolSpec):
+                self.blocks.append(_Pool(geometry))
+            else:  # a convolution, or the head: a size-1 convolution to the classes
+                conv = isinstance(ls, ConvSpec)
+                layer = ConvLayer.init(geometry, n_in, n_out if conv else classes, rng, dtype)
+                self.blocks.append(_Conv("conv" if conv else "classifier", layer, bool(self.blocks)))
         self._params = [p for b in self.blocks for p in b.params]
         self.rule_cache = RuleCache()
 

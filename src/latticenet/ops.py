@@ -52,17 +52,12 @@ Every layer gives its rule as ``layer.rulebook(batch, rng)``: a
 :class:`Plan` over the batch's rows that holds the output keys, the
 gather index ``src`` and the samples' row offsets in the layer's input
 and output; only an FMP layer reads ``rng``, to draw a training batch's
-seed.  The batch forward ops take an optional ``rule`` and run
-``layer.rulebook`` without one.  A :class:`~latticenet.network.Network`
-always passes one: from its rule cache (see :mod:`latticenet.rulecache`)
-on a hit, else the layer's.  A cached rule equals the rulebook's bit for
-bit, and so do the outputs and plans.  Plans are frozen, so an op
-completes a copy of its rule with what its backward pass needs (``Q``,
-``argmax``) and never writes into a rule the cache holds; ``plan[b]`` is
-sample ``b``'s own, as a batch of that sample alone gives it,
-``Plan.cut`` cuts several samples' own out of a batch's rule in one pass,
-and ``Plan.join`` puts such plans, a chain of layers per sample, back
-together into a batch's rules.
+seed.  The batch forward ops take an optional ``rule``, such as a
+:class:`~latticenet.network.Network` takes from its rule cache (see
+:mod:`latticenet.rulecache`), and run ``layer.rulebook`` without one.
+Plans are frozen, so an op completes a copy of its rule with what its
+backward pass needs (``Q``, ``argmax``) and never writes into the rule it
+is given.
 """
 
 from __future__ import annotations

@@ -41,17 +41,14 @@ class TrainConfig:
     target_accuracy: float | None = None  # stop early once held-out accuracy reaches it
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be at least 1, got {self.threads}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be at least 0, got {self.epochs}")
         for name in ("lr", "lr_decay", "momentum", "weight_decay"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        for name, ok, bound in (("lr", self.lr >= 0, "at least 0"),
+        for name, ok, bound in (("epochs", self.epochs >= 0, "at least 0"),
+                                ("batch_size", self.batch_size >= 1, "at least 1"),
+                                ("threads", self.threads >= 1, "at least 1"),
+                                ("lr", self.lr >= 0, "at least 0"),
                                 ("lr_decay", self.lr_decay > 0, "above 0"),
                                 ("momentum", 0 <= self.momentum < 1, "in [0, 1)"),
                                 ("weight_decay", self.weight_decay >= 0, "at least 0"),
@@ -180,8 +177,7 @@ def evaluate(net: Network, samples: list[LabeledSample], repeats: int = 1,
         mean += (probs - mean) / k  # running mean: exact for identical passes
     pred = mean.argmax(axis=1)
     confusion = np.zeros((net.classes, net.classes), dtype=np.int64)
-    for t, p in zip(labels, pred):
-        confusion[t, p] += 1
+    np.add.at(confusion, (labels, pred), 1)
     acc = float((pred == labels).mean())
     return EvalReport(acc, confusion, mean, labels)
 

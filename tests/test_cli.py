@@ -42,6 +42,10 @@ def write_sphere_off(path):
     save_off(sphere_mesh(), path)
 
 
+TETRA = TriangleMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                     [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
+
+
 # ---------------------------------------------------------------------------
 # count-ops
 
@@ -475,13 +479,16 @@ def test_train_missing_data_exit_3(tmp_path):
 
 
 def fail_on_work(monkeypatch):
-    """Make building or loading a network, and loading a data set, fail:
-    a command that reaches any of them exits 4, an internal error."""
+    """Make building or loading a network, loading a data set, and
+    decoding and voxelizing a mesh or rasterizing a knot, fail: a command
+    that reaches any of them exits 4, an internal error."""
     def work(*a, **kw):
-        raise AssertionError("a network was built or loaded, or data was loaded")
+        raise AssertionError("a network was built or loaded, or data was loaded or made")
     monkeypatch.setattr(Network, "__init__", work)
     monkeypatch.setattr(Network, "load", work)
     monkeypatch.setattr("latticenet.cli.load_dataset", work)
+    for name in ("load_off", "voxelize_mesh", "synth_knot"):
+        monkeypatch.setattr(f"latticenet.ingest.{name}", work)
 
 
 @pytest.mark.parametrize("command, flag, source", [
@@ -514,20 +521,31 @@ def test_an_unknown_data_source_exits_2_naming_it_and_the_kinds(tmp_path, capsys
     assert not out.exists() and not log.exists()
 
 
+def inputs_of_every_command(tmp_path):
+    """A config ``toy.cfg`` of 0 epochs, the checkpoint ``toy.lnck`` that
+    train writes with it and a mesh ``tetra.off``, all in ``tmp_path``."""
+    cfg = write_cfg(tmp_path, epochs=0)
+    ckpt = tmp_path / "toy.lnck"
+    assert main(["train", *TOY, "--config", str(cfg), "--out", str(ckpt)]) == 0
+    mesh = tmp_path / "tetra.off"
+    save_off(TETRA, mesh)
+    return cfg, ckpt, mesh
+
+
 @pytest.mark.parametrize("command, flag, target", [
     pytest.param(command, flag, target, id=f"{command}-{flag}" if target == "missing"
                  else f"directory-{command}-{flag}")
     for target in ("missing", "directory")
-    for command, flag in (("train", "--out"), ("train", "--log"), ("eval", "--out"))])
+    for command, flag in (("train", "--out"), ("train", "--log"), ("eval", "--out"),
+                          ("voxelize", "--out"), ("demo-knot", "--out"))])
 def test_a_missing_output_directory_exits_3_before_any_work(tmp_path, capsys, monkeypatch,
                                                             command, flag, target):
-    """The directory of ``train --out`` or ``--log``, or of ``eval --out``,
-    must exist and the path must not name a directory; both are checked
-    before the network is built or loaded or any data loads: a data error,
-    no epoch run and no file written."""
-    cfg = write_cfg(tmp_path, epochs=0)
-    ckpt = tmp_path / "toy.lnck"
-    assert main(["train", *TOY, "--config", str(cfg), "--out", str(ckpt)]) == 0
+    """The directory of ``train --out`` or ``--log``, or of the ``--out``
+    of ``eval``, ``voxelize`` or ``demo-knot``, must exist and the path
+    must not name a directory; both are checked before the network is
+    built or loaded, any data loads or a mesh or knot is made: a data
+    error, no epoch run and no file written."""
+    cfg, ckpt, mesh = inputs_of_every_command(tmp_path)
     capsys.readouterr()
     fail_on_work(monkeypatch)
     if target == "missing":
@@ -542,16 +560,99 @@ def test_a_missing_output_directory_exits_3_before_any_work(tmp_path, capsys, mo
         others[flag] = bad
         argv = ["train", *TOY, "--config", str(cfg), "--epochs", "1",
                 *(str(a) for kv in others.items() for a in kv)]
-    else:
+    elif command == "eval":
         argv = ["eval", "--checkpoint", str(ckpt), "--test-data", "knots", "--config", str(cfg),
                 "--out", str(bad)]
+    else:
+        argv = [command, *(["--input", str(mesh)] if command == "voxelize" else []),
+                "--out", str(bad)]
     assert main(argv) == 3
-    err = capsys.readouterr().err
-    assert f"data error: {message}" in err
-    assert "epoch 1:" not in err
+    captured = capsys.readouterr()
+    assert f"data error: {message}" in captured.err
+    assert "epoch 1:" not in captured.err and "written to" not in captured.out
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-        ["toy.cfg", "toy.lnck", *(["dir"] if target == "directory" else [])])
+        ["toy.cfg", "toy.lnck", "tetra.off", *(["dir"] if target == "directory" else [])])
     assert target == "missing" or not any(bad.iterdir())
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("command", ["train", "train-fmp", "eval", "voxelize", "demo-knot"])
+def test_a_seed_outside_the_u64_range_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                               command, seed):
+    """Every command that reads ``--seed`` refuses one outside [0, 2**64),
+    the range of a checkpoint's FMP seed, before a network is built or
+    loaded or any data is loaded or made, and writes nothing; on an FMP
+    network, train is refused before its first epoch."""
+    cfg, ckpt, mesh = inputs_of_every_command(tmp_path)
+    capsys.readouterr()
+    fail_on_work(monkeypatch)
+    out, log = tmp_path / "never.out", tmp_path / "never.log"
+    argv = {
+        "train": ["train", *TOY, "--config", str(cfg), "--log", str(log)],
+        "train-fmp": ["train", *TOY, "--config", str(cfg), "--arch", "8C2-FMP-8C2-FMP-output",
+                      "--lattice", "cubic", "--field", "6", "--log", str(log)],
+        "eval": ["eval", "--checkpoint", str(ckpt), "--test-data", "knots", "--config", str(cfg)],
+        "voxelize": ["voxelize", "--input", str(mesh)],
+        "demo-knot": ["demo-knot"],
+    }[command]
+    assert main([*argv, "--seed", seed, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: seed must be in [0, 2**64), got {seed}" in captured.err
+    assert not captured.out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tetra.off", "toy.cfg", "toy.lnck"]
+
+
+def test_the_largest_u64_seed_is_taken(tmp_path, capsys):
+    """An FMP network trained at seed 2**64 - 1 saves it as its FMP eval
+    seed, and demo-knot draws at it."""
+    out = tmp_path / "fmp.lnck"
+    cfg = write_cfg(tmp_path, epochs=1, train_per_class=2, test_per_class=1)
+    assert main(["train", *TOY, "--config", str(cfg), "--arch", "8C2-FMP-8C2-FMP-output",
+                 "--lattice", "cubic", "--field", "6", "--seed", str(2**64 - 1),
+                 "--out", str(out)]) == 0
+    assert [b.layer.seed for b in Network.load(out).blocks if b.kind == "fmp"] == [2**64 - 1] * 2
+    assert main(["demo-knot", "--scale", "12", "--seed", str(2**64 - 1)]) == 0
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    pytest.param(["voxelize"], 2, "error: missing required setting 'input'", id="voxelize-no-input"),
+    pytest.param(["count-ops", "--arch", "8C2-MP3/2-12C2-output", "--lattice", "tetrahedral",
+                  "--mode", "geometric"], 2, "error: missing required setting 'width'",
+                 id="geometric-no-width"),
+    pytest.param(["voxelize", "--input", "{tmp}/x.txt"], 2,
+                 "error: cannot detect input format of {tmp}/x.txt", id="voxelize-unknown-format"),
+    pytest.param(["voxelize", "--input", "{tmp}/s.json", "--lattice", "tetrahedral"], 2,
+                 "error: .json data builds cubic grids; lattice tetrahedral",
+                 id="voxelize-strokes-off-cubic"),
+    pytest.param(["train", *TOY, "--train-data", "off:{tmp}/empty"], 3,
+                 "data error: {tmp}/empty has no class subdirectories", id="no-class-directories"),
+    pytest.param(["train", *TOY, "--train-data", "off:{tmp}/classes"], 3,
+                 "data error: no usable off files under {tmp}/classes", id="no-usable-files"),
+    pytest.param(["train", *TOY, "--train-data", "off:{tmp}/missing"], 3,
+                 "data error: data path {tmp}/missing does not exist", id="missing-data-path"),
+    pytest.param(["train", "--config", "{configs}/knots_toy.cfg", "--scale", "30"], 2,
+                 "error: knot scale 30 does not fit the architecture's input field",
+                 id="knot-scale-beyond-the-field"),
+])
+def test_a_cli_error_exits_with_its_code_and_message_and_writes_nothing(
+        tmp_path, capsys, argv, code, message):
+    """Each exit names its cause on stderr and leaves no output file; the
+    data errors are found while the training data loads."""
+    (tmp_path / "x.txt").write_text("hi")
+    (tmp_path / "s.json").write_text("{}")
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "classes" / "a").mkdir(parents=True)
+    (tmp_path / "classes" / "a" / "notes.txt").write_text("hi")
+    before = sorted(tmp_path.rglob("*"))
+    out = tmp_path / "never.out"
+    argv = [a.format(tmp=tmp_path, configs=CONFIGS_DIR) for a in argv]
+    if argv[0] != "count-ops":
+        argv += ["--out", str(out)]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert message.format(tmp=tmp_path) in captured.err
+    assert not captured.out
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("command, setting, value", [

@@ -285,6 +285,17 @@ def test_fmp_network_trains_and_checkpoints(tmp_path, rng):
     assert np.allclose(a, b, atol=1e-6)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_fmp_eval_seed_outside_the_u64_range_is_refused_at_construction(seed):
+    """A checkpoint stores the FMP eval seed as a u64, so the network
+    refuses any other when it is built, not at its first held-out pass."""
+    spec = plan(parse("6C2-FMP-8C2-FMP-output", LatticeKind.CUBIC, 1), input_size=6)
+    with pytest.raises(ValueError, match=rf"fmp_eval_seed must be in \[0, 2\*\*64\), got {seed}"):
+        Network(spec, 3, np.random.default_rng(0), fmp_eval_seed=seed)
+    net = Network(spec, 3, np.random.default_rng(0), fmp_eval_seed=2**64 - 1)
+    assert [b.layer.seed for b in net.blocks if b.kind == "fmp"] == [2**64 - 1] * 2
+
+
 def test_fit_reduces_loss_and_logs(rng):
     net = small_net(rng, dtype=np.float32)
     shape = net.input_shape()
