@@ -214,13 +214,17 @@ def _check_before_work(args: argparse.Namespace):
     range of a checkpoint's FMP seed; a data source given must be of a
     known kind and give a path (:func:`_data_source`); an output or log
     path given must not name a directory, and its directory must exist
-    (:func:`_check_out_paths`).  A command's namespace holds the settings
-    it reads and no others, so each command is checked for exactly those."""
+    (:func:`_check_out_paths`); so must the path ``voxelize`` writes
+    without ``--out``, its input's with the suffix ``.grid``, which is set
+    here.  A command's namespace holds the settings it reads and no others,
+    so each command is checked for exactly those."""
     if not 0 <= getattr(args, "seed", 0) < 2**64:
         raise ValueError(f"seed must be in [0, 2**64), got {args.seed}")
     for split in ("train", "test"):
         if getattr(args, f"{split}_data", None):
             _data_source(getattr(args, f"{split}_data"), split)
+    if getattr(args, "input", None) and not args.out:
+        args.out = str(Path(args.input).with_suffix(".grid"))
     _check_out_paths(getattr(args, "out", None), getattr(args, "log", None))
 
 
@@ -317,10 +321,9 @@ def cmd_voxelize(args: argparse.Namespace) -> int:
                       np.random.default_rng(args.seed))
     if grid.a == 0:
         print("warning: result has no active sites", file=sys.stderr)
-    out = args.out or str(path.with_suffix(".grid"))
-    grid.save(out)
+    grid.save(args.out)
     print(_grid_stats(grid))
-    print(f"written to {out}")
+    print(f"written to {args.out}")
     return EXIT_OK
 
 

@@ -12,9 +12,9 @@ into one block per spec layer, one small private class per kind:
 * ``_FMP``: fractional max pooling ("fmp"), a pool over regions drawn
   from a seed.
 
-Every block has ``forward(batch, rule, keep_tape)``, which applies the
-rule that :meth:`Network._run` picks, the rule cache's or its layer's
-``rulebook(batch, rng)``, and returns its output batch, tape entry and
+Every block has ``forward(batch, rule, keep_tape)``, which applies its
+rule, the :class:`~latticenet.ops.Plan` that :meth:`Network._rules` gives
+it, and returns its output batch, tape entry and
 multiply-accumulates, ``backward(d, entry, wanted)``, which maps its
 output gradient (a convolution's before its rectifier) to its input
 gradient (None unless ``wanted``) and accumulates its parameters'
@@ -32,10 +32,14 @@ gradient accumulation order is fixed.  A sample's rows, their order and
 its gather index are the same in any batch, but its logits can differ in
 the last bits, as the multiply's size picks the BLAS path (ROADMAP item 12).
 
-Each network keeps a :class:`~latticenet.rulecache.RuleCache`, which
-tells what it stores and why a hit changes no bit.  :meth:`Network._run`
-takes a batch's rules from it on a hit and runs each layer's rulebook on a
-miss; an FMP layer with a cached rule builds no regions.
+A pass runs in two phases.  A layer's rule depends on its input's keys
+alone, never on a feature value, so :meth:`Network._rules` first gives
+every block's rule: the rule cache's on a hit, each layer's
+``rulebook(batch, rng)`` over the previous rule's keys otherwise.  Then
+:meth:`Network._run` runs the blocks' numbers, each over its own rule,
+which it drops as soon as the block has used it.  Each network keeps a
+:class:`~latticenet.rulecache.RuleCache`, which tells what it stores and
+why a hit changes no bit; an FMP layer with a cached rule builds no regions.
 """
 
 from __future__ import annotations
@@ -147,9 +151,9 @@ class _Pool:
 
 class _FMP(_Pool):
     """Fractional max pooling: the pool's ``forward(batch, rule, keep_tape)``
-    over the rule ``_run`` picks.  A training entry stops before the first
-    FMP layer, so in training the layer's rulebook always runs and draws its
-    seed from ``train_rng``; in eval it uses ``layer.seed``."""
+    over the rule ``Network._rules`` gives it.  A training entry stops
+    before the first FMP layer, so in training the layer's rulebook always
+    runs and draws its seed from ``train_rng``; in eval it uses ``layer.seed``."""
 
     kind = "fmp"
 
@@ -170,9 +174,7 @@ class Network:
             raise ValueError(f"a network needs at least 1 class, got classes={classes}")
         if not 0 <= fmp_eval_seed < 2**64:  # a checkpoint stores it as a u64
             raise ValueError(f"fmp_eval_seed must be in [0, 2**64), got {fmp_eval_seed}")
-        self.spec = spec
-        self.classes = classes
-        self.dtype = dtype
+        self.spec, self.classes, self.dtype = spec, classes, dtype
         self.blocks = []
         for ls, (n_in, n_out) in zip(spec.layers, spec.feature_counts()):
             if isinstance(ls, FMPSpec):
@@ -198,45 +200,49 @@ class Network:
 
     # -- forward / backward ----------------------------------------------
 
-    def _cache_context(self, training: bool) -> tuple[int, bytes]:
-        """How many rulebook layers a cache entry covers, and the bytes of
-        what it depends on besides the input keys and the planned network:
-        each FMP seed among those layers.  Training redraws FMP regions per
-        batch, so there an entry stops at the first FMP layer and depends on
-        the keys alone."""
+    def _rules(self, batch: GridBatch, train_rng: np.random.Generator | None = None,
+               cache: bool = True) -> list:
+        """Every block's rule for ``batch``, a :class:`~latticenet.ops.Plan`
+        each in block order, all before any numbers run: a layer's active
+        sites and gather index depend on its input's keys alone.
+
+        On a hit the first blocks' rules are the rule cache's; each layer
+        left runs its rulebook on a batch of keys only, the previous rule's
+        keys and sample offsets at the block's planned size, with no table,
+        which no rulebook reads.  An FMP layer draws its seed from
+        ``train_rng`` in block order.  On a miss the cache stores what the
+        lookup asked for.  An eval entry covers every block and depends on
+        the FMP seeds besides the keys; training redraws FMP regions per
+        batch, so a training entry stops before the first FMP layer and
+        depends on the keys alone.  ``cache=False`` leaves the cache out."""
+        training = train_rng is not None
         kinds = [b.kind for b in self.blocks]
         depth = kinds.index("fmp") if training and "fmp" in kinds else len(kinds)
-        seeds = [b.layer.seed for b in self.blocks[:depth] if b.kind == "fmp"]
-        return depth, struct.pack(f"<{len(seeds)}Q", *seeds)
+        seeds = [] if training else [b.layer.seed for b in self.blocks if b.kind == "fmp"]
+        rules, miss = (self.rule_cache.lookup(batch, struct.pack(f"<{len(seeds)}Q", *seeds),
+                                              training) if depth and cache else ([], None))
+        for block, m in zip(self.blocks[len(rules):], self.spec.planned_sizes[len(rules):]):
+            if rules:
+                batch = GridBatch(GridShape(self.spec.lattice, m), rules[-1].out_keys, None,
+                                  rules[-1].out_start)
+            rules.append(block.layer.rulebook(batch, train_rng))
+        if miss:
+            self.rule_cache.store(miss, rules[:depth])
+        return rules
 
     def _run(self, batch: GridBatch, train_rng: np.random.Generator | None = None,
              keep_tape: bool = False, cache: bool = True):
         """Run ``batch`` through the blocks, yielding ``(out, entry, macs)``
         per block: its output batch, its tape entry (None unless
-        ``keep_tape``) and the multiply-accumulates it performed.
-
-        Each block's rule, a :class:`~latticenet.ops.Plan`, is picked here:
-        the first ``depth`` blocks take theirs from the cache when the batch
-        hits; otherwise its layer's rulebook runs, and the cache stores what
-        the lookup asked for from the rules alone: the own plans of training
-        samples to admit, or the eval batch's Plans.
-        ``cache=False`` leaves the cache out altogether."""
-        training = train_rng is not None
-        depth, context = self._cache_context(training)
-        cached, miss = (self.rule_cache.lookup(batch, context, training) if depth and cache
-                        else (iter(()), None))
-        rules = []
+        ``keep_tape``) and the multiply-accumulates it performed.  The
+        rules come first, from :meth:`_rules`; each block then runs the
+        numbers over its own, which the pass drops once the block has used it."""
+        rules = self._rules(batch, train_rng, cache)
         for block in self.blocks:
-            rule = next(cached, None)  # a Plan has a length: test for None, not truth
-            rule = block.layer.rulebook(batch, train_rng) if rule is None else rule
-            out, entry, macs = block.forward(batch, rule, keep_tape)
-            if miss and len(rules) < depth:
-                rules.append(rule)
+            out, entry, macs = block.forward(batch, rules.pop(0), keep_tape)
             yield out, entry if keep_tape else None, macs
-            # free this block's plan and rule, unless kept, before the next allocates
-            batch, entry, rule = out, None, None
-        if miss:
-            self.rule_cache.store(miss, rules)
+            # free this block's plan, unless kept, before the next allocates
+            batch, entry = out, None
 
     def forward_batch(self, grids: list[SparseGrid], *, train_rng: np.random.Generator | None = None,
                       keep_tape: bool = False, cache: bool = True):

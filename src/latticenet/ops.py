@@ -52,9 +52,12 @@ Every layer gives its rule as ``layer.rulebook(batch, rng)``: a
 :class:`Plan` over the batch's rows that holds the output keys, the
 gather index ``src`` and the samples' row offsets in the layer's input
 and output; only an FMP layer reads ``rng``, to draw a training batch's
-seed.  The batch forward ops take an optional ``rule``, such as a
-:class:`~latticenet.network.Network` takes from its rule cache (see
-:mod:`latticenet.rulecache`), and run ``layer.rulebook`` without one.
+seed.  A rulebook reads the batch's shape, keys and sample offsets, never
+its table, so a :class:`~latticenet.network.Network` gives every layer's
+rule before any numbers run, from its rule cache (see
+:mod:`latticenet.rulecache`) or from each layer's rulebook over the
+previous rule's keys.  The batch forward ops take an optional ``rule``,
+such as the network gives them, and run ``layer.rulebook`` without one.
 Plans are frozen, so an op completes a copy of its rule with what its
 backward pass needs (``Q``, ``argmax``) and never writes into the rule it
 is given.

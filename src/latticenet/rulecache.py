@@ -82,21 +82,22 @@ class RuleCache:
         depend on besides its keys: sample by sample if ``training``, else
         whole.
 
-        Returns ``(rules, miss)``.  ``rules`` yields the batch's rule, a
-        :class:`~latticenet.ops.Plan`, per cached layer when the batch
-        hits, and ``miss`` is None; else ``rules`` yields nothing, the
-        rulebook must run, and ``miss`` goes to :meth:`store` with the
-        pass's rules: it maps each key to store to the batch position of
-        its training sample, or to None for the eval batch's own key.
+        Returns ``(rules, miss)``.  When the batch hits, ``rules`` is a new
+        list of its rules, a :class:`~latticenet.ops.Plan` per cached layer,
+        which the caller may shorten without touching the entry, and
+        ``miss`` is None; else ``rules`` is empty, the rulebook must run,
+        and ``miss`` goes to :meth:`store` with those rules: it maps each
+        key to store to the batch position of its training sample, or to
+        None for the eval batch's own key.
         """
         if not training:
             key = _EVAL + context + batch.start.tobytes() + batch.keys.tobytes()
             plans = self._entries.get(key)
             if plans is None:
                 self.misses += batch.B
-                return iter(()), {key: None}
+                return [], {key: None}
             self.hits += batch.B
-            return iter(plans), None
+            return list(plans), None
         entries, admit = [], {}
         start = batch.start.tolist()
         for b in range(batch.B):
@@ -109,8 +110,8 @@ class RuleCache:
         self.hits += len(entries)
         self.misses += batch.B - len(entries)
         if batch.B and len(entries) == batch.B:
-            return iter(Plan.join(entries)), None
-        return iter(()), admit
+            return Plan.join(entries), None
+        return [], admit
 
     def store(self, miss: dict, plans: list[Plan]):
         """After a pass that ran the rulebook, store what ``miss`` asks for,

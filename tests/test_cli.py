@@ -537,14 +537,16 @@ def inputs_of_every_command(tmp_path):
                  else f"directory-{command}-{flag}")
     for target in ("missing", "directory")
     for command, flag in (("train", "--out"), ("train", "--log"), ("eval", "--out"),
-                          ("voxelize", "--out"), ("demo-knot", "--out"))])
+                          ("voxelize", "--out"), ("demo-knot", "--out"))]
+    + [pytest.param("voxelize", None, "directory", id="directory-voxelize-derived")])
 def test_a_missing_output_directory_exits_3_before_any_work(tmp_path, capsys, monkeypatch,
                                                             command, flag, target):
     """The directory of ``train --out`` or ``--log``, or of the ``--out``
     of ``eval``, ``voxelize`` or ``demo-knot``, must exist and the path
     must not name a directory; both are checked before the network is
     built or loaded, any data loads or a mesh or knot is made: a data
-    error, no epoch run and no file written."""
+    error, no epoch run and no file written.  So is the path ``voxelize``
+    derives without ``--out`` (flag None), its input's with suffix ``.grid``."""
     cfg, ckpt, mesh = inputs_of_every_command(tmp_path)
     capsys.readouterr()
     fail_on_work(monkeypatch)
@@ -552,7 +554,7 @@ def test_a_missing_output_directory_exits_3_before_any_work(tmp_path, capsys, mo
         bad = tmp_path / "missing" / "file"
         message = f"directory of {bad} does not exist"
     else:
-        bad = tmp_path / "dir"
+        bad = tmp_path / ("dir" if flag else "tetra.grid")
         bad.mkdir()
         message = f"{bad} is a directory"
     if command == "train":
@@ -565,13 +567,13 @@ def test_a_missing_output_directory_exits_3_before_any_work(tmp_path, capsys, mo
                 "--out", str(bad)]
     else:
         argv = [command, *(["--input", str(mesh)] if command == "voxelize" else []),
-                "--out", str(bad)]
+                *(["--out", str(bad)] if flag else [])]
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert f"data error: {message}" in captured.err
     assert "epoch 1:" not in captured.err and "written to" not in captured.out
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-        ["toy.cfg", "toy.lnck", "tetra.off", *(["dir"] if target == "directory" else [])])
+        ["toy.cfg", "toy.lnck", "tetra.off", *([bad.name] if target == "directory" else [])])
     assert target == "missing" or not any(bad.iterdir())
 
 

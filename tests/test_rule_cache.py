@@ -10,6 +10,8 @@ two apart, keys eval entries by the FMP seeds, and holds what fits under
 
 import copy
 import dataclasses
+import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -510,7 +512,9 @@ def test_eval_entries_are_read_only_and_counted(rng):
     batches = (grids, [grids[1]])
     for batch in batches:
         warm(net, batch)
-    _, context = net._cache_context(False)
+    # an eval entry depends on the FMP seeds besides the keys
+    seeds = [b.layer.seed for b in net.blocks if b.kind == "fmp"]
+    context = struct.pack(f"<{len(seeds)}Q", *seeds)
     sizes = 0
     evals = kind_entries(cache, rulecache._EVAL)
     for batch, (key, rules) in zip(batches, evals.items(), strict=True):
@@ -560,11 +564,12 @@ def test_training_entries_are_read_only_and_counted(rng):
     assert cache.nbytes == size
 
 
-def rulebook_chain(net, grids, depth):
-    """The batched rulebook's rules of ``grids`` for the first ``depth`` blocks."""
+def rulebook_chain(net, grids, depth, rng=None):
+    """The batched rulebook's rules of ``grids`` for the first ``depth``
+    blocks, each FMP layer's seed drawn from ``rng``, else its own."""
     batch, rules = GridBatch.of(grids), []
     for block in net.blocks[:depth]:
-        rules.append(block.layer.rulebook(batch))
+        rules.append(block.layer.rulebook(batch, rng))
         batch = block.forward(batch, rules[-1], False)[0]
     return rules
 
@@ -670,6 +675,29 @@ def test_a_training_pass_draws_one_seed_per_fmp_block(rng):
         plain.forward_batch(grids_for(plain, np.random.default_rng(1), (0.4, 0.2)), train_rng=r)
         assert plain.rule_cache.hits == hits
         assert r.bit_generator.state == drawn(11, 0)
+
+
+@pytest.mark.parametrize("arch, field", [("4C2-MP3/2-6C2-output", None), (FMP_ARCH, FMP_FIELD)])
+@pytest.mark.parametrize("train_rng", [None, 0])
+def test_a_pass_holds_no_rule_past_its_block(arch, field, train_rng, rng, monkeypatch):
+    """An uncached pass without a tape gets every block's rule first, and
+    drops each once its block has used it: when block ``i`` yields, rules
+    ``0..i`` are dead and the rules of the blocks after it live."""
+    net = make_net(CUBIC, arch, field=field)
+    refs = []
+    rules_of = net._rules
+
+    def recording(*args, **kw):
+        rules = rules_of(*args, **kw)
+        refs.extend(weakref.ref(r) for r in rules)
+        return rules
+
+    monkeypatch.setattr(net, "_rules", recording)
+    batch = GridBatch.of(grids_for(net, rng, (0.4, 0.2)))
+    gen = None if train_rng is None else np.random.default_rng(train_rng)
+    for i, _ in enumerate(net._run(batch, gen, cache=False)):
+        assert len(refs) == len(net.blocks)
+        assert [ref() is None for ref in refs] == [j <= i for j in range(len(refs))]
 
 
 def rule_arrays(rule):
@@ -793,14 +821,19 @@ def test_cut_and_join_equal_the_rulebook(seed, monkeypatch):
     they store is its sample's ``plan[b]`` with int32 ``src``, read-only,
     and shares no memory with the pass's rules.  Each is then run again as
     a permutation, whose rules, from one join, equal the batched
-    rulebook's bit for bit."""
+    rulebook's bit for bit, and so does the uncached rule chain of
+    ``Network._rules`` on every layer, with or without a generator, which
+    gives one seed per FMP block."""
     r = np.random.default_rng(seed)
     if seed % 5 == 4:
         net = make_net(CUBIC, FMP_ARCH, field=FMP_FIELD, seed=seed)
     else:
         net = make_net(ALL_LATTICES[seed % 4], random_arch(r), seed=seed)
     cache = net.rule_cache
-    depth, context = net._cache_context(True)
+    # a training entry stops before the first FMP layer, and so depends on the keys alone
+    kinds = [b.kind for b in net.blocks]
+    depth = kinds.index("fmp") if "fmp" in kinds else len(kinds)
+    context, fmp_blocks = b"", kinds.count("fmp")
     assert depth == (1 if seed % 5 == 4 else len(net.blocks))
     grids = grids_for(net, r, r.uniform(0.05, 0.8, size=6))
     grids.append(SparseGrid.empty(net.input_shape(), grids[0].ground))
@@ -845,6 +878,12 @@ def test_cut_and_join_equal_the_rulebook(seed, monkeypatch):
         for got, want in zip(rules, rulebook_chain(net, perm, depth), strict=True):
             assert got.src.dtype == np.int64
             assert_same_rule(got, want)
+        for rng in (None, np.random.default_rng(seed)):
+            chain = rulebook_chain(net, perm, len(net.blocks), copy.deepcopy(rng))
+            rules = net._rules(GridBatch.of(perm), rng, cache=False)
+            for got, want in zip(rules, chain, strict=True):
+                assert_same_rule(got, want)
+            assert rng is None or rng.bit_generator.state == drawn(seed, fmp_blocks)
 
 
 def test_a_partly_admitted_batch_holds_only_its_admitted_rows(rng, monkeypatch):
